@@ -9,7 +9,7 @@ BENCHTIME ?= 1s
 BENCHCOUNT ?= 5
 BENCH_SIM_OUT ?= BENCH_sim.json
 
-.PHONY: check vet build test race equiv chaos crash cluster partition overload bench bench-sim
+.PHONY: check vet build test race equiv chaos crash cluster partition overload bench bench-sim bench-e2e bench-check
 
 check: vet build test race equiv
 
@@ -25,11 +25,14 @@ test:
 # The concurrency-heavy packages get a dedicated race pass: the
 # speculative executor (worker pool, sharded task table, pooled
 # contexts), the work-set policies it draws from, the workload
-# registry, the specd job service (queue, workers, shutdown), and the
-# CSR Monte Carlo estimation engine plus its consumers (graph, sched,
-# profile, control).
+# registry, the specd job service (queue, workers, shutdown), the
+# journal (group commit, the deferred-sync timer behind lazy appends,
+# rotation/compaction/reopen), the cluster router, the fault-injection
+# layer, and the CSR Monte Carlo estimation engine plus its consumers
+# (graph, sched, profile, control).
 race:
 	$(GO) test -race ./internal/speculation/ ./internal/workset/ ./internal/workload/ ./internal/service/ \
+		./internal/journal/ ./internal/cluster/ ./internal/faultinject/ \
 		./internal/graph/ ./internal/sched/ ./internal/profile/ ./internal/control/
 
 # equiv is the controller-equivalence acceptance check for the
@@ -105,3 +108,17 @@ bench-sim:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		| $(GO) run ./cmd/benchfmt > $(BENCH_SIM_OUT)
 	@cat $(BENCH_SIM_OUT)
+
+# bench-e2e runs the end-to-end benchmark BENCHMARK.json names — real
+# specd subprocesses under -fsync always, every workload, one seed — and
+# prints each metric with its regression bound. See bench/README.md;
+# `go run -C bench . -repeat 10` gives medians and quartiles, `-trace 1`
+# the per-layer attribution.
+bench-e2e:
+	$(GO) run -C bench . -seed 1
+
+# bench-check vets and tests the benchmark module itself (its own
+# go.mod, so `make check` does not see it): unit tests plus a smoke run
+# of every workload.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .

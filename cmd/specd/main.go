@@ -34,7 +34,9 @@
 // -checkpoint-commits commits), and a restart with the same -state-dir
 // replays it — completed jobs reappear with their trajectories, queued
 // jobs re-enqueue, and jobs that were running when the process died
-// are re-run from spec.
+// are re-run from spec. Under -fsync always every record waits for its
+// fsync except the checkpoints, which reach the OS before the round
+// loop moves on and the disk at most 5 ms later.
 //
 // # Cluster modes
 //
@@ -87,8 +89,8 @@ func main() {
 	taskRetries := flag.Int("task-retries", 0, "default retry budget for failed tasks (0 = executor default, -1 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight rounds on shutdown")
 	stateDir := flag.String("state-dir", "", "state directory for the write-ahead journal (empty = in-memory only)")
-	fsyncPolicy := flag.String("fsync", "always", "journal fsync policy: always | interval | never")
-	checkpointRounds := flag.Int("checkpoint-rounds", 32, "journal a running job's progress every K rounds")
+	fsyncPolicy := flag.String("fsync", "always", "journal fsync policy: always (acks, attempt bumps and terminal states wait for their fsync; checkpoints are fsynced within 5ms) | interval (every record is fsynced within 5ms) | never")
+	checkpointRounds := flag.Int("checkpoint-rounds", 32, "journal a running job's progress every K rounds (the round loop does not wait for the checkpoint's fsync)")
 	checkpointCommits := flag.Int("checkpoint-commits", 2048, "journal a running async job's progress every K commits")
 	asyncDefault := flag.Bool("async", false, "run jobs barrier-free by default where the workload supports it (jobs may still set \"mode\" explicitly)")
 	coloredDefault := flag.Bool("colored", false, "run jobs in hybrid speculative→colored mode by default where the workload supports it (jobs may still set \"mode\" explicitly)")

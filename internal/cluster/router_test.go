@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -385,6 +386,70 @@ func TestRouterMetricsFamilies(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// The journal scalars — records, lazy records, fsyncs — reach the
+// router's /metrics summed across members, so records/fsyncs stays a
+// cluster-wide batching factor with the lazy share beside it.
+func TestRouterAggregatesJournalCounters(t *testing.T) {
+	r, _ := testRouter(t)
+	var wantLazy, wantRecords int64
+	for i, id := range []string{"n1", "n2"} {
+		svc, err := service.Open(service.Config{
+			Workers: 1, DefaultParallel: 1, StateDir: t.TempDir(), CheckpointEvery: 2,
+		})
+		if err != nil {
+			t.Fatalf("open %s: %v", id, err)
+		}
+		srv := httptest.NewServer(svc.Handler())
+		t.Cleanup(func() {
+			srv.Close()
+			_ = svc.Shutdown(context.Background())
+		})
+		joinNode(t, r, id, srv.URL, int64(i+1))
+		st, err := svc.Submit(quickSpec())
+		if err != nil {
+			t.Fatalf("submit on %s: %v", id, err)
+		}
+		// Done, and the worker has let go: the finished record is journaled.
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			got, _ := svc.JobTail(st.ID, 0)
+			if got.Terminal() && svc.Running() == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job on %s never finished", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		jst := svc.JournalStats()
+		if jst.Lazy == 0 {
+			t.Fatalf("%s journaled no lazy checkpoint", id)
+		}
+		wantLazy += jst.Lazy
+		wantRecords += jst.Records
+	}
+
+	rsrv := httptest.NewServer(r.Handler())
+	defer rsrv.Close()
+	resp, err := http.Get(rsrv.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading /metrics: %v", err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("cluster_specd_journal_lazy_records_total %d\n", wantLazy),
+		fmt.Sprintf("cluster_specd_journal_records_total %d\n", wantRecords),
+	} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("router metrics missing %q", want)
 		}
 	}
 }

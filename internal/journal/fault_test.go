@@ -1,6 +1,8 @@
 // Fault-path coverage for the journal through the injectable
-// filesystem seam: fsync failure mid-group-commit, ENOSPC during
-// segment rotation, and ENOSPC during snapshot compaction. Each case
+// filesystem seam: fsync failure mid-group-commit, a failed deferred
+// fsync behind lazy appends, ENOSPC during segment rotation, ENOSPC
+// during snapshot compaction, and a stress run mixing every entry point
+// over a flapping disk. Each case
 // asserts the core durability contract — no acknowledged record is
 // ever torn or lost — and that the journal re-opens cleanly once the
 // fault clears.
@@ -10,10 +12,12 @@
 package journal_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/journal"
@@ -238,5 +242,180 @@ func TestJournalENOSPCDuringSnapshotCompaction(t *testing.T) {
 	}
 	if !found {
 		t.Error("post-compaction record lost")
+	}
+}
+
+// A lazy append cannot report its own fsync failing — it has returned
+// by then. The failure must not be lost: it latches as the sticky
+// error, and the next append of either kind returns it.
+func TestLazyAppendFsyncFaultIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultinject.NewFaultFS(nil)
+	opts := journal.Options{Fsync: journal.SyncAlways, Interval: time.Millisecond, FS: ffs}
+	j, err := journal.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte("acked")); err != nil {
+		t.Fatalf("healthy append: %v", err)
+	}
+
+	ffs.Fail("sync", "wal-", faultinject.ErrNoSpace)
+	if err := j.AppendLazy([]byte("lazy")); err != nil {
+		t.Fatalf("lazy append returned %v; the write itself was healthy", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for j.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("failed deferred fsync never latched the sticky error")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := j.AppendLazy([]byte("after")); !errors.Is(err, faultinject.ErrNoSpace) {
+		t.Fatalf("lazy append on a faulted journal = %v, want the sticky ENOSPC", err)
+	}
+	if err := j.Append([]byte("after")); !errors.Is(err, faultinject.ErrNoSpace) {
+		t.Fatalf("append on a faulted journal = %v, want the sticky ENOSPC", err)
+	}
+
+	ffs.Clear()
+	if err := j.Reopen(); err != nil {
+		t.Fatalf("reopen after heal: %v", err)
+	}
+	if err := j.AppendLazy([]byte("healed")); err != nil {
+		t.Fatalf("lazy append after reopen: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	assertContains(t, replayAll(t, dir, opts), map[string]bool{"acked": true, "healed": true})
+}
+
+// Every entry point at once, under the race detector: synchronous and
+// lazy appenders, constant rotation (tiny segments), a compactor, and a
+// disk that keeps failing fsyncs and being reopened. The application
+// model is the service's: state is updated before the record is
+// journaled, and a snapshot serializes the state. Whatever interleaving
+// happens, the final replay must parse (no mid-log tear) and
+// snapshot ∪ records must hold every record whose synchronous Append
+// was acknowledged.
+func TestJournalStressLazySyncRotateCompactReopen(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultinject.NewFaultFS(nil)
+	opts := journal.Options{Fsync: journal.SyncAlways, Interval: time.Millisecond, SegmentBytes: 256, FS: ffs}
+	j, err := journal.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	state := make(map[string]bool) // every record ever attempted
+	acked := make(map[string]bool) // synchronous appends that returned nil
+	snapshot := func() []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		keys := make([]string, 0, len(state))
+		for k := range state {
+			keys = append(keys, k)
+		}
+		b, _ := json.Marshal(keys) // []string cannot fail to encode
+		return b
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	appender := func(tag string, lazy bool) {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := fmt.Sprintf("%s-%05d-padpadpadpadpadpad", tag, i)
+			mu.Lock()
+			state[rec] = true
+			mu.Unlock()
+			if lazy {
+				_ = j.AppendLazy([]byte(rec)) // durability is nobody's promise
+				continue
+			}
+			if err := j.Append([]byte(rec)); err == nil {
+				mu.Lock()
+				acked[rec] = true
+				mu.Unlock()
+			}
+		}
+	}
+	for w := 0; w < 3; w++ {
+		wg.Add(2)
+		go appender(fmt.Sprintf("sync%d", w), false)
+		go appender(fmt.Sprintf("lazy%d", w), true)
+	}
+	wg.Add(2)
+	go func() { // compactor
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(3 * time.Millisecond):
+				_ = j.Compact(snapshot) // fails while the disk is down; fine
+			}
+		}
+	}()
+	go func() { // flapping disk
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+			}
+			ffs.Fail("sync", "wal-", faultinject.ErrNoSpace)
+			time.Sleep(2 * time.Millisecond)
+			ffs.Clear()
+			if err := j.Reopen(); err != nil {
+				t.Errorf("reopen on a healed disk: %v", err)
+				return
+			}
+		}
+	}()
+	time.Sleep(300 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	ffs.Clear()
+	if err := j.Reopen(); err != nil {
+		t.Fatalf("final reopen: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	rep, err := journal.Replay(dir, opts)
+	if err != nil {
+		t.Fatalf("replay after stress: %v", err)
+	}
+	have := make(map[string]bool)
+	if len(rep.Snapshot) > 0 {
+		var keys []string
+		if err := json.Unmarshal(rep.Snapshot, &keys); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		for _, k := range keys {
+			have[k] = true
+		}
+	}
+	for _, r := range rep.Records {
+		have[string(r)] = true
+	}
+	if len(acked) == 0 {
+		t.Fatal("stress acknowledged nothing")
+	}
+	for rec := range acked {
+		if !have[rec] {
+			t.Errorf("acknowledged record %q lost", rec)
+		}
 	}
 }

@@ -20,10 +20,20 @@
 //
 // Durability policy is per-journal: SyncAlways fsyncs before Append
 // returns (concurrent appenders share one fsync — group commit),
-// SyncInterval fsyncs on a background tick, SyncNever leaves syncing
-// to the OS. All three survive a process crash (the data is in the
-// page cache once written); the policies differ only in how much a
-// machine crash can lose.
+// SyncInterval hands every record to the OS before Append returns and
+// fsyncs at most Interval later, SyncNever buffers in the process and
+// leaves syncing to the OS. Always and interval survive a process crash
+// (a returned append is in the page cache); they differ only in how
+// much a machine crash can lose. Never can also lose its unflushed
+// buffer (up to 64 KiB) to a process crash.
+//
+// AppendLazy is the entry point for records that gate nothing — the
+// service's periodic checkpoints. Under SyncAlways it is an interval
+// append: written to the OS before it returns, fsynced off the caller's
+// goroutine within Interval by a one-shot timer that joins the same
+// group commit as the synchronous appenders. The log is one sequential
+// stream, so durability stays prefix-closed: once a record is durable,
+// every record appended before it — lazy or not — is durable too.
 package journal
 
 import (
@@ -49,7 +59,8 @@ const (
 	// SyncAlways fsyncs before Append returns; concurrent appenders
 	// share a single fsync (group commit).
 	SyncAlways Policy = "always"
-	// SyncInterval fsyncs dirty data on a background tick.
+	// SyncInterval writes each record to the OS before Append returns
+	// and fsyncs it within Options.Interval.
 	SyncInterval Policy = "interval"
 	// SyncNever never fsyncs explicitly; the OS flushes on its own.
 	SyncNever Policy = "never"
@@ -67,7 +78,7 @@ func ParsePolicy(s string) (Policy, error) {
 // Options tunes a journal. Zero values take the documented defaults.
 type Options struct {
 	Fsync          Policy        // default SyncAlways
-	Interval       time.Duration // SyncInterval tick (default 5ms)
+	Interval       time.Duration // longest a deferred fsync waits (default 5ms)
 	SegmentBytes   int64         // rotation threshold (default 4 MiB)
 	MaxRecordBytes int           // sanity bound on one record (default 16 MiB)
 
@@ -131,8 +142,9 @@ func parseSeq(name, prefix, suffix string) (int64, bool) {
 	return seq, true
 }
 
-// Journal is an open write-ahead log. Append is safe for concurrent
-// use; Compact and Close serialize against appenders internally.
+// Journal is an open write-ahead log. Append and AppendLazy are safe
+// for concurrent use; Compact and Close serialize against appenders
+// internally.
 type Journal struct {
 	dir  string
 	opts Options
@@ -146,7 +158,6 @@ type Journal struct {
 	liveBytes int64 // bytes across all segments since the last compact
 	appended  int64 // records appended since Open (monotone)
 	synced    int64 // records covered by a completed fsync
-	dirty     bool  // unflushed or un-fsynced data exists
 	closed    bool
 	err       error // sticky I/O error; all later appends fail with it
 
@@ -157,16 +168,22 @@ type Journal struct {
 
 	compactMu sync.Mutex
 
-	records atomic.Int64
-	fsyncs  atomic.Int64
+	// The deferred sync: a one-shot timer armed (under mu) by the first
+	// append that does not wait for its own fsync, cleared when it fires.
+	// deferred counts the armed-or-running callback so Close can wait it
+	// out.
+	syncTimer *time.Timer // non-nil while armed
+	deferred  sync.WaitGroup
 
-	stopFlush chan struct{}
-	flushWG   sync.WaitGroup
+	records atomic.Int64
+	lazy    atomic.Int64
+	fsyncs  atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of journal counters.
 type Stats struct {
 	Records   int64 // records appended since Open
+	Lazy      int64 // of those, records whose append did not wait for its fsync
 	Fsyncs    int64 // fsync calls issued
 	LiveBytes int64 // segment bytes not yet covered by a snapshot
 	Segment   int64 // current segment sequence
@@ -211,38 +228,34 @@ func Open(dir string, opts Options) (*Journal, error) {
 		bw:        bufio.NewWriterSize(f, 1<<16),
 		segSeq:    next,
 		liveBytes: live,
-		stopFlush: make(chan struct{}),
-	}
-	if opts.Fsync == SyncInterval {
-		j.flushWG.Add(1)
-		go j.flushLoop()
 	}
 	return j, nil
 }
 
-func (j *Journal) flushLoop() {
-	defer j.flushWG.Done()
-	t := time.NewTicker(j.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-j.stopFlush:
-			return
-		case <-t.C:
-			j.mu.Lock()
-			dirty, seq := j.dirty, j.appended-1
-			j.mu.Unlock()
-			if dirty && seq >= 0 {
-				_ = j.syncThrough(seq)
-			}
-		}
-	}
-}
-
 // Append writes one record. Under SyncAlways it returns only after the
 // record is fsynced (sharing the fsync with concurrent appenders);
-// under the other policies it returns once the record is written.
+// under SyncInterval it is AppendLazy; under SyncNever it returns once
+// the record is buffered.
 func (j *Journal) Append(rec []byte) error {
+	return j.append(rec, j.opts.Fsync == SyncAlways)
+}
+
+// AppendLazy writes one record whose durability nobody waits for. The
+// record is handed to the OS before AppendLazy returns — a process
+// crash loses nothing that was acknowledged — but the fsync happens off
+// the caller's goroutine, at most Options.Interval later, and is shared
+// with every record appended in between. A synchronous Append that
+// lands first covers the lazy records and the deferred sync finds
+// nothing to do. A failed deferred fsync latches the sticky error; the
+// next append of either kind returns it. Under SyncNever AppendLazy is
+// Append.
+func (j *Journal) AppendLazy(rec []byte) error {
+	return j.append(rec, false)
+}
+
+// append frames and writes one record; wait makes the caller wait for
+// the record's fsync.
+func (j *Journal) append(rec []byte, wait bool) error {
 	if len(rec) == 0 {
 		return errors.New("journal: empty record")
 	}
@@ -284,14 +297,43 @@ func (j *Journal) Append(rec []byte) error {
 	j.liveBytes += n
 	seq := j.appended
 	j.appended++
-	j.dirty = true
-	j.mu.Unlock()
-
 	j.records.Add(1)
-	if j.opts.Fsync == SyncAlways {
+	if wait {
+		j.mu.Unlock()
 		return j.syncThrough(seq)
 	}
+	if j.opts.Fsync == SyncNever {
+		j.mu.Unlock()
+		return nil
+	}
+	j.lazy.Add(1)
+	if err := j.bw.Flush(); err != nil {
+		j.err = err
+		j.mu.Unlock()
+		return err
+	}
+	if j.syncTimer == nil {
+		// One deferred sync per Interval, however many records join it:
+		// an fsync kicked per record would run back to back and make every
+		// synchronous appender wait out one it cannot share.
+		j.deferred.Add(1)
+		j.syncTimer = time.AfterFunc(j.opts.Interval, j.deferredSync)
+	}
+	j.mu.Unlock()
 	return nil
+}
+
+// deferredSync is the timer callback behind lazy appends: fsync through
+// the newest record, via the same group commit as synchronous
+// appenders. Its error is not lost — syncThrough latches it as the
+// sticky error the next append returns.
+func (j *Journal) deferredSync() {
+	defer j.deferred.Done()
+	j.mu.Lock()
+	j.syncTimer = nil
+	seq := j.appended - 1
+	j.mu.Unlock()
+	_ = j.syncThrough(seq)
 }
 
 // syncThrough guarantees record seq (0-based append index) is fsynced.
@@ -319,7 +361,6 @@ func (j *Journal) syncThrough(seq int64) error {
 	}
 	f := j.f
 	target := j.appended
-	j.dirty = false
 	j.mu.Unlock()
 
 	// Fsync outside mu so appenders keep writing into the buffer while
@@ -395,7 +436,6 @@ func (j *Journal) Reopen() error {
 	j.f = f
 	j.bw = bufio.NewWriterSize(f, 1<<16)
 	j.segBytes = 0
-	j.dirty = false
 	j.synced = j.appended
 	j.err = nil
 	j.opts.Logf("journal: reopened after disk fault; appending to %s", segName(j.segSeq))
@@ -444,7 +484,6 @@ func (j *Journal) rotateLocked() error {
 		}
 		j.fsyncs.Add(1)
 		j.synced = j.appended
-		j.dirty = false
 	}
 	if err := j.f.Close(); err != nil {
 		return err
@@ -565,23 +604,33 @@ func (j *Journal) CurrentStats() Stats {
 	j.mu.Unlock()
 	return Stats{
 		Records:   j.records.Load(),
+		Lazy:      j.lazy.Load(),
 		Fsyncs:    j.fsyncs.Load(),
 		LiveBytes: live,
 		Segment:   seg,
 	}
 }
 
-// Close flushes, fsyncs (unless SyncNever), and closes the journal.
+// Close stops a pending deferred sync (waiting out one in flight), then
+// flushes, fsyncs (unless SyncNever), and closes the journal.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
 		return nil
 	}
-	j.closed = true
-	if j.opts.Fsync == SyncInterval {
-		close(j.stopFlush)
+	j.closed = true // no append can arm the timer from here on
+	t := j.syncTimer
+	j.mu.Unlock()
+	if t != nil && t.Stop() {
+		j.deferred.Done() // the callback will never run
 	}
+	j.deferred.Wait()
+
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	err := j.bw.Flush()
 	if err == nil && j.opts.Fsync != SyncNever {
 		if err = j.f.Sync(); err == nil {
@@ -590,10 +639,6 @@ func (j *Journal) Close() error {
 	}
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
-	}
-	j.mu.Unlock()
-	if j.opts.Fsync == SyncInterval {
-		j.flushWG.Wait()
 	}
 	return err
 }

@@ -21,8 +21,13 @@ import (
 func TestDegradedModeOnJournalFault(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultinject.NewFaultFS(nil)
+	// One worker: while the slow job holds it, the submit that hits the
+	// dead disk stays queued until its journal append fails and is
+	// withdrawn. With a free worker the job can be claimed — and a 120-node
+	// job even finished — inside that window (submit's documented
+	// claimed-before-refused race), which is not what this test is about.
 	s, err := Open(Config{
-		Workers: 2, QueueCap: 8, StateDir: dir, Fsync: journal.SyncAlways,
+		Workers: 1, QueueCap: 8, StateDir: dir, Fsync: journal.SyncAlways,
 		FS: ffs, DegradedRetryInterval: 10 * time.Millisecond,
 	})
 	if err != nil {

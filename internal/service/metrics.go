@@ -132,6 +132,8 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	jst := s.JournalStats()
 	header("specd_journal_records_total", "Records appended to the write-ahead journal.", "counter")
 	fmt.Fprintf(&b, "specd_journal_records_total %d\n", jst.Records)
+	header("specd_journal_lazy_records_total", "Journal records (checkpoints) whose append did not wait for its fsync.", "counter")
+	fmt.Fprintf(&b, "specd_journal_lazy_records_total %d\n", jst.Lazy)
 	header("specd_journal_fsyncs_total", "Fsync batches issued by the journal (group commit).", "counter")
 	fmt.Fprintf(&b, "specd_journal_fsyncs_total %d\n", jst.Fsyncs)
 	deg, _ := s.DegradedInfo()

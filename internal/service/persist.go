@@ -92,20 +92,28 @@ func (j *job) persist() snapshotJob {
 	return snapshotJob{Status: st, RSum: j.rSum}
 }
 
-// appendRecord journals one record, logging (not failing) on error —
-// a dead disk degrades durability, it does not take the service down.
-// It also triggers compaction once the live segments outgrow the
-// configured bound.
+// appendRecord journals one record and, under -fsync always, waits for
+// its fsync: every record but the checkpoint gates something (submitted
+// the ack, paused the requeue, finished the terminal state a poller
+// sees).
 func (s *Service) appendRecord(rec walRecord) error {
 	if s.jnl == nil {
 		return nil
 	}
+	return s.appendVia(s.jnl.Append, rec)
+}
+
+// appendVia journals one record through the given journal entry point,
+// logging (not failing) on error — a dead disk degrades durability, it
+// does not take the service down. It also triggers compaction once the
+// live segments outgrow the configured bound.
+func (s *Service) appendVia(appendFn func([]byte) error, rec walRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		s.cfg.Logf("specd: journal: encoding %s record for %s: %v", rec.Type, rec.ID, err)
 		return err
 	}
-	if err := s.jnl.Append(b); err != nil {
+	if err := appendFn(b); err != nil {
 		s.cfg.Logf("specd: journal: appending %s record for %s: %v", rec.Type, rec.ID, err)
 		if !errors.Is(err, journal.ErrClosed) {
 			// A real disk fault (fsync error, ENOSPC, torn rotation):
@@ -195,11 +203,18 @@ func (j *job) progressRecord(typ string, points []RoundPoint) walRecord {
 	return rec
 }
 
+// journalCheckpoint records a running job's progress. It is the one
+// lazy record: nothing waits on a checkpoint (a crashed job re-runs from
+// spec; the checkpoint only preserves its trajectory prefix), so the
+// round loop does not stall on its fsync. It is in the OS page cache on
+// return — a process crash loses none — and on disk within the fsync
+// interval, or as soon as any later record of any job is, since the WAL
+// is one sequential stream.
 func (s *Service) journalCheckpoint(j *job, points []RoundPoint) {
 	if s.jnl == nil {
 		return
 	}
-	s.appendRecord(j.progressRecord(recCheckpoint, points))
+	s.appendVia(s.jnl.AppendLazy, j.progressRecord(recCheckpoint, points))
 }
 
 // journalPause records a preemption barrier: the interrupted attempt's

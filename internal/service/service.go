@@ -16,14 +16,21 @@
 // snapshot+journal to rebuild the job table — completed jobs reappear
 // with their trajectories, queued jobs re-enqueue, and jobs that were
 // running when the process died restart from spec in StateRecovered
-// with their checkpointed trajectory prefix preserved. See persist.go
-// and internal/journal.
+// with their checkpointed trajectory prefix preserved. Records that gate
+// something wait for their fsync (submitted gates the ack, paused the
+// requeue, finished the terminal state; started and handoff likewise);
+// checkpoints gate nothing and are appended lazily — in the OS before
+// the round loop moves on, on disk within the fsync interval — so the
+// loop never stalls on the disk. The journal is one sequential stream:
+// a durable later record implies every earlier checkpoint is durable
+// too. See persist.go and internal/journal.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -341,7 +348,10 @@ func (r *ring) tail(n int) []RoundPoint {
 	return out[len(out)-n:]
 }
 
-// record folds one executed round into the job under its lock.
+// record folds one executed round into the job under its lock. A nil
+// counters keeps the last published controller counters: the round and
+// colored loops refresh them on the checkpoint cadence and on exit, not
+// every round (see runJob).
 func (j *job) record(p RoundPoint, pending int, counters map[string]int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -373,8 +383,17 @@ func (j *job) record(p RoundPoint, pending int, counters map[string]int) {
 	if j.specRounds > 0 {
 		st.MeanConflictRatio = j.rSum / float64(j.specRounds)
 	}
-	st.ControllerCounters = counters
+	if counters != nil {
+		st.ControllerCounters = counters
+	}
 	j.hist.push(p)
+}
+
+// setCounters publishes a fresh controller-counter map.
+func (j *job) setCounters(counters map[string]int) {
+	j.mu.Lock()
+	j.status.ControllerCounters = counters
+	j.mu.Unlock()
 }
 
 // snapshot returns a deep-enough copy for JSON encoding, with the last
@@ -694,6 +713,9 @@ func (s *Service) normalize(spec JobSpec) (JobSpec, error) {
 	}
 	if spec.Degree < 0 {
 		return spec, specErrf("degree %v negative", spec.Degree)
+	}
+	if err := workload.Validate(spec.Workload, workload.Params{Size: spec.Size, Degree: spec.Degree}); err != nil {
+		return spec, specErrf("%v", err)
 	}
 	if spec.Workload == "spin" && spec.MaxDuration <= 0 && spec.MaxRounds <= 0 {
 		return spec, specErrf("workload \"spin\" never drains: set max_duration or max_rounds")
@@ -1289,6 +1311,17 @@ func (s *Service) runJob(j *job) {
 			s.journalFinish(j, delta)
 		}
 	}()
+	// A panic on this goroutine — a workload constructor rejecting its
+	// parameters, a bug in a drive loop — fails the job instead of the
+	// process: the finished record above makes the failure final, so a
+	// restart does not replay the job into the same panic. (Panics inside
+	// tasks never get here; the executors count them as task failures.)
+	defer func() {
+		if r := recover(); r != nil {
+			s.cfg.Logf("specd: job %s panicked: %v\n%s", id, r, debug.Stack())
+			s.failJob(j, id, fmt.Errorf("panic: %v", r))
+		}
+	}()
 
 	s.cfg.Logf("specd: job %s started: workload=%s controller=%s size=%d seed=%d attempt=%d",
 		id, spec.Workload, spec.Controller, spec.Size, spec.Seed, attempt)
@@ -1309,6 +1342,42 @@ func (s *Service) runJob(j *job) {
 		return
 	}
 	defer run.Stepper.Close()
+
+	// The controller's decision counters are a freshly allocated map per
+	// read, so the round and colored loops publish them every
+	// CheckpointEvery rounds (durable or not) and on every way out —
+	// pause, cancel, drain — rather than every round; each journaled
+	// record and the final status carry the same counters as if they had.
+	// (Async samples arrive with their counters attached; an async job
+	// gets here only after its drive has settled, re-reading the same
+	// values.)
+	telemetry, _ := ctrl.(control.Telemetry)
+	syncCounters := func() {
+		if telemetry != nil {
+			j.setCounters(telemetry.Counters())
+		}
+	}
+	// recordRound folds one round of the round or colored loop into the
+	// job and, every CheckpointEvery rounds of the attempt, checkpoints the
+	// rounds since the last checkpoint to the journal.
+	recordRound := func(p RoundPoint) {
+		if attempt > 1 {
+			p.Attempt = attempt
+		}
+		cadence := (p.Round+1)%s.cfg.CheckpointEvery == 0
+		var counters map[string]int
+		if cadence && telemetry != nil {
+			counters = telemetry.Counters()
+		}
+		j.record(p, run.Stepper.Pending(), counters)
+		if s.jnl != nil {
+			delta = append(delta, p)
+			if cadence {
+				s.journalCheckpoint(j, delta)
+				delta = delta[:0]
+			}
+		}
+	}
 
 	// The round context carries the wall-clock deadline and is canceled
 	// by shutdown or a user cancel, so Steppers that observe ctx stop
@@ -1337,6 +1406,7 @@ func (s *Service) runJob(j *job) {
 	}()
 
 	cancelJob := func(reason, errMsg string) {
+		syncCounters()
 		j.mu.Lock()
 		j.status.State = StateCanceled
 		j.status.Reason = reason
@@ -1353,6 +1423,7 @@ func (s *Service) runJob(j *job) {
 	// before the pause record lands, replay sees a running job and takes
 	// the normal crash-recovery path; after, it re-queues the paused job.
 	pauseJob := func(progress int) {
+		syncCounters()
 		j.mu.Lock()
 		j.status.State = StatePaused
 		j.status.Attempt++
@@ -1376,16 +1447,20 @@ func (s *Service) runJob(j *job) {
 			id, progress, attempt)
 	}
 
+	finish := func(progress int) {
+		syncCounters()
+		s.finishDrained(j, id, spec, run, progress)
+	}
+
 	if spec.Mode == ModeAsync {
 		s.runAsyncJob(j, id, attempt, spec, run, ctrl, ctx, cancelJob, pauseJob, pch, &delta)
 		return
 	}
 	if spec.Mode == ModeColored {
-		s.runColoredJob(j, id, attempt, spec, run, ctrl, ctx, cancelJob, pauseJob, pch, &delta)
+		s.runColoredJob(j, id, spec, run, ctrl, ctx, cancelJob, pauseJob, pch, recordRound, finish)
 		return
 	}
 
-	telemetry, _ := ctrl.(control.Telemetry)
 	round := 0
 	for ; round < spec.MaxRounds && run.Stepper.Pending() > 0; round++ {
 		select {
@@ -1416,29 +1491,14 @@ func (s *Service) runJob(j *job) {
 		rr := run.Stepper.Round(ctx, m)
 		r := rr.ConflictRatio()
 		ctrl.Observe(r)
-		var counters map[string]int
-		if telemetry != nil {
-			counters = telemetry.Counters()
-		}
-		p := RoundPoint{
+		recordRound(RoundPoint{
 			Round: round, M: m,
 			Launched: rr.Launched, Committed: rr.Committed, Aborted: rr.Aborted,
 			Failed: rr.Failed, Poisoned: rr.Poisoned, R: r,
-		}
-		if attempt > 1 {
-			p.Attempt = attempt
-		}
-		j.record(p, run.Stepper.Pending(), counters)
-		if s.jnl != nil {
-			delta = append(delta, p)
-			if len(delta) >= s.cfg.CheckpointEvery {
-				s.journalCheckpoint(j, delta)
-				delta = delta[:0]
-			}
-		}
+		})
 	}
 
-	s.finishDrained(j, id, spec, run, round)
+	finish(round)
 }
 
 // runAsyncJob drains one job barrier-free: the stepper's RunAsync drive
@@ -1512,43 +1572,28 @@ func (s *Service) runAsyncJob(j *job, id string, attempt int, spec JobSpec, run 
 // runColoredJob drains one job in hybrid speculative→colored mode: the
 // stepper's RunColored drive owns the learn/color/execute cycle, and
 // every round (speculative or colored) lands here as one trajectory
-// point. Checkpointing and cancellation handling mirror the round
-// loop's; colored super-rounds are flagged on their RoundPoints, and
-// the per-job phase counters (colored rounds, colorings, fallbacks)
-// accumulate in the job status.
-func (s *Service) runColoredJob(j *job, id string, attempt int, spec JobSpec, run *workload.Run,
+// point through recordRound — the round loop's own bookkeeping and
+// checkpoint cadence. Cancellation handling mirrors the round loop's;
+// colored super-rounds are flagged on their RoundPoints, and the per-job
+// phase counters (colored rounds, colorings, fallbacks) accumulate in
+// the job status.
+func (s *Service) runColoredJob(j *job, id string, spec JobSpec, run *workload.Run,
 	ctrl control.Controller, ctx context.Context, cancelJob func(reason, errMsg string),
-	pauseJob func(progress int), pch chan struct{}, delta *[]RoundPoint) {
+	pauseJob func(progress int), pch chan struct{}, recordRound func(RoundPoint), finish func(progress int)) {
 	cst, ok := run.Stepper.(workload.ColoredStepper)
 	if !ok {
 		s.failJob(j, id, fmt.Errorf("workload %q stepper cannot run colored", spec.Workload))
 		return
 	}
-	telemetry, _ := ctrl.(control.Telemetry)
 	res := cst.RunColored(ctx, ctrl, speculation.ColoredOptions{
 		MaxRounds: spec.MaxRounds,
 		OnRound: func(cr speculation.ColoredRound) {
-			var counters map[string]int
-			if telemetry != nil {
-				counters = telemetry.Counters()
-			}
-			p := RoundPoint{
+			recordRound(RoundPoint{
 				Round: cr.Round, M: cr.M,
 				Launched: cr.Launched, Committed: cr.Committed, Aborted: cr.Aborted,
 				Failed: cr.Failed, Poisoned: cr.Poisoned, R: cr.R,
 				Colored: cr.Colored, Fallback: cr.Fallback,
-			}
-			if attempt > 1 {
-				p.Attempt = attempt
-			}
-			j.record(p, run.Stepper.Pending(), counters)
-			if s.jnl != nil {
-				*delta = append(*delta, p)
-				if len(*delta) >= s.cfg.CheckpointEvery {
-					s.journalCheckpoint(j, *delta)
-					*delta = (*delta)[:0]
-				}
-			}
+			})
 		},
 	})
 	if res.Canceled {
@@ -1578,7 +1623,7 @@ func (s *Service) runColoredJob(j *job, id string, attempt int, spec JobSpec, ru
 		}
 		return
 	}
-	s.finishDrained(j, id, spec, run, res.Rounds)
+	finish(res.Rounds)
 }
 
 // finishDrained is the shared post-drive tail for both execution modes:

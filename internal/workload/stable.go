@@ -60,12 +60,8 @@ func stableEdgeSeq(u, v int) int64 {
 // newStable builds the stable-conflict workload: Size chains over a
 // random conflict graph of average degree Degree (default 8).
 func newStable(p Params) (*Run, error) {
-	d := p.Degree
-	if d <= 0 {
-		d = 8
-	}
 	r := rng.New(p.Seed)
-	g := graph.RandomWithAvgDegree(r, p.Size, d)
+	g := graph.RandomWithAvgDegree(r, p.Size, degree("stable", p))
 	pick := r.Split()
 	var mu sync.Mutex
 	e := speculation.NewExecutor(func(n int) int {

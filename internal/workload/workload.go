@@ -438,6 +438,33 @@ func SupportsAsync(name string) bool { return Supports(name, CapAsync) }
 // operators — see CapColored).
 func SupportsColored(name string) bool { return Supports(name, CapColored) }
 
+// defaultDegree is the average conflict-graph degree of the synthetic
+// random-graph workloads when Params.Degree is unset.
+var defaultDegree = map[string]float64{"cc": 16, "stable": 8}
+
+// degree resolves Params.Degree for the named random-graph workload.
+func degree(name string, p Params) float64 {
+	if p.Degree > 0 {
+		return p.Degree
+	}
+	return defaultDegree[name]
+}
+
+// Validate rejects, without building anything, parameters no instance
+// of the named workload can be built from: the random-graph workloads
+// draw Size·Degree/2 distinct edges, and a simple graph on Size nodes
+// has average degree at most Size−1. Admission paths call it so an
+// impossible request is refused rather than queued; New calls it too.
+func Validate(name string, p Params) error {
+	if _, ok := defaultDegree[name]; !ok {
+		return nil
+	}
+	if d := degree(name, p); d > float64(p.Size-1) {
+		return fmt.Errorf("workload: %q of size %d cannot have average degree %v (at most size-1)", name, p.Size, d)
+	}
+	return nil
+}
+
 // New instantiates the named workload. Construction builds the full
 // input (mesh, graph, formula, …), so it can be deferred until a job
 // actually runs.
@@ -446,6 +473,9 @@ func New(name string, p Params) (*Run, error) {
 		if b.name == name {
 			if p.Fault != nil && !SupportsFault(name) {
 				return nil, fmt.Errorf("workload: %q does not support fault injection", name)
+			}
+			if err := Validate(name, p); err != nil {
+				return nil, err
 			}
 			return b.build(p)
 		}
@@ -624,12 +654,8 @@ func newMaxflow(p Params) (*Run, error) {
 // rather than via speculation.NewGraphExecutor so the fault-injection
 // hook is in place before Populate adds the node tasks.
 func newCC(p Params) (*Run, error) {
-	d := p.Degree
-	if d <= 0 {
-		d = 16
-	}
 	r := rng.New(p.Seed)
-	g := graph.RandomWithAvgDegree(r, p.Size, d)
+	g := graph.RandomWithAvgDegree(r, p.Size, degree("cc", p))
 	wl := speculation.NewGraphWorkload(g)
 	pick := r.Split()
 	var mu sync.Mutex

@@ -85,6 +85,42 @@ func TestUnknownNamesError(t *testing.T) {
 	}
 }
 
+// The random-graph workloads cannot draw more edges than a simple graph
+// holds: Validate says so, and New returns the same error instead of
+// panicking in the generator.
+func TestImpossibleDegreeIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Params
+		ok   bool
+	}{
+		{"cc", Params{Size: 1, Degree: 16}, false},
+		{"cc", Params{Size: 16}, false}, // default degree 16
+		{"cc", Params{Size: 17}, true},  // complete graph
+		{"cc", Params{Size: 100, Degree: 99}, true},
+		{"cc", Params{Size: 100, Degree: 99.5}, false},
+		{"stable", Params{Size: 8}, false}, // default degree 8
+		{"stable", Params{Size: 9}, true},
+		{"mesh", Params{Size: 1, Degree: 1000}, true}, // degree ignored
+	} {
+		err := Validate(tc.name, tc.p)
+		if (err == nil) != tc.ok {
+			t.Errorf("Validate(%s, size %d, degree %v) = %v, want ok=%v", tc.name, tc.p.Size, tc.p.Degree, err, tc.ok)
+		}
+		if tc.name == "mesh" {
+			continue
+		}
+		tc.p.Seed, tc.p.Parallel = 1, 1
+		run, err := New(tc.name, tc.p)
+		if (err == nil) != tc.ok {
+			t.Errorf("New(%s, size %d, degree %v) error = %v, want ok=%v", tc.name, tc.p.Size, tc.p.Degree, err, tc.ok)
+		}
+		if run != nil {
+			run.Stepper.Close()
+		}
+	}
+}
+
 func TestControllerRegistry(t *testing.T) {
 	for _, name := range ControllerNames() {
 		if !HasController(name) {
