@@ -13,8 +13,11 @@ BENCH_SIM_OUT ?= BENCH_sim.json
 
 check: vet build test race equiv
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -98,13 +101,14 @@ bench:
 	$(GO) test ./internal/speculation/ -run NONE -bench BenchmarkExecutorRound -benchtime 2s
 
 # bench-sim reproduces the simulation- and executor-layer benchmarks
-# (CSR greedy-MIS kernel, serial vs parallel conflict-ratio estimators,
+# (CSR vs mutable-graph greedy-MIS kernels, the mutable graph's
+# build-and-drain, serial vs parallel conflict-ratio estimators,
 # round-barrier vs barrier-free execution on the straggler workload,
 # and round vs async vs colored execution on stable-conflict
 # topologies) and records per-benchmark medians in $(BENCH_SIM_OUT).
 bench-sim:
 	$(GO) test ./internal/graph/ ./internal/sched/ ./internal/speculation/ -run NONE \
-		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkConflictRatioMC|BenchmarkExecutorAsync|BenchmarkExecutorColored' \
+		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMC|BenchmarkExecutorAsync|BenchmarkExecutorColored' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		| $(GO) run ./cmd/benchfmt > $(BENCH_SIM_OUT)
 	@cat $(BENCH_SIM_OUT)

@@ -8,8 +8,8 @@ import (
 // fakeClock drives the membership table deterministically.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time            { return c.t }
-func (c *fakeClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestTable() (*memberTable, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}

@@ -9,9 +9,10 @@ import (
 
 // CSR is an immutable compressed-sparse-row snapshot of a Graph, the flat
 // adjacency layout the Monte Carlo estimators iterate over. Where the
-// mutable Graph pays a hash lookup and pointer chase per neighbor, the
-// snapshot packs all neighbor lists into one contiguous slice indexed by
-// an offsets array, so a greedy-MIS sweep touches memory sequentially.
+// mutable Graph keeps one growable list per node (and a back index per
+// arc, so it can delete), the snapshot packs all neighbor lists into one
+// contiguous slice indexed by an offsets array, so a greedy-MIS sweep
+// touches memory sequentially.
 //
 // Nodes are renumbered to dense indices 0..n−1 (the Graph's internal
 // sampling order at snapshot time); ID and IndexOf translate between the
@@ -33,7 +34,7 @@ func NewCSR(g *Graph) *CSR {
 		offsets: make([]int32, n+1),
 		nbrs:    make([]int32, 2*g.edges),
 		ids:     append([]int(nil), g.nodes...),
-		remap:   make([]int32, g.nextID),
+		remap:   make([]int32, len(g.pos)),
 	}
 	for i := range c.remap {
 		c.remap[i] = -1
@@ -44,8 +45,8 @@ func NewCSR(g *Graph) *CSR {
 	off := int32(0)
 	for i, id := range g.nodes {
 		c.offsets[i] = off
-		for v := range g.adj[id] {
-			c.nbrs[off] = c.remap[v]
+		for _, a := range g.adj[id] {
+			c.nbrs[off] = c.remap[a.to]
 			off++
 		}
 	}

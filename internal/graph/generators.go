@@ -28,9 +28,12 @@ func RandomGNM(r *rng.Rand, n, m int) *Graph {
 			}
 		}
 		for _, i := range r.PermPrefix(maxEdges, m) {
-			g.AddEdge(all[i].u, all[i].v)
+			g.link(all[i].u, all[i].v)
 		}
 		return g
+	}
+	if n > 0 {
+		g.reserve(2*m/n + 1)
 	}
 	for g.NumEdges() < m {
 		u := r.Intn(n)
@@ -59,7 +62,7 @@ func RandomGNP(r *rng.Rand, n int, p float64) *Graph {
 	if p >= 1 {
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				g.AddEdge(u, v)
+				g.link(u, v)
 			}
 		}
 		return g
@@ -92,7 +95,7 @@ func CliqueUnion(n, d int) *Graph {
 	for base := 0; base < n; base += size {
 		for i := 0; i < size; i++ {
 			for j := i + 1; j < size; j++ {
-				g.AddEdge(base+i, base+j)
+				g.link(base+i, base+j)
 			}
 		}
 	}
@@ -106,7 +109,7 @@ func CliquePlusIsolated(cliqueSize, isolated int) *Graph {
 	g := NewWithNodes(cliqueSize + isolated)
 	for i := 0; i < cliqueSize; i++ {
 		for j := i + 1; j < cliqueSize; j++ {
-			g.AddEdge(i, j)
+			g.link(i, j)
 		}
 	}
 	return g
@@ -121,7 +124,7 @@ func CliquesPlusIsolated(numCliques, cliqueSize, isolated int) *Graph {
 		base := c * cliqueSize
 		for i := 0; i < cliqueSize; i++ {
 			for j := i + 1; j < cliqueSize; j++ {
-				g.AddEdge(base+i, base+j)
+				g.link(base+i, base+j)
 			}
 		}
 	}
@@ -143,7 +146,7 @@ func Cycle(n int) *Graph {
 	}
 	g := NewWithNodes(n)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+		g.link(i, (i+1)%n)
 	}
 	return g
 }
@@ -152,7 +155,7 @@ func Cycle(n int) *Graph {
 func Path(n int) *Graph {
 	g := NewWithNodes(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		g.link(i, i+1)
 	}
 	return g
 }
@@ -164,7 +167,7 @@ func Star(n int) *Graph {
 	}
 	g := NewWithNodes(n)
 	for i := 1; i < n; i++ {
-		g.AddEdge(0, i)
+		g.link(0, i)
 	}
 	return g
 }
@@ -178,10 +181,10 @@ func Grid2D(rows, cols int) *Graph {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.AddEdge(id(r, c), id(r, c+1))
+				g.link(id(r, c), id(r, c+1))
 			}
 			if r+1 < rows {
-				g.AddEdge(id(r, c), id(r+1, c))
+				g.link(id(r, c), id(r+1, c))
 			}
 		}
 	}
@@ -278,21 +281,22 @@ func BarabasiAlbert(r *rng.Rand, n, k int) *Graph {
 	var ends []int // repeated endpoint list: sampling ∝ degree
 	for i := 0; i <= k; i++ {
 		for j := i + 1; j <= k; j++ {
-			g.AddEdge(i, j)
+			g.link(i, j)
 			ends = append(ends, i, j)
 		}
 	}
 	for v := k + 1; v < n; v++ {
-		attached := map[int]bool{}
-		for len(attached) < k {
-			u := ends[r.Intn(len(ends))]
-			if u != v && !attached[u] {
-				attached[u] = true
+		// v's own endpoints enter ends only once it has all k targets, so
+		// a draw never returns v; targets attach in draw order, which
+		// keeps the graph a function of the seed.
+		from := len(ends)
+		for attached := 0; attached < k; {
+			u := ends[r.Intn(from)]
+			if !g.HasEdge(u, v) {
+				g.link(u, v)
+				ends = append(ends, u, v)
+				attached++
 			}
-		}
-		for u := range attached {
-			g.AddEdge(u, v)
-			ends = append(ends, u, v)
 		}
 	}
 	return g

@@ -1,0 +1,89 @@
+package graph
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/rng"
+)
+
+// TestSeededGeneratorsGolden pins the seeded generators to edge lists
+// recorded under testdata/, so every seeded experiment in EXPERIMENTS.md
+// keeps seeing the graphs it was run on. The files for RandomGNM (both
+// branches), RandomWithAvgDegree, RandomGNP, WattsStrogatz and
+// RandomGeometric are WriteEdgeList output of the map-backed Graph (the
+// commit before the flat-array rewrite). BarabasiAlbert iterated over a
+// Go map then and had no reproducible output; its file records the
+// draw-order attachment that replaced it.
+func TestSeededGeneratorsGolden(t *testing.T) {
+	cases := []struct {
+		file string
+		g    *Graph
+	}{
+		{"gnm_sparse_seed1", RandomGNM(rng.New(1), 60, 150)},
+		{"gnm_dense_seed2", RandomGNM(rng.New(2), 24, 200)},
+		{"gnp_seed3", RandomGNP(rng.New(3), 60, 0.08)},
+		{"watts_seed4", WattsStrogatz(rng.New(4), 60, 3, 0.2)},
+		{"geometric_seed5", RandomGeometric(rng.New(5), 80, 0.15)},
+		{"avgdegree_seed6", RandomWithAvgDegree(rng.New(6), 100, 8)},
+		{"barabasi_seed7", BarabasiAlbert(rng.New(7), 60, 3)},
+	}
+	for _, c := range cases {
+		want, err := os.ReadFile(filepath.Join("testdata", c.file+".edges"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		if err := c.g.WriteEdgeList(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != string(want) {
+			t.Errorf("%s: generated edge list differs from testdata/%s.edges", c.file, c.file)
+		}
+		if err := c.g.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", c.file, err)
+		}
+	}
+}
+
+// TestDenseBuildsStayLinear: generators that cannot emit a duplicate
+// insert without scanning, so a dense build costs O(edges) where AddEdge
+// would make it O(edges·degree). The absolute bounds are loose enough
+// for -race on a slow box; the relative one holds on any box.
+func TestDenseBuildsStayLinear(t *testing.T) {
+	start := time.Now()
+	k := Complete(1500)
+	u := CliqueUnion(3000, 99)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("Complete(1500) + CliqueUnion(3000, 99) took %v", elapsed)
+	}
+	if k.NumEdges() != 1500*1499/2 || u.NumEdges() != 30*100*99/2 {
+		t.Fatalf("edges %d / %d", k.NumEdges(), u.NumEdges())
+	}
+	// Draining a clique is O(edges) too: removal follows the back indices.
+	start = time.Now()
+	for k.NumNodes() > 0 {
+		k.RemoveNode(k.NodeAt(0))
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("draining K_1500 took %v", elapsed)
+	}
+
+	const n = 800
+	start = time.Now()
+	Complete(n)
+	linear := time.Since(start)
+	start = time.Now()
+	g := NewWithNodes(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			g.AddEdge(i, j)
+		}
+	}
+	if scanning := time.Since(start); 3*linear > scanning {
+		t.Errorf("Complete(%d) took %v, the duplicate-scanning build %v: generator is not on the no-scan insert", n, linear, scanning)
+	}
+}

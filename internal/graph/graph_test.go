@@ -311,33 +311,3 @@ func TestSortedNeighbors(t *testing.T) {
 		t.Fatalf("SortedNeighbors = %v", ns)
 	}
 }
-
-// Property: random removals never break invariants.
-func TestInvariantsUnderRandomMutation(t *testing.T) {
-	r := rng.New(7)
-	g := RandomGNM(r, 60, 150)
-	for i := 0; i < 40; i++ {
-		nodes := g.Nodes()
-		if len(nodes) == 0 {
-			break
-		}
-		v := nodes[r.Intn(len(nodes))]
-		switch r.Intn(3) {
-		case 0:
-			g.RemoveNode(v)
-		case 1:
-			u := g.AddNode()
-			if v != u {
-				g.AddEdge(u, v)
-			}
-		case 2:
-			w := nodes[r.Intn(len(nodes))]
-			if w != v && !g.HasEdge(v, w) {
-				g.AddEdge(v, w)
-			}
-		}
-		if err := g.CheckInvariants(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-	}
-}

@@ -29,8 +29,8 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	type edge struct{ u, v int }
 	edges := make([]edge, 0, g.NumEdges())
 	for _, u := range ids {
-		for v := range g.adj[u] {
-			if u < v {
+		for _, a := range g.adj[u] {
+			if v := int(a.to); u < v {
 				edges = append(edges, edge{u, v})
 			}
 		}
@@ -49,18 +49,29 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
+// MaxEdgeListID is the largest node ID ReadEdgeList accepts. Graph
+// storage is indexed by ID, so one line naming a huge ID would otherwise
+// allocate memory proportional to it.
+const MaxEdgeListID = 1<<20 - 1
+
 // ReadEdgeList parses the WriteEdgeList format (comment lines starting
 // with '#' are skipped; "node v" declares an isolated or any node;
-// "u v" declares an edge, creating endpoints as needed).
+// "u v" declares an edge, creating endpoints as needed). Node IDs must
+// lie in [0, MaxEdgeListID].
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	g := New()
 	sc := bufio.NewScanner(r)
-	ensure := func(id int) {
-		if !g.Has(id) {
-			g.addNodeID(id)
-		}
-	}
 	line := 0
+	parseID := func(field string) (int, error) {
+		id, err := strconv.Atoi(field)
+		if err != nil {
+			return 0, fmt.Errorf("graph: line %d: bad node id %q", line, field)
+		}
+		if id < 0 || id > MaxEdgeListID {
+			return 0, fmt.Errorf("graph: line %d: node id %d outside [0, %d]", line, id, MaxEdgeListID)
+		}
+		return id, nil
+	}
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -70,25 +81,26 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		fields := strings.Fields(text)
 		switch {
 		case len(fields) == 2 && fields[0] == "node":
-			id, err := strconv.Atoi(fields[1])
+			id, err := parseID(fields[1])
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad node id %q", line, fields[1])
+				return nil, err
 			}
-			ensure(id)
+			g.addNodeID(id)
 		case len(fields) == 2:
-			u, err1 := strconv.Atoi(fields[0])
-			v, err2 := strconv.Atoi(fields[1])
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("graph: line %d: bad edge %q", line, text)
+			u, err := parseID(fields[0])
+			if err != nil {
+				return nil, err
+			}
+			v, err := parseID(fields[1])
+			if err != nil {
+				return nil, err
 			}
 			if u == v {
 				return nil, fmt.Errorf("graph: line %d: self-loop %d", line, u)
 			}
-			ensure(u)
-			ensure(v)
-			if !g.HasEdge(u, v) {
-				g.AddEdge(u, v)
-			}
+			g.addNodeID(u)
+			g.addNodeID(v)
+			g.AddEdge(u, v)
 		default:
 			return nil, fmt.Errorf("graph: line %d: unparseable %q", line, text)
 		}

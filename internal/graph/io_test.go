@@ -27,7 +27,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		if !back.Has(u) {
 			t.Fatalf("node %d lost", u)
 		}
-		for v := range g.adj[u] {
+		for _, v := range g.Neighbors(u, nil) {
 			if !back.HasEdge(u, v) {
 				t.Fatalf("edge {%d,%d} lost", u, v)
 			}
@@ -59,11 +59,27 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"a b",    // non-numeric
 		"node x", // bad node id
 		"5 5",    // self-loop
+		// IDs index the graph's arrays: out-of-range ones are refused,
+		// not allowed to panic or to allocate gigabytes.
+		"node -5",
+		"-1 2",
+		"2 -1",
+		"node 4000000000",
+		"0 1048576", // MaxEdgeListID + 1
+		"node 99999999999999999999",
 	}
 	for _, c := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(c)); err == nil {
 			t.Errorf("input %q accepted", c)
 		}
+	}
+	// Errors name the offending line.
+	_, err := ReadEdgeList(strings.NewReader("0 1\n# c\nnode -5\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("error %v does not name line 3", err)
+	}
+	if _, err := ReadEdgeList(strings.NewReader("node 1048575")); err != nil {
+		t.Errorf("MaxEdgeListID itself refused: %v", err)
 	}
 	// Comments, blanks, and duplicate edges are tolerated.
 	g, err := ReadEdgeList(strings.NewReader("# header\n\n1 2\n2 1\nnode 9\n"))

@@ -59,12 +59,12 @@ func (s *MISScratch) begin(bound int) {
 
 // Size computes GreedyMISSize(g, order) without per-call allocation.
 func (s *MISScratch) Size(g *Graph, order []int) int {
-	s.begin(g.nextID)
+	s.begin(len(g.pos))
 	size := 0
 	for _, v := range order {
 		ok := true
-		for u := range g.adj[v] {
-			if s.mark[u] == s.epoch {
+		for _, a := range g.arcs(v) {
+			if s.mark[a.to] == s.epoch {
 				ok = false
 				break
 			}
@@ -80,11 +80,11 @@ func (s *MISScratch) Size(g *Graph, order []int) int {
 // Partition computes GreedyMIS(g, order) reusing the scratch's epoch
 // marking; only the result slices are allocated.
 func (s *MISScratch) Partition(g *Graph, order []int) (selected, rejected []int) {
-	s.begin(g.nextID)
+	s.begin(len(g.pos))
 	for _, v := range order {
 		ok := true
-		for u := range g.adj[v] {
-			if s.mark[u] == s.epoch {
+		for _, a := range g.arcs(v) {
+			if s.mark[a.to] == s.epoch {
 				ok = false
 				break
 			}
@@ -142,8 +142,8 @@ func NoEarlierNeighborCount(g *Graph, order []int) int {
 	count := 0
 	for _, v := range order {
 		ok := true
-		for u := range g.adj[v] {
-			if seen[u] {
+		for _, a := range g.arcs(v) {
+			if seen[int(a.to)] {
 				ok = false
 				break
 			}
@@ -163,8 +163,8 @@ func IsIndependentSet(g *Graph, set []int) bool {
 		in[v] = true
 	}
 	for _, v := range set {
-		for u := range g.adj[v] {
-			if in[u] {
+		for _, a := range g.arcs(v) {
+			if in[int(a.to)] {
 				return false
 			}
 		}
@@ -188,8 +188,8 @@ func IsMaximalIndependentSet(g *Graph, set []int) bool {
 			continue
 		}
 		blocked := false
-		for u := range g.adj[v] {
-			if in[u] {
+		for _, a := range g.arcs(v) {
+			if in[int(a.to)] {
 				blocked = true
 				break
 			}

@@ -238,3 +238,15 @@ func BenchmarkGreedyMISScratch(b *testing.B) {
 		scratch.Size(g, order)
 	}
 }
+
+// BenchmarkGraphBuildDrain is the mutable graph's life in a cc job: build
+// the paper's random graph, then commit (remove) every node.
+func BenchmarkGraphBuildDrain(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := RandomWithAvgDegree(rng.New(12), 10000, 16)
+		for g.NumNodes() > 0 {
+			g.RemoveNode(g.NodeAt(g.NumNodes() - 1))
+		}
+	}
+}

@@ -5,7 +5,7 @@ package graph
 // within and across components except that the first element of each
 // is its smallest node ID).
 func (g *Graph) ConnectedComponents() [][]int {
-	seen := make(map[int]bool, len(g.nodes))
+	seen := make([]bool, len(g.pos))
 	var comps [][]int
 	for _, start := range g.nodes {
 		if seen[start] {
@@ -18,8 +18,8 @@ func (g *Graph) ConnectedComponents() [][]int {
 			v := queue[0]
 			queue = queue[1:]
 			comp = append(comp, v)
-			for u := range g.adj[v] {
-				if !seen[u] {
+			for _, a := range g.adj[v] {
+				if u := int(a.to); !seen[u] {
 					seen[u] = true
 					queue = append(queue, u)
 				}
@@ -53,7 +53,8 @@ func (g *Graph) BFSDistances(src int) map[int]int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for u := range g.adj[v] {
+		for _, a := range g.adj[v] {
+			u := int(a.to)
 			if _, ok := dist[u]; !ok {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)
@@ -67,17 +68,15 @@ func (g *Graph) BFSDistances(src int) map[int]int {
 // (dead IDs ignored) and the edges among them. Node IDs are preserved.
 func (g *Graph) InducedSubgraph(nodes []int) *Graph {
 	sub := New()
-	keep := make(map[int]bool, len(nodes))
 	for _, v := range nodes {
-		if g.Has(v) && !keep[v] {
-			keep[v] = true
+		if g.Has(v) {
 			sub.addNodeID(v)
 		}
 	}
-	for v := range keep {
-		for u := range g.adj[v] {
-			if keep[u] && u > v {
-				sub.AddEdge(v, u)
+	for _, v := range sub.nodes {
+		for _, a := range g.adj[v] {
+			if u := int(a.to); u > v && sub.Has(u) {
+				sub.link(v, u)
 			}
 		}
 	}

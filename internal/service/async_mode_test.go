@@ -69,10 +69,10 @@ func TestAsyncSpecValidation(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	cases := []JobSpec{
-		{Workload: "mesh", Controller: "hybrid", Mode: ModeAsync},       // app workload
-		{Workload: "des", Controller: "hybrid", Mode: ModeAsync},        // ordered
-		{Workload: "cc", Controller: "hybrid", Mode: "turbo"},           // unknown mode
-		{Workload: "cc", Controller: "hybrid", CommitWindow: 32},        // window without async
+		{Workload: "mesh", Controller: "hybrid", Mode: ModeAsync}, // app workload
+		{Workload: "des", Controller: "hybrid", Mode: ModeAsync},  // ordered
+		{Workload: "cc", Controller: "hybrid", Mode: "turbo"},     // unknown mode
+		{Workload: "cc", Controller: "hybrid", CommitWindow: 32},  // window without async
 		{Workload: "cc", Controller: "hybrid", Mode: ModeAsync, CommitWindow: -1},
 		{Workload: "cc", Controller: "hybrid", Mode: ModeAsync, CommitWindow: 1 << 20},
 	}

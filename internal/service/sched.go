@@ -30,7 +30,7 @@ const (
 // the capacity classes (queue, tenant) so pre-tenant callers keep
 // working.
 type RejectError struct {
-	Class  string        // RejectQueue | RejectTenant | RejectQuota | RejectShed | RejectDeadline
+	Class  string // RejectQueue | RejectTenant | RejectQuota | RejectShed | RejectDeadline
 	Tenant string
 	Wait   time.Duration // computed Retry-After (bucket refill or estimated dequeue time)
 }

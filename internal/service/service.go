@@ -164,7 +164,7 @@ type RoundPoint struct {
 	Aborted   int     `json:"aborted"`
 	Failed    int     `json:"failed,omitempty"`   // panicked / errored attempts
 	Poisoned  int     `json:"poisoned,omitempty"` // retry budgets exhausted this round
-	R         float64 `json:"r"` // conflict ratio observed this round
+	R         float64 `json:"r"`                  // conflict ratio observed this round
 	// Attempt tags points recorded by a post-recovery re-execution
 	// (omitted for attempt 1), so a restored trajectory distinguishes
 	// the pre-crash prefix from the rerun.
@@ -181,16 +181,16 @@ type RoundPoint struct {
 // JobStatus is the externally visible snapshot of a job, returned by
 // GET /v1/jobs/{id} and embedded in submit responses.
 type JobStatus struct {
-	ID          string     `json:"id"`
-	State       State      `json:"state"`
-	Spec        JobSpec    `json:"spec"`
-	SubmittedAt time.Time  `json:"submitted_at"`
+	ID          string    `json:"id"`
+	State       State     `json:"state"`
+	Spec        JobSpec   `json:"spec"`
+	SubmittedAt time.Time `json:"submitted_at"`
 	// Node is the cluster member the job is placed on. It is filled in
 	// by the router front door; a node reporting its own jobs leaves it
 	// empty.
-	Node string `json:"node,omitempty"`
-	StartedAt   *time.Time `json:"started_at,omitempty"`
-	FinishedAt  *time.Time `json:"finished_at,omitempty"`
+	Node       string     `json:"node,omitempty"`
+	StartedAt  *time.Time `json:"started_at,omitempty"`
+	FinishedAt *time.Time `json:"finished_at,omitempty"`
 	// Attempt counts executions of this job: 1 normally, bumped each
 	// time crash recovery restarts it from spec or a preemption pauses
 	// it at a barrier.
@@ -205,8 +205,8 @@ type JobStatus struct {
 	Launched          int64   `json:"launched"`
 	Committed         int64   `json:"committed"`
 	Aborted           int64   `json:"aborted"`
-	Failed            int64   `json:"failed,omitempty"`   // panicked / errored task attempts
-	Poisoned          int64   `json:"poisoned,omitempty"` // tasks quarantined after exhausting retries
+	Failed            int64   `json:"failed,omitempty"`    // panicked / errored task attempts
+	Poisoned          int64   `json:"poisoned,omitempty"`  // tasks quarantined after exhausting retries
 	ConflictRatio     float64 `json:"conflict_ratio"`      // cumulative aborts/launches
 	MeanConflictRatio float64 `json:"mean_conflict_ratio"` // r̄: unweighted per-round mean
 

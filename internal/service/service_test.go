@@ -75,9 +75,9 @@ func TestSpecValidation(t *testing.T) {
 	cases := []JobSpec{
 		{Workload: "nope", Controller: "hybrid"},
 		{Workload: "cc", Controller: "nope"},
-		{Workload: "cc", Controller: "fixed"},             // missing m
-		{Workload: "cc", Controller: "hybrid", Rho: 1.5},  // rho out of range
-		{Workload: "cc", Controller: "hybrid", Size: -3},  // bad size
+		{Workload: "cc", Controller: "fixed"},            // missing m
+		{Workload: "cc", Controller: "hybrid", Rho: 1.5}, // rho out of range
+		{Workload: "cc", Controller: "hybrid", Size: -3}, // bad size
 		{Workload: "cc", Controller: "hybrid", Parallel: 9999},
 	}
 	for _, spec := range cases {

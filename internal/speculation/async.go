@@ -24,7 +24,8 @@ import (
 // conflict semantics ("a task aborts iff it conflicts with a task that
 // committed before it") at window granularity, which is what makes the
 // windowed conflict ratio statistically equivalent to the per-round
-// ratio and lets the existing controllers run unchanged. Commit
+// ratio and lets the existing controllers run unchanged; like a round,
+// a window always contains at least one commit. Commit
 // actions run serially, in commit order, before the locks release —
 // so a successful Acquire still implies post-commit-action state, as
 // in round mode. One async-specific caveat: a committed task's spawns
@@ -437,7 +438,15 @@ func (a *asyncRun) complete(out asyncOutcome) {
 	if !a.stopped {
 		if a.opts.MaxCommits > 0 && a.commits >= a.opts.MaxCommits {
 			a.finishLocked(false)
-		} else if a.est.Ready() {
+		} else if a.est.Ready() && a.winCommitted > 0 {
+			// A window closes on a commit, never on aborts alone. A round
+			// always commits something (the first task in commit order has
+			// nobody to lose to); m straight aborts here mean the holder is
+			// an attempt still in flight — typically done with its task
+			// and queued on a.mu to settle — and the losers, whose bodies
+			// can be a few hundred nanoseconds, retried and lost again.
+			// Closing on them would feed the controller thousands of
+			// zero-commit samples per millisecond of the holder's wait.
 			a.flushSampleLocked()
 			if a.opts.MaxSamples > 0 && a.sampleCount >= a.opts.MaxSamples {
 				a.finishLocked(false)

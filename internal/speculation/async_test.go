@@ -40,6 +40,15 @@ func TestRunAsyncDrainsGraph(t *testing.T) {
 	if len(res.Trajectory) == 0 || res.Samples != len(res.Trajectory) {
 		t.Fatalf("trajectory: %d samples, Samples=%d", len(res.Trajectory), res.Samples)
 	}
+	// Like a round, a window always commits something: losers spinning
+	// against an unsettled holder must not close windows of pure aborts.
+	// (The last sample is the drain's leftover, flushed as is: an abort
+	// can be recorded after its own retry has already committed.)
+	for _, s := range res.Trajectory[:len(res.Trajectory)-1] {
+		if s.Committed == 0 {
+			t.Fatalf("sample %d closed with no commit: %+v", s.Sample, s)
+		}
+	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

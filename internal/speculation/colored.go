@@ -85,18 +85,18 @@ type ColoredOptions struct {
 
 // ColoredRound reports one round of a colored drive.
 type ColoredRound struct {
-	Round    int  // 0-based round index within the drive
-	Colored  bool // false: speculative (learning) round, true: colored
-	M        int  // speculative: controller's m; colored: tasks launched
-	Launched int
+	Round     int  // 0-based round index within the drive
+	Colored   bool // false: speculative (learning) round, true: colored
+	M         int  // speculative: controller's m; colored: tasks launched
+	Launched  int
 	Committed int
-	Aborted  int
-	Failed   int
-	Poisoned int
-	Spawned  int
-	R        float64 // conflict ratio of this round (~0 when colored)
-	Colors   int     // number of color classes (colored rounds only)
-	Fallback bool    // this round tripped the staleness detector
+	Aborted   int
+	Failed    int
+	Poisoned  int
+	Spawned   int
+	R         float64 // conflict ratio of this round (~0 when colored)
+	Colors    int     // number of color classes (colored rounds only)
+	Fallback  bool    // this round tripped the staleness detector
 }
 
 // ColoredResult aggregates a colored drive.
@@ -148,8 +148,8 @@ type staleness int
 
 const (
 	staleNone staleness = iota
-	staleSoft            // graph incomplete: drop the coloring, keep learning
-	staleHard            // graph contradicted: reset the recorder entirely
+	staleSoft           // graph incomplete: drop the coloring, keep learning
+	staleHard           // graph contradicted: reset the recorder entirely
 )
 
 // coloredState holds the reusable buffers of the colored super-round so
@@ -230,23 +230,20 @@ func (e *Executor) RunColored(ctx context.Context, ctrl control.Controller, opts
 			if rec.Degraded() {
 				res.Degraded = true
 			} else if rec.Stable(opts.StableRounds) && e.Pending() > 0 {
-				if lg = rec.Snapshot(); lg != nil {
-					if !e.pendingCovered(lg, &cs) {
-						// Quiet but incomplete: some pending task has
-						// never committed, so its edges are unknown.
-						// Keep learning until a snapshot can cover the
-						// whole work-set.
-						lg = nil
-						rec.Unsettle()
-					} else {
-						workers := e.MaxParallel
-						if workers <= 0 {
-							workers = runtime.GOMAXPROCS(0)
-						}
-						cs.colors, res.Colors = graph.ColorCSR(lg.CSR(), cs.colors, workers)
-						cs.prepare(lg, res.Colors)
-						res.Colorings++
+				if !e.pendingCovered(rec, &cs) {
+					// Quiet but incomplete: some pending task has never
+					// committed, so its edges are unknown. Keep learning
+					// until the recorder covers the whole work-set; only
+					// then is a snapshot worth building.
+					rec.Unsettle()
+				} else if lg = rec.Snapshot(); lg != nil {
+					workers := e.MaxParallel
+					if workers <= 0 {
+						workers = runtime.GOMAXPROCS(0)
 					}
+					cs.colors, res.Colors = graph.ColorCSR(lg.CSR(), cs.colors, workers)
+					cs.prepare(lg, res.Colors)
+					res.Colorings++
 				}
 			}
 			continue
@@ -280,11 +277,11 @@ func (e *Executor) RunColored(ctx context.Context, ctrl control.Controller, opts
 }
 
 // pendingCovered reports whether every pending task is keyed and its
-// key appears in the snapshot with no key shared by two live tasks —
-// the precondition for the speculative→colored transition. The pending
-// set is inspected by draining and requeueing it (cheap relative to a
-// snapshot, and transitions are rare).
-func (e *Executor) pendingCovered(lg *LearnedGraph, cs *coloredState) bool {
+// key is known to the recorder with no key shared by two live tasks —
+// the precondition for the speculative→colored transition, checked
+// before a snapshot is built. The pending set is inspected by draining
+// and requeueing it.
+func (e *Executor) pendingCovered(rec *ConflictRecorder, cs *coloredState) bool {
 	cs.handles = e.drainPending(cs.handles[:0])
 	n := len(cs.handles)
 	if n == 0 {
@@ -301,7 +298,7 @@ func (e *Executor) pendingCovered(lg *LearnedGraph, cs *coloredState) bool {
 			break
 		}
 		key := kt.ConflictKey()
-		if _, dup := live[key]; dup || lg.KeyIndex(key) < 0 {
+		if _, dup := live[key]; dup || !rec.Knows(key) {
 			ok = false
 			break
 		}

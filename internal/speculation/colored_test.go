@@ -61,29 +61,12 @@ func buildStableFixture(g *graph.Graph, repeats, parallel int, seed uint64) (*Ex
 	e.MaxParallel = parallel
 
 	nodes := g.Nodes()
-	nodeItems := make(map[int]*Item, len(nodes))
-	for _, v := range nodes {
-		nodeItems[v] = NewItem(int64(v))
-	}
-	edgeItems := make(map[[2]int]*Item)
-	edgeFor := func(u, v int) *Item {
-		k := edgeKey(u, v)
-		it, ok := edgeItems[k]
-		if !ok {
-			it = NewItem((int64(k[0])+1)<<32 | int64(k[1]))
-			edgeItems[k] = it
-		}
-		return it
-	}
+	fps := GraphFootprints(g)
 
 	total := new(atomic.Int64)
 	tasks := make([]*stableChainTask, 0, len(nodes))
 	for _, v := range nodes {
-		t := &stableChainTask{key: int64(v)}
-		t.items = append(t.items, nodeItems[v])
-		g.EachNeighbor(v, func(u int) {
-			t.items = append(t.items, edgeFor(v, u))
-		})
+		t := &stableChainTask{key: int64(v), items: fps[v]}
 		t.left.Store(int64(repeats))
 		tt := t
 		t.commitFn = func() {
@@ -160,24 +143,8 @@ func TestRecorderSnapshotColoringIndependent(t *testing.T) {
 	g := graph.RandomWithAvgDegree(rng.New(3), 120, 6.0)
 	rec := NewConflictRecorder(0, 0)
 
-	nodeItems := make(map[int]*Item)
-	edgeItems := make(map[[2]int]*Item)
-	for _, v := range g.Nodes() {
-		nodeItems[v] = NewItem(int64(v))
-	}
-	footprint := func(v int) []*Item {
-		items := []*Item{nodeItems[v]}
-		g.EachNeighbor(v, func(u int) {
-			k := edgeKey(v, u)
-			it, ok := edgeItems[k]
-			if !ok {
-				it = NewItem((int64(k[0])+1)<<32 | int64(k[1]))
-				edgeItems[k] = it
-			}
-			items = append(items, it)
-		})
-		return items
-	}
+	fps := GraphFootprints(g)
+	footprint := func(v int) []*Item { return fps[v] }
 	for _, v := range g.Nodes() {
 		rec.recordCommit(Keyed(int64(v), TaskFunc(func(*Ctx) error { return nil })), footprint(v))
 	}
@@ -242,8 +209,20 @@ func TestRecorderSnapshotColoringIndependent(t *testing.T) {
 			t.Fatalf("phantom item in key %d's footprint", v)
 		}
 	}
-	if lg.KeyIndex(1 << 40) != -1 {
+	if lg.KeyIndex(1<<40) != -1 || rec.Knows(1<<40) {
 		t.Fatal("unknown key resolved to an index")
+	}
+
+	// The drive tests coverage with Knows before paying for a snapshot,
+	// so the two must agree on which keys exist.
+	for v := -1; v <= 130; v++ {
+		if rec.Knows(int64(v)) != (lg.KeyIndex(int64(v)) >= 0) {
+			t.Fatalf("Knows(%d) = %v disagrees with the snapshot", v, rec.Knows(int64(v)))
+		}
+	}
+	rec.Reset()
+	if rec.Knows(int64(g.Nodes()[0])) {
+		t.Fatal("Reset kept a known key")
 	}
 }
 

@@ -65,7 +65,8 @@ type ConflictRecorder struct {
 	maxItems       int
 	maxKeysPerItem int
 
-	items map[int64][]int64 // item Seq -> task keys observed holding it
+	items map[int64][]int64  // item Seq -> task keys observed holding it
+	known map[int64]struct{} // every task key appearing in items
 
 	newPairs bool // a new (item, key) pair was recorded this round
 	commits  bool // this round settled at least one commit
@@ -88,6 +89,7 @@ func NewConflictRecorder(maxItems, maxKeysPerItem int) *ConflictRecorder {
 		maxItems:       maxItems,
 		maxKeysPerItem: maxKeysPerItem,
 		items:          make(map[int64][]int64),
+		known:          make(map[int64]struct{}),
 	}
 }
 
@@ -105,6 +107,7 @@ func (r *ConflictRecorder) recordCommit(t Task, acquired []*Item) {
 		return
 	}
 	key := kt.ConflictKey()
+	added := false
 	for _, it := range acquired {
 		keys, seen := r.items[it.Seq]
 		if !seen && len(r.items) >= r.maxItems {
@@ -119,7 +122,11 @@ func (r *ConflictRecorder) recordCommit(t Task, acquired []*Item) {
 			return
 		}
 		r.items[it.Seq] = append(keys, key)
+		added = true
+	}
+	if added {
 		r.newPairs = true
+		r.known[key] = struct{}{}
 	}
 }
 
@@ -154,6 +161,14 @@ func (r *ConflictRecorder) Stable(k int) bool {
 	return !r.unkeyed && !r.overflow && len(r.items) > 0 && r.stable >= k
 }
 
+// Knows reports whether a commit of the task key has been observed — the
+// per-key coverage test the drive runs over the pending set before it
+// pays for a Snapshot.
+func (r *ConflictRecorder) Knows(key int64) bool {
+	_, ok := r.known[key]
+	return ok
+}
+
 // Degraded reports whether learning has been permanently disabled for
 // this recording epoch (unkeyed commit or bound overflow). Reset clears
 // it.
@@ -169,6 +184,7 @@ func (r *ConflictRecorder) Unsettle() { r.stable = 0 }
 // staleness trip, starting a fresh learning epoch.
 func (r *ConflictRecorder) Reset() {
 	clear(r.items)
+	clear(r.known)
 	r.newPairs = false
 	r.commits = false
 	r.stable = 0
@@ -192,8 +208,9 @@ type LearnedGraph struct {
 }
 
 // Snapshot freezes the recorder into a LearnedGraph. Returns nil if the
-// recorder is degraded or empty. Allocation here is fine: snapshots
-// happen once per learning epoch, not per round.
+// recorder is degraded or empty. Allocation here is fine: the drive
+// snapshots only once the recorder is stable and knows every pending
+// key, i.e. once per coloring, not per round.
 func (r *ConflictRecorder) Snapshot() *LearnedGraph {
 	if r.Degraded() || len(r.items) == 0 {
 		return nil
@@ -201,14 +218,8 @@ func (r *ConflictRecorder) Snapshot() *LearnedGraph {
 	lg := &LearnedGraph{}
 
 	// Dense-number the keys (sorted for determinism).
-	keySet := make(map[int64]struct{})
-	for _, keys := range r.items {
-		for _, k := range keys {
-			keySet[k] = struct{}{}
-		}
-	}
-	lg.keys = make([]int64, 0, len(keySet))
-	for k := range keySet {
+	lg.keys = make([]int64, 0, len(r.known))
+	for k := range r.known {
 		lg.keys = append(lg.keys, k)
 	}
 	sort.Slice(lg.keys, func(i, j int) bool { return lg.keys[i] < lg.keys[j] })

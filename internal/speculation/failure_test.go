@@ -36,10 +36,16 @@ func TestPanicIsolationRollsBack(t *testing.T) {
 			if it.Owner() != noOwner {
 				t.Fatalf("item still owned by %d after panic", it.Owner())
 			}
-			// A clean task can immediately take the lock the panicker held.
+			// A clean task can take the lock the panicker held. It may lose
+			// the race to the panicker's retry in any one round, so drain:
+			// the panicker runs out of budget, the clean task commits.
 			e.Add(TaskFunc(func(ctx *Ctx) error { return ctx.Acquire(it) }))
-			if st := e.Round(2); st.Committed != 1 {
-				t.Fatalf("follow-up round %+v, want one commit", st)
+			committed := 0
+			for rounds := 0; e.Pending() > 0 && rounds < 100; rounds++ {
+				committed += e.Round(2).Committed
+			}
+			if committed != 1 {
+				t.Fatalf("follow-up rounds committed %d, want 1", committed)
 			}
 		})
 	}

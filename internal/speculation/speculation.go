@@ -21,6 +21,8 @@
 // space (one channel send per chunk, not one goroutine per task), task
 // handles live in a sharded task table, attempt IDs come from an atomic
 // counter, and per-attempt contexts are recycled through a sync.Pool.
+// A conflict abort — the common case at the paper's ρ = 0.25 — allocates
+// nothing: the error Acquire returns lives in the attempt's context.
 // Setting MaxParallel to 0 bypasses the pool and launches one goroutine
 // per task — the model-faithful "one processor per task" simulation mode.
 package speculation
@@ -34,10 +36,25 @@ import (
 	"sync/atomic"
 )
 
-// ErrConflict is returned by Ctx.Acquire when the requested item is held
-// by another in-flight task. Operator code must propagate it (or wrap it)
-// so the executor can roll the task back.
+// ErrConflict is what Ctx.Acquire's error unwraps to when the requested
+// item is held by another in-flight task. Operator code must propagate
+// that error (or wrap it) so the executor can roll the task back.
 var ErrConflict = errors.New("speculation: conflict detected")
+
+// conflictError is the error Acquire returns on a lost race. Losing is
+// the expected outcome of speculation, so the abort path allocates
+// nothing: the value lives inside the aborting Ctx and the message is
+// formatted only if somebody asks for it.
+type conflictError struct {
+	item, holder, requester int64
+}
+
+func (e *conflictError) Error() string {
+	return fmt.Sprintf("%v: item %d held by task %d (requester %d)",
+		ErrConflict, e.item, e.holder, e.requester)
+}
+
+func (e *conflictError) Unwrap() error { return ErrConflict }
 
 // The failure taxonomy, shared by both executors: every attempt outcome
 // is exactly one of
@@ -105,8 +122,11 @@ type Item struct {
 }
 
 // NewItem returns an unowned item with the given diagnostic tag.
-func NewItem(seq int64) *Item {
-	it := &Item{Seq: seq}
+func NewItem(seq int64) *Item { return new(Item).init(seq) }
+
+// init readies an item in place — the form slab allocations use.
+func (it *Item) init(seq int64) *Item {
+	it.Seq = seq
 	it.owner.Store(noOwner)
 	return it
 }
@@ -141,6 +161,7 @@ type Ctx struct {
 	spawned  []Task
 	onCommit []func()
 	aborted  bool
+	conflict conflictError // backing store of the error Acquire returns
 	// colored marks a context executing inside a colored round (see
 	// colored.go): tasks in one color class are pairwise conflict-free by
 	// construction, so Acquire records the footprint without taking the
@@ -182,7 +203,10 @@ func (c *Ctx) ID() int64 { return c.id }
 
 // Acquire takes an exclusive abstract lock on it. Acquiring an item the
 // task already holds succeeds. If another task holds it, the acquisition
-// fails with ErrConflict: the caller must unwind and return the error.
+// fails with an error that unwraps to ErrConflict: the caller must unwind
+// and return it. The error is stored in the context, so it is valid
+// until the executor recycles the context after settling the attempt —
+// long enough to return or wrap it, not to keep it.
 func (c *Ctx) Acquire(it *Item) error {
 	if c.colored {
 		// Colored round: conflict freedom is guaranteed by the coloring,
@@ -195,8 +219,8 @@ func (c *Ctx) Acquire(it *Item) error {
 	}
 	if !it.owner.CompareAndSwap(noOwner, c.id) {
 		c.aborted = true
-		return fmt.Errorf("%w: item %d held by task %d (requester %d)",
-			ErrConflict, it.Seq, it.owner.Load(), c.id)
+		c.conflict = conflictError{item: it.Seq, holder: it.owner.Load(), requester: c.id}
+		return &c.conflict
 	}
 	c.acquired = append(c.acquired, it)
 	return nil

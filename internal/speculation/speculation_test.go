@@ -2,6 +2,7 @@ package speculation
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -359,5 +360,31 @@ func TestMutualConflictDrainsLinearly(t *testing.T) {
 	}
 	if rounds != k {
 		t.Fatalf("drained in %d rounds, want %d", rounds, k)
+	}
+}
+
+// A lost race is the expected outcome of speculation, so the abort path
+// must not allocate; the error still unwraps to ErrConflict and names
+// the item, holder and requester when somebody formats it.
+func TestConflictErrorAllocatesNothing(t *testing.T) {
+	it := NewItem(42)
+	holder := &Ctx{id: 7}
+	if err := holder.Acquire(it); err != nil {
+		t.Fatal(err)
+	}
+	loser := &Ctx{id: 9}
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { err = loser.Acquire(it) }); allocs != 0 {
+		t.Fatalf("a conflict abort allocates %v times", allocs)
+	}
+	if !errors.Is(err, ErrConflict) {
+		t.Fatalf("%v does not unwrap to ErrConflict", err)
+	}
+	if wrapped := fmt.Errorf("operator: %w", err); !errors.Is(wrapped, ErrConflict) {
+		t.Fatalf("%v does not unwrap to ErrConflict once wrapped", wrapped)
+	}
+	want := "speculation: conflict detected: item 42 held by task 7 (requester 9)"
+	if err.Error() != want {
+		t.Fatalf("message %q, want %q", err.Error(), want)
 	}
 }

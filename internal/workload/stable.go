@@ -47,16 +47,6 @@ func (t *stableTask) Run(ctx *speculation.Ctx) error {
 	return nil
 }
 
-// stableEdgeSeq packs a normalized conflict edge (u < v) into an item
-// Seq disjoint from the node Seqs (which are plain node indices): the
-// +1 keeps the high half nonzero even for u == 0.
-func stableEdgeSeq(u, v int) int64 {
-	if u > v {
-		u, v = v, u
-	}
-	return (int64(u)+1)<<32 | int64(v)
-}
-
 // newStable builds the stable-conflict workload: Size chains over a
 // random conflict graph of average degree Degree (default 8).
 func newStable(p Params) (*Run, error) {
@@ -73,29 +63,12 @@ func newStable(p Params) (*Run, error) {
 	e.TaskRetries = p.TaskRetries
 
 	nodes := g.Nodes()
-	nodeItems := make(map[int]*speculation.Item, len(nodes))
-	for _, v := range nodes {
-		nodeItems[v] = speculation.NewItem(int64(v))
-	}
-	edgeItems := make(map[int64]*speculation.Item)
-	edgeFor := func(u, v int) *speculation.Item {
-		seq := stableEdgeSeq(u, v)
-		it, ok := edgeItems[seq]
-		if !ok {
-			it = speculation.NewItem(seq)
-			edgeItems[seq] = it
-		}
-		return it
-	}
+	fps := speculation.GraphFootprints(g)
 
 	total := new(atomic.Int64)
 	tasks := make([]*stableTask, 0, len(nodes))
 	for _, v := range nodes {
-		t := &stableTask{key: int64(v)}
-		t.items = append(t.items, nodeItems[v])
-		g.EachNeighbor(v, func(u int) {
-			t.items = append(t.items, edgeFor(v, u))
-		})
+		t := &stableTask{key: int64(v), items: fps[v]}
 		t.left.Store(stableRepeats)
 		tt := t
 		t.commitFn = func() {
