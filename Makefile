@@ -9,7 +9,7 @@ BENCHTIME ?= 1s
 BENCHCOUNT ?= 5
 BENCH_SIM_OUT ?= BENCH_sim.json
 
-.PHONY: check vet build test race equiv chaos crash cluster partition overload bench bench-sim bench-e2e bench-check
+.PHONY: check vet build test race equiv chaos crash cluster partition overload bench bench-sim bench-e2e bench-check size
 
 check: vet build test race equiv
 
@@ -45,10 +45,13 @@ race:
 # colored-mode acceptance run: on the stable-conflict workload the
 # hybrid speculative→colored drive must reach the colored phase, commit
 # with a zero conflict ratio and no aborts there, and sustain colored
-# steady-state commits/sec at least matching the async executor.
+# steady-state commits/sec at least matching the async executor. The
+# golden trajectories ride along: apprun's stdout and the round drive's
+# per-round (M, R, Committed) series at -parallel 1, where both are pure
+# functions of the seed, pinned byte for byte.
 equiv:
-	$(GO) test -count=1 -run 'TestAsyncControllerEquivalence|TestWindowedEstimator|TestColoredEquivalence' \
-		./internal/workload/ ./internal/control/
+	$(GO) test -count=1 -run 'TestAsyncControllerEquivalence|TestWindowedEstimator|TestColoredEquivalence|TestGolden' \
+		./internal/workload/ ./internal/control/ .
 
 # chaos runs the fault-injection and cancellation end-to-end suites
 # under the race detector: deterministic panic/error/delay injection
@@ -126,3 +129,8 @@ bench-e2e:
 # of every workload.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# size prints the non-test Go line count outside bench/ — the one number
+# net-negative PRs quote before and after.
+size:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

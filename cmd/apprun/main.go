@@ -85,47 +85,36 @@ func main() {
 		return c
 	}
 
+	mode, flagName, need := speculation.ModeRound, "", workload.Capability(0)
+	switch {
+	case *async:
+		mode, flagName, need = speculation.ModeAsync, "-async", workload.CapAsync
+	case *colored:
+		mode, flagName, need = speculation.ModeColored, "-colored", workload.CapColored
+	}
+
 	apps := []string{*app}
 	if *app == "all" {
 		apps = []string{"mesh", "boruvka", "sp", "cluster", "des", "maxflow"}
 	}
 	for _, a := range apps {
-		if *async && !workload.SupportsAsync(a) {
-			fmt.Fprintf(os.Stderr, "app %q does not support -async (only: %v)\n",
-				a, workload.CapableNames(workload.CapAsync))
-			os.Exit(2)
-		}
-		if *colored && !workload.SupportsColored(a) {
-			fmt.Fprintf(os.Stderr, "app %q does not support -colored (only: %v)\n",
-				a, workload.CapableNames(workload.CapColored))
+		if workload.Has(a) && !workload.Supports(a, need) {
+			fmt.Fprintf(os.Stderr, "app %q does not support %s (only: %v)\n",
+				a, flagName, workload.CapableNames(need))
 			os.Exit(2)
 		}
 		c := newCtrl()
 		run, err := workload.New(a, workload.Params{
 			Size: *size, Seed: *seed, Parallel: *par, TaskRetries: *retries})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "unknown app %q\n", a)
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		var res *speculation.AdaptiveResult
-		var cres *speculation.ColoredResult
-		switch {
-		case *async:
-			res, err = workload.DrainAsync(context.Background(), run.Stepper, c,
-				speculation.AsyncOptions{Window: *window, MaxSamples: *maxRounds})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		case *colored:
-			res, cres, err = workload.DrainColored(context.Background(), run.Stepper, c,
-				speculation.ColoredOptions{MaxRounds: *maxRounds})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		default:
-			res = workload.Drain(context.Background(), run.Stepper, c, *maxRounds)
+		res, dres, err := speculation.Collect(context.Background(), run.Stepper, c,
+			speculation.Options{Mode: mode, Window: *window, MaxSamples: *maxRounds})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 		if pending := run.Stepper.Pending(); pending > 0 {
 			// The cap cut the drain short; the oracle would report a
@@ -134,10 +123,10 @@ func main() {
 		} else {
 			run.Report(os.Stdout, res)
 		}
-		if cres != nil {
+		if *colored {
 			fmt.Printf("         colored: learn-rounds=%d colored-rounds=%d colorings=%d fallbacks=%d colors=%d colored-commits=%d colored-r=%.3f\n",
-				cres.SpecRounds, cres.ColoredRounds, cres.Colorings, cres.Fallbacks,
-				cres.Colors, cres.ColoredCommits, cres.ColoredConflictRatio())
+				dres.SpecRounds, dres.ColoredRounds, dres.Colorings, dres.Fallbacks,
+				dres.Colors, dres.ColoredCommits, dres.ColoredConflictRatio())
 		}
 		run.Stepper.Close()
 	}

@@ -258,16 +258,16 @@ func runSmartStart(n int, rho float64, seed uint64, workers int) {
 // speculative runtime: too many processors waste work and power, too
 // few waste time; the adaptive controller balances both.
 func runEfficiency(n int, rho float64, seed uint64, par int, async, colored bool, window int) {
-	mode, wl := "rounds", "cc"
+	mode, dmode, wl := "rounds", speculation.ModeRound, "cc"
 	if async {
-		mode = "barrier-free"
+		mode, dmode = "barrier-free", speculation.ModeAsync
 	}
 	if colored {
 		// Colored execution needs footprints that repeat round over
 		// round to learn from; the draining CC workload commits each key
 		// exactly once, so the colored comparison runs on the synthetic
 		// stable-conflict workload instead.
-		mode, wl = "speculative→colored", "stable"
+		mode, dmode, wl = "speculative→colored", speculation.ModeColored, "stable"
 	}
 	fmt.Printf("Adaptive vs fixed-m on a draining %s workload (n=%d, d=24, ρ=%.0f%%, %s)\n", wl, n, rho*100, mode)
 	fmt.Println("rounds ≈ makespan; proc-rounds ≈ energy; efficiency = useful/total work")
@@ -279,26 +279,17 @@ func runEfficiency(n int, rho float64, seed uint64, par int, async, colored bool
 			panic(err)
 		}
 		defer w.Stepper.Close()
-		if async {
-			res, err := workload.DrainAsync(context.Background(), w.Stepper, c,
-				speculation.AsyncOptions{Window: window})
-			if err != nil {
-				panic(err)
-			}
-			return res
+		res, dres, err := speculation.Collect(context.Background(), w.Stepper, c,
+			speculation.Options{Mode: dmode, Window: window})
+		if err != nil {
+			panic(err)
 		}
 		if colored {
-			res, cres, err := workload.DrainColored(context.Background(), w.Stepper, c,
-				speculation.ColoredOptions{})
-			if err != nil {
-				panic(err)
-			}
 			fmt.Printf("# %s: learn-rounds=%d colored-rounds=%d colorings=%d fallbacks=%d colored-r=%.3f\n",
-				c.Name(), cres.SpecRounds, cres.ColoredRounds, cres.Colorings,
-				cres.Fallbacks, cres.ColoredConflictRatio())
-			return res
+				c.Name(), dres.SpecRounds, dres.ColoredRounds, dres.Colorings,
+				dres.Fallbacks, dres.ColoredConflictRatio())
 		}
-		return workload.Drain(context.Background(), w.Stepper, c, 1<<30)
+		return res
 	}
 	tbl := trace.NewTable("efficiency",
 		"allocation", "rounds", "proc_rounds", "wasted", "efficiency")

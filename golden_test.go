@@ -1,0 +1,42 @@
+package repro
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestGoldenApprun pins apprun's stdout at -parallel 1, where one pool
+// worker makes every round — and so every trajectory — a pure function
+// of the seed. A byte difference from testdata/apprun means the drive,
+// an executor or a seeded generator changed behaviour; only then, and
+// on purpose, are the files regenerated from apprun's own stdout.
+func TestGoldenApprun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary; skipped in -short mode")
+	}
+	bin := buildCmd(t, "apprun")
+	files, err := filepath.Glob("testdata/apprun/*.golden")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden files: %v", err)
+	}
+	for _, f := range files {
+		// <app>.golden, or <app>-<mode flag>.golden
+		name := strings.TrimSuffix(filepath.Base(f), ".golden")
+		app, mode, _ := strings.Cut(name, "-")
+		args := []string{"-parallel", "1", "-size", "400", "-app", app}
+		if mode != "" {
+			args = append(args, "-"+mode)
+		}
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := run(t, bin, args...); got != string(want) {
+				t.Errorf("apprun %v\n got:\n%s\nwant:\n%s", args, got, want)
+			}
+		})
+	}
+}

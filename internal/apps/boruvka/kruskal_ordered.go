@@ -56,7 +56,7 @@ func (k *OrderedKruskal) Result() Result {
 
 // Run drains the edges under controller c.
 func (k *OrderedKruskal) Run(c control.Controller, maxRounds int) *speculation.AdaptiveResult {
-	return speculation.RunAdaptiveOrdered(k.exec, c, maxRounds)
+	return speculation.RunAdaptive(k.exec, c, maxRounds)
 }
 
 type kruskalTask struct {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/control"
@@ -72,9 +73,11 @@ func (s *SpeculativeClustering) ensureTaskLocked(id int) bool {
 	return true
 }
 
-// Reseed enqueues a task for every live cluster that lacks one. It
-// restarts stalled nearest-neighbor chains (the driver calls it between
-// adaptive runs until the target is reached).
+// Reseed enqueues a task for every live cluster that lacks one, in
+// cluster-id order so that task handles — and with them every seeded
+// pick — do not depend on map iteration. It restarts stalled
+// nearest-neighbor chains (the driver calls it between adaptive runs
+// until the target is reached).
 func (s *SpeculativeClustering) Reseed() int {
 	s.mu.Lock()
 	var spawn []int
@@ -84,6 +87,7 @@ func (s *SpeculativeClustering) Reseed() int {
 		}
 	}
 	s.mu.Unlock()
+	sort.Ints(spawn)
 	for _, id := range spawn {
 		s.exec.Add(s.taskFor(id))
 	}

@@ -84,7 +84,7 @@ func (s *SpeculativeSim) taskFor(e Event) speculation.OrderedTask {
 // Run drains the simulation under controller c — adaptive processor
 // allocation for an ordered algorithm, the paper's §5 outlook.
 func (s *SpeculativeSim) Run(c control.Controller, maxRounds int) *speculation.AdaptiveResult {
-	return speculation.RunAdaptiveOrdered(s.exec, c, maxRounds)
+	return speculation.RunAdaptive(s.exec, c, maxRounds)
 }
 
 // ProfilePoint records one clairvoyant step of an ordered run.

@@ -24,7 +24,7 @@ type Controller interface {
 	// Observe feeds the conflict ratio measured for the round that was
 	// just executed with M() processors. Only *speculative* rounds are
 	// observed: drives with a conflict-free phase (the colored
-	// super-rounds of speculation.RunColored, whose r is ~0 by
+	// super-rounds of speculation.Drive in ModeColored, whose r is ~0 by
 	// construction) must not feed it, so r̄ keeps estimating the
 	// contention the controller actually allocates against and Algorithm
 	// 1 resumes from consistent state when speculation resumes.

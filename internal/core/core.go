@@ -202,7 +202,7 @@ func (rt *OrderedRuntime) Executor() *speculation.OrderedExecutor { return rt.e 
 
 // RunAdaptive drives the ordered runtime under controller c.
 func (rt *OrderedRuntime) RunAdaptive(c Controller, maxRounds int) *speculation.AdaptiveResult {
-	return speculation.RunAdaptiveOrdered(rt.e, c, maxRounds)
+	return speculation.RunAdaptive(rt.e, c, maxRounds)
 }
 
 // RunGraph is a convenience that executes an entire CC graph as

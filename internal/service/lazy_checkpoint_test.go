@@ -165,10 +165,7 @@ func TestControllerCountersMatchDirectDrive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("controller: %v", err)
 	}
-	rounds := 0
-	for ; run.Stepper.Pending() > 0; rounds++ {
-		ctrl.Observe(run.Stepper.Round(context.Background(), ctrl.M()).ConflictRatio())
-	}
+	rounds := workload.Drain(context.Background(), run.Stepper, ctrl, 0).Rounds
 	run.Stepper.Close()
 	want := ctrl.(interface{ Counters() map[string]int }).Counters()
 	if rounds <= 32 || rounds%32 == 0 {
@@ -256,10 +253,11 @@ func TestBackgroundFsyncFaultEntersDegradedMode(t *testing.T) {
 	}
 }
 
-// An impossible size/degree combination used to panic in the workload
-// constructor on the worker goroutine and take specd down — and, with a
-// state dir, again on every restart. Admission refuses it now.
-func TestImpossibleDegreeRejectedAtAdmission(t *testing.T) {
+// Parameters no instance can be built from — an impossible size/degree
+// combination, a size under the generator's minimum — used to panic in
+// the workload constructor on the worker goroutine, after the job had
+// been acknowledged and journaled. Admission refuses them now.
+func TestImpossibleParamsRejectedAtAdmission(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	srv := httptest.NewServer(s.Handler())
@@ -269,6 +267,8 @@ func TestImpossibleDegreeRejectedAtAdmission(t *testing.T) {
 		`{"workload":"cc","controller":"hybrid","size":16}`, // default degree 16
 		`{"workload":"stable","controller":"hybrid","size":8}`,
 		`{"workload":"cc","controller":"hybrid","size":100,"degree":99.5}`,
+		`{"workload":"sp","controller":"hybrid","size":2}`,      // a 3-SAT formula needs 3 variables
+		`{"workload":"maxflow","controller":"hybrid","size":3}`, // size/2 nodes: no room for source and sink
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -279,23 +279,35 @@ func TestImpossibleDegreeRejectedAtAdmission(t *testing.T) {
 			t.Errorf("POST %s answered %d, want 400", body, resp.StatusCode)
 		}
 	}
-	if st, err := s.Submit(JobSpec{Workload: "cc", Controller: "hybrid", Size: 17}); err != nil {
-		t.Errorf("size 17 at the default degree 16 is a complete graph, not an error: %v", err)
-	} else if final := waitTerminal(t, s, st.ID, 30*time.Second); final.State != StateDone {
-		t.Errorf("complete-graph job finished %s (%s), want done", final.State, final.Error)
+	for _, spec := range []JobSpec{
+		{Workload: "cc", Controller: "hybrid", Size: 17}, // complete graph at the default degree 16
+		{Workload: "sp", Controller: "hybrid", Size: 3},
+		{Workload: "maxflow", Controller: "hybrid", Size: 4},
+	} {
+		if st, err := s.Submit(spec); err != nil {
+			t.Errorf("%s size %d is the smallest valid instance, not an error: %v", spec.Workload, spec.Size, err)
+		} else if final := waitTerminal(t, s, st.ID, 30*time.Second); final.State != StateDone {
+			t.Errorf("%s size %d finished %s (%s), want done", spec.Workload, spec.Size, final.State, final.Error)
+		}
 	}
 }
 
 // A panic on the job's own goroutine fails that job, durably, and
-// nothing else: "sp" with fewer than three variables passes admission
-// and panics in its constructor.
+// nothing else. Admission refuses every spec known to make a constructor
+// panic, so the first job's "started" log line does the panicking.
 func TestWorkloadPanicFailsTheJob(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableCfg(dir))
+	cfg := durableCfg(dir)
+	cfg.Logf = func(format string, args ...any) {
+		if strings.Contains(format, "started:") && args[0] == "j1" {
+			panic("boom")
+		}
+	}
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	bad, err := s.Submit(JobSpec{Workload: "sp", Controller: "hybrid", Size: 1})
+	bad, err := s.Submit(ccSpec(2))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}

@@ -1,14 +1,14 @@
 // Package service is the long-running speculation service behind cmd/specd:
 // a bounded job queue with backpressure, a worker pool that drains jobs by
-// running the adaptive control loop round-by-round on the speculative
-// executor, per-job round-history ring buffers for live telemetry, and
-// graceful shutdown that finishes in-flight rounds before exiting.
+// driving the adaptive control loop on the speculative executor, per-job
+// round-history ring buffers for live telemetry, and graceful shutdown
+// that finishes in-flight rounds before exiting.
 //
 // Layering: the service owns admission, scheduling, and observation;
 // workload construction and controller construction are delegated to the
-// internal/workload registry, and the round loop itself is the paper's
-// Algorithm 1 main loop (M → Round → Observe) expressed over
-// workload.Stepper so ordered and unordered workloads run identically.
+// internal/workload registry, and the loop itself — the paper's
+// Algorithm 1 (M → run → Observe) — is speculation.Drive, which every
+// job mode and both executors go through.
 //
 // With Config.StateDir set (Open), the service is durable: every job
 // lifecycle transition is journaled to a write-ahead log, running jobs
@@ -20,8 +20,8 @@
 // something wait for their fsync (submitted gates the ack, paused the
 // requeue, finished the terminal state; started and handoff likewise);
 // checkpoints gate nothing and are appended lazily — in the OS before
-// the round loop moves on, on disk within the fsync interval — so the
-// loop never stalls on the disk. The journal is one sequential stream:
+// the drive moves on, on disk within the fsync interval — so the loop
+// never stalls on the disk. The journal is one sequential stream:
 // a durable later record implies every earlier checkpoint is durable
 // too. See persist.go and internal/journal.
 package service
@@ -93,23 +93,20 @@ const (
 	ReasonDegraded   = "degraded" // done, but some tasks were quarantined
 )
 
-// Execution modes for JobSpec.Mode.
+// Execution modes for JobSpec.Mode: the speculation.Drive modes under
+// their wire names (see speculation.Mode for what each runs).
 const (
-	// ModeRound runs the paper's synchronous round loop: launch m,
-	// join, observe r, resize.
-	ModeRound = "round"
-	// ModeAsync runs barrier-free: workers continuously pull tasks
-	// through a resizable in-flight semaphore and the controller is fed
-	// by a sliding commit window (pseudo-rounds). Only workloads with
-	// workload.SupportsAsync may run in this mode.
-	ModeAsync = "async"
-	// ModeColored runs hybrid speculative→colored: optimistic rounds
-	// learn the conflict graph, then a proper coloring of it partitions
-	// the tasks into conflict-free classes that run lock-free; staleness
-	// falls back to speculation. Only workloads with
-	// workload.SupportsColored may run in this mode.
-	ModeColored = "colored"
+	ModeRound   = string(speculation.ModeRound)
+	ModeAsync   = string(speculation.ModeAsync)
+	ModeColored = string(speculation.ModeColored)
 )
+
+// modeCap is the workload capability each mode needs.
+var modeCap = map[string]workload.Capability{
+	ModeRound:   0,
+	ModeAsync:   workload.CapAsync,
+	ModeColored: workload.CapColored,
+}
 
 // States lists every job state (metrics export them all, including
 // zero-valued ones, so dashboards see stable series).
@@ -254,7 +251,7 @@ type job struct {
 
 	// preemptCh is closed to ask the running attempt to pause at its
 	// next barrier and yield its worker to a higher-priority job. Unlike
-	// cancelCh it is re-armed (resetPreempt) when a paused job is
+	// cancelCh it is re-armed (armPreempt) when a paused job is
 	// re-claimed, so a job can be preempted more than once.
 	preemptMu sync.Mutex
 	preemptCh chan struct{}
@@ -285,20 +282,14 @@ func (j *job) requestPreempt() bool {
 	return true
 }
 
-// resetPreempt re-arms the preemption channel for a fresh attempt.
-// Called at claim time, before the attempt's barrier loop can observe
-// the channel.
-func (j *job) resetPreempt() {
-	j.preemptMu.Lock()
-	j.preemptCh = make(chan struct{})
-	j.preempted = false
-	j.preemptMu.Unlock()
-}
-
-// preemptChan returns the current attempt's preemption channel.
-func (j *job) preemptChan() chan struct{} {
+// armPreempt arms and returns the preemption channel of a fresh attempt.
+// Called at claim time, before the attempt's drive (or the preemption
+// victim scan) can observe the channel.
+func (j *job) armPreempt() chan struct{} {
 	j.preemptMu.Lock()
 	defer j.preemptMu.Unlock()
+	j.preemptCh = make(chan struct{})
+	j.preempted = false
 	return j.preemptCh
 }
 
@@ -413,6 +404,15 @@ func (j *job) snapshot(tail int) JobStatus {
 		st.Trajectory = j.hist.tail(tail)
 	}
 	return st
+}
+
+// cancelLocked ends the job as canceled. Callers hold j.mu.
+func (j *job) cancelLocked(reason, msg string) {
+	j.status.State = StateCanceled
+	j.status.Reason = reason
+	j.status.Error = msg
+	now := time.Now()
+	j.status.FinishedAt = &now
 }
 
 func (j *job) setState(s State) {
@@ -733,7 +733,7 @@ func (s *Service) normalize(spec JobSpec) (JobSpec, error) {
 		return spec, specErrf("task_retries %d out of [-1,1000]", spec.TaskRetries)
 	}
 	if spec.Fault != nil {
-		if !workload.SupportsFault(spec.Workload) {
+		if !workload.Supports(spec.Workload, workload.CapFault) {
 			return spec, specErrf("workload %q does not support fault injection (only %v)",
 				spec.Workload, workload.CapableNames(workload.CapFault))
 		}
@@ -741,31 +741,19 @@ func (s *Service) normalize(spec JobSpec) (JobSpec, error) {
 			return spec, specErrf("bad fault spec: %v", err)
 		}
 	}
-	switch spec.Mode {
-	case "":
-		// Server default, but barrier-free / colored execution only
-		// where the workload supports it — the rest keep the round loop.
-		switch {
-		case s.cfg.DefaultMode == ModeAsync && workload.SupportsAsync(spec.Workload):
-			spec.Mode = ModeAsync
-		case s.cfg.DefaultMode == ModeColored && workload.SupportsColored(spec.Workload):
-			spec.Mode = ModeColored
-		default:
-			spec.Mode = ModeRound
+	if spec.Mode == "" {
+		// Server default, but barrier-free / colored execution only where
+		// the workload supports it — the rest keep the round loop.
+		spec.Mode = ModeRound
+		if workload.Supports(spec.Workload, modeCap[s.cfg.DefaultMode]) {
+			spec.Mode = s.cfg.DefaultMode
 		}
-	case ModeRound:
-	case ModeAsync:
-		if !workload.SupportsAsync(spec.Workload) {
-			return spec, specErrf("workload %q does not support async execution (only %v)",
-				spec.Workload, workload.CapableNames(workload.CapAsync))
-		}
-	case ModeColored:
-		if !workload.SupportsColored(spec.Workload) {
-			return spec, specErrf("workload %q does not support colored execution (only %v)",
-				spec.Workload, workload.CapableNames(workload.CapColored))
-		}
-	default:
+	}
+	if need, ok := modeCap[spec.Mode]; !ok {
 		return spec, specErrf("unknown mode %q (have %q, %q, %q)", spec.Mode, ModeRound, ModeAsync, ModeColored)
+	} else if !workload.Supports(spec.Workload, need) {
+		return spec, specErrf("workload %q does not support %s execution (only %v)",
+			spec.Workload, spec.Mode, workload.CapableNames(need))
 	}
 	if spec.CommitWindow < 0 || spec.CommitWindow > 1<<16 {
 		return spec, specErrf("commit_window %d out of [0,%d]", spec.CommitWindow, 1<<16)
@@ -911,11 +899,7 @@ func (s *Service) submit(id string, spec JobSpec, attempt int, prefix []RoundPoi
 		j.mu.Lock()
 		undone := j.status.State == StateQueued || j.status.State == StateRecovered
 		if undone {
-			j.status.State = StateCanceled
-			j.status.Reason = "journal degraded"
-			j.status.Error = "admission refused: journal degraded"
-			now := time.Now()
-			j.status.FinishedAt = &now
+			j.cancelLocked("journal degraded", "admission refused: journal degraded")
 		}
 		j.mu.Unlock()
 		if undone {
@@ -1026,11 +1010,7 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 	j.mu.Lock()
 	switch j.status.State {
 	case StateQueued, StateRecovered, StatePaused:
-		j.status.State = StateCanceled
-		j.status.Reason = ReasonUserCancel
-		j.status.Error = "canceled before start"
-		now := time.Now()
-		j.status.FinishedAt = &now
+		j.cancelLocked(ReasonUserCancel, "canceled before start")
 		j.mu.Unlock()
 		s.journalFinish(j, nil)
 		s.cfg.Logf("specd: job %s canceled while queued", id)
@@ -1248,11 +1228,14 @@ func (s *Service) worker() {
 	}
 }
 
-// runJob executes one job to completion or interruption. Shutdown,
-// cancellation, and deadline checks sit between rounds only, so an
-// in-flight round always finishes before the worker moves on — the
-// invariant the SIGTERM e2e asserts and the round-barrier semantics
-// DELETE /v1/jobs/{id} documents.
+// runJob executes one attempt of a job: claim it, build its controller
+// and workload, hand them to speculation.Drive in the job's mode, record
+// every sample, and turn the way the drive ended into the job's next
+// state. Stops — cancel, preemption, shutdown, deadline — are observed
+// between samples only, so an in-flight round always finishes (async:
+// in-flight tasks always settle) before the worker moves on: the
+// invariant the SIGTERM e2e asserts and the barrier semantics DELETE
+// /v1/jobs/{id} documents.
 func (s *Service) runJob(j *job) {
 	spec := j.snapshot(0).Spec
 	id := j.status.ID // immutable after creation
@@ -1276,16 +1259,13 @@ func (s *Service) runJob(j *job) {
 	j.status.StartedAt = &now
 	attempt := j.status.Attempt
 	j.mu.Unlock()
-	// Arm this attempt's preemption channel before the barrier loop (or
-	// the preemption victim scan) can observe it.
-	j.resetPreempt()
-	pch := j.preemptChan()
+	pch := j.armPreempt()
 
 	s.running.Add(1)
 	s.runMu.Lock()
 	s.runningSet[j] = struct{}{}
 	s.runMu.Unlock()
-	// detached flips when pauseJob hands the job back to the scheduler:
+	// detached flips when a preemption hands the job back to the scheduler:
 	// the pause path removes j from runningSet itself, before requeue,
 	// so another worker re-claiming j cannot have its fresh runningSet
 	// entry deleted by this worker's cleanup (which would hide the new
@@ -1312,7 +1292,7 @@ func (s *Service) runJob(j *job) {
 		}
 	}()
 	// A panic on this goroutine — a workload constructor rejecting its
-	// parameters, a bug in a drive loop — fails the job instead of the
+	// parameters, a bug in the drive — fails the job instead of the
 	// process: the finished record above makes the failure final, so a
 	// restart does not replay the job into the same panic. (Panics inside
 	// tasks never get here; the executors count them as task failures.)
@@ -1344,50 +1324,27 @@ func (s *Service) runJob(j *job) {
 	defer run.Stepper.Close()
 
 	// The controller's decision counters are a freshly allocated map per
-	// read, so the round and colored loops publish them every
-	// CheckpointEvery rounds (durable or not) and on every way out —
-	// pause, cancel, drain — rather than every round; each journaled
-	// record and the final status carry the same counters as if they had.
-	// (Async samples arrive with their counters attached; an async job
-	// gets here only after its drive has settled, re-reading the same
-	// values.)
+	// read, so they are published on the checkpoint cadence (durable or
+	// not) and on every way out — pause, cancel, drain — rather than every
+	// sample; each journaled record and the final status carry the same
+	// counters as if they had been. An async job's controller is driven by
+	// the executor's workers while samples arrive here, so its counters
+	// are published on the way out only.
 	telemetry, _ := ctrl.(control.Telemetry)
 	syncCounters := func() {
 		if telemetry != nil {
 			j.setCounters(telemetry.Counters())
 		}
 	}
-	// recordRound folds one round of the round or colored loop into the
-	// job and, every CheckpointEvery rounds of the attempt, checkpoints the
-	// rounds since the last checkpoint to the journal.
-	recordRound := func(p RoundPoint) {
-		if attempt > 1 {
-			p.Attempt = attempt
-		}
-		cadence := (p.Round+1)%s.cfg.CheckpointEvery == 0
-		var counters map[string]int
-		if cadence && telemetry != nil {
-			counters = telemetry.Counters()
-		}
-		j.record(p, run.Stepper.Pending(), counters)
-		if s.jnl != nil {
-			delta = append(delta, p)
-			if cadence {
-				s.journalCheckpoint(j, delta)
-				delta = delta[:0]
-			}
-		}
-	}
 
-	// The round context carries the wall-clock deadline and is canceled
-	// by shutdown or a user cancel, so Steppers that observe ctx stop
-	// promptly; the watcher goroutine exits with the job.
-	var deadline time.Time
+	// A stop is signalled one way: the drive's context. It carries the
+	// wall-clock deadline, and the watcher cancels it on a user cancel, a
+	// preemption or shutdown; stopCause tells them apart afterwards. The
+	// watcher goroutine exits with the job.
 	ctx := context.Background()
 	var cancelCtx context.CancelFunc
 	if spec.MaxDuration > 0 {
-		deadline = now.Add(time.Duration(spec.MaxDuration))
-		ctx, cancelCtx = context.WithDeadline(ctx, deadline)
+		ctx, cancelCtx = context.WithDeadline(ctx, now.Add(time.Duration(spec.MaxDuration)))
 	} else {
 		ctx, cancelCtx = context.WithCancel(ctx)
 	}
@@ -1405,25 +1362,61 @@ func (s *Service) runJob(j *job) {
 		cancelCtx()
 	}()
 
-	cancelJob := func(reason, errMsg string) {
-		syncCounters()
-		j.mu.Lock()
-		j.status.State = StateCanceled
-		j.status.Reason = reason
-		j.status.Error = errMsg
-		fin := time.Now()
-		j.status.FinishedAt = &fin
-		j.mu.Unlock()
+	// Every sample of the drive — a round, a colored super-round, an async
+	// window — becomes one trajectory point, and one of two predicates on
+	// it says when the points since the last checkpoint are journaled:
+	// every CheckpointEvery samples at a barrier, every CheckpointCommits
+	// commits without one.
+	async := spec.Mode == ModeAsync
+	var lastCkpt int64 // Sample.TotalCommitted at the last checkpoint
+	res, err := speculation.Drive(ctx, run.Stepper, ctrl, speculation.Options{
+		Mode:       speculation.Mode(spec.Mode),
+		MaxSamples: spec.MaxRounds,
+		Window:     spec.CommitWindow,
+		OnRound: func(sm speculation.Sample) {
+			due := (sm.Index+1)%s.cfg.CheckpointEvery == 0
+			if async {
+				due = sm.TotalCommitted-lastCkpt >= int64(s.cfg.CheckpointCommits)
+			}
+			var counters map[string]int
+			if due && telemetry != nil && !async {
+				counters = telemetry.Counters()
+			}
+			p := pointOf(sm, attempt)
+			j.record(p, run.Stepper.Pending(), counters)
+			if s.jnl != nil {
+				delta = append(delta, p)
+				if due {
+					s.journalCheckpoint(j, delta)
+					delta = delta[:0]
+					lastCkpt = sm.TotalCommitted
+				}
+			}
+		},
+	})
+	if err != nil {
+		s.failJob(j, id, err)
+		return
+	}
+	syncCounters()
+	unit, settled := "round", "in-flight round completed"
+	if async {
+		unit, settled = "sample", "in-flight tasks settled"
+	}
+	if !res.Canceled {
+		s.finishDrained(j, id, spec, run, res.Samples, unit)
+		return
 	}
 
-	// pauseJob is the preemption barrier: checkpoint progress to the
-	// journal, bump the attempt, and hand the job back to the scheduler
-	// in StatePaused so the freed worker picks up the higher-priority
-	// arrival. Journal-before-requeue makes a crash mid-preemption safe:
-	// before the pause record lands, replay sees a running job and takes
-	// the normal crash-recovery path; after, it re-queues the paused job.
-	pauseJob := func(progress int) {
-		syncCounters()
+	reason, preempted := s.stopCause(j, pch)
+	if preempted {
+		// The preemption barrier: checkpoint progress to the journal, bump
+		// the attempt, and hand the job back to the scheduler in
+		// StatePaused so the freed worker picks up the higher-priority
+		// arrival. Journal-before-requeue makes a crash mid-preemption
+		// safe: before the pause record lands, replay sees a running job
+		// and takes the normal crash-recovery path; after, it re-queues
+		// the paused job.
 		j.mu.Lock()
 		j.status.State = StatePaused
 		j.status.Attempt++
@@ -1443,198 +1436,71 @@ func (s *Service) runJob(j *job) {
 		s.running.Add(-1)
 		detached = true
 		s.sched.requeue(j)
-		s.cfg.Logf("specd: job %s paused for a higher-priority job after %d rounds (attempt %d done, re-queued)",
-			id, progress, attempt)
-	}
-
-	finish := func(progress int) {
-		syncCounters()
-		s.finishDrained(j, id, spec, run, progress)
-	}
-
-	if spec.Mode == ModeAsync {
-		s.runAsyncJob(j, id, attempt, spec, run, ctrl, ctx, cancelJob, pauseJob, pch, &delta)
+		s.cfg.Logf("specd: job %s paused for a higher-priority job after %d %ss (attempt %d done, re-queued)",
+			id, res.Samples, unit, attempt)
 		return
 	}
-	if spec.Mode == ModeColored {
-		s.runColoredJob(j, id, spec, run, ctrl, ctx, cancelJob, pauseJob, pch, recordRound, finish)
-		return
+	what := "canceled"
+	switch reason {
+	case ReasonShutdown:
+		what = "interrupted by shutdown"
+	case ReasonDeadline:
+		what = fmt.Sprintf("deadline %v exceeded", time.Duration(spec.MaxDuration))
 	}
-
-	round := 0
-	for ; round < spec.MaxRounds && run.Stepper.Pending() > 0; round++ {
-		select {
-		case <-pch:
-			pauseJob(round)
-			return
-		case <-j.cancelCh:
-			j.mu.Lock()
-			reason := j.cancelReason
-			j.mu.Unlock()
-			cancelJob(reason, fmt.Sprintf("canceled after round %d", round))
-			s.cfg.Logf("specd: job %s canceled after round %d (in-flight round completed)", id, round)
-			return
-		case <-s.stop:
-			cancelJob(ReasonShutdown, fmt.Sprintf("interrupted by shutdown after round %d", round))
-			s.cfg.Logf("specd: job %s interrupted after round %d (in-flight round completed)", id, round)
-			return
-		default:
-		}
-		if spec.MaxDuration > 0 && !time.Now().Before(deadline) {
-			cancelJob(ReasonDeadline, fmt.Sprintf("deadline %v exceeded after round %d",
-				time.Duration(spec.MaxDuration), round))
-			s.cfg.Logf("specd: job %s hit its %v deadline after round %d",
-				id, time.Duration(spec.MaxDuration), round)
-			return
-		}
-		m := ctrl.M()
-		rr := run.Stepper.Round(ctx, m)
-		r := rr.ConflictRatio()
-		ctrl.Observe(r)
-		recordRound(RoundPoint{
-			Round: round, M: m,
-			Launched: rr.Launched, Committed: rr.Committed, Aborted: rr.Aborted,
-			Failed: rr.Failed, Poisoned: rr.Poisoned, R: r,
-		})
-	}
-
-	finish(round)
+	msg := fmt.Sprintf("%s after %d %ss, %d commits", what, res.Samples, unit, res.Committed)
+	j.mu.Lock()
+	j.cancelLocked(reason, msg)
+	j.mu.Unlock()
+	s.cfg.Logf("specd: job %s %s (%s)", id, msg, settled)
 }
 
-// runAsyncJob drains one job barrier-free: the stepper's RunAsync drive
-// owns the in-flight semaphore and the sliding-window estimator, and
-// every flushed window lands here as one trajectory pseudo-round.
-// Durability checkpoints trigger on the absolute commit counter
-// (Config.CheckpointCommits) instead of on round count.
-func (s *Service) runAsyncJob(j *job, id string, attempt int, spec JobSpec, run *workload.Run,
-	ctrl control.Controller, ctx context.Context, cancelJob func(reason, errMsg string),
-	pauseJob func(progress int), pch chan struct{}, delta *[]RoundPoint) {
-	as, ok := run.Stepper.(workload.AsyncStepper)
-	if !ok {
-		s.failJob(j, id, fmt.Errorf("workload %q stepper cannot run barrier-free", spec.Workload))
-		return
-	}
-	var lastCkpt int64 // absolute commit counter at the last checkpoint
-	res := as.RunAsync(ctx, ctrl, speculation.AsyncOptions{
-		Window:     spec.CommitWindow,
-		MaxSamples: spec.MaxRounds,
-		OnSample: func(sm speculation.AsyncSample) {
-			p := RoundPoint{
-				Round: sm.Sample, M: sm.M,
-				Launched: sm.Launched, Committed: sm.Committed, Aborted: sm.Aborted,
-				Failed: sm.Failed, Poisoned: sm.Poisoned, R: sm.R,
-			}
-			if attempt > 1 {
-				p.Attempt = attempt
-			}
-			j.record(p, run.Stepper.Pending(), sm.Counters)
-			if s.jnl != nil {
-				*delta = append(*delta, p)
-				if sm.TotalCommitted-lastCkpt >= int64(s.cfg.CheckpointCommits) {
-					s.journalCheckpoint(j, *delta)
-					*delta = (*delta)[:0]
-					lastCkpt = sm.TotalCommitted
-				}
-			}
-		},
-	})
-	if res.Canceled {
-		// Same reason precedence as the round loop: user cancel, then
-		// preemption (the window flush is the async barrier), then
-		// shutdown, then the deadline carried by ctx.
+// stopCause classifies a canceled drive. Several stop requests can be
+// pending at once, and ctx cannot say which one fired, so the precedence
+// is fixed here for every mode: a user cancel, then a preemption (the
+// job pauses instead of ending), then shutdown, then the deadline — the
+// only cause ctx carries by itself.
+func (s *Service) stopCause(j *job, preempt <-chan struct{}) (reason string, preempted bool) {
+	closed := func(ch <-chan struct{}) bool {
 		select {
-		case <-j.cancelCh:
-			j.mu.Lock()
-			reason := j.cancelReason
-			j.mu.Unlock()
-			cancelJob(reason, fmt.Sprintf("canceled after %d commits", res.Committed))
-			s.cfg.Logf("specd: job %s canceled after %d commits (in-flight tasks settled)", id, res.Committed)
+		case <-ch:
+			return true
 		default:
-			select {
-			case <-pch:
-				pauseJob(res.Samples)
-				return
-			case <-s.stop:
-				cancelJob(ReasonShutdown, fmt.Sprintf("interrupted by shutdown after %d commits", res.Committed))
-				s.cfg.Logf("specd: job %s interrupted after %d commits (in-flight tasks settled)", id, res.Committed)
-			default:
-				cancelJob(ReasonDeadline, fmt.Sprintf("deadline %v exceeded after %d commits",
-					time.Duration(spec.MaxDuration), res.Committed))
-				s.cfg.Logf("specd: job %s hit its %v deadline after %d commits",
-					id, time.Duration(spec.MaxDuration), res.Committed)
-			}
+			return false
 		}
-		return
 	}
-	s.finishDrained(j, id, spec, run, res.Samples)
+	switch {
+	case closed(j.cancelCh):
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.cancelReason, false
+	case closed(preempt):
+		return "", true
+	case closed(s.stop):
+		return ReasonShutdown, false
+	}
+	return ReasonDeadline, false
 }
 
-// runColoredJob drains one job in hybrid speculative→colored mode: the
-// stepper's RunColored drive owns the learn/color/execute cycle, and
-// every round (speculative or colored) lands here as one trajectory
-// point through recordRound — the round loop's own bookkeeping and
-// checkpoint cadence. Cancellation handling mirrors the round loop's;
-// colored super-rounds are flagged on their RoundPoints, and the per-job
-// phase counters (colored rounds, colorings, fallbacks) accumulate in
-// the job status.
-func (s *Service) runColoredJob(j *job, id string, spec JobSpec, run *workload.Run,
-	ctrl control.Controller, ctx context.Context, cancelJob func(reason, errMsg string),
-	pauseJob func(progress int), pch chan struct{}, recordRound func(RoundPoint), finish func(progress int)) {
-	cst, ok := run.Stepper.(workload.ColoredStepper)
-	if !ok {
-		s.failJob(j, id, fmt.Errorf("workload %q stepper cannot run colored", spec.Workload))
-		return
+// pointOf is a drive sample as the trajectory point the wire and the
+// journal carry. Attempt tags points of a re-execution only.
+func pointOf(sm speculation.Sample, attempt int) RoundPoint {
+	p := RoundPoint{
+		Round: sm.Index, M: sm.M,
+		Launched: sm.Launched, Committed: sm.Committed, Aborted: sm.Aborted,
+		Failed: sm.Failed, Poisoned: sm.Poisoned, R: sm.R,
+		Colored: sm.Colored, Fallback: sm.Fallback,
 	}
-	res := cst.RunColored(ctx, ctrl, speculation.ColoredOptions{
-		MaxRounds: spec.MaxRounds,
-		OnRound: func(cr speculation.ColoredRound) {
-			recordRound(RoundPoint{
-				Round: cr.Round, M: cr.M,
-				Launched: cr.Launched, Committed: cr.Committed, Aborted: cr.Aborted,
-				Failed: cr.Failed, Poisoned: cr.Poisoned, R: cr.R,
-				Colored: cr.Colored, Fallback: cr.Fallback,
-			})
-		},
-	})
-	if res.Canceled {
-		// Same reason precedence as the round loop: user cancel, then
-		// preemption, then shutdown, then the deadline carried by ctx.
-		select {
-		case <-j.cancelCh:
-			j.mu.Lock()
-			reason := j.cancelReason
-			j.mu.Unlock()
-			cancelJob(reason, fmt.Sprintf("canceled after round %d", res.Rounds))
-			s.cfg.Logf("specd: job %s canceled after round %d (in-flight round completed)", id, res.Rounds)
-		default:
-			select {
-			case <-pch:
-				pauseJob(res.Rounds)
-				return
-			case <-s.stop:
-				cancelJob(ReasonShutdown, fmt.Sprintf("interrupted by shutdown after round %d", res.Rounds))
-				s.cfg.Logf("specd: job %s interrupted after round %d (in-flight round completed)", id, res.Rounds)
-			default:
-				cancelJob(ReasonDeadline, fmt.Sprintf("deadline %v exceeded after round %d",
-					time.Duration(spec.MaxDuration), res.Rounds))
-				s.cfg.Logf("specd: job %s hit its %v deadline after round %d",
-					id, time.Duration(spec.MaxDuration), res.Rounds)
-			}
-		}
-		return
+	if attempt > 1 {
+		p.Attempt = attempt
 	}
-	finish(res.Rounds)
+	return p
 }
 
-// finishDrained is the shared post-drive tail for both execution modes:
-// cap failure when work is left, degraded completion when tasks were
-// quarantined, and oracle verification otherwise. progress is the round
-// count (round mode) or sample count (async).
-func (s *Service) finishDrained(j *job, id string, spec JobSpec, run *workload.Run, progress int) {
-	unit := "round"
-	if spec.Mode == ModeAsync {
-		unit = "sample"
-	}
+// finishDrained is the post-drive tail of a drive nobody stopped: cap
+// failure when work is left, degraded completion when tasks were
+// quarantined, and oracle verification otherwise. progress counts units
+// ("round" or, async, "sample").
+func (s *Service) finishDrained(j *job, id string, spec JobSpec, run *workload.Run, progress int, unit string) {
 	if run.Stepper.Pending() > 0 {
 		s.failJob(j, id, fmt.Errorf("%s cap %d reached with %d tasks pending",
 			unit, spec.MaxRounds, run.Stepper.Pending()))

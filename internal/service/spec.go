@@ -41,7 +41,7 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 
 // FaultSpec is the wire-level fault-injection request carried by a
 // JobSpec. Only the synthetic workloads ("cc", "spin") accept one; see
-// workload.SupportsFault. Rates are per-task probabilities in [0,1].
+// workload.CapFault. Rates are per-task probabilities in [0,1].
 type FaultSpec struct {
 	// Seed drives the fault plan; 0 inherits the job's seed.
 	Seed uint64 `json:"seed,omitempty"`

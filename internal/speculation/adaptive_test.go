@@ -311,7 +311,7 @@ func TestGraphWorkloadAsyncRegrowth(t *testing.T) {
 		if drives > 100 {
 			t.Fatal("regrowth workload did not drain")
 		}
-		e.RunAsync(context.Background(), ctrl, AsyncOptions{})
+		driveAll(context.Background(), e, ctrl, Options{Mode: ModeAsync})
 	}
 	if budget != 0 || g.NumNodes() != 0 {
 		t.Fatalf("budget %d left, %d nodes survive", budget, g.NumNodes())

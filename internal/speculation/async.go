@@ -13,9 +13,9 @@ import (
 // round join. The controller's m becomes a resizable semaphore on
 // in-flight tasks, and the paper's Algorithm 1 recurrences are driven
 // by a sliding window of recent commit/abort outcomes (a pseudo-round)
-// instead of per-round statistics. The synchronous Round path is
-// untouched — RunAsync is a separate drive over the same executor,
-// task table, locks, and failure taxonomy.
+// instead of per-round statistics. It is Drive's ModeAsync: same
+// Options, Sample and Result as the barrier drives (drive.go), over the
+// same executor, task table, locks, and failure taxonomy.
 //
 // The sliding window is a *pseudo-round*: a committed task keeps its
 // item locks, and its OnCommit actions are deferred, until the window
@@ -33,79 +33,15 @@ import (
 // commit actions run at the boundary; the async-enabled workloads
 // ("cc", "spin") have no such dependence.
 
-// DefaultMaxInFlight caps the in-flight semaphore when AsyncOptions
-// leaves MaxInFlight zero. It matches the hybrid controller's default
-// MMax, so the controller, not the cap, is normally the binding limit.
+// DefaultMaxInFlight caps the in-flight semaphore. It matches the hybrid
+// controller's default MMax, so the controller, not the cap, is normally
+// the binding limit.
 const DefaultMaxInFlight = 1024
 
 // asyncTakeBatch bounds how many handles a worker pulls from the
 // work-set per refill, amortizing work-set locking without letting one
 // worker hoard the queue.
 const asyncTakeBatch = 8
-
-// AsyncOptions configures a RunAsync drive.
-type AsyncOptions struct {
-	// Window is the sliding-window size in settled outcomes per
-	// controller observation. 0 (the default) is adaptive: the window
-	// tracks the current in-flight limit m, so each observation
-	// aggregates m outcomes — statistically the round the controller
-	// was designed for.
-	Window int
-	// MaxInFlight caps the in-flight semaphore regardless of the
-	// controller's request. 0 = DefaultMaxInFlight.
-	MaxInFlight int
-	// MaxCommits stops the drive once this many tasks have committed
-	// (0 = run until the work-set drains). In-flight tasks still
-	// settle, so the final count may slightly exceed the bound.
-	MaxCommits int64
-	// MaxSamples stops the drive after this many window samples
-	// (0 = unlimited) — the async analogue of a maxRounds bound.
-	MaxSamples int
-	// OnSample, when non-nil, receives every window sample in order,
-	// from the RunAsync goroutine (never a worker), so it may block
-	// (e.g. on a journal write) without stalling execution.
-	OnSample func(AsyncSample)
-}
-
-// AsyncSample is one sliding-window observation: the async analogue of
-// a round's RoundStats, plus the controller state it produced.
-type AsyncSample struct {
-	Sample    int     // 0-based sample index
-	M         int     // in-flight limit after this observation
-	Launched  int     // outcomes settled in the window (incl. failures)
-	Committed int     // commits in the window
-	Aborted   int     // conflict aborts in the window
-	Failed    int     // failed attempts in the window
-	Poisoned  int     // tasks quarantined in the window
-	R         float64 // windowed conflict ratio fed to the controller
-	// TotalCommitted is the cumulative commit count at the window
-	// boundary — the absolute counter checkpoint-on-commit durability
-	// records.
-	TotalCommitted int64
-	// InFlight is the number of tasks in flight at the boundary.
-	InFlight int
-	// Counters is the controller's Telemetry snapshot, when exposed.
-	Counters map[string]int
-}
-
-// ConflictRatio returns the window's commit/abort conflict ratio — the
-// value the controller observed (failures excluded, as in rounds).
-func (s AsyncSample) ConflictRatio() float64 { return s.R }
-
-// AsyncResult summarizes a RunAsync drive.
-type AsyncResult struct {
-	Samples   int  // window samples observed
-	Canceled  bool // the context was canceled before the work-set drained
-	Launched  int64
-	Committed int64
-	Aborted   int64
-	Failed    int64
-	Poisoned  int64
-	Spawned   int64
-	// Trajectory is every window sample in order (also streamed through
-	// OnSample).
-	Trajectory []AsyncSample
-}
 
 // asyncOutcome is one settled attempt, carried from the worker's
 // execution to the engine's window accounting.
@@ -119,14 +55,13 @@ type asyncOutcome struct {
 	actions   []func() // committed task's deferred commit actions
 }
 
-// asyncRun is the engine state for one RunAsync drive. One mutex
-// guards everything; two conds separate the waiters: workers wait on
-// cond for a semaphore slot plus work, the sample-delivery loop waits
-// on sampleCond.
+// asyncRun is the engine state for one async drive. One mutex guards
+// everything, the shared drive's result included; two conds separate the
+// waiters: workers wait on cond for a semaphore slot plus work, the
+// sample-delivery loop waits on sampleCond.
 type asyncRun struct {
 	e      *Executor
-	ctrl   control.Controller
-	opts   AsyncOptions
+	d      *drive
 	budget int
 
 	mu         sync.Mutex
@@ -137,18 +72,14 @@ type asyncRun struct {
 	adaptive bool // window tracks the in-flight limit
 
 	limit    int     // current in-flight cap (resizable semaphore)
-	maxLimit int     // hard cap from MaxInFlight
 	inflight int     // attempts currently executing
 	workers  int     // worker goroutines spawned (grows to limit)
 	buf      []int64 // handles pulled from the work-set, not yet started
 
-	stopped  bool // no new work may start
-	canceled bool // stop was a context cancellation
+	stopped bool // no new work may start
 
-	// Run totals and per-window tallies.
-	launched, commits, aborted, failed, poisoned, spawned int64
-	winLaunched, winCommitted, winAborted                 int
-	winFailed, winPoisoned                                int
+	commits int64      // commits so far, flushed or not
+	win     RoundStats // tallies of the open window
 
 	// Pseudo-round state: locks held and commit actions deferred by the
 	// window's committed tasks, settled at the boundary (actions run in
@@ -156,101 +87,75 @@ type asyncRun struct {
 	held    []*Item
 	actions []func()
 
-	sampleCount int
-	queue       []AsyncSample // flushed samples awaiting ordered delivery
+	queue []Sample // flushed samples awaiting ordered delivery
 
 	wg sync.WaitGroup
 }
 
-// RunAsync drives the executor barrier-free under controller ctrl
-// until the work-set drains, the context is canceled, or an
-// AsyncOptions bound is hit. It must not run concurrently with Round
-// or another RunAsync on the same executor (the round scratch and
+// driveAsync is Drive's ModeAsync. It must not run concurrently with
+// Round or another drive on the same executor (the round scratch and
 // selection state are single-driver, like Round itself); Add and the
 // statistics accessors remain safe to call concurrently.
 //
 // MaxParallel is ignored: concurrency is the controller's in-flight
 // limit, served by lazily spawned workers (one per unit of limit).
-func (e *Executor) RunAsync(ctx context.Context, ctrl control.Controller, opts AsyncOptions) *AsyncResult {
+func (e *Executor) driveAsync(d *drive) {
 	a := &asyncRun{
 		e:        e,
-		ctrl:     ctrl,
-		opts:     opts,
+		d:        d,
 		budget:   e.retryBudget(),
-		adaptive: opts.Window <= 0,
-		est:      control.NewWindowedEstimator(opts.Window),
-		maxLimit: opts.MaxInFlight,
-	}
-	if a.maxLimit <= 0 {
-		a.maxLimit = DefaultMaxInFlight
+		adaptive: d.opts.Window <= 0,
+		est:      control.NewWindowedEstimator(d.opts.Window),
 	}
 	a.cond = sync.NewCond(&a.mu)
 	a.sampleCond = sync.NewCond(&a.mu)
 
 	a.mu.Lock()
-	a.setLimitLocked(ctrl.M())
+	a.setLimitLocked(d.ctrl.M())
 	a.mu.Unlock()
 
-	// Context watcher: a cancellation stops new work immediately;
-	// in-flight attempts settle normally (they hold item locks that
-	// must be released through the usual paths).
-	watchDone := make(chan struct{})
-	var watchWG sync.WaitGroup
-	watchWG.Add(1)
-	go func() {
-		defer watchWG.Done()
-		select {
-		case <-ctx.Done():
-			a.mu.Lock()
-			if !a.stopped {
-				a.finishLocked(true)
-			}
-			a.mu.Unlock()
-		case <-watchDone:
+	// A cancellation stops new work immediately; in-flight attempts
+	// settle normally (they hold item locks that must be released through
+	// the usual paths). A callback that fires late finds the run stopped
+	// and does nothing.
+	unwatch := context.AfterFunc(d.ctx, func() {
+		a.mu.Lock()
+		if !a.stopped {
+			a.finishLocked(true)
 		}
-	}()
-
-	res := &AsyncResult{}
-	a.deliver(res) // returns once stopped and the sample queue is drained
-	a.wg.Wait()    // workers have settled every in-flight attempt
-	close(watchDone)
-	watchWG.Wait()
+		a.mu.Unlock()
+	})
+	a.deliver() // returns once stopped and the sample queue is drained
+	a.wg.Wait() // workers have settled every in-flight attempt
+	unwatch()
 
 	// Final partial window: round mode observes its last (partial)
 	// round, so the async drive does too — unless canceled, where the
-	// tail is an artifact of the stop, not of the workload.
+	// tail is an artifact of the stop, not of the workload; its outcomes
+	// still count in the result. As at a barrier, a stop that found the
+	// work-set drained canceled nothing.
 	a.mu.Lock()
-	if !a.canceled && a.est.Samples() > 0 {
+	d.res.Canceled = d.res.Canceled && e.Pending() > 0
+	if !d.res.Canceled && a.est.Samples() > 0 {
 		a.flushSampleLocked()
 	}
+	d.res.fold(a.win)
 	// Commits that landed after a stop (or in a canceled run's final
 	// partial window) must still settle: their effects are committed,
 	// only their actions and lock releases were deferred.
 	a.settleWindowLocked()
-	for _, s := range a.queue {
-		res.Trajectory = append(res.Trajectory, s)
-		if a.opts.OnSample != nil {
-			a.opts.OnSample(s)
-		}
-	}
+	tail := a.queue
 	a.queue = nil
-	res.Samples = a.sampleCount
-	res.Canceled = a.canceled
-	res.Launched = a.launched
-	res.Committed = a.commits
-	res.Aborted = a.aborted
-	res.Failed = a.failed
-	res.Poisoned = a.poisoned
-	res.Spawned = a.spawned
 	a.mu.Unlock()
-	return res
+	a.publish(tail)
 }
 
 // setLimitLocked resizes the in-flight semaphore to the controller's
-// request, clamped to [1, maxLimit], resizes the adaptive window, and
-// lazily spawns workers up to the new limit. Callers hold a.mu.
+// request, clamped to [1, DefaultMaxInFlight], resizes the adaptive
+// window, and lazily spawns workers up to the new limit. Callers hold
+// a.mu.
 func (a *asyncRun) setLimitLocked(m int) {
-	m = control.Clamp(m, 1, a.maxLimit)
+	m = control.Clamp(m, 1, DefaultMaxInFlight)
 	grew := m > a.limit
 	a.limit = m
 	if a.adaptive {
@@ -325,7 +230,7 @@ func (a *asyncRun) next() (int64, bool) {
 // so the executor's pending state is consistent. Callers hold a.mu.
 func (a *asyncRun) finishLocked(canceled bool) {
 	a.stopped = true
-	a.canceled = a.canceled || canceled
+	a.d.res.Canceled = a.d.res.Canceled || canceled
 	if len(a.buf) > 0 {
 		a.e.requeueAll(a.buf)
 		a.buf = nil
@@ -405,40 +310,34 @@ func (a *asyncRun) runTask(h int64) {
 	a.complete(out)
 }
 
-// complete settles one attempt's outcome into the run totals and the
-// sliding window, observing the controller at window boundaries.
+// complete settles one attempt's outcome into the open window,
+// closing it — and observing the controller — at window boundaries.
 func (a *asyncRun) complete(out asyncOutcome) {
 	a.mu.Lock()
 	a.inflight--
-	a.launched++
-	a.spawned += int64(out.spawned)
-	a.winLaunched++
+	a.win.Launched++
+	a.win.Spawned += out.spawned
 	switch {
 	case out.committed:
 		a.commits++
-		a.winCommitted++
+		a.win.Committed++
 		a.held = append(a.held, out.locks...)
 		a.actions = append(a.actions, out.actions...)
 		a.est.ObserveCommit()
 	case out.aborted:
-		a.aborted++
-		a.winAborted++
+		a.win.Aborted++
 		a.est.ObserveAbort()
 	case out.failed:
 		// Failures never reach the estimator: an injected panic is not
 		// contention (same exclusion as RoundStats.ConflictRatio), and a
 		// quarantined task must not depress the windowed ratio either.
-		a.failed++
-		a.winFailed++
+		a.win.Failed++
 		if out.poisoned {
-			a.poisoned++
-			a.winPoisoned++
+			a.win.Poisoned++
 		}
 	}
 	if !a.stopped {
-		if a.opts.MaxCommits > 0 && a.commits >= a.opts.MaxCommits {
-			a.finishLocked(false)
-		} else if a.est.Ready() && a.winCommitted > 0 {
+		if a.est.Ready() && a.win.Committed > 0 {
 			// A window closes on a commit, never on aborts alone. A round
 			// always commits something (the first task in commit order has
 			// nobody to lose to); m straight aborts here mean the holder is
@@ -448,9 +347,9 @@ func (a *asyncRun) complete(out asyncOutcome) {
 			// Closing on them would feed the controller thousands of
 			// zero-commit samples per millisecond of the holder's wait.
 			a.flushSampleLocked()
-			if a.opts.MaxSamples > 0 && a.sampleCount >= a.opts.MaxSamples {
-				a.finishLocked(false)
-			}
+		}
+		if a.d.capped(a.commits) {
+			a.finishLocked(false)
 		}
 	}
 	a.cond.Signal()
@@ -474,44 +373,28 @@ func (a *asyncRun) settleWindowLocked() {
 	a.held = a.held[:0]
 }
 
-// flushSampleLocked closes the current window: deferred commits
-// settle, the controller observes the window's conflict ratio, the
-// semaphore resizes to the controller's new m, and the sample is
-// queued for ordered delivery. Callers hold a.mu.
+// flushSampleLocked closes the current window — the async form of the
+// loop body in drive.step: deferred commits settle, the controller
+// observes the window's conflict ratio, the semaphore resizes to the
+// controller's new m, and the sample is queued for ordered delivery.
+// Callers hold a.mu, which is also what makes the workers one driver as
+// far as the controller is concerned.
 func (a *asyncRun) flushSampleLocked() {
 	a.settleWindowLocked()
 	ws := a.est.Flush()
-	a.ctrl.Observe(ws.R)
-	a.setLimitLocked(a.ctrl.M())
-	s := AsyncSample{
-		Sample:         a.sampleCount,
-		M:              a.limit,
-		Launched:       a.winLaunched,
-		Committed:      a.winCommitted,
-		Aborted:        a.winAborted,
-		Failed:         a.winFailed,
-		Poisoned:       a.winPoisoned,
-		R:              ws.R,
-		TotalCommitted: a.commits,
-		InFlight:       a.inflight,
-	}
-	// The controller is single-driver and a.mu is that driver's lock,
-	// so reading Telemetry here is race-free; the map is fresh per call.
-	if t, ok := a.ctrl.(control.Telemetry); ok {
-		s.Counters = t.Counters()
-	}
-	a.sampleCount++
-	a.winLaunched, a.winCommitted, a.winAborted = 0, 0, 0
-	a.winFailed, a.winPoisoned = 0, 0
+	a.d.ctrl.Observe(ws.R)
+	a.setLimitLocked(a.d.ctrl.M())
+	s := a.d.record(Sample{M: a.limit, R: ws.R, InFlight: a.inflight}, a.win)
+	a.win = RoundStats{}
 	a.queue = append(a.queue, s)
 	a.sampleCond.Signal()
 }
 
-// deliver streams queued samples, in order, to the result trajectory
-// and the OnSample callback from the RunAsync goroutine. Returns when
-// the run has stopped and the queue is empty; any sample flushed after
-// that (the final partial window) is delivered by RunAsync itself.
-func (a *asyncRun) deliver(res *AsyncResult) {
+// deliver streams queued samples, in order, to the subscriber from the
+// Drive goroutine. Returns when the run has stopped and the queue is
+// empty; any sample flushed after that (the final partial window) is
+// published by driveAsync itself.
+func (a *asyncRun) deliver() {
 	for {
 		a.mu.Lock()
 		for len(a.queue) == 0 && !a.stopped {
@@ -521,14 +404,18 @@ func (a *asyncRun) deliver(res *AsyncResult) {
 		a.queue = nil
 		stopped := a.stopped
 		a.mu.Unlock()
-		for _, s := range batch {
-			res.Trajectory = append(res.Trajectory, s)
-			if a.opts.OnSample != nil {
-				a.opts.OnSample(s)
-			}
-		}
+		a.publish(batch)
 		if stopped && len(batch) == 0 {
 			return
+		}
+	}
+}
+
+// publish hands a batch of recorded samples to the subscriber.
+func (a *asyncRun) publish(batch []Sample) {
+	if fn := a.d.opts.OnRound; fn != nil {
+		for _, s := range batch {
+			fn(s)
 		}
 	}
 }

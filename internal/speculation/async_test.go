@@ -21,7 +21,7 @@ func TestRunAsyncDrainsGraph(t *testing.T) {
 	wl := NewGraphWorkload(g)
 	e := NewGraphExecutor(wl, r.Split())
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.3))
-	res := e.RunAsync(context.Background(), ctrl, AsyncOptions{})
+	res := driveAll(context.Background(), e, ctrl, Options{Mode: ModeAsync})
 	if res.Canceled {
 		t.Fatalf("drain reported canceled")
 	}
@@ -46,7 +46,7 @@ func TestRunAsyncDrainsGraph(t *testing.T) {
 	// can be recorded after its own retry has already committed.)
 	for _, s := range res.Trajectory[:len(res.Trajectory)-1] {
 		if s.Committed == 0 {
-			t.Fatalf("sample %d closed with no commit: %+v", s.Sample, s)
+			t.Fatalf("sample %d closed with no commit: %+v", s.Index, s)
 		}
 	}
 	if err := g.CheckInvariants(); err != nil {
@@ -63,7 +63,7 @@ func TestRunAsyncGoroutineLeak(t *testing.T) {
 		g := graph.RandomGNM(r, 150, 500)
 		wl := NewGraphWorkload(g)
 		e := NewGraphExecutor(wl, r.Split())
-		e.RunAsync(context.Background(), control.NewHybrid(control.DefaultHybridConfig(0.3)), AsyncOptions{})
+		driveAll(context.Background(), e, control.NewHybrid(control.DefaultHybridConfig(0.3)), Options{Mode: ModeAsync})
 		e.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -98,9 +98,9 @@ func TestRunAsyncCancel(t *testing.T) {
 		}))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan *AsyncResult, 1)
+	done := make(chan driven, 1)
 	go func() {
-		done <- e.RunAsync(ctx, control.Fixed{Procs: 4}, AsyncOptions{})
+		done <- driveAll(ctx, e, control.Fixed{Procs: 4}, Options{Mode: ModeAsync})
 	}()
 	for started.Load() < 4 {
 		time.Sleep(time.Millisecond)
@@ -111,11 +111,11 @@ func TestRunAsyncCancel(t *testing.T) {
 	// the run first, then unblock them.
 	time.Sleep(200 * time.Millisecond)
 	close(release)
-	var res *AsyncResult
+	var res driven
 	select {
 	case res = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("RunAsync did not return after cancel")
+		t.Fatal("the async drive did not return after cancel")
 	}
 	if !res.Canceled {
 		t.Fatalf("Canceled=false after context cancellation")
@@ -137,8 +137,7 @@ func TestRunAsyncMaxCommits(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		e.Add(TaskFunc(func(ctx *Ctx) error { return nil }))
 	}
-	res := e.RunAsync(context.Background(), control.Fixed{Procs: 8},
-		AsyncOptions{MaxCommits: 100})
+	res := driveAll(context.Background(), e, control.Fixed{Procs: 8}, Options{Mode: ModeAsync, MaxCommits: 100})
 	if res.Canceled {
 		t.Fatalf("bounded stop reported canceled")
 	}
@@ -172,7 +171,7 @@ func TestRunAsyncLimitRespected(t *testing.T) {
 		}))
 	}
 	const m = 5
-	e.RunAsync(context.Background(), control.Fixed{Procs: m}, AsyncOptions{})
+	driveAll(context.Background(), e, control.Fixed{Procs: m}, Options{Mode: ModeAsync})
 	if p := peak.Load(); p > m {
 		t.Fatalf("observed %d concurrent tasks, limit %d", p, m)
 	}
@@ -192,11 +191,10 @@ func TestRunAsyncQuarantineExcluded(t *testing.T) {
 	for i := 0; i < good; i++ {
 		e.Add(TaskFunc(func(ctx *Ctx) error { return nil }))
 	}
-	res := e.RunAsync(context.Background(), control.Fixed{Procs: 4},
-		AsyncOptions{Window: 16})
+	res := driveAll(context.Background(), e, control.Fixed{Procs: 4}, Options{Mode: ModeAsync, Window: 16})
 	for _, s := range res.Trajectory {
 		if s.R != 0 {
-			t.Fatalf("sample %d: r=%v from failures (want 0): %+v", s.Sample, s.R, s)
+			t.Fatalf("sample %d: r=%v from failures (want 0): %+v", s.Index, s.R, s)
 		}
 	}
 	if res.Poisoned != bad {
@@ -222,17 +220,15 @@ func TestRunAsyncSampleOrdering(t *testing.T) {
 	g := graph.RandomGNM(r, 300, 900)
 	wl := NewGraphWorkload(g)
 	e := NewGraphExecutor(wl, r.Split())
-	var seen []AsyncSample
-	res := e.RunAsync(context.Background(),
-		control.NewHybrid(control.DefaultHybridConfig(0.3)),
-		AsyncOptions{OnSample: func(s AsyncSample) { seen = append(seen, s) }})
+	var seen []Sample
+	res := driveAll(context.Background(), e, control.NewHybrid(control.DefaultHybridConfig(0.3)), Options{Mode: ModeAsync, OnRound: func(s Sample) { seen = append(seen, s) }})
 	if len(seen) != len(res.Trajectory) {
-		t.Fatalf("OnSample saw %d samples, trajectory has %d", len(seen), len(res.Trajectory))
+		t.Fatalf("OnRound saw %d samples, trajectory has %d", len(seen), len(res.Trajectory))
 	}
 	var lastCommits int64
 	for i, s := range seen {
-		if s.Sample != i {
-			t.Fatalf("sample %d delivered at position %d", s.Sample, i)
+		if s.Index != i {
+			t.Fatalf("sample %d delivered at position %d", s.Index, i)
 		}
 		if s.TotalCommitted < lastCommits {
 			t.Fatalf("TotalCommitted went backwards: %d after %d", s.TotalCommitted, lastCommits)
@@ -264,7 +260,7 @@ func TestRunAsyncSpawn(t *testing.T) {
 		})
 	}
 	e.Add(mk(5))
-	res := e.RunAsync(context.Background(), control.Fixed{Procs: 4}, AsyncOptions{})
+	res := driveAll(context.Background(), e, control.Fixed{Procs: 4}, Options{Mode: ModeAsync})
 	if leaves.Load() != 32 {
 		t.Fatalf("%d leaves ran, want 32", leaves.Load())
 	}

@@ -125,7 +125,7 @@ func BenchmarkExecutorAsync(b *testing.B) {
 		e := NewExecutor(nil)
 		benchStragglerTasks(e, b.N)
 		b.ResetTimer()
-		e.RunAsync(context.Background(), control.Fixed{Procs: stragglerM}, AsyncOptions{})
+		Drive(context.Background(), e, control.Fixed{Procs: stragglerM}, Options{Mode: ModeAsync})
 		b.StopTimer()
 		if secs := b.Elapsed().Seconds(); secs > 0 {
 			b.ReportMetric(float64(b.N)/secs, "tasks/sec")
@@ -166,13 +166,9 @@ func BenchmarkExecutorColored(b *testing.B) {
 		b.Run(topo.name+"/round", func(b *testing.B) {
 			e, _, _ := buildStableFixture(topo.build(), b.N, cpu, 7)
 			defer e.Close()
-			ctrl := testHybrid(0.25)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for e.TotalCommitted() < int64(b.N) && e.Pending() > 0 {
-				st := e.Round(ctrl.M())
-				ctrl.Observe(st.ConflictRatio())
-			}
+			Drive(context.Background(), e, testHybrid(0.25), Options{MaxCommits: int64(b.N)})
 			b.StopTimer()
 			report(b, e.TotalCommitted())
 		})
@@ -181,8 +177,7 @@ func BenchmarkExecutorColored(b *testing.B) {
 			defer e.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
-			e.RunAsync(context.Background(), testHybrid(0.25),
-				AsyncOptions{MaxCommits: int64(b.N)})
+			Drive(context.Background(), e, testHybrid(0.25), Options{Mode: ModeAsync, MaxCommits: int64(b.N)})
 			b.StopTimer()
 			report(b, e.TotalCommitted())
 		})
@@ -191,8 +186,7 @@ func BenchmarkExecutorColored(b *testing.B) {
 			defer e.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
-			res := e.RunColored(context.Background(), testHybrid(0.25),
-				ColoredOptions{MaxCommits: int64(b.N)})
+			res, _ := Drive(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored, MaxCommits: int64(b.N)})
 			b.StopTimer()
 			report(b, e.TotalCommitted())
 			if res.ColoredAborts != 0 {

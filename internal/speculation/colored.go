@@ -1,12 +1,10 @@
 package speculation
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
 
-	"repro/internal/control"
 	"repro/internal/graph"
 )
 
@@ -21,7 +19,7 @@ import (
 // pairwise conflict-free *by construction*, and a class can run with no
 // item locks, no undo logs, and no abort path at all.
 //
-// RunColored phases:
+// Drive's ModeColored phases:
 //
 //	learn   — ordinary optimistic rounds (controller-governed); the
 //	          executor feeds committed footprints to a ConflictRecorder.
@@ -55,93 +53,10 @@ import (
 // the snapshot, so a coloring is never attempted on a knowingly
 // incomplete graph.
 //
-// Controller interaction: colored rounds never call ctrl.Observe — the
+// Controller interaction: colored rounds never observe the controller — the
 // controller's r̄ reflects speculative rounds only, so Algorithm 1
 // resumes governing m the moment a fallback returns the executor to
 // speculation (see control.Controller).
-
-// ColoredOptions configures Executor.RunColored. The zero value is
-// ready: defaults from conflict.go apply and the drive runs to drain.
-type ColoredOptions struct {
-	// StableRounds is how many consecutive committing rounds must add no
-	// new conflict observation before the graph is colored (default
-	// DefaultStableRounds).
-	StableRounds int
-	// MaxItems / MaxKeysPerItem bound the conflict recorder (defaults
-	// DefaultRecorderMaxItems / DefaultRecorderMaxKeysPerItem). On
-	// overflow the job stays speculative — degraded, never wrong.
-	MaxItems       int
-	MaxKeysPerItem int
-	// MaxRounds caps the total number of rounds (speculative and
-	// colored); 0 means unbounded.
-	MaxRounds int
-	// MaxCommits stops the drive once at least this many tasks have
-	// committed (checked at round boundaries); 0 means run to drain.
-	MaxCommits int64
-	// OnRound, when non-nil, observes every round (both phases) from the
-	// driving goroutine.
-	OnRound func(ColoredRound)
-}
-
-// ColoredRound reports one round of a colored drive.
-type ColoredRound struct {
-	Round     int  // 0-based round index within the drive
-	Colored   bool // false: speculative (learning) round, true: colored
-	M         int  // speculative: controller's m; colored: tasks launched
-	Launched  int
-	Committed int
-	Aborted   int
-	Failed    int
-	Poisoned  int
-	Spawned   int
-	R         float64 // conflict ratio of this round (~0 when colored)
-	Colors    int     // number of color classes (colored rounds only)
-	Fallback  bool    // this round tripped the staleness detector
-}
-
-// ColoredResult aggregates a colored drive.
-type ColoredResult struct {
-	Rounds        int // total rounds driven
-	SpecRounds    int // speculative (learning) rounds
-	ColoredRounds int // colored super-rounds
-	Colorings     int // speculative→colored transitions (snapshots colored)
-	Fallbacks     int // colored→speculative transitions (staleness trips)
-	Colors        int // color count of the most recent coloring
-
-	Launched  int64
-	Committed int64
-	Aborted   int64
-	Failed    int64
-	Poisoned  int64
-	Spawned   int64
-
-	// ColoredCommits / ColoredAborts split out the colored-phase share:
-	// in steady state ColoredAborts is 0 — the acceptance signal that
-	// colored rounds run conflict-free.
-	ColoredCommits int64
-	ColoredAborts  int64
-
-	Canceled bool // the context was canceled before drain
-	Degraded bool // recorder gave up (unkeyed task or overflow)
-}
-
-// ConflictRatio returns the drive-wide aborts/launches.
-func (r *ColoredResult) ConflictRatio() float64 {
-	if r.Launched == 0 {
-		return 0
-	}
-	return float64(r.Aborted) / float64(r.Launched)
-}
-
-// ColoredConflictRatio returns aborts/launches over colored rounds only
-// (~0 unless a staleness trip aborted work mid-class).
-func (r *ColoredResult) ColoredConflictRatio() float64 {
-	launched := r.ColoredCommits + r.ColoredAborts
-	if launched == 0 {
-		return 0
-	}
-	return float64(r.ColoredAborts) / float64(launched)
-}
 
 // staleness grades a colored round's verification outcome.
 type staleness int
@@ -180,56 +95,25 @@ func (cs *coloredState) prepare(lg *LearnedGraph, numColors int) {
 	}
 }
 
-// RunColored drives the executor in hybrid speculative→colored mode
-// until the work-set drains (or a bound/cancellation stops it). Must be
-// called from one goroutine at a time, like Round. The controller
-// governs the speculative phases exactly as in RunAdaptive; colored
-// rounds are invisible to it.
-func (e *Executor) RunColored(ctx context.Context, ctrl control.Controller, opts ColoredOptions) *ColoredResult {
-	if opts.StableRounds <= 0 {
-		opts.StableRounds = DefaultStableRounds
-	}
-	rec := NewConflictRecorder(opts.MaxItems, opts.MaxKeysPerItem)
+// driveColored is Drive's ModeColored: the shared round step while
+// learning, colored super-rounds once a coloring exists, and the phase
+// switch between them. The controller governs the learning rounds
+// exactly as in round mode; colored super-rounds are invisible to it.
+func (e *Executor) driveColored(d *drive) {
+	rec := NewConflictRecorder(0, 0)
 	e.rec = rec
 	defer func() { e.rec = nil }()
 
-	res := &ColoredResult{}
+	res := &d.res
 	var cs coloredState
 	var lg *LearnedGraph
 
-	for {
-		if ctx != nil && ctx.Err() != nil {
-			res.Canceled = true
-			break
-		}
-		if e.Pending() == 0 {
-			break
-		}
-		if opts.MaxRounds > 0 && res.Rounds >= opts.MaxRounds {
-			break
-		}
-		if opts.MaxCommits > 0 && res.Committed >= opts.MaxCommits {
-			break
-		}
-
+	for d.more(e.Pending()) {
 		if lg == nil {
-			// Speculative (learning) round under the controller.
-			m := ctrl.M()
-			st := e.Round(m)
-			ctrl.Observe(st.ConflictRatio())
-			res.SpecRounds++
-			res.fold(st)
-			emit(opts.OnRound, ColoredRound{
-				Round: res.Rounds, M: m,
-				Launched: st.Launched, Committed: st.Committed,
-				Aborted: st.Aborted, Failed: st.Failed,
-				Poisoned: st.Poisoned, Spawned: st.Spawned,
-				R: st.ConflictRatio(),
-			})
-			res.Rounds++
+			d.step(e)
 			if rec.Degraded() {
 				res.Degraded = true
-			} else if rec.Stable(opts.StableRounds) && e.Pending() > 0 {
+			} else if rec.Stable(DefaultStableRounds) && e.Pending() > 0 {
 				if !e.pendingCovered(rec, &cs) {
 					// Quiet but incomplete: some pending task has never
 					// committed, so its edges are unknown. Keep learning
@@ -249,20 +133,11 @@ func (e *Executor) RunColored(ctx context.Context, ctrl control.Controller, opts
 			continue
 		}
 
-		// Colored super-round (not observed by the controller).
 		st, stale := e.coloredRound(lg, &cs)
-		res.ColoredRounds++
-		res.fold(st)
-		res.ColoredCommits += int64(st.Committed)
-		res.ColoredAborts += int64(st.Aborted)
-		emit(opts.OnRound, ColoredRound{
-			Round: res.Rounds, Colored: true, M: st.Launched,
-			Launched: st.Launched, Committed: st.Committed,
-			Aborted: st.Aborted, Failed: st.Failed,
-			Poisoned: st.Poisoned, Spawned: st.Spawned,
-			R: st.ConflictRatio(), Colors: res.Colors, Fallback: stale != staleNone,
-		})
-		res.Rounds++
+		d.emit(Sample{
+			Colored: true, M: st.Launched, R: st.ConflictRatio(),
+			Colors: res.Colors, Fallback: stale != staleNone,
+		}, st)
 		if stale != staleNone {
 			res.Fallbacks++
 			lg = nil
@@ -273,7 +148,6 @@ func (e *Executor) RunColored(ctx context.Context, ctrl control.Controller, opts
 			}
 		}
 	}
-	return res
 }
 
 // pendingCovered reports whether every pending task is keyed and its
@@ -306,21 +180,6 @@ func (e *Executor) pendingCovered(rec *ConflictRecorder, cs *coloredState) bool 
 	}
 	e.requeueAll(cs.handles)
 	return ok
-}
-
-func (r *ColoredResult) fold(st RoundStats) {
-	r.Launched += int64(st.Launched)
-	r.Committed += int64(st.Committed)
-	r.Aborted += int64(st.Aborted)
-	r.Failed += int64(st.Failed)
-	r.Poisoned += int64(st.Poisoned)
-	r.Spawned += int64(st.Spawned)
-}
-
-func emit(fn func(ColoredRound), cr ColoredRound) {
-	if fn != nil {
-		fn(cr)
-	}
 }
 
 // drainPending moves every pending handle into buf (appending, so the

@@ -92,8 +92,8 @@ func TestRunColoredStableDrains(t *testing.T) {
 	defer e.Close()
 
 	var coloredAborted int
-	res := e.RunColored(context.Background(), testHybrid(0.25), ColoredOptions{
-		OnRound: func(cr ColoredRound) {
+	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored,
+		OnRound: func(cr Sample) {
 			if cr.Colored {
 				coloredAborted += cr.Aborted
 			}
@@ -251,15 +251,15 @@ func TestRunColoredStalenessFallback(t *testing.T) {
 	}
 	var trace []roundView
 	mutatedAt := -1
-	res := e.RunColored(context.Background(), testHybrid(0.25), ColoredOptions{
-		OnRound: func(cr ColoredRound) {
+	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored,
+		OnRound: func(cr Sample) {
 			trace = append(trace, roundView{colored: cr.Colored, fallback: cr.Fallback})
 			if cr.Colored && mutatedAt < 0 {
 				if l := tasks[0].left.Load(); l <= 1 {
 					t.Fatalf("chain 0 nearly drained (left=%d) before the colored phase; raise repeats", l)
 				}
 				mutate.Store(true)
-				mutatedAt = cr.Round
+				mutatedAt = cr.Index
 			}
 		},
 	})
@@ -301,7 +301,7 @@ func TestRunColoredStalenessFallback(t *testing.T) {
 }
 
 // TestRunColoredUnkeyedStaysSpeculative: tasks without ConflictKey can
-// run under RunColored, but the drive degrades to pure speculation.
+// be driven in ModeColored, but the drive degrades to pure speculation.
 func TestRunColoredUnkeyedStaysSpeculative(t *testing.T) {
 	e := NewExecutor(nil)
 	e.MaxParallel = 2
@@ -320,7 +320,7 @@ func TestRunColoredUnkeyedStaysSpeculative(t *testing.T) {
 		}
 		e.Add(task)
 	}
-	res := e.RunColored(context.Background(), testHybrid(0.25), ColoredOptions{})
+	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
 	if !res.Degraded {
 		t.Fatalf("unkeyed drive not degraded: %+v", res)
 	}
@@ -341,8 +341,8 @@ func TestRunColoredCancel(t *testing.T) {
 	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	rounds := 0
-	res := e.RunColored(ctx, testHybrid(0.25), ColoredOptions{
-		OnRound: func(ColoredRound) {
+	res := driveAll(ctx, e, testHybrid(0.25), Options{Mode: ModeColored,
+		OnRound: func(Sample) {
 			rounds++
 			if rounds == 5 {
 				cancel()
@@ -352,8 +352,8 @@ func TestRunColoredCancel(t *testing.T) {
 	if !res.Canceled {
 		t.Fatalf("drive not canceled: %+v", res)
 	}
-	if res.Rounds > 6 {
-		t.Fatalf("drive ran %d rounds after cancel at 5", res.Rounds)
+	if res.Samples > 6 {
+		t.Fatalf("drive ran %d rounds after cancel at 5", res.Samples)
 	}
 }
 
@@ -361,14 +361,14 @@ func TestRunColoredMaxBounds(t *testing.T) {
 	g := graph.Grid2D(6, 6)
 	e, _, _ := buildStableFixture(g, 1000, 2, 5)
 	defer e.Close()
-	res := e.RunColored(context.Background(), testHybrid(0.25), ColoredOptions{MaxRounds: 4})
-	if res.Rounds != 4 || res.Canceled {
-		t.Fatalf("MaxRounds: got %d rounds (canceled=%v), want 4", res.Rounds, res.Canceled)
+	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored, MaxSamples: 4})
+	if res.Samples != 4 || res.Canceled {
+		t.Fatalf("MaxSamples: got %d rounds (canceled=%v), want 4", res.Samples, res.Canceled)
 	}
 
 	e2, _, _ := buildStableFixture(g, 1000, 2, 5)
 	defer e2.Close()
-	res2 := e2.RunColored(context.Background(), testHybrid(0.25), ColoredOptions{MaxCommits: 100})
+	res2 := driveAll(context.Background(), e2, testHybrid(0.25), Options{Mode: ModeColored, MaxCommits: 100})
 	if res2.Committed < 100 {
 		t.Fatalf("MaxCommits: committed %d, want >= 100", res2.Committed)
 	}

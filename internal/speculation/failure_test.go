@@ -119,7 +119,8 @@ func TestFailuresExcludedFromConflictRatio(t *testing.T) {
 	if got := st.ConflictRatio(); got != 0.2 {
 		t.Fatalf("ConflictRatio = %v, want 0.2 (failures excluded)", got)
 	}
-	ost := OrderedRoundStats{Launched: 10, Committed: 5, Conflicts: 2, Failed: 3}
+	// An ordered round's premature executions are part of Aborted.
+	ost := RoundStats{Launched: 10, Committed: 5, Aborted: 2, Premature: 1, Failed: 3}
 	if got := ost.ConflictRatio(); got != 0.2 {
 		t.Fatalf("ordered ConflictRatio = %v, want 0.2", got)
 	}

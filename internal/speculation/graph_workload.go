@@ -4,93 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/control"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
-
-// AdaptiveResult records a closed-loop run of the executor under a
-// processor-allocation controller, including the cost accounting the
-// paper's introduction motivates: every launched task occupies a
-// processor for the round whether it commits or aborts, so wasted
-// launches burn both time and power.
-type AdaptiveResult struct {
-	Controller string
-	M          []int     // processors requested per round
-	R          []float64 // conflict ratio observed per round
-	Committed  []int     // commits per round
-	Rounds     int
-
-	UsefulWork int // total committed tasks
-	WastedWork int // total aborted executions (incl. premature, if ordered)
-	ProcRounds int // Σ launched: processor-time (and power) proxy
-}
-
-// Efficiency returns useful work per processor-round (1.0 = no waste,
-// 0 for an empty run).
-func (a *AdaptiveResult) Efficiency() float64 {
-	if a.ProcRounds == 0 {
-		return 0
-	}
-	return float64(a.UsefulWork) / float64(a.ProcRounds)
-}
-
-// MeanConflictRatio returns the unweighted mean of the per-round
-// conflict ratios (0 for an empty run).
-func (a *AdaptiveResult) MeanConflictRatio() float64 {
-	if len(a.R) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, r := range a.R {
-		total += r
-	}
-	return total / float64(len(a.R))
-}
-
-// RunAdaptive drives the executor with controller c until the work-set
-// drains or maxRounds elapse, feeding each round's measured conflict
-// ratio back to the controller — the paper's Algorithm 1 main loop
-// running on a real speculative runtime instead of the graph model.
-func RunAdaptive(e *Executor, c control.Controller, maxRounds int) *AdaptiveResult {
-	res := &AdaptiveResult{Controller: c.Name()}
-	for round := 0; round < maxRounds && e.Pending() > 0; round++ {
-		m := c.M()
-		st := e.Round(m)
-		r := st.ConflictRatio()
-		res.M = append(res.M, m)
-		res.R = append(res.R, r)
-		res.Committed = append(res.Committed, st.Committed)
-		res.UsefulWork += st.Committed
-		res.WastedWork += st.Aborted
-		res.ProcRounds += st.Launched
-		res.Rounds++
-		c.Observe(r)
-	}
-	return res
-}
-
-// RunAdaptiveOrdered drives the ordered executor under controller c —
-// processor allocation for ordered algorithms, the paper's §5 future
-// work. The controller consumes the combined wasted-work ratio
-// (conflicts + premature executions).
-func RunAdaptiveOrdered(e *OrderedExecutor, c control.Controller, maxRounds int) *AdaptiveResult {
-	res := &AdaptiveResult{Controller: c.Name()}
-	for round := 0; round < maxRounds && e.Pending() > 0; round++ {
-		m := c.M()
-		st := e.Round(m)
-		r := st.ConflictRatio()
-		res.M = append(res.M, m)
-		res.R = append(res.R, r)
-		res.Committed = append(res.Committed, st.Committed)
-		res.UsefulWork += st.Committed
-		res.WastedWork += st.Aborted()
-		res.ProcRounds += st.Launched
-		res.Rounds++
-		c.Observe(r)
-	}
-	return res
-}
 
 // GraphWorkload lifts a CC graph into runtime tasks so the goroutine
 // executor can run the same experiments as the model simulator: one task

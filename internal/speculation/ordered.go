@@ -111,31 +111,6 @@ func (c *OrderedCtx) SpawnAtCommit(fn func() []OrderedTask) {
 // OnCommit registers a mutation to apply serially if the task commits.
 func (c *OrderedCtx) OnCommit(fn func()) { c.onCommit = append(c.onCommit, fn) }
 
-// OrderedRoundStats reports one round of the ordered executor.
-type OrderedRoundStats struct {
-	Launched  int
-	Committed int
-	Conflicts int // aborted: lost an item to an earlier task
-	Premature int // aborted: ran ahead of newly spawned earlier work
-	Failed    int // panics / non-conflict errors, retried on budget
-	Poisoned  int // failures that exhausted the retry budget this round
-	Spawned   int
-}
-
-// Aborted returns total wasted speculative executions of the round
-// (conflicts + premature; failures are counted separately, matching the
-// unordered executor's taxonomy).
-func (s OrderedRoundStats) Aborted() int { return s.Conflicts + s.Premature }
-
-// ConflictRatio returns wasted/launched — the r_t fed to controllers.
-// Failures are excluded, as in RoundStats.ConflictRatio.
-func (s OrderedRoundStats) ConflictRatio() float64 {
-	if s.Launched == 0 {
-		return 0
-	}
-	return float64(s.Aborted()) / float64(s.Launched)
-}
-
 // taskHeap is a min-heap of ordered tasks by key.
 type taskHeap []OrderedTask
 
@@ -245,8 +220,11 @@ func (e *OrderedExecutor) NextKey() Key {
 }
 
 // Round speculatively executes the m earliest pending tasks and commits
-// the safe prefix in priority order.
-func (e *OrderedExecutor) Round(m int) OrderedRoundStats {
+// the safe prefix in priority order. Aborted counts both ways an ordered
+// execution is wasted — losing an item to an earlier task, and running
+// ahead of newly spawned earlier work (Premature) — so ConflictRatio is
+// the combined wasted-work ratio the controller consumes.
+func (e *OrderedExecutor) Round(m int) RoundStats {
 	if m < 0 {
 		panic("speculation: negative ordered round size")
 	}
@@ -260,7 +238,7 @@ func (e *OrderedExecutor) Round(m int) OrderedRoundStats {
 	}
 	e.mu.Unlock()
 	if len(batch) == 0 {
-		return OrderedRoundStats{}
+		return RoundStats{}
 	}
 
 	// Phase 1: parallel speculative execution (read + claim only),
@@ -298,7 +276,7 @@ func (e *OrderedExecutor) Round(m int) OrderedRoundStats {
 	// popped from a heap, so sort it (heap pops were in order already —
 	// popping yields ascending keys, so batch is sorted by
 	// construction).
-	stats := OrderedRoundStats{Launched: len(batch)}
+	stats := RoundStats{Launched: len(batch)}
 	budget := e.retryBudget()
 	claimed := make(map[*Item]bool)
 	minSpawn := MaxKey
@@ -311,6 +289,7 @@ func (e *OrderedExecutor) Round(m int) OrderedRoundStats {
 			// may spawn events that precede this one, so chronological
 			// safety forbids committing anything past the first failure:
 			// the committed set must be a prefix of the batch.
+			stats.Aborted++
 			stats.Premature++
 			requeue = append(requeue, t)
 			continue
@@ -342,6 +321,7 @@ func (e *OrderedExecutor) Round(m int) OrderedRoundStats {
 		if minSpawn.Less(t.Key()) {
 			// Earlier work was generated by a committed task: this
 			// execution ran ahead of it and must be redone.
+			stats.Aborted++
 			stats.Premature++
 			requeue = append(requeue, t)
 			stopped = true
@@ -355,7 +335,7 @@ func (e *OrderedExecutor) Round(m int) OrderedRoundStats {
 			}
 		}
 		if conflict {
-			stats.Conflicts++
+			stats.Aborted++
 			requeue = append(requeue, t)
 			stopped = true
 			continue
@@ -392,9 +372,9 @@ func (e *OrderedExecutor) Round(m int) OrderedRoundStats {
 		heap.Push(&e.pending, t)
 	}
 	e.mu.Unlock()
-	e.totalConflicts.Add(int64(stats.Conflicts))
+	e.totalConflicts.Add(int64(stats.Aborted - stats.Premature))
 	e.totalPremature.Add(int64(stats.Premature))
 	e.addTotals(int64(stats.Launched), int64(stats.Committed),
-		int64(stats.Aborted()), int64(stats.Failed), int64(stats.Poisoned))
+		int64(stats.Aborted), int64(stats.Failed), int64(stats.Poisoned))
 	return stats
 }

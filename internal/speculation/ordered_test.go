@@ -84,7 +84,7 @@ func TestOrderedConflictEarliestWins(t *testing.T) {
 	st := e.Round(3)
 	// The earliest commits; the second conflicts; the third is cut off
 	// by the prefix rule (counted premature).
-	if st.Committed != 1 || st.Conflicts != 1 || st.Premature != 1 {
+	if st.Committed != 1 || st.Aborted != 2 || st.Premature != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 	if len(committed) != 1 || committed[0] != 1 {
@@ -150,7 +150,7 @@ func TestOrderedIndependentTasksAllCommit(t *testing.T) {
 		e.Add(&testOrderedTask{key: key(float64(i)), claims: []*Item{NewItem(int64(i))}, ran: &ran})
 	}
 	st := e.Round(64)
-	if st.Committed != 64 || st.Aborted() != 0 {
+	if st.Committed != 64 || st.Aborted != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 	if ran.Load() != 64 {
@@ -215,7 +215,7 @@ func (t concTask) Run(*OrderedCtx) error {
 	return nil
 }
 
-func TestRunAdaptiveOrdered(t *testing.T) {
+func TestRunAdaptiveOnOrderedExecutor(t *testing.T) {
 	e := NewOrderedExecutor()
 	it := NewItem(0)
 	// A chain of contended tasks: at m processors only 1 commits per
@@ -224,7 +224,7 @@ func TestRunAdaptiveOrdered(t *testing.T) {
 		e.Add(&testOrderedTask{key: key(float64(i)), claims: []*Item{it}})
 	}
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	res := RunAdaptiveOrdered(e, ctrl, 10000)
+	res := RunAdaptive(e, ctrl, 10000)
 	if e.Pending() != 0 {
 		t.Fatal("did not drain")
 	}

@@ -280,6 +280,7 @@ type RoundStats struct {
 	Launched  int
 	Committed int
 	Aborted   int // conflict aborts (expected speculative losses)
+	Premature int // ordered executor: the part of Aborted that ran ahead of newly spawned earlier work
 	Failed    int // panics / non-conflict errors, rolled back and retried
 	Poisoned  int // failures that exhausted the retry budget this round
 	Spawned   int // new tasks entering the work-set from committed tasks
@@ -520,7 +521,7 @@ type Executor struct {
 
 	// rec, when non-nil, observes the footprints of committed tasks at
 	// the round barrier — the learning phase of colored execution (see
-	// conflict.go). Set and cleared only by RunColored, which owns the
+	// conflict.go). Set and cleared only by driveColored, which owns the
 	// Round loop while it runs.
 	rec *ConflictRecorder
 

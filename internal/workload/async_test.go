@@ -45,7 +45,7 @@ func TestDrainAsyncCC(t *testing.T) {
 
 // TestDrainAsyncUnsupported: ordered workloads cannot run barrier-free.
 func TestDrainAsyncUnsupported(t *testing.T) {
-	if SupportsAsync("des") {
+	if Supports("des", CapAsync) {
 		t.Fatal("des must not advertise async support")
 	}
 	run, err := New("des", Params{Size: 40, Seed: 1})

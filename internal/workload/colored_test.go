@@ -9,20 +9,9 @@ import (
 )
 
 // TestCapabilityRegistry pins the capability flags to the registry:
-// the Supports* predicates must agree with the flags, CapableNames must
-// agree with the predicates, and the historical sets must not drift.
+// CapableNames must agree with Supports, and the historical sets must
+// not drift.
 func TestCapabilityRegistry(t *testing.T) {
-	for _, name := range Names() {
-		if SupportsFault(name) != Supports(name, CapFault) {
-			t.Errorf("%s: SupportsFault disagrees with Supports(CapFault)", name)
-		}
-		if SupportsAsync(name) != Supports(name, CapAsync) {
-			t.Errorf("%s: SupportsAsync disagrees with Supports(CapAsync)", name)
-		}
-		if SupportsColored(name) != Supports(name, CapColored) {
-			t.Errorf("%s: SupportsColored disagrees with Supports(CapColored)", name)
-		}
-	}
 	want := map[Capability][]string{
 		CapFault:   {"cc", "spin"},
 		CapAsync:   {"cc", "spin", "stable"},
@@ -34,8 +23,8 @@ func TestCapabilityRegistry(t *testing.T) {
 			t.Fatalf("CapableNames(%b) = %v, want %v", c, got, names)
 		}
 		for i := range names {
-			if got[i] != names[i] {
-				t.Fatalf("CapableNames(%b) = %v, want %v", c, got, names)
+			if got[i] != names[i] || !Supports(names[i], c) {
+				t.Fatalf("CapableNames(%b) = %v, want %v, each with Supports true", c, got, names)
 			}
 		}
 	}
@@ -168,7 +157,7 @@ func TestColoredAppWorkloads(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			if !SupportsColored(name) {
+			if !Supports(name, CapColored) {
 				t.Fatalf("%s lost its CapColored flag", name)
 			}
 			run, cres, _ := driveColored(t, name, Params{Size: smallSize[name], Seed: 1, Parallel: 2})

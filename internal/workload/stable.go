@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -52,15 +51,10 @@ func (t *stableTask) Run(ctx *speculation.Ctx) error {
 func newStable(p Params) (*Run, error) {
 	r := rng.New(p.Seed)
 	g := graph.RandomWithAvgDegree(r, p.Size, degree("stable", p))
-	pick := r.Split()
-	var mu sync.Mutex
-	e := speculation.NewExecutor(func(n int) int {
-		mu.Lock()
-		defer mu.Unlock()
-		return pick.Intn(n)
-	})
-	e.MaxParallel = p.Parallel
-	e.TaskRetries = p.TaskRetries
+	e, err := seededExecutor(r.Split(), p)
+	if err != nil {
+		return nil, err
+	}
 
 	nodes := g.Nodes()
 	fps := speculation.GraphFootprints(g)
@@ -79,23 +73,17 @@ func newStable(p Params) (*Run, error) {
 		e.Add(t)
 	}
 
-	st := execStepper{e}
-	return &Run{
-		Name:    "stable",
-		Stepper: st,
-		summary: stdSummary("stable", st),
-		verify: func() (string, error) {
-			want := int64(len(tasks)) * stableRepeats
-			if got := total.Load(); got != want {
-				return "", fmt.Errorf("committed %d chain steps, want %d", got, want)
+	return stdRun("stable", e, p, func() (string, error) {
+		want := int64(len(tasks)) * stableRepeats
+		if got := total.Load(); got != want {
+			return "", fmt.Errorf("committed %d chain steps, want %d", got, want)
+		}
+		for _, t := range tasks {
+			if l := t.left.Load(); l != 0 {
+				return "", fmt.Errorf("chain %d has %d steps left", t.key, l)
 			}
-			for _, t := range tasks {
-				if l := t.left.Load(); l != 0 {
-					return "", fmt.Errorf("chain %d has %d steps left", t.key, l)
-				}
-			}
-			return fmt.Sprintf("chains=%d steps=%d (all chains drained exactly)",
-				len(tasks), total.Load()), nil
-		},
-	}, nil
+		}
+		return fmt.Sprintf("chains=%d steps=%d (all chains drained exactly)",
+			len(tasks), total.Load()), nil
+	})
 }
