@@ -43,15 +43,18 @@ race:
 # pseudo-rounds must settle to the same steady-state m as the same
 # controller fed real rounds on the synthetic cc workload — plus the
 # colored-mode acceptance run: on the stable-conflict workload the
-# hybrid speculative→colored drive must reach the colored phase, commit
-# with a zero conflict ratio and no aborts there, and sustain colored
-# steady-state commits/sec at least matching the async executor. The
+# colored drive must commit everything colored when footprints are
+# declared and reach the colored phase when they are learned, with a
+# zero conflict ratio and no aborts there, and sustain colored
+# steady-state commits/sec at least matching the async executor; and the
+# conflict graph built from declarations must equal the one the recorder
+# learns from the same tasks, with item-disjoint color classes. The
 # golden trajectories ride along: apprun's stdout and the round drive's
 # per-round (M, R, Committed) series at -parallel 1, where both are pure
 # functions of the seed, pinned byte for byte.
 equiv:
-	$(GO) test -count=1 -run 'TestAsyncControllerEquivalence|TestWindowedEstimator|TestColoredEquivalence|TestGolden' \
-		./internal/workload/ ./internal/control/ .
+	$(GO) test -count=1 -run 'TestAsyncControllerEquivalence|TestWindowedEstimator|TestColoredEquivalence|TestDeclared|TestGolden' \
+		./internal/speculation/ ./internal/workload/ ./internal/control/ .
 
 # chaos runs the fault-injection and cancellation end-to-end suites
 # under the race detector: deterministic panic/error/delay injection
@@ -107,11 +110,13 @@ bench:
 # (CSR vs mutable-graph greedy-MIS kernels, the mutable graph's
 # build-and-drain, serial vs parallel conflict-ratio estimators,
 # round-barrier vs barrier-free execution on the straggler workload,
-# and round vs async vs colored execution on stable-conflict
-# topologies) and records per-benchmark medians in $(BENCH_SIM_OUT).
+# round vs async vs colored execution on stable-conflict topologies,
+# learned and declared, and the declare phase against the round-mode
+# drain it replaces) and records per-benchmark medians in
+# $(BENCH_SIM_OUT).
 bench-sim:
 	$(GO) test ./internal/graph/ ./internal/sched/ ./internal/speculation/ -run NONE \
-		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMC|BenchmarkExecutorAsync|BenchmarkExecutorColored' \
+		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMC|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkDeclaredGraph' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		| $(GO) run ./cmd/benchfmt > $(BENCH_SIM_OUT)
 	@cat $(BENCH_SIM_OUT)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -241,9 +242,10 @@ func MaxDegreeCSR(c *CSR) int {
 // NewCSRFromEdges builds a snapshot directly from an undirected edge
 // list over dense node indices 0..n−1, without materializing a mutable
 // Graph first — the constructor the conflict recorder uses to turn a
-// learned edge set into a colorable CSR. Self-loops are ignored; the
-// caller is expected to have deduplicated edges. Dense indices double as
-// node IDs.
+// learned edge set into a colorable CSR. Self-loops are ignored and an
+// edge listed more than once (two keys sharing two items) is one edge:
+// rows come out sorted and deduplicated. Dense indices double as node
+// IDs.
 func NewCSRFromEdges(n int, edges [][2]int32) *CSR {
 	c := &CSR{
 		offsets: make([]int32, n+1),
@@ -285,5 +287,16 @@ func NewCSRFromEdges(n int, edges [][2]int32) *CSR {
 	for i := 0; i < n; i++ {
 		c.offsets[i] -= deg[i]
 	}
+	// Sort and deduplicate each row, compacting nbrs in place: the write
+	// cursor never passes the row being read.
+	w := int32(0)
+	for i := 0; i < n; i++ {
+		row := c.nbrs[c.offsets[i]:c.offsets[i+1]]
+		slices.Sort(row)
+		c.offsets[i] = w
+		w += int32(copy(c.nbrs[w:], slices.Compact(row)))
+	}
+	c.offsets[n] = w
+	c.nbrs = c.nbrs[:w]
 	return c
 }

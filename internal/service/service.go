@@ -239,8 +239,10 @@ type job struct {
 	// super-rounds are conflict-free by construction and excluded from
 	// r̄, mirroring the controller's view.
 	specRounds int
-	// prevColored tracks phase transitions between recorded rounds so
-	// Colorings counts speculative→colored flips.
+	// prevColored tracks whether the previous recorded round ran under a
+	// coloring that is still in force, so Colorings counts each new one:
+	// a speculative→colored flip, or a colored round right after a
+	// fallback (a re-declared coloring).
 	prevColored bool
 
 	// cancelCh is closed (once) to ask a running job to stop at its
@@ -370,7 +372,7 @@ func (j *job) record(p RoundPoint, pending int, counters map[string]int) {
 		j.rSum += p.R
 		j.specRounds++
 	}
-	j.prevColored = p.Colored
+	j.prevColored = p.Colored && !p.Fallback
 	if j.specRounds > 0 {
 		st.MeanConflictRatio = j.rSum / float64(j.specRounds)
 	}

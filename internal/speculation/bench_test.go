@@ -134,6 +134,20 @@ func BenchmarkExecutorAsync(b *testing.B) {
 	})
 }
 
+// coloredTopologies are the stable-conflict graphs the colored
+// benchmarks drain.
+var coloredTopologies = []struct {
+	name  string
+	build func() *graph.Graph
+}{
+	// mesh-like: planar grid adjacency, bounded degree.
+	{"mesh", func() *graph.Graph { return graph.Grid2D(16, 16) }},
+	// cluster-like: irregular random conflicts, skewed degrees.
+	{"cluster", func() *graph.Graph {
+		return graph.RandomWithAvgDegree(rng.New(17), 256, 8.0)
+	}},
+}
+
 // BenchmarkExecutorColored compares the three drive modes — round-
 // barrier speculation, barrier-free async, and hybrid colored — on
 // stable-conflict workloads whose conflict structure never changes
@@ -146,23 +160,12 @@ func BenchmarkExecutorAsync(b *testing.B) {
 // it by design).
 func BenchmarkExecutorColored(b *testing.B) {
 	cpu := runtime.NumCPU()
-	topologies := []struct {
-		name  string
-		build func() *graph.Graph
-	}{
-		// mesh-like: planar grid adjacency, bounded degree.
-		{"mesh", func() *graph.Graph { return graph.Grid2D(16, 16) }},
-		// cluster-like: irregular random conflicts, skewed degrees.
-		{"cluster", func() *graph.Graph {
-			return graph.RandomWithAvgDegree(rng.New(17), 256, 8.0)
-		}},
-	}
 	report := func(b *testing.B, committed int64) {
 		if secs := b.Elapsed().Seconds(); secs > 0 && committed > 0 {
 			b.ReportMetric(float64(committed)/secs, "tasks/sec")
 		}
 	}
-	for _, topo := range topologies {
+	for _, topo := range coloredTopologies {
 		b.Run(topo.name+"/round", func(b *testing.B) {
 			e, _, _ := buildStableFixture(topo.build(), b.N, cpu, 7)
 			defer e.Close()
@@ -197,6 +200,59 @@ func BenchmarkExecutorColored(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkExecutorColoredDeclared is BenchmarkExecutorColored's colored
+// drive with Footprinted tasks: no learning rounds, every commit colored.
+// One op is one committed chain step, comparable with the rows above.
+func BenchmarkExecutorColoredDeclared(b *testing.B) {
+	for _, topo := range coloredTopologies {
+		b.Run(topo.name, func(b *testing.B) {
+			e, _, _ := buildDeclaredFixture(topo.build(), b.N, runtime.NumCPU(), 7)
+			defer e.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			res, _ := Drive(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored, MaxCommits: int64(b.N)})
+			b.StopTimer()
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(res.Committed)/secs, "tasks/sec")
+			}
+			if res.SpecRounds != 0 || res.ColoredCommits != res.Committed {
+				b.Fatalf("declared drive left the colored phase: %+v", res)
+			}
+		})
+	}
+}
+
+// BenchmarkDeclaredGraph prices the declare phase on the cc graph the
+// end-to-end benchmark drains (n = 10000, average degree 16): one op
+// builds the LearnedGraph from the declarations and colors it. The
+// yardstick is round-drain, a whole round-mode drain of the same graph —
+// declaring must not cost more than the execution it replaces — and the
+// allocation count must not depend on n.
+func BenchmarkDeclaredGraph(b *testing.B) {
+	const n, d = 10000, 16
+	b.Run("declare+color", func(b *testing.B) {
+		e := ccExecutor(1, n, d)
+		defer e.Close()
+		var cs coloredState
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lg := e.declare(&cs)
+			cs.colors, _ = graph.ColorCSR(lg.CSR(), cs.colors, 2)
+		}
+	})
+	b.Run("round-drain", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := ccExecutor(1, n, d)
+			e.MaxParallel = 2
+			b.StartTimer()
+			Drive(context.Background(), e, control.NewHybrid(control.DefaultHybridConfig(0.25)), Options{})
+			e.Close()
+		}
+	})
 }
 
 // BenchmarkExecutorRoundWorkset measures the abort/requeue path: all

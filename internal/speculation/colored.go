@@ -1,8 +1,9 @@
 package speculation
 
 import (
+	"context"
 	"errors"
-	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -21,8 +22,12 @@ import (
 //
 // Drive's ModeColored phases:
 //
-//	learn   — ordinary optimistic rounds (controller-governed); the
-//	          executor feeds committed footprints to a ConflictRecorder.
+//	declare — before the first step: if every pending task is Footprinted,
+//	          build the conflict graph from what the tasks say they will
+//	          acquire, color it and skip learning altogether.
+//	learn   — otherwise, ordinary optimistic rounds (controller-governed);
+//	          the executor feeds committed footprints to a
+//	          ConflictRecorder.
 //	color   — when the edge set has been quiet for StableRounds rounds,
 //	          snapshot it to a CSR and color it (graph.ColorCSR).
 //	execute — colored super-rounds: drain the work-set, group tasks by
@@ -53,6 +58,15 @@ import (
 // the snapshot, so a coloring is never attempted on a knowingly
 // incomplete graph.
 //
+// A declared graph is verified exactly like a learned one and falls
+// back by the same two grades. Soft (new work the declarations did not
+// cover): declare again from the now-pending set, once; a second soft
+// trip learns. Hard (a commit acquired outside its declared footprint,
+// or ErrConflict inside a class): the declarations lied — never declare
+// again in this drive, reset the recorder, learn. Declaring is refused,
+// and the drive learns, when a pending task is not Footprinted, two live
+// tasks share a key, or an item exceeds the recorder's holder bound.
+//
 // Controller interaction: colored rounds never observe the controller — the
 // controller's r̄ reflects speculative rounds only, so Algorithm 1
 // resumes governing m the moment a fallback returns the executor to
@@ -76,6 +90,7 @@ type coloredState struct {
 	classes   [][]int32 // color -> round indices
 	seen      []uint64  // epoch marks per dense key (duplicate detection)
 	seenEpoch uint64
+	outside   []bool // round index -> the commit acquired outside its footprint
 
 	requeue  []int64
 	spawnIDs []int64
@@ -97,7 +112,7 @@ func (cs *coloredState) prepare(lg *LearnedGraph, numColors int) {
 
 // driveColored is Drive's ModeColored: the shared round step while
 // learning, colored super-rounds once a coloring exists, and the phase
-// switch between them. The controller governs the learning rounds
+// switches between them. The controller governs the learning rounds
 // exactly as in round mode; colored super-rounds are invisible to it.
 func (e *Executor) driveColored(d *drive) {
 	rec := NewConflictRecorder(0, 0)
@@ -107,6 +122,28 @@ func (e *Executor) driveColored(d *drive) {
 	res := &d.res
 	var cs coloredState
 	var lg *LearnedGraph
+	color := func() {
+		cs.colors, res.Colors = graph.ColorCSR(lg.CSR(), cs.colors, e.MaxParallel)
+		cs.prepare(lg, res.Colors)
+		res.Colorings++
+	}
+	// declares is how many more times this drive will take the tasks' word
+	// for their footprints: at the start, and once more after a soft trip.
+	declares, declared := 2, false
+	declare := func() {
+		if declares > 0 {
+			declares--
+			lg = e.declare(&cs)
+		}
+		if declared = lg != nil; declared {
+			color()
+		} else {
+			declares = 0
+		}
+	}
+	if d.more(e.Pending()) {
+		declare()
+	}
 
 	for d.more(e.Pending()) {
 		if lg == nil {
@@ -121,65 +158,97 @@ func (e *Executor) driveColored(d *drive) {
 					// then is a snapshot worth building.
 					rec.Unsettle()
 				} else if lg = rec.Snapshot(); lg != nil {
-					workers := e.MaxParallel
-					if workers <= 0 {
-						workers = runtime.GOMAXPROCS(0)
-					}
-					cs.colors, res.Colors = graph.ColorCSR(lg.CSR(), cs.colors, workers)
-					cs.prepare(lg, res.Colors)
-					res.Colorings++
+					color()
 				}
 			}
 			continue
 		}
 
-		st, stale := e.coloredRound(lg, &cs)
+		st, stale := e.coloredRound(d.ctx, lg, &cs)
 		d.emit(Sample{
 			Colored: true, M: st.Launched, R: st.ConflictRatio(),
 			Colors: res.Colors, Fallback: stale != staleNone,
 		}, st)
-		if stale != staleNone {
-			res.Fallbacks++
-			lg = nil
-			if stale == staleHard {
-				rec.Reset()
-			} else {
-				rec.Unsettle()
-			}
+		if stale == staleNone {
+			continue
+		}
+		res.Fallbacks++
+		lg = nil
+		switch {
+		case stale == staleHard:
+			declares, declared = 0, false
+			rec.Reset()
+		case declared:
+			declare()
+		default:
+			rec.Unsettle()
 		}
 	}
+}
+
+// declare builds the conflict graph from the pending tasks' declared
+// footprints, or returns nil when the drive has to learn it instead: a
+// pending task is not Footprinted, two live tasks share a key, or the
+// declarations exceed the recorder's bounds.
+func (e *Executor) declare(cs *coloredState) *LearnedGraph {
+	tasks := e.pendingTasks(cs)
+	n := len(tasks)
+	keys, fps, total := make([]int64, n), make([][]*Item, n), 0
+	for i, t := range tasks {
+		ft, ok := t.(Footprinted)
+		if !ok {
+			return nil
+		}
+		keys[i], fps[i] = ft.ConflictKey(), ft.Footprint()
+		total += len(fps[i])
+	}
+	lg := &LearnedGraph{keys: slices.Clone(keys)}
+	slices.Sort(lg.keys)
+	if len(slices.Compact(lg.keys)) < n {
+		return nil
+	}
+	hs := make([]holding, 0, total)
+	for i, fp := range fps {
+		k := lg.KeyIndex(keys[i])
+		for _, it := range fp {
+			hs = append(hs, holding{it.Seq, k})
+		}
+	}
+	if !lg.build(hs, DefaultRecorderMaxItems, DefaultRecorderMaxKeysPerItem) {
+		return nil
+	}
+	return lg
+}
+
+// pendingTasks resolves every pending task for inspection, draining the
+// work-set and requeueing it as it was.
+func (e *Executor) pendingTasks(cs *coloredState) []Task {
+	cs.handles = e.drainPending(cs.handles[:0])
+	e.scratch.grow(len(cs.handles))
+	e.tasks.loadBatch(cs.handles, e.scratch.tasks, &e.buckets)
+	e.requeueAll(cs.handles)
+	return e.scratch.tasks
 }
 
 // pendingCovered reports whether every pending task is keyed and its
 // key is known to the recorder with no key shared by two live tasks —
 // the precondition for the speculative→colored transition, checked
-// before a snapshot is built. The pending set is inspected by draining
-// and requeueing it.
+// before a snapshot is built.
 func (e *Executor) pendingCovered(rec *ConflictRecorder, cs *coloredState) bool {
-	cs.handles = e.drainPending(cs.handles[:0])
-	n := len(cs.handles)
-	if n == 0 {
-		return true
-	}
-	e.scratch.grow(n)
-	e.tasks.loadBatch(cs.handles, e.scratch.tasks, &e.buckets)
-	live := make(map[int64]struct{}, n)
-	ok := true
-	for i := 0; i < n && ok; i++ {
-		kt, keyed := e.scratch.tasks[i].(ConflictKeyed)
+	tasks := e.pendingTasks(cs)
+	live := make(map[int64]struct{}, len(tasks))
+	for _, t := range tasks {
+		kt, keyed := t.(ConflictKeyed)
 		if !keyed {
-			ok = false
-			break
+			return false
 		}
 		key := kt.ConflictKey()
 		if _, dup := live[key]; dup || !rec.Knows(key) {
-			ok = false
-			break
+			return false
 		}
 		live[key] = struct{}{}
 	}
-	e.requeueAll(cs.handles)
-	return ok
+	return true
 }
 
 // drainPending moves every pending handle into buf (appending, so the
@@ -210,8 +279,10 @@ func (e *Executor) drainPending(buf []int64) []int64 {
 // run each class barrier-to-barrier with lock-free contexts, verify
 // footprints, and settle. Returns the round's stats plus the staleness
 // grade (non-none means the caller must fall back to speculation; all
-// unfinished work has been requeued).
-func (e *Executor) coloredRound(lg *LearnedGraph, cs *coloredState) (RoundStats, staleness) {
+// unfinished work has been requeued). A super-round can be the whole
+// job, so ctx is observed at every class barrier: once it has ended the
+// classes not yet launched are requeued untouched.
+func (e *Executor) coloredRound(ctx context.Context, lg *LearnedGraph, cs *coloredState) (RoundStats, staleness) {
 	cs.handles = e.drainPending(cs.handles[:0])
 	n := len(cs.handles)
 	if n == 0 {
@@ -225,9 +296,9 @@ func (e *Executor) coloredRound(lg *LearnedGraph, cs *coloredState) (RoundStats,
 	// coloring relies on: every task keyed, every key learned, at most
 	// one live task per key.
 	if cap(cs.keyIdx) < n {
-		cs.keyIdx = make([]int32, n)
+		cs.keyIdx, cs.outside = make([]int32, n), make([]bool, n)
 	} else {
-		cs.keyIdx = cs.keyIdx[:n]
+		cs.keyIdx, cs.outside = cs.keyIdx[:n], cs.outside[:n]
 	}
 	for i := range cs.classes {
 		cs.classes[i] = cs.classes[i][:0]
@@ -267,19 +338,32 @@ func (e *Executor) coloredRound(lg *LearnedGraph, cs *coloredState) (RoundStats,
 		if len(class) == 0 {
 			continue
 		}
+		if stats.Launched > 0 && ctx.Err() != nil {
+			for _, i := range class {
+				cs.requeue = append(cs.requeue, cs.handles[i])
+			}
+			continue
+		}
 		class := class
 		run := func(j int) {
 			i := class[j]
-			ctx := ctxs[i]
-			ctx.id = idBase + int64(i)
-			ctx.colored = true
-			err := runGuarded(tasks[i], ctx)
+			c := ctxs[i]
+			c.id = idBase + int64(i)
+			c.colored = true
+			err := runGuarded(tasks[i], c)
 			if err != nil {
 				// Colored contexts hold no locks; rollback runs the undo
 				// log (a failing task may have mutated before erroring)
 				// and release is a no-op on unowned items.
-				ctx.rollback()
-				ctx.release()
+				c.rollback()
+				c.release()
+			} else {
+				// Post-hoc staleness check, made by the worker that ran the
+				// task so the serial barrier only reads the verdict: every
+				// acquired item must lie in the key's footprint. A subset
+				// is fine (the graph is then conservative); anything new
+				// means edges the graph lacks may exist.
+				cs.outside[i] = !lg.covers(cs.keyIdx[i], c.acquired)
 			}
 			errs[i] = err
 		}
@@ -305,7 +389,7 @@ func (e *Executor) coloredRound(lg *LearnedGraph, cs *coloredState) (RoundStats,
 		cs.actions = cs.actions[:0]
 		for _, i := range class {
 			stats.Launched++
-			ctx := ctxs[i]
+			c := ctxs[i]
 			if err := errs[i]; err != nil {
 				if errors.Is(err, ErrConflict) {
 					// Operator-level conflict inside a supposedly
@@ -325,21 +409,14 @@ func (e *Executor) coloredRound(lg *LearnedGraph, cs *coloredState) (RoundStats,
 				cs.requeue = append(cs.requeue, h)
 				continue
 			}
-			// Post-hoc staleness check: every acquired item must lie in
-			// the key's learned footprint. A subset is fine (the graph is
-			// then conservative); anything new means edges we never
-			// learned may exist, so finish this round and relearn.
-			ki := cs.keyIdx[i]
-			for _, it := range ctx.acquired {
-				if !lg.InFootprint(ki, it.Seq) {
-					stale = staleHard
-					break
-				}
+			if cs.outside[i] {
+				// Finish this round, then relearn.
+				stale = staleHard
 			}
 			stats.Committed++
 			e.clearFailure(cs.handles[i])
 			e.committed = append(e.committed, cs.handles[i])
-			for _, t := range ctx.spawned {
+			for _, t := range c.spawned {
 				if wrap != nil {
 					t = wrap(t)
 				}
@@ -357,7 +434,7 @@ func (e *Executor) coloredRound(lg *LearnedGraph, cs *coloredState) (RoundStats,
 					}
 				}
 			}
-			cs.actions = append(cs.actions, ctx.onCommit...)
+			cs.actions = append(cs.actions, c.onCommit...)
 		}
 		for _, i := range class {
 			ctxs[i].scrub()

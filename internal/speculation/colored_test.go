@@ -2,6 +2,7 @@ package speculation
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,7 +26,16 @@ type stableChainTask struct {
 	// extra, when non-nil, returns an additional item to acquire — the
 	// staleness tests use it to mutate a footprint mid-drive.
 	extra func() *Item
+	// respawn is what Run spawns: the task itself, or the wrapper that
+	// declares for it.
+	respawn Task
 }
+
+// declaredChainTask is a stableChainTask that also declares its
+// footprint, so a colored drive never learns it.
+type declaredChainTask struct{ *stableChainTask }
+
+func (t declaredChainTask) Footprint() []*Item { return t.items }
 
 func (t *stableChainTask) ConflictKey() int64 { return t.key }
 
@@ -41,7 +51,7 @@ func (t *stableChainTask) Run(ctx *Ctx) error {
 		}
 	}
 	if t.left.Load() > 1 {
-		ctx.Spawn(t)
+		ctx.Spawn(t.respawn)
 	}
 	ctx.OnCommit(t.commitFn)
 	return nil
@@ -51,6 +61,15 @@ func (t *stableChainTask) Run(ctx *Ctx) error {
 // fresh executor with the model's seeded uniform-random selection (so
 // learning covers every chain).
 func buildStableFixture(g *graph.Graph, repeats, parallel int, seed uint64) (*Executor, []*stableChainTask, *atomic.Int64) {
+	return buildChainFixture(g, repeats, parallel, seed, false)
+}
+
+// buildDeclaredFixture is buildStableFixture with Footprinted tasks.
+func buildDeclaredFixture(g *graph.Graph, repeats, parallel int, seed uint64) (*Executor, []*stableChainTask, *atomic.Int64) {
+	return buildChainFixture(g, repeats, parallel, seed, true)
+}
+
+func buildChainFixture(g *graph.Graph, repeats, parallel int, seed uint64, declared bool) (*Executor, []*stableChainTask, *atomic.Int64) {
 	r := rng.New(seed)
 	var mu sync.Mutex
 	e := NewExecutor(func(n int) int {
@@ -74,9 +93,30 @@ func buildStableFixture(g *graph.Graph, repeats, parallel int, seed uint64) (*Ex
 			total.Add(1)
 		}
 		tasks = append(tasks, t)
-		e.Add(t)
+		t.respawn = t
+		if declared {
+			t.respawn = declaredChainTask{t}
+		}
+		e.Add(t.respawn)
 	}
 	return e, tasks, total
+}
+
+// checkChainsDrained is the fixture's oracle: every chain committed
+// exactly repeats times and nothing is pending.
+func checkChainsDrained(t *testing.T, e *Executor, tasks []*stableChainTask, total *atomic.Int64, repeats int) {
+	t.Helper()
+	if got, want := total.Load(), int64(len(tasks)*repeats); got != want {
+		t.Fatalf("committed %d chain steps, want %d", got, want)
+	}
+	for _, task := range tasks {
+		if l := task.left.Load(); l != 0 {
+			t.Fatalf("chain %d left=%d, want 0", task.key, l)
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending %d after drain", e.Pending())
+	}
 }
 
 func testHybrid(rho float64) control.Controller {
@@ -100,19 +140,8 @@ func TestRunColoredStableDrains(t *testing.T) {
 		},
 	})
 
-	want := int64(len(tasks) * repeats)
-	if got := total.Load(); got != want {
-		t.Fatalf("committed %d chain steps, want %d", got, want)
-	}
-	for _, task := range tasks {
-		if l := task.left.Load(); l != 0 {
-			t.Fatalf("chain %d left=%d, want 0", task.key, l)
-		}
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending %d after drain", e.Pending())
-	}
-	if res.Committed != want {
+	checkChainsDrained(t, e, tasks, total, repeats)
+	if want := int64(len(tasks) * repeats); res.Committed != want {
 		t.Fatalf("res.Committed=%d, want %d", res.Committed, want)
 	}
 	if res.Colorings == 0 || res.ColoredRounds == 0 {
@@ -286,18 +315,7 @@ func TestRunColoredStalenessFallback(t *testing.T) {
 	}
 
 	// Correctness: the mutation costs throughput, never commits.
-	want := int64(len(tasks) * repeats)
-	if got := total.Load(); got != want {
-		t.Fatalf("committed %d chain steps, want %d", got, want)
-	}
-	for _, task := range tasks {
-		if l := task.left.Load(); l != 0 {
-			t.Fatalf("chain %d left=%d, want 0", task.key, l)
-		}
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending %d after drain", e.Pending())
-	}
+	checkChainsDrained(t, e, tasks, total, repeats)
 }
 
 // TestRunColoredUnkeyedStaysSpeculative: tasks without ConflictKey can
@@ -409,4 +427,154 @@ func TestKeyedWrapper(t *testing.T) {
 	if err := task.Run(&Ctx{}); err != nil || !ran {
 		t.Fatal("Keyed did not delegate Run")
 	}
+}
+
+// TestRunColoredDeclaredStartsColored: Footprinted tasks never learn —
+// the first sample is a colored super-round and every commit is colored.
+func TestRunColoredDeclaredStartsColored(t *testing.T) {
+	const repeats = 12
+	e, tasks, total := buildDeclaredFixture(graph.Grid2D(8, 8), repeats, 4, 7)
+	defer e.Close()
+	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
+	checkChainsDrained(t, e, tasks, total, repeats)
+	if res.SpecRounds != 0 || res.ColoredRounds != repeats || res.Colorings != 1 || res.Fallbacks != 0 {
+		t.Fatalf("want %d colored super-rounds from one declared coloring and nothing else: %+v", repeats, res.Result)
+	}
+	if res.ColoredCommits != res.Committed || res.ColoredAborts != 0 || res.Degraded {
+		t.Fatalf("declared drive committed outside colored rounds: %+v", res.Result)
+	}
+}
+
+// TestRunColoredLyingDeclaration: a task that acquires one item beyond
+// what it declared trips a hard fallback on the first super-round; the
+// drive never declares again, learns the real footprint and still
+// commits every task exactly once per step.
+func TestRunColoredLyingDeclaration(t *testing.T) {
+	const repeats = 40
+	e, tasks, total := buildDeclaredFixture(graph.Grid2D(8, 8), repeats, 4, 11)
+	defer e.Close()
+	undeclared := NewItem(1 << 40)
+	tasks[0].extra = func() *Item { return undeclared }
+
+	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
+	checkChainsDrained(t, e, tasks, total, repeats)
+	first := res.Trajectory[0]
+	if !first.Colored || !first.Fallback || first.Committed != len(tasks) {
+		t.Fatalf("first sample %+v, want a colored super-round that committed everything and tripped", first)
+	}
+	if res.Trajectory[1].Colored {
+		t.Fatal("the drive declared again after the declarations lied")
+	}
+	if res.Fallbacks != 1 || res.SpecRounds == 0 {
+		t.Fatalf("want exactly the one hard fallback, then learning: %+v", res.Result)
+	}
+	// What it learned includes the undeclared item, so the learned
+	// coloring holds to the end.
+	if res.Colorings != 2 || !res.Trajectory[len(res.Trajectory)-1].Colored {
+		t.Fatalf("the learned coloring never took over: %+v", res.Result)
+	}
+}
+
+// TestRunColoredRedeclaresOnce: new Footprinted work the declarations
+// did not cover is a soft trip; the drive declares again from the
+// pending set, once, and learns after a second soft trip.
+func TestRunColoredRedeclaresOnce(t *testing.T) {
+	e := NewExecutor(nil)
+	e.MaxParallel = 2
+	defer e.Close()
+	var commits atomic.Int64
+	var chain func(key int64, left int) Task
+	chain = func(key int64, more int) Task {
+		t := &stableChainTask{key: key, items: []*Item{NewItem(key)}}
+		t.commitFn = func() { commits.Add(1) }
+		if more > 0 {
+			t.left.Store(2) // Run spawns respawn: a key nobody declared yet
+			t.respawn = chain(key+1, more-1)
+		}
+		return declaredChainTask{t}
+	}
+	e.Add(chain(0, 3))
+	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
+	if e.Pending() != 0 || commits.Load() != 4 {
+		t.Fatalf("pending=%d commits=%d, want a drained chain of 4", e.Pending(), commits.Load())
+	}
+	var shape []bool
+	for _, s := range res.Trajectory {
+		shape = append(shape, s.Colored)
+	}
+	// declared (soft trip: key 1 unknown), re-declared (soft trip: key 2
+	// unknown), then learning rounds only.
+	if len(shape) < 3 || !shape[0] || !shape[1] || slices.Contains(shape[2:], true) {
+		t.Fatalf("colored samples %v, want exactly the first two", shape)
+	}
+	if res.Fallbacks != 2 || res.Colorings != 2 {
+		t.Fatalf("want two declared colorings, both tripped softly: %+v", res.Result)
+	}
+}
+
+// TestDeclareRefuses pins the three refusals: a pending task that cannot
+// declare, two live tasks with one key, an item over the holder bound.
+// Each leaves the work-set as it found it.
+func TestDeclareRefuses(t *testing.T) {
+	noop := TaskFunc(func(*Ctx) error { return nil })
+	declared := func(key int64, items ...*Item) Task {
+		return declaredChainTask{&stableChainTask{key: key, items: items}}
+	}
+	shared := NewItem(7)
+	var crowd []Task
+	for k := 0; k <= DefaultRecorderMaxKeysPerItem; k++ {
+		crowd = append(crowd, declared(int64(k), shared))
+	}
+	for _, tc := range []struct {
+		name  string
+		tasks []Task
+		ok    bool
+	}{
+		{"undeclared", []Task{declared(1, NewItem(1)), Keyed(2, noop)}, false},
+		{"shared key", []Task{declared(1, NewItem(1)), declared(1, NewItem(2))}, false},
+		{"crowded item", crowd, false},
+		{"item at the bound", crowd[1:], true},
+	} {
+		e := NewExecutor(nil)
+		for _, task := range tc.tasks {
+			e.Add(task)
+		}
+		var cs coloredState
+		if lg := e.declare(&cs); (lg != nil) != tc.ok {
+			t.Errorf("%s: declare returned %v", tc.name, lg)
+		}
+		if e.Pending() != len(tc.tasks) {
+			t.Errorf("%s: declare left %d of %d tasks pending", tc.name, e.Pending(), len(tc.tasks))
+		}
+	}
+}
+
+// TestRunColoredDeclaredCancelMidSuperRound: a declared job can be one
+// super-round, so a stop has to land at a class barrier. The first commit
+// action cancels ctx: the classes not yet launched are requeued
+// untouched, and a second drive finishes the job with nothing lost or run
+// twice.
+func TestRunColoredDeclaredCancelMidSuperRound(t *testing.T) {
+	e, tasks, total := buildDeclaredFixture(graph.Grid2D(10, 10), 1, 2, 5)
+	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, task := range tasks {
+		commit := task.commitFn
+		task.commitFn = func() { commit(); cancel() }
+	}
+
+	res := driveAll(ctx, e, testHybrid(0.25), Options{Mode: ModeColored})
+	n := int64(len(tasks))
+	if !res.Canceled || res.Samples != 1 || res.Launched >= n || res.Launched == 0 {
+		t.Fatalf("want one cut-short super-round: %+v", res.Result)
+	}
+	if res.Committed != res.Launched || total.Load() != res.Committed || int64(e.Pending()) != n-res.Committed {
+		t.Fatalf("committed=%d total=%d pending=%d of %d launched=%d", res.Committed, total.Load(), e.Pending(), n, res.Launched)
+	}
+	if res.Fallbacks != 0 {
+		t.Fatalf("a stop is not staleness: %+v", res.Result)
+	}
+	driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
+	checkChainsDrained(t, e, tasks, total, 1)
 }

@@ -1,7 +1,7 @@
 package speculation
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -26,6 +26,19 @@ import (
 // makes the learned graph unusable.
 type ConflictKeyed interface {
 	ConflictKey() int64
+}
+
+// Footprinted is a ConflictKeyed task that knows its footprint before it
+// runs. When every pending task is Footprinted a colored drive builds the
+// conflict graph from the declarations and never learns (colored.go).
+type Footprinted interface {
+	ConflictKeyed
+	// Footprint returns every item Run may acquire. Naming an item Run
+	// then leaves alone only makes the graph conservative; acquiring one
+	// that is not named is caught and ends the drive's trust in
+	// declarations. The slice is not modified after it is returned: a
+	// footprint that grows is a new slice.
+	Footprint() []*Item
 }
 
 // keyedTask adapts any Task (typically a TaskFunc closure) to
@@ -192,19 +205,120 @@ func (r *ConflictRecorder) Reset() {
 	r.overflow = false
 }
 
-// LearnedGraph is an immutable snapshot of the recorder: the conflict
-// graph over task keys as a colorable CSR, plus each key's learned
-// footprint (sorted item Seqs) for the staleness detector. Dense index
-// i corresponds to Keys()[i].
+// LearnedGraph is an immutable conflict graph over task keys as a
+// colorable CSR, plus each key's footprint (sorted item Seqs) for the
+// staleness detector. Dense index i corresponds to Key(i). It comes from
+// one of two sources — the recorder's observations (Snapshot) or the
+// tasks' own declarations (Executor.declare) — through one builder.
 type LearnedGraph struct {
-	csr   *graph.CSR
-	keys  []int64         // dense index -> task key (sorted)
-	index map[int64]int32 // task key -> dense index
+	csr  *graph.CSR
+	keys []int64 // dense index -> task key, sorted
 
-	// Footprints in CSR-style layout: key i's learned item Seqs are
+	// Footprints in CSR-style layout: key i's item Seqs are
 	// fpSeqs[fpOff[i]:fpOff[i+1]], sorted for binary search.
 	fpOff  []int32
 	fpSeqs []int64
+}
+
+// holding is one incidence of the item→keys index: the task at dense
+// key index key acquires the item tagged seq.
+type holding struct {
+	seq int64
+	key int32
+}
+
+// sortBySeq orders hs by Seq with a stable LSD byte-radix sort that
+// skips the bytes every Seq agrees on — item tags are small integers or
+// packed pairs, so most of the eight are constant. No maps and one
+// scratch buffer: grouping the same incidences through a Go map cost
+// four times a round-mode drain of the graph they describe, and
+// slices.SortFunc nearly twice (EXPERIMENTS.md).
+func sortBySeq(hs []holding) []holding {
+	const signed = 1 << 63 // flips the sign bit: int64 order as uint64 order
+	var differ uint64
+	for _, h := range hs {
+		differ |= uint64(h.seq ^ hs[0].seq)
+	}
+	tmp := make([]holding, len(hs))
+	for shift := 0; shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int
+		for _, h := range hs {
+			next[byte((uint64(h.seq)^signed)>>shift)]++
+		}
+		at := 0
+		for b, c := range next {
+			next[b], at = at, at+c
+		}
+		for _, h := range hs {
+			b := byte((uint64(h.seq) ^ signed) >> shift)
+			tmp[next[b]] = h
+			next[b]++
+		}
+		hs, tmp = tmp, hs
+	}
+	return hs
+}
+
+// build completes lg, whose keys are set, from the incidences hs, in any
+// order that leaves a repeated (seq, key) pair adjacent after the stable
+// sort by Seq: the pairs of one key contiguous (declare), or no pair
+// repeated at all (Snapshot). Two keys conflict iff they hold a common
+// item, so each item held by k keys contributes their k-clique.
+// It reports false, leaving lg unusable, past the recorder's bounds:
+// more than maxItems distinct items or more than maxHolders keys on one.
+func (lg *LearnedGraph) build(hs []holding, maxItems, maxHolders int) bool {
+	hs = sortBySeq(hs)
+	// A footprint naming an item twice: the stable sort kept the two
+	// incidences adjacent.
+	hs = slices.Compact(hs)
+
+	// runEnd returns the end of the run of one item's incidences at lo.
+	runEnd := func(lo int) int {
+		hi := lo + 1
+		for hi < len(hs) && hs[hi].seq == hs[lo].seq {
+			hi++
+		}
+		return hi
+	}
+	items, numEdges := 0, 0
+	for lo, hi := 0, 0; lo < len(hs); lo = hi {
+		hi = runEnd(lo)
+		if items++; hi-lo > maxHolders || items > maxItems {
+			return false
+		}
+		numEdges += (hi - lo) * (hi - lo - 1) / 2
+	}
+	edges := make([][2]int32, 0, numEdges)
+	for lo, hi := 0, 0; lo < len(hs); lo = hi {
+		hi = runEnd(lo)
+		for i, a := range hs[lo:hi] {
+			for _, b := range hs[lo+i+1 : hi] {
+				edges = append(edges, [2]int32{a.key, b.key})
+			}
+		}
+	}
+	n := len(lg.keys)
+	lg.csr = graph.NewCSRFromEdges(n, edges)
+
+	// Scatter the Seqs to their keys. hs is in Seq order, so every
+	// footprint comes out sorted.
+	lg.fpOff = make([]int32, n+1)
+	for _, h := range hs {
+		lg.fpOff[h.key+1]++
+	}
+	for i := 0; i < n; i++ {
+		lg.fpOff[i+1] += lg.fpOff[i]
+	}
+	lg.fpSeqs = make([]int64, len(hs))
+	fill := slices.Clone(lg.fpOff[:n])
+	for _, h := range hs {
+		lg.fpSeqs[fill[h.key]] = h.seq
+		fill[h.key]++
+	}
+	return true
 }
 
 // Snapshot freezes the recorder into a LearnedGraph. Returns nil if the
@@ -215,59 +329,20 @@ func (r *ConflictRecorder) Snapshot() *LearnedGraph {
 	if r.Degraded() || len(r.items) == 0 {
 		return nil
 	}
-	lg := &LearnedGraph{}
-
-	// Dense-number the keys (sorted for determinism).
-	lg.keys = make([]int64, 0, len(r.known))
+	lg := &LearnedGraph{keys: make([]int64, 0, len(r.known))}
 	for k := range r.known {
 		lg.keys = append(lg.keys, k)
 	}
-	sort.Slice(lg.keys, func(i, j int) bool { return lg.keys[i] < lg.keys[j] })
-	lg.index = make(map[int64]int32, len(lg.keys))
-	for i, k := range lg.keys {
-		lg.index[k] = int32(i)
-	}
-	n := len(lg.keys)
-
-	// Conflict edges: every item shared by ≥ 2 keys contributes the
-	// clique over those keys, deduplicated across items.
-	edgeSet := make(map[uint64]struct{})
-	var edges [][2]int32
-	perKey := make([][]int64, n) // footprints under construction
+	slices.Sort(lg.keys)
+	var hs []holding
 	for seq, keys := range r.items {
-		for i, ka := range keys {
-			a := lg.index[ka]
-			perKey[a] = append(perKey[a], seq)
-			for _, kb := range keys[i+1:] {
-				b := lg.index[kb]
-				lo, hi := a, b
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				packed := uint64(uint32(lo))<<32 | uint64(uint32(hi))
-				if _, dup := edgeSet[packed]; dup {
-					continue
-				}
-				edgeSet[packed] = struct{}{}
-				edges = append(edges, [2]int32{lo, hi})
-			}
+		for _, k := range keys {
+			hs = append(hs, holding{seq, lg.KeyIndex(k)})
 		}
 	}
-	lg.csr = graph.NewCSRFromEdges(n, edges)
-
-	// Flatten the footprints, sorted per key.
-	total := 0
-	for _, fp := range perKey {
-		total += len(fp)
+	if !lg.build(hs, r.maxItems, r.maxKeysPerItem) {
+		return nil
 	}
-	lg.fpOff = make([]int32, n+1)
-	lg.fpSeqs = make([]int64, 0, total)
-	for i, fp := range perKey {
-		lg.fpOff[i] = int32(len(lg.fpSeqs))
-		sort.Slice(fp, func(a, b int) bool { return fp[a] < fp[b] })
-		lg.fpSeqs = append(lg.fpSeqs, fp...)
-	}
-	lg.fpOff[n] = int32(len(lg.fpSeqs))
 	return lg
 }
 
@@ -280,32 +355,37 @@ func (lg *LearnedGraph) NumKeys() int { return len(lg.keys) }
 // Key returns the task key at dense index i.
 func (lg *LearnedGraph) Key(i int) int64 { return lg.keys[i] }
 
-// KeyIndex returns the dense index of a task key, or −1 if the key was
-// never observed — the "new task with unknown edges" staleness trigger.
+// KeyIndex returns the dense index of a task key, or −1 if the key is
+// not in the graph — the "new task with unknown edges" staleness trigger.
 func (lg *LearnedGraph) KeyIndex(key int64) int32 {
-	if i, ok := lg.index[key]; ok {
-		return i
+	// Keys that are their own index (node IDs 0..n−1) skip the search.
+	if uint64(key) < uint64(len(lg.keys)) && lg.keys[key] == key {
+		return int32(key)
+	}
+	if i, ok := slices.BinarySearch(lg.keys, key); ok {
+		return int32(i)
 	}
 	return -1
 }
 
 // InFootprint reports whether item seq is part of dense key idx's
-// learned footprint. Hand-rolled binary search: this runs once per
-// acquired item per colored task, and must not allocate.
+// footprint.
 func (lg *LearnedGraph) InFootprint(idx int32, seq int64) bool {
-	lo, hi := int(lg.fpOff[idx]), int(lg.fpOff[idx+1])
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if lg.fpSeqs[mid] < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < int(lg.fpOff[idx+1]) && lg.fpSeqs[lo] == seq
+	_, ok := slices.BinarySearch(lg.fpSeqs[lg.fpOff[idx]:lg.fpOff[idx+1]], seq)
+	return ok
 }
 
-// FootprintLen returns the learned footprint size of dense key idx.
-func (lg *LearnedGraph) FootprintLen(idx int32) int {
-	return int(lg.fpOff[idx+1] - lg.fpOff[idx])
+// covers reports whether every acquired item is part of dense key idx's
+// footprint. Items acquired in footprint (Seq) order are matched by a
+// cursor and never searched for.
+func (lg *LearnedGraph) covers(idx int32, acquired []*Item) bool {
+	next, end := lg.fpOff[idx], lg.fpOff[idx+1]
+	for _, it := range acquired {
+		if next < end && lg.fpSeqs[next] == it.Seq {
+			next++
+		} else if !lg.InFootprint(idx, it.Seq) {
+			return false
+		}
+	}
+	return true
 }

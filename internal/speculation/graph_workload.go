@@ -59,6 +59,10 @@ func (n *graphNode) Run(ctx *Ctx) error {
 // the colored-mode learner can identify it across retries.
 func (n *graphNode) ConflictKey() int64 { return int64(n.id) }
 
+// Footprint implements Footprinted: the list Run acquires, as registered
+// so far.
+func (n *graphNode) Footprint() []*Item { return *n.fp.Load() }
+
 // commit is the task's commit action: the processed node leaves the
 // graph. Commit actions run serially, but the lock also orders them
 // against a TaskFor from another goroutine.

@@ -51,12 +51,17 @@ func TestDrainColoredUnsupported(t *testing.T) {
 // the colored result plus the steady-state colored commits/sec —
 // commits made in colored rounds over the wall-clock time those rounds
 // took (round boundaries timestamped via OnRound). Zero if the drive
-// never ran a colored round.
-func driveColored(t *testing.T, name string, p Params) (*Run, *speculation.ColoredResult, float64) {
+// never ran a colored round. undeclared adds one keyed task that cannot
+// declare a footprint, which keeps the whole drive on the learning path.
+func driveColored(t *testing.T, name string, p Params, undeclared bool) (*Run, *speculation.ColoredResult, float64) {
 	t.Helper()
 	run, err := New(name, p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if undeclared {
+		noop := speculation.TaskFunc(func(*speculation.Ctx) error { return nil })
+		run.Stepper.(*speculation.Executor).Add(speculation.Keyed(-1, noop))
 	}
 	c, err := NewController("hybrid", ControllerParams{Rho: 0.25})
 	if err != nil {
@@ -89,38 +94,44 @@ func driveColored(t *testing.T, name string, p Params) (*Run, *speculation.Color
 }
 
 // TestColoredEquivalence is the colored-mode acceptance run wired into
-// `make equiv`: on the synthetic stable-conflict workload the hybrid
-// drive must (a) reach the colored phase and commit the bulk of the
-// work there with a ~0 colored-round conflict ratio and zero colored
-// aborts, (b) still satisfy the workload oracle exactly, and (c) not
-// be slower than the barrier-free async drive of the same workload —
-// colored rounds eliminate the aborted work and per-task lock traffic
-// async still pays.
+// `make equiv`, on the synthetic stable-conflict workload and for both
+// sources of the conflict graph. Declared (the workload as registered):
+// the drive never speculates — every commit is a colored one. Learned
+// (one task that cannot declare keeps the drive on the learning path):
+// it must reach the colored phase and commit the bulk of the work there.
+// Either way the colored rounds abort nothing, the workload oracle holds
+// exactly, and the colored phase is not slower than the barrier-free
+// async drive of the same workload — colored rounds eliminate the
+// aborted work and per-task lock traffic async still pays.
 func TestColoredEquivalence(t *testing.T) {
 	p := Params{Size: 600, Seed: 11, Parallel: 4}
 
-	run, cres, coloredRate := driveColored(t, "stable", p)
-	defer run.Stepper.Close()
-	if cres.Colorings == 0 || cres.ColoredRounds == 0 {
-		t.Fatalf("stable workload never entered the colored phase: %+v", cres)
-	}
-	if cres.Fallbacks != 0 || cres.Degraded {
-		t.Fatalf("stable workload tripped staleness or degraded: %+v", cres)
-	}
-	if cres.ColoredAborts != 0 {
-		t.Fatalf("colored rounds aborted %d tasks on a stable-conflict workload", cres.ColoredAborts)
-	}
-	if r := cres.ColoredConflictRatio(); r != 0 {
-		t.Fatalf("colored conflict ratio %v, want 0", r)
-	}
-	if cres.ColoredCommits*2 < cres.Committed {
-		t.Fatalf("colored phase committed %d of %d — the learning phase dominated",
-			cres.ColoredCommits, cres.Committed)
-	}
-	if detail, err := run.Verify(); err != nil {
-		t.Fatalf("oracle after colored drive: %v", err)
-	} else if detail == "" {
-		t.Fatal("empty oracle detail")
+	coloredRate := map[bool]float64{} // by source: learned, declared
+	for _, learned := range []bool{true, false} {
+		run, cres, rate := driveColored(t, "stable", p, learned)
+		defer run.Stepper.Close()
+		coloredRate[learned] = rate
+		if cres.Fallbacks != 0 || cres.Degraded {
+			t.Fatalf("learned=%v: stable workload tripped staleness or degraded: %+v", learned, cres)
+		}
+		if cres.ColoredAborts != 0 || cres.ColoredConflictRatio() != 0 {
+			t.Fatalf("learned=%v: colored rounds aborted %d tasks on a stable-conflict workload", learned, cres.ColoredAborts)
+		}
+		switch {
+		case learned && (cres.Colorings == 0 || cres.SpecRounds == 0):
+			t.Fatalf("the learning path never learned or never colored: %+v", cres)
+		case learned && cres.ColoredCommits*2 < cres.Committed:
+			t.Fatalf("colored phase committed %d of %d — the learning phase dominated",
+				cres.ColoredCommits, cres.Committed)
+		case !learned && (cres.SpecRounds != 0 || cres.ColoredCommits != cres.Committed):
+			t.Fatalf("declared footprints, yet %d speculative rounds and %d of %d commits colored",
+				cres.SpecRounds, cres.ColoredCommits, cres.Committed)
+		}
+		if detail, err := run.Verify(); err != nil {
+			t.Fatalf("learned=%v: oracle after colored drive: %v", learned, err)
+		} else if detail == "" {
+			t.Fatal("empty oracle detail")
+		}
 	}
 
 	// Steady-state throughput floor against async on identical params.
@@ -141,17 +152,20 @@ func TestColoredEquivalence(t *testing.T) {
 		t.Fatalf("async drive left %d pending", asyncRun.Stepper.Pending())
 	}
 	asyncRate := float64(asyncRun.Stepper.Snapshot().Committed) / asyncSecs
-	if coloredRate < asyncRate {
-		t.Errorf("colored steady-state commits/sec %.0f below async %.0f on the stable-conflict workload",
-			coloredRate, asyncRate)
+	for learned, rate := range coloredRate {
+		if rate < asyncRate {
+			t.Errorf("learned=%v: colored steady-state commits/sec %.0f below async %.0f on the stable-conflict workload",
+				learned, rate, asyncRate)
+		}
 	}
 }
 
 // TestColoredAppWorkloads drives the colored-capable application
 // workloads in hybrid mode and checks their oracles still hold: mesh
 // and cluster footprints mutate as the structures evolve, so the drive
-// may never leave the speculative phase — the point is that colored
-// mode costs correctness nothing on them.
+// may never leave the speculative phase, while cc declares its
+// footprints and never enters it — the point is that colored mode costs
+// correctness nothing on any of them.
 func TestColoredAppWorkloads(t *testing.T) {
 	for _, name := range []string{"mesh", "cluster", "cc"} {
 		name := name
@@ -160,7 +174,7 @@ func TestColoredAppWorkloads(t *testing.T) {
 			if !Supports(name, CapColored) {
 				t.Fatalf("%s lost its CapColored flag", name)
 			}
-			run, cres, _ := driveColored(t, name, Params{Size: smallSize[name], Seed: 1, Parallel: 2})
+			run, cres, _ := driveColored(t, name, Params{Size: smallSize[name], Seed: 1, Parallel: 2}, false)
 			defer run.Stepper.Close()
 			if cres.Degraded {
 				t.Fatalf("%s degraded: its tasks must be conflict-keyed", name)

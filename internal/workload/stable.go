@@ -35,6 +35,10 @@ type stableTask struct {
 // ConflictKey implements speculation.ConflictKeyed.
 func (t *stableTask) ConflictKey() int64 { return t.key }
 
+// Footprint implements speculation.Footprinted: the items never change,
+// so a colored drive colors the chains before the first round.
+func (t *stableTask) Footprint() []*speculation.Item { return t.items }
+
 func (t *stableTask) Run(ctx *speculation.Ctx) error {
 	if err := ctx.AcquireAll(t.items...); err != nil {
 		return err
