@@ -21,7 +21,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/speculation"
-	"repro/internal/workset"
 )
 
 // --- Fig. 1: one round of the optimistic-parallelization model -------
@@ -327,15 +326,16 @@ func BenchmarkAppEventSim(b *testing.B) {
 
 func BenchmarkOrderedRound(b *testing.B) {
 	b.ReportAllocs()
+	e := speculation.NewOrderedExecutor()
+	defer e.Close()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := speculation.NewOrderedExecutor()
 		for j := 0; j < 256; j++ {
 			e.Add(benchOrderedTask{k: speculation.Key{Time: float64(j)},
 				it: speculation.NewItem(int64(j))})
 		}
 		b.StartTimer()
-		e.Round(256)
+		e.Round(256) // commits all 256: distinct items, no spawns
 	}
 }
 
@@ -352,33 +352,31 @@ func (t benchOrderedTask) Run(ctx *speculation.OrderedCtx) error {
 
 // --- Work-set selection policies --------------------------------------
 
-func benchWorksetPolicy(b *testing.B, mk func() speculation.HandleSet) {
+// benchWorksetPolicy drains a union of 5-cliques under the given
+// selection policy (nil = the built-in LIFO) and reports the conflict
+// ratio: the §2 ablation of the model's uniform draw.
+func benchWorksetPolicy(b *testing.B, pick func() func(n int) int) {
 	ratio := 0.0
 	for i := 0; i < b.N; i++ {
 		g := graph.CliqueUnion(300, 5)
 		wl := speculation.NewGraphWorkload(g)
-		e := speculation.NewExecutorWithWorkset(mk())
+		e := speculation.NewExecutor(pick())
 		wl.Populate(e)
 		for e.Pending() > 0 {
 			e.Round(24)
 		}
 		ratio = e.OverallConflictRatio()
+		e.Close()
 	}
 	b.ReportMetric(ratio, "conflict-ratio")
 }
 
 func BenchmarkWorksetRandom(b *testing.B) {
-	benchWorksetPolicy(b, func() speculation.HandleSet {
-		return workset.NewRandom(rng.New(31))
-	})
-}
-
-func BenchmarkWorksetFIFO(b *testing.B) {
-	benchWorksetPolicy(b, func() speculation.HandleSet { return workset.NewFIFO() })
+	benchWorksetPolicy(b, func() func(int) int { return rng.New(31).Intn })
 }
 
 func BenchmarkWorksetLIFO(b *testing.B) {
-	benchWorksetPolicy(b, func() speculation.HandleSet { return workset.NewLIFO() })
+	benchWorksetPolicy(b, func() func(int) int { return nil })
 }
 
 func BenchmarkAppMaxflow(b *testing.B) {

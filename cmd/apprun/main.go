@@ -13,8 +13,7 @@
 //	apprun -app all     -ctrl hybrid
 //
 // -parallel sets the executor's persistent worker-pool size (default
-// NumCPU); -parallel 0 launches one goroutine per task, the paper's
-// model-faithful one-processor-per-task simulation.
+// NumCPU); -parallel 0 sizes it to GOMAXPROCS.
 //
 // -async drops the round barrier: workers continuously pull tasks
 // through a resizable in-flight semaphore and the controller observes a
@@ -54,7 +53,7 @@ func main() {
 	size := flag.Int("size", 1000, "workload size parameter")
 	seed := flag.Uint64("seed", 1, "PRNG seed")
 	par := flag.Int("parallel", runtime.NumCPU(),
-		"worker-pool size (0 = one goroutine per task, model-faithful)")
+		"worker-pool size (0 = GOMAXPROCS)")
 	maxRounds := flag.Int("max-rounds", 1<<30, "abandon a run after this many rounds")
 	retries := flag.Int("task-retries", 0,
 		"retry budget for failed tasks (0 = default, negative = no retries)")

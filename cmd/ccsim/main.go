@@ -178,6 +178,7 @@ func runRuntimeFidelity(r *rng.Rand, n, d, reps, workers int) {
 			wl := speculation.NewGraphWorkload(g)
 			e := speculation.NewGraphExecutor(wl, r.Split())
 			st := e.Round(m)
+			e.Close()
 			launched += st.Launched
 			aborted += st.Aborted
 		}

@@ -12,7 +12,6 @@
 //     smart start, model-based controller, baselines
 //   - internal/speculation — goroutine-based optimistic runtime, the
 //     ordered executor (§5), and the ForEach/Loop API
-//   - internal/workset     — work-set policies
 //   - internal/profile     — Lonestar-style parallelism profiles
 //   - internal/apps/...    — Delaunay refinement, Boruvka + ordered
 //     Kruskal, survey propagation, agglomerative clustering,

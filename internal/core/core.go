@@ -212,5 +212,6 @@ func RunGraph(g *graph.Graph, seed uint64, c Controller, maxRounds int) *specula
 	r := rng.New(seed)
 	wl := speculation.NewGraphWorkload(g)
 	e := speculation.NewGraphExecutor(wl, r)
+	defer e.Close()
 	return speculation.RunAdaptive(e, c, maxRounds)
 }

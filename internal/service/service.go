@@ -115,8 +115,8 @@ func States() []State {
 }
 
 // JobSpec is the wire-level job description accepted by POST /v1/jobs.
-// Zero values take server defaults; Parallel = -1 selects the
-// model-faithful one-goroutine-per-task executor mode.
+// Zero values take server defaults; Parallel = -1 sizes the executor's
+// worker pool to the node's GOMAXPROCS instead of the server default.
 type JobSpec struct {
 	Workload    string     `json:"workload"`
 	Controller  string     `json:"controller"`
@@ -125,7 +125,7 @@ type JobSpec struct {
 	FixedM      int        `json:"m,omitempty"`            // processor count for "fixed"
 	Size        int        `json:"size,omitempty"`         // workload size (default 1000)
 	Seed        uint64     `json:"seed,omitempty"`         // PRNG seed (default 1)
-	Parallel    int        `json:"parallel,omitempty"`     // worker-pool size; 0 = server default, -1 = model-faithful
+	Parallel    int        `json:"parallel,omitempty"`     // worker-pool size; 0 = server default, -1 = GOMAXPROCS
 	Degree      float64    `json:"degree,omitempty"`       // avg degree for "cc" (default 16)
 	MaxRounds   int        `json:"max_rounds,omitempty"`   // round cap (default server cap)
 	MaxDuration Duration   `json:"max_duration,omitempty"` // wall-clock deadline, checked between rounds (0 = none)
@@ -709,7 +709,7 @@ func (s *Service) normalize(spec JobSpec) (JobSpec, error) {
 	case spec.Parallel == 0:
 		spec.Parallel = s.cfg.DefaultParallel
 	case spec.Parallel == -1:
-		spec.Parallel = 0 // model-faithful: one goroutine per task
+		spec.Parallel = 0 // the executor sizes its pool to GOMAXPROCS
 	case spec.Parallel < -1 || spec.Parallel > 1024:
 		return spec, specErrf("parallel %d out of [-1,1024]", spec.Parallel)
 	}

@@ -79,6 +79,7 @@ func TestSpecValidation(t *testing.T) {
 		{Workload: "cc", Controller: "hybrid", Rho: 1.5}, // rho out of range
 		{Workload: "cc", Controller: "hybrid", Size: -3}, // bad size
 		{Workload: "cc", Controller: "hybrid", Parallel: 9999},
+		{Workload: "cc", Controller: "hybrid", Parallel: -2},
 	}
 	for _, spec := range cases {
 		_, err := s.Submit(spec)
@@ -86,6 +87,19 @@ func TestSpecValidation(t *testing.T) {
 		if !errors.As(err, &se) {
 			t.Errorf("spec %+v: got %v, want *SpecError", spec, err)
 		}
+	}
+
+	// Parallel -1 is the one negative value accepted: a GOMAXPROCS-sized
+	// pool, normalised to the executor's own 0.
+	st, err := s.Submit(JobSpec{Workload: "cc", Controller: "hybrid", Size: 200, Parallel: -1})
+	if err != nil {
+		t.Fatalf("parallel -1 refused: %v", err)
+	}
+	if st.Spec.Parallel != 0 {
+		t.Errorf("parallel -1 normalised to %d, want 0", st.Spec.Parallel)
+	}
+	if final := waitTerminal(t, s, st.ID, 30*time.Second); final.State != StateDone {
+		t.Errorf("parallel -1 job ended %s (%s), want done", final.State, final.Error)
 	}
 }
 

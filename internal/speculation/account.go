@@ -47,23 +47,18 @@ func resolveRetryBudget(r int) int {
 
 // addTotals folds one settled batch (a round, or a single async
 // attempt) into the cumulative counters. Zero fields are skipped so
-// single-outcome updates cost one atomic add.
-func (a *accounting) addTotals(launched, committed, aborted, failed, poisoned int64) {
-	if launched != 0 {
-		a.totalLaunched.Add(launched)
+// single-outcome updates cost two atomic adds.
+func (a *accounting) addTotals(st RoundStats) {
+	add := func(total *atomic.Int64, n int) {
+		if n != 0 {
+			total.Add(int64(n))
+		}
 	}
-	if committed != 0 {
-		a.totalCommitted.Add(committed)
-	}
-	if aborted != 0 {
-		a.totalAborted.Add(aborted)
-	}
-	if failed != 0 {
-		a.totalFailed.Add(failed)
-	}
-	if poisoned != 0 {
-		a.totalPoisoned.Add(poisoned)
-	}
+	add(&a.totalLaunched, st.Launched)
+	add(&a.totalCommitted, st.Committed)
+	add(&a.totalAborted, st.Aborted)
+	add(&a.totalFailed, st.Failed)
+	add(&a.totalPoisoned, st.Poisoned)
 }
 
 // noteFailure charges one failed attempt against handle h's budget.

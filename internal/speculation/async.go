@@ -2,7 +2,6 @@ package speculation
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"repro/internal/control"
@@ -15,7 +14,7 @@ import (
 // by a sliding window of recent commit/abort outcomes (a pseudo-round)
 // instead of per-round statistics. It is Drive's ModeAsync: same
 // Options, Sample and Result as the barrier drives (drive.go), over the
-// same executor, task table, locks, and failure taxonomy.
+// same executor, work-set, locks, and failure taxonomy.
 //
 // The sliding window is a *pseudo-round*: a committed task keeps its
 // item locks, and its OnCommit actions are deferred, until the window
@@ -38,7 +37,7 @@ import (
 // the binding limit.
 const DefaultMaxInFlight = 1024
 
-// asyncTakeBatch bounds how many handles a worker pulls from the
+// asyncTakeBatch bounds how many entries a worker pulls from the
 // work-set per refill, amortizing work-set locking without letting one
 // worker hoard the queue.
 const asyncTakeBatch = 8
@@ -46,13 +45,9 @@ const asyncTakeBatch = 8
 // asyncOutcome is one settled attempt, carried from the worker's
 // execution to the engine's window accounting.
 type asyncOutcome struct {
-	committed bool
-	aborted   bool
-	failed    bool
-	poisoned  bool
-	spawned   int
-	locks     []*Item  // committed task's items, held to the boundary
-	actions   []func() // committed task's deferred commit actions
+	st      RoundStats // the attempt's tallies: Launched is 1
+	locks   []*Item    // committed task's items, held to the boundary
+	actions []func()   // committed task's deferred commit actions
 }
 
 // asyncRun is the engine state for one async drive. One mutex guards
@@ -71,10 +66,10 @@ type asyncRun struct {
 	est      *control.WindowedEstimator
 	adaptive bool // window tracks the in-flight limit
 
-	limit    int     // current in-flight cap (resizable semaphore)
-	inflight int     // attempts currently executing
-	workers  int     // worker goroutines spawned (grows to limit)
-	buf      []int64 // handles pulled from the work-set, not yet started
+	limit    int      // current in-flight cap (resizable semaphore)
+	inflight int      // attempts currently executing
+	workers  int      // worker goroutines spawned (grows to limit)
+	buf      []queued // entries pulled from the work-set, not yet started
 
 	stopped bool // no new work may start
 
@@ -173,28 +168,28 @@ func (a *asyncRun) setLimitLocked(m int) {
 	}
 }
 
-// worker continuously claims a semaphore slot plus a task handle and
+// worker continuously claims a semaphore slot plus a work-set entry and
 // executes it. Workers exit when the run stops or the work drains.
 func (a *asyncRun) worker() {
 	defer a.wg.Done()
 	for {
-		h, ok := a.next()
+		q, ok := a.next()
 		if !ok {
 			return
 		}
-		a.runTask(h)
+		a.runTask(q)
 	}
 }
 
-// next blocks until the run stops (ok=false) or a semaphore slot and a
-// task handle are both available. Drain detection: nothing buffered,
+// next blocks until the run stops (ok=false) or a semaphore slot and an
+// entry are both available. Drain detection: nothing buffered,
 // nothing in the work-set, nothing in flight that could requeue work.
-func (a *asyncRun) next() (int64, bool) {
+func (a *asyncRun) next() (queued, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for {
 		if a.stopped {
-			return 0, false
+			return queued{}, false
 		}
 		if a.inflight < a.limit {
 			if len(a.buf) == 0 {
@@ -202,11 +197,12 @@ func (a *asyncRun) next() (int64, bool) {
 				if want > asyncTakeBatch {
 					want = asyncTakeBatch
 				}
-				a.buf = a.e.take(want)
+				a.buf = a.e.take(a.buf, want)
 			}
-			if len(a.buf) > 0 {
-				h := a.buf[len(a.buf)-1]
-				a.buf = a.buf[:len(a.buf)-1]
+			if last := len(a.buf) - 1; last >= 0 {
+				q := a.buf[last]
+				a.buf[last] = queued{}
+				a.buf = a.buf[:last]
 				a.inflight++
 				if len(a.buf) > 0 && a.inflight < a.limit {
 					// More buffered work and a free slot: chain the wakeup
@@ -214,11 +210,11 @@ func (a *asyncRun) next() (int64, bool) {
 					// uncovered.
 					a.cond.Signal()
 				}
-				return h, true
+				return q, true
 			}
 			if a.inflight == 0 {
 				a.finishLocked(false)
-				return 0, false
+				return queued{}, false
 			}
 		}
 		a.cond.Wait()
@@ -226,41 +222,31 @@ func (a *asyncRun) next() (int64, bool) {
 }
 
 // finishLocked stops the run: parked workers and the delivery loop are
-// released, and claimed-but-unstarted handles go back to the work-set
+// released, and claimed-but-unstarted entries go back to the work-set
 // so the executor's pending state is consistent. Callers hold a.mu.
 func (a *asyncRun) finishLocked(canceled bool) {
 	a.stopped = true
 	a.d.res.Canceled = a.d.res.Canceled || canceled
-	if len(a.buf) > 0 {
-		a.e.requeueAll(a.buf)
-		a.buf = nil
-	}
+	a.e.requeue(a.buf...)
+	a.buf = nil
 	a.cond.Broadcast()
 	a.sampleCond.Broadcast()
 }
 
-// runTask executes one attempt of handle h and settles it through the
-// shared failure taxonomy: commit, conflict abort (requeue), failure
-// (budget), or poison (quarantine). Mirrors Round's accounting loop,
-// one task at a time.
-func (a *asyncRun) runTask(h int64) {
+// runTask executes one attempt of q and settles it through the shared
+// failure taxonomy; what is async's own is where a commit's locks and
+// actions go, and that its spawns enter the work-set at once.
+func (a *asyncRun) runTask(q queued) {
 	e := a.e
-	task := e.tasks.load(h)
-	if task == nil {
-		// Stale handle (defensive): nothing to run.
-		a.complete(asyncOutcome{})
-		return
-	}
 	ctx := ctxPool.Get().(*Ctx)
 	ctx.id = e.nextID.Add(1) - 1
-	err := runGuarded(task, ctx)
+	err := attempt(q.t, ctx)
 	var out asyncOutcome
-	switch {
-	case err == nil:
-		// Commit: retire the handle and enqueue spawns now; the item
-		// locks stay held and the commit actions wait for the window
-		// boundary (see the file comment). The lock and action slices
-		// are copied out so the Ctx can be scrubbed and pooled.
+	switch e.settle(q, err, a.budget, &out.st) {
+	case verdictCommit:
+		// The item locks stay held and the commit actions wait for the
+		// window boundary (see the file comment). The lock and action
+		// slices are copied out so the Ctx can be scrubbed and pooled.
 		if len(ctx.acquired) > 0 {
 			out.locks = append([]*Item(nil), ctx.acquired...)
 			ctx.acquired = ctx.acquired[:0]
@@ -268,43 +254,11 @@ func (a *asyncRun) runTask(h int64) {
 		if len(ctx.onCommit) > 0 {
 			out.actions = append([]func(){}, ctx.onCommit...)
 		}
-		e.tasks.delete(h)
-		e.clearFailure(h)
-		if len(ctx.spawned) > 0 {
-			wrap := e.WrapTask
-			ids := make([]int64, 0, len(ctx.spawned))
-			for _, t := range ctx.spawned {
-				if wrap != nil {
-					t = wrap(t)
-				}
-				id := e.nextID.Add(1) - 1
-				e.tasks.store(id, t)
-				ids = append(ids, id)
-			}
-			e.requeueAll(ids)
-			out.spawned = len(ids)
-		}
-		out.committed = true
-		e.addTotals(1, 1, 0, 0, 0)
-	case errors.Is(err, ErrConflict):
-		ctx.rollback()
-		ctx.release()
-		e.requeueOne(h)
-		out.aborted = true
-		e.addTotals(1, 0, 1, 0, 0)
-	default:
-		ctx.rollback()
-		ctx.release()
-		out.failed = true
-		if _, poisoned := e.noteFailure(h, a.budget, err.Error()); poisoned {
-			e.tasks.delete(h)
-			out.poisoned = true
-			e.addTotals(1, 0, 0, 1, 1)
-		} else {
-			e.requeueOne(h)
-			e.addTotals(1, 0, 0, 1, 0)
-		}
+		e.requeue(e.admitSpawns(ctx, nil, &out.st)...)
+	case verdictAbort, verdictRetry:
+		e.requeue(q)
 	}
+	e.addTotals(out.st)
 	ctx.scrub()
 	ctxPool.Put(ctx)
 	a.complete(out)
@@ -315,26 +269,18 @@ func (a *asyncRun) runTask(h int64) {
 func (a *asyncRun) complete(out asyncOutcome) {
 	a.mu.Lock()
 	a.inflight--
-	a.win.Launched++
-	a.win.Spawned += out.spawned
+	a.win.add(out.st)
+	// Failures never reach the estimator: an injected panic is not
+	// contention (same exclusion as RoundStats.ConflictRatio), and a
+	// quarantined task must not depress the windowed ratio either.
 	switch {
-	case out.committed:
+	case out.st.Committed > 0:
 		a.commits++
-		a.win.Committed++
 		a.held = append(a.held, out.locks...)
 		a.actions = append(a.actions, out.actions...)
 		a.est.ObserveCommit()
-	case out.aborted:
-		a.win.Aborted++
+	case out.st.Aborted > 0:
 		a.est.ObserveAbort()
-	case out.failed:
-		// Failures never reach the estimator: an injected panic is not
-		// contention (same exclusion as RoundStats.ConflictRatio), and a
-		// quarantined task must not depress the windowed ratio either.
-		a.win.Failed++
-		if out.poisoned {
-			a.win.Poisoned++
-		}
 	}
 	if !a.stopped {
 		if a.est.Ready() && a.win.Committed > 0 {
@@ -418,16 +364,4 @@ func (a *asyncRun) publish(batch []Sample) {
 			fn(s)
 		}
 	}
-}
-
-// requeueOne returns a single handle to the work-set (the async
-// settle path; rounds use the batched requeueAll).
-func (e *Executor) requeueOne(h int64) {
-	if e.ws != nil {
-		e.ws.Put(h)
-		return
-	}
-	e.mu.Lock()
-	e.pending = append(e.pending, h)
-	e.mu.Unlock()
 }

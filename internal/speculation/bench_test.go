@@ -2,7 +2,6 @@ package speculation
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/control"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/workset"
 )
 
 // spinSink defeats dead-code elimination of the benchmark spin loops.
@@ -32,7 +30,7 @@ func spinTask(work int) Task {
 
 // benchRound measures steady-state round throughput: every iteration
 // enqueues m fresh tasks and runs one round of m, so the scheduler's
-// per-task overhead (dispatch, task-table access, Ctx setup, accounting)
+// per-task overhead (dispatch, work-set access, Ctx setup, accounting)
 // dominates for small work sizes.
 func benchRound(b *testing.B, m, maxPar, work int) {
 	e := NewExecutor(nil)
@@ -53,8 +51,8 @@ func benchRound(b *testing.B, m, maxPar, work int) {
 }
 
 // BenchmarkExecutorRound sweeps task cost (spin), round size (m), and
-// MaxParallel. par=cpu is the production configuration the worker pool
-// targets; par=0 is the model-faithful one-goroutine-per-task mode.
+// MaxParallel (par=cpu is the production configuration), and ends with
+// the abort/requeue path.
 func BenchmarkExecutorRound(b *testing.B) {
 	cpu := runtime.NumCPU()
 	for _, cfg := range []struct {
@@ -66,13 +64,50 @@ func BenchmarkExecutorRound(b *testing.B) {
 		{"small/m=64/par=cpu", 64, cpu, 200},
 		{"small/m=512/par=cpu", 512, cpu, 200},
 		{"small/m=512/par=2cpu", 512, 2 * cpu, 200},
-		{"tiny/m=64/par=0", 64, 0, 0},
-		{"small/m=512/par=0", 512, 0, 200},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			benchRound(b, cfg.m, cfg.par, cfg.work)
 		})
 	}
+	// All tasks fight over a handful of items, so most launches abort and
+	// flow through the requeue on every round.
+	b.Run("conflict-heavy/m=256/par=cpu", func(b *testing.B) {
+		e, topUp := conflictHeavyExecutor(256, cpu)
+		defer e.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		launched := 0
+		for i := 0; i < b.N; i++ {
+			st := e.Round(256)
+			launched += st.Launched
+			topUp(st.Committed)
+		}
+		b.StopTimer()
+		if secs := b.Elapsed().Seconds(); secs > 0 {
+			b.ReportMetric(float64(launched)/secs, "tasks/sec")
+		}
+	})
+}
+
+// conflictHeavyExecutor returns a pooled executor holding n tasks that
+// fight over four items, and the function that tops the work-set back up
+// after a round: committed tasks leave for good, so adding as many back
+// keeps the round size constant.
+func conflictHeavyExecutor(n, maxPar int) (e *Executor, topUp func(committed int)) {
+	e = NewExecutor(nil)
+	e.MaxParallel = maxPar
+	tasks := make([]Task, 4)
+	for i := range tasks {
+		it := NewItem(int64(i))
+		tasks[i] = TaskFunc(func(ctx *Ctx) error { return ctx.Acquire(it) })
+	}
+	topUp = func(committed int) {
+		for j := 0; j < committed; j++ {
+			e.Add(tasks[j%len(tasks)])
+		}
+	}
+	topUp(n)
+	return e, topUp
 }
 
 // benchStragglerTasks enqueues n conflict-free tasks with a
@@ -253,49 +288,4 @@ func BenchmarkDeclaredGraph(b *testing.B) {
 			e.Close()
 		}
 	})
-}
-
-// BenchmarkExecutorRoundWorkset measures the abort/requeue path: all
-// tasks fight over a handful of items, so most launches abort and flow
-// through the workset requeue on every round.
-func BenchmarkExecutorRoundWorkset(b *testing.B) {
-	cpu := runtime.NumCPU()
-	for _, wsName := range []string{"chunked", "fifo"} {
-		b.Run(fmt.Sprintf("conflict-heavy/%s", wsName), func(b *testing.B) {
-			var ws HandleSet
-			switch wsName {
-			case "chunked":
-				ws = workset.NewChunked(8)
-			case "fifo":
-				ws = workset.NewFIFO()
-			}
-			e := NewExecutorWithWorkset(ws)
-			e.MaxParallel = cpu
-			items := make([]*Item, 4)
-			for i := range items {
-				items[i] = NewItem(int64(i))
-			}
-			for j := 0; j < 256; j++ {
-				it := items[j%len(items)]
-				e.Add(TaskFunc(func(ctx *Ctx) error { return ctx.Acquire(it) }))
-			}
-			b.ResetTimer()
-			launched := 0
-			for i := 0; i < b.N; i++ {
-				st := e.Round(256)
-				launched += st.Launched
-				// Committed tasks leave for good; top back up so the
-				// round size stays constant.
-				for j := 0; j < st.Committed; j++ {
-					it := items[j%len(items)]
-					e.Add(TaskFunc(func(ctx *Ctx) error { return ctx.Acquire(it) }))
-				}
-			}
-			b.StopTimer()
-			secs := b.Elapsed().Seconds()
-			if secs > 0 && launched > 0 {
-				b.ReportMetric(float64(launched)/secs, "tasks/sec")
-			}
-		})
-	}
 }

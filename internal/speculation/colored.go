@@ -2,9 +2,7 @@ package speculation
 
 import (
 	"context"
-	"errors"
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -85,17 +83,12 @@ const (
 // the steady state allocates nothing.
 type coloredState struct {
 	colors    []int32   // dense key index -> color
-	handles   []int64   // super-round drain buffer
+	batch     []queued  // the super-round's entries: the whole work-set
 	keyIdx    []int32   // round index -> dense key index
 	classes   [][]int32 // color -> round indices
 	seen      []uint64  // epoch marks per dense key (duplicate detection)
 	seenEpoch uint64
 	outside   []bool // round index -> the commit acquired outside its footprint
-
-	requeue  []int64
-	spawnIDs []int64
-	poison   []int64
-	actions  []func()
 }
 
 // prepare sizes the state for a fresh coloring.
@@ -191,11 +184,12 @@ func (e *Executor) driveColored(d *drive) {
 // pending task is not Footprinted, two live tasks share a key, or the
 // declarations exceed the recorder's bounds.
 func (e *Executor) declare(cs *coloredState) *LearnedGraph {
-	tasks := e.pendingTasks(cs)
-	n := len(tasks)
+	batch := e.peek(cs)
+	defer clear(batch)
+	n := len(batch)
 	keys, fps, total := make([]int64, n), make([][]*Item, n), 0
-	for i, t := range tasks {
-		ft, ok := t.(Footprinted)
+	for i, q := range batch {
+		ft, ok := q.t.(Footprinted)
 		if !ok {
 			return nil
 		}
@@ -220,14 +214,13 @@ func (e *Executor) declare(cs *coloredState) *LearnedGraph {
 	return lg
 }
 
-// pendingTasks resolves every pending task for inspection, draining the
-// work-set and requeueing it as it was.
-func (e *Executor) pendingTasks(cs *coloredState) []Task {
-	cs.handles = e.drainPending(cs.handles[:0])
-	e.scratch.grow(len(cs.handles))
-	e.tasks.loadBatch(cs.handles, e.scratch.tasks, &e.buckets)
-	e.requeueAll(cs.handles)
-	return e.scratch.tasks
+// peek copies the work-set into the super-round buffer for inspection,
+// leaving it queued. The caller clears what it was handed.
+func (e *Executor) peek(cs *coloredState) []queued {
+	e.mu.Lock()
+	cs.batch = append(cs.batch[:0], e.pending...)
+	e.mu.Unlock()
+	return cs.batch
 }
 
 // pendingCovered reports whether every pending task is keyed and its
@@ -235,10 +228,11 @@ func (e *Executor) pendingTasks(cs *coloredState) []Task {
 // the precondition for the speculative→colored transition, checked
 // before a snapshot is built.
 func (e *Executor) pendingCovered(rec *ConflictRecorder, cs *coloredState) bool {
-	tasks := e.pendingTasks(cs)
-	live := make(map[int64]struct{}, len(tasks))
-	for _, t := range tasks {
-		kt, keyed := t.(ConflictKeyed)
+	batch := e.peek(cs)
+	defer clear(batch)
+	live := make(map[int64]struct{}, len(batch))
+	for _, q := range batch {
+		kt, keyed := q.t.(ConflictKeyed)
 		if !keyed {
 			return false
 		}
@@ -251,26 +245,13 @@ func (e *Executor) pendingCovered(rec *ConflictRecorder, cs *coloredState) bool 
 	return true
 }
 
-// drainPending moves every pending handle into buf (appending, so the
-// caller's capacity is reused) — the colored super-round takes the
-// whole work-set, not a controller-sized batch.
-func (e *Executor) drainPending(buf []int64) []int64 {
-	if e.ws != nil {
-		for {
-			k := e.ws.Len()
-			if k == 0 {
-				return buf
-			}
-			hs := e.ws.Take(k)
-			if len(hs) == 0 {
-				return buf
-			}
-			buf = append(buf, hs...)
-		}
-	}
+// takeAll moves the whole work-set, in queue order, into buf[:0] — the
+// colored super-round runs everything pending, not a controller-sized
+// batch.
+func (e *Executor) takeAll(buf []queued) []queued {
 	e.mu.Lock()
-	buf = append(buf, e.pending...)
-	e.pending = e.pending[:0]
+	buf = append(buf[:0], e.pending...)
+	e.pending = emptied(e.pending)
 	e.mu.Unlock()
 	return buf
 }
@@ -283,14 +264,15 @@ func (e *Executor) drainPending(buf []int64) []int64 {
 // job, so ctx is observed at every class barrier: once it has ended the
 // classes not yet launched are requeued untouched.
 func (e *Executor) coloredRound(ctx context.Context, lg *LearnedGraph, cs *coloredState) (RoundStats, staleness) {
-	cs.handles = e.drainPending(cs.handles[:0])
-	n := len(cs.handles)
+	cs.batch = e.takeAll(cs.batch)
+	batch, n := cs.batch, len(cs.batch)
 	if n == 0 {
 		return RoundStats{}, staleNone
 	}
-	e.scratch.grow(n)
-	tasks, ctxs, errs := e.scratch.tasks, e.scratch.ctxs, e.scratch.errs
-	e.tasks.loadBatch(cs.handles, tasks, &e.buckets)
+	defer clear(batch)
+	s := &e.scratch
+	s.grow(n)
+	ctxs, errs := s.ctxs, s.errs
 
 	// Group the batch into color classes, checking the preconditions the
 	// coloring relies on: every task keyed, every key learned, at most
@@ -304,15 +286,13 @@ func (e *Executor) coloredRound(ctx context.Context, lg *LearnedGraph, cs *color
 		cs.classes[i] = cs.classes[i][:0]
 	}
 	cs.seenEpoch++
-	for i := 0; i < n; i++ {
-		kt, ok := tasks[i].(ConflictKeyed)
-		if !ok {
-			e.requeueAll(cs.handles)
-			return RoundStats{}, staleSoft
+	for i, q := range batch {
+		idx := int32(-1)
+		if kt, ok := q.t.(ConflictKeyed); ok {
+			idx = lg.KeyIndex(kt.ConflictKey())
 		}
-		idx := lg.KeyIndex(kt.ConflictKey())
 		if idx < 0 || cs.seen[idx] == cs.seenEpoch {
-			e.requeueAll(cs.handles)
+			e.requeue(batch...)
 			return RoundStats{}, staleSoft
 		}
 		cs.seen[idx] = cs.seenEpoch
@@ -324,15 +304,8 @@ func (e *Executor) coloredRound(ctx context.Context, lg *LearnedGraph, cs *color
 	stats := RoundStats{}
 	stale := staleNone
 	budget := e.retryBudget()
-	wrap := e.WrapTask
 	idBase := e.nextID.Add(int64(n)) - int64(n)
-	var pool *workerPool
-	if e.MaxParallel > 0 {
-		pool = e.ensurePool(e.MaxParallel)
-	}
-	cs.requeue = cs.requeue[:0]
-	cs.spawnIDs = cs.spawnIDs[:0]
-	cs.poison = cs.poison[:0]
+	pool := e.workers(e.MaxParallel)
 
 	for _, class := range cs.classes {
 		if len(class) == 0 {
@@ -340,24 +313,20 @@ func (e *Executor) coloredRound(ctx context.Context, lg *LearnedGraph, cs *color
 		}
 		if stats.Launched > 0 && ctx.Err() != nil {
 			for _, i := range class {
-				cs.requeue = append(cs.requeue, cs.handles[i])
+				s.requeue = append(s.requeue, batch[i])
 			}
 			continue
 		}
 		class := class
-		run := func(j int) {
+		pool.dispatch(len(class), func(j int) {
 			i := class[j]
 			c := ctxs[i]
 			c.id = idBase + int64(i)
 			c.colored = true
-			err := runGuarded(tasks[i], c)
-			if err != nil {
-				// Colored contexts hold no locks; rollback runs the undo
-				// log (a failing task may have mutated before erroring)
-				// and release is a no-op on unowned items.
-				c.rollback()
-				c.release()
-			} else {
+			// Colored contexts hold no locks: on an error, attempt's rollback
+			// runs the undo log (a failing task may have mutated before
+			// erroring) and its release is a no-op on unowned items.
+			if errs[i] = attempt(batch[i].t, c); errs[i] == nil {
 				// Post-hoc staleness check, made by the worker that ran the
 				// task so the serial barrier only reads the verdict: every
 				// acquired item must lie in the key's footprint. A subset
@@ -365,92 +334,51 @@ func (e *Executor) coloredRound(ctx context.Context, lg *LearnedGraph, cs *color
 				// means edges the graph lacks may exist.
 				cs.outside[i] = !lg.covers(cs.keyIdx[i], c.acquired)
 			}
-			errs[i] = err
-		}
-		if pool != nil {
-			pool.dispatch(len(class), run)
-		} else {
-			var wg sync.WaitGroup
-			wg.Add(len(class))
-			for j := range class {
-				go func(j int) {
-					defer wg.Done()
-					run(j)
-				}(j)
-			}
-			wg.Wait()
-		}
+		})
 
 		// Class barrier: verify footprints, settle outcomes, and run this
 		// class's commit actions before the next class launches — later
 		// classes may depend on them (structural mutations are deferred
 		// here by the cautious-operator contract).
-		e.committed = e.committed[:0]
-		cs.actions = cs.actions[:0]
 		for _, i := range class {
-			stats.Launched++
 			c := ctxs[i]
-			if err := errs[i]; err != nil {
-				if errors.Is(err, ErrConflict) {
-					// Operator-level conflict inside a supposedly
-					// conflict-free class: the learned graph lied.
-					stats.Aborted++
-					stale = staleHard
-					cs.requeue = append(cs.requeue, cs.handles[i])
-					continue
-				}
-				stats.Failed++
-				h := cs.handles[i]
-				if _, poisoned := e.noteFailure(h, budget, err.Error()); poisoned {
-					stats.Poisoned++
-					cs.poison = append(cs.poison, h)
-					continue
-				}
-				cs.requeue = append(cs.requeue, h)
-				continue
-			}
-			if cs.outside[i] {
-				// Finish this round, then relearn.
+			switch e.settle(batch[i], errs[i], budget, &stats) {
+			case verdictAbort:
+				// Operator-level conflict inside a supposedly
+				// conflict-free class: the learned graph lied.
 				stale = staleHard
-			}
-			stats.Committed++
-			e.clearFailure(cs.handles[i])
-			e.committed = append(e.committed, cs.handles[i])
-			for _, t := range c.spawned {
-				if wrap != nil {
-					t = wrap(t)
+				fallthrough
+			case verdictRetry:
+				s.requeue = append(s.requeue, batch[i])
+			case verdictCommit:
+				if cs.outside[i] {
+					// Finish this round, then relearn.
+					stale = staleHard
 				}
-				id := e.nextID.Add(1) - 1
-				e.tasks.store(id, t)
-				cs.spawnIDs = append(cs.spawnIDs, id)
-				stats.Spawned++
-				// A spawn with an unknown key can't be colored next
-				// round; trip a soft fallback now instead of discovering
-				// it at the next grouping pass. (Soft never downgrades a
-				// hard trip.)
-				if kt, ok := t.(ConflictKeyed); !ok || lg.KeyIndex(kt.ConflictKey()) < 0 {
-					if stale == staleNone {
-						stale = staleSoft
+				first := len(s.spawned)
+				s.spawned = e.admitSpawns(c, s.spawned, &stats)
+				for _, q := range s.spawned[first:] {
+					// A spawn with an unknown key can't be colored next
+					// round; trip a soft fallback now instead of discovering
+					// it at the next grouping pass. (Soft never downgrades a
+					// hard trip.)
+					if kt, ok := q.t.(ConflictKeyed); !ok || lg.KeyIndex(kt.ConflictKey()) < 0 {
+						if stale == staleNone {
+							stale = staleSoft
+						}
 					}
 				}
+				s.actions = append(s.actions, c.onCommit...)
 			}
-			cs.actions = append(cs.actions, c.onCommit...)
+			c.scrub()
 		}
-		for _, i := range class {
-			ctxs[i].scrub()
-		}
-		e.tasks.deleteBatch(e.committed, &e.buckets)
-		for _, fn := range cs.actions {
-			fn()
-		}
+		s.runActions()
 	}
 
-	if len(cs.poison) > 0 {
-		e.tasks.deleteBatch(cs.poison, &e.buckets)
-	}
-	e.requeueAll(cs.requeue)
-	e.requeueAll(cs.spawnIDs)
-	e.addTotals(int64(stats.Launched), int64(stats.Committed),
-		int64(stats.Aborted), int64(stats.Failed), int64(stats.Poisoned))
+	e.requeue(s.requeue...)
+	e.requeue(s.spawned...)
+	clear(errs)
+	s.requeue, s.spawned = emptied(s.requeue), emptied(s.spawned)
+	e.addTotals(stats)
 	return stats, stale
 }

@@ -34,11 +34,6 @@ func NewLoop[T any](op func(item T, ctx *Ctx) error) *Loop[T] {
 	return &Loop[T]{op: op, exec: NewExecutor(nil)}
 }
 
-// NewLoopWithWorkset builds a loop drawing items per the given policy.
-func NewLoopWithWorkset[T any](op func(item T, ctx *Ctx) error, ws HandleSet) *Loop[T] {
-	return &Loop[T]{op: op, exec: NewExecutorWithWorkset(ws)}
-}
-
 // Push adds one work item.
 func (l *Loop[T]) Push(item T) {
 	l.exec.Add(TaskFunc(func(ctx *Ctx) error { return l.op(item, ctx) }))

@@ -74,39 +74,3 @@ func TestLoopPushDuringExecution(t *testing.T) {
 		t.Fatalf("useful work %d", res.UsefulWork)
 	}
 }
-
-func TestLoopWithWorksetPolicy(t *testing.T) {
-	order := make([]int, 0, 10)
-	loop := NewLoopWithWorkset(func(item int, ctx *Ctx) error {
-		ctx.OnCommit(func() { order = append(order, item) })
-		return nil
-	}, newFIFOHandles())
-	for i := 0; i < 10; i++ {
-		loop.Push(i)
-	}
-	loop.Run(control.Fixed{Procs: 1}, 1000)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("FIFO order broken: %v", order)
-		}
-	}
-}
-
-// fifoHandles is a minimal in-test FIFO HandleSet; a local fake keeps
-// the interface contract visible right next to the test that relies on
-// strict ordering.
-type fifoHandles struct{ xs []int64 }
-
-func newFIFOHandles() *fifoHandles { return &fifoHandles{} }
-
-func (f *fifoHandles) Put(h int64)       { f.xs = append(f.xs, h) }
-func (f *fifoHandles) PutAll(hs []int64) { f.xs = append(f.xs, hs...) }
-func (f *fifoHandles) Take(k int) []int64 {
-	if k > len(f.xs) {
-		k = len(f.xs)
-	}
-	out := append([]int64(nil), f.xs[:k]...)
-	f.xs = f.xs[k:]
-	return out
-}
-func (f *fifoHandles) Len() int { return len(f.xs) }

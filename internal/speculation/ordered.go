@@ -128,14 +128,13 @@ func (h *taskHeap) Pop() interface{} {
 }
 
 // OrderedExecutor runs prioritized tasks optimistically with in-order
-// commits. Like Executor, phase 1 is served by a persistent worker pool
-// when MaxParallel > 0.
+// commits. Like Executor, phase 1 is served by a persistent worker pool.
 type OrderedExecutor struct {
 	mu      sync.Mutex
 	pending taskHeap
 
-	// MaxParallel sets the phase-1 worker-pool size (0 = one goroutine
-	// per task, the model-faithful mode).
+	// MaxParallel sets the phase-1 worker-pool size, with the same
+	// semantics as Executor.MaxParallel (0 or less = GOMAXPROCS workers).
 	MaxParallel int
 
 	// TaskRetries is the per-task failure budget, with the same
@@ -147,7 +146,7 @@ type OrderedExecutor struct {
 	// (Add and committed spawns) — the fault-injection hook.
 	WrapTask func(OrderedTask) OrderedTask
 
-	pool *workerPool
+	pooled
 
 	// accounting holds the shared counters and quarantine; the ordered
 	// executor folds conflicts + premature into its Aborted total so
@@ -166,12 +165,7 @@ func NewOrderedExecutor() *OrderedExecutor {
 
 // Close releases the executor's worker pool (if any). Optional: an
 // executor abandoned without Close is cleaned up by a finalizer.
-func (e *OrderedExecutor) Close() {
-	if e.pool != nil {
-		e.pool.shutdown()
-		e.pool = nil
-	}
-}
+func (e *OrderedExecutor) Close() { e.closePool() }
 
 // Snapshot returns the ordered executor's pending count and cumulative
 // counters in one race-safe call. Aborted counts both failure modes
@@ -242,35 +236,16 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 	}
 
 	// Phase 1: parallel speculative execution (read + claim only),
-	// served by the persistent pool when MaxParallel > 0. Panics and
-	// errors are captured per attempt, not fatal: they flow through the
-	// shared failure taxonomy in phase 2.
+	// served by the persistent pool. Panics and errors are captured per
+	// attempt, not fatal: they flow through the shared failure taxonomy
+	// in phase 2.
 	ctxs := make([]*OrderedCtx, len(batch))
 	errs := make([]error, len(batch))
-	run := func(i int) {
+	e.workers(e.MaxParallel).dispatch(len(batch), func(i int) {
 		ctx := &OrderedCtx{}
 		ctxs[i] = ctx
 		errs[i] = runGuardedOrdered(batch[i], ctx)
-	}
-	if e.MaxParallel > 0 {
-		if e.pool == nil || e.pool.size != e.MaxParallel {
-			if e.pool != nil {
-				e.pool.shutdown()
-			}
-			e.pool = newWorkerPool(e.MaxParallel)
-		}
-		e.pool.dispatch(len(batch), run)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(batch))
-		for i := range batch {
-			go func(i int) {
-				defer wg.Done()
-				run(i)
-			}(i)
-		}
-		wg.Wait()
-	}
+	})
 
 	// Phase 2: serial commit walk in priority order. The batch was
 	// popped from a heap, so sort it (heap pops were in order already —
@@ -374,7 +349,6 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 	e.mu.Unlock()
 	e.totalConflicts.Add(int64(stats.Aborted - stats.Premature))
 	e.totalPremature.Add(int64(stats.Premature))
-	e.addTotals(int64(stats.Launched), int64(stats.Committed),
-		int64(stats.Aborted), int64(stats.Failed), int64(stats.Poisoned))
+	e.addTotals(stats)
 	return stats
 }

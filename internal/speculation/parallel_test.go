@@ -16,6 +16,8 @@ func TestRoundRunsTasksInParallel(t *testing.T) {
 	const tasks = 32
 	const sleep = 20 * time.Millisecond
 	e := NewExecutor(nil)
+	e.MaxParallel = tasks
+	defer e.Close()
 	for i := 0; i < tasks; i++ {
 		e.Add(TaskFunc(func(*Ctx) error {
 			time.Sleep(sleep)
@@ -41,6 +43,8 @@ func TestOrderedRoundRunsPhase1InParallel(t *testing.T) {
 	const tasks = 32
 	const sleep = 20 * time.Millisecond
 	e := NewOrderedExecutor()
+	e.MaxParallel = tasks
+	defer e.Close()
 	for i := 0; i < tasks; i++ {
 		e.Add(sleepOrderedTask{k: Key{Time: float64(i)}, d: sleep})
 	}

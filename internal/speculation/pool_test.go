@@ -1,32 +1,29 @@
 package speculation
 
 import (
+	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/workset"
 )
 
 // TestWorkerPoolStress hammers the pooled executor: many rounds of many
 // tiny conflicting tasks while other goroutines keep Adding work. Run
-// under -race this exercises every executor synchronization edge (shard
-// locks, atomic IDs, batched requeue, context recycling).
+// under -race this exercises every executor synchronization edge (the
+// work-set lock, atomic IDs, batched requeue, context recycling).
 func TestWorkerPoolStress(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mk   func() *Executor
 	}{
 		{"pending", func() *Executor { return NewExecutor(nil) }},
-		{"random-ws", func() *Executor {
-			return NewExecutorWithWorkset(workset.NewRandom(rng.New(7)))
-		}},
-		{"chunked-ws", func() *Executor {
-			return NewExecutorWithWorkset(workset.NewChunked(8))
-		}},
+		{"random-ws", func() *Executor { return NewExecutor(rng.New(7).Intn) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := tc.mk()
@@ -234,4 +231,131 @@ func TestExecutorCloseReleasesWorkers(t *testing.T) {
 		t.Fatalf("committed %d, want 64", e.TotalCommitted())
 	}
 	e.Close()
+}
+
+// TestPoolSizeDoesNotMoveConflictRatio keeps the evidence the
+// goroutine-per-task branch was deleted on: at a fixed m the round's
+// conflict ratio is set by which m tasks were drawn, not by how many
+// workers ran them, because every lock is held to the barrier. One
+// worker, one per CPU and one per task must agree on mean r over the
+// seeds; the per-seed spread at the parent was ±0.03 around 0.45.
+func TestPoolSizeDoesNotMoveConflictRatio(t *testing.T) {
+	const n, d, m, rounds, seeds, tolerance = 1000, 64.0, 32, 15, 8, 0.03
+	meanR := func(maxParallel int) float64 {
+		sum := 0.0
+		for seed := uint64(1); seed <= seeds; seed++ {
+			g := graph.RandomWithAvgDegree(rng.New(seed), n, d)
+			e := NewGraphExecutor(NewGraphWorkload(g), rng.New(seed+100))
+			e.MaxParallel = maxParallel
+			var st RoundStats
+			for i := 0; i < rounds; i++ {
+				st.add(e.Round(m))
+			}
+			e.Close()
+			sum += st.ConflictRatio()
+		}
+		return sum / seeds
+	}
+	serial := meanR(1)
+	if serial < 0.3 {
+		t.Fatalf("mean r = %.3f with one worker: the fixture no longer conflicts", serial)
+	}
+	for _, maxParallel := range []int{0, runtime.NumCPU(), m} {
+		if r := meanR(maxParallel); math.Abs(r-serial) > tolerance {
+			t.Errorf("MaxParallel=%d: mean r = %.3f, one worker gives %.3f (tolerance %.2f)",
+				maxParallel, r, serial, tolerance)
+		}
+	}
+}
+
+// TestPooledRoundAllocatesNothing pins the steady-state conflict-heavy
+// round — take, dispatch, abort, requeue, top-up — at zero allocations.
+func TestPooledRoundAllocatesNothing(t *testing.T) {
+	e, topUp := conflictHeavyExecutor(256, 2)
+	defer e.Close()
+	round := func() { topUp(e.Round(256).Committed) }
+	round() // size the scratch, the work-set and the pool
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("steady-state round allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestFinishedTasksAreCollectable checks that nothing the executor keeps
+// between rounds — the work-set's spare capacity, the round scratch —
+// still references a task once it has committed or been poisoned, however
+// large an earlier round was.
+func TestFinishedTasksAreCollectable(t *testing.T) {
+	e := NewExecutor(nil)
+	e.MaxParallel = 2
+	e.TaskRetries = -1
+	defer e.Close()
+	it := NewItem(0)
+	for i := 0; i < 64; i++ {
+		switch i % 3 {
+		case 0:
+			e.Add(TaskFunc(func(ctx *Ctx) error { return ctx.Acquire(it) })) // mostly aborts
+		case 1:
+			e.Add(TaskFunc(func(ctx *Ctx) error { // commits, spawns, acts
+				ctx.Spawn(TaskFunc(func(*Ctx) error { return nil }))
+				ctx.OnCommit(func() {})
+				return nil
+			}))
+		default:
+			e.Add(TaskFunc(func(*Ctx) error { return errors.New("boom") })) // poisoned
+		}
+	}
+	e.Round(64) // the large round
+	for e.Pending() > 0 {
+		e.Round(2)
+	}
+	s := &e.scratch
+	for name, left := range map[string]int{
+		"pending": countNonZero(e.pending), "batch": countNonZero(s.batch),
+		"requeue": countNonZero(s.requeue), "spawned": countNonZero(s.spawned),
+	} {
+		if left != 0 {
+			t.Errorf("%s keeps %d finished entries reachable", name, left)
+		}
+	}
+	for i, fn := range s.actions[:cap(s.actions)] {
+		if fn != nil {
+			t.Errorf("actions[%d] keeps a commit action reachable", i)
+		}
+	}
+	for i, err := range s.errs[:cap(s.errs)] {
+		if err != nil {
+			t.Errorf("errs[%d] keeps %v reachable", i, err)
+		}
+	}
+}
+
+// countNonZero counts the entries still set anywhere in qs's capacity.
+func countNonZero(qs []queued) (n int) {
+	for _, q := range qs[:cap(qs)] {
+		if q.t != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestAbandonedExecutorReleasesWorkers covers the callers that never
+// Close (every round runs on a pool now, theirs included): once the
+// executor is unreachable the pool's finalizer stops the workers, which
+// holds only while workers reference nothing but the channel.
+func TestAbandonedExecutorReleasesWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for k := 0; k < 20; k++ {
+		e := NewExecutor(nil)
+		e.MaxParallel = 4
+		e.Add(TaskFunc(func(*Ctx) error { return nil }))
+		e.Round(1)
+	}
+	for i := 0; i < 200 && runtime.NumGoroutine() > before+1; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before+1 {
+		t.Fatalf("abandoned executors keep %d goroutines running (%d before)", g, before)
+	}
 }

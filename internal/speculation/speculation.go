@@ -16,15 +16,16 @@
 // (§2, as in Delaunay mesh refinement); the runtime therefore treats an
 // abort as a full processor-round of wasted work in its accounting.
 //
-// The executor itself is built for throughput: rounds are served by a
+// The executor itself is built for throughput: the work-set holds the
+// tasks themselves (each entry is a task plus the handle its failure
+// budget is keyed by), so a round is "pop m entries, run them, append
+// the losers back" with no table in between; rounds are served by a
 // persistent pool of MaxParallel workers fed chunks of the round's index
-// space (one channel send per chunk, not one goroutine per task), task
-// handles live in a sharded task table, attempt IDs come from an atomic
-// counter, and per-attempt contexts are recycled through a sync.Pool.
-// A conflict abort — the common case at the paper's ρ = 0.25 — allocates
-// nothing: the error Acquire returns lives in the attempt's context.
-// Setting MaxParallel to 0 bypasses the pool and launches one goroutine
-// per task — the model-faithful "one processor per task" simulation mode.
+// space (one channel send per chunk, not one goroutine per task), attempt
+// IDs come from an atomic counter, and per-attempt contexts are recycled
+// through a sync.Pool. A conflict abort — the common case at the paper's
+// ρ = 0.25 — allocates nothing: the error Acquire returns lives in the
+// attempt's context, and a steady-state round allocates nothing at all.
 package speculation
 
 import (
@@ -184,6 +185,14 @@ func scrubSlice[T any](s []T) []T {
 	return s[:0]
 }
 
+// emptied zeroes the slice's elements and returns it empty, capacity
+// preserved — scrubSlice for a buffer whose spare capacity is already
+// zero because every user empties what it wrote.
+func emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
 // scrub resets c for the next attempt: all reference slots are zeroed so
 // nothing (undo closures, spawned tasks, lock pointers) leaks into the
 // next task that receives this context, while slice capacities are
@@ -297,119 +306,15 @@ func (s RoundStats) ConflictRatio() float64 {
 	return float64(s.Aborted) / float64(s.Launched)
 }
 
-// HandleSet is the work-set abstraction the executor draws task handles
-// from; implementations define the selection policy (random draws match
-// the paper's model; FIFO/LIFO/chunked are provided by internal/workset).
-type HandleSet interface {
-	Put(h int64)
-	// PutAll inserts many handles at once; the executor uses it to
-	// requeue a whole round's aborts and spawns in one call.
-	PutAll(hs []int64)
-	Take(k int) []int64
-	Len() int
-}
-
-// numTaskShards stripes the executor's handle→task map. Power of two so
-// the shard index is a mask. 16 shards keep Add/commit contention
-// negligible up to well past the core counts the controllers allocate.
-const numTaskShards = 16
-
-// taskShard is one stripe of the task table, padded to a cache line so
-// neighboring shard locks do not false-share.
-type taskShard struct {
-	mu sync.Mutex
-	m  map[int64]Task
-	_  [40]byte
-}
-
-// taskTable is an N-way striped map from task handle to task. Handles
-// are assigned round-robin by the atomic ID allocator, so striping by
-// the low bits spreads load uniformly.
-type taskTable struct {
-	shards [numTaskShards]taskShard
-}
-
-func (t *taskTable) shard(h int64) *taskShard {
-	return &t.shards[uint64(h)&(numTaskShards-1)]
-}
-
-func (t *taskTable) store(h int64, task Task) {
-	s := t.shard(h)
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[int64]Task)
-	}
-	s.m[h] = task
-	s.mu.Unlock()
-}
-
-func (t *taskTable) load(h int64) Task {
-	s := t.shard(h)
-	s.mu.Lock()
-	task := s.m[h]
-	s.mu.Unlock()
-	return task
-}
-
-// delete removes a single handle (the async path settles tasks one at
-// a time; the round path uses deleteBatch).
-func (t *taskTable) delete(h int64) {
-	s := t.shard(h)
-	s.mu.Lock()
-	delete(s.m, h)
-	s.mu.Unlock()
-}
-
-// shardBuckets is per-round scratch grouping round indices by shard so
-// batch operations take each shard lock once instead of once per task.
-type shardBuckets [numTaskShards][]int32
-
-func (b *shardBuckets) reset() {
-	for i := range b {
-		b[i] = b[i][:0]
-	}
-}
-
-// loadBatch resolves tasks[i] = table[handles[i]] for every index in
-// idx's buckets, one lock acquisition per touched shard.
-func (t *taskTable) loadBatch(handles []int64, tasks []Task, b *shardBuckets) {
-	b.reset()
-	for i, h := range handles {
-		s := uint64(h) & (numTaskShards - 1)
-		b[s] = append(b[s], int32(i))
-	}
-	for s := range b {
-		if len(b[s]) == 0 {
-			continue
-		}
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		for _, i := range b[s] {
-			tasks[i] = sh.m[handles[i]]
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// deleteBatch removes every handle, one lock acquisition per touched
-// shard.
-func (t *taskTable) deleteBatch(handles []int64, b *shardBuckets) {
-	b.reset()
-	for i, h := range handles {
-		s := uint64(h) & (numTaskShards - 1)
-		b[s] = append(b[s], int32(i))
-	}
-	for s := range b {
-		if len(b[s]) == 0 {
-			continue
-		}
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		for _, i := range b[s] {
-			delete(sh.m, handles[i])
-		}
-		sh.mu.Unlock()
-	}
+// add folds o's tallies into s.
+func (s *RoundStats) add(o RoundStats) {
+	s.Launched += o.Launched
+	s.Committed += o.Committed
+	s.Aborted += o.Aborted
+	s.Premature += o.Premature
+	s.Failed += o.Failed
+	s.Poisoned += o.Poisoned
+	s.Spawned += o.Spawned
 }
 
 // poolChunk is one dispatch unit: workers call run for every index in
@@ -421,13 +326,14 @@ type poolChunk struct {
 }
 
 // workerPool is a persistent set of goroutines executing index chunks.
-// Workers hold a reference to the channel only — never to the owning
-// executor — so an abandoned executor is still collectable: its
-// finalizer closes the channel and the workers exit.
+// Workers hold a reference to the channel only — never to the pool or
+// the owning executor — so an abandoned executor is still collectable:
+// its finalizer closes the channel and the workers exit.
 type workerPool struct {
 	work chan poolChunk
 	size int
 	stop sync.Once
+	wg   sync.WaitGroup // the dispatch in progress (dispatch is single-caller)
 }
 
 func newWorkerPool(size int) *workerPool {
@@ -469,29 +375,59 @@ func (p *workerPool) dispatch(n int, run func(i int)) {
 	if chunk < 1 {
 		chunk = 1
 	}
-	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		wg.Add(1)
-		p.work <- poolChunk{lo: lo, hi: hi, run: run, wg: &wg}
+		p.wg.Add(1)
+		p.work <- poolChunk{lo: lo, hi: hi, run: run, wg: &p.wg}
 	}
-	wg.Wait()
+	p.wg.Wait()
+}
+
+// pooled owns the worker pool of an executor, ordered or not: built at
+// the first round, rebuilt when MaxParallel changes between rounds.
+type pooled struct{ pool *workerPool }
+
+// workers returns a pool of maxParallel workers — of
+// runtime.GOMAXPROCS(0) when maxParallel <= 0 — replacing a stale-sized
+// one. Called only from Round (single caller at a time).
+func (p *pooled) workers(maxParallel int) *workerPool {
+	if maxParallel <= 0 {
+		maxParallel = runtime.GOMAXPROCS(0)
+	}
+	if p.pool == nil || p.pool.size != maxParallel {
+		p.closePool()
+		p.pool = newWorkerPool(maxParallel)
+	}
+	return p.pool
+}
+
+func (p *pooled) closePool() {
+	if p.pool != nil {
+		p.pool.shutdown()
+		p.pool = nil
+	}
+}
+
+// queued is one work-set entry: a task and the handle it was admitted
+// under. The handle keys the failure budget and names the task in a
+// FailureRecord; nothing looks a task up by it.
+type queued struct {
+	h int64
+	t Task
 }
 
 // Executor runs tasks speculatively, round by round. Add and the
 // statistics accessors are safe for concurrent use; Round must be called
 // from one goroutine at a time (the adaptive drivers do).
 type Executor struct {
-	tasks  taskTable
-	ws     HandleSet // nil when pending+randTk are used
-	nextID atomic.Int64
+	nextID atomic.Int64 // handles and attempt IDs share one allocator
 
 	mu      sync.Mutex      // guards pending only
-	pending []int64         // task handles awaiting execution
-	randTk  func(n int) int // selection policy: nil = take from tail
+	pending []queued        // the work-set
+	pick    func(n int) int // selection policy: nil = take from tail
 
 	// accounting holds the cumulative counters, failure budget, and
 	// poison quarantine shared with the ordered executor; its exported
@@ -500,8 +436,9 @@ type Executor struct {
 	accounting
 
 	// MaxParallel sets the size of the persistent worker pool serving
-	// rounds; 0 means "one goroutine per task", faithfully simulating
-	// one processor per task (no pool involved).
+	// rounds; 0 or less selects runtime.GOMAXPROCS(0) workers. It bounds
+	// how many attempts execute at once, not the round's conflict ratio:
+	// locks are held to the barrier whatever the pool size.
 	MaxParallel int
 
 	// TaskRetries is the per-task failure budget: a task whose attempt
@@ -517,7 +454,7 @@ type Executor struct {
 	// goroutines.
 	WrapTask func(Task) Task
 
-	pool *workerPool
+	pooled
 
 	// rec, when non-nil, observes the footprints of committed tasks at
 	// the round barrier — the learning phase of colored execution (see
@@ -525,36 +462,89 @@ type Executor struct {
 	// Round loop while it runs.
 	rec *ConflictRecorder
 
-	// Round-local scratch (Round is single-caller): shard buckets for
-	// batched task-table access, the committed-handle list, and the
-	// per-attempt slices reused across rounds.
-	buckets   shardBuckets
-	committed []int64
-	scratch   roundScratch
+	scratch roundScratch // round-local (Round is single-caller)
 }
 
-// roundScratch holds the per-round working slices. tasks and errs are
-// fully overwritten each round. ctxs is the executor's context cache:
-// contexts are drawn from the global sync.Pool at the high-water mark,
-// pre-assigned to round indices before dispatch (so workers never touch
-// the pool), and scrubbed in place after accounting. The cache never
-// shrinks; Executor.Close returns it to the pool.
+// roundScratch holds the working slices of a round, reused across rounds
+// so a steady-state round allocates nothing. batch, requeue, spawned and
+// actions hold references only while a round is in progress: settling
+// clears what the round wrote, so a finished task is collectable at the
+// barrier. ctxs is the executor's context cache: contexts are drawn from
+// the global sync.Pool at the high-water mark, pre-assigned to round
+// indices before dispatch (so workers never touch the pool), and scrubbed
+// in place after accounting. The cache never shrinks; Executor.Close
+// returns it to the pool.
 type roundScratch struct {
-	tasks []Task
-	ctxs  []*Ctx // len is the high-water round size; [:n] used per round
-	errs  []error
+	batch  []queued // the entries this round runs
+	ctxs   []*Ctx   // len is the high-water round size; [:n] used per round
+	errs   []error
+	idBase int64 // attempt ID of batch[0]
+
+	requeue []queued // aborted and failed entries going back, in batch order
+	spawned []queued // committed tasks' spawns, admitted
+	actions []func() // committed tasks' commit actions
+
+	run func(i int) // attempt, bound once so dispatching a round allocates nothing
 }
 
 func (r *roundScratch) grow(n int) {
-	if cap(r.tasks) < n {
-		r.tasks = make([]Task, n)
+	if cap(r.errs) < n {
 		r.errs = make([]error, n)
 	} else {
-		r.tasks = r.tasks[:n]
 		r.errs = r.errs[:n]
 	}
 	for len(r.ctxs) < n {
 		r.ctxs = append(r.ctxs, ctxPool.Get().(*Ctx))
+	}
+}
+
+// attempt is Round's per-index body: workers touch only round-local
+// slices, never the executor's shared state or the context pool.
+func (r *roundScratch) attempt(i int) {
+	c := r.ctxs[i]
+	c.id = r.idBase + int64(i)
+	r.errs[i] = attempt(r.batch[i].t, c)
+}
+
+// attempt runs one speculative attempt of t in c. A failed attempt rolls
+// back while still holding its locks (compensation is race-free), then
+// releases them immediately: in the model, an aborted task does not block
+// its other neighbors from committing in the same round. Failures (panics,
+// non-conflict errors) take the same path, so a panicking task never
+// strands locks or undo state. A committed attempt keeps its locks for
+// the caller to release at the barrier.
+func attempt(t Task, c *Ctx) error {
+	err := runGuarded(t, c)
+	if err != nil {
+		c.rollback()
+		c.release()
+	}
+	return err
+}
+
+// settled drops the references the round's n attempts left in the
+// scratch — contexts scrubbed, lists cleared, capacity kept — so a
+// finished task is collectable from the barrier on. The commit actions
+// are left for runActions.
+func (r *roundScratch) settled(n int) {
+	for _, c := range r.ctxs[:n] {
+		c.scrub()
+	}
+	clear(r.errs)
+	r.batch = emptied(r.batch)
+	r.requeue = emptied(r.requeue)
+	r.spawned = emptied(r.spawned)
+}
+
+// runActions runs the collected commit actions serially, in commit
+// order, forgetting each as it goes: an action that panics leaves nothing
+// behind for the next round to run again.
+func (r *roundScratch) runActions() {
+	actions := r.actions
+	r.actions = r.actions[:0]
+	for i, fn := range actions {
+		actions[i] = nil
+		fn()
 	}
 }
 
@@ -571,37 +561,15 @@ func (r *roundScratch) release() {
 // to select pending task indices (e.g. a seeded uniform picker to match
 // the model's random selection); otherwise tasks are taken LIFO.
 func NewExecutor(pick func(n int) int) *Executor {
-	return &Executor{randTk: pick}
-}
-
-// NewExecutorWithWorkset returns an executor drawing its task handles
-// from the given work-set policy (see internal/workset), enabling
-// selection-policy studies on real workloads.
-func NewExecutorWithWorkset(ws HandleSet) *Executor {
-	return &Executor{ws: ws}
+	return &Executor{pick: pick}
 }
 
 // Close releases the executor's worker pool (if any) and returns its
 // cached contexts to the global pool. Optional: an executor abandoned
 // without Close is cleaned up by a finalizer.
 func (e *Executor) Close() {
-	if e.pool != nil {
-		e.pool.shutdown()
-		e.pool = nil
-	}
+	e.closePool()
 	e.scratch.release()
-}
-
-// ensurePool returns a pool of exactly size workers, replacing a
-// stale-sized one. Called only from Round (single caller at a time).
-func (e *Executor) ensurePool(size int) *workerPool {
-	if e.pool == nil || e.pool.size != size {
-		if e.pool != nil {
-			e.pool.shutdown()
-		}
-		e.pool = newWorkerPool(size)
-	}
-	return e.pool
 }
 
 // Snapshot is a point-in-time view of an executor's pending count and
@@ -637,70 +605,100 @@ func (e *Executor) Snapshot() Snapshot {
 // retryBudget resolves TaskRetries to the effective failure budget.
 func (e *Executor) retryBudget() int { return resolveRetryBudget(e.TaskRetries) }
 
-// Add inserts a task into the work-set.
-func (e *Executor) Add(t Task) {
+// admit is how a task becomes a work-set entry, from Add or from a
+// committed task's spawns: through WrapTask, under a fresh handle.
+func (e *Executor) admit(t Task) queued {
 	if w := e.WrapTask; w != nil {
 		t = w(t)
 	}
-	id := e.nextID.Add(1) - 1
-	e.tasks.store(id, t)
-	if e.ws != nil {
-		e.ws.Put(id)
-		return
-	}
-	e.mu.Lock()
-	e.pending = append(e.pending, id)
-	e.mu.Unlock()
+	return queued{h: e.nextID.Add(1) - 1, t: t}
 }
+
+// admitSpawns admits a committed attempt's spawns onto out, counting
+// them in st.
+func (e *Executor) admitSpawns(c *Ctx, out []queued, st *RoundStats) []queued {
+	for _, t := range c.spawned {
+		out = append(out, e.admit(t))
+	}
+	st.Spawned += len(c.spawned)
+	return out
+}
+
+// Add inserts a task into the work-set.
+func (e *Executor) Add(t Task) { e.requeue(e.admit(t)) }
 
 // Pending returns the number of tasks awaiting execution.
 func (e *Executor) Pending() int {
-	if e.ws != nil {
-		return e.ws.Len()
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.pending)
 }
 
-// take removes up to m pending handles per the selection policy.
-func (e *Executor) take(m int) []int64 {
-	if e.ws != nil {
-		return e.ws.Take(m)
-	}
+// take moves up to m pending entries into buf[:0] per the selection
+// policy. A popped slot is zeroed: the work-set's spare capacity keeps
+// no task reachable.
+func (e *Executor) take(buf []queued, m int) []queued {
+	buf = buf[:0]
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if m > len(e.pending) {
-		m = len(e.pending)
-	}
-	out := make([]int64, 0, m)
-	for i := 0; i < m; i++ {
-		var j int
-		if e.randTk != nil {
-			j = e.randTk(len(e.pending))
-		} else {
-			j = len(e.pending) - 1
-		}
+	for ; m > 0 && len(e.pending) > 0; m-- {
 		last := len(e.pending) - 1
-		e.pending[j], e.pending[last] = e.pending[last], e.pending[j]
-		out = append(out, e.pending[last])
+		j := last
+		if e.pick != nil {
+			j = e.pick(len(e.pending))
+		}
+		buf = append(buf, e.pending[j])
+		e.pending[j] = e.pending[last]
+		e.pending[last] = queued{}
 		e.pending = e.pending[:last]
 	}
-	return out
+	return buf
 }
 
-// requeueAll returns handles to the work-set in one batched call.
-func (e *Executor) requeueAll(hs []int64) {
-	if len(hs) == 0 {
-		return
-	}
-	if e.ws != nil {
-		e.ws.PutAll(hs)
+// requeue appends entries to the work-set.
+func (e *Executor) requeue(qs ...queued) {
+	if len(qs) == 0 {
 		return
 	}
 	e.mu.Lock()
-	e.pending = append(e.pending, hs...)
+	e.pending = append(e.pending, qs...)
 	e.mu.Unlock()
+}
+
+// verdict is the outcome of one settled attempt under the failure
+// taxonomy above.
+type verdict uint8
+
+const (
+	verdictCommit verdict = iota
+	verdictAbort          // lost a speculative race: goes back, no budget spent
+	verdictRetry          // failed with budget left: goes back
+	verdictPoison         // failed with no budget left: quarantined, dropped
+)
+
+// settle grades one finished attempt of q — already rolled back if it
+// did not commit — spends or forgets its failure budget, and tallies it
+// in st. It is the one statement of the taxonomy for the unordered
+// executor: the round, colored and async paths all settle through it and
+// add only what is theirs (held locks, staleness, window accounting).
+func (e *Executor) settle(q queued, err error, budget int, st *RoundStats) verdict {
+	st.Launched++
+	switch {
+	case err == nil:
+		st.Committed++
+		// A previously failed task may have recovered; forget its record.
+		e.clearFailure(q.h)
+		return verdictCommit
+	case errors.Is(err, ErrConflict):
+		st.Aborted++
+		return verdictAbort
+	}
+	st.Failed++
+	if _, poisoned := e.noteFailure(q.h, budget, err.Error()); poisoned {
+		st.Poisoned++
+		return verdictPoison
+	}
+	return verdictRetry
 }
 
 // Round launches up to m pending tasks speculatively and waits for all
@@ -709,134 +707,60 @@ func (e *Executor) requeueAll(hs []int64) {
 // after every task in the round has finished, preserving the model's
 // commit-order semantics.
 //
-// With MaxParallel > 0 the round is executed by the persistent worker
-// pool: the round's index space is cut into chunks and each chunk is one
-// channel send, so per-task scheduling cost is amortized away. With
-// MaxParallel = 0 every task gets its own goroutine (the paper's
-// one-processor-per-task reading).
+// The round is executed by the persistent worker pool: its index space
+// is cut into chunks and each chunk is one channel send, so per-task
+// scheduling cost is amortized away.
 func (e *Executor) Round(m int) RoundStats {
 	if m < 0 {
 		panic("speculation: negative round size")
 	}
-	handles := e.take(m)
-	n := len(handles)
+	s := &e.scratch
+	s.batch = e.take(s.batch, m)
+	n := len(s.batch)
 	if n == 0 {
 		return RoundStats{}
 	}
-
-	// Resolve the round's tasks and pre-assign pooled contexts up front:
-	// workers then touch only round-local slices, never the executor's
-	// shared state or the context pool.
-	e.scratch.grow(n)
-	tasks, ctxs, errs := e.scratch.tasks, e.scratch.ctxs, e.scratch.errs
-	e.tasks.loadBatch(handles, tasks, &e.buckets)
+	s.grow(n)
 	// Reserve the round's attempt IDs with one atomic add; IDs share the
 	// allocator with handles, so both stay globally unique.
-	idBase := e.nextID.Add(int64(n)) - int64(n)
-	run := func(i int) {
-		ctx := ctxs[i]
-		ctx.id = idBase + int64(i)
-		err := runGuarded(tasks[i], ctx)
-		if err != nil {
-			// Roll back while still holding the locks (compensation
-			// is race-free), then release immediately: in the
-			// model, an aborted task does not block its other
-			// neighbors from committing in the same round. Failures
-			// (panics, non-conflict errors) take the same path, so a
-			// panicking task never strands locks or undo state.
-			ctx.rollback()
-			ctx.release()
-		}
-		errs[i] = err
+	s.idBase = e.nextID.Add(int64(n)) - int64(n)
+	if s.run == nil {
+		s.run = s.attempt
 	}
-
-	if e.MaxParallel > 0 {
-		e.ensurePool(e.MaxParallel).dispatch(n, run)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for i := 0; i < n; i++ {
-			go func(i int) {
-				defer wg.Done()
-				run(i)
-			}(i)
-		}
-		wg.Wait()
-	}
+	e.workers(e.MaxParallel).dispatch(n, s.run)
 
 	// Round barrier passed: release the committed tasks' locks (aborted
-	// tasks already released on rollback), then run commit actions
-	// serially and account.
-	for i := 0; i < n; i++ {
-		if errs[i] == nil {
+	// tasks already released on rollback), then settle every attempt.
+	for i, c := range s.ctxs[:n] {
+		if s.errs[i] == nil {
 			// Learning for colored execution happens here, on the round
 			// driver thread before the footprint is cleared: only
 			// committed tasks contribute edges (aborted tasks retry and
 			// are observed when they eventually commit).
 			if e.rec != nil {
-				e.rec.recordCommit(tasks[i], ctxs[i].acquired)
+				e.rec.recordCommit(s.batch[i].t, c.acquired)
 			}
-			ctxs[i].release()
+			c.release()
 		}
 	}
-	stats := RoundStats{Launched: n}
+	var stats RoundStats
 	budget := e.retryBudget()
-	wrap := e.WrapTask
-	var commitActions []func()
-	var requeue, spawnedIDs, poisonHandles []int64
-	e.committed = e.committed[:0]
-	for i := 0; i < n; i++ {
-		if err := errs[i]; err != nil {
-			if errors.Is(err, ErrConflict) {
-				stats.Aborted++
-				requeue = append(requeue, handles[i])
-				continue
-			}
-			// Failure (panic or non-conflict error): the attempt was
-			// already rolled back; spend retry budget or quarantine.
-			stats.Failed++
-			h := handles[i]
-			if _, poisoned := e.noteFailure(h, budget, err.Error()); poisoned {
-				stats.Poisoned++
-				poisonHandles = append(poisonHandles, h)
-				continue
-			}
-			requeue = append(requeue, h)
-			continue
+	for i, q := range s.batch {
+		switch e.settle(q, s.errs[i], budget, &stats) {
+		case verdictCommit:
+			s.spawned = e.admitSpawns(s.ctxs[i], s.spawned, &stats)
+			s.actions = append(s.actions, s.ctxs[i].onCommit...)
+		case verdictAbort, verdictRetry:
+			s.requeue = append(s.requeue, q)
 		}
-		stats.Committed++
-		// A previously failed task may have recovered; forget its record.
-		e.clearFailure(handles[i])
-		e.committed = append(e.committed, handles[i])
-		for _, t := range ctxs[i].spawned {
-			if wrap != nil {
-				t = wrap(t)
-			}
-			id := e.nextID.Add(1) - 1
-			e.tasks.store(id, t)
-			spawnedIDs = append(spawnedIDs, id)
-			stats.Spawned++
-		}
-		commitActions = append(commitActions, ctxs[i].onCommit...)
 	}
-	e.tasks.deleteBatch(e.committed, &e.buckets)
-	if len(poisonHandles) != 0 {
-		// Quarantined tasks leave the task table like commits do, but
-		// are never requeued.
-		e.tasks.deleteBatch(poisonHandles, &e.buckets)
-	}
-	// Aborted handles go back first (they are retries), then the newly
+	// Aborted entries go back first (they are retries), then the newly
 	// spawned work — each as one batched insertion.
-	e.requeueAll(requeue)
-	e.requeueAll(spawnedIDs)
-	for _, ctx := range ctxs[:n] {
-		ctx.scrub()
-	}
-	e.addTotals(int64(stats.Launched), int64(stats.Committed),
-		int64(stats.Aborted), int64(stats.Failed), int64(stats.Poisoned))
-	for _, fn := range commitActions {
-		fn()
-	}
+	e.requeue(s.requeue...)
+	e.requeue(s.spawned...)
+	s.settled(n)
+	e.addTotals(stats)
+	s.runActions()
 	if e.rec != nil {
 		e.rec.roundDone()
 	}

@@ -6,21 +6,23 @@ import (
 	"repro/internal/control"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/workset"
 )
 
+// selectionPolicies are the two work-set selection policies the executor
+// has: the model's uniform draw (a seeded pick) and the built-in LIFO
+// (pick == nil).
+var selectionPolicies = []struct {
+	name string
+	mk   func() *Executor
+}{
+	{"random", func() *Executor { return NewExecutor(rng.New(1).Intn) }},
+	{"lifo", func() *Executor { return NewExecutor(nil) }},
+}
+
 func TestExecutorWithWorksetDrains(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		ws   HandleSet
-	}{
-		{"random", workset.NewRandom(rng.New(1))},
-		{"fifo", workset.NewFIFO()},
-		{"lifo", workset.NewLIFO()},
-		{"chunked", workset.NewChunked(4)},
-	} {
+	for _, tc := range selectionPolicies {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewExecutorWithWorkset(tc.ws)
+			e := tc.mk()
 			it := NewItem(0)
 			for i := 0; i < 50; i++ {
 				e.Add(TaskFunc(func(ctx *Ctx) error { return ctx.Acquire(it) }))
@@ -41,46 +43,41 @@ func TestExecutorWithWorksetDrains(t *testing.T) {
 }
 
 func TestExecutorWithWorksetSpawns(t *testing.T) {
-	e := NewExecutorWithWorkset(workset.NewFIFO())
-	depth := 0
-	var mk func(level int) Task
-	mk = func(level int) Task {
-		return TaskFunc(func(ctx *Ctx) error {
-			if level > depth {
-				depth = level
-			}
-			if level < 5 {
-				ctx.Spawn(mk(level + 1))
-			}
-			return nil
-		})
-	}
-	e.Add(mk(1))
-	for e.Pending() > 0 {
-		e.Round(4)
-	}
-	if depth != 5 {
-		t.Fatalf("spawn chain depth %d, want 5", depth)
+	for _, tc := range selectionPolicies {
+		e := tc.mk()
+		depth := 0
+		var mk func(level int) Task
+		mk = func(level int) Task {
+			return TaskFunc(func(ctx *Ctx) error {
+				if level > depth {
+					depth = level
+				}
+				if level < 5 {
+					ctx.Spawn(mk(level + 1))
+				}
+				return nil
+			})
+		}
+		e.Add(mk(1))
+		for e.Pending() > 0 {
+			e.Round(4)
+		}
+		if depth != 5 {
+			t.Fatalf("%s: spawn chain depth %d, want 5", tc.name, depth)
+		}
 	}
 }
 
 // Selection policy materially changes conflict behavior: on a CC graph
-// made of cliques, FIFO processes clique members back-to-back (high
+// made of cliques, LIFO processes clique members back-to-back (high
 // conflicts) while random selection spreads them out. We verify the
 // policies at least produce valid executions with identical total work.
 func TestWorksetPoliciesOnGraphWorkload(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		ws   HandleSet
-	}{
-		{"random", workset.NewRandom(rng.New(2))},
-		{"fifo", workset.NewFIFO()},
-		{"lifo", workset.NewLIFO()},
-	} {
+	for _, tc := range selectionPolicies {
 		t.Run(tc.name, func(t *testing.T) {
 			g := graph.CliqueUnion(120, 5)
 			wl := NewGraphWorkload(g)
-			e := NewExecutorWithWorkset(tc.ws)
+			e := tc.mk()
 			wl.Populate(e)
 			res := RunAdaptive(e, control.Fixed{Procs: 12}, 100000)
 			if g.NumNodes() != 0 {
