@@ -12,12 +12,12 @@
 //	apprun -app des     -ctrl hybrid       # ordered (§5 future work)
 //	apprun -app all     -ctrl hybrid
 //
-// -parallel sets the executor's persistent worker-pool size (default
+// -parallel sets how many workers execute tasks, in every mode (default
 // NumCPU); -parallel 0 sizes it to GOMAXPROCS.
 //
-// -async drops the round barrier: workers continuously pull tasks
-// through a resizable in-flight semaphore and the controller observes a
-// sliding commit window instead of rounds (async-capable workloads
+// -async drops the round barrier: the -parallel workers claim chunks of
+// tasks against a resizable in-flight limit and the controller observes
+// a sliding commit window instead of rounds (async-capable workloads
 // only; -commit-window fixes the window size, 0 tracks the
 // controller's m).
 //
@@ -53,7 +53,7 @@ func main() {
 	size := flag.Int("size", 1000, "workload size parameter")
 	seed := flag.Uint64("seed", 1, "PRNG seed")
 	par := flag.Int("parallel", runtime.NumCPU(),
-		"worker-pool size (0 = GOMAXPROCS)")
+		"executor workers, round pool and async alike (0 = GOMAXPROCS)")
 	maxRounds := flag.Int("max-rounds", 1<<30, "abandon a run after this many rounds")
 	retries := flag.Int("task-retries", 0,
 		"retry budget for failed tasks (0 = default, negative = no retries)")

@@ -58,7 +58,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "PRNG seed")
 	plot := flag.Bool("plot", false, "render ASCII plots")
 	par := flag.Int("parallel", runtime.NumCPU(),
-		"executor worker-pool size (0 = GOMAXPROCS)")
+		"executor workers, round pool and async alike (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
 		"Monte Carlo estimation workers for the μ bisection probes")
 	async := flag.Bool("async", false,

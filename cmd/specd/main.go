@@ -17,9 +17,9 @@
 // -pprof additionally mounts net/http/pprof under /debug/pprof/.
 //
 // -async makes barrier-free execution the default for jobs whose
-// workload supports it ("cc", "spin", "stable"): workers continuously
-// pull tasks through a resizable in-flight semaphore and the controller
-// is fed by a sliding commit window. -colored makes hybrid
+// workload supports it ("cc", "spin", "stable"): the job's -parallel
+// workers claim chunks of tasks against a resizable in-flight limit and
+// the controller is fed by a sliding commit window. -colored makes hybrid
 // speculative→colored execution the default where supported ("mesh",
 // "cluster", "cc", "stable"): optimistic rounds learn the conflict
 // graph, a coloring of it partitions the tasks into conflict-free
@@ -84,7 +84,7 @@ func main() {
 	queueCap := flag.Int("queue", 64, "bounded job-queue capacity (overflow returns 429)")
 	workers := flag.Int("workers", 2, "concurrent job runners")
 	history := flag.Int("history", 256, "per-job trajectory ring-buffer size")
-	parallel := flag.Int("parallel", 2, "default executor worker-pool size for jobs that do not set one")
+	parallel := flag.Int("parallel", 2, "default executor worker count, in every mode, for jobs that do not set one")
 	maxRounds := flag.Int("max-rounds", 0, "hard per-job round cap (0 = effectively unlimited)")
 	taskRetries := flag.Int("task-retries", 0, "default retry budget for failed tasks (0 = executor default, -1 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight rounds on shutdown")

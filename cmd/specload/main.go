@@ -155,7 +155,7 @@ func main() {
 	fixedM := flag.Int("m", 32, "processor count for -ctrl fixed")
 	size := flag.Int("size", 500, "workload size parameter")
 	seed := flag.Uint64("seed", 1, "base PRNG seed (job i uses seed+i)")
-	parallel := flag.Int("parallel", 0, "per-job executor pool size (0 = server default, -1 = the node's GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "per-job executor workers, in every mode (0 = server default, -1 = the node's GOMAXPROCS)")
 	poll := flag.Duration("poll", 100*time.Millisecond, "status poll interval")
 	timeout := flag.Duration("timeout", 5*time.Minute, "overall deadline")
 	expectReject := flag.Bool("expect-reject", true, "treat 429 rejections as expected backpressure")

@@ -124,7 +124,7 @@ func TestAsyncDefaultMode(t *testing.T) {
 
 // TestAsyncDeadlineCancelsSpinJob: the never-draining spin workload in
 // async mode terminates at its wall-clock deadline — cancellation
-// reaches the in-flight semaphore, not a round barrier.
+// stops the workers' next claim, not a round barrier.
 func TestAsyncDeadlineCancelsSpinJob(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())

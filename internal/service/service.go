@@ -115,8 +115,8 @@ func States() []State {
 }
 
 // JobSpec is the wire-level job description accepted by POST /v1/jobs.
-// Zero values take server defaults; Parallel = -1 sizes the executor's
-// worker pool to the node's GOMAXPROCS instead of the server default.
+// Zero values take server defaults; Parallel = -1 gives the executor the
+// node's GOMAXPROCS workers instead of the server default.
 type JobSpec struct {
 	Workload    string     `json:"workload"`
 	Controller  string     `json:"controller"`
@@ -125,7 +125,7 @@ type JobSpec struct {
 	FixedM      int        `json:"m,omitempty"`            // processor count for "fixed"
 	Size        int        `json:"size,omitempty"`         // workload size (default 1000)
 	Seed        uint64     `json:"seed,omitempty"`         // PRNG seed (default 1)
-	Parallel    int        `json:"parallel,omitempty"`     // worker-pool size; 0 = server default, -1 = GOMAXPROCS
+	Parallel    int        `json:"parallel,omitempty"`     // executor workers, every mode; 0 = server default, -1 = GOMAXPROCS
 	Degree      float64    `json:"degree,omitempty"`       // avg degree for "cc" (default 16)
 	MaxRounds   int        `json:"max_rounds,omitempty"`   // round cap (default server cap)
 	MaxDuration Duration   `json:"max_duration,omitempty"` // wall-clock deadline, checked between rounds (0 = none)
@@ -435,7 +435,7 @@ type Config struct {
 	QueueCap           int // bounded queue capacity (default 64)
 	Workers            int // concurrent job runners (default 2)
 	HistoryCap         int // per-job trajectory ring size (default 256)
-	DefaultParallel    int // executor pool size when spec.Parallel == 0 (default 2)
+	DefaultParallel    int // executor workers when spec.Parallel == 0 (default 2)
 	MaxRounds          int // hard per-job round cap (default 1<<30)
 	MaxSize            int // largest accepted spec.Size (default 1_000_000)
 	DefaultTaskRetries int // retry budget when spec.TaskRetries == 0 (0 = executor default)

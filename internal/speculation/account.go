@@ -45,8 +45,8 @@ func resolveRetryBudget(r int) int {
 	}
 }
 
-// addTotals folds one settled batch (a round, or a single async
-// attempt) into the cumulative counters. Zero fields are skipped so
+// addTotals folds one settled batch (a round, or an async worker's
+// chunk) into the cumulative counters. Zero fields are skipped so
 // single-outcome updates cost two atomic adds.
 func (a *accounting) addTotals(st RoundStats) {
 	add := func(total *atomic.Int64, n int) {

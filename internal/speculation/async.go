@@ -7,10 +7,11 @@ import (
 	"repro/internal/control"
 )
 
-// This file implements the barrier-free execution mode: persistent
-// workers continuously pull, execute, and settle tasks with no global
-// round join. The controller's m becomes a resizable semaphore on
-// in-flight tasks, and the paper's Algorithm 1 recurrences are driven
+// This file implements the barrier-free execution mode: MaxParallel
+// persistent workers claim chunks of the work-set, run them, and settle
+// them with no global round join, visiting the engine's mutex once per
+// chunk. The controller's m is a resizable limit on attempts claimed and
+// not yet settled, and the paper's Algorithm 1 recurrences are driven
 // by a sliding window of recent commit/abort outcomes (a pseudo-round)
 // instead of per-round statistics. It is Drive's ModeAsync: same
 // Options, Sample and Result as the barrier drives (drive.go), over the
@@ -28,48 +29,46 @@ import (
 // actions run serially, in commit order, before the locks release —
 // so a successful Acquire still implies post-commit-action state, as
 // in round mode. One async-specific caveat: a committed task's spawns
-// enter the work-set immediately and may execute before the parent's
-// commit actions run at the boundary; the async-enabled workloads
-// ("cc", "spin") have no such dependence.
+// enter the work-set when its chunk ends and may execute before the
+// parent's commit actions run at the boundary; the async-enabled
+// workloads ("cc", "spin", "stable") have no such dependence.
 
-// DefaultMaxInFlight caps the in-flight semaphore. It matches the hybrid
+// DefaultMaxInFlight caps the in-flight limit. It matches the hybrid
 // controller's default MMax, so the controller, not the cap, is normally
 // the binding limit.
 const DefaultMaxInFlight = 1024
 
-// asyncTakeBatch bounds how many entries a worker pulls from the
-// work-set per refill, amortizing work-set locking without letting one
-// worker hoard the queue.
-const asyncTakeBatch = 8
-
-// asyncOutcome is one settled attempt, carried from the worker's
-// execution to the engine's window accounting.
-type asyncOutcome struct {
-	st      RoundStats // the attempt's tallies: Launched is 1
-	locks   []*Item    // committed task's items, held to the boundary
-	actions []func()   // committed task's deferred commit actions
+// asyncWorker is what one persistent worker owns between two visits to
+// the engine: the chunk it claimed and everything running it produced.
+// Nothing here is shared, so a chunk runs without touching a.mu.
+type asyncWorker struct {
+	chunk   []queued   // claimed entries, run in order
+	back    []queued   // going to the work-set: losers and committed tasks' spawns
+	st      RoundStats // the chunk's tallies; Launched is len(chunk)
+	locks   []*Item    // committed tasks' items, still owned, held to the boundary
+	actions []func()   // committed tasks' deferred commit actions, in commit order
 }
 
 // asyncRun is the engine state for one async drive. One mutex guards
 // everything, the shared drive's result included; two conds separate the
-// waiters: workers wait on cond for a semaphore slot plus work, the
+// waiters: workers wait on cond for in-flight room plus work, the
 // sample-delivery loop waits on sampleCond.
 type asyncRun struct {
-	e      *Executor
-	d      *drive
-	budget int
+	e       *Executor
+	d       *drive
+	budget  int
+	workers int // most worker goroutines the drive may start
 
 	mu         sync.Mutex
-	cond       *sync.Cond // workers: slot and/or work may be available
+	cond       *sync.Cond // workers: room and/or work may be available
 	sampleCond *sync.Cond // observer: samples queued or run stopped
 
 	est      *control.WindowedEstimator
 	adaptive bool // window tracks the in-flight limit
 
-	limit    int      // current in-flight cap (resizable semaphore)
-	inflight int      // attempts currently executing
-	workers  int      // worker goroutines spawned (grows to limit)
-	buf      []queued // entries pulled from the work-set, not yet started
+	limit    int // current in-flight cap, resized at every window boundary
+	inflight int // attempts claimed and not yet settled into the window
+	started  int // worker goroutines started: min(workers, largest limit so far)
 
 	stopped bool // no new work may start
 
@@ -88,17 +87,19 @@ type asyncRun struct {
 }
 
 // driveAsync is Drive's ModeAsync. It must not run concurrently with
-// Round or another drive on the same executor (the round scratch and
-// selection state are single-driver, like Round itself); Add and the
-// statistics accessors remain safe to call concurrently.
+// Round or another drive on the same executor; Add and the statistics
+// accessors remain safe to call concurrently.
 //
-// MaxParallel is ignored: concurrency is the controller's in-flight
-// limit, served by lazily spawned workers (one per unit of limit).
+// The controller's m is an allocation — how many attempts may be claimed
+// and unsettled at once — not a thread count: MaxParallel workers (the
+// pool-size rule of round mode) serve whatever m is, each claiming a
+// chunk of it at a time.
 func (e *Executor) driveAsync(d *drive) {
 	a := &asyncRun{
 		e:        e,
 		d:        d,
 		budget:   e.retryBudget(),
+		workers:  poolSize(e.MaxParallel),
 		adaptive: d.opts.Window <= 0,
 		est:      control.NewWindowedEstimator(d.opts.Window),
 	}
@@ -109,10 +110,10 @@ func (e *Executor) driveAsync(d *drive) {
 	a.setLimitLocked(d.ctrl.M())
 	a.mu.Unlock()
 
-	// A cancellation stops new work immediately; in-flight attempts
-	// settle normally (they hold item locks that must be released through
-	// the usual paths). A callback that fires late finds the run stopped
-	// and does nothing.
+	// A cancellation stops new claims immediately; claimed chunks run and
+	// settle normally (their commits hold item locks that must be released
+	// through the usual paths). A callback that fires late finds the run
+	// stopped and does nothing.
 	unwatch := context.AfterFunc(d.ctx, func() {
 		a.mu.Lock()
 		if !a.stopped {
@@ -121,7 +122,7 @@ func (e *Executor) driveAsync(d *drive) {
 		a.mu.Unlock()
 	})
 	a.deliver() // returns once stopped and the sample queue is drained
-	a.wg.Wait() // workers have settled every in-flight attempt
+	a.wg.Wait() // workers have settled every claimed chunk
 	unwatch()
 
 	// Final partial window: round mode observes its last (partial)
@@ -145,10 +146,10 @@ func (e *Executor) driveAsync(d *drive) {
 	a.publish(tail)
 }
 
-// setLimitLocked resizes the in-flight semaphore to the controller's
+// setLimitLocked resizes the in-flight limit to the controller's
 // request, clamped to [1, DefaultMaxInFlight], resizes the adaptive
-// window, and lazily spawns workers up to the new limit. Callers hold
-// a.mu.
+// window, and starts workers while there are fewer than
+// min(workers, limit). Callers hold a.mu.
 func (a *asyncRun) setLimitLocked(m int) {
 	m = control.Clamp(m, 1, DefaultMaxInFlight)
 	grew := m > a.limit
@@ -156,150 +157,149 @@ func (a *asyncRun) setLimitLocked(m int) {
 	if a.adaptive {
 		a.est.SetWindow(m)
 	}
-	for a.workers < a.limit {
-		a.workers++
+	for a.started < min(a.workers, a.limit) {
+		a.started++
 		a.wg.Add(1)
 		go a.worker()
 	}
 	if grew {
-		// Raised limit frees semaphore slots: every parked worker must
-		// recheck, not just one.
+		// A raised limit makes room: every parked worker must recheck,
+		// not just one.
 		a.cond.Broadcast()
 	}
 }
 
-// worker continuously claims a semaphore slot plus a work-set entry and
-// executes it. Workers exit when the run stops or the work drains.
+// worker loops claim → run → complete until the run stops or the work
+// drains. It visits the engine once per chunk: the finished chunk is
+// folded and the next one claimed under one hold of a.mu.
 func (a *asyncRun) worker() {
 	defer a.wg.Done()
-	for {
-		q, ok := a.next()
-		if !ok {
-			return
-		}
-		a.runTask(q)
+	var w asyncWorker
+	c := ctxPool.Get().(*Ctx)
+	defer ctxPool.Put(c) // scrubbed after its last attempt
+	a.mu.Lock()
+	for a.claimLocked(&w) {
+		a.mu.Unlock()
+		a.runChunk(&w, c)
+		a.mu.Lock()
+		a.completeLocked(&w)
 	}
+	a.mu.Unlock()
 }
 
-// next blocks until the run stops (ok=false) or a semaphore slot and an
-// entry are both available. Drain detection: nothing buffered,
-// nothing in the work-set, nothing in flight that could requeue work.
-func (a *asyncRun) next() (queued, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for {
-		if a.stopped {
-			return queued{}, false
-		}
-		if a.inflight < a.limit {
-			if len(a.buf) == 0 {
-				want := a.limit - a.inflight
-				if want > asyncTakeBatch {
-					want = asyncTakeBatch
-				}
-				a.buf = a.e.take(a.buf, want)
-			}
-			if last := len(a.buf) - 1; last >= 0 {
-				q := a.buf[last]
-				a.buf[last] = queued{}
-				a.buf = a.buf[:last]
-				a.inflight++
-				if len(a.buf) > 0 && a.inflight < a.limit {
-					// More buffered work and a free slot: chain the wakeup
-					// so one completion signal fans out to all the work it
-					// uncovered.
+// claimLocked blocks until the run stops (false) or it has drawn a chunk
+// into w and counted it in flight, so claimed-but-unsettled never exceeds
+// the limit. A chunk is ⌈limit / 4·workers⌉ entries, bounded by maxChunk
+// and the room left: large enough that a.mu is taken a few times per
+// window rather than per attempt, small enough that what a worker holds
+// unsettled — its chunk's commits keep their locks until it next gets
+// a.mu — stays a small part of the window (EXPERIMENTS.md has the sweep).
+// With MaxParallel ≥ m it is one entry, i.e. one goroutine per unit of m,
+// and blocking operators overlap m-fold. Drain detection: nothing in the
+// work-set and nothing in flight that could requeue work. Callers hold
+// a.mu.
+func (a *asyncRun) claimLocked(w *asyncWorker) bool {
+	for !a.stopped {
+		if room := a.limit - a.inflight; room > 0 {
+			chunk := (a.limit + 4*a.workers - 1) / (4 * a.workers)
+			w.chunk = a.e.take(w.chunk, min(room, chunk, maxChunk))
+			if n := len(w.chunk); n > 0 {
+				a.inflight += n
+				if n < room {
+					// Room is left and there may be work for it: chain the
+					// wakeup, so the one worker whose completion made the
+					// room does not have to fill it alone.
 					a.cond.Signal()
 				}
-				return q, true
+				return true
 			}
 			if a.inflight == 0 {
 				a.finishLocked(false)
-				return queued{}, false
+				return false
 			}
 		}
 		a.cond.Wait()
 	}
+	return false
 }
 
 // finishLocked stops the run: parked workers and the delivery loop are
-// released, and claimed-but-unstarted entries go back to the work-set
-// so the executor's pending state is consistent. Callers hold a.mu.
+// released. Claimed chunks still run and settle. Callers hold a.mu.
 func (a *asyncRun) finishLocked(canceled bool) {
 	a.stopped = true
 	a.d.res.Canceled = a.d.res.Canceled || canceled
-	a.e.requeue(a.buf...)
-	a.buf = nil
 	a.cond.Broadcast()
 	a.sampleCond.Broadcast()
 }
 
-// runTask executes one attempt of q and settles it through the shared
-// failure taxonomy; what is async's own is where a commit's locks and
-// actions go, and that its spawns enter the work-set at once.
-func (a *asyncRun) runTask(q queued) {
+// runChunk executes one attempt of every claimed entry on the worker's
+// context and settles each through the shared failure taxonomy. What is
+// async's own: a commit's locks stay held and its actions wait for the
+// window boundary (see the file comment) — held under the attempt's own
+// ID, so a later task of the same chunk loses to it like anyone else —
+// while its spawns go back to the work-set with the chunk's losers,
+// ahead of the boundary.
+func (a *asyncRun) runChunk(w *asyncWorker, c *Ctx) {
 	e := a.e
-	ctx := ctxPool.Get().(*Ctx)
-	ctx.id = e.nextID.Add(1) - 1
-	err := attempt(q.t, ctx)
-	var out asyncOutcome
-	switch e.settle(q, err, a.budget, &out.st) {
-	case verdictCommit:
-		// The item locks stay held and the commit actions wait for the
-		// window boundary (see the file comment). The lock and action
-		// slices are copied out so the Ctx can be scrubbed and pooled.
-		if len(ctx.acquired) > 0 {
-			out.locks = append([]*Item(nil), ctx.acquired...)
-			ctx.acquired = ctx.acquired[:0]
+	n := int64(len(w.chunk))
+	base := e.nextID.Add(n) - n
+	for i, q := range w.chunk {
+		c.id = base + int64(i)
+		switch e.settle(q, attempt(q.t, c), a.budget, &w.st) {
+		case verdictCommit:
+			w.locks = append(w.locks, c.acquired...)
+			w.actions = append(w.actions, c.onCommit...)
+			w.back = e.admitSpawns(c, w.back, &w.st)
+		case verdictAbort, verdictRetry:
+			w.back = append(w.back, q)
 		}
-		if len(ctx.onCommit) > 0 {
-			out.actions = append([]func(){}, ctx.onCommit...)
-		}
-		e.requeue(e.admitSpawns(ctx, nil, &out.st)...)
-	case verdictAbort, verdictRetry:
-		e.requeue(q)
+		c.scrub()
 	}
-	e.addTotals(out.st)
-	ctx.scrub()
-	ctxPool.Put(ctx)
-	a.complete(out)
+	e.requeue(w.back...)
+	e.addTotals(w.st)
+	w.chunk = emptied(w.chunk)
+	w.back = emptied(w.back)
 }
 
-// complete settles one attempt's outcome into the open window,
-// closing it — and observing the controller — at window boundaries.
-func (a *asyncRun) complete(out asyncOutcome) {
-	a.mu.Lock()
-	a.inflight--
-	a.win.add(out.st)
+// completeLocked folds w's finished chunk into the open window, closing
+// it — and observing the controller — at window boundaries. Callers hold
+// a.mu.
+func (a *asyncRun) completeLocked(w *asyncWorker) {
+	st := w.st
+	w.st = RoundStats{}
+	a.inflight -= st.Launched
+	a.win.add(st)
+	a.commits += int64(st.Committed)
+	a.held = append(a.held, w.locks...)
+	a.actions = append(a.actions, w.actions...)
+	w.locks = emptied(w.locks)
+	w.actions = emptied(w.actions)
 	// Failures never reach the estimator: an injected panic is not
 	// contention (same exclusion as RoundStats.ConflictRatio), and a
 	// quarantined task must not depress the windowed ratio either.
-	switch {
-	case out.st.Committed > 0:
-		a.commits++
-		a.held = append(a.held, out.locks...)
-		a.actions = append(a.actions, out.actions...)
+	for i := 0; i < st.Committed; i++ {
 		a.est.ObserveCommit()
-	case out.st.Aborted > 0:
+	}
+	for i := 0; i < st.Aborted; i++ {
 		a.est.ObserveAbort()
 	}
-	if !a.stopped {
-		if a.est.Ready() && a.win.Committed > 0 {
-			// A window closes on a commit, never on aborts alone. A round
-			// always commits something (the first task in commit order has
-			// nobody to lose to); m straight aborts here mean the holder is
-			// an attempt still in flight — typically done with its task
-			// and queued on a.mu to settle — and the losers, whose bodies
-			// can be a few hundred nanoseconds, retried and lost again.
-			// Closing on them would feed the controller thousands of
-			// zero-commit samples per millisecond of the holder's wait.
-			a.flushSampleLocked()
-		}
-		if a.d.capped(a.commits) {
-			a.finishLocked(false)
-		}
+	if a.stopped {
+		return
 	}
-	a.cond.Signal()
-	a.mu.Unlock()
+	if a.est.Ready() && a.win.Committed > 0 {
+		// A window closes on a commit, never on aborts alone. A round
+		// always commits something (the first task in commit order has
+		// nobody to lose to); m straight aborts here mean the holder is
+		// an attempt still in flight — done with its task, its chunk not
+		// yet settled — and the losers, whose bodies can be a few hundred
+		// nanoseconds, retried and lost again. Closing on them would feed
+		// the controller thousands of zero-commit samples per millisecond
+		// of the holder's wait.
+		a.flushSampleLocked()
+	}
+	if a.d.capped(a.commits) {
+		a.finishLocked(false)
+	}
 }
 
 // settleWindowLocked ends the pseudo-round: the window's deferred
@@ -321,7 +321,7 @@ func (a *asyncRun) settleWindowLocked() {
 
 // flushSampleLocked closes the current window — the async form of the
 // loop body in drive.step: deferred commits settle, the controller
-// observes the window's conflict ratio, the semaphore resizes to the
+// observes the window's conflict ratio, the in-flight limit resizes to the
 // controller's new m, and the sample is queued for ordered delivery.
 // Callers hold a.mu, which is also what makes the workers one driver as
 // far as the controller is concerned.
@@ -341,13 +341,15 @@ func (a *asyncRun) flushSampleLocked() {
 // empty; any sample flushed after that (the final partial window) is
 // published by driveAsync itself.
 func (a *asyncRun) deliver() {
+	var batch []Sample
 	for {
 		a.mu.Lock()
 		for len(a.queue) == 0 && !a.stopped {
 			a.sampleCond.Wait()
 		}
-		batch := a.queue
-		a.queue = nil
+		// The delivered batch becomes the next queue: two buffers, no
+		// allocation per window.
+		batch, a.queue = a.queue, batch[:0]
 		stopped := a.stopped
 		a.mu.Unlock()
 		a.publish(batch)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,11 +83,12 @@ func TestRunAsyncGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestRunAsyncCancel: cancellation at the in-flight semaphore stops
-// new launches promptly; in-flight tasks settle, nothing is lost, and
-// the run reports Canceled.
+// TestRunAsyncCancel: cancellation with the in-flight limit reached
+// stops new claims promptly; in-flight tasks settle, nothing is lost,
+// and the run reports Canceled.
 func TestRunAsyncCancel(t *testing.T) {
 	e := NewExecutor(nil)
+	e.MaxParallel = 4 // the four blocked tasks must overlap: one worker per unit of m
 	var started atomic.Int64
 	release := make(chan struct{})
 	const n = 200
@@ -151,8 +153,8 @@ func TestRunAsyncMaxCommits(t *testing.T) {
 	}
 }
 
-// TestRunAsyncLimitRespected: the resizable semaphore never admits
-// more than the controller's m tasks concurrently.
+// TestRunAsyncLimitRespected: the in-flight limit never admits more than
+// the controller's m tasks concurrently, however many workers there are.
 func TestRunAsyncLimitRespected(t *testing.T) {
 	e := NewExecutor(nil)
 	var cur, peak atomic.Int64
@@ -171,6 +173,7 @@ func TestRunAsyncLimitRespected(t *testing.T) {
 		}))
 	}
 	const m = 5
+	e.MaxParallel = 8 // more workers than m, so the limit is what binds
 	driveAll(context.Background(), e, control.Fixed{Procs: m}, Options{Mode: ModeAsync})
 	if p := peak.Load(); p > m {
 		t.Fatalf("observed %d concurrent tasks, limit %d", p, m)
@@ -269,5 +272,150 @@ func TestRunAsyncSpawn(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("%d pending after spawn drain", e.Pending())
+	}
+}
+
+// TestRunAsyncChunkedLimit: m is an allocation, not a thread count. Two
+// workers serve a limit of 16 in chunks of two: never more than two
+// attempts execute at once, never more than 16 entries are out of the
+// work-set unsettled, a commit bound overshoots by less than the limit,
+// and the drive starts min(MaxParallel, limit) goroutines however large
+// m is.
+func TestRunAsyncChunkedLimit(t *testing.T) {
+	const n, limit, bound = 500, 16, 100
+	e := NewExecutor(nil)
+	defer e.Close()
+	e.MaxParallel = 2
+	before := runtime.NumGoroutine()
+	var running, peakRunning, peakClaimed, peakGoroutines atomic.Int64
+	raise := func(peak *atomic.Int64, v int64) {
+		for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
+		}
+	}
+	for i := 0; i < n; i++ {
+		e.Add(TaskFunc(func(*Ctx) error {
+			raise(&peakRunning, running.Add(1))
+			// Every task commits, so what is neither pending nor counted as
+			// committed has been claimed and not settled (this task included).
+			raise(&peakClaimed, n-int64(e.Pending())-e.TotalCommitted())
+			raise(&peakGoroutines, int64(runtime.NumGoroutine()))
+			runtime.Gosched()
+			running.Add(-1)
+			return nil
+		}))
+	}
+	res := driveAll(context.Background(), e, control.Fixed{Procs: limit}, Options{Mode: ModeAsync, MaxCommits: bound})
+	if p := peakRunning.Load(); p > 2 {
+		t.Errorf("%d attempts executed at once on 2 workers", p)
+	}
+	if p := peakClaimed.Load(); p < 1 || p > limit {
+		t.Errorf("%d entries claimed and unsettled, limit %d", p, limit)
+	}
+	for _, s := range res.Trajectory {
+		if s.InFlight > limit {
+			t.Errorf("sample %d closed with %d in flight, limit %d", s.Index, s.InFlight, limit)
+		}
+	}
+	if res.Committed < bound || res.Committed >= bound+limit {
+		t.Errorf("committed %d, want [%d, %d)", res.Committed, bound, bound+limit)
+	}
+	if res.Committed+int64(e.Pending()) != n {
+		t.Errorf("lost tasks: %d committed, %d pending of %d", res.Committed, e.Pending(), n)
+	}
+	if p := peakGoroutines.Load(); p > int64(before)+2 {
+		t.Errorf("%d goroutines during the drive, %d before it: more than 2 workers", p, before)
+	}
+
+	// The worker count follows the limit only up to MaxParallel. (The
+	// first drive's workers are done, but may not have exited yet.)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	peakGoroutines.Store(0)
+	driveAll(context.Background(), e, control.Fixed{Procs: DefaultMaxInFlight}, Options{Mode: ModeAsync})
+	if p := peakGoroutines.Load(); p > int64(before)+2 || e.Pending() != 0 {
+		t.Errorf("m=%d: %d goroutines (%d before the drive), %d pending", DefaultMaxInFlight, p, before, e.Pending())
+	}
+}
+
+// TestRunAsyncWindowHoldsChunkLocks: a chunk's commits keep their locks
+// under their own attempt IDs, so the next task of the same chunk loses
+// to them like any other, and nothing is released — and no action runs —
+// before the window boundary. One worker, so the schedule is exact:
+// with m = 8 a chunk is two entries and the first window of four is
+// [a commits, b aborts] [b aborts, c commits].
+func TestRunAsyncWindowHoldsChunkLocks(t *testing.T) {
+	e := NewExecutor(nil)
+	defer e.Close()
+	e.MaxParallel = 1
+	x, y, z := NewItem(1), NewItem(2), NewItem(3)
+	var commitOrder, actionOrder []string
+	heldInAction := map[string]bool{}
+	task := func(name string, it *Item, alsoHeld ...*Item) Task {
+		return TaskFunc(func(ctx *Ctx) error {
+			if err := ctx.Acquire(it); err != nil {
+				return err
+			}
+			commitOrder = append(commitOrder, name)
+			ctx.OnCommit(func() {
+				actionOrder = append(actionOrder, name)
+				held := it.Owner() != noOwner
+				for _, o := range alsoHeld {
+					held = held && o.Owner() != noOwner
+				}
+				heldInAction[name] = held
+			})
+			return nil
+		})
+	}
+	// Taken from the tail: a and b share x and make up the first chunk.
+	e.Add(task("d", z))
+	e.Add(task("c", y))
+	e.Add(task("b", x))
+	e.Add(task("a", x, y)) // its action runs first in the window: c's lock must still be held too
+	res := driveAll(context.Background(), e, control.Fixed{Procs: 8}, Options{Mode: ModeAsync, Window: 4})
+	if res.Committed != 4 || res.Aborted != 2 || e.Pending() != 0 {
+		t.Fatalf("committed %d aborted %d pending %d, want 4/2/0: b must lose to a twice, in a's chunk and in the next",
+			res.Committed, res.Aborted, e.Pending())
+	}
+	if first := res.Trajectory[0]; first.Launched != 4 || first.Committed != 2 || first.Aborted != 2 || first.R != 0.5 {
+		t.Fatalf("first window %+v, want 4 launched, a and c committed, b aborted twice", first)
+	}
+	if !slices.Equal(commitOrder, []string{"a", "c", "b", "d"}) || !slices.Equal(actionOrder, commitOrder) {
+		t.Fatalf("commit order %v, action order %v, want a c b d for both", commitOrder, actionOrder)
+	}
+	for _, name := range commitOrder {
+		if !heldInAction[name] {
+			t.Errorf("%s's items were released before its commit action ran", name)
+		}
+	}
+	for _, it := range []*Item{x, y, z} {
+		if it.Owner() != noOwner {
+			t.Errorf("item %d still owned after the drive", it.Seq)
+		}
+	}
+}
+
+// TestRunAsyncAllocationsIndependentOfLength: workers run chunks on
+// buffers they own and fold them into buffers the engine owns, so a
+// drive of ten times the commits allocates what the short one does (the
+// goroutines, the buffers' growth) — nothing per attempt, per commit or
+// per window.
+func TestRunAsyncAllocationsIndependentOfLength(t *testing.T) {
+	const chains = 64
+	allocs := func(repeats int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			e, _, total := buildStableFixture(graph.Grid2D(8, 8), repeats, 2, 7)
+			Drive(context.Background(), e, testHybrid(0.25), Options{Mode: ModeAsync, OnRound: func(Sample) {}})
+			e.Close()
+			if total.Load() != int64(chains*repeats) {
+				t.Fatalf("committed %d chain steps, want %d", total.Load(), chains*repeats)
+			}
+		})
+	}
+	short, long := allocs(20), allocs(200)
+	t.Logf("allocations: %v for %d commits, %v for %d", short, chains*20, long, chains*200)
+	if long > short+64 {
+		t.Fatalf("%v allocations for %d commits, %v for %d: the drive allocates per commit", long, chains*200, short, chains*20)
 	}
 }

@@ -158,6 +158,7 @@ func BenchmarkExecutorAsync(b *testing.B) {
 	})
 	b.Run("straggler/async", func(b *testing.B) {
 		e := NewExecutor(nil)
+		e.MaxParallel = stragglerM
 		benchStragglerTasks(e, b.N)
 		b.ResetTimer()
 		Drive(context.Background(), e, control.Fixed{Procs: stragglerM}, Options{Mode: ModeAsync})

@@ -31,8 +31,9 @@ const (
 	// ModeRound launches m tasks, joins them at a barrier, observes r.
 	// It is also what the zero Mode means.
 	ModeRound Mode = "round"
-	// ModeAsync runs barrier-free: m is an in-flight limit and r comes
-	// from a sliding window of settled outcomes.
+	// ModeAsync runs barrier-free: m is an in-flight limit, served by
+	// MaxParallel workers, and r comes from a sliding window of settled
+	// outcomes.
 	ModeAsync Mode = "async"
 	// ModeColored learns the conflict graph in ordinary rounds, then runs
 	// conflict-free color classes lock-free until staleness trips.
@@ -56,7 +57,8 @@ type Options struct {
 	MaxSamples int
 	// MaxCommits stops the drive once this many tasks have committed,
 	// checked where samples close (0 = run to drain). Async attempts
-	// already in flight still settle, so the total may overshoot.
+	// already claimed still settle, so the total may overshoot, by less
+	// than the in-flight limit.
 	MaxCommits int64
 	// Window is the async window size in settled outcomes. 0 tracks the
 	// in-flight limit, so a window aggregates about as many outcomes as

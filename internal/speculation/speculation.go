@@ -390,16 +390,22 @@ func (p *workerPool) dispatch(n int, run func(i int)) {
 // the first round, rebuilt when MaxParallel changes between rounds.
 type pooled struct{ pool *workerPool }
 
-// workers returns a pool of maxParallel workers — of
-// runtime.GOMAXPROCS(0) when maxParallel <= 0 — replacing a stale-sized
-// one. Called only from Round (single caller at a time).
-func (p *pooled) workers(maxParallel int) *workerPool {
+// poolSize resolves a MaxParallel setting to a worker count: 0 or less
+// selects runtime.GOMAXPROCS(0).
+func poolSize(maxParallel int) int {
 	if maxParallel <= 0 {
-		maxParallel = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
-	if p.pool == nil || p.pool.size != maxParallel {
+	return maxParallel
+}
+
+// workers returns a pool of poolSize(maxParallel) workers, replacing a
+// stale-sized one. Called only from Round (single caller at a time).
+func (p *pooled) workers(maxParallel int) *workerPool {
+	size := poolSize(maxParallel)
+	if p.pool == nil || p.pool.size != size {
 		p.closePool()
-		p.pool = newWorkerPool(maxParallel)
+		p.pool = newWorkerPool(size)
 	}
 	return p.pool
 }
@@ -435,10 +441,13 @@ type Executor struct {
 	// are promoted onto Executor.
 	accounting
 
-	// MaxParallel sets the size of the persistent worker pool serving
-	// rounds; 0 or less selects runtime.GOMAXPROCS(0) workers. It bounds
-	// how many attempts execute at once, not the round's conflict ratio:
-	// locks are held to the barrier whatever the pool size.
+	// MaxParallel sets how many workers serve a drive — the persistent
+	// pool behind rounds, the worker goroutines of an async drive; 0 or
+	// less selects runtime.GOMAXPROCS(0). It bounds how many attempts
+	// execute at once, not a round's conflict ratio: locks are held to
+	// the barrier whatever the pool size. An async drive whose operators
+	// block wants MaxParallel ≥ m, which gives every unit of m its own
+	// goroutine.
 	MaxParallel int
 
 	// TaskRetries is the per-task failure budget: a task whose attempt

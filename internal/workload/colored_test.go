@@ -3,7 +3,6 @@ package workload
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/speculation"
 )
@@ -48,12 +47,10 @@ func TestDrainColoredUnsupported(t *testing.T) {
 }
 
 // driveColored drains the named workload in colored mode and returns
-// the colored result plus the steady-state colored commits/sec —
-// commits made in colored rounds over the wall-clock time those rounds
-// took (round boundaries timestamped via OnRound). Zero if the drive
-// never ran a colored round. undeclared adds one keyed task that cannot
+// the colored result plus the number of attempts its colored
+// super-rounds launched. undeclared adds one keyed task that cannot
 // declare a footprint, which keeps the whole drive on the learning path.
-func driveColored(t *testing.T, name string, p Params, undeclared bool) (*Run, *speculation.ColoredResult, float64) {
+func driveColored(t *testing.T, name string, p Params, undeclared bool) (*Run, *speculation.ColoredResult, int64) {
 	t.Helper()
 	run, err := New(name, p)
 	if err != nil {
@@ -67,17 +64,12 @@ func driveColored(t *testing.T, name string, p Params, undeclared bool) (*Run, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	var coloredSecs float64
-	var coloredCommits int64
-	last := time.Now()
+	var coloredLaunched int64
 	_, cres, err := DrainColored(context.Background(), run.Stepper, c, speculation.ColoredOptions{
 		OnRound: func(cr speculation.ColoredRound) {
-			now := time.Now()
 			if cr.Colored {
-				coloredSecs += now.Sub(last).Seconds()
-				coloredCommits += int64(cr.Committed)
+				coloredLaunched += int64(cr.Launched)
 			}
-			last = now
 		},
 	})
 	if err != nil {
@@ -86,11 +78,7 @@ func driveColored(t *testing.T, name string, p Params, undeclared bool) (*Run, *
 	if run.Stepper.Pending() != 0 {
 		t.Fatalf("colored drive left %d pending", run.Stepper.Pending())
 	}
-	rate := 0.0
-	if coloredSecs > 0 {
-		rate = float64(coloredCommits) / coloredSecs
-	}
-	return run, cres, rate
+	return run, cres, coloredLaunched
 }
 
 // TestColoredEquivalence is the colored-mode acceptance run wired into
@@ -99,23 +87,24 @@ func driveColored(t *testing.T, name string, p Params, undeclared bool) (*Run, *
 // the drive never speculates — every commit is a colored one. Learned
 // (one task that cannot declare keeps the drive on the learning path):
 // it must reach the colored phase and commit the bulk of the work there.
-// Either way the colored rounds abort nothing, the workload oracle holds
-// exactly, and the colored phase is not slower than the barrier-free
-// async drive of the same workload — colored rounds eliminate the
-// aborted work and per-task lock traffic async still pays.
+// Either way the workload oracle holds exactly and the colored rounds
+// eliminate the aborted work the barrier-free async drive of the same
+// workload still pays: a colored super-round launches exactly one
+// attempt per commit, the async drive, held at ρ = 0.25 by the same
+// controller, well over one. (Which of the two is faster is the
+// BenchmarkExecutorColored rows' question, not a 5 ms run's.)
 func TestColoredEquivalence(t *testing.T) {
 	p := Params{Size: 600, Seed: 11, Parallel: 4}
 
-	coloredRate := map[bool]float64{} // by source: learned, declared
 	for _, learned := range []bool{true, false} {
-		run, cres, rate := driveColored(t, "stable", p, learned)
+		run, cres, coloredLaunched := driveColored(t, "stable", p, learned)
 		defer run.Stepper.Close()
-		coloredRate[learned] = rate
 		if cres.Fallbacks != 0 || cres.Degraded {
 			t.Fatalf("learned=%v: stable workload tripped staleness or degraded: %+v", learned, cres)
 		}
-		if cres.ColoredAborts != 0 || cres.ColoredConflictRatio() != 0 {
-			t.Fatalf("learned=%v: colored rounds aborted %d tasks on a stable-conflict workload", learned, cres.ColoredAborts)
+		if cres.ColoredAborts != 0 || cres.ColoredConflictRatio() != 0 || cres.ColoredCommits != coloredLaunched {
+			t.Fatalf("learned=%v: colored rounds launched %d attempts for %d commits (%d aborts) on a stable-conflict workload",
+				learned, coloredLaunched, cres.ColoredCommits, cres.ColoredAborts)
 		}
 		switch {
 		case learned && (cres.Colorings == 0 || cres.SpecRounds == 0):
@@ -134,29 +123,24 @@ func TestColoredEquivalence(t *testing.T) {
 		}
 	}
 
-	// Steady-state throughput floor against async on identical params.
-	// The benchmark (BenchmarkExecutorColored) records ≥2× on stable
-	// workloads; here a plain ≥ keeps CI robust to scheduling noise.
+	// The async drive of identical params: same commits, more launches.
 	asyncRun, err := New("stable", p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer asyncRun.Stepper.Close()
 	c, _ := NewController("hybrid", ControllerParams{Rho: 0.25})
-	start := time.Now()
 	if _, err := DrainAsync(context.Background(), asyncRun.Stepper, c, speculation.AsyncOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	asyncSecs := time.Since(start).Seconds()
-	if asyncRun.Stepper.Pending() != 0 {
-		t.Fatalf("async drive left %d pending", asyncRun.Stepper.Pending())
+	snap := asyncRun.Stepper.Snapshot()
+	if snap.Pending != 0 {
+		t.Fatalf("async drive left %d pending", snap.Pending)
 	}
-	asyncRate := float64(asyncRun.Stepper.Snapshot().Committed) / asyncSecs
-	for learned, rate := range coloredRate {
-		if rate < asyncRate {
-			t.Errorf("learned=%v: colored steady-state commits/sec %.0f below async %.0f on the stable-conflict workload",
-				learned, rate, asyncRate)
-		}
+	perCommit := float64(snap.Launched) / float64(snap.Committed)
+	t.Logf("async launched %d attempts for %d commits (%.2f per commit)", snap.Launched, snap.Committed, perCommit)
+	if perCommit <= 1.2 {
+		t.Errorf("async drive launched %.2f attempts per commit, want > 1.2: the contrast colored mode is measured against is gone", perCommit)
 	}
 }
 

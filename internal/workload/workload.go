@@ -39,8 +39,8 @@ type Params struct {
 	Size int
 	// Seed seeds every stochastic choice of the run.
 	Seed uint64
-	// Parallel is the executor worker-pool size (0 or less = GOMAXPROCS
-	// workers).
+	// Parallel is the executor's worker count — the pool behind rounds,
+	// the workers of an async drive (0 or less = GOMAXPROCS workers).
 	Parallel int
 	// Degree is the average degree of the synthetic "cc" workload's
 	// random graph (0 = 16). Ignored by the application workloads.
