@@ -114,7 +114,7 @@ bench:
 
 # bench-sim reproduces the simulation- and executor-layer benchmarks
 # (CSR vs mutable-graph greedy-MIS kernels, the mutable graph's
-# build-and-drain, serial vs parallel conflict-ratio estimators,
+# build-and-drain, the CSR Monte Carlo engine at 1/2/4/8 workers,
 # round-barrier vs barrier-free execution on the straggler workload,
 # round vs async vs colored execution on stable-conflict topologies,
 # learned and declared, and the declare phase against the round-mode
@@ -122,7 +122,7 @@ bench:
 # $(BENCH_SIM_OUT).
 bench-sim:
 	$(GO) test ./internal/graph/ ./internal/sched/ ./internal/speculation/ -run NONE \
-		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMC|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkDeclaredGraph' \
+		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkDeclaredGraph' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		| $(GO) run ./cmd/benchfmt > $(BENCH_SIM_OUT)
 	@cat $(BENCH_SIM_OUT)

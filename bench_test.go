@@ -46,10 +46,11 @@ func BenchmarkFig1ModelRound(b *testing.B) {
 func benchFig2Point(b *testing.B, g *graph.Graph, seed uint64) {
 	r := rng.New(seed)
 	m := g.NumNodes() / 4
+	est := sched.NewEstimator(g, 1)
 	last := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last = sched.ConflictRatioMC(g, r, m, 50)
+		last = est.ConflictRatio(r, m, 50)
 	}
 	b.ReportMetric(last, "conflict-ratio")
 }
@@ -80,7 +81,7 @@ func BenchmarkFig2WorstCaseBound(b *testing.B) {
 func benchController(b *testing.B, mk func() control.Controller) {
 	r := rng.New(5)
 	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	mu := control.TargetM(g, r.Split(), 0.20, 400)
+	mu := control.TargetM(g, r.Split(), 0.20, 400, 1)
 	conv := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -187,29 +188,16 @@ func BenchmarkPhaseTracking(b *testing.B) {
 	recovery := 0.0
 	for i := 0; i < b.N; i++ {
 		r := rng.New(uint64(7 + i))
-		ps := profile.NewPhaseShifter(r, []profile.PhaseSpec{
-			{Rounds: 50, N: 2000, Degree: 64},
-			{Rounds: 100, N: 2000, Degree: 4},
-		})
 		h := control.NewHybrid(control.DefaultHybridConfig(0.20))
 		var mAfterJump []int
-		for !ps.Done() {
-			g := ps.Graph()
-			m := h.M()
-			mm := m
-			if n := g.NumNodes(); mm > n {
-				mm = n
+		for phase, spec := range []profile.PhaseSpec{
+			{Rounds: 50, N: 2000, Degree: 64},
+			{Rounds: 100, N: 2000, Degree: 4},
+		} {
+			g := graph.RandomWithAvgDegree(r, spec.N, spec.Degree)
+			if tr := control.RunLoopStatic(g, r, h, spec.Rounds); phase == 1 {
+				mAfterJump = tr.M
 			}
-			ratio := 0.0
-			if mm > 0 {
-				order := g.SampleNodes(r, mm)
-				ratio = float64(mm-graph.GreedyMISSize(g, order)) / float64(mm)
-			}
-			h.Observe(ratio)
-			if ps.Phase() == 1 {
-				mAfterJump = append(mAfterJump, m)
-			}
-			ps.Tick()
 		}
 		// Rounds after the jump until m exceeds 5× the scarce-phase level.
 		recovery = float64(len(mAfterJump))

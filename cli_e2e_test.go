@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -37,6 +38,20 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
+// rejectsZeroReps checks that a command refuses -reps 0 at flag parse:
+// exit status 2 with a usage message, not a panic's goroutine trace.
+func rejectsZeroReps(t *testing.T, bin string, args ...string) {
+	t.Helper()
+	out, err := exec.Command(bin, append(args, "-reps", "0")...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("%s %v -reps 0: %v, want exit status 2\n%s", filepath.Base(bin), args, err, out)
+	}
+	if strings.Contains(string(out), "goroutine ") || !strings.Contains(string(out), "Usage") {
+		t.Errorf("%s %v -reps 0: want a usage message, got\n%s", filepath.Base(bin), args, out)
+	}
+}
+
 func TestCLIEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI e2e skipped in -short mode")
@@ -70,6 +85,9 @@ func TestCLIEndToEnd(t *testing.T) {
 		out = run(t, bins["ccsim"], "-variance", "-n", "300", "-d", "8", "-reps", "30")
 		if !strings.Contains(out, "rel_noise") {
 			t.Error("variance table missing")
+		}
+		for _, mode := range []string{"-plot", "-variance", "-runtime"} {
+			rejectsZeroReps(t, bins["ccsim"], mode)
 		}
 	})
 
@@ -111,6 +129,9 @@ func TestCLIEndToEnd(t *testing.T) {
 		out = run(t, bins["ccprofile"], "-workload", "boruvka", "-size", "150")
 		if !strings.Contains(out, "parallelism-profile") {
 			t.Error("boruvka profile missing")
+		}
+		for _, wl := range []string{"boruvka", "random"} {
+			rejectsZeroReps(t, bins["ccprofile"], "-workload", wl)
 		}
 	})
 

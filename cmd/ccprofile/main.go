@@ -27,6 +27,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/profile"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -41,13 +42,18 @@ func main() {
 		"MIS estimation workers (reps shard across them)")
 	plot := flag.Bool("plot", false, "render an ASCII plot")
 	flag.Parse()
+	if *reps < 1 {
+		fmt.Fprintln(os.Stderr, "-reps must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var pts []profile.Point
 	r := rng.New(*seed)
 	switch *workload {
 	case "random":
 		g := graph.RandomWithAvgDegree(r, *n, *d)
-		pts = profile.ProfileParallel(g, r, nil, *reps, 100000, *workers)
+		pts = profile.Profile(g, r, nil, *reps, 100000, *workers)
 	case "mesh":
 		pts = meshProfile(r, *size)
 	case "boruvka":
@@ -177,25 +183,27 @@ func meshProfile(r *rng.Rand, size int) []profile.Point {
 	return pts
 }
 
+// phasesProfile charts a synthetic phase-shifting workload: each phase's
+// static graph is snapshotted once and its E[MIS] re-estimated every
+// round of the phase.
 func phasesProfile(r *rng.Rand, reps, workers int) []profile.Point {
 	specs := []profile.PhaseSpec{
 		{Rounds: 30, N: 1000, Degree: 128},
 		{Rounds: 30, N: 1000, Degree: 2},
 		{Rounds: 30, N: 1000, Degree: 32},
 	}
-	ps := profile.NewPhaseShifter(r, specs)
 	var pts []profile.Point
-	step := 0
-	for !ps.Done() {
-		g := ps.Graph()
-		pts = append(pts, profile.Point{
-			Step:        step,
-			Live:        g.NumNodes(),
-			Parallelism: graph.ExpectedMISMonteCarloParallel(g, r, reps, workers),
-			AvgDegree:   g.AvgDegree(),
-		})
-		ps.Tick()
-		step++
+	for _, spec := range specs {
+		g := graph.RandomWithAvgDegree(r, spec.N, spec.Degree)
+		est := sched.NewEstimator(g, workers)
+		for i := 0; i < spec.Rounds; i++ {
+			pts = append(pts, profile.Point{
+				Step:        len(pts),
+				Live:        g.NumNodes(),
+				Parallelism: est.ExpectedCommitted(r, g.NumNodes(), reps),
+				AvgDegree:   g.AvgDegree(),
+			})
+		}
 	}
 	return pts
 }

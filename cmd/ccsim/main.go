@@ -45,6 +45,11 @@ func main() {
 	families := flag.Bool("families", false, "r̄(m) curves across generator families")
 	runtimeCmp := flag.Bool("runtime", false, "goroutine-runtime vs model fidelity table")
 	flag.Parse()
+	if *reps < 1 {
+		fmt.Fprintln(os.Stderr, "-reps must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	r := rng.New(*seed)
 	if *variance {

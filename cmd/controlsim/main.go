@@ -106,7 +106,7 @@ func runFig3(n int, rho float64, rounds int, seed uint64, plot bool, workers int
 	r := rng.New(seed)
 	for _, d := range []float64{16, 64} {
 		g := graph.RandomWithAvgDegree(r, n, d)
-		mu := control.TargetMParallel(g, r.Split(), rho, 400, workers)
+		mu := control.TargetM(g, r.Split(), rho, 400, workers)
 		fmt.Printf("Fig. 3: n=%d d=%.0f ρ=%.0f%% — μ (bisection reference) = %d\n",
 			n, d, rho*100, mu)
 
@@ -155,7 +155,7 @@ func runConverge(n int, seed uint64, workers int) {
 	for _, d := range []float64{8, 16, 32, 64} {
 		g := graph.RandomWithAvgDegree(r, n, d)
 		for _, rho := range []float64{0.20, 0.25, 0.30} {
-			mu := control.TargetMParallel(g, r.Split(), rho, 400, workers)
+			mu := control.TargetM(g, r.Split(), rho, 400, workers)
 			step := func(c control.Controller) float64 {
 				tr := control.RunLoopStatic(g, r.Split(), c, 400)
 				return float64(tr.ConvergenceStep(float64(mu), 0.30, 8))
@@ -177,7 +177,7 @@ func runConverge(n int, seed uint64, workers int) {
 func runAblate(n int, rho float64, seed uint64, workers int) {
 	r := rng.New(seed)
 	g := graph.RandomWithAvgDegree(r, n, 16)
-	mu := control.TargetMParallel(g, r.Split(), rho, 400, workers)
+	mu := control.TargetM(g, r.Split(), rho, 400, workers)
 	fmt.Printf("Ablations on n=%d d=16 ρ=%.0f%% (μ=%d); 400 rounds each\n", n, rho*100, mu)
 
 	variants := []struct {
@@ -234,7 +234,7 @@ func runSmartStart(n int, rho float64, seed uint64, workers int) {
 		"smart_first_ratio", "guaranteed_m")
 	for _, d := range []float64{8, 16, 32, 64} {
 		g := graph.RandomWithAvgDegree(r, n, d)
-		mu := control.TargetMParallel(g, r.Split(), rho, 400, workers)
+		mu := control.TargetM(g, r.Split(), rho, 400, workers)
 
 		cold := control.NewHybrid(control.DefaultHybridConfig(rho))
 		trCold := control.RunLoopStatic(g, r.Split(), cold, 300)
@@ -342,35 +342,26 @@ func runRhoSweep(n int, seed uint64, par int) {
 	mustWrite(tbl)
 }
 
-// runPhases drives the hybrid through abrupt parallelism changes.
+// runPhases drives the hybrid through abrupt parallelism changes: one
+// static run per phase, the controller carried across the jumps.
 func runPhases(rho float64, seed uint64) {
 	r := rng.New(seed)
-	ps := profile.NewPhaseShifter(r, []profile.PhaseSpec{
+	specs := []profile.PhaseSpec{
 		{Rounds: 60, N: 2000, Degree: 64}, // scarce parallelism
 		{Rounds: 60, N: 2000, Degree: 4},  // parallelism explodes
 		{Rounds: 60, N: 2000, Degree: 16}, // settles in between
-	})
+	}
 	fmt.Printf("Abrupt-phase tracking (ρ=%.0f%%): degree 64 → 4 → 16 every 60 rounds\n", rho*100)
 	h := control.NewHybrid(control.DefaultHybridConfig(rho))
 	tbl := trace.NewTable("phase-tracking", "round", "phase", "m", "ratio")
 	round := 0
-	for !ps.Done() {
-		g := ps.Graph()
-		m := h.M()
-		mm := m
-		if n := g.NumNodes(); mm > n {
-			mm = n
+	for phase, spec := range specs {
+		g := graph.RandomWithAvgDegree(r, spec.N, spec.Degree)
+		tr := control.RunLoopStatic(g, r, h, spec.Rounds)
+		for i, m := range tr.M {
+			tbl.AddRow(float64(round), float64(phase), float64(m), tr.R[i])
+			round++
 		}
-		ratio := 0.0
-		if mm > 0 {
-			order := g.SampleNodes(r, mm)
-			committed, _ := graph.GreedyMIS(g, order)
-			ratio = float64(mm-len(committed)) / float64(mm)
-		}
-		h.Observe(ratio)
-		tbl.AddRow(float64(round), float64(ps.Phase()), float64(m), ratio)
-		ps.Tick()
-		round++
 	}
 	mustWrite(tbl)
 }

@@ -3,11 +3,12 @@
 // brief announcement; full version ICCSA'12) as a production-quality Go
 // library.
 //
-// The public surface lives in internal/core; the substrates are:
+// The packages are (examples/quickstart shows them together):
 //
 //   - internal/graph       — dynamic CC graphs, generators, greedy MIS
 //   - internal/analytic    — the §3 closed-form theory (Turán extension)
-//   - internal/sched       — the §2 round-based scheduler model
+//   - internal/sched       — the §2 round-based scheduler model and its
+//     Monte Carlo estimation engine
 //   - internal/control     — the §4 controllers (Algorithm 1 hybrid),
 //     smart start, model-based controller, baselines
 //   - internal/speculation — goroutine-based optimistic runtime, the

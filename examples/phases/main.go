@@ -27,37 +27,24 @@ func main() {
 		{Rounds: 50, N: 2000, Degree: 4},  // μ ≈ 250: parallelism explodes
 		{Rounds: 50, N: 2000, Degree: 16}, // μ ≈ 68: settles between
 	}
-	ps := profile.NewPhaseShifter(r, specs)
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(rho))
 
 	fmt.Printf("phase-shifting workload, ρ = %.0f%%\n", rho*100)
 	fmt.Println("round  phase  m     conflict-ratio")
 	round := 0
-	lastPhase := 0
-	for !ps.Done() {
-		g := ps.Graph()
-		m := ctrl.M()
-		mm := m
-		if n := g.NumNodes(); mm > n {
-			mm = n
+	for phase, spec := range specs {
+		if phase > 0 {
+			fmt.Printf("----- phase %d: degree %.0f -----\n", phase, spec.Degree)
 		}
-		ratio := 0.0
-		if mm > 0 {
-			order := g.SampleNodes(r, mm)
-			committed, _ := graph.GreedyMIS(g, order)
-			ratio = float64(mm-len(committed)) / float64(mm)
+		// A static graph per phase; the controller carries over the jump.
+		g := graph.RandomWithAvgDegree(r, spec.N, spec.Degree)
+		tr := control.RunLoopStatic(g, r, ctrl, spec.Rounds)
+		for i, m := range tr.M {
+			if round%5 == 0 {
+				fmt.Printf("%5d  %-5d  %-4d  %.2f\n", round, phase, m, tr.R[i])
+			}
+			round++
 		}
-		if ps.Phase() != lastPhase {
-			fmt.Printf("----- phase %d: degree %.0f -----\n",
-				ps.Phase(), specs[ps.Phase()].Degree)
-			lastPhase = ps.Phase()
-		}
-		if round%5 == 0 {
-			fmt.Printf("%5d  %-5d  %-4d  %.2f\n", round, ps.Phase(), m, ratio)
-		}
-		ctrl.Observe(ratio)
-		ps.Tick()
-		round++
 	}
 	fmt.Printf("\ncontroller updates: B=%d (coarse) A=%d (fine) hold=%d\n",
 		ctrl.UpdatesB, ctrl.UpdatesA, ctrl.UpdatesNone)

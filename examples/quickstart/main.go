@@ -12,36 +12,38 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/analytic"
+	"repro/internal/control"
+	"repro/internal/graph"
+	"repro/internal/rng"
+	"repro/internal/speculation"
 )
 
 func main() {
 	// A random irregular workload: 2000 tasks, each conflicting with 16
 	// others on average (the paper's Fig. 2/3 parameters).
-	g := core.RandomCCGraph(42, 2000, 16)
+	r := rng.New(42)
+	g := graph.RandomWithAvgDegree(r, 2000, 16)
+	n, d := g.NumNodes(), g.AvgDegree()
 
 	// What does the theory promise before running anything?
-	est := core.Estimate{N: g.NumNodes(), D: g.AvgDegree()}
-	fmt.Printf("tasks=%d avg-conflicts=%.1f\n", g.NumNodes(), g.AvgDegree())
-	fmt.Printf("Turán guaranteed parallelism: >= %.0f tasks/round\n", est.TuranParallelism())
-	fmt.Printf("safe initial allocation:      m0 = %d (conflict ratio <= 21.3%%)\n", est.SafeInitialM())
+	fmt.Printf("tasks=%d avg-conflicts=%.1f\n", n, d)
+	fmt.Printf("Turán guaranteed parallelism: >= %.0f tasks/round\n", analytic.TuranBound(n, d))
+	fmt.Printf("safe initial allocation:      m0 = %d (conflict ratio <= 21.3%%)\n", analytic.SuggestedInitialM(n, d))
 
-	// Drain the workload with the adaptive controller at ρ = 25%.
-	sim := core.NewSimulation(g, 7)
-	ctrl := core.NewController(0.25)
-	traj := sim.RunAdaptive(ctrl, 100000)
+	// Drain the workload on the speculative runtime — one task per node,
+	// one abstract lock per conflict edge — with the controller at ρ = 25%.
+	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
+	e := speculation.NewGraphExecutor(speculation.NewGraphWorkload(g), r.Split())
+	defer e.Close()
+	res := speculation.RunAdaptive(e, ctrl, 100000)
 
-	committed, aborted := 0, 0
 	peakM := 0
-	for i := range traj.M {
-		committed += traj.Committed[i]
-		aborted += int(float64(traj.M[i])*traj.R[i] + 0.5)
-		if traj.M[i] > peakM {
-			peakM = traj.M[i]
-		}
+	for _, m := range res.M {
+		peakM = max(peakM, m)
 	}
-	fmt.Printf("\ndrained in %d rounds: committed=%d aborted~%d peak-m=%d\n",
-		traj.Len(), committed, aborted, peakM)
+	fmt.Printf("\ndrained in %d rounds: committed=%d wasted=%d peak-m=%d\n",
+		res.Rounds, res.UsefulWork, res.WastedWork, peakM)
 	fmt.Printf("controller updates: B=%d A=%d hold=%d\n",
 		ctrl.UpdatesB, ctrl.UpdatesA, ctrl.UpdatesNone)
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sched"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -72,10 +73,10 @@ func TestEMCliqueUnionEndpoints(t *testing.T) {
 func TestEMCliqueUnionMatchesMonteCarlo(t *testing.T) {
 	r := rng.New(1)
 	const n, d = 60, 5
-	g := graph.CliqueUnion(n, d)
+	est := sched.NewEstimator(graph.CliqueUnion(n, d), 1)
 	for _, m := range []int{1, 5, 10, 20, 40, 60} {
 		exact := EMCliqueUnion(n, d, m)
-		mc := graph.ExpectedInducedMISMonteCarlo(g, r, m, 4000)
+		mc := est.ExpectedCommitted(r, m, 4000)
 		if !almostEq(exact, mc, 0.12) {
 			t.Errorf("m=%d: exact %v, MC %v", m, exact, mc)
 		}
@@ -95,9 +96,10 @@ func TestWorstCaseExactIsWorst(t *testing.T) {
 		if math.Abs(g.AvgDegree()-float64(d)) > 1e-9 {
 			continue
 		}
+		est := sched.NewEstimator(g, 1)
 		for _, m := range []int{5, 15, 30, 45} {
 			worst := EMCliqueUnion(n, d, m)
-			mc := graph.ExpectedInducedMISMonteCarlo(g, r, m, 3000)
+			mc := est.ExpectedCommitted(r, m, 3000)
 			if mc < worst-0.15 {
 				t.Errorf("rival %d m=%d: EM %v below worst-case %v", i, m, mc, worst)
 			}

@@ -3,6 +3,7 @@ package boruvka
 import (
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sched"
 )
 
 // ProfilePoint records the available parallelism of one Boruvka phase.
@@ -54,7 +55,7 @@ func ParallelismProfile(g *WGraph, r *rng.Rand, misReps int) []ProfilePoint {
 		out = append(out, ProfilePoint{
 			Phase:       phase,
 			Components:  uf.Components(),
-			Parallelism: graph.ExpectedMISMonteCarlo(cc, r, misReps),
+			Parallelism: sched.NewEstimator(cc, 1).ExpectedCommitted(r, cc.NumNodes(), misReps),
 		})
 		// Advance one full Boruvka phase.
 		best := make(map[int]Edge)

@@ -3,6 +3,7 @@ package maxflow
 import (
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sched"
 )
 
 // ProfilePoint records the available parallelism of one preflow-push
@@ -58,7 +59,7 @@ func ParallelismProfile(net *Network, src, sink int, r *rng.Rand, misReps, maxSt
 		out = append(out, ProfilePoint{
 			Step:        step,
 			Active:      len(active),
-			Parallelism: graph.ExpectedMISMonteCarlo(cg, r, misReps),
+			Parallelism: sched.NewEstimator(cg, 1).ExpectedCommitted(r, cg.NumNodes(), misReps),
 		})
 		// Clairvoyant step: discharge every active node sequentially
 		// (any independent subset is one parallel step; full sweep

@@ -3,6 +3,7 @@ package sp
 import (
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sched"
 )
 
 // ClauseConflictGraph builds the CC graph of a formula's clause-update
@@ -35,5 +36,5 @@ func ClauseConflictGraph(f *Formula) *graph.Graph {
 // scales linearly with the formula size.
 func ParallelismEstimate(f *Formula, r *rng.Rand, misReps int) float64 {
 	g := ClauseConflictGraph(f)
-	return graph.ExpectedMISMonteCarlo(g, r, misReps)
+	return sched.NewEstimator(g, 1).ExpectedCommitted(r, g.NumNodes(), misReps)
 }

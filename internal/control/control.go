@@ -150,9 +150,6 @@ func (h *Hybrid) Name() string { return "hybrid" }
 // M implements Controller.
 func (h *Hybrid) M() int { return h.m }
 
-// Config returns the controller's configuration.
-func (h *Hybrid) Config() HybridConfig { return h.cfg }
-
 // Counters implements Telemetry: how often each hybrid rule fired at
 // window boundaries.
 func (h *Hybrid) Counters() map[string]int {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/sched"
 )
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -234,7 +233,7 @@ func TestAIMD(t *testing.T) {
 func TestBisectionConverges(t *testing.T) {
 	r := rng.New(1)
 	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	mu := TargetM(g, r.Split(), 0.20, 400)
+	mu := TargetM(g, r.Split(), 0.20, 400, 1)
 	c := NewBisection(0.20, 2)
 	tr := RunLoopStatic(g, r, c, 400)
 	mean, _ := tr.SteadyStateStats(60)
@@ -264,7 +263,7 @@ func TestHybridConvergesFastAndBeatsRecurrenceA(t *testing.T) {
 	r := rng.New(3)
 	g := graph.RandomWithAvgDegree(r, 2000, 16)
 	rho := 0.20
-	mu := float64(TargetM(g, r.Split(), rho, 500))
+	mu := float64(TargetM(g, r.Split(), rho, 500, 1))
 
 	cfg := DefaultHybridConfig(rho)
 	hybrid := NewHybrid(cfg)
@@ -288,26 +287,31 @@ func TestHybridConvergesFastAndBeatsRecurrenceA(t *testing.T) {
 	if std > 0.35*mean {
 		t.Errorf("hybrid steady state too noisy: mean %v std %v", mean, std)
 	}
+	if g.NumNodes() != 2000 {
+		t.Error("static run mutated the graph")
+	}
 }
 
-func TestRunLoopDrainsAndRecords(t *testing.T) {
+// TestSimulationStaticAndTarget is the former internal/core test on the
+// functions the facade wrapped: μ from TargetM lands in range, and a
+// 200-round RunLoopStatic settles near it without touching the graph.
+func TestSimulationStaticAndTarget(t *testing.T) {
+	g := graph.RandomWithAvgDegree(rng.New(3), 1000, 12)
 	r := rng.New(4)
-	g := graph.RandomGNM(r, 300, 900)
-	s := sched.New(g, r)
-	h := NewHybrid(DefaultHybridConfig(0.25))
-	tr := RunLoop(s, h, 10000)
-	if !s.Done() {
-		t.Fatal("graph not drained")
+	mu := TargetM(g, r, 0.25, 300, 1)
+	if mu < 2 || mu > 1000 {
+		t.Fatalf("μ = %d out of range", mu)
 	}
-	if tr.Len() == 0 || tr.Len() != len(tr.R) || tr.Len() != len(tr.Committed) {
-		t.Fatal("trajectory misrecorded")
+	traj := RunLoopStatic(g, r, NewHybrid(DefaultHybridConfig(0.25)), 200)
+	if traj.Len() != 200 {
+		t.Fatalf("static run has %d rounds", traj.Len())
 	}
-	total := 0
-	for _, c := range tr.Committed {
-		total += c
+	mean, _ := traj.SteadyStateStats(50)
+	if math.Abs(mean-float64(mu)) > 0.5*float64(mu) {
+		t.Errorf("steady state %v far from μ=%d", mean, mu)
 	}
-	if total != 300 {
-		t.Fatalf("committed %d total, want 300", total)
+	if g.NumNodes() != 1000 {
+		t.Error("static run mutated the graph")
 	}
 }
 
@@ -330,21 +334,33 @@ func TestConvergenceStepSemantics(t *testing.T) {
 func TestTargetMProperties(t *testing.T) {
 	r := rng.New(5)
 	// Empty-ish and trivial graphs.
-	if got := TargetM(graph.Empty(50), r, 0.2, 100); got != 50 {
+	if got := TargetM(graph.Empty(50), r, 0.2, 100, 1); got != 50 {
 		t.Fatalf("disconnected graph: μ = %d, want n", got)
 	}
-	if got := TargetM(graph.New(), r, 0.2, 100); got != 0 {
+	if got := TargetM(graph.New(), r, 0.2, 100, 1); got != 0 {
 		t.Fatalf("empty graph: μ = %d, want 0", got)
 	}
 	// Complete graph: r̄(m) = (m-1)/m > 0.2 for m ≥ 2, so μ = 1.
-	if got := TargetM(graph.Complete(30), r, 0.2, 2000); got != 1 {
+	if got := TargetM(graph.Complete(30), r, 0.2, 2000, 1); got != 1 {
 		t.Fatalf("complete graph: μ = %d, want 1", got)
 	}
 	// Monotone in rho.
 	g := graph.RandomWithAvgDegree(r, 500, 8)
-	m20 := TargetM(g, r, 0.20, 300)
-	m30 := TargetM(g, r, 0.30, 300)
+	m20 := TargetM(g, r, 0.20, 300, 1)
+	m30 := TargetM(g, r, 0.30, 300, 1)
 	if m30 < m20 {
 		t.Fatalf("μ(30%%)=%d < μ(20%%)=%d", m30, m20)
+	}
+}
+
+// BenchmarkRunLoopStatic is the Fig. 3 harness at the paper's parameters:
+// 400 controller rounds on one n = 2000, d = 16 snapshot.
+func BenchmarkRunLoopStatic(b *testing.B) {
+	g := graph.RandomWithAvgDegree(rng.New(1), 2000, 16)
+	r := rng.New(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RunLoopStatic(g, r, NewHybrid(DefaultHybridConfig(0.20)), 400)
 	}
 }

@@ -28,7 +28,7 @@ func TestSmartStartBeatsColdStart(t *testing.T) {
 	r := rng.New(1)
 	g := graph.RandomWithAvgDegree(r, 2000, 16)
 	rho := 0.20
-	mu := float64(TargetM(g, r.Split(), rho, 400))
+	mu := float64(TargetM(g, r.Split(), rho, 400, 1))
 
 	cold := NewHybrid(DefaultHybridConfig(rho))
 	trCold := RunLoopStatic(g, r.Split(), cold, 200)
@@ -57,9 +57,10 @@ func TestDegreeEstimatorRecoversDegree(t *testing.T) {
 	for _, d := range []float64{8, 16, 32} {
 		g := graph.RandomWithAvgDegree(r, n, d)
 		est := &DegreeEstimator{N: n}
+		mc := sched.NewEstimator(g, 1)
 		// Feed measured ratios at small m (the linear regime).
 		for _, m := range []int{4, 8, 16, 32} {
-			ratio := sched.ConflictRatioMC(g, r, m, 2000)
+			ratio := mc.ConflictRatio(r, m, 2000)
 			est.Observe(m, ratio)
 		}
 		got := est.Degree()
@@ -126,8 +127,7 @@ func TestGuaranteedM(t *testing.T) {
 		if m < 1 {
 			t.Fatalf("degenerate m = %d", m)
 		}
-		g := graph.CliqueUnion(n, d)
-		measured := sched.ConflictRatioMC(g, r, m, 2000)
+		measured := sched.NewEstimator(graph.CliqueUnion(n, d), 1).ConflictRatio(r, m, 2000)
 		if measured > rho+0.03 {
 			t.Errorf("rho=%v: guaranteed m=%d measured %v on K^n_d", rho, m, measured)
 		}

@@ -63,49 +63,28 @@ func (tr *Trajectory) SteadyStateStats(tail int) (mean, std float64) {
 	return acc.Mean(), acc.StdDev()
 }
 
-// RunLoop drives controller c against scheduler s for at most maxRounds
-// rounds (or until the graph drains, whichever is first) and records the
-// trajectory. The loop is exactly the paper's main loop: clamp/launch m,
-// observe the conflict ratio, let the controller update.
-func RunLoop(s *sched.Scheduler, c Controller, maxRounds int) *Trajectory {
-	tr := &Trajectory{Controller: c.Name()}
-	for round := 0; round < maxRounds && !s.Done(); round++ {
-		m := c.M()
-		res := s.Step(m)
-		r := res.ConflictRatio()
-		tr.M = append(tr.M, m)
-		tr.R = append(tr.R, r)
-		tr.Committed = append(tr.Committed, len(res.Committed))
-		c.Observe(r)
-	}
-	return tr
-}
-
 // RunLoopStatic drives the controller against a *static* conflict-ratio
-// oracle: each round the observed ratio is a Monte Carlo draw of one
-// random round at the current m on a fixed graph, without removing nodes.
-// This isolates controller dynamics from graph drain (the Fig. 3
-// setting, where G_t is assumed quasi-static) and is the harness for
-// convergence experiments.
+// oracle: each round the observed ratio is one random round at the
+// current m on a fixed graph, drawn by the Monte Carlo engine from a
+// snapshot taken once, without removing nodes. This isolates controller
+// dynamics from graph drain (the Fig. 3 setting, where G_t is assumed
+// quasi-static) and is the harness for convergence experiments; a
+// phase-shifting workload is one call per phase with the same controller.
 func RunLoopStatic(g *graph.Graph, r *rng.Rand, c Controller, rounds int) *Trajectory {
-	tr := &Trajectory{Controller: c.Name()}
+	est := sched.NewEstimator(g, 1)
+	n := est.NumNodes()
+	tr := &Trajectory{Controller: c.Name(),
+		M: make([]int, 0, rounds), R: make([]float64, 0, rounds), Committed: make([]int, 0, rounds)}
 	for round := 0; round < rounds; round++ {
 		m := c.M()
-		mm := m
-		if n := g.NumNodes(); mm > n {
-			mm = n
-		}
+		committed := int(est.ExpectedCommitted(r, m, 1))
 		ratio := 0.0
-		if mm > 0 {
-			order := g.SampleNodes(r, mm)
-			committed := graph.GreedyMISSize(g, order)
+		if mm := min(m, n); mm > 0 {
 			ratio = float64(mm-committed) / float64(mm)
-			tr.Committed = append(tr.Committed, committed)
-		} else {
-			tr.Committed = append(tr.Committed, 0)
 		}
 		tr.M = append(tr.M, m)
 		tr.R = append(tr.R, ratio)
+		tr.Committed = append(tr.Committed, committed)
 		c.Observe(ratio)
 	}
 	return tr
@@ -113,42 +92,15 @@ func RunLoopStatic(g *graph.Graph, r *rng.Rand, c Controller, rounds int) *Traje
 
 // TargetM finds μ — the largest m with r̄(m) ≤ rho — on a static graph by
 // bisection over the Monte Carlo estimate of r̄ (Prop. 1 guarantees the
-// bisection invariant). reps controls estimator accuracy.
-func TargetM(g *graph.Graph, r *rng.Rand, rho float64, reps int) int {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	lo, hi := 1, n // r̄(1) = 0 ≤ rho always
-	if sched.ConflictRatioMC(g, r, n, reps) <= rho {
-		return n
-	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if sched.ConflictRatioMC(g, r, mid, reps) <= rho {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// TargetMParallel is TargetM rebuilt on the CSR estimation engine: the
-// graph is snapshotted once and every bisection probe shards its reps
-// across workers (≤ 0 means GOMAXPROCS), so the ~log₂ n probes of a
-// model-based target query reuse one flat snapshot instead of re-walking
-// the map adjacency.
-func TargetMParallel(g *graph.Graph, r *rng.Rand, rho float64, reps, workers int) int {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
+// bisection invariant). The graph is snapshotted once and every probe
+// shards its reps across workers (≤ 0 means GOMAXPROCS).
+func TargetM(g *graph.Graph, r *rng.Rand, rho float64, reps, workers int) int {
 	est := sched.NewEstimator(g, workers)
-	lo, hi := 1, n // r̄(1) = 0 ≤ rho always
-	if est.ConflictRatio(r, n, reps) <= rho {
+	n := est.NumNodes()
+	if est.ConflictRatio(r, n, reps) <= rho { // also an empty graph's μ = 0
 		return n
 	}
+	lo, hi := 1, n // r̄(1) = 0 ≤ rho always
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if est.ConflictRatio(r, mid, reps) <= rho {

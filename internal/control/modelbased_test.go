@@ -93,7 +93,7 @@ func TestModelBasedDetectsPhaseChange(t *testing.T) {
 func TestModelBasedOnRealGraph(t *testing.T) {
 	r := rng.New(1)
 	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	mu := TargetM(g, r.Split(), 0.20, 400)
+	mu := TargetM(g, r.Split(), 0.20, 400, 1)
 	c := NewModelBased(0.20, 2)
 	tr := RunLoopStatic(g, r.Split(), c, 300)
 	step := tr.ConvergenceStep(float64(mu), 0.30, 8)
@@ -123,7 +123,7 @@ func TestModelBasedTracksPhaseShiftOnGraphs(t *testing.T) {
 	mDense := c.M()
 	// Phase 2: sparse graph (same controller state carried over).
 	tr := control2Static(sparse, r.Split(), c, 150)
-	muSparse := TargetM(sparse, r.Split(), 0.20, 300)
+	muSparse := TargetM(sparse, r.Split(), 0.20, 300, 1)
 	mean, _ := tr.SteadyStateStats(50)
 	if mean < 2*float64(mDense) {
 		t.Fatalf("after 16× parallelism increase m went %d → %.0f (μ=%d)",

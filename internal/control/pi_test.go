@@ -57,7 +57,7 @@ func TestPIAntiWindup(t *testing.T) {
 func TestPIConvergesOnRealGraph(t *testing.T) {
 	r := rng.New(1)
 	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	mu := TargetM(g, r.Split(), 0.20, 400)
+	mu := TargetM(g, r.Split(), 0.20, 400, 1)
 	c := NewPI(0.20, 2)
 	tr := RunLoopStatic(g, r.Split(), c, 400)
 	step := tr.ConvergenceStep(float64(mu), 0.30, 8)

@@ -191,10 +191,10 @@ func (s *CSRScratch) SampleMISSize(c *CSR, r *rng.Rand, m int) int {
 	return size
 }
 
-// MISMoments is the parallel Monte Carlo primitive every estimator
-// reduces to: it draws reps independent random length-m commit orders,
-// runs greedy MIS over each, and returns the sum and sum of squares of
-// the MIS sizes.
+// MISMoments is the Monte Carlo primitive every estimator reduces to: it
+// draws reps independent random length-m commit orders, runs greedy MIS
+// over each, and returns the sum and sum of squares of the MIS sizes.
+// reps must be positive.
 //
 // Determinism contract: reps are sharded into contiguous blocks across
 // workers (worker w handles block w); worker streams are derived from r
@@ -203,10 +203,10 @@ func (s *CSRScratch) SampleMISSize(c *CSR, r *rng.Rand, m int) int {
 // therefore a pure function of (r's state, m, reps, workers) — rerunning
 // with the same seed, reps, and worker count is bit-identical, while
 // changing workers yields a statistically equivalent re-draw. workers ≤ 0
-// means GOMAXPROCS.
+// means GOMAXPROCS; one worker runs on the caller's goroutine.
 func (c *CSR) MISMoments(r *rng.Rand, m, reps, workers int) (sum, sumSq int64) {
 	if reps <= 0 {
-		return 0, 0
+		panic("graph: MISMoments requires positive reps")
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -214,12 +214,12 @@ func (c *CSR) MISMoments(r *rng.Rand, m, reps, workers int) (sum, sumSq int64) {
 	if workers > reps {
 		workers = reps
 	}
+	if workers == 1 {
+		return misMomentsSerial(c, r.Split(), m, reps)
+	}
 	streams := make([]*rng.Rand, workers)
 	for w := range streams {
 		streams[w] = r.Split()
-	}
-	if workers == 1 {
-		return misMomentsSerial(c, streams[0], m, reps)
 	}
 	sums := make([]int64, workers)
 	sqs := make([]int64, workers)
@@ -262,28 +262,4 @@ func misMomentsSerial(c *CSR, r *rng.Rand, m, reps int) (sum, sumSq int64) {
 	}
 	csrScratchPool.Put(s)
 	return sum, sumSq
-}
-
-// ExpectedMISMonteCarloParallel estimates E[|greedy MIS|] over uniformly
-// random full permutations — ExpectedMISMonteCarlo rebuilt on a CSR
-// snapshot with reps sharded across workers (see MISMoments for the
-// determinism contract).
-func ExpectedMISMonteCarloParallel(g *Graph, r *rng.Rand, reps, workers int) float64 {
-	if reps <= 0 {
-		return 0
-	}
-	c := NewCSR(g)
-	sum, _ := c.MISMoments(r, c.NumNodes(), reps, workers)
-	return float64(sum) / float64(reps)
-}
-
-// ExpectedInducedMISMonteCarloParallel estimates EM_m(G) (Thm. 2's
-// quantity) on a CSR snapshot with reps sharded across workers.
-func ExpectedInducedMISMonteCarloParallel(g *Graph, r *rng.Rand, m, reps, workers int) float64 {
-	if reps <= 0 {
-		return 0
-	}
-	c := NewCSR(g)
-	sum, _ := c.MISMoments(r, m, reps, workers)
-	return float64(sum) / float64(reps)
 }

@@ -6,7 +6,7 @@
 // uniform random sampling of live nodes.
 //
 // There is one mutable type and one frozen view of it. Graph is the
-// graph that changes — the simulator, the serial estimators and the
+// graph that changes — the simulator, the parallelism profiles and the
 // runtime's cc workload commit nodes out of it and regrow it; it lives
 // in flat arrays indexed by node ID (no maps), deletes in O(degree), and
 // is single-writer. CSR is an immutable, densely renumbered snapshot of

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"sync"
-
-	"repro/internal/rng"
-)
+import "sync"
 
 // misScratchPool recycles MISScratch instances so the package-level
 // GreedyMIS helpers are allocation-free in steady state without forcing
@@ -97,40 +93,6 @@ func (s *MISScratch) Partition(g *Graph, order []int) (selected, rejected []int)
 		}
 	}
 	return selected, rejected
-}
-
-// ExpectedMISMonteCarlo estimates E[|greedy MIS|] over uniformly random
-// full permutations of g's nodes — the quantity Turán's theorem (Thm. 1)
-// lower-bounds by n/(d+1). reps is the number of sampled permutations.
-func ExpectedMISMonteCarlo(g *Graph, r *rng.Rand, reps int) float64 {
-	n := g.NumNodes()
-	sum := 0
-	var scratch MISScratch
-	for i := 0; i < reps; i++ {
-		order := g.SampleNodes(r, n)
-		sum += scratch.Size(g, order)
-	}
-	if reps == 0 {
-		return 0
-	}
-	return float64(sum) / float64(reps)
-}
-
-// ExpectedInducedMISMonteCarlo estimates EM_m(G): the expected size of the
-// greedy maximal independent set of the subgraph induced by m uniformly
-// random nodes (Thm. 2's quantity). With m = n it coincides with
-// ExpectedMISMonteCarlo.
-func ExpectedInducedMISMonteCarlo(g *Graph, r *rng.Rand, m, reps int) float64 {
-	sum := 0
-	var scratch MISScratch
-	for i := 0; i < reps; i++ {
-		order := g.SampleNodes(r, m)
-		sum += scratch.Size(g, order)
-	}
-	if reps == 0 {
-		return 0
-	}
-	return float64(sum) / float64(reps)
 }
 
 // NoEarlierNeighborCount returns the number of nodes in order that have

@@ -101,7 +101,7 @@ func TestTuranLowerBound(t *testing.T) {
 		n := float64(c.g.NumNodes())
 		d := c.g.AvgDegree()
 		bound := n / (d + 1)
-		got := ExpectedMISMonteCarlo(c.g, r, 300)
+		got := expectedMIS(c.g, r, c.g.NumNodes(), 300)
 		// Allow tiny Monte Carlo slack below the bound.
 		if got < bound*0.97 {
 			t.Errorf("%s: E[MIS] = %.2f below Turán bound %.2f", c.name, got, bound)
@@ -114,7 +114,7 @@ func TestTuranLowerBound(t *testing.T) {
 func TestTuranTightOnCliqueUnion(t *testing.T) {
 	r := rng.New(6)
 	g := CliqueUnion(120, 5) // 20 cliques of size 6
-	got := ExpectedMISMonteCarlo(g, r, 50)
+	got := expectedMIS(g, r, g.NumNodes(), 50)
 	if got != 20 {
 		t.Fatalf("E[MIS] on K^n_d = %v, want exactly 20", got)
 	}
@@ -180,13 +180,13 @@ func TestIsMaximalIndependentSet(t *testing.T) {
 func TestExpectedInducedMISInterpolates(t *testing.T) {
 	r := rng.New(9)
 	g := RandomGNM(r, 100, 400)
-	em10 := ExpectedInducedMISMonteCarlo(g, r, 10, 400)
-	em60 := ExpectedInducedMISMonteCarlo(g, r, 60, 400)
-	emN := ExpectedInducedMISMonteCarlo(g, r, 100, 400)
+	em10 := expectedMIS(g, r, 10, 400)
+	em60 := expectedMIS(g, r, 60, 400)
+	emN := expectedMIS(g, r, 100, 400)
 	if !(em10 < em60 && em60 <= emN+1e-9) {
 		t.Fatalf("EM_m not increasing: %v %v %v", em10, em60, emN)
 	}
-	full := ExpectedMISMonteCarlo(g, r, 400)
+	full := expectedMIS(g, r, g.NumNodes(), 400)
 	if math.Abs(emN-full) > 0.05*full {
 		t.Fatalf("EM_n=%v disagrees with full-permutation estimate %v", emN, full)
 	}

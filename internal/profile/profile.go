@@ -6,8 +6,8 @@
 //
 // The paper motivates adaptive allocation with these profiles: "Delaunay
 // mesh refinement can go from no parallelism to one thousand possible
-// parallel tasks in just 30 temporal steps" (§4.1), so the profile
-// machinery also provides synthetic phase-shifting workloads that
+// parallel tasks in just 30 temporal steps" (§4.1), so the package also
+// describes synthetic phase-shifting workloads (PhaseSpec) that
 // reproduce such abrupt swings for controller stress tests.
 package profile
 
@@ -26,107 +26,36 @@ type Point struct {
 }
 
 // Profile estimates available parallelism of the drain of graph g: at
-// each step a maximal independent set (estimated by misReps greedy
-// random permutations) is committed and removed, exactly the definition
-// used by Kulkarni et al. to chart amorphous data-parallelism.
-// The mutator hook, if non-nil, lets applications regrow work.
-func Profile(g *graph.Graph, r *rng.Rand, mut sched.Mutator, misReps, maxSteps int) []Point {
-	return profileWorkers(g, r, mut, misReps, maxSteps, 1)
-}
-
-// ProfileParallel is Profile with the per-step MIS estimation running on
-// the CSR engine: each step snapshots the current graph once and shards
-// the misReps greedy permutations across workers (≤ 0 = GOMAXPROCS).
-// The drain itself (commit + mutate) is unchanged.
-func ProfileParallel(g *graph.Graph, r *rng.Rand, mut sched.Mutator, misReps, maxSteps, workers int) []Point {
-	return profileWorkers(g, r, mut, misReps, maxSteps, workers)
-}
-
-func profileWorkers(g *graph.Graph, r *rng.Rand, mut sched.Mutator, misReps, maxSteps, workers int) []Point {
-	if misReps < 1 {
-		misReps = 1
-	}
+// each step the expected greedy-MIS size of the current graph is
+// estimated from misReps random permutations (sharded across workers,
+// ≤ 0 = GOMAXPROCS; misReps must be positive), then one maximal
+// independent set is committed and removed — the clairvoyant step,
+// exactly the definition used by Kulkarni et al. to chart amorphous
+// data-parallelism. The mutator hook, if non-nil, lets applications
+// regrow work.
+func Profile(g *graph.Graph, r *rng.Rand, mut sched.Mutator, misReps, maxSteps, workers int) []Point {
+	s := &sched.Scheduler{G: g, R: r, Mut: mut}
 	var out []Point
-	for step := 0; step < maxSteps && g.NumNodes() > 0; step++ {
-		var par float64
-		if workers == 1 {
-			par = graph.ExpectedMISMonteCarlo(g, r, misReps)
-		} else {
-			par = graph.ExpectedMISMonteCarloParallel(g, r, misReps, workers)
-		}
+	for step := 0; step < maxSteps && !s.Done(); step++ {
+		n := g.NumNodes()
 		out = append(out, Point{
 			Step:        step,
-			Live:        g.NumNodes(),
-			Parallelism: par,
+			Live:        n,
+			Parallelism: sched.NewEstimator(g, workers).ExpectedCommitted(r, n, misReps),
 			AvgDegree:   g.AvgDegree(),
 		})
-		// Commit one maximal independent set (the clairvoyant step).
-		order := g.SampleNodes(r, g.NumNodes())
-		committed, _ := graph.GreedyMIS(g, order)
-		for _, v := range committed {
-			g.RemoveNode(v)
-		}
-		if mut != nil {
-			mut.AfterRound(g, committed, r)
-		}
+		s.Step(n)
 	}
 	return out
 }
 
-// PhaseSpec describes one phase of a synthetic phase-shifting workload.
+// PhaseSpec describes one phase of a synthetic phase-shifting workload:
+// entering the phase replaces the CC graph with a fresh random graph of
+// the phase's size and degree, so available parallelism jumps abruptly
+// between phases (the "available parallelism can vary dramatically"
+// scenario of §1 and §4.1).
 type PhaseSpec struct {
 	Rounds int     // how many controller rounds the phase lasts
 	N      int     // CC graph size regenerated at phase entry
 	Degree float64 // average degree of the phase's graph
 }
-
-// PhaseShifter produces a CC graph whose parallelism jumps abruptly
-// between phases: entering each phase replaces the graph with a fresh
-// random graph of the phase's size and degree. It implements the
-// "available parallelism can vary dramatically" scenario of §1 and §4.1.
-type PhaseShifter struct {
-	Phases []PhaseSpec
-	r      *rng.Rand
-	g      *graph.Graph
-	phase  int
-	round  int
-}
-
-// NewPhaseShifter builds the workload; it panics on an empty phase list.
-func NewPhaseShifter(r *rng.Rand, phases []PhaseSpec) *PhaseShifter {
-	if len(phases) == 0 {
-		panic("profile: no phases")
-	}
-	ps := &PhaseShifter{Phases: phases, r: r}
-	ps.g = graph.RandomWithAvgDegree(r, phases[0].N, phases[0].Degree)
-	return ps
-}
-
-// Graph returns the current CC graph.
-func (ps *PhaseShifter) Graph() *graph.Graph { return ps.g }
-
-// Phase returns the current phase index.
-func (ps *PhaseShifter) Phase() int { return ps.phase }
-
-// Tick advances the phase clock by one round, regenerating the graph at
-// phase boundaries. It reports whether a phase transition occurred.
-func (ps *PhaseShifter) Tick() bool {
-	ps.round++
-	if ps.phase >= len(ps.Phases) {
-		return false
-	}
-	if ps.round < ps.Phases[ps.phase].Rounds {
-		return false
-	}
-	ps.round = 0
-	ps.phase++
-	if ps.phase >= len(ps.Phases) {
-		return false
-	}
-	spec := ps.Phases[ps.phase]
-	ps.g = graph.RandomWithAvgDegree(ps.r, spec.N, spec.Degree)
-	return true
-}
-
-// Done reports whether all phases have elapsed.
-func (ps *PhaseShifter) Done() bool { return ps.phase >= len(ps.Phases) }

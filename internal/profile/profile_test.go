@@ -11,7 +11,7 @@ import (
 func TestProfileDrains(t *testing.T) {
 	r := rng.New(1)
 	g := graph.RandomGNM(r, 150, 450)
-	pts := Profile(g, r, nil, 3, 1000)
+	pts := Profile(g, r, nil, 3, 1000, 1)
 	if len(pts) == 0 {
 		t.Fatal("no profile points")
 	}
@@ -47,7 +47,7 @@ func TestProfileWithMutatorRegrowth(t *testing.T) {
 			}
 		}
 	})
-	pts := Profile(g, r, mut, 2, 100)
+	pts := Profile(g, r, mut, 2, 100, 2)
 	if grown != 50 {
 		t.Fatalf("mutator grew %d nodes", grown)
 	}
@@ -63,57 +63,17 @@ func TestProfileWithMutatorRegrowth(t *testing.T) {
 func TestProfileMaxSteps(t *testing.T) {
 	r := rng.New(3)
 	g := graph.Complete(50) // drains one node per step
-	pts := Profile(g, r, nil, 1, 10)
+	pts := Profile(g, r, nil, 1, 10, 0)
 	if len(pts) != 10 {
 		t.Fatalf("profile has %d points, want maxSteps=10", len(pts))
 	}
 }
 
-func TestPhaseShifter(t *testing.T) {
-	r := rng.New(4)
-	ps := NewPhaseShifter(r, []PhaseSpec{
-		{Rounds: 3, N: 100, Degree: 2},
-		{Rounds: 2, N: 500, Degree: 8},
-		{Rounds: 2, N: 50, Degree: 20},
-	})
-	if ps.Graph().NumNodes() != 100 {
-		t.Fatalf("phase 0 graph n=%d", ps.Graph().NumNodes())
-	}
-	transitions := 0
-	for i := 0; i < 3; i++ {
-		if ps.Tick() {
-			transitions++
-		}
-	}
-	if transitions != 1 || ps.Phase() != 1 {
-		t.Fatalf("after 3 ticks: transitions=%d phase=%d", transitions, ps.Phase())
-	}
-	if ps.Graph().NumNodes() != 500 {
-		t.Fatalf("phase 1 graph n=%d", ps.Graph().NumNodes())
-	}
-	ps.Tick()
-	if !ps.Tick() {
-		t.Fatal("expected transition to phase 2")
-	}
-	if ps.Graph().NumNodes() != 50 {
-		t.Fatalf("phase 2 graph n=%d", ps.Graph().NumNodes())
-	}
-	ps.Tick()
-	ps.Tick()
-	if !ps.Done() {
-		t.Fatal("all phases elapsed but not Done")
-	}
-	// Ticking when done is a no-op.
-	if ps.Tick() {
-		t.Fatal("transition after done")
-	}
-}
-
-func TestPhaseShifterEmptyPanics(t *testing.T) {
+func TestProfileRejectsNoReps(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic")
+			t.Fatal("misReps = 0 must panic, not report parallelism 0")
 		}
 	}()
-	NewPhaseShifter(rng.New(1), nil)
+	Profile(graph.Empty(5), rng.New(1), nil, 0, 10, 1)
 }

@@ -52,7 +52,7 @@ func TestLemma1KBarMonotoneConvex(t *testing.T) {
 func TestUnfriendlySeatingPathDensity(t *testing.T) {
 	r := rng.New(2)
 	g := graph.Path(400)
-	est := graph.ExpectedMISMonteCarlo(g, r, 300) / 400
+	est := NewEstimator(g, 1).ExpectedCommitted(r, 400, 300) / 400
 	want := (1 - math.Exp(-2)) / 2
 	if math.Abs(est-want) > 0.01 {
 		t.Fatalf("path density %v, want %v", est, want)
@@ -62,7 +62,7 @@ func TestUnfriendlySeatingPathDensity(t *testing.T) {
 func TestUnfriendlySeatingCycleDensity(t *testing.T) {
 	r := rng.New(3)
 	g := graph.Cycle(400)
-	est := graph.ExpectedMISMonteCarlo(g, r, 300) / 400
+	est := NewEstimator(g, 1).ExpectedCommitted(r, 400, 300) / 400
 	want := (1 - math.Exp(-2)) / 2
 	if math.Abs(est-want) > 0.01 {
 		t.Fatalf("cycle density %v, want %v", est, want)
@@ -72,7 +72,7 @@ func TestUnfriendlySeatingCycleDensity(t *testing.T) {
 func TestUnfriendlySeatingGridDensity(t *testing.T) {
 	r := rng.New(4)
 	g := graph.Grid2D(40, 40)
-	est := graph.ExpectedMISMonteCarlo(g, r, 200) / 1600
+	est := NewEstimator(g, 1).ExpectedCommitted(r, 1600, 200) / 1600
 	// Random sequential adsorption with nearest-neighbor exclusion on
 	// Z²: jamming density ≈ 0.3641 (boundary effects raise a finite
 	// grid slightly).
@@ -88,8 +88,9 @@ func TestAbortsPlusMISIsN(t *testing.T) {
 	r := rng.New(5)
 	g := graph.RandomGNM(r, 60, 150)
 	n := g.NumNodes()
-	mis := graph.ExpectedMISMonteCarlo(g, r, 2000)
-	ratio := ConflictRatioMC(g, r, n, 2000)
+	est := NewEstimator(g, 1)
+	mis := est.ExpectedCommitted(r, n, 2000)
+	ratio := est.ConflictRatio(r, n, 2000)
 	aborts := ratio * float64(n)
 	if math.Abs(aborts+mis-float64(n)) > 1.0 {
 		t.Fatalf("E[aborts] %v + E[MIS] %v != n=%d", aborts, mis, n)

@@ -9,8 +9,9 @@
 // data-parallel work generation.
 //
 // The package also provides the estimators for the conflict-ratio
-// function r̄(m) of Eq. 1: Monte Carlo for real graphs and exact
-// enumeration for small ones (used as a test oracle for Props. 1–2).
+// function r̄(m) of Eq. 1: the Monte Carlo Estimator for real graphs and
+// exact enumeration for small ones (the test oracle it and Props. 1–2
+// are checked against).
 package sched
 
 import (
@@ -18,7 +19,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // Mutator is the application hook invoked after each round with the nodes
@@ -105,67 +105,6 @@ func (s *Scheduler) OverallConflictRatio() float64 {
 	return float64(s.TotalAborted) / float64(s.TotalLaunched)
 }
 
-// ConflictRatioMC estimates r̄(m) (Eq. 1) for the *static* graph g by
-// Monte Carlo: it repeatedly samples a random length-m permutation prefix
-// and counts greedy-MIS rejections, without mutating g. reps must be
-// positive.
-func ConflictRatioMC(g *graph.Graph, r *rng.Rand, m, reps int) float64 {
-	if reps <= 0 {
-		panic("sched: ConflictRatioMC requires positive reps")
-	}
-	if m <= 0 {
-		return 0
-	}
-	n := g.NumNodes()
-	mm := m
-	if mm > n {
-		mm = n
-	}
-	if mm == 0 {
-		return 0
-	}
-	totalAborts := 0
-	var scratch graph.MISScratch
-	for i := 0; i < reps; i++ {
-		order := g.SampleNodes(r, mm)
-		totalAborts += mm - scratch.Size(g, order)
-	}
-	return float64(totalAborts) / float64(reps*mm)
-}
-
-// ExpectedCommittedMC estimates EM_m(G) — the expected committed count
-// per round — by Monte Carlo on the static graph.
-func ExpectedCommittedMC(g *graph.Graph, r *rng.Rand, m, reps int) float64 {
-	return graph.ExpectedInducedMISMonteCarlo(g, r, m, reps)
-}
-
-// ConflictRatioDistMC estimates the mean and standard deviation of the
-// per-round conflict ratio r_t at the given m — the §4.1 observation
-// that "r_t can have a big variance, especially when m is small" is the
-// reason Algorithm 1 averages over T rounds and tunes small m
-// separately. Returns (mean, std).
-func ConflictRatioDistMC(g *graph.Graph, r *rng.Rand, m, reps int) (float64, float64) {
-	if reps <= 1 {
-		panic("sched: ConflictRatioDistMC requires reps > 1")
-	}
-	n := g.NumNodes()
-	mm := m
-	if mm > n {
-		mm = n
-	}
-	if mm <= 0 {
-		return 0, 0
-	}
-	var acc stats.Accumulator
-	var scratch graph.MISScratch
-	for i := 0; i < reps; i++ {
-		order := g.SampleNodes(r, mm)
-		aborts := mm - scratch.Size(g, order)
-		acc.Add(float64(aborts) / float64(mm))
-	}
-	return acc.Mean(), acc.StdDev()
-}
-
 // ExactConflictRatio computes r̄(m) exactly by enumerating every ordered
 // selection of m distinct nodes (n!/(n−m)! orders). It is exponential and
 // intended as a test oracle for graphs with at most ~9 nodes.
@@ -218,19 +157,4 @@ func ExactExpectedAborts(g *graph.Graph, m int) float64 {
 		m = n
 	}
 	return ExactConflictRatio(g, m) * float64(m)
-}
-
-// CurvePoint is one sample of the conflict-ratio curve.
-type CurvePoint struct {
-	M     int
-	Ratio float64
-}
-
-// ConflictCurve samples r̄(m) at the given m values by Monte Carlo.
-func ConflictCurve(g *graph.Graph, r *rng.Rand, ms []int, reps int) []CurvePoint {
-	out := make([]CurvePoint, 0, len(ms))
-	for _, m := range ms {
-		out = append(out, CurvePoint{M: m, Ratio: ConflictRatioMC(g, r, m, reps)})
-	}
-	return out
 }

@@ -182,9 +182,10 @@ func TestExactConflictRatioEmptyGraph(t *testing.T) {
 func TestMonteCarloMatchesExact(t *testing.T) {
 	r := rng.New(7)
 	g := graph.RandomGNM(r, 8, 12)
+	est := NewEstimator(g, 1)
 	for _, m := range []int{2, 4, 6, 8} {
 		exact := ExactConflictRatio(g, m)
-		mc := ConflictRatioMC(g, r, m, 20000)
+		mc := est.ConflictRatio(r, m, 20000)
 		if !almostEq(exact, mc, 0.02) {
 			t.Errorf("m=%d: exact %v MC %v", m, exact, mc)
 		}
@@ -196,12 +197,12 @@ func TestMonteCarloMatchesExact(t *testing.T) {
 func TestWorstCaseExactMatchesSimulation(t *testing.T) {
 	r := rng.New(8)
 	const n, d = 120, 5
-	knd := graph.CliqueUnion(n, d)
-	rival := graph.RandomGNM(r, n, n*d/2)
+	knd := NewEstimator(graph.CliqueUnion(n, d), 1)
+	rival := NewEstimator(graph.RandomGNM(r, n, n*d/2), 1)
 	for _, m := range []int{2, 10, 30, 60, 120} {
 		bound := analytic.WorstCaseConflictRatio(n, d, m)
-		worst := ConflictRatioMC(knd, r, m, 4000)
-		other := ConflictRatioMC(rival, r, m, 4000)
+		worst := knd.ConflictRatio(r, m, 4000)
+		other := rival.ConflictRatio(r, m, 4000)
 		if !almostEq(worst, bound, 0.03) {
 			t.Errorf("m=%d: K^n_d measured %v, closed form %v", m, worst, bound)
 		}
@@ -211,35 +212,18 @@ func TestWorstCaseExactMatchesSimulation(t *testing.T) {
 	}
 }
 
-func TestConflictRatioMCBoundaries(t *testing.T) {
-	r := rng.New(9)
-	g := graph.Complete(5)
-	if got := ConflictRatioMC(g, r, 0, 10); got != 0 {
-		t.Errorf("m=0: %v", got)
-	}
-	if got := ConflictRatioMC(g, r, 1, 10); got != 0 {
-		t.Errorf("m=1: %v", got)
-	}
-	// m beyond n clamps.
-	got := ConflictRatioMC(g, r, 50, 200)
-	if !almostEq(got, 4.0/5.0, 1e-9) {
-		t.Errorf("clamped m: %v want 0.8", got)
-	}
-}
-
 func TestConflictCurve(t *testing.T) {
 	r := rng.New(10)
 	g := graph.RandomGNM(r, 50, 100)
-	ms := []int{1, 5, 10, 25, 50}
-	curve := ConflictCurve(g, r, ms, 500)
-	if len(curve) != len(ms) {
-		t.Fatalf("curve has %d points", len(curve))
-	}
-	for i := 1; i < len(curve); i++ {
-		// Monotone modulo Monte Carlo noise.
-		if curve[i].Ratio < curve[i-1].Ratio-0.05 {
-			t.Errorf("curve not (approximately) monotone at %v", curve[i])
+	est := NewEstimator(g, 1)
+	prev := 0.0
+	for _, m := range []int{1, 5, 10, 25, 50} {
+		// Monotone (Prop. 1) modulo Monte Carlo noise.
+		cur := est.ConflictRatio(r, m, 500)
+		if cur < prev-0.05 {
+			t.Errorf("curve not (approximately) monotone at m=%d: %v after %v", m, cur, prev)
 		}
+		prev = cur
 	}
 }
 

@@ -19,8 +19,9 @@ func TestSmallMVarianceIsLarger(t *testing.T) {
 		relNoise float64
 	}
 	var pts []point
+	est := NewEstimator(g, 1)
 	for _, m := range []int{4, 16, 64, 256} {
-		mean, std := ConflictRatioDistMC(g, r, m, reps)
+		mean, std := est.ConflictRatioDist(r, m, reps)
 		if mean <= 0 {
 			t.Fatalf("m=%d: zero mean ratio", m)
 		}
@@ -43,8 +44,9 @@ func TestSmallMVarianceIsLarger(t *testing.T) {
 func TestConflictRatioDistMCMeanMatchesPointEstimator(t *testing.T) {
 	r := rng.New(2)
 	g := graph.RandomWithAvgDegree(r, 500, 12)
-	mean, std := ConflictRatioDistMC(g, r, 40, 4000)
-	point := ConflictRatioMC(g, r, 40, 4000)
+	est := NewEstimator(g, 1)
+	mean, std := est.ConflictRatioDist(r, 40, 4000)
+	point := est.ConflictRatio(r, 40, 4000)
 	if diff := mean - point; diff > 0.02 || diff < -0.02 {
 		t.Fatalf("mean %v vs point estimator %v", mean, point)
 	}
@@ -55,7 +57,7 @@ func TestConflictRatioDistMCMeanMatchesPointEstimator(t *testing.T) {
 
 func TestConflictRatioDistMCEdge(t *testing.T) {
 	r := rng.New(3)
-	mean, std := ConflictRatioDistMC(graph.New(), r, 5, 10)
+	mean, std := NewEstimator(graph.New(), 1).ConflictRatioDist(r, 5, 10)
 	if mean != 0 || std != 0 {
 		t.Fatal("empty graph should give zeros")
 	}
@@ -64,5 +66,5 @@ func TestConflictRatioDistMCEdge(t *testing.T) {
 			t.Fatal("reps=1 must panic")
 		}
 	}()
-	ConflictRatioDistMC(graph.Empty(3), r, 2, 1)
+	NewEstimator(graph.Empty(3), 1).ConflictRatioDist(r, 2, 1)
 }

@@ -72,12 +72,7 @@ func TestGraphWorkloadIndependentNoConflict(t *testing.T) {
 // tying goroutine execution back to the paper's mathematics.
 func TestRuntimeConflictRatioMatchesModel(t *testing.T) {
 	const n, d, m = 120, 5, 30
-	want := 0.0
-	{
-		r := rng.New(7)
-		knd := graph.CliqueUnion(n, d)
-		want = sched.ConflictRatioMC(knd, r, m, 3000)
-	}
+	want := sched.NewEstimator(graph.CliqueUnion(n, d), 1).ConflictRatio(rng.New(7), m, 3000)
 	r := rng.New(8)
 	total, launched := 0, 0
 	const trials = 300
@@ -117,6 +112,26 @@ func TestRunAdaptiveDrainsAndTracks(t *testing.T) {
 	}
 	if res.MeanConflictRatio() < 0 || res.MeanConflictRatio() >= 1 {
 		t.Fatalf("mean ratio %v", res.MeanConflictRatio())
+	}
+}
+
+// TestRunGraphEndToEnd executes a whole CC graph as speculative tasks
+// under Algorithm 1: the model-to-runtime pipeline the paper's §5
+// anticipates ("integration in the Galois system").
+func TestRunGraphEndToEnd(t *testing.T) {
+	g := graph.RandomWithAvgDegree(rng.New(6), 400, 10)
+	e := NewGraphExecutor(NewGraphWorkload(g), rng.New(7))
+	defer e.Close()
+	res := RunAdaptive(e, control.NewHybrid(control.DefaultHybridConfig(0.25)), 100000)
+	if g.NumNodes() != 0 {
+		t.Fatalf("%d nodes left", g.NumNodes())
+	}
+	total := 0
+	for _, c := range res.Committed {
+		total += c
+	}
+	if total != 400 {
+		t.Fatalf("committed %d, want 400", total)
 	}
 }
 

@@ -65,13 +65,16 @@ func TestSpecdCrashRecovery(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 	meshIDs := append([]string(nil), ids...)
-	// The delay fault paces the async job (~8 in flight × 5ms/task) so
-	// it is still mid-drain at kill time but reruns well inside the
-	// test budget.
+	// The delay fault paces the async job so it is still mid-drain at
+	// kill time but reruns well inside the test budget. At -parallel 1
+	// the async drive runs one task at a time (~1ms each, ~16s for the
+	// job), so its 160 pre-kill commits land in a fraction of the ~1s the
+	// meshes need to finish — at 5ms a task they took about as long, and
+	// the meshes sometimes completed before the kill.
 	asyncJob, err := c.Submit(ctx, service.JobSpec{
 		Workload: "cc", Controller: "fixed", FixedM: 8, Size: 16000,
 		Mode:  service.ModeAsync,
-		Fault: &service.FaultSpec{DelayRate: 1, Delay: service.Duration(5 * time.Millisecond)},
+		Fault: &service.FaultSpec{DelayRate: 1, Delay: service.Duration(time.Millisecond)},
 	})
 	if err != nil {
 		t.Fatalf("submit async cc: %v", err)
