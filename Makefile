@@ -70,6 +70,10 @@ chaos:
 		-run 'Chaos|Cancel|Deadline|Fault|Inject|Poison|Failure|Async' \
 		./internal/faultinject/ ./internal/service/ ./internal/workload/ ./internal/speculation/
 
+# The process e2e targets below build the specd/specload binaries they
+# start with -race as well (buildCmd follows the test binary), and a
+# daemon that reports a data race fails its test.
+#
 # crash runs the kill-and-recover e2e under the race detector: SIGKILL
 # specd mid-workload, tear the final journal record, restart on the
 # same -state-dir, and require every job to finish with its trajectory
@@ -117,12 +121,12 @@ bench:
 # build-and-drain, the CSR Monte Carlo engine at 1/2/4/8 workers,
 # round-barrier vs barrier-free execution on the straggler workload,
 # round vs async vs colored execution on stable-conflict topologies,
-# learned and declared, and the declare phase against the round-mode
-# drain it replaces) and records per-benchmark medians in
-# $(BENCH_SIM_OUT).
+# learned and declared, the declare phase against the round-mode drain
+# it replaces, and an ordered round's fixed cost at small m) and records
+# per-benchmark medians in $(BENCH_SIM_OUT).
 bench-sim:
 	$(GO) test ./internal/graph/ ./internal/sched/ ./internal/speculation/ -run NONE \
-		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkDeclaredGraph' \
+		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkExecutorOrdered|BenchmarkDeclaredGraph' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		| $(GO) run ./cmd/benchfmt > $(BENCH_SIM_OUT)
 	@cat $(BENCH_SIM_OUT)

@@ -2,6 +2,7 @@ package speculation
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -87,6 +88,25 @@ func BenchmarkExecutorRound(b *testing.B) {
 			b.ReportMetric(float64(launched)/secs, "tasks/sec")
 		}
 	})
+}
+
+// BenchmarkExecutorOrdered prices an ordered round's fixed cost — pop,
+// phase 1 on the pool, the commit walk, requeue — on claim-only tasks at
+// MaxParallel 2, from the small m where des spends most of its rounds to a
+// full chunk. One op is one round.
+func BenchmarkExecutorOrdered(b *testing.B) {
+	for _, m := range []int{2, 4, 64} {
+		b.Run(fmt.Sprintf("claim/m=%d/par=2", m), func(b *testing.B) {
+			e, round := claimOnlyOrdered(m, 2)
+			defer e.Close()
+			round()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
+	}
 }
 
 // conflictHeavyExecutor returns a pooled executor holding n tasks that

@@ -277,11 +277,7 @@ func (e *Executor) coloredRound(ctx context.Context, lg *LearnedGraph, cs *color
 	// Group the batch into color classes, checking the preconditions the
 	// coloring relies on: every task keyed, every key learned, at most
 	// one live task per key.
-	if cap(cs.keyIdx) < n {
-		cs.keyIdx, cs.outside = make([]int32, n), make([]bool, n)
-	} else {
-		cs.keyIdx, cs.outside = cs.keyIdx[:n], cs.outside[:n]
-	}
+	cs.keyIdx, cs.outside = resized(cs.keyIdx, n), resized(cs.outside, n)
 	for i := range cs.classes {
 		cs.classes[i] = cs.classes[i][:0]
 	}

@@ -111,6 +111,27 @@ func (c *OrderedCtx) SpawnAtCommit(fn func() []OrderedTask) {
 // OnCommit registers a mutation to apply serially if the task commits.
 func (c *OrderedCtx) OnCommit(fn func()) { c.onCommit = append(c.onCommit, fn) }
 
+// orderedScratch holds an ordered round's working state, reused so a
+// steady-state round allocates nothing; Round drops every reference it took.
+type orderedScratch struct {
+	batch   []OrderedTask
+	ctxs    []OrderedCtx // [:len(batch)] used per round; tasks get &ctxs[i]
+	errs    []error
+	requeue []OrderedTask
+	claimed map[*Item]bool // items the round's committed prefix claimed
+	run     func(i int)    // phase 1's body, bound once so dispatching a round allocates nothing
+}
+
+// anyClaimed reports whether claimed holds one of items.
+func anyClaimed(claimed map[*Item]bool, items []*Item) bool {
+	for _, it := range items {
+		if claimed[it] {
+			return true
+		}
+	}
+	return false
+}
+
 // taskHeap is a min-heap of ordered tasks by key.
 type taskHeap []OrderedTask
 
@@ -128,13 +149,13 @@ func (h *taskHeap) Pop() interface{} {
 }
 
 // OrderedExecutor runs prioritized tasks optimistically with in-order
-// commits. Like Executor, phase 1 is served by a persistent worker pool.
+// commits. Phase 1 runs on the same help-first pool as Executor's rounds.
 type OrderedExecutor struct {
 	mu      sync.Mutex
 	pending taskHeap
 
-	// MaxParallel sets the phase-1 worker-pool size, with the same
-	// semantics as Executor.MaxParallel (0 or less = GOMAXPROCS workers).
+	// MaxParallel bounds phase 1 like Executor.MaxParallel bounds a round:
+	// MaxParallel participants, the caller included (0 or less = GOMAXPROCS).
 	MaxParallel int
 
 	// TaskRetries is the per-task failure budget, with the same
@@ -156,6 +177,7 @@ type OrderedExecutor struct {
 
 	totalConflicts atomic.Int64
 	totalPremature atomic.Int64
+	scratch        orderedScratch // round-local (Round is single-caller)
 }
 
 // NewOrderedExecutor returns an empty ordered executor.
@@ -222,44 +244,37 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 	if m < 0 {
 		panic("speculation: negative ordered round size")
 	}
+	s := &e.scratch
 	e.mu.Lock()
-	if m > len(e.pending) {
-		m = len(e.pending)
-	}
-	batch := make([]OrderedTask, 0, m)
-	for i := 0; i < m; i++ {
-		batch = append(batch, heap.Pop(&e.pending).(OrderedTask))
+	for ; m > 0 && len(e.pending) > 0; m-- {
+		s.batch = append(s.batch, heap.Pop(&e.pending).(OrderedTask))
 	}
 	e.mu.Unlock()
-	if len(batch) == 0 {
+	if len(s.batch) == 0 {
 		return RoundStats{}
 	}
+	s.ctxs, s.errs = resized(s.ctxs, len(s.batch)), resized(s.errs, len(s.batch))
+	if s.run == nil {
+		s.claimed = make(map[*Item]bool)
+		s.run = func(i int) { s.errs[i] = runGuardedOrdered(s.batch[i], &s.ctxs[i]) }
+	}
 
-	// Phase 1: parallel speculative execution (read + claim only),
-	// served by the persistent pool. Panics and errors are captured per
-	// attempt, not fatal: they flow through the shared failure taxonomy
-	// in phase 2.
-	ctxs := make([]*OrderedCtx, len(batch))
-	errs := make([]error, len(batch))
-	e.workers(e.MaxParallel).dispatch(len(batch), func(i int) {
-		ctx := &OrderedCtx{}
-		ctxs[i] = ctx
-		errs[i] = runGuardedOrdered(batch[i], ctx)
-	})
+	// Phase 1: parallel speculative execution (read + claim only) on the
+	// pool. Panics and errors are captured per attempt, not fatal: they
+	// flow through the shared failure taxonomy in phase 2.
+	e.workers(e.MaxParallel).dispatch(len(s.batch), s.run)
 
-	// Phase 2: serial commit walk in priority order. The batch was
-	// popped from a heap, so sort it (heap pops were in order already —
-	// popping yields ascending keys, so batch is sorted by
-	// construction).
-	stats := RoundStats{Launched: len(batch)}
+	// Phase 2: serial commit walk in priority order. Heap pops yield
+	// ascending keys, so the batch is sorted by construction.
+	stats := RoundStats{Launched: len(s.batch)}
 	budget := e.retryBudget()
-	claimed := make(map[*Item]bool)
 	minSpawn := MaxKey
-	var requeue []OrderedTask
+	requeue := s.requeue
 	stopped := false
-	for i, t := range batch {
-		ctx := ctxs[i]
-		if stopped {
+	for i, t := range s.batch {
+		ctx := &s.ctxs[i]
+		switch err := s.errs[i]; {
+		case stopped:
 			// A task before this one failed to commit. Its re-execution
 			// may spawn events that precede this one, so chronological
 			// safety forbids committing anything past the first failure:
@@ -267,9 +282,7 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 			stats.Aborted++
 			stats.Premature++
 			requeue = append(requeue, t)
-			continue
-		}
-		if err := errs[i]; err != nil {
+		case err != nil:
 			// Failure: the phase-1 attempt is discarded (ordered tasks
 			// are read-only in phase 1, so there is nothing to roll
 			// back). A retried task may spawn earlier work, so the
@@ -290,63 +303,60 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 			} else {
 				requeue = append(requeue, rt)
 			}
-			stopped = true
-			continue
-		}
-		if minSpawn.Less(t.Key()) {
+		case minSpawn.Less(t.Key()):
 			// Earlier work was generated by a committed task: this
 			// execution ran ahead of it and must be redone.
 			stats.Aborted++
 			stats.Premature++
 			requeue = append(requeue, t)
-			stopped = true
-			continue
-		}
-		conflict := false
-		for _, it := range ctx.claims {
-			if claimed[it] {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
+		case anyClaimed(s.claimed, ctx.claims):
 			stats.Aborted++
 			requeue = append(requeue, t)
-			stopped = true
+		default:
+			// Commit: apply mutations, book claims, surface spawns.
+			for _, fn := range ctx.onCommit {
+				fn()
+			}
+			for _, it := range ctx.claims {
+				s.claimed[it] = true
+			}
+			for _, fn := range ctx.spawnFns {
+				ctx.spawned = append(ctx.spawned, fn()...)
+			}
+			for _, sp := range ctx.spawned {
+				if !t.Key().Less(sp.Key()) {
+					panic(fmt.Sprintf("speculation: spawn key %+v not after parent %+v",
+						sp.Key(), t.Key()))
+				}
+				if sp.Key().Less(minSpawn) {
+					minSpawn = sp.Key()
+				}
+				if w := e.WrapTask; w != nil {
+					sp = w(sp)
+				}
+				requeue = append(requeue, sp)
+				stats.Spawned++
+			}
+			stats.Committed++
 			continue
 		}
-		// Commit: apply mutations, book claims, surface spawns.
-		for _, fn := range ctx.onCommit {
-			fn()
-		}
-		for _, it := range ctx.claims {
-			claimed[it] = true
-		}
-		spawned := ctx.spawned
-		for _, fn := range ctx.spawnFns {
-			spawned = append(spawned, fn()...)
-		}
-		for _, s := range spawned {
-			if !t.Key().Less(s.Key()) {
-				panic(fmt.Sprintf("speculation: spawn key %+v not after parent %+v",
-					s.Key(), t.Key()))
-			}
-			if s.Key().Less(minSpawn) {
-				minSpawn = s.Key()
-			}
-			if w := e.WrapTask; w != nil {
-				s = w(s)
-			}
-			requeue = append(requeue, s)
-			stats.Spawned++
-		}
-		stats.Committed++
+		stopped = true
 	}
 	e.mu.Lock()
 	for _, t := range requeue {
 		heap.Push(&e.pending, t)
 	}
 	e.mu.Unlock()
+	for i := range s.batch {
+		c := &s.ctxs[i]
+		for _, it := range c.claims {
+			delete(s.claimed, it) // cheaper than clearing the map's capacity
+		}
+		c.claims, c.spawned = scrubSlice(c.claims), scrubSlice(c.spawned)
+		c.spawnFns, c.onCommit = scrubSlice(c.spawnFns), scrubSlice(c.onCommit)
+	}
+	clear(s.errs)
+	s.batch, s.requeue = emptied(s.batch), emptied(requeue)
 	e.totalConflicts.Add(int64(stats.Aborted - stats.Premature))
 	e.totalPremature.Add(int64(stats.Premature))
 	e.addTotals(stats)

@@ -1,6 +1,7 @@
 package speculation
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -213,6 +214,42 @@ func (t concTask) Run(*OrderedCtx) error {
 	}
 	t.cur.Add(-1)
 	return nil
+}
+
+// claimOnlyOrdered returns an ordered executor holding m tasks that each
+// claim an item of their own, and the function that runs one round of m
+// and puts the committed tasks back — the fixed per-round cost with no
+// operator work behind it.
+func claimOnlyOrdered(m, maxPar int) (*OrderedExecutor, func()) {
+	e := NewOrderedExecutor()
+	e.MaxParallel = maxPar
+	tasks := make([]OrderedTask, m)
+	for i := range tasks {
+		tasks[i] = &testOrderedTask{key: key(float64(i)), claims: []*Item{NewItem(int64(i))}}
+		e.Add(tasks[i])
+	}
+	return e, func() {
+		if st := e.Round(m); st.Committed != m {
+			panic(fmt.Sprintf("claim-only round committed %d of %d", st.Committed, m))
+		}
+		for _, t := range tasks {
+			e.Add(t)
+		}
+	}
+}
+
+// TestOrderedRoundAllocatesNothing pins the steady-state ordered round —
+// pop, phase 1 on the pool, the commit walk, requeue — at zero
+// allocations, like TestPooledRoundAllocatesNothing for the unordered one.
+func TestOrderedRoundAllocatesNothing(t *testing.T) {
+	for _, m := range []int{1, 2, 4, 16} {
+		e, round := claimOnlyOrdered(m, 2)
+		round() // size the scratch, the heap and the pool
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("m=%d: steady-state ordered round allocates %.1f times, want 0", m, allocs)
+		}
+		e.Close()
+	}
 }
 
 func TestRunAdaptiveOnOrderedExecutor(t *testing.T) {

@@ -101,6 +101,77 @@ func TestWorkerPoolStress(t *testing.T) {
 	}
 }
 
+// TestWorkerPoolExactlyOnce drives the pool directly over many dispatches
+// of every small size: each index runs exactly once, no callback of a
+// dispatch runs after that dispatch has returned (a helper still mid-chunk
+// of an earlier round would), at most size callbacks are ever in flight,
+// and a pool of one starts no goroutine.
+func TestWorkerPoolExactlyOnce(t *testing.T) {
+	const maxN, dispatches = 300, 5000 // per pool size: 20 000 in all
+	const slow = 50 * time.Microsecond
+	spin := func(d time.Duration) {
+		for start := time.Now(); time.Since(start) < d; {
+		}
+	}
+	for size := 1; size <= 4; size++ {
+		before := runtime.NumGoroutine()
+		p := newWorkerPool(size)
+		if size == 1 && runtime.NumGoroutine() > before {
+			t.Fatalf("a pool of one started %d goroutines", runtime.NumGoroutine()-before)
+		}
+		var (
+			ran          [maxN]atomic.Int32
+			current      atomic.Int64 // the dispatch in progress
+			inFlight     atomic.Int32
+			peak, strays atomic.Int32
+		)
+		for k := 0; k < dispatches; k++ {
+			n, gen := k%maxN+1, int64(k)
+			current.Store(gen)
+			p.dispatch(n, func(i int) {
+				if current.Load() != gen {
+					strays.Add(1)
+				}
+				c := inFlight.Add(1)
+				for pk := peak.Load(); c > pk && !peak.CompareAndSwap(pk, c); pk = peak.Load() {
+				}
+				// The caller claims chunk 0 first, and a parked helper takes
+				// a while to wake. A slow index 0 gives a helper time to join
+				// and leave while the round is still open; a slower last
+				// index in the next dispatch keeps it mid-chunk when the
+				// caller runs out of chunks.
+				if k%4 < 2 && i == 0 {
+					spin(slow)
+				}
+				if k%4 == 1 && i == n-1 {
+					spin(2 * slow)
+				}
+				ran[i].Add(1)
+				inFlight.Add(-1)
+				if current.Load() != gen {
+					strays.Add(1)
+				}
+			})
+			current.Store(-1)
+			if c := inFlight.Load(); c != 0 {
+				t.Fatalf("size %d, dispatch %d (n=%d): %d callbacks still running after return", size, k, n, c)
+			}
+			for i := 0; i < n; i++ {
+				if got := ran[i].Swap(0); got != 1 {
+					t.Fatalf("size %d, dispatch %d (n=%d): index %d ran %d times", size, k, n, i, got)
+				}
+			}
+		}
+		p.shutdown()
+		if s := strays.Load(); s != 0 {
+			t.Fatalf("size %d: %d callbacks ran outside their dispatch", size, s)
+		}
+		if pk := peak.Load(); pk > int32(size) {
+			t.Fatalf("size %d: %d callbacks in flight at once", size, pk)
+		}
+	}
+}
+
 // TestWorkerPoolResize verifies that changing MaxParallel between
 // rounds swaps in a right-sized pool without losing work.
 func TestWorkerPoolResize(t *testing.T) {
@@ -341,8 +412,9 @@ func countNonZero(qs []queued) (n int) {
 
 // TestAbandonedExecutorReleasesWorkers covers the callers that never
 // Close (every round runs on a pool now, theirs included): once the
-// executor is unreachable the pool's finalizer stops the workers, which
-// holds only while workers reference nothing but the channel.
+// executor is unreachable the pool's finalizer stops the helpers, which
+// holds only while helpers reference nothing but the dispatch record and
+// the record keeps no round callback once a dispatch has returned.
 func TestAbandonedExecutorReleasesWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for k := 0; k < 20; k++ {

@@ -19,10 +19,11 @@
 // The executor itself is built for throughput: the work-set holds the
 // tasks themselves (each entry is a task plus the handle its failure
 // budget is keyed by), so a round is "pop m entries, run them, append
-// the losers back" with no table in between; rounds are served by a
-// persistent pool of MaxParallel workers fed chunks of the round's index
-// space (one channel send per chunk, not one goroutine per task), attempt
-// IDs come from an atomic counter, and per-attempt contexts are recycled
+// the losers back" with no table in between; a round runs on its caller
+// plus up to MaxParallel − 1 persistent helpers claiming chunks of its
+// index space off one atomic cursor (no hand-off: a small round usually
+// runs on the caller alone), attempt IDs come from an atomic counter,
+// and per-attempt contexts are recycled
 // through a sync.Pool. A conflict abort — the common case at the paper's
 // ρ = 0.25 — allocates nothing: the error Acquire returns lives in the
 // attempt's context, and a steady-state round allocates nothing at all.
@@ -185,6 +186,15 @@ func scrubSlice[T any](s []T) []T {
 	return s[:0]
 }
 
+// resized returns s at length n, reallocated only when n exceeds its
+// capacity.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // emptied zeroes the slice's elements and returns it empty, capacity
 // preserved — scrubSlice for a buffer whose spare capacity is already
 // zero because every user empties what it wrote.
@@ -317,73 +327,99 @@ func (s *RoundStats) add(o RoundStats) {
 	s.Spawned += o.Spawned
 }
 
-// poolChunk is one dispatch unit: workers call run for every index in
-// [lo, hi) and then signal the round's wait group.
-type poolChunk struct {
-	lo, hi int
-	run    func(i int)
-	wg     *sync.WaitGroup
-}
-
-// workerPool is a persistent set of goroutines executing index chunks.
-// Workers hold a reference to the channel only — never to the pool or
-// the owning executor — so an abandoned executor is still collectable:
-// its finalizer closes the channel and the workers exit.
+// workerPool is a help-first pool of size participants: the goroutine
+// that calls dispatch plus size − 1 parked helpers. Helpers reference only
+// the dispatch record, never the pool or its executor, so an abandoned
+// executor stays collectable: the pool's finalizer closes the wake
+// channel and the helpers exit.
 type workerPool struct {
-	work chan poolChunk
+	*dispatchRecord
 	size int
 	stop sync.Once
-	wg   sync.WaitGroup // the dispatch in progress (dispatch is single-caller)
 }
 
+// dispatchRecord is the round descriptor a pool reuses for every dispatch.
+// state admits helpers only while it is open, and run, n and chunk change
+// only while it is closed and empty: a late helper never sees a reset.
+type dispatchRecord struct {
+	state    atomic.Int64 // recordOpen while a round is published, plus the helpers inside
+	next     atomic.Int64 // claim cursor: the first index not yet claimed
+	run      func(i int)
+	n, chunk int
+	wake     chan struct{} // one token per helper asked to join
+	done     chan struct{} // the last helper out of a closed round signals here
+}
+
+const recordOpen = 1 << 32
+
 func newWorkerPool(size int) *workerPool {
-	p := &workerPool{work: make(chan poolChunk, size), size: size}
-	for i := 0; i < size; i++ {
-		go poolWorker(p.work)
+	d := &dispatchRecord{wake: make(chan struct{}, size-1), done: make(chan struct{}, 1)}
+	for i := 1; i < size; i++ {
+		go d.helper()
 	}
-	// Belt-and-braces: executors that are dropped without Close still
-	// release their workers once the pool is collected.
+	p := &workerPool{dispatchRecord: d, size: size}
 	runtime.SetFinalizer(p, (*workerPool).shutdown)
 	return p
 }
 
-func poolWorker(work <-chan poolChunk) {
-	for c := range work {
-		for i := c.lo; i < c.hi; i++ {
-			c.run(i)
+// helper joins each round it is woken for while that round is still open;
+// one that wakes after the round has closed parks again.
+func (d *dispatchRecord) helper() {
+	for range d.wake {
+		s := d.state.Load()
+		for s&recordOpen != 0 && !d.state.CompareAndSwap(s, s+1) {
+			s = d.state.Load()
 		}
-		c.wg.Done()
+		if s&recordOpen == 0 {
+			continue
+		}
+		d.claimAndRun()
+		if d.state.Add(-1) == 0 {
+			d.done <- struct{}{}
+		}
 	}
 }
 
-// shutdown terminates the workers. Idempotent.
+// claimAndRun claims chunks off the cursor and runs them until it passes n.
+func (d *dispatchRecord) claimAndRun() {
+	for {
+		lo := int(d.next.Add(int64(d.chunk))) - d.chunk
+		if lo >= d.n {
+			return
+		}
+		for i := lo; i < min(lo+d.chunk, d.n); i++ {
+			d.run(i)
+		}
+	}
+}
+
+// shutdown terminates the helpers. Idempotent.
 func (p *workerPool) shutdown() {
-	p.stop.Do(func() { close(p.work) })
+	p.stop.Do(func() { close(p.wake) })
 }
 
 // maxChunk bounds the dispatch chunk size so uneven task costs still
-// load-balance across workers within a round.
+// load-balance across participants within a round.
 const maxChunk = 64
 
-// dispatch splits [0, n) across the workers and blocks until every
-// index has been processed.
+// dispatch runs run(i) for every i in [0, n): it publishes the round, wakes
+// up to one helper per further chunk, claims chunks itself, then waits only
+// for helpers already inside — no chunk waits for a goroutine to wake.
 func (p *workerPool) dispatch(n int, run func(i int)) {
-	chunk := (n + p.size - 1) / p.size
-	if chunk > maxChunk {
-		chunk = maxChunk
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	p.run, p.n, p.chunk = run, n, min(max((n+p.size-1)/p.size, 1), maxChunk)
+	p.next.Store(0)
+	p.state.Store(recordOpen)
+	for k := min((n-1)/p.chunk, p.size-1); k > 0; k-- {
+		select {
+		case p.wake <- struct{}{}:
+		default: // every helper already holds a token
 		}
-		p.wg.Add(1)
-		p.work <- poolChunk{lo: lo, hi: hi, run: run, wg: &p.wg}
 	}
-	p.wg.Wait()
+	p.claimAndRun()
+	if p.state.Add(-recordOpen) != 0 {
+		<-p.done
+	}
+	p.run = nil // parked helpers must not keep the round's owner reachable
 }
 
 // pooled owns the worker pool of an executor, ordered or not: built at
@@ -399,8 +435,8 @@ func poolSize(maxParallel int) int {
 	return maxParallel
 }
 
-// workers returns a pool of poolSize(maxParallel) workers, replacing a
-// stale-sized one. Called only from Round (single caller at a time).
+// workers returns a pool of poolSize(maxParallel) participants, replacing
+// a stale-sized one. Called only from Round (single caller at a time).
 func (p *pooled) workers(maxParallel int) *workerPool {
 	size := poolSize(maxParallel)
 	if p.pool == nil || p.pool.size != size {
@@ -441,13 +477,13 @@ type Executor struct {
 	// are promoted onto Executor.
 	accounting
 
-	// MaxParallel sets how many workers serve a drive — the persistent
-	// pool behind rounds, the worker goroutines of an async drive; 0 or
-	// less selects runtime.GOMAXPROCS(0). It bounds how many attempts
-	// execute at once, not a round's conflict ratio: locks are held to
-	// the barrier whatever the pool size. An async drive whose operators
-	// block wants MaxParallel ≥ m, which gives every unit of m its own
-	// goroutine.
+	// MaxParallel bounds how many attempts execute at once: a round runs
+	// on MaxParallel participants, the caller included (1 = the caller
+	// alone, no goroutine), an async drive on MaxParallel worker
+	// goroutines; 0 or less selects runtime.GOMAXPROCS(0). It does not
+	// set a round's conflict ratio: locks are held to the barrier whatever
+	// the pool size. An async drive whose operators block wants
+	// MaxParallel ≥ m, which gives every unit of m its own goroutine.
 	MaxParallel int
 
 	// TaskRetries is the per-task failure budget: a task whose attempt
@@ -497,11 +533,7 @@ type roundScratch struct {
 }
 
 func (r *roundScratch) grow(n int) {
-	if cap(r.errs) < n {
-		r.errs = make([]error, n)
-	} else {
-		r.errs = r.errs[:n]
-	}
+	r.errs = resized(r.errs, n)
 	for len(r.ctxs) < n {
 		r.ctxs = append(r.ctxs, ctxPool.Get().(*Ctx))
 	}
@@ -716,9 +748,9 @@ func (e *Executor) settle(q queued, err error, budget int, st *RoundStats) verdi
 // after every task in the round has finished, preserving the model's
 // commit-order semantics.
 //
-// The round is executed by the persistent worker pool: its index space
-// is cut into chunks and each chunk is one channel send, so per-task
-// scheduling cost is amortized away.
+// The round runs on the caller and the pool's helpers, which claim chunks
+// of its index space off one cursor, so per-task scheduling cost is
+// amortized away and a small round needs no hand-off at all.
 func (e *Executor) Round(m int) RoundStats {
 	if m < 0 {
 		panic("speculation: negative round size")

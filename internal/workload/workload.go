@@ -39,8 +39,9 @@ type Params struct {
 	Size int
 	// Seed seeds every stochastic choice of the run.
 	Seed uint64
-	// Parallel is the executor's worker count — the pool behind rounds,
-	// the workers of an async drive (0 or less = GOMAXPROCS workers).
+	// Parallel bounds how many attempts run at once: a round runs on
+	// Parallel participants, the caller included; an async drive on
+	// Parallel workers (0 or less = GOMAXPROCS).
 	Parallel int
 	// Degree is the average degree of the synthetic "cc" workload's
 	// random graph (0 = 16). Ignored by the application workloads.

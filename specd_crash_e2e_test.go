@@ -50,10 +50,37 @@ func TestSpecdCrashRecovery(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
-	// Two slow mesh jobs and one slow barrier-free cc job occupy all
+	// One slow barrier-free cc job and two slow mesh jobs occupy all
 	// three workers; six cc jobs queue behind them. At kill time: 3
-	// running (with checkpoints — round-count for the meshes,
-	// commit-count for the async job), 6 queued.
+	// running (with checkpoints — commit-count for the async job,
+	// round-count for the meshes), 6 queued.
+	//
+	// The delay fault paces the async job so it is still mid-drain at
+	// kill time but reruns well inside the test budget: at -parallel 1 the
+	// async drive runs one task at a time (~1ms each, ~16s for the job).
+	// It runs alone until it has committed past two commit-count
+	// checkpoints (at checkpoint-commits=64, 160 commits guarantees at
+	// least two durable records), and only then do the meshes start. Run
+	// side by side, the meshes could finish first: their rounds keep the
+	// CPUs busy, and a task waking from its delay waits for one.
+	asyncJob, err := c.Submit(ctx, service.JobSpec{
+		Workload: "cc", Controller: "fixed", FixedM: 8, Size: 16000,
+		Mode:  service.ModeAsync,
+		Fault: &service.FaultSpec{DelayRate: 1, Delay: service.Duration(time.Millisecond)},
+	})
+	if err != nil {
+		t.Fatalf("submit async cc: %v", err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		st, err := c.Job(ctx, asyncJob.ID)
+		if err == nil && st.State == service.StateRunning && st.Committed >= 160 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("async job %s never checkpointed (last: %+v, err %v)", asyncJob.ID, st, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	var ids []string
 	for i := 0; i < 2; i++ {
 		st, err := c.Submit(ctx, service.JobSpec{
@@ -65,20 +92,6 @@ func TestSpecdCrashRecovery(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 	meshIDs := append([]string(nil), ids...)
-	// The delay fault paces the async job so it is still mid-drain at
-	// kill time but reruns well inside the test budget. At -parallel 1
-	// the async drive runs one task at a time (~1ms each, ~16s for the
-	// job), so its 160 pre-kill commits land in a fraction of the ~1s the
-	// meshes need to finish — at 5ms a task they took about as long, and
-	// the meshes sometimes completed before the kill.
-	asyncJob, err := c.Submit(ctx, service.JobSpec{
-		Workload: "cc", Controller: "fixed", FixedM: 8, Size: 16000,
-		Mode:  service.ModeAsync,
-		Fault: &service.FaultSpec{DelayRate: 1, Delay: service.Duration(time.Millisecond)},
-	})
-	if err != nil {
-		t.Fatalf("submit async cc: %v", err)
-	}
 	ids = append(ids, asyncJob.ID)
 	for i := 0; i < 6; i++ {
 		st, err := c.Submit(ctx, service.JobSpec{
@@ -103,19 +116,6 @@ func TestSpecdCrashRecovery(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-	}
-	// And until the async job has committed past two commit-count
-	// checkpoints (at checkpoint-commits=64, 160 commits guarantees at
-	// least two durable records).
-	for deadline := time.Now().Add(30 * time.Second); ; {
-		st, err := c.Job(ctx, asyncJob.ID)
-		if err == nil && st.State == service.StateRunning && st.Committed >= 160 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("async job %s never checkpointed (last: %+v, err %v)", asyncJob.ID, st, err)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
 	if err := p.cmd.Process.Signal(syscall.SIGKILL); err != nil {

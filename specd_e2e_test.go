@@ -49,10 +49,17 @@ func (p *specdProc) waitLine(t *testing.T, substr string, timeout time.Duration)
 	return ""
 }
 
+// buildCmd builds ./cmd/<name> into a temporary directory, with -race
+// when the test binary itself has the detector, so the e2e suites run the
+// daemon's executors and service under it too.
 func buildCmd(t *testing.T, name string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	args := []string{"build", "-o", bin}
+	if raceBuild {
+		args = append(args, "-race")
+	}
+	cmd := exec.Command("go", append(args, "./cmd/"+name)...)
 	cmd.Env = os.Environ()
 	if msg, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("building %s: %v\n%s", name, err, msg)
@@ -91,6 +98,11 @@ func startSpecd(t *testing.T, bin string, extra ...string) (*specdProc, string) 
 		case <-p.done:
 		case <-time.After(30 * time.Second):
 			cmd.Process.Kill()
+		}
+		// A -race daemon reports a race on its output and keeps going; a
+		// SIGKILLed one never reaches the exit status that would flag it.
+		if out := strings.Join(p.lines(), "\n"); strings.Contains(out, "WARNING: DATA RACE") {
+			t.Errorf("specd %v reported a data race:\n%s", args, out)
 		}
 	})
 
