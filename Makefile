@@ -122,11 +122,12 @@ bench:
 # round-barrier vs barrier-free execution on the straggler workload,
 # round vs async vs colored execution on stable-conflict topologies,
 # learned and declared, the declare phase against the round-mode drain
-# it replaces, and an ordered round's fixed cost at small m) and records
-# per-benchmark medians in $(BENCH_SIM_OUT).
+# it replaces, an ordered round's fixed cost at small m over a shallow
+# and a des-deep work-set, and the journal's encoding of one 32-point
+# checkpoint) and records per-benchmark medians in $(BENCH_SIM_OUT).
 bench-sim:
-	$(GO) test ./internal/graph/ ./internal/sched/ ./internal/speculation/ -run NONE \
-		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkExecutorOrdered|BenchmarkDeclaredGraph' \
+	$(GO) test ./internal/graph/ ./internal/sched/ ./internal/speculation/ ./internal/service/ -run NONE \
+		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkExecutorOrdered|BenchmarkDeclaredGraph|BenchmarkCheckpointRecord' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		| $(GO) run ./cmd/benchfmt > $(BENCH_SIM_OUT)
 	@cat $(BENCH_SIM_OUT)

@@ -83,7 +83,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	queueCap := flag.Int("queue", 64, "bounded job-queue capacity (overflow returns 429)")
 	workers := flag.Int("workers", 2, "concurrent job runners")
-	history := flag.Int("history", 256, "per-job trajectory ring-buffer size")
+	history := flag.Int("history", 256, "trajectory points kept per job (the newest; a job's ring grows with its rounds up to this)")
 	parallel := flag.Int("parallel", 2, "default executor worker count, in every mode, for jobs that do not set one")
 	maxRounds := flag.Int("max-rounds", 0, "hard per-job round cap (0 = effectively unlimited)")
 	taskRetries := flag.Int("task-retries", 0, "default retry budget for failed tasks (0 = executor default, -1 = none)")

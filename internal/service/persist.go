@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,6 +66,64 @@ type walRecord struct {
 	Error  string `json:"error,omitempty"`
 }
 
+// encodeRecord returns json.Marshal(rec), byte for byte, with a
+// checkpoint's points appended by hand: reflecting over them cost more
+// than the rest of the record. Finished records are left to json.Marshal.
+func encodeRecord(rec walRecord) ([]byte, error) {
+	points := rec.Points
+	if len(points) == 0 || rec.State != "" || rec.Reason != "" || rec.Result != "" || rec.Error != "" {
+		return json.Marshal(rec)
+	}
+	rec.Points = nil
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	b = slices.Grow(append(b[:len(b)-1], `,"points":[`...), 96*len(points)) // a point takes 60-90 bytes
+	for _, p := range points {
+		if b, err = appendPoint(b, p); err != nil {
+			return nil, err
+		}
+	}
+	b[len(b)-1] = ']' // the last point's comma
+	return append(b, '}'), nil
+}
+
+// appendPoint appends p and a comma as encoding/json writes a
+// RoundPoint. An R that encoding/json writes with an exponent, or
+// refuses (not finite), is left to it; the rest is appended by hand.
+func appendPoint(b []byte, p RoundPoint) ([]byte, error) {
+	b = strconv.AppendInt(append(b, `{"round":`...), int64(p.Round), 10)
+	b = strconv.AppendInt(append(b, `,"m":`...), int64(p.M), 10)
+	b = strconv.AppendInt(append(b, `,"launched":`...), int64(p.Launched), 10)
+	b = strconv.AppendInt(append(b, `,"committed":`...), int64(p.Committed), 10)
+	b = strconv.AppendInt(append(b, `,"aborted":`...), int64(p.Aborted), 10)
+	if p.Failed != 0 {
+		b = strconv.AppendInt(append(b, `,"failed":`...), int64(p.Failed), 10)
+	}
+	if p.Poisoned != 0 {
+		b = strconv.AppendInt(append(b, `,"poisoned":`...), int64(p.Poisoned), 10)
+	}
+	b = append(b, `,"r":`...)
+	if abs := math.Abs(p.R); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		b = strconv.AppendFloat(b, p.R, 'f', -1, 64)
+	} else if r, err := json.Marshal(p.R); err != nil {
+		return nil, fmt.Errorf("round %d: %w", p.Round, err)
+	} else {
+		b = append(b, r...)
+	}
+	if p.Attempt != 0 {
+		b = strconv.AppendInt(append(b, `,"attempt":`...), int64(p.Attempt), 10)
+	}
+	if p.Colored {
+		b = append(b, `,"colored":true`...)
+	}
+	if p.Fallback {
+		b = append(b, `,"fallback":true`...)
+	}
+	return append(b, '}', ','), nil
+}
+
 // snapshotFile is the compaction snapshot: the full job table.
 type snapshotFile struct {
 	Version int           `json:"version"`
@@ -76,20 +136,21 @@ type snapshotJob struct {
 	RSum   float64   `json:"r_sum,omitempty"`
 }
 
-// persist snapshots a job for the compaction snapshot file.
-func (j *job) persist() snapshotJob {
+// snapshotEntry returns json.Marshal of the job's snapshotJob. A terminal
+// job's entry is encoded once and kept: its status never changes again.
+func (j *job) snapshotEntry() ([]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := j.status
-	if st.ControllerCounters != nil {
-		cc := make(map[string]int, len(st.ControllerCounters))
-		for k, v := range st.ControllerCounters {
-			cc[k] = v
-		}
-		st.ControllerCounters = cc
+	if j.snapEntry != nil {
+		return j.snapEntry, nil
 	}
+	st := j.status
 	st.Trajectory = j.hist.slice()
-	return snapshotJob{Status: st, RSum: j.rSum}
+	b, err := json.Marshal(snapshotJob{Status: st, RSum: j.rSum})
+	if err == nil && st.Terminal() {
+		j.snapEntry = b
+	}
+	return b, err
 }
 
 // appendRecord journals one record and, under -fsync always, waits for
@@ -108,7 +169,7 @@ func (s *Service) appendRecord(rec walRecord) error {
 // does not take the service down. It also triggers compaction once the
 // live segments outgrow the configured bound.
 func (s *Service) appendVia(appendFn func([]byte) error, rec walRecord) error {
-	b, err := json.Marshal(rec)
+	b, err := encodeRecord(rec)
 	if err != nil {
 		s.cfg.Logf("specd: journal: encoding %s record for %s: %v", rec.Type, rec.ID, err)
 		return err
@@ -123,7 +184,7 @@ func (s *Service) appendVia(appendFn func([]byte) error, rec walRecord) error {
 		}
 		return err
 	}
-	if s.jnl.LiveBytes() >= s.cfg.CompactBytes {
+	if s.jnl.LiveBytes() >= max(s.cfg.CompactBytes, s.snapBytes.Load()) {
 		s.compact()
 	}
 	return nil
@@ -161,16 +222,15 @@ func (s *Service) journalHandoff(j *job, prefix []RoundPoint) {
 		return
 	}
 	j.mu.Lock()
-	rec := walRecord{Type: recHandoff, ID: j.status.ID, At: time.Now(), Attempt: j.status.Attempt}
+	rec := walRecord{Type: recHandoff, ID: j.status.ID, At: time.Now(), Attempt: j.status.Attempt, Points: prefix}
 	j.mu.Unlock()
-	if len(prefix) > 0 {
-		rec.Points = append([]RoundPoint(nil), prefix...)
-	}
 	s.appendRecord(rec)
 }
 
 // progressRecord captures the job's attempt-local progress under its
-// lock, shared by checkpoint and finished records.
+// lock, shared by checkpoint and finished records. appendVia encodes it
+// before returning and a published counters map is never written, so
+// neither the points nor the counters are copied.
 func (j *job) progressRecord(typ string, points []RoundPoint) walRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -181,15 +241,7 @@ func (j *job) progressRecord(typ string, points []RoundPoint) walRecord {
 		Rounds:      st.Rounds, CurrentM: st.CurrentM, Pending: st.Pending,
 		Launched: st.Launched, Committed: st.Committed, Aborted: st.Aborted,
 		Failed: st.Failed, Poisoned: st.Poisoned, RSum: j.rSum,
-	}
-	if st.ControllerCounters != nil {
-		rec.Counters = make(map[string]int, len(st.ControllerCounters))
-		for k, v := range st.ControllerCounters {
-			rec.Counters[k] = v
-		}
-	}
-	if len(points) > 0 {
-		rec.Points = append([]RoundPoint(nil), points...)
+		Counters: st.ControllerCounters, Points: points,
 	}
 	if typ == recFinished {
 		rec.State = st.State
@@ -250,30 +302,40 @@ func (s *Service) compact() error {
 		return nil
 	}
 	defer s.compacting.Store(false)
-	err := s.jnl.Compact(func() []byte {
-		s.mu.Lock()
-		jobs := make([]*job, 0, len(s.order))
-		for _, id := range s.order {
-			jobs = append(jobs, s.jobs[id])
-		}
-		s.mu.Unlock()
-		snap := snapshotFile{Version: 1, NextID: s.nextID.Load()}
-		snap.Jobs = make([]snapshotJob, len(jobs))
-		for i, j := range jobs {
-			snap.Jobs[i] = j.persist()
-		}
-		b, err := json.Marshal(snap)
-		if err != nil {
-			s.cfg.Logf("specd: journal: encoding snapshot: %v", err)
-			return []byte(`{"version":1,"jobs":[]}`)
-		}
-		return b
-	})
+	err := s.jnl.Compact(s.encodeSnapshot)
 	if err != nil && err != journal.ErrClosed {
 		s.cfg.Logf("specd: journal: compaction failed: %v", err)
 		return err
 	}
 	return nil
+}
+
+// encodeSnapshot returns json.Marshal of the job table as a snapshotFile,
+// assembled from the jobs' entries, and records its size: appendVia
+// compacts again only once the live segments have outgrown it, which
+// keeps all compactions together linear in the job history.
+func (s *Service) encodeSnapshot() []byte {
+	s.mu.Lock()
+	jobs := make([]*job, 0, len(s.order))
+	for _, id := range s.order {
+		jobs = append(jobs, s.jobs[id])
+	}
+	s.mu.Unlock()
+	b := fmt.Appendf(make([]byte, 0, s.snapBytes.Load()+4096), `{"version":1,"next_id":%d,"jobs":[`, s.nextID.Load())
+	for i, j := range jobs {
+		e, err := j.snapshotEntry()
+		if err != nil {
+			s.cfg.Logf("specd: journal: encoding snapshot: %v", err)
+			return []byte(`{"version":1,"jobs":[]}`)
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, e...)
+	}
+	b = append(b, "]}"...)
+	s.snapBytes.Store(int64(len(b)))
+	return b
 }
 
 // jobNum parses the numeric part of a "j<N>" job id (0 if foreign).
@@ -330,7 +392,7 @@ func (s *Service) restoreState(rep *journal.Replayed) (*restored, error) {
 			return j
 		}
 		j := &job{
-			hist:     ring{buf: make([]RoundPoint, 0, s.cfg.HistoryCap)},
+			hist:     ring{max: s.cfg.HistoryCap},
 			cancelCh: make(chan struct{}),
 		}
 		j.status.ID = id
@@ -371,7 +433,7 @@ func (s *Service) restoreState(rep *journal.Replayed) (*restored, error) {
 			j := &job{
 				status:   st,
 				rSum:     sj.RSum,
-				hist:     ring{buf: make([]RoundPoint, 0, s.cfg.HistoryCap)},
+				hist:     ring{max: s.cfg.HistoryCap},
 				cancelCh: make(chan struct{}),
 			}
 			m := &mark{}

@@ -233,8 +233,9 @@ func TestRecoveryRequeuesQueuedJobs(t *testing.T) {
 	}
 }
 
-// TestCompactionEquivalence: with CompactBytes tiny enough to compact
-// after every append, restart still restores the same job table —
+// TestCompactionEquivalence: with CompactBytes tiny enough that the
+// snapshot's own size sets the trigger, so the journal compacts
+// repeatedly mid-run, restart still restores the same job table —
 // snapshot+journal replay is equivalent to journal-only replay.
 func TestCompactionEquivalence(t *testing.T) {
 	dir := t.TempDir()

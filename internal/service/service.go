@@ -244,6 +244,7 @@ type job struct {
 	// a speculative→colored flip, or a colored round right after a
 	// fallback (a re-declared coloring).
 	prevColored bool
+	snapEntry   []byte // the encoded snapshot entry, kept once the job is terminal
 
 	// cancelCh is closed (once) to ask a running job to stop at its
 	// next round barrier; cancelReason is set under mu beforehand.
@@ -303,30 +304,28 @@ func (j *job) isPreempted() bool {
 	return j.preempted
 }
 
-// ring is a fixed-capacity round-history buffer keeping the last cap
-// points.
+// ring is a round-history buffer keeping the last max points. It grows
+// by append, so a short job holds only the points it has, and wraps once
+// it holds max.
 type ring struct {
 	buf   []RoundPoint
+	max   int
 	start int
-	n     int
 }
 
 func (r *ring) push(p RoundPoint) {
-	if cap(r.buf) == 0 {
-		return
-	}
-	if r.n < cap(r.buf) {
+	switch {
+	case len(r.buf) < r.max:
 		r.buf = append(r.buf, p)
-		r.n++
-		return
+	case r.max > 0:
+		r.buf[r.start] = p
+		r.start = (r.start + 1) % r.max
 	}
-	r.buf[r.start] = p
-	r.start = (r.start + 1) % r.n
 }
 
 func (r *ring) slice() []RoundPoint {
-	out := make([]RoundPoint, 0, r.n)
-	out = append(out, r.buf[r.start:r.n]...)
+	out := make([]RoundPoint, 0, len(r.buf))
+	out = append(out, r.buf[r.start:]...)
 	out = append(out, r.buf[:r.start]...)
 	return out
 }
@@ -434,7 +433,7 @@ func (j *job) setState(s State) {
 type Config struct {
 	QueueCap           int // bounded queue capacity (default 64)
 	Workers            int // concurrent job runners (default 2)
-	HistoryCap         int // per-job trajectory ring size (default 256)
+	HistoryCap         int // per-job trajectory points kept, the newest; the ring grows to it (default 256)
 	DefaultParallel    int // executor workers when spec.Parallel == 0 (default 2)
 	MaxRounds          int // hard per-job round cap (default 1<<30)
 	MaxSize            int // largest accepted spec.Size (default 1_000_000)
@@ -459,8 +458,9 @@ type Config struct {
 	// applies only to workloads that support it; the rest fall back to
 	// rounds.
 	DefaultMode string
-	// CompactBytes triggers snapshot compaction once live journal
-	// segments exceed this size (default 4 MiB).
+	// CompactBytes is the floor of the compaction trigger: the job table
+	// is snapshotted once live journal segments reach the larger of it
+	// (default 4 MiB) and the last snapshot's size.
 	CompactBytes int64
 	// FS is the filesystem the journal writes through (default: the real
 	// one). Fault-injection tests substitute a faultinject.FaultFS to
@@ -584,6 +584,7 @@ type Service struct {
 	jnl        *journal.Journal // nil when StateDir is unset
 	recovered  atomic.Int64     // jobs restarted from spec after a crash
 	compacting atomic.Bool
+	snapBytes  atomic.Int64 // size of the last snapshot: with CompactBytes, the compaction trigger
 	closeOnce  sync.Once
 
 	// Degraded mode: a journal disk fault flips the service read-only.
@@ -864,7 +865,7 @@ func (s *Service) submit(id string, spec JobSpec, attempt int, prefix []RoundPoi
 			SubmittedAt: time.Now(),
 			Attempt:     attempt,
 		},
-		hist:     ring{buf: make([]RoundPoint, 0, s.cfg.HistoryCap)},
+		hist:     ring{max: s.cfg.HistoryCap},
 		cancelCh: make(chan struct{}),
 	}
 	recovered := attempt > 1 || len(prefix) > 0

@@ -93,20 +93,29 @@ func BenchmarkExecutorRound(b *testing.B) {
 // BenchmarkExecutorOrdered prices an ordered round's fixed cost — pop,
 // phase 1 on the pool, the commit walk, requeue — on claim-only tasks at
 // MaxParallel 2, from the small m where des spends most of its rounds to a
-// full chunk. One op is one round.
+// full chunk. Those rows hold only the round's m tasks; deep/m=2 pops them
+// off 4096 pending ones, as des does, so the heap's cost shows. One op is
+// one round.
 func BenchmarkExecutorOrdered(b *testing.B) {
+	run := func(b *testing.B, e *OrderedExecutor, round func()) {
+		defer e.Close()
+		round()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	}
 	for _, m := range []int{2, 4, 64} {
 		b.Run(fmt.Sprintf("claim/m=%d/par=2", m), func(b *testing.B) {
 			e, round := claimOnlyOrdered(m, 2)
-			defer e.Close()
-			round()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				round()
-			}
+			run(b, e, round)
 		})
 	}
+	b.Run("deep/m=2", func(b *testing.B) {
+		e, round := deepOrdered(2, 4096, 2)
+		run(b, e, round)
+	})
 }
 
 // conflictHeavyExecutor returns a pooled executor holding n tasks that

@@ -1,12 +1,13 @@
 package speculation
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // This file implements the *ordered* speculative executor — the paper's
@@ -112,40 +113,94 @@ func (c *OrderedCtx) SpawnAtCommit(fn func() []OrderedTask) {
 func (c *OrderedCtx) OnCommit(fn func()) { c.onCommit = append(c.onCommit, fn) }
 
 // orderedScratch holds an ordered round's working state, reused so a
-// steady-state round allocates nothing; Round drops every reference it took.
+// steady-state round allocates nothing; Round drops every task it took.
 type orderedScratch struct {
-	batch   []OrderedTask
+	batch   []keyed
 	ctxs    []OrderedCtx // [:len(batch)] used per round; tasks get &ctxs[i]
 	errs    []error
-	requeue []OrderedTask
-	claimed map[*Item]bool // items the round's committed prefix claimed
-	run     func(i int)    // phase 1's body, bound once so dispatching a round allocates nothing
+	requeue []keyed
+	claimed claimSet    // items the round's committed prefix claimed
+	run     func(i int) // phase 1's body, bound once so dispatching a round allocates nothing
 }
 
-// anyClaimed reports whether claimed holds one of items.
-func anyClaimed(claimed map[*Item]bool, items []*Item) bool {
+// claimSet is a set of items, open-addressed on the item's address (the
+// garbage collector does not move heap objects). A slot is in the set
+// only while it carries the current stamp, so reset empties it with no
+// clearing pass; sized past twice a round's claims, it never fills.
+type claimSet struct {
+	slots []claimSlot
+	stamp uint64
+}
+
+type claimSlot struct {
+	it    *Item
+	stamp uint64
+}
+
+func (c *claimSet) reset(claims int) {
+	c.stamp++
+	if len(c.slots) < 2*claims {
+		c.slots = make([]claimSlot, 1<<bits.Len(uint(2*claims)))
+	}
+}
+
+// slot returns the slot holding it, or the free slot it would take.
+func (c *claimSet) slot(it *Item) *claimSlot {
+	mask := uint64(len(c.slots) - 1)
+	for i := uint64(uintptr(unsafe.Pointer(it))) * 0x9E3779B97F4A7C15 >> 32; ; i++ {
+		if s := &c.slots[i&mask]; s.stamp != c.stamp || s.it == it {
+			return s
+		}
+	}
+}
+
+func (c *claimSet) anyOf(items []*Item) bool {
 	for _, it := range items {
-		if claimed[it] {
+		if c.slot(it).stamp == c.stamp {
 			return true
 		}
 	}
 	return false
 }
 
-// taskHeap is a min-heap of ordered tasks by key.
-type taskHeap []OrderedTask
+// keyed is a task and its key, read once as the task enters the heap: Key
+// is constant for a task's lifetime, so nothing after that calls it.
+type keyed struct {
+	key  Key
+	task OrderedTask
+}
 
-func (h taskHeap) Len() int            { return len(h) }
-func (h taskHeap) Less(i, j int) bool  { return h[i].Key().Less(h[j].Key()) }
-func (h taskHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x interface{}) { *h = append(*h, x.(OrderedTask)) }
-func (h *taskHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
+// taskHeap is a binary min-heap by key that sifts exactly as
+// container/heap does, so even equal keys pop in the same order.
+type taskHeap []keyed
+
+func (h *taskHeap) push(x keyed) {
+	s := append(*h, x)
+	j := len(s) - 1
+	for ; j > 0 && x.key.Less(s[(j-1)/2].key); j = (j - 1) / 2 {
+		s[j] = s[(j-1)/2]
+	}
+	s[j] = x
+	*h = s
+}
+
+func (h *taskHeap) pop() keyed {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && s[c+1].key.Less(s[c].key) {
+			c++
+		}
+		if !s[c].key.Less(last.key) {
+			break
+		}
+		s[i], i = s[c], c
+	}
+	s[i], s[n] = last, keyed{} // n == 0: both are slot 0, which leaves the heap
+	*h = s[:n]
+	return top
 }
 
 // OrderedExecutor runs prioritized tasks optimistically with in-order
@@ -213,7 +268,7 @@ func (e *OrderedExecutor) Add(t OrderedTask) {
 		t = w(t)
 	}
 	e.mu.Lock()
-	heap.Push(&e.pending, t)
+	e.pending.push(keyed{t.Key(), t})
 	e.mu.Unlock()
 }
 
@@ -232,7 +287,7 @@ func (e *OrderedExecutor) NextKey() Key {
 	if len(e.pending) == 0 {
 		return MaxKey
 	}
-	return e.pending[0].Key()
+	return e.pending[0].key
 }
 
 // Round speculatively executes the m earliest pending tasks and commits
@@ -247,7 +302,7 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 	s := &e.scratch
 	e.mu.Lock()
 	for ; m > 0 && len(e.pending) > 0; m-- {
-		s.batch = append(s.batch, heap.Pop(&e.pending).(OrderedTask))
+		s.batch = append(s.batch, e.pending.pop())
 	}
 	e.mu.Unlock()
 	if len(s.batch) == 0 {
@@ -255,8 +310,7 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 	}
 	s.ctxs, s.errs = resized(s.ctxs, len(s.batch)), resized(s.errs, len(s.batch))
 	if s.run == nil {
-		s.claimed = make(map[*Item]bool)
-		s.run = func(i int) { s.errs[i] = runGuardedOrdered(s.batch[i], &s.ctxs[i]) }
+		s.run = func(i int) { s.errs[i] = runGuardedOrdered(s.batch[i].task, &s.ctxs[i]) }
 	}
 
 	// Phase 1: parallel speculative execution (read + claim only) on the
@@ -269,10 +323,15 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 	stats := RoundStats{Launched: len(s.batch)}
 	budget := e.retryBudget()
 	minSpawn := MaxKey
+	claims := 0
+	for i := range s.batch {
+		claims += len(s.ctxs[i].claims)
+	}
+	s.claimed.reset(claims)
 	requeue := s.requeue
 	stopped := false
-	for i, t := range s.batch {
-		ctx := &s.ctxs[i]
+	for i, b := range s.batch {
+		ctx, t := &s.ctxs[i], b.task
 		switch err := s.errs[i]; {
 		case stopped:
 			// A task before this one failed to commit. Its re-execution
@@ -281,7 +340,7 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 			// the committed set must be a prefix of the batch.
 			stats.Aborted++
 			stats.Premature++
-			requeue = append(requeue, t)
+			requeue = append(requeue, b)
 		case err != nil:
 			// Failure: the phase-1 attempt is discarded (ordered tasks
 			// are read-only in phase 1, so there is nothing to roll
@@ -298,43 +357,43 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 				e.quarantine(FailureRecord{
 					Handle:   -1,
 					Attempts: rt.fails,
-					Err:      fmt.Sprintf("key=%+v: %v", t.Key(), err),
+					Err:      fmt.Sprintf("key=%+v: %v", b.key, err),
 				})
 			} else {
-				requeue = append(requeue, rt)
+				requeue = append(requeue, keyed{b.key, rt})
 			}
-		case minSpawn.Less(t.Key()):
+		case minSpawn.Less(b.key):
 			// Earlier work was generated by a committed task: this
 			// execution ran ahead of it and must be redone.
 			stats.Aborted++
 			stats.Premature++
-			requeue = append(requeue, t)
-		case anyClaimed(s.claimed, ctx.claims):
+			requeue = append(requeue, b)
+		case s.claimed.anyOf(ctx.claims):
 			stats.Aborted++
-			requeue = append(requeue, t)
+			requeue = append(requeue, b)
 		default:
 			// Commit: apply mutations, book claims, surface spawns.
 			for _, fn := range ctx.onCommit {
 				fn()
 			}
 			for _, it := range ctx.claims {
-				s.claimed[it] = true
+				*s.claimed.slot(it) = claimSlot{it, s.claimed.stamp}
 			}
 			for _, fn := range ctx.spawnFns {
 				ctx.spawned = append(ctx.spawned, fn()...)
 			}
 			for _, sp := range ctx.spawned {
-				if !t.Key().Less(sp.Key()) {
-					panic(fmt.Sprintf("speculation: spawn key %+v not after parent %+v",
-						sp.Key(), t.Key()))
+				k := sp.Key()
+				if !b.key.Less(k) {
+					panic(fmt.Sprintf("speculation: spawn key %+v not after parent %+v", k, b.key))
 				}
-				if sp.Key().Less(minSpawn) {
-					minSpawn = sp.Key()
+				if k.Less(minSpawn) {
+					minSpawn = k
 				}
 				if w := e.WrapTask; w != nil {
 					sp = w(sp)
 				}
-				requeue = append(requeue, sp)
+				requeue = append(requeue, keyed{k, sp})
 				stats.Spawned++
 			}
 			stats.Committed++
@@ -343,15 +402,12 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 		stopped = true
 	}
 	e.mu.Lock()
-	for _, t := range requeue {
-		heap.Push(&e.pending, t)
+	for _, r := range requeue {
+		e.pending.push(r)
 	}
 	e.mu.Unlock()
 	for i := range s.batch {
 		c := &s.ctxs[i]
-		for _, it := range c.claims {
-			delete(s.claimed, it) // cheaper than clearing the map's capacity
-		}
 		c.claims, c.spawned = scrubSlice(c.claims), scrubSlice(c.spawned)
 		c.spawnFns, c.onCommit = scrubSlice(c.spawnFns), scrubSlice(c.onCommit)
 	}

@@ -1,7 +1,10 @@
 package speculation
 
 import (
+	"container/heap"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -250,6 +253,127 @@ func TestOrderedRoundAllocatesNothing(t *testing.T) {
 		}
 		e.Close()
 	}
+}
+
+// deepOrdered is claimOnlyOrdered over a work-set depth tasks deep — the
+// shape of a des drain, where each round takes the m earliest events off
+// a heap of thousands and their successors go in at the far end. Each
+// committed task re-enters with its key moved past every pending one, so
+// the heap keeps its depth and the round allocates nothing.
+func deepOrdered(m, depth, maxPar int) (*OrderedExecutor, func()) {
+	e := NewOrderedExecutor()
+	e.MaxParallel = maxPar
+	tasks := make([]*testOrderedTask, depth)
+	for i := range tasks {
+		tasks[i] = &testOrderedTask{key: key(float64(i)), claims: []*Item{NewItem(int64(i))}}
+		e.Add(tasks[i])
+	}
+	next := 0
+	return e, func() {
+		if st := e.Round(m); st.Committed != m {
+			panic(fmt.Sprintf("deep round committed %d of %d", st.Committed, m))
+		}
+		for j := 0; j < m; j++ {
+			t := tasks[next]
+			t.key.Time += float64(depth)
+			e.Add(t)
+			next = (next + 1) % depth
+		}
+	}
+}
+
+// TestOrderedDeepRoundAllocatesNothing is TestOrderedRoundAllocatesNothing
+// at des's shape: m = 2 off a heap of 4096 pending tasks.
+func TestOrderedDeepRoundAllocatesNothing(t *testing.T) {
+	e, round := deepOrdered(2, 4096, 2)
+	defer e.Close()
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("steady-state deep ordered round allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestOrderedPopsInKeyOrder: with keys that share Times and differ in
+// Tie, losers requeued and spawns arriving mid-drain, every commit comes
+// in key order — and the work-set heap pops exactly as container/heap
+// would, equal keys included.
+func TestOrderedPopsInKeyOrder(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 9))
+	items := []*Item{NewItem(0), NewItem(1), NewItem(2)}
+	e := NewOrderedExecutor()
+	e.MaxParallel = 2
+	var committed []Key
+	tie := uint64(0)
+	var mk func(tm float64, depth int) *testOrderedTask
+	mk = func(tm float64, depth int) *testOrderedTask {
+		tie++
+		t := &testOrderedTask{key: Key{Time: tm, Tie: tie}, claims: []*Item{items[r.IntN(len(items))]}}
+		if depth > 0 && r.IntN(3) == 0 {
+			t.spawn = []OrderedTask{mk(tm+float64(1+r.IntN(4)), depth-1)}
+		}
+		t.effect = func() { committed = append(committed, t.key) }
+		return t
+	}
+	total := 0
+	var count func(t *testOrderedTask)
+	count = func(t *testOrderedTask) {
+		total++
+		for _, s := range t.spawn {
+			count(s.(*testOrderedTask))
+		}
+	}
+	for i := 0; i < 500; i++ {
+		t := mk(float64(r.IntN(40)), 3)
+		count(t)
+		e.Add(t)
+	}
+	for e.Pending() > 0 {
+		e.Round(1 + r.IntN(16))
+	}
+	if len(committed) != total {
+		t.Fatalf("committed %d of %d tasks", len(committed), total)
+	}
+	if !slices.IsSortedFunc(committed, func(a, b Key) int {
+		if a.Less(b) {
+			return -1
+		}
+		if b.Less(a) {
+			return 1
+		}
+		return 0
+	}) {
+		t.Fatal("commits left key order")
+	}
+
+	var h taskHeap
+	ref := &refHeap{}
+	for i := 0; i < 4000; i++ {
+		if len(h) == 0 || r.IntN(3) > 0 {
+			k := Key{Time: float64(r.IntN(50)), Tie: uint64(r.IntN(4))} // equal keys on purpose
+			t := &testOrderedTask{key: k}
+			h.push(keyed{k, t})
+			heap.Push(ref, keyed{k, t})
+			continue
+		}
+		if got, want := h.pop(), heap.Pop(ref).(keyed); got != want {
+			t.Fatalf("pop %d: %+v, container/heap pops %+v", i, got.key, want.key)
+		}
+	}
+}
+
+// refHeap is container/heap over the same entries: the pop order the
+// executor's heap must reproduce.
+type refHeap []keyed
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].key.Less(h[j].key) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(keyed)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 func TestRunAdaptiveOnOrderedExecutor(t *testing.T) {
