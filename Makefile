@@ -45,7 +45,8 @@ race:
 # equiv is the controller-equivalence acceptance check for the
 # barrier-free executor — the hybrid controller fed sliding-window
 # pseudo-rounds must settle to the same steady-state m as the same
-# controller fed real rounds on the synthetic cc workload — plus the
+# controller fed real rounds on the synthetic cc workload, with windows
+# closing at the size asked for — plus the
 # colored-mode acceptance run: on the stable-conflict workload the
 # colored drive must commit everything colored when footprints are
 # declared and reach the colored phase when they are learned, with a
@@ -58,8 +59,8 @@ race:
 # per-round (M, R, Committed) series at -parallel 1, where both are pure
 # functions of the seed, pinned byte for byte.
 equiv:
-	$(GO) test -count=1 -run 'TestAsyncControllerEquivalence|TestWindowedEstimator|TestColoredEquivalence|TestDeclared|TestGolden' \
-		./internal/speculation/ ./internal/workload/ ./internal/control/ .
+	$(GO) test -count=1 -run 'TestAsyncControllerEquivalence|TestRunAsyncWindow|TestColoredEquivalence|TestDeclared|TestGolden' \
+		./internal/speculation/ ./internal/workload/ .
 
 # chaos runs the fault-injection and cancellation end-to-end suites
 # under the race detector: deterministic panic/error/delay injection

@@ -8,12 +8,12 @@
 //	specload -addr http://127.0.0.1:8080,http://127.0.0.1:8081 -jobs 32
 //
 // With multiple comma-separated targets, specload drives them through
-// the cluster-failover client: requests stick to the first reachable
-// target and rotate on transport errors, so a soak run rides through a
-// router or node restart. Jobs vary the seed (base seed + index) so a
-// run exercises distinct executions. Exit status is nonzero if any
-// accepted job failed, or if rejected jobs were not expected
-// (-expect-reject=false).
+// one failover client: requests stick to the first reachable target and
+// rotate on transport errors, timeouts and 503/504 answers, so a soak
+// run rides through a router or node restart. Jobs vary the seed (base
+// seed + index) so a run exercises distinct executions. Exit status is
+// nonzero if any accepted job failed, or if rejected jobs were not
+// expected (-expect-reject=false).
 package main
 
 import (
@@ -210,34 +210,33 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	targets := strings.Split(*addr, ",")
-	recorders := make(map[string]*latencyRecorder, len(targets))
-	clients := make([]*client.Client, 0, len(targets))
-	for _, t := range targets {
-		t = strings.TrimSpace(t)
-		if t == "" {
-			continue
+	var targets []string
+	for _, t := range strings.Split(*addr, ",") {
+		if t = strings.TrimRight(strings.TrimSpace(t), "/"); t != "" {
+			targets = append(targets, t)
 		}
-		c := client.New(t)
-		if chaosLinks != nil {
-			c.HTTPClient = &http.Client{
-				Timeout: 10 * time.Second,
-				Transport: &faultinject.ChaosTransport{
-					Src:    "specload",
-					Config: faultinject.ChaosConfig{Seed: *chaosSeed, Links: chaosLinks},
-				},
-			}
-		}
-		lr := newLatencyRecorder()
-		recorders[c.BaseURL] = lr
-		c.Observe = lr.observe
-		clients = append(clients, c)
 	}
-	if len(clients) == 0 {
+	if len(targets) == 0 {
 		fmt.Fprintln(os.Stderr, "specload: -addr names no targets")
 		os.Exit(2)
 	}
-	c := client.NewClusterFrom(clients...)
+	recorders := make(map[string]*latencyRecorder, len(targets))
+	for _, t := range targets {
+		recorders[t] = newLatencyRecorder()
+	}
+	c := client.New(targets[0], targets[1:]...)
+	c.Observe = func(target, method, path string, status int, err error, elapsed time.Duration) {
+		recorders[target].observe(method, path, status, err, elapsed)
+	}
+	if chaosLinks != nil {
+		c.HTTPClient = &http.Client{
+			Timeout: 10 * time.Second,
+			Transport: &faultinject.ChaosTransport{
+				Src:    "specload",
+				Config: faultinject.ChaosConfig{Seed: *chaosSeed, Links: chaosLinks},
+			},
+		}
+	}
 
 	h, err := c.Health(ctx)
 	if err != nil {
@@ -355,8 +354,8 @@ func main() {
 				tn, t.accepted, t.completed, t.rejected)
 		}
 	}
-	for _, cl := range clients {
-		recorders[cl.BaseURL].summarize(cl.BaseURL)
+	for _, t := range targets {
+		recorders[t].summarize(t)
 	}
 	if failed > 0 || (rejected > 0 && !*expectReject) {
 		os.Exit(1)

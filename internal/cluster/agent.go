@@ -1,17 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/rng"
+	"repro/internal/service/client"
 )
 
 // AgentConfig wires a node's membership agent.
@@ -43,7 +40,7 @@ type AgentConfig struct {
 // Revoked() if the router refuses the lease — the signal to drain.
 type Agent struct {
 	cfg    AgentConfig
-	client *http.Client
+	router *client.Client
 
 	mu      sync.Mutex
 	expires time.Time
@@ -53,10 +50,10 @@ type Agent struct {
 	revokeMsg string
 	revOnce   sync.Once
 
-	retries   atomic.Int64
 	jitterSeq atomic.Uint64
 
-	stop    chan struct{}
+	ctx     context.Context // canceled by Close: ends the heartbeat loop and its retries
+	stop    context.CancelFunc
 	stopped sync.WaitGroup
 }
 
@@ -81,13 +78,14 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:     cfg,
-		client:  cfg.HTTPClient,
+		router:  client.New(cfg.RouterURL),
 		revoked: make(chan struct{}),
-		stop:    make(chan struct{}),
 	}
-	if a.client == nil {
-		a.client = &http.Client{Timeout: 5 * time.Second}
+	a.router.HTTPClient = cfg.HTTPClient
+	if a.router.HTTPClient == nil {
+		a.router.HTTPClient = &http.Client{Timeout: 5 * time.Second}
 	}
+	a.ctx, a.stop = context.WithCancel(context.Background())
 	a.jitterSeq.Store(uint64(time.Now().UnixNano()))
 	if err := a.renew(); err != nil {
 		a.cfg.Logf("cluster: initial join of %s failed (will retry): %v", cfg.RouterURL, err)
@@ -103,7 +101,7 @@ func (a *Agent) loop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-a.stop:
+		case <-a.ctx.Done():
 			return
 		case <-a.revoked:
 			return
@@ -115,39 +113,19 @@ func (a *Agent) loop() {
 	}
 }
 
-// renewWithRetry sends one heartbeat, retrying failures with capped
-// exponential backoff and jitter so a transient router blip does not
-// burn a whole heartbeat period of lease slack.
+// renewWithRetry sends one heartbeat, retrying failures on a jittered
+// exponential schedule (from 25ms, capped at TTL/6) so a transient
+// router blip does not burn a whole heartbeat period of lease slack and
+// restarting agents desynchronize.
 func (a *Agent) renewWithRetry() error {
-	backoff := 25 * time.Millisecond
-	maxBackoff := a.cfg.TTL / 6
-	if maxBackoff < backoff {
-		maxBackoff = backoff
+	base := 25 * time.Millisecond
+	p := client.Backoff{
+		MaxRetries: agentRetryMax, Base: base, Max: max(a.cfg.TTL/6, base),
+		Seed: a.jitterSeq.Add(0x9e3779b97f4a7c15),
 	}
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = a.renew(); err == nil {
-			return nil
-		}
-		if attempt >= agentRetryMax {
-			return err
-		}
-		a.retries.Add(1)
-		// Sleep in [backoff/2, backoff) so restarting agents desynchronize.
-		d := backoff/2 + time.Duration(rng.New(a.jitterSeq.Add(0x9e3779b97f4a7c15)).Float64()*float64(backoff/2))
-		select {
-		case <-a.stop:
-			return err
-		case <-time.After(d):
-		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
+	_, err := p.Retry(a.ctx, a.renew, func(error) (time.Duration, bool) { return 0, true })
+	return err
 }
-
-// Retries reports heartbeat attempts beyond the first, cumulatively.
-func (a *Agent) Retries() int64 { return a.retries.Load() }
 
 // renew sends one heartbeat and folds the response into the agent.
 func (a *Agent) renew() error {
@@ -161,7 +139,7 @@ func (a *Agent) renew() error {
 		req.Load = a.cfg.Load()
 	}
 	var resp renewResponse
-	if err := a.post("/v1/cluster/renew", req, &resp); err != nil {
+	if err := a.post(a.ctx, "/v1/cluster/renew", req, &resp); err != nil {
 		return err
 	}
 	if resp.Revoked {
@@ -178,35 +156,11 @@ func (a *Agent) renew() error {
 	return nil
 }
 
-func (a *Agent) post(path string, body, out any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+// post sends one control-plane call to the router, bounded at 5s.
+func (a *Agent) post(ctx context.Context, path string, body, out any) error {
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		a.cfg.RouterURL+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s: %s", path, resp.Status)
-	}
-	if out != nil {
-		return json.Unmarshal(raw, out)
-	}
-	return nil
+	return a.router.Call(ctx, http.MethodPost, path, body, out)
 }
 
 // Revoked is closed when the router refuses this incarnation's lease;
@@ -242,15 +196,13 @@ func (a *Agent) Members() []MemberInfo {
 // announces a clean departure so the router hands our jobs off
 // immediately instead of waiting out the lease.
 func (a *Agent) Close() {
-	select {
-	case <-a.stop:
+	if a.ctx.Err() != nil {
 		return
-	default:
 	}
-	close(a.stop)
+	a.stop()
 	a.stopped.Wait()
 	if a.RevokeReason() == "" {
-		_ = a.post("/v1/cluster/leave", leaveRequest{
+		_ = a.post(context.Background(), "/v1/cluster/leave", leaveRequest{
 			ID:          a.cfg.NodeID,
 			Incarnation: a.cfg.Incarnation,
 		}, nil)

@@ -77,10 +77,6 @@ func (r *Router) handlePlace(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, code, errorBody{Error: err.Error()})
 		return
 	}
-	if code >= 400 && st.ID == "" { // relayed node-side error without a status body
-		writeJSON(w, code, errorBody{Error: "placement refused by node"})
-		return
-	}
 	writeJSON(w, code, st)
 }
 
@@ -162,6 +158,10 @@ func (r *Router) handlePlacements(w http.ResponseWriter, req *http.Request) {
 // (pre-handoff window), answers with the cached last-known status
 // (trajectory replaced by the synced prefix). A suspect owner still
 // serves: it is reachable even when its heartbeats are not.
+//
+// The cache stands in for a slow owner only on reads it can answer in
+// full: a ?tail= poll no longer than the synced prefix. A read of the
+// whole trajectory keeps waiting for the owner.
 func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	r.mu.Lock()
@@ -180,23 +180,20 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 		if req.URL.RawQuery != "" {
 			path += "?" + req.URL.RawQuery
 		}
-		if res, won := r.hedgedGet(req, m, path, id); won {
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Specd-Node", res.node)
-			if res.code < 300 {
-				var st service.JobStatus
-				if json.Unmarshal(res.body, &st) == nil && st.ID != "" {
-					st.Node = res.node
-					writeJSONStatus(w, res.code, st)
-					return
-				}
-			}
-			w.WriteHeader(res.code)
-			_, _ = w.Write(res.body)
+		if res, won := r.hedgedGet(req, m, path, id, r.cacheAnswers(req)); won {
+			relay(w, res.code, res.body, res.node)
 			return
 		}
 	}
 	r.serveCached(w, pl)
+}
+
+// cacheAnswers reports whether the cached status answers req in full:
+// it carries at most PrefixTail trajectory points, so only a ?tail=N
+// poll with N <= PrefixTail.
+func (r *Router) cacheAnswers(req *http.Request) bool {
+	n, err := strconv.Atoi(req.URL.Query().Get("tail"))
+	return err == nil && n >= 0 && n <= r.cfg.PrefixTail
 }
 
 // memberResp is one member's answer to a (possibly hedged) proxy read.
@@ -210,11 +207,12 @@ type memberResp struct {
 // fires only after hedgeDelay of silence; the first usable answer
 // (anything but a 404, a 5xx, or a transport failure) wins and the
 // loser's request is canceled. When the hedge comes back unusable —
-// the successor usually does not know the job — the read falls back to
-// the router's cached status instead of waiting out a slow or
-// partitioned owner, which is what bounds read tail latency near the
-// hedge delay.
-func (r *Router) hedgedGet(req *http.Request, owner MemberInfo, path, jobID string) (memberResp, bool) {
+// the successor usually does not know the job — and cacheOK says the
+// cache can answer the read, it falls back to the router's cached
+// status instead of waiting out a slow or partitioned owner, which is
+// what bounds poll tail latency near the hedge delay; otherwise it
+// waits for the owner, as long as the request lives.
+func (r *Router) hedgedGet(req *http.Request, owner MemberInfo, path, jobID string, cacheOK bool) (memberResp, bool) {
 	ctx, cancel := context.WithCancel(req.Context())
 	defer cancel()
 	type result struct {
@@ -224,7 +222,7 @@ func (r *Router) hedgedGet(req *http.Request, owner MemberInfo, path, jobID stri
 	}
 	results := make(chan result, 2)
 	fetch := func(m MemberInfo, hedge bool) {
-		code, body, err := r.fetchFrom(ctx, m.Addr, path)
+		code, body, err := r.member(m.Addr).Raw(ctx, http.MethodGet, path)
 		results <- result{memberResp{code, body, m.ID}, err, hedge}
 	}
 	start := time.Now()
@@ -248,9 +246,10 @@ func (r *Router) hedgedGet(req *http.Request, owner MemberInfo, path, jobID stri
 			if res.err != nil {
 				r.proxyErrors.Add(1)
 			}
-			if res.hedge || outstanding == 0 {
+			if outstanding == 0 || (res.hedge && cacheOK) {
 				// Either nobody is left to answer, or the hedge verdict
-				// is in: stop waiting on the slow owner, serve cached.
+				// is in and the cache will do: stop waiting on the slow
+				// owner, serve cached.
 				return memberResp{}, false
 			}
 		case <-hedgeTimer:
@@ -278,26 +277,6 @@ func (r *Router) hedgeTarget(jobID, ownerID string) (MemberInfo, bool) {
 	return MemberInfo{}, false
 }
 
-// fetchFrom issues one proxied GET to a member. The error return is
-// transport-level only.
-func (r *Router) fetchFrom(ctx context.Context, addr, path string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+path, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	propagateDeadline(req)
-	resp, err := r.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, body, nil
-}
-
 // servableMember resolves a member id to its row iff it can serve
 // reads: alive, or suspect (lease expired yet still answering probes).
 func (r *Router) servableMember(id string) (MemberInfo, bool) {
@@ -305,54 +284,21 @@ func (r *Router) servableMember(id string) (MemberInfo, bool) {
 	return m, ok && (m.State == StateAlive || m.State == StateSuspect)
 }
 
-// proxyTo relays one request to a member, returning false on a
-// transport failure (the caller then serves its fallback). A 2xx
-// JobStatus body is annotated with the owning node before relay;
-// other statuses pass through verbatim — except a 404, which also
-// falls back, because during a handoff window the owner of record may
-// not know the job yet.
-func (r *Router) proxyTo(w http.ResponseWriter, req *http.Request, method, url, node string) bool {
-	preq, err := http.NewRequestWithContext(req.Context(), method, url, nil)
-	if err != nil {
-		return false
-	}
-	propagateDeadline(preq)
-	resp, err := r.cfg.HTTPClient.Do(preq)
-	if err != nil {
-		r.proxyErrors.Add(1)
-		return false
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		r.proxyErrors.Add(1)
-		return false
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		return false
-	}
-	w.Header().Set("Content-Type", "application/json")
+// relay writes a member's answer: a 2xx JobStatus annotated with the
+// node that served it, anything else verbatim.
+func relay(w http.ResponseWriter, code int, body []byte, node string) {
 	w.Header().Set("X-Specd-Node", node)
-	if resp.StatusCode < 300 {
+	if code < 300 {
 		var st service.JobStatus
 		if json.Unmarshal(body, &st) == nil && st.ID != "" {
 			st.Node = node
-			writeJSONStatus(w, resp.StatusCode, st)
-			return true
+			writeJSON(w, code, st)
+			return
 		}
 	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
-	return true
-}
-
-// writeJSONStatus is writeJSON without re-setting headers (the proxy
-// path has already written them).
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 // serveCached answers with the router's last synced view of a job.
@@ -388,9 +334,17 @@ func (r *Router) handleCancel(w http.ResponseWriter, req *http.Request) {
 			errorBody{Error: "job owner is down; cancel after handoff completes"})
 		return
 	}
-	if !r.proxyTo(w, req, http.MethodDelete, m.Addr+"/v1/jobs/"+id, node) {
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: "owner unreachable"})
+	// A 404 reads as an unreachable owner too: during a handoff window
+	// the owner of record may not know the job yet.
+	code, body, err := r.member(m.Addr).Raw(req.Context(), http.MethodDelete, "/v1/jobs/"+id)
+	if err != nil {
+		r.proxyErrors.Add(1)
 	}
+	if err != nil || code == http.StatusNotFound {
+		writeJSON(w, http.StatusBadGateway, errorBody{Error: "owner unreachable"})
+		return
+	}
+	relay(w, code, body, node)
 }
 
 // handleList fans out to every servable member (suspects included:
@@ -400,7 +354,7 @@ func (r *Router) handleCancel(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 	seen := make(map[string]service.JobStatus)
 	for _, m := range append(r.members.alive(), r.members.suspects()...) {
-		jobs, err := r.fetchJobs(m.Addr)
+		jobs, err := scrape(r.member(m.Addr).Jobs)
 		if err != nil {
 			r.scrapeErrors.Add(1)
 			continue
@@ -528,7 +482,7 @@ func (r *Router) scrapeAggregate() (map[string]float64, []string) {
 	sums := make(map[string]float64)
 	var order []string
 	for _, m := range r.members.alive() {
-		body, err := r.fetchMetrics(m.Addr)
+		body, err := scrape(r.member(m.Addr).Metrics)
 		if err != nil {
 			r.scrapeErrors.Add(1)
 			continue
@@ -555,26 +509,4 @@ func (r *Router) scrapeAggregate() (map[string]float64, []string) {
 		}
 	}
 	return sums, order
-}
-
-func (r *Router) fetchMetrics(addr string) (string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := r.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("cluster: %s /metrics: %s", addr, resp.Status)
-	}
-	return string(body), nil
 }

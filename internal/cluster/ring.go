@@ -16,16 +16,13 @@ type ringPoint struct {
 	id   string
 }
 
-// defaultVNodes is the virtual-node count per member. 64 keeps the
-// max/min load spread under ~30% for small clusters, which is plenty
-// when least-loaded fallback smooths the rest.
-const defaultVNodes = 64
+// vnodes is the virtual-node count per member. 64 keeps the max/min
+// load spread under ~30% for small clusters, which is plenty when
+// least-loaded fallback smooths the rest.
+const vnodes = 64
 
 // buildRing constructs a ring over the given member ids.
-func buildRing(ids []string, vnodes int) *hashRing {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func buildRing(ids []string) *hashRing {
 	r := &hashRing{points: make([]ringPoint, 0, len(ids)*vnodes)}
 	var buf [8]byte
 	for _, id := range ids {

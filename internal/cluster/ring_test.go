@@ -9,8 +9,8 @@ import (
 // function of (membership set, job id).
 func TestRingDeterministic(t *testing.T) {
 	ids := []string{"n1", "n2", "n3"}
-	a := buildRing(ids, 0)
-	b := buildRing([]string{"n3", "n1", "n2"}, 0) // order must not matter
+	a := buildRing(ids)
+	b := buildRing([]string{"n3", "n1", "n2"}) // order must not matter
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("c%d", i)
 		if got, want := b.lookup(key), a.lookup(key); got != want {
@@ -33,7 +33,7 @@ func TestRingDeterministic(t *testing.T) {
 
 func TestRingBalanceAndStability(t *testing.T) {
 	ids := []string{"n1", "n2", "n3", "n4"}
-	r := buildRing(ids, 0)
+	r := buildRing(ids)
 	counts := make(map[string]int)
 	const keys = 4000
 	for i := 0; i < keys; i++ {
@@ -48,7 +48,7 @@ func TestRingBalanceAndStability(t *testing.T) {
 	// Short sequential ids — the router's actual id sequence — must
 	// spread too: raw FNV-1a once parked all of "c1".."c99" on a single
 	// member because the last byte barely reached the high bits.
-	three := buildRing([]string{"n1", "n2", "n3"}, 0)
+	three := buildRing([]string{"n1", "n2", "n3"})
 	short := make(map[string]int)
 	for i := 1; i <= 99; i++ {
 		short[three.lookup(fmt.Sprintf("c%d", i))]++
@@ -60,7 +60,7 @@ func TestRingBalanceAndStability(t *testing.T) {
 	}
 
 	// Removing one member must not move keys between the survivors.
-	small := buildRing([]string{"n1", "n2", "n3"}, 0)
+	small := buildRing([]string{"n1", "n2", "n3"})
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("c%d", i)
@@ -75,7 +75,7 @@ func TestRingBalanceAndStability(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := buildRing(nil, 0)
+	r := buildRing(nil)
 	if got := r.lookup("c1"); got != "" {
 		t.Fatalf("empty ring lookup = %q, want \"\"", got)
 	}

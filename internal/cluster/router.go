@@ -1,11 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -15,8 +14,8 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/rng"
 	"repro/internal/service"
+	"repro/internal/service/client"
 )
 
 // RouterConfig tunes the cluster front door. Zero values take the
@@ -38,12 +37,6 @@ type RouterConfig struct {
 	// PrefixTail bounds the trajectory prefix cached per running job
 	// for handoff (64 points).
 	PrefixTail int
-	// OrphanGrace is how long a placement may point at a member the
-	// (restarted) router has never seen before its jobs are handed off
-	// anyway (3×LeaseTTL).
-	OrphanGrace time.Duration
-	// VNodes is the consistent-hash virtual-node count (64).
-	VNodes int
 	// Fsync is the WAL durability policy (journal.SyncAlways).
 	Fsync journal.Policy
 	// HTTPClient talks to members (default: 5s timeout).
@@ -55,18 +48,11 @@ type RouterConfig struct {
 	// partition — it cannot heartbeat, but it answers probes — is never
 	// revoked while it still serves.
 	SuspectGrace time.Duration
-	// ProbeTimeout bounds each /healthz probe of a suspect (1s).
-	ProbeTimeout time.Duration
 	// HedgeDelay is how long a proxied read waits on the placement owner
 	// before hedging a second request to the ring successor. Zero means
 	// adaptive: the observed p99 proxy latency, clamped to
 	// [10ms, HTTPClient timeout/2]. Negative disables hedging.
 	HedgeDelay time.Duration
-	// RetryMax caps RPC attempts per member for placement and handoff
-	// posts (3). Retries back off exponentially with jitter from
-	// RetryBase (25ms), capped at 500ms.
-	RetryMax  int
-	RetryBase time.Duration
 	// Logf receives router lifecycle lines (optional).
 	Logf func(format string, args ...any)
 	// Now is the failure detector's clock (tests inject one).
@@ -86,9 +72,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.PrefixTail <= 0 {
 		c.PrefixTail = 64
 	}
-	if c.OrphanGrace <= 0 {
-		c.OrphanGrace = 3 * c.LeaseTTL
-	}
 	if c.Fsync == "" {
 		c.Fsync = journal.SyncAlways
 	}
@@ -98,15 +81,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.SuspectGrace <= 0 {
 		c.SuspectGrace = 2 * c.LeaseTTL
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 3
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 25 * time.Millisecond
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -115,6 +89,22 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	return c
 }
+
+// Fixed router policy.
+const (
+	// probeTimeout bounds each /healthz probe of a suspect.
+	probeTimeout = time.Second
+	// orphanLeases is how many lease TTLs a placement may point at a
+	// member the (restarted) router has never seen before its jobs are
+	// handed off anyway.
+	orphanLeases = 3
+	// Placement and handoff RPCs try a member rpcAttempts times,
+	// retrying transport errors only, with waits drawn by client.Backoff
+	// from rpcBackoffBase, capped at rpcBackoffMax.
+	rpcAttempts    = 3
+	rpcBackoffBase = 25 * time.Millisecond
+	rpcBackoffMax  = 500 * time.Millisecond
+)
 
 // placement is the router's record of one job: where it lives, the
 // attempt counter and trajectory tail last synced from the owner, and
@@ -201,7 +191,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	r := &Router{
 		cfg:        cfg,
 		members:    newMemberTable(cfg.Now),
-		ring:       buildRing(nil, cfg.VNodes),
+		ring:       buildRing(nil),
 		placements: make(map[string]*placement),
 		start:      time.Now(),
 		stop:       make(chan struct{}),
@@ -332,7 +322,7 @@ func (r *Router) rebuildRing() {
 		ids[i] = m.ID
 	}
 	r.mu.Lock()
-	r.ring = buildRing(ids, r.cfg.VNodes)
+	r.ring = buildRing(ids)
 	r.mu.Unlock()
 }
 
@@ -410,15 +400,11 @@ func (r *Router) nextID() string {
 
 // place submits spec to the cluster under a fresh cluster-wide id.
 // It walks the candidate order, skipping members that are full (429),
-// draining (503), or unreachable; a 400 is the spec's fault and is
-// returned as-is. The returned status carries the owning node and the
-// HTTP code to relay.
+// draining (503), or unreachable; a 400 is the spec's fault and comes
+// back with its code and the node's reason as the error. The returned
+// status carries the owning node and the HTTP code to relay.
 func (r *Router) place(ctx context.Context, spec service.JobSpec) (service.JobStatus, int, error) {
 	id := r.nextID()
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return service.JobStatus{}, http.StatusInternalServerError, err
-	}
 	cands := r.candidates(id)
 	if len(cands) == 0 {
 		return service.JobStatus{}, http.StatusServiceUnavailable,
@@ -426,21 +412,31 @@ func (r *Router) place(ctx context.Context, spec service.JobSpec) (service.JobSt
 	}
 	var lastErr error
 	for _, m := range cands {
-		st, code, err := r.postJob(ctx, m.Addr, id, payload)
+		c := r.member(m.Addr)
+		var st service.JobStatus
+		err := r.retry(ctx, func() (err error) {
+			st, err = c.SubmitPlaced(ctx, id, spec)
+			return err
+		})
+		var he *client.HTTPError
 		switch {
-		case err != nil: // transport failure: next candidate
-			r.proxyErrors.Add(1)
-			lastErr = err
-			continue
-		case code == http.StatusAccepted || code == http.StatusOK:
+		case err == nil:
 			st.Node = m.ID
 			r.recordPlacement(id, spec, m.ID)
 			return st, http.StatusAccepted, nil
-		case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
-			lastErr = fmt.Errorf("cluster: %s refused placement (%d)", m.ID, code)
-			continue
-		default: // 400 and friends: the spec's problem, relay verbatim
-			return st, code, nil
+		case errors.Is(err, client.ErrBusy): // full: next candidate
+			lastErr = fmt.Errorf("cluster: %s refused placement (%d)", m.ID, http.StatusTooManyRequests)
+		case !errors.As(err, &he): // transport failure: next candidate
+			r.proxyErrors.Add(1)
+			lastErr = err
+		case he.StatusCode == http.StatusServiceUnavailable: // draining: next candidate
+			lastErr = fmt.Errorf("cluster: %s refused placement (%d)", m.ID, he.StatusCode)
+		default: // 400 and friends: the spec's problem, relayed with its code
+			msg := "placement refused by node"
+			if he.Message != "" {
+				msg += ": " + he.Message
+			}
+			return service.JobStatus{}, he.StatusCode, errors.New(msg)
 		}
 	}
 	if lastErr == nil {
@@ -457,66 +453,32 @@ func (r *Router) recordPlacement(id string, spec service.JobSpec, node string) {
 	r.appendWAL(walRecord{Type: "place", ID: id, Node: node, Attempt: 1, Spec: &spec})
 }
 
-// propagateDeadline copies the request context's deadline into the
-// cross-hop deadline header, so a member stops working on a call whose
-// originator has already given up.
-func propagateDeadline(req *http.Request) {
-	if dl, ok := req.Context().Deadline(); ok {
-		req.Header.Set(service.DeadlineHeader, strconv.FormatInt(dl.UnixMilli(), 10))
-	}
+// member returns a client for one member over the router's transport.
+func (r *Router) member(addr string) *client.Client {
+	return &client.Client{BaseURL: addr, HTTPClient: r.cfg.HTTPClient}
 }
 
-// retryDo runs one member RPC with capped exponential backoff and
-// jitter. build must return a fresh request per attempt (bodies are
-// consumed). Only transport errors retry — an HTTP answer, whatever
-// the code, is the member's answer and comes back as-is.
-func (r *Router) retryDo(ctx context.Context, build func() (*http.Request, error)) (*http.Response, error) {
-	var lastErr error
-	for attempt := 0; attempt < r.cfg.RetryMax; attempt++ {
-		if attempt > 0 {
-			r.rpcRetries.Add(1)
-			if !r.backoff(ctx, attempt-1) {
-				break
-			}
-		}
-		req, err := build()
-		if err != nil {
-			return nil, err
-		}
-		propagateDeadline(req)
-		resp, err := r.cfg.HTTPClient.Do(req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
-	}
-	return nil, lastErr
+// answered reports whether err is a member's HTTP answer rather than a
+// transport failure: any answer, even an error status, is proof the
+// member is alive and is the member's word on the request.
+func answered(err error) bool {
+	var he *client.HTTPError
+	var be *client.BusyError
+	return errors.As(err, &he) || errors.As(err, &be)
 }
 
-// backoff sleeps the jittered exponential delay for retry n (0-based):
-// uniform in [d/2, d) where d doubles from RetryBase, capped at 500ms.
-// Returns false when ctx ends first.
-func (r *Router) backoff(ctx context.Context, n int) bool {
-	d := r.cfg.RetryBase << n
-	if max := 500 * time.Millisecond; d > max {
-		d = max
+// retry runs one member RPC, retrying transport errors on the
+// rpcAttempts schedule and counting each retry in
+// specd_rpc_retries_total. An HTTP answer, whatever the code, is the
+// member's answer and comes back as-is.
+func (r *Router) retry(ctx context.Context, rpc func() error) error {
+	p := client.Backoff{
+		MaxRetries: rpcAttempts - 1, Base: rpcBackoffBase, Max: rpcBackoffMax,
+		Seed: r.jitterSeq.Add(0x9e3779b97f4a7c15),
 	}
-	jit := rng.New(r.jitterSeq.Add(0x9e3779b97f4a7c15)).Float64()
-	d = d/2 + time.Duration(jit*float64(d/2))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
+	n, err := p.Retry(ctx, rpc, func(err error) (time.Duration, bool) { return 0, !answered(err) })
+	r.rpcRetries.Add(int64(n))
+	return err
 }
 
 // latWindow is the sliding-window size of the proxy-latency estimator.
@@ -568,32 +530,6 @@ func (r *Router) hedgeDelay() time.Duration {
 	return p99
 }
 
-// postJob POSTs a pre-assigned job to one member. The error return is
-// transport-level only; HTTP answers come back as (status, code, nil).
-func (r *Router) postJob(ctx context.Context, addr, id string, payload []byte) (service.JobStatus, int, error) {
-	resp, err := r.retryDo(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			addr+"/v1/jobs", bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(service.JobIDHeader, id)
-		return req, nil
-	})
-	if err != nil {
-		return service.JobStatus{}, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return service.JobStatus{}, 0, err
-	}
-	var st service.JobStatus
-	_ = json.Unmarshal(body, &st)
-	return st, resp.StatusCode, nil
-}
-
 // sweepLoop is the failure detector: expire leases, hand off the jobs
 // of the newly dead, and retry handoffs still pending.
 func (r *Router) sweepLoop() {
@@ -626,8 +562,13 @@ func (r *Router) sweepOnce() {
 	}
 	var dead []string
 	for _, m := range r.members.suspects() {
-		ok := r.probe(m.Addr)
-		if r.members.judge(m.ID, ok, r.cfg.SuspectGrace) {
+		// Any HTTP answer counts as proof of life: a degraded or draining
+		// node is unwell, not dead, and handing off its running jobs would
+		// double-execute them.
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+		_, err := r.member(m.Addr).Health(ctx)
+		cancel()
+		if r.members.judge(m.ID, err == nil || answered(err), r.cfg.SuspectGrace) {
 			dead = append(dead, m.ID)
 		}
 	}
@@ -639,26 +580,6 @@ func (r *Router) sweepOnce() {
 		}
 	}
 	r.reconcile()
-}
-
-// probe checks whether a suspect still answers its health endpoint.
-// Any HTTP response counts as proof of life — a degraded or draining
-// node is unwell, not dead, and handing off its running jobs would
-// double-execute them.
-func (r *Router) probe(addr string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return false
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	return true
 }
 
 // handoffNode re-places every unfinished job owned by the given member.
@@ -701,55 +622,36 @@ func (r *Router) handoffJob(pl *placement) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	payload, err := json.Marshal(hreq)
-	if err != nil {
-		return
-	}
 	for _, m := range r.candidates(pl.ID) {
 		if m.ID == deadNode {
 			continue
 		}
-		code, err := r.postHandoff(ctx, m.Addr, payload)
-		if err != nil {
-			r.proxyErrors.Add(1)
+		c := r.member(m.Addr)
+		err := r.retry(ctx, func() error {
+			return c.Call(ctx, http.MethodPost, "/v1/cluster/handoff", hreq, nil)
+		})
+		if err != nil { // refused (next candidate) or unreachable
+			if !answered(err) {
+				r.proxyErrors.Add(1)
+			}
 			continue
 		}
-		if code == http.StatusAccepted || code == http.StatusOK {
-			r.mu.Lock()
-			pl.Node = m.ID
-			pl.Attempt = attempt
-			pl.Pending = false
-			pl.orphanAt = time.Time{}
-			r.mu.Unlock()
-			r.handoffs.Add(1)
-			r.appendWAL(walRecord{Type: "handoff", ID: pl.ID, Node: m.ID, Attempt: attempt})
-			r.cfg.Logf("cluster: job %s handed off %s -> %s (attempt %d, %d prefix points)",
-				pl.ID, deadNode, m.ID, attempt, len(hreq.Prefix))
-			return
-		}
+		r.mu.Lock()
+		pl.Node = m.ID
+		pl.Attempt = attempt
+		pl.Pending = false
+		pl.orphanAt = time.Time{}
+		r.mu.Unlock()
+		r.handoffs.Add(1)
+		r.appendWAL(walRecord{Type: "handoff", ID: pl.ID, Node: m.ID, Attempt: attempt})
+		r.cfg.Logf("cluster: job %s handed off %s -> %s (attempt %d, %d prefix points)",
+			pl.ID, deadNode, m.ID, attempt, len(hreq.Prefix))
+		return
 	}
 	r.mu.Lock()
 	pl.Pending = true
 	r.mu.Unlock()
 	r.cfg.Logf("cluster: job %s from %s has no survivor yet; will retry", pl.ID, deadNode)
-}
-
-func (r *Router) postHandoff(ctx context.Context, addr string, payload []byte) (int, error) {
-	resp, err := r.retryDo(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			addr+"/v1/cluster/handoff", bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	return resp.StatusCode, nil
 }
 
 // reconcile retries pending handoffs and detects orphans: placements
@@ -770,7 +672,7 @@ func (r *Router) reconcile() {
 		if m, ok := r.members.get(pl.Node); !ok {
 			if pl.orphanAt.IsZero() {
 				pl.orphanAt = now
-			} else if now.Sub(pl.orphanAt) >= r.cfg.OrphanGrace {
+			} else if now.Sub(pl.orphanAt) >= orphanLeases*r.cfg.LeaseTTL {
 				retry = append(retry, pl)
 			}
 		} else if m.State == StateAlive {
@@ -806,7 +708,8 @@ func (r *Router) syncOnce() {
 	// Suspects are synced too: they are still running their jobs, and a
 	// fresh trajectory tail is exactly what a later handoff needs.
 	for _, m := range append(r.members.alive(), r.members.suspects()...) {
-		jobs, err := r.fetchJobs(m.Addr)
+		c := r.member(m.Addr)
+		jobs, err := scrape(c.Jobs)
 		if err != nil {
 			r.scrapeErrors.Add(1)
 			continue
@@ -835,9 +738,12 @@ func (r *Router) syncOnce() {
 			}
 			r.mu.Unlock()
 			if wantPrefix {
-				if tail, err := r.fetchTail(m.Addr, st.ID); err == nil && len(tail) > 0 {
+				tail, err := scrape(func(ctx context.Context) (service.JobStatus, error) {
+					return c.JobTail(ctx, st.ID, r.cfg.PrefixTail)
+				})
+				if err == nil && len(tail.Trajectory) > 0 {
 					r.mu.Lock()
-					pl.Prefix = tail
+					pl.Prefix = tail.Trajectory
 					r.mu.Unlock()
 				}
 			}
@@ -845,56 +751,12 @@ func (r *Router) syncOnce() {
 	}
 }
 
-func (r *Router) fetchJobs(addr string) ([]service.JobStatus, error) {
+// scrape runs one background read of a member — the sync loop's and
+// the fan-outs' — bounded at 5s.
+func scrape[T any](read func(context.Context) (T, error)) (T, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/jobs", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s /v1/jobs: %s", addr, resp.Status)
-	}
-	var out struct {
-		Jobs []service.JobStatus `json:"jobs"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, err
-	}
-	return out.Jobs, nil
-}
-
-func (r *Router) fetchTail(addr, id string) ([]service.RoundPoint, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		addr+"/v1/jobs/"+id+"?tail="+strconv.Itoa(r.cfg.PrefixTail), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: tail fetch failed")
-	}
-	var st service.JobStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		return nil, err
-	}
-	return st.Trajectory, nil
+	return read(ctx)
 }
 
 // Uptime reports time since the router started.

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,29 +110,42 @@ func TestRouterPlacementDeterministic(t *testing.T) {
 	}
 }
 
-// When the ring owner refuses (here: a node that always answers 429),
-// the job must land on the least-loaded survivor instead of failing.
+// When the ring owner refuses (here: a node that always answers 429 —
+// full — or 503 — draining), the job must land on the least-loaded
+// survivor instead of failing.
 func TestRouterLeastLoadedFallback(t *testing.T) {
-	full := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, `{"error":"queue full"}`, http.StatusTooManyRequests)
-	}))
-	defer full.Close()
-	n2 := startNode(t, service.Config{Workers: 2, QueueCap: 32, DefaultParallel: 1})
+	for _, refusal := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
+		t.Run(strconv.Itoa(refusal), func(t *testing.T) {
+			var refusals atomic.Int64
+			full := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				refusals.Add(1)
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, `{"error":"queue full"}`, refusal)
+			}))
+			defer full.Close()
+			n2 := startNode(t, service.Config{Workers: 2, QueueCap: 32, DefaultParallel: 1})
 
-	r, _ := testRouter(t)
-	joinNode(t, r, "full", full.URL, 1)
-	joinNode(t, r, "n2", n2.srv.URL, 1)
+			r, _ := testRouter(t)
+			joinNode(t, r, "full", full.URL, 1)
+			joinNode(t, r, "n2", n2.srv.URL, 1)
 
-	ctx := context.Background()
-	for i := 0; i < 8; i++ {
-		st, code, err := r.place(ctx, quickSpec())
-		if err != nil || code != http.StatusAccepted {
-			t.Fatalf("place: code=%d err=%v", code, err)
-		}
-		if st.Node != "n2" {
-			t.Fatalf("job %s placed on %s, want fallback n2", st.ID, st.Node)
-		}
+			ctx := context.Background()
+			for i := 0; i < 8; i++ {
+				st, code, err := r.place(ctx, quickSpec())
+				if err != nil || code != http.StatusAccepted {
+					t.Fatalf("place: code=%d err=%v", code, err)
+				}
+				if st.Node != "n2" {
+					t.Fatalf("job %s placed on %s, want fallback n2", st.ID, st.Node)
+				}
+			}
+			if refusals.Load() == 0 {
+				t.Fatal("no placement tried the refusing node first; the fallback went untested")
+			}
+			if got := r.rpcRetries.Load(); got != 0 {
+				t.Fatalf("%d RPC retries; a refusal is an answer, not a transport error", got)
+			}
+		})
 	}
 }
 

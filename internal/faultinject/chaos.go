@@ -94,7 +94,7 @@ func ParseChaosPlan(plan string) (map[string]LinkFault, error) {
 				lf.Partition = true
 			case "drop":
 				p, err := strconv.ParseFloat(val, 64)
-				if err != nil || p < 0 || p > 1 {
+				if err != nil || !(p >= 0 && p <= 1) { // NaN too
 					return nil, fmt.Errorf("chaos plan: bad drop %q (want [0,1])", val)
 				}
 				lf.Drop = p
@@ -117,7 +117,7 @@ func ParseChaosPlan(plan string) (map[string]LinkFault, error) {
 			case "err":
 				rate, burst, bursty := strings.Cut(val, "x")
 				p, err := strconv.ParseFloat(rate, 64)
-				if err != nil || p < 0 || p > 1 {
+				if err != nil || !(p >= 0 && p <= 1) { // NaN too
 					return nil, fmt.Errorf("chaos plan: bad err %q (want [0,1])", val)
 				}
 				lf.ErrRate = p
@@ -162,9 +162,9 @@ func FormatChaosPlan(links map[string]LinkFault) string {
 				specs = append(specs, fmt.Sprintf("lat=%s..%s", lf.LatMin, lf.LatMax))
 			}
 		}
-		if lf.ErrRate > 0 {
+		if lf.ErrRate > 0 || lf.ErrBurst > 0 {
 			s := fmt.Sprintf("err=%g", lf.ErrRate)
-			if lf.ErrBurst > 1 {
+			if lf.ErrBurst > 0 {
 				s += fmt.Sprintf("x%d", lf.ErrBurst)
 			}
 			specs = append(specs, s)

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -55,6 +56,31 @@ func TestParseChaosPlan(t *testing.T) {
 			t.Errorf("plan %q: want error, got nil", bad)
 		}
 	}
+}
+
+// FuzzChaosPlan: a plan ParseChaosPlan accepts survives FormatChaosPlan
+// and a second parse link for link, so the plan a process logs is the
+// plan it injects.
+func FuzzChaosPlan(f *testing.F) {
+	f.Add("n2>router:part; router>n3:lat=50ms..100ms,err=0.2x3 ;*>n1:drop=0.5,lat=10ms")
+	f.Add("a>b:err=0x3;a>c:err=0.5x1;a>d:lat=0s..0s,drop=0")
+	f.Add("a > b:drop=1e-300, lat=1h2m3.000000004s")
+	f.Add("a>b>c:part=yes,,;;x,y>z:")
+	f.Add("a>b:drop=NaN")
+	f.Fuzz(func(t *testing.T, plan string) {
+		links, err := ParseChaosPlan(plan)
+		if err != nil {
+			return
+		}
+		formatted := FormatChaosPlan(links)
+		again, err := ParseChaosPlan(formatted)
+		if err != nil {
+			t.Fatalf("%q formats as %q, which does not parse: %v", plan, formatted, err)
+		}
+		if !reflect.DeepEqual(links, again) {
+			t.Fatalf("%q formats as %q:\n%+v\nparses back as\n%+v", plan, formatted, links, again)
+		}
+	})
 }
 
 // chaosOutcomes records the fate of n sequential requests through a

@@ -1,5 +1,7 @@
-// Package client is the Go client for the specd HTTP API, shared by
-// cmd/specload and the end-to-end tests.
+// Package client is the Go client for the specd HTTP API. It is the one
+// piece of code that builds and sends specd API requests: cmd/specload,
+// the cluster router and membership agent, and the end-to-end tests all
+// go through it.
 package client
 
 import (
@@ -12,6 +14,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/rng"
@@ -49,8 +52,8 @@ func (e *BusyError) Is(target error) bool { return target == ErrBusy }
 
 // HTTPError is a non-2xx answer other than 429 (which is BusyError),
 // carrying the status code so callers can tell a retryable 503 from an
-// authoritative 400/404/409. The cluster client fails over on 503/504;
-// specload classifies errors with it.
+// authoritative 400/404/409. A client over several targets fails over
+// on 503/504; specload classifies errors with it.
 type HTTPError struct {
 	StatusCode int
 	Status     string // e.g. "503 Service Unavailable"
@@ -64,30 +67,118 @@ func (e *HTTPError) Error() string {
 	return fmt.Sprintf("client: %s", e.Status)
 }
 
-// Client talks to one specd instance.
+// Client talks to one specd front door or, built by New over several
+// base URLs, to the first of them that can answer: transport errors,
+// timeouts and 503/504 answers (draining, journal-degraded, or relaying
+// a dead owner) rotate to the next target, authoritative answers (400,
+// 404, 409, 429) and the caller's own cancel never do, and a rotation
+// sticks, so pollers ride through a dead or restarting front door.
+//
+// Every request whose context has a deadline carries it in
+// service.DeadlineHeader, so the server stops working on a call its
+// caller has given up on.
 type Client struct {
-	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
+	// BaseURL is the server root, e.g. "http://127.0.0.1:8080": the
+	// first target.
 	BaseURL string
 	// HTTPClient defaults to a client with a 10s request timeout.
 	HTTPClient *http.Client
 	// Observe, when set, receives one callback per completed HTTP
-	// request: the method, the request path, the response status (0 on a
-	// transport error), the transport error itself (nil on an HTTP
-	// answer), and the elapsed wall time. specload's per-target latency
-	// histograms and error-class breakdown hang off this hook.
-	Observe func(method, path string, status int, err error, elapsed time.Duration)
+	// request: the target's base URL, the method, the request path, the
+	// response status (0 on a transport error), the transport error
+	// itself (nil on an HTTP answer), and the elapsed wall time.
+	// specload's per-target latency histograms and error-class breakdown
+	// hang off this hook.
+	Observe func(target, method, path string, status int, err error, elapsed time.Duration)
+
+	targets []string     // every base URL in preference order, BaseURL first
+	cur     atomic.Int32 // index in targets of the target that answered last
 }
 
-// New returns a client for the given base URL.
-func New(baseURL string) *Client {
-	return &Client{
-		BaseURL:    strings.TrimRight(baseURL, "/"),
-		HTTPClient: &http.Client{Timeout: 10 * time.Second},
+// New returns a client for baseURL that fails over to the fallbacks, in
+// order.
+func New(baseURL string, fallbacks ...string) *Client {
+	c := &Client{HTTPClient: &http.Client{Timeout: 10 * time.Second}}
+	for _, u := range append([]string{baseURL}, fallbacks...) {
+		c.targets = append(c.targets, strings.TrimRight(u, "/"))
 	}
+	c.BaseURL = c.targets[0]
+	return c
 }
 
-// roundTrip issues the request, reporting it to the Observe hook.
-func (c *Client) roundTrip(req *http.Request) (*http.Response, error) {
+// LastTarget returns the base URL of the target that answered the most
+// recent request (BaseURL before the first).
+func (c *Client) LastTarget() string { return c.target(int(c.cur.Load())) }
+
+func (c *Client) target(i int) string {
+	if len(c.targets) == 0 {
+		return c.BaseURL
+	}
+	return c.targets[i]
+}
+
+// rotates is the failover rule: a target that failed at the transport
+// level (refused, reset, timed out) or answered 503/504 may be standing
+// in front of work another target can still serve. The caller's own
+// cancel is not the target's fault.
+func rotates(status int, err error) bool {
+	if err != nil {
+		return !errors.Is(err, context.Canceled)
+	}
+	return status == http.StatusServiceUnavailable || status == http.StatusGatewayTimeout
+}
+
+// send issues one request, trying the targets from the current one on
+// and rotating while rotates says so and ctx is live. It returns the
+// answer with its body read in full and closed; the error is
+// transport-level only. jobID, when set, pre-assigns the id of a
+// submitted job.
+func (c *Client) send(ctx context.Context, method, path, jobID string, payload []byte) (*http.Response, []byte, error) {
+	n := max(len(c.targets), 1)
+	start := int(c.cur.Load())
+	var (
+		resp *http.Response
+		body []byte
+		err  error
+	)
+	for i := 0; i < n; i++ {
+		idx := (start + i) % n
+		resp, body, err = c.roundTrip(ctx, c.target(idx), method, path, jobID, payload)
+		status := 0
+		if err == nil {
+			status = resp.StatusCode
+		}
+		if i+1 < n && ctx.Err() == nil && rotates(status, err) {
+			continue
+		}
+		if !rotates(status, err) {
+			c.cur.Store(int32(idx))
+		}
+		return resp, body, err
+	}
+	return resp, body, err
+}
+
+// roundTrip sends one request to one target and reads the answer,
+// reporting it to the Observe hook.
+func (c *Client) roundTrip(ctx context.Context, target, method, path, jobID string, payload []byte) (*http.Response, []byte, error) {
+	var rd io.Reader
+	if payload != nil {
+		rd = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, target+path, rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if jobID != "" {
+		req.Header.Set(service.JobIDHeader, jobID)
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		req.Header.Set(service.DeadlineHeader, strconv.FormatInt(dl.UnixMilli(), 10))
+	}
 	start := time.Now()
 	resp, err := c.HTTPClient.Do(req)
 	if c.Observe != nil {
@@ -95,21 +186,22 @@ func (c *Client) roundTrip(req *http.Request) (*http.Response, error) {
 		if err == nil {
 			status = resp.StatusCode
 		}
-		c.Observe(req.Method, req.URL.Path, status, err, time.Since(start))
+		c.Observe(target, method, req.URL.Path, status, err, time.Since(start))
 	}
-	return resp, err
-}
-
-func (c *Client) do(req *http.Request, out any) (int, error) {
-	resp, err := c.roundTrip(req)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
-		return resp.StatusCode, err
+		return nil, nil, err
 	}
+	return resp, body, nil
+}
+
+// answerErr maps a non-2xx answer onto the client's error shapes: a
+// *BusyError for 429, an *HTTPError for anything else from 400 up.
+func answerErr(resp *http.Response, body []byte) error {
 	if resp.StatusCode == http.StatusTooManyRequests {
 		be := &BusyError{Class: resp.Header.Get(service.RejectClassHeader)}
 		if ms, err := strconv.ParseInt(resp.Header.Get(service.RetryAfterMsHeader), 10, 64); err == nil && ms > 0 {
@@ -117,7 +209,7 @@ func (c *Client) do(req *http.Request, out any) (int, error) {
 		} else if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 			be.RetryAfter = time.Duration(secs) * time.Second
 		}
-		return resp.StatusCode, be
+		return be
 	}
 	if resp.StatusCode >= 400 {
 		he := &HTTPError{StatusCode: resp.StatusCode, Status: resp.Status}
@@ -127,31 +219,72 @@ func (c *Client) do(req *http.Request, out any) (int, error) {
 		if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
 			he.Message = eb.Error
 		}
-		return resp.StatusCode, he
+		return he
+	}
+	return nil
+}
+
+// fetch sends a request and returns the answer's body alongside the
+// error its status maps to (nil below 400).
+func (c *Client) fetch(ctx context.Context, method, path, jobID string, payload []byte) ([]byte, error) {
+	resp, body, err := c.send(ctx, method, path, jobID, payload)
+	if err != nil {
+		return nil, err
+	}
+	return body, answerErr(resp, body)
+}
+
+// Call sends in (when non-nil) as the JSON body of a method request on
+// path and decodes a successful answer into out (when non-nil). A
+// non-2xx answer is a *BusyError (429) or an *HTTPError; any other error
+// is a transport failure or an undecodable answer.
+func (c *Client) Call(ctx context.Context, method, path string, in, out any) error {
+	return c.call(ctx, method, path, "", in, out)
+}
+
+func (c *Client) call(ctx context.Context, method, path, jobID string, in, out any) error {
+	var payload []byte
+	if in != nil {
+		var err error
+		if payload, err = json.Marshal(in); err != nil {
+			return err
+		}
+	}
+	body, err := c.fetch(ctx, method, path, jobID, payload)
+	if err != nil {
+		return err
 	}
 	if out != nil {
 		if err := json.Unmarshal(body, out); err != nil {
-			return resp.StatusCode, fmt.Errorf("client: decoding response: %w", err)
+			return fmt.Errorf("client: decoding response: %w", err)
 		}
 	}
-	return resp.StatusCode, nil
+	return nil
+}
+
+// Raw sends a bodiless request and returns the answer's status and body
+// as the server sent them, whatever the status: the router relays
+// member answers with it. The error is transport-level only.
+func (c *Client) Raw(ctx context.Context, method, path string) (int, []byte, error) {
+	resp, body, err := c.send(ctx, method, path, "", nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	return resp.StatusCode, body, nil
 }
 
 // Submit posts a job spec. On 429 it returns a *BusyError (matched by
 // errors.Is(err, ErrBusy)) carrying the server's Retry-After hint.
 func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (service.JobStatus, error) {
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return service.JobStatus{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL+"/v1/jobs", bytes.NewReader(payload))
-	if err != nil {
-		return service.JobStatus{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
+	return c.SubmitPlaced(ctx, "", spec)
+}
+
+// SubmitPlaced posts a job spec under a caller-assigned id
+// (service.JobIDHeader); the cluster router places jobs this way. A
+// duplicate id answers with the existing job's status.
+func (c *Client) SubmitPlaced(ctx context.Context, id string, spec service.JobSpec) (service.JobStatus, error) {
 	var st service.JobStatus
-	_, err = c.do(req, &st)
+	err := c.call(ctx, http.MethodPost, "/v1/jobs", id, spec, &st)
 	return st, err
 }
 
@@ -169,22 +302,12 @@ type BatchItem struct {
 // is non-nil only when the batch call itself failed (transport, 4xx/5xx
 // on the whole request).
 func (c *Client) SubmitBatch(ctx context.Context, specs []service.JobSpec) ([]BatchItem, error) {
-	payload, err := json.Marshal(struct {
-		Jobs []service.JobSpec `json:"jobs"`
-	}{Jobs: specs})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL+"/v1/jobs:batch", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	var out struct {
 		Results []service.BatchResult `json:"results"`
 	}
-	if _, err := c.do(req, &out); err != nil {
+	if err := c.Call(ctx, http.MethodPost, "/v1/jobs:batch", struct {
+		Jobs []service.JobSpec `json:"jobs"`
+	}{Jobs: specs}, &out); err != nil {
 		return nil, err
 	}
 	if len(out.Results) != len(specs) {
@@ -221,12 +344,53 @@ func batchItem(r service.BatchResult) BatchItem {
 	return it
 }
 
-// Backoff tunes SubmitRetry. Zero values take the documented defaults.
+// Backoff is a jittered exponential retry schedule: the wait before
+// retry n (0-based) is drawn uniformly from [d/2, d), with d doubling
+// from Base while below Max, then floored at the server's hint and
+// capped at Max. Zero values take the documented defaults.
 type Backoff struct {
 	MaxRetries int           // additional attempts after the first (default 0: no retry)
 	Base       time.Duration // first wait, doubled per retry (default 50ms)
 	Max        time.Duration // hard cap on any single wait (default 2s)
 	Seed       uint64        // jitter seed, for deterministic tests
+}
+
+// Retry calls op until it succeeds, fails with an error retryable
+// refuses, has been retried MaxRetries times, or ctx ends. Between
+// attempts it waits the schedule, at least the duration retryable
+// returns (a server's Retry-After). It returns the number of retries
+// begun and op's last error, or ctx's error when ctx ends during a wait.
+func (p Backoff) Retry(ctx context.Context, op func() error, retryable func(error) (time.Duration, bool)) (int, error) {
+	d := p.Base
+	if d <= 0 {
+		d = 50 * time.Millisecond
+	}
+	maxWait := p.Max
+	if maxWait <= 0 {
+		maxWait = 2 * time.Second
+	}
+	r := rng.New(p.Seed)
+	for n := 0; ; n++ {
+		err := op()
+		if err == nil || n >= p.MaxRetries || ctx.Err() != nil {
+			return n, err
+		}
+		floor, ok := retryable(err)
+		if !ok {
+			return n, err
+		}
+		wait := min(max(d/2+time.Duration(r.Float64()*float64(d/2)), floor), maxWait)
+		t := time.NewTimer(wait)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return n + 1, ctx.Err()
+		case <-t.C:
+		}
+		if d < maxWait {
+			d *= 2
+		}
+	}
 }
 
 // RetryStats reports what SubmitRetry did.
@@ -235,65 +399,32 @@ type RetryStats struct {
 	Retries  int // attempts that followed a 429
 }
 
-// SubmitRetry submits with jittered exponential backoff on 429s: each
-// wait is uniformly drawn from [d/2, d) with d doubling from Base,
-// floored at the server's Retry-After hint and capped at Max. Any
-// non-busy result (success or other error) returns immediately.
+// SubmitRetry submits on p's schedule, retrying 429s only and waiting at
+// least the server's Retry-After hint. Any non-busy result (success or
+// other error) returns immediately.
 func (c *Client) SubmitRetry(ctx context.Context, spec service.JobSpec, p Backoff) (service.JobStatus, RetryStats, error) {
-	return submitRetry(ctx, c.Submit, spec, p)
-}
-
-// submitRetry is the shared backoff loop behind Client.SubmitRetry and
-// Cluster.SubmitRetry.
-func submitRetry(ctx context.Context, submit func(context.Context, service.JobSpec) (service.JobStatus, error),
-	spec service.JobSpec, p Backoff) (service.JobStatus, RetryStats, error) {
-	base := p.Base
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	maxWait := p.Max
-	if maxWait <= 0 {
-		maxWait = 2 * time.Second
-	}
-	r := rng.New(p.Seed)
-	d := base
+	var st service.JobStatus
 	var stats RetryStats
-	for {
+	var err error
+	stats.Retries, err = p.Retry(ctx, func() (err error) {
 		stats.Attempts++
-		st, err := submit(ctx, spec)
+		st, err = c.Submit(ctx, spec)
+		return err
+	}, func(err error) (time.Duration, bool) {
 		var be *BusyError
-		if err == nil || !errors.As(err, &be) || stats.Attempts > p.MaxRetries {
-			return st, stats, err
+		if errors.As(err, &be) {
+			return be.RetryAfter, true
 		}
-		wait := d/2 + time.Duration(r.Float64()*float64(d/2))
-		if be.RetryAfter > wait {
-			wait = be.RetryAfter
-		}
-		if wait > maxWait {
-			wait = maxWait
-		}
-		stats.Retries++
-		select {
-		case <-ctx.Done():
-			return st, stats, ctx.Err()
-		case <-time.After(wait):
-		}
-		if d < maxWait {
-			d *= 2
-		}
-	}
+		return 0, false
+	})
+	return st, stats, err
 }
 
 // Cancel requests cancellation of a queued or running job via
 // DELETE /v1/jobs/{id}, returning the job's status as of the request.
 func (c *Client) Cancel(ctx context.Context, id string) (service.JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		c.BaseURL+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return service.JobStatus{}, err
-	}
 	var st service.JobStatus
-	_, err = c.do(req, &st)
+	err := c.Call(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
@@ -305,29 +436,21 @@ func (c *Client) Job(ctx context.Context, id string) (service.JobStatus, error) 
 // JobTail fetches one job's status with at most tail trajectory points
 // (?tail=N). tail < 0 requests the full trajectory; tail == 0 omits it.
 func (c *Client) JobTail(ctx context.Context, id string, tail int) (service.JobStatus, error) {
-	url := c.BaseURL + "/v1/jobs/" + id
+	path := "/v1/jobs/" + id
 	if tail >= 0 {
-		url += "?tail=" + strconv.Itoa(tail)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return service.JobStatus{}, err
+		path += "?tail=" + strconv.Itoa(tail)
 	}
 	var st service.JobStatus
-	_, err = c.do(req, &st)
+	err := c.Call(ctx, http.MethodGet, path, nil, &st)
 	return st, err
 }
 
 // Jobs lists every job the server knows.
 func (c *Client) Jobs(ctx context.Context) ([]service.JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs", nil)
-	if err != nil {
-		return nil, err
-	}
 	var out struct {
 		Jobs []service.JobStatus `json:"jobs"`
 	}
-	_, err = c.do(req, &out)
+	err := c.Call(ctx, http.MethodGet, "/v1/jobs", nil, &out)
 	return out.Jobs, err
 }
 
@@ -367,49 +490,22 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (servi
 
 // Metrics fetches the raw Prometheus exposition text.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
+	body, err := c.fetch(ctx, http.MethodGet, "/metrics", "", nil)
 	if err != nil {
 		return "", err
-	}
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("client: %s", resp.Status)
 	}
 	return string(body), nil
 }
 
 // Health fetches and parses /healthz. The parsed body is returned even
-// alongside a non-200 error (a draining server still reports its
+// alongside a non-200 *HTTPError (a draining server still reports its
 // status, queue depth, and identity), so callers can both gate on the
 // error and inspect the fields.
 func (c *Client) Health(ctx context.Context) (service.Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return service.Health{}, err
-	}
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return service.Health{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return service.Health{}, err
-	}
+	body, err := c.fetch(ctx, http.MethodGet, "/healthz", "", nil)
 	var h service.Health
-	if uerr := json.Unmarshal(body, &h); uerr != nil && resp.StatusCode == http.StatusOK {
+	if uerr := json.Unmarshal(body, &h); uerr != nil && err == nil {
 		return h, fmt.Errorf("client: decoding healthz: %w", uerr)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return h, fmt.Errorf("client: %s", resp.Status)
-	}
-	return h, nil
+	return h, err
 }

@@ -111,11 +111,17 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// decodeBody decodes a request body of at most limit bytes into v,
+// refusing unknown fields: the one decoding every POST body gets.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(w, r, maxSpecBytes, &spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
 		return
 	}
@@ -240,9 +246,7 @@ func batchResult(st JobStatus, err error) BatchResult {
 
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxHandoffBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, maxHandoffBytes, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad batch: " + err.Error()})
 		return
 	}
@@ -273,9 +277,7 @@ type HandoffRequest struct {
 
 func (s *Service) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	var req HandoffRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxHandoffBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, maxHandoffBytes, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad handoff: " + err.Error()})
 		return
 	}

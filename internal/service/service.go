@@ -709,8 +709,6 @@ func (s *Service) normalize(spec JobSpec) (JobSpec, error) {
 	switch {
 	case spec.Parallel == 0:
 		spec.Parallel = s.cfg.DefaultParallel
-	case spec.Parallel == -1:
-		spec.Parallel = 0 // the executor sizes its pool to GOMAXPROCS
 	case spec.Parallel < -1 || spec.Parallel > 1024:
 		return spec, specErrf("parallel %d out of [-1,1024]", spec.Parallel)
 	}
@@ -1317,7 +1315,8 @@ func (s *Service) runJob(j *job) {
 		return
 	}
 	run, err := workload.New(spec.Workload, workload.Params{
-		Size: spec.Size, Seed: spec.Seed, Parallel: spec.Parallel, Degree: spec.Degree,
+		// Parallel -1 is the executor's 0: a pool of GOMAXPROCS workers.
+		Size: spec.Size, Seed: spec.Seed, Parallel: max(spec.Parallel, 0), Degree: spec.Degree,
 		TaskRetries: spec.TaskRetries, Fault: spec.Fault.config(spec.Seed),
 	})
 	if err != nil {

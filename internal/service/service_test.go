@@ -90,13 +90,15 @@ func TestSpecValidation(t *testing.T) {
 	}
 
 	// Parallel -1 is the one negative value accepted: a GOMAXPROCS-sized
-	// pool, normalised to the executor's own 0.
+	// pool. It stays -1 in the normalised spec, so the spec a status
+	// reports means the same job when submitted again (0 would take the
+	// server default).
 	st, err := s.Submit(JobSpec{Workload: "cc", Controller: "hybrid", Size: 200, Parallel: -1})
 	if err != nil {
 		t.Fatalf("parallel -1 refused: %v", err)
 	}
-	if st.Spec.Parallel != 0 {
-		t.Errorf("parallel -1 normalised to %d, want 0", st.Spec.Parallel)
+	if st.Spec.Parallel != -1 {
+		t.Errorf("parallel -1 normalised to %d, want -1", st.Spec.Parallel)
 	}
 	if final := waitTerminal(t, s, st.ID, 30*time.Second); final.State != StateDone {
 		t.Errorf("parallel -1 job ended %s (%s), want done", final.State, final.Error)

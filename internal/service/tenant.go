@@ -99,11 +99,17 @@ type TenantsFile struct {
 
 // LoadTenants reads and validates a -tenants config file.
 func LoadTenants(path string) (TenantsFile, error) {
-	var tf TenantsFile
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return tf, fmt.Errorf("service: reading tenants file: %w", err)
+		return TenantsFile{}, fmt.Errorf("service: reading tenants file: %w", err)
 	}
+	return parseTenants(path, b)
+}
+
+// parseTenants parses and validates the bytes of the tenants file at
+// path (named in errors).
+func parseTenants(path string, b []byte) (TenantsFile, error) {
+	var tf TenantsFile
 	if err := json.Unmarshal(b, &tf); err != nil {
 		return tf, fmt.Errorf("service: parsing tenants file %s: %w", path, err)
 	}

@@ -118,3 +118,31 @@ func TestLoadTenantsRejectsBadConfig(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// FuzzTenantsFile: whatever bytes a -tenants file holds, parsing gives
+// an error or a config that passes the same checks again, never a
+// panic.
+func FuzzTenantsFile(f *testing.F) {
+	f.Add([]byte(`{"defaults": {"weight": 1, "rate": 5}, "tenants": [{"name": "gold", "weight": 3, "priority": 7}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "a", "rate": 1e308, "burst": 9223372036854775807}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "a"}, {"name": "a"}]}`))
+	f.Add([]byte(`{"defaults": {"name": "x/y", "priority": -1}}`))
+	f.Add([]byte(`{"tenants": null}`))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tf, err := parseTenants("fuzz.json", b)
+		if err != nil {
+			return
+		}
+		if err := tf.Defaults.validate(); err != nil {
+			t.Fatalf("accepted defaults fail validation: %v", err)
+		}
+		seen := make(map[string]bool)
+		for _, tc := range tf.Tenants {
+			if err := tc.validate(); err != nil || tc.Name == "" || seen[tc.Name] {
+				t.Fatalf("accepted tenant %+v: err %v, duplicate %v", tc, err, seen[tc.Name])
+			}
+			seen[tc.Name] = true
+		}
+	})
+}

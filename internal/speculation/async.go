@@ -63,8 +63,10 @@ type asyncRun struct {
 	cond       *sync.Cond // workers: room and/or work may be available
 	sampleCond *sync.Cond // observer: samples queued or run stopped
 
-	est      *control.WindowedEstimator
-	adaptive bool // window tracks the in-flight limit
+	// window is how many outcomes (commits plus aborts; failures are not
+	// contention and do not count) close a window: Options.Window, or
+	// the in-flight limit when that is 0.
+	window int
 
 	limit    int // current in-flight cap, resized at every window boundary
 	inflight int // attempts claimed and not yet settled into the window
@@ -96,12 +98,11 @@ type asyncRun struct {
 // chunk of it at a time.
 func (e *Executor) driveAsync(d *drive) {
 	a := &asyncRun{
-		e:        e,
-		d:        d,
-		budget:   e.retryBudget(),
-		workers:  poolSize(e.MaxParallel),
-		adaptive: d.opts.Window <= 0,
-		est:      control.NewWindowedEstimator(d.opts.Window),
+		e:       e,
+		d:       d,
+		budget:  e.retryBudget(),
+		workers: poolSize(e.MaxParallel),
+		window:  d.opts.Window,
 	}
 	a.cond = sync.NewCond(&a.mu)
 	a.sampleCond = sync.NewCond(&a.mu)
@@ -132,7 +133,7 @@ func (e *Executor) driveAsync(d *drive) {
 	// work-set drained canceled nothing.
 	a.mu.Lock()
 	d.res.Canceled = d.res.Canceled && e.Pending() > 0
-	if !d.res.Canceled && a.est.Samples() > 0 {
+	if !d.res.Canceled && a.win.Committed+a.win.Aborted > 0 {
 		a.flushSampleLocked()
 	}
 	d.res.fold(a.win)
@@ -154,8 +155,8 @@ func (a *asyncRun) setLimitLocked(m int) {
 	m = control.Clamp(m, 1, DefaultMaxInFlight)
 	grew := m > a.limit
 	a.limit = m
-	if a.adaptive {
-		a.est.SetWindow(m)
+	if a.d.opts.Window <= 0 {
+		a.window = m
 	}
 	for a.started < min(a.workers, a.limit) {
 		a.started++
@@ -274,19 +275,10 @@ func (a *asyncRun) completeLocked(w *asyncWorker) {
 	a.actions = append(a.actions, w.actions...)
 	w.locks = emptied(w.locks)
 	w.actions = emptied(w.actions)
-	// Failures never reach the estimator: an injected panic is not
-	// contention (same exclusion as RoundStats.ConflictRatio), and a
-	// quarantined task must not depress the windowed ratio either.
-	for i := 0; i < st.Committed; i++ {
-		a.est.ObserveCommit()
-	}
-	for i := 0; i < st.Aborted; i++ {
-		a.est.ObserveAbort()
-	}
 	if a.stopped {
 		return
 	}
-	if a.est.Ready() && a.win.Committed > 0 {
+	if a.win.Committed+a.win.Aborted >= a.window && a.win.Committed > 0 {
 		// A window closes on a commit, never on aborts alone. A round
 		// always commits something (the first task in commit order has
 		// nobody to lose to); m straight aborts here mean the holder is
@@ -327,10 +319,16 @@ func (a *asyncRun) settleWindowLocked() {
 // far as the controller is concerned.
 func (a *asyncRun) flushSampleLocked() {
 	a.settleWindowLocked()
-	ws := a.est.Flush()
-	a.d.ctrl.Observe(ws.R)
+	// r = aborts / (commits + aborts): failures never count — an injected
+	// panic is not contention (same exclusion as RoundStats.ConflictRatio),
+	// and a quarantined task must not depress the windowed ratio either.
+	var r float64
+	if n := a.win.Committed + a.win.Aborted; n > 0 {
+		r = float64(a.win.Aborted) / float64(n)
+	}
+	a.d.ctrl.Observe(r)
 	a.setLimitLocked(a.d.ctrl.M())
-	s := a.d.record(Sample{M: a.limit, R: ws.R, InFlight: a.inflight}, a.win)
+	s := a.d.record(Sample{M: a.limit, R: r, InFlight: a.inflight}, a.win)
 	a.win = RoundStats{}
 	a.queue = append(a.queue, s)
 	a.sampleCond.Signal()

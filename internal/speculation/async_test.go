@@ -215,6 +215,44 @@ func TestRunAsyncQuarantineExcluded(t *testing.T) {
 	}
 }
 
+// TestRunAsyncWindowSize: a window closes once its commits plus aborts
+// reach Options.Window, or the in-flight limit m when Window is 0 —
+// failed attempts never count towards it — and only the drive's final
+// window may be short.
+func TestRunAsyncWindowSize(t *testing.T) {
+	boom := errors.New("injected failure")
+	for _, tc := range []struct {
+		name             string
+		m, window, close int
+	}{
+		{"fixed", 4, 16, 16},
+		{"adaptive", 8, 0, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewExecutor(nil)
+			e.TaskRetries = 1
+			const tasks, bad = 400, 40
+			for i := 0; i < tasks; i++ {
+				if i%(tasks/bad) == 0 {
+					e.Add(TaskFunc(func(ctx *Ctx) error { return boom }))
+				} else {
+					e.Add(TaskFunc(func(ctx *Ctx) error { return nil }))
+				}
+			}
+			res := driveAll(context.Background(), e, control.Fixed{Procs: tc.m}, Options{Mode: ModeAsync, Window: tc.window})
+			last := len(res.Trajectory) - 1
+			for i, s := range res.Trajectory {
+				if n := s.Committed + s.Aborted; n < tc.close && i != last {
+					t.Fatalf("sample %d closed at %d outcomes, want >= %d: %+v", i, n, tc.close, s)
+				}
+			}
+			if res.Committed != tasks-bad || res.Poisoned != bad {
+				t.Fatalf("committed %d poisoned %d, want %d/%d", res.Committed, res.Poisoned, tasks-bad, bad)
+			}
+		})
+	}
+}
+
 // TestRunAsyncSampleOrdering: OnSample sees samples in index order
 // with a non-decreasing absolute commit counter, and matches the
 // trajectory exactly.

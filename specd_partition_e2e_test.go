@@ -212,15 +212,16 @@ func TestSpecdPartitionGrayFailures(t *testing.T) {
 		t.Fatalf("placement never used n2 and n3: %v", owner)
 	}
 
-	// Reads of the slow node's jobs must be bounded near the hedge
-	// delay: the hedge fires at 100ms, comes back unusable (the
+	// Status polls of the slow node's jobs must be bounded near the
+	// hedge delay: the hedge fires at 100ms, comes back unusable (the
 	// successor does not know the job), and the router serves its
-	// cached status instead of waiting out the ~1s link.
+	// cached status instead of waiting out the ~1s link. (A read of the
+	// whole trajectory, which the cache cannot answer, waits.)
 	slowJob := jobOn("n3")
 	var reads []time.Duration
 	for i := 0; i < 20; i++ {
 		start := time.Now()
-		if _, err := c.Job(ctx, slowJob); err != nil {
+		if _, err := c.JobTail(ctx, slowJob, 0); err != nil {
 			t.Fatalf("read %d of %s: %v", i, slowJob, err)
 		}
 		reads = append(reads, time.Since(start))
