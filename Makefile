@@ -120,6 +120,8 @@ bench:
 # bench-sim reproduces the simulation- and executor-layer benchmarks
 # (CSR vs mutable-graph greedy-MIS kernels, the mutable graph's
 # build-and-drain, the CSR Monte Carlo engine at 1/2/4/8 workers,
+# one round of no-op, spinning and conflict-heavy tasks at one
+# participant and at two (what waking a helper costs a round),
 # round-barrier vs barrier-free execution on the straggler workload,
 # round vs async vs colored execution on stable-conflict topologies,
 # learned and declared, the declare phase against the round-mode drain
@@ -128,7 +130,7 @@ bench:
 # checkpoint) and records per-benchmark medians in $(BENCH_SIM_OUT).
 bench-sim:
 	$(GO) test ./internal/graph/ ./internal/sched/ ./internal/speculation/ ./internal/service/ -run NONE \
-		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkExecutorOrdered|BenchmarkDeclaredGraph|BenchmarkCheckpointRecord' \
+		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorRound|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkExecutorOrdered|BenchmarkDeclaredGraph|BenchmarkCheckpointRecord' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		| $(GO) run ./cmd/benchfmt > $(BENCH_SIM_OUT)
 	@cat $(BENCH_SIM_OUT)

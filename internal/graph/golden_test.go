@@ -51,8 +51,10 @@ func TestSeededGeneratorsGolden(t *testing.T) {
 
 // TestDenseBuildsStayLinear: generators that cannot emit a duplicate
 // insert without scanning, so a dense build costs O(edges) where AddEdge
-// would make it O(edges·degree). The absolute bounds are loose enough
-// for -race on a slow box; the relative one holds on any box.
+// would make it O(edges·degree). The cost is counted in arcs the
+// duplicate check compares: none for the generators, n(n−1)(n−2)/6 for
+// K_n built through AddEdge. The absolute time bounds are loose enough
+// for -race on a slow box.
 func TestDenseBuildsStayLinear(t *testing.T) {
 	start := time.Now()
 	k := Complete(1500)
@@ -63,6 +65,9 @@ func TestDenseBuildsStayLinear(t *testing.T) {
 	if k.NumEdges() != 1500*1499/2 || u.NumEdges() != 30*100*99/2 {
 		t.Fatalf("edges %d / %d", k.NumEdges(), u.NumEdges())
 	}
+	if k.probes != 0 || u.probes != 0 {
+		t.Errorf("Complete compared %d arcs, CliqueUnion %d: a generator is not on the no-scan insert", k.probes, u.probes)
+	}
 	// Draining a clique is O(edges) too: removal follows the back indices.
 	start = time.Now()
 	for k.NumNodes() > 0 {
@@ -72,18 +77,16 @@ func TestDenseBuildsStayLinear(t *testing.T) {
 		t.Errorf("draining K_1500 took %v", elapsed)
 	}
 
-	const n = 800
-	start = time.Now()
-	Complete(n)
-	linear := time.Since(start)
-	start = time.Now()
+	// The count is live: building the same clique through AddEdge, the
+	// insert of {i, j} compares the shorter list, node j's i arcs.
+	const n = 300
 	g := NewWithNodes(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			g.AddEdge(i, j)
 		}
 	}
-	if scanning := time.Since(start); 3*linear > scanning {
-		t.Errorf("Complete(%d) took %v, the duplicate-scanning build %v: generator is not on the no-scan insert", n, linear, scanning)
+	if want := n * (n - 1) * (n - 2) / 6; g.probes != want {
+		t.Errorf("the duplicate-checking build of K_%d compared %d arcs, want %d", n, g.probes, want)
 	}
 }

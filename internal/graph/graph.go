@@ -60,10 +60,11 @@ type arc struct {
 //
 // Graph is not safe for concurrent mutation.
 type Graph struct {
-	adj   [][]arc // node ID -> neighbor arcs; nil for dead and never-issued IDs
-	pos   []int32 // node ID -> index into nodes, -1 = dead; len(pos) bounds every ID
-	nodes []int   // dense list of live node IDs
-	edges int
+	adj    [][]arc // node ID -> neighbor arcs; nil for dead and never-issued IDs
+	pos    []int32 // node ID -> index into nodes, -1 = dead; len(pos) bounds every ID
+	nodes  []int   // dense list of live node IDs
+	edges  int
+	probes int // arcs AddEdge's duplicate checks may have compared; link adds none
 }
 
 // New returns an empty graph.
@@ -189,6 +190,7 @@ func (g *Graph) AddEdge(u, v int) bool {
 			panic(fmt.Sprintf("graph: AddEdge endpoint %d absent", id))
 		}
 	}
+	g.probes += min(len(g.adj[u]), len(g.adj[v]))
 	if g.findArc(u, v) >= 0 {
 		return false
 	}

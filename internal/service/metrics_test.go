@@ -1,0 +1,67 @@
+package service
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestPoolHelperCounters scrapes the executor pool's helper counters: a
+// round job on a pool of two wakes a helper at least at its first
+// multi-chunk round, no more helpers join than were woken, and a job at
+// Parallel 1, which has no helper, leaves both counters where they were.
+func TestPoolHelperCounters(t *testing.T) {
+	s := New(Config{Workers: 1, QueueCap: 4})
+	defer s.Shutdown(context.Background())
+
+	scrape := func() (wakes, joins int64) {
+		t.Helper()
+		var b strings.Builder
+		if err := s.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for _, line := range strings.Split(b.String(), "\n") {
+			if n, _ := fmt.Sscanf(line, "specd_pool_helper_wakes_total %d", &wakes); n == 1 {
+				found++
+			}
+			if n, _ := fmt.Sscanf(line, "specd_pool_helper_joins_total %d", &joins); n == 1 {
+				found++
+			}
+		}
+		if found != 2 {
+			t.Fatalf("metrics carry %d of the two pool helper counters:\n%s", found, b.String())
+		}
+		return wakes, joins
+	}
+	run := func(spec JobSpec) {
+		t.Helper()
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		if final := waitTerminal(t, s, st.ID, 30*time.Second); final.State != StateDone {
+			t.Fatalf("state %s, error %q", final.State, final.Error)
+		}
+		for s.Running() != 0 { // the counters are folded in as the attempt ends
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	if w, j := scrape(); w != 0 || j != 0 {
+		t.Fatalf("fresh service: wakes %d, joins %d", w, j)
+	}
+	spec := ccSpec(1)
+	spec.Parallel = 2
+	run(spec)
+	wakes, joins := scrape()
+	if wakes < 1 || joins > wakes {
+		t.Fatalf("after a job at Parallel 2: wakes %d, joins %d; want wakes >= 1 and joins <= wakes", wakes, joins)
+	}
+	run(ccSpec(2))
+	if w, j := scrape(); w != wakes || j != joins {
+		t.Fatalf("a Parallel 1 job moved the counters: wakes %d -> %d, joins %d -> %d", wakes, w, joins, j)
+	}
+}

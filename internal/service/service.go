@@ -563,6 +563,8 @@ type Service struct {
 	rejected    atomic.Int64
 	running     atomic.Int64 // jobs currently executing rounds
 	preemptions atomic.Int64 // barrier pauses forced by higher-priority arrivals
+	helperWakes atomic.Int64 // executor pool helpers woken, summed over finished attempts
+	helperJoins atomic.Int64 // ... of which arrived in time to claim a chunk
 
 	// runningSet tracks the jobs currently holding workers, for
 	// preemption victim selection (lowest effective priority first).
@@ -1324,6 +1326,11 @@ func (s *Service) runJob(j *job) {
 		return
 	}
 	defer run.Stepper.Close()
+	defer func() {
+		snap := run.Stepper.Snapshot()
+		s.helperWakes.Add(snap.HelperWakes)
+		s.helperJoins.Add(snap.HelperJoins)
+	}()
 
 	// The controller's decision counters are a freshly allocated map per
 	// read, so they are published on the checkpoint cadence (durable or

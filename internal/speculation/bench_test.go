@@ -36,7 +36,9 @@ func spinTask(work int) Task {
 func benchRound(b *testing.B, m, maxPar, work int) {
 	e := NewExecutor(nil)
 	e.MaxParallel = maxPar
+	defer e.Close()
 	t := spinTask(work)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < m; j++ {
@@ -45,49 +47,52 @@ func benchRound(b *testing.B, m, maxPar, work int) {
 		e.Round(m)
 	}
 	b.StopTimer()
-	secs := b.Elapsed().Seconds()
-	if secs > 0 {
-		b.ReportMetric(float64(b.N*m)/secs, "tasks/sec")
-	}
+	reportRound(b, e, b.N*m)
 }
 
-// BenchmarkExecutorRound sweeps task cost (spin), round size (m), and
-// MaxParallel (par=cpu is the production configuration), and ends with
-// the abort/requeue path.
+// reportRound adds the tasks/sec and helper wakes per round of a finished
+// round benchmark.
+func reportRound(b *testing.B, e *Executor, launched int) {
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(launched)/secs, "tasks/sec")
+	}
+	b.ReportMetric(float64(e.Snapshot().HelperWakes)/float64(b.N), "wakes/op")
+}
+
+// BenchmarkExecutorRound prices one round at one participant and at two:
+// no-op tasks (a round far shorter than a helper's wake-up, so the pool
+// learns to run it alone), spinning tasks (long enough for a helper to
+// pay), and the abort/requeue path. One op is one round.
 func BenchmarkExecutorRound(b *testing.B) {
-	cpu := runtime.NumCPU()
-	for _, cfg := range []struct {
-		name         string
-		m, par, work int
-	}{
-		{"tiny/m=64/par=cpu", 64, cpu, 0},
-		{"tiny/m=512/par=cpu", 512, cpu, 0},
-		{"small/m=64/par=cpu", 64, cpu, 200},
-		{"small/m=512/par=cpu", 512, cpu, 200},
-		{"small/m=512/par=2cpu", 512, 2 * cpu, 200},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			benchRound(b, cfg.m, cfg.par, cfg.work)
+	for _, par := range []int{1, 2} {
+		for _, cfg := range []struct {
+			name    string
+			m, work int
+		}{
+			{"tiny/m=64", 64, 0},
+			{"small/m=512", 512, 200},
+		} {
+			b.Run(fmt.Sprintf("%s/par=%d", cfg.name, par), func(b *testing.B) {
+				benchRound(b, cfg.m, par, cfg.work)
+			})
+		}
+		// All tasks fight over a handful of items, so most launches abort
+		// and flow through the requeue on every round.
+		b.Run(fmt.Sprintf("conflict-heavy/m=256/par=%d", par), func(b *testing.B) {
+			e, topUp := conflictHeavyExecutor(256, par)
+			defer e.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			launched := 0
+			for i := 0; i < b.N; i++ {
+				st := e.Round(256)
+				launched += st.Launched
+				topUp(st.Committed)
+			}
+			b.StopTimer()
+			reportRound(b, e, launched)
 		})
 	}
-	// All tasks fight over a handful of items, so most launches abort and
-	// flow through the requeue on every round.
-	b.Run("conflict-heavy/m=256/par=cpu", func(b *testing.B) {
-		e, topUp := conflictHeavyExecutor(256, cpu)
-		defer e.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		launched := 0
-		for i := 0; i < b.N; i++ {
-			st := e.Round(256)
-			launched += st.Launched
-			topUp(st.Committed)
-		}
-		b.StopTimer()
-		if secs := b.Elapsed().Seconds(); secs > 0 {
-			b.ReportMetric(float64(launched)/secs, "tasks/sec")
-		}
-	})
 }
 
 // BenchmarkExecutorOrdered prices an ordered round's fixed cost — pop,

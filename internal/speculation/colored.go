@@ -301,7 +301,6 @@ func (e *Executor) coloredRound(ctx context.Context, lg *LearnedGraph, cs *color
 	stale := staleNone
 	budget := e.retryBudget()
 	idBase := e.nextID.Add(int64(n)) - int64(n)
-	pool := e.workers(e.MaxParallel)
 
 	for _, class := range cs.classes {
 		if len(class) == 0 {
@@ -314,7 +313,7 @@ func (e *Executor) coloredRound(ctx context.Context, lg *LearnedGraph, cs *color
 			continue
 		}
 		class := class
-		pool.dispatch(len(class), func(j int) {
+		e.dispatch(e.MaxParallel, len(class), func(j int) {
 			i := class[j]
 			c := ctxs[i]
 			c.id = idBase + int64(i)

@@ -248,7 +248,7 @@ func (e *OrderedExecutor) Close() { e.closePool() }
 // counters in one race-safe call. Aborted counts both failure modes
 // (conflicts + premature executions), matching OverallConflictRatio.
 func (e *OrderedExecutor) Snapshot() Snapshot {
-	return e.accounting.snapshot(e.Pending())
+	return e.accounting.snapshot(e.Pending(), &e.pooled)
 }
 
 // TotalConflicts returns the cumulative count of same-round item
@@ -316,7 +316,7 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 	// Phase 1: parallel speculative execution (read + claim only) on the
 	// pool. Panics and errors are captured per attempt, not fatal: they
 	// flow through the shared failure taxonomy in phase 2.
-	e.workers(e.MaxParallel).dispatch(len(s.batch), s.run)
+	e.dispatch(e.MaxParallel, len(s.batch), s.run)
 
 	// Phase 2: serial commit walk in priority order. Heap pops yield
 	// ascending keys, so the batch is sorted by construction.

@@ -105,7 +105,8 @@ func TestWorkerPoolStress(t *testing.T) {
 // of every small size: each index runs exactly once, no callback of a
 // dispatch runs after that dispatch has returned (a helper still mid-chunk
 // of an earlier round would), at most size callbacks are ever in flight,
-// and a pool of one starts no goroutine.
+// a pool of one starts no goroutine, and in every larger pool a helper
+// joins a round in progress.
 func TestWorkerPoolExactlyOnce(t *testing.T) {
 	const maxN, dispatches = 300, 5000 // per pool size: 20 000 in all
 	const slow = 50 * time.Microsecond
@@ -124,11 +125,12 @@ func TestWorkerPoolExactlyOnce(t *testing.T) {
 			current      atomic.Int64 // the dispatch in progress
 			inFlight     atomic.Int32
 			peak, strays atomic.Int32
+			joins        int
 		)
 		for k := 0; k < dispatches; k++ {
 			n, gen := k%maxN+1, int64(k)
 			current.Store(gen)
-			p.dispatch(n, func(i int) {
+			_, joined := p.dispatch(n, func(i int) {
 				if current.Load() != gen {
 					strays.Add(1)
 				}
@@ -152,6 +154,7 @@ func TestWorkerPoolExactlyOnce(t *testing.T) {
 					strays.Add(1)
 				}
 			})
+			joins += joined
 			current.Store(-1)
 			if c := inFlight.Load(); c != 0 {
 				t.Fatalf("size %d, dispatch %d (n=%d): %d callbacks still running after return", size, k, n, c)
@@ -168,6 +171,65 @@ func TestWorkerPoolExactlyOnce(t *testing.T) {
 		}
 		if pk := peak.Load(); pk > int32(size) {
 			t.Fatalf("size %d: %d callbacks in flight at once", size, pk)
+		}
+		if size > 1 && joins == 0 {
+			t.Fatalf("size %d: no helper ran an index in %d dispatches", size, dispatches)
+		}
+	}
+}
+
+// TestWorkerPoolBacksOffLateHelpers: rounds of no-op tasks end long before
+// a parked helper can wake, so the pool stops waking it. Each dispatch
+// waits for the helper to take any token it was sent, so a pool that woke
+// it every round could. From the 64th dispatch on, fewer than one in eight
+// may wake a helper.
+func TestWorkerPoolBacksOffLateHelpers(t *testing.T) {
+	const dispatches, warmup = 4096, 64
+	p := newWorkerPool(2)
+	defer p.shutdown()
+	wakes := 0
+	for k := 0; k < dispatches; k++ {
+		woke, _ := p.dispatch(64, func(int) {})
+		if k >= warmup && woke > 0 {
+			wakes++
+		}
+		for len(p.wake) > 0 {
+			runtime.Gosched()
+		}
+	}
+	if limit := (dispatches - warmup) / 8; wakes >= limit {
+		t.Fatalf("%d of %d dispatches after the first %d woke a helper, want fewer than %d",
+			wakes, dispatches-warmup, warmup, limit)
+	}
+}
+
+// TestWorkerPoolWakesHelpersThatArrive: index 0 of every round blocks until
+// some other index has run, so each round finishes only once a helper has
+// joined it. Every dispatch must wake a helper and see it join: the
+// backoff never leaves such a round to the caller alone.
+func TestWorkerPoolWakesHelpersThatArrive(t *testing.T) {
+	const dispatches = 512
+	p := newWorkerPool(2)
+	defer p.shutdown()
+	for k := 0; k < dispatches; k++ {
+		other := make(chan struct{}, 1)
+		n := k%63 + 2
+		woke, joined := p.dispatch(n, func(i int) {
+			if i != 0 {
+				select {
+				case other <- struct{}{}:
+				default:
+				}
+				return
+			}
+			select {
+			case <-other:
+			case <-time.After(10 * time.Second):
+				t.Errorf("dispatch %d (n=%d): index 0 waited 10 s for a helper", k, n)
+			}
+		})
+		if woke != 1 || joined != 1 {
+			t.Fatalf("dispatch %d (n=%d): woke %d helpers, %d joined; want 1 and 1", k, n, woke, joined)
 		}
 	}
 }

@@ -22,7 +22,8 @@
 // the losers back" with no table in between; a round runs on its caller
 // plus up to MaxParallel − 1 persistent helpers claiming chunks of its
 // index space off one atomic cursor (no hand-off: a small round usually
-// runs on the caller alone), attempt IDs come from an atomic counter,
+// runs on the caller alone, and helpers are woken only while they arrive
+// in time to claim a chunk), attempt IDs come from an atomic counter,
 // and per-attempt contexts are recycled
 // through a sync.Pool. A conflict abort — the common case at the paper's
 // ρ = 0.25 — allocates nothing: the error Acquire returns lives in the
@@ -332,11 +333,20 @@ func (s *RoundStats) add(o RoundStats) {
 // the dispatch record, never the pool or its executor, so an abandoned
 // executor stays collectable: the pool's finalizer closes the wake
 // channel and the helpers exit.
+//
+// A wake-up costs the caller a cross-CPU signal, and a helper that arrives
+// after the chunks have run out adds nothing. So after each round that
+// woke helpers, backoff moves down one level if one of them claimed a
+// chunk, up one (to maxBackoff) if none did, and the next 2^backoff − 1
+// rounds that would wake helpers run on the caller alone.
 type workerPool struct {
 	*dispatchRecord
-	size int
-	stop sync.Once
+	size          int
+	backoff, skip int // caller-only: the learned level, and the rounds left to run alone
+	stop          sync.Once
 }
+
+const maxBackoff = 6 // late helpers are still probed once every 64 rounds
 
 // dispatchRecord is the round descriptor a pool reuses for every dispatch.
 // state admits helpers only while it is open, and run, n and chunk change
@@ -344,6 +354,7 @@ type workerPool struct {
 type dispatchRecord struct {
 	state    atomic.Int64 // recordOpen while a round is published, plus the helpers inside
 	next     atomic.Int64 // claim cursor: the first index not yet claimed
+	joined   atomic.Int64 // helpers that claimed a chunk of the round, read and reset after it
 	run      func(i int)
 	n, chunk int
 	wake     chan struct{} // one token per helper asked to join
@@ -373,20 +384,24 @@ func (d *dispatchRecord) helper() {
 		if s&recordOpen == 0 {
 			continue
 		}
-		d.claimAndRun()
+		if d.claimAndRun() {
+			d.joined.Add(1)
+		}
 		if d.state.Add(-1) == 0 {
 			d.done <- struct{}{}
 		}
 	}
 }
 
-// claimAndRun claims chunks off the cursor and runs them until it passes n.
-func (d *dispatchRecord) claimAndRun() {
+// claimAndRun claims chunks off the cursor and runs them until it passes n,
+// and reports whether it claimed any.
+func (d *dispatchRecord) claimAndRun() (claimed bool) {
 	for {
 		lo := int(d.next.Add(int64(d.chunk))) - d.chunk
 		if lo >= d.n {
-			return
+			return claimed
 		}
+		claimed = true
 		for i := lo; i < min(lo+d.chunk, d.n); i++ {
 			d.run(i)
 		}
@@ -403,15 +418,23 @@ func (p *workerPool) shutdown() {
 const maxChunk = 64
 
 // dispatch runs run(i) for every i in [0, n): it publishes the round, wakes
-// up to one helper per further chunk, claims chunks itself, then waits only
-// for helpers already inside — no chunk waits for a goroutine to wake.
-func (p *workerPool) dispatch(n int, run func(i int)) {
+// up to one helper per further chunk unless the backoff has the round run
+// alone, claims chunks itself, then waits only for helpers already inside —
+// no chunk waits for a goroutine to wake. It returns the helpers it woke
+// and the helpers that claimed a chunk of the round.
+func (p *workerPool) dispatch(n int, run func(i int)) (woke, joined int) {
 	p.run, p.n, p.chunk = run, n, min(max((n+p.size-1)/p.size, 1), maxChunk)
 	p.next.Store(0)
 	p.state.Store(recordOpen)
-	for k := min((n-1)/p.chunk, p.size-1); k > 0; k-- {
+	want := min((n-1)/p.chunk, p.size-1)
+	if want > 0 && p.skip > 0 {
+		p.skip--
+		want = 0
+	}
+	for k := want; k > 0; k-- {
 		select {
 		case p.wake <- struct{}{}:
+			woke++
 		default: // every helper already holds a token
 		}
 	}
@@ -420,11 +443,28 @@ func (p *workerPool) dispatch(n int, run func(i int)) {
 		<-p.done
 	}
 	p.run = nil // parked helpers must not keep the round's owner reachable
+	if p.joined.Load() != 0 {
+		joined = int(p.joined.Swap(0))
+	}
+	if want > 0 {
+		if joined > 0 {
+			p.backoff = max(p.backoff-1, 0)
+		} else {
+			p.backoff = min(p.backoff+1, maxBackoff)
+		}
+		p.skip = 1<<p.backoff - 1
+	}
+	return woke, joined
 }
 
 // pooled owns the worker pool of an executor, ordered or not: built at
-// the first round, rebuilt when MaxParallel changes between rounds.
-type pooled struct{ pool *workerPool }
+// the first round, rebuilt when MaxParallel changes between rounds. Its
+// counters span every pool it has owned.
+type pooled struct {
+	pool        *workerPool
+	helperWakes atomic.Int64 // helpers woken for a round
+	helperJoins atomic.Int64 // ... and helpers that claimed a chunk of one
+}
 
 // poolSize resolves a MaxParallel setting to a worker count: 0 or less
 // selects runtime.GOMAXPROCS(0).
@@ -435,15 +475,21 @@ func poolSize(maxParallel int) int {
 	return maxParallel
 }
 
-// workers returns a pool of poolSize(maxParallel) participants, replacing
-// a stale-sized one. Called only from Round (single caller at a time).
-func (p *pooled) workers(maxParallel int) *workerPool {
-	size := poolSize(maxParallel)
-	if p.pool == nil || p.pool.size != size {
+// dispatch runs run(i) for every i in [0, n) on a pool of
+// poolSize(maxParallel) participants, replacing a stale-sized one. Called
+// only from a round (single caller at a time).
+func (p *pooled) dispatch(maxParallel, n int, run func(i int)) {
+	if size := poolSize(maxParallel); p.pool == nil || p.pool.size != size {
 		p.closePool()
 		p.pool = newWorkerPool(size)
 	}
-	return p.pool
+	woke, joined := p.pool.dispatch(n, run)
+	if woke != 0 {
+		p.helperWakes.Add(int64(woke))
+	}
+	if joined != 0 {
+		p.helperJoins.Add(int64(joined))
+	}
 }
 
 func (p *pooled) closePool() {
@@ -478,8 +524,9 @@ type Executor struct {
 	accounting
 
 	// MaxParallel bounds how many attempts execute at once: a round runs
-	// on MaxParallel participants, the caller included (1 = the caller
-	// alone, no goroutine), an async drive on MaxParallel worker
+	// on at most MaxParallel participants, the caller included (1 = the
+	// caller alone, no goroutine; helpers are woken only while they arrive
+	// in time to claim work), an async drive on MaxParallel worker
 	// goroutines; 0 or less selects runtime.GOMAXPROCS(0). It does not
 	// set a round's conflict ratio: locks are held to the barrier whatever
 	// the pool size. An async drive whose operators block wants
@@ -619,12 +666,14 @@ func (e *Executor) Close() {
 // snapshot taken mid-round is a consistent *monitoring* view (each
 // field individually correct at sample time), not a round boundary.
 type Snapshot struct {
-	Pending   int
-	Launched  int64
-	Committed int64
-	Aborted   int64
-	Failed    int64 // failed attempts (panics / non-conflict errors)
-	Poisoned  int64 // tasks quarantined after exhausting their budget
+	Pending     int
+	Launched    int64
+	Committed   int64
+	Aborted     int64
+	Failed      int64 // failed attempts (panics / non-conflict errors)
+	Poisoned    int64 // tasks quarantined after exhausting their budget
+	HelperWakes int64 // round-pool helpers woken (async workers are not counted)
+	HelperJoins int64 // ... and helpers that claimed a chunk of a round
 }
 
 // ConflictRatio returns cumulative aborts/launches for the snapshot.
@@ -640,7 +689,7 @@ func (s Snapshot) ConflictRatio() float64 {
 // polling mid-run) should use instead of stitching together Pending and
 // the Total* methods.
 func (e *Executor) Snapshot() Snapshot {
-	return e.accounting.snapshot(e.Pending())
+	return e.accounting.snapshot(e.Pending(), &e.pooled)
 }
 
 // retryBudget resolves TaskRetries to the effective failure budget.
@@ -768,7 +817,7 @@ func (e *Executor) Round(m int) RoundStats {
 	if s.run == nil {
 		s.run = s.attempt
 	}
-	e.workers(e.MaxParallel).dispatch(n, s.run)
+	e.dispatch(e.MaxParallel, n, s.run)
 
 	// Round barrier passed: release the committed tasks' locks (aborted
 	// tasks already released on rollback), then settle every attempt.

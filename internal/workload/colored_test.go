@@ -92,12 +92,18 @@ func driveColored(t *testing.T, name string, p Params, undeclared bool) (*Run, *
 // workload still pays: a colored super-round launches exactly one
 // attempt per commit, the async drive, held at ρ = 0.25 by the same
 // controller, well over one. (Which of the two is faster is the
-// BenchmarkExecutorColored rows' question, not a 5 ms run's.)
+// BenchmarkExecutorColored rows' question, not a 5 ms run's.) The learned
+// leg runs at Parallel 1, where its rounds — and so how long learning
+// takes — are a function of the seed alone.
 func TestColoredEquivalence(t *testing.T) {
 	p := Params{Size: 600, Seed: 11, Parallel: 4}
 
 	for _, learned := range []bool{true, false} {
-		run, cres, coloredLaunched := driveColored(t, "stable", p, learned)
+		lp := p
+		if learned {
+			lp.Parallel = 1
+		}
+		run, cres, coloredLaunched := driveColored(t, "stable", lp, learned)
 		defer run.Stepper.Close()
 		if cres.Fallbacks != 0 || cres.Degraded {
 			t.Fatalf("learned=%v: stable workload tripped staleness or degraded: %+v", learned, cres)
