@@ -32,7 +32,9 @@ test:
 # the journal (group commit, the deferred-sync timer behind lazy appends,
 # rotation/compaction/reopen), the cluster router, the fault-injection
 # layer, and the CSR Monte Carlo estimation engine plus its consumers
-# (graph, sched, profile, control). Nothing is skipped: no gate here
+# (graph, sched, profile, control), and the six speculative app
+# adapters whose tasks run on the round pool (internal/apps/...).
+# Nothing is skipped: no gate here
 # compares wall-clock rates — TestColoredEquivalence compares launch and
 # commit counts, and TestAsyncControllerEquivalence's steady-state m
 # ratio stays inside its tolerance under the detector (the runs are in
@@ -40,7 +42,8 @@ test:
 race:
 	$(GO) test -race ./internal/speculation/ ./internal/workload/ ./internal/service/ \
 		./internal/journal/ ./internal/cluster/ ./internal/faultinject/ \
-		./internal/graph/ ./internal/sched/ ./internal/profile/ ./internal/control/
+		./internal/graph/ ./internal/sched/ ./internal/profile/ ./internal/control/ \
+		./internal/apps/...
 
 # equiv is the controller-equivalence acceptance check for the
 # barrier-free executor — the hybrid controller fed sliding-window
@@ -126,11 +129,14 @@ bench:
 # round vs async vs colored execution on stable-conflict topologies,
 # learned and declared, the declare phase against the round-mode drain
 # it replaces, an ordered round's fixed cost at small m over a shallow
-# and a des-deep work-set, and the journal's encoding of one 32-point
-# checkpoint) and records per-benchmark medians in $(BENCH_SIM_OUT).
+# and a des-deep work-set, the journal's encoding of one 32-point
+# checkpoint, and two operators at apps_mix's sizes: one clustering
+# nearest-neighbor query among 1500 clusters and a whole 6000 mesh
+# refinement) and records per-benchmark medians in $(BENCH_SIM_OUT).
 bench-sim:
-	$(GO) test ./internal/graph/ ./internal/sched/ ./internal/speculation/ ./internal/service/ -run NONE \
-		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorRound|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkExecutorOrdered|BenchmarkDeclaredGraph|BenchmarkCheckpointRecord' \
+	$(GO) test ./internal/graph/ ./internal/sched/ ./internal/speculation/ ./internal/service/ \
+		./internal/apps/cluster/ ./internal/apps/mesh/ -run NONE \
+		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorRound|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkExecutorOrdered|BenchmarkDeclaredGraph|BenchmarkCheckpointRecord|BenchmarkClusterNearest|BenchmarkMeshRefine' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		| $(GO) run ./cmd/benchfmt > $(BENCH_SIM_OUT)
 	@cat $(BENCH_SIM_OUT)

@@ -5,7 +5,7 @@
 // merge; merges touching disjoint neighborhoods proceed in parallel,
 // merges sharing a cluster conflict.
 //
-// Cluster distance is centroid distance (with cluster size as the
+// Cluster distance is centroid distance (with cluster ID as the
 // deterministic tie-breaker), under which mutual-nearest-neighbor
 // merging yields a well-defined dendrogram.
 package cluster
@@ -35,6 +35,7 @@ type Cluster struct {
 	ID       int
 	Centroid Point
 	Size     int
+	idx      int // position in Clustering.live
 }
 
 // Merge is one dendrogram node: clusters A and B fused into Parent at
@@ -44,37 +45,69 @@ type Merge struct {
 	Dist         float64
 }
 
-// Clustering is the shared mutable state of an agglomerative run.
+// Clustering is the shared mutable state of an agglomerative run. IDs
+// are dense (n singletons, then one per merge), so byID is a slice with
+// nil for merged-away clusters; live holds the live clusters densely, and
+// at their centroids, which is all the nearest-neighbor scan reads.
 type Clustering struct {
-	clusters map[int]*Cluster
-	nextID   int
-	Merges   []Merge
+	byID   []*Cluster
+	live   []*Cluster
+	at     []Point // at[i] == live[i].Centroid
+	Merges []Merge
 }
 
 // New builds the initial clustering: one singleton cluster per point.
 func New(pts []Point) *Clustering {
-	c := &Clustering{clusters: make(map[int]*Cluster, len(pts))}
+	c := &Clustering{
+		byID: make([]*Cluster, 0, 2*len(pts)),
+		live: make([]*Cluster, 0, len(pts)),
+		at:   make([]Point, 0, len(pts)),
+	}
 	for _, p := range pts {
-		c.clusters[c.nextID] = &Cluster{ID: c.nextID, Centroid: p, Size: 1}
-		c.nextID++
+		c.add(&Cluster{Centroid: p, Size: 1})
 	}
 	return c
 }
 
-// NumClusters returns the number of live clusters.
-func (c *Clustering) NumClusters() int { return len(c.clusters) }
+// add gives cl the next ID and makes it live.
+func (c *Clustering) add(cl *Cluster) {
+	cl.ID, cl.idx = len(c.byID), len(c.live)
+	c.byID = append(c.byID, cl)
+	c.live = append(c.live, cl)
+	c.at = append(c.at, cl.Centroid)
+}
 
-// Live returns the IDs of the live clusters (unspecified order).
+// remove retires cl, moving the last live cluster into its slot.
+func (c *Clustering) remove(cl *Cluster) {
+	n := len(c.live) - 1
+	last := c.live[n]
+	last.idx = cl.idx
+	c.live[cl.idx], c.at[cl.idx] = last, c.at[n]
+	c.live, c.at = c.live[:n], c.at[:n]
+	c.byID[cl.ID] = nil
+}
+
+// NumClusters returns the number of live clusters.
+func (c *Clustering) NumClusters() int { return len(c.live) }
+
+// Live returns the IDs of the live clusters in storage order: creation
+// order, except that each merge moves the last live cluster into the
+// slot of a cluster it retired.
 func (c *Clustering) Live() []int {
-	out := make([]int, 0, len(c.clusters))
-	for id := range c.clusters {
-		out = append(out, id)
+	out := make([]int, len(c.live))
+	for i, cl := range c.live {
+		out[i] = cl.ID
 	}
 	return out
 }
 
 // Get returns the live cluster with the given ID, or nil.
-func (c *Clustering) Get(id int) *Cluster { return c.clusters[id] }
+func (c *Clustering) Get(id int) *Cluster {
+	if id < 0 || id >= len(c.byID) {
+		return nil
+	}
+	return c.byID[id]
+}
 
 func dist2(a, b Point) float64 {
 	dx, dy := a.X-b.X, a.Y-b.Y
@@ -92,49 +125,47 @@ func closer(d1 float64, id1 int, d2 float64, id2 int) bool {
 
 // Nearest returns the nearest other live cluster to id (by centroid
 // distance, ties broken by ID) and the squared distance; ok is false if
-// id is the only cluster. Linear scan — correct for any state; the
-// speculative adapter uses a grid for the common case.
+// id is the only cluster. A linear scan of the live centroids; because
+// closer is a total order, the answer does not depend on scan order.
 func (c *Clustering) Nearest(id int) (int, float64, bool) {
-	self, ok := c.clusters[id]
-	if !ok {
+	self := c.Get(id)
+	if self == nil {
 		panic(fmt.Sprintf("cluster: Nearest of dead cluster %d", id))
 	}
 	bestID, bestD := -1, math.Inf(1)
-	for oid, o := range c.clusters {
-		if oid == id {
+	for i, p := range c.at {
+		d := dist2(self.Centroid, p)
+		if d > bestD || i == self.idx {
 			continue
 		}
-		d := dist2(self.Centroid, o.Centroid)
-		if bestID < 0 || closer(d, oid, bestD, bestID) {
+		if oid := c.live[i].ID; bestID < 0 || closer(d, oid, bestD, bestID) {
 			bestID, bestD = oid, d
 		}
 	}
 	if bestID < 0 {
 		return 0, 0, false
 	}
-	return bestID, bestD, ok
+	return bestID, bestD, true
 }
 
 // MergePair fuses live clusters a and b into a new cluster (centroid =
 // weighted mean) and records the dendrogram node. It returns the new ID.
 func (c *Clustering) MergePair(a, b int) int {
-	ca, cb := c.clusters[a], c.clusters[b]
+	ca, cb := c.Get(a), c.Get(b)
 	if ca == nil || cb == nil {
 		panic(fmt.Sprintf("cluster: merging dead cluster %d/%d", a, b))
 	}
 	n := ca.Size + cb.Size
 	merged := &Cluster{
-		ID: c.nextID,
 		Centroid: Point{
 			X: (ca.Centroid.X*float64(ca.Size) + cb.Centroid.X*float64(cb.Size)) / float64(n),
 			Y: (ca.Centroid.Y*float64(ca.Size) + cb.Centroid.Y*float64(cb.Size)) / float64(n),
 		},
 		Size: n,
 	}
-	c.nextID++
-	delete(c.clusters, a)
-	delete(c.clusters, b)
-	c.clusters[merged.ID] = merged
+	c.remove(ca)
+	c.remove(cb)
+	c.add(merged)
 	c.Merges = append(c.Merges, Merge{
 		A: a, B: b, Parent: merged.ID,
 		Dist: math.Sqrt(dist2(ca.Centroid, cb.Centroid)),
@@ -149,15 +180,11 @@ func (c *Clustering) Sequential(target int) int {
 		target = 1
 	}
 	merges := 0
-	for len(c.clusters) > target {
-		// Find any mutual nearest-neighbor pair (one always exists:
-		// follow the nearest-neighbor chain to a 2-cycle).
-		start := -1
-		for id := range c.clusters {
-			start = id
-			break
-		}
-		cur := start
+	for len(c.live) > target {
+		// Find a mutual nearest-neighbor pair by following the
+		// nearest-neighbor chain from the first live cluster to a
+		// 2-cycle (one always exists).
+		cur := c.live[0].ID
 		prev := -1
 		for {
 			nxt, _, ok := c.Nearest(cur)
@@ -197,12 +224,12 @@ func (c *Clustering) CheckDendrogram(initial int) error {
 		live[m.Parent] = true
 		next++
 	}
-	if len(live) != len(c.clusters) {
-		return fmt.Errorf("cluster: %d live per dendrogram, %d in state", len(live), len(c.clusters))
+	if len(live) != len(c.live) {
+		return fmt.Errorf("cluster: %d live per dendrogram, %d in state", len(live), len(c.live))
 	}
-	for id := range c.clusters {
-		if !live[id] {
-			return fmt.Errorf("cluster: state has unexpected live cluster %d", id)
+	for i, cl := range c.live {
+		if !live[cl.ID] || cl.idx != i || c.Get(cl.ID) != cl || c.at[i] != cl.Centroid {
+			return fmt.Errorf("cluster: state has unexpected live cluster %d", cl.ID)
 		}
 	}
 	return nil

@@ -45,6 +45,130 @@ func TestNearestTieBreak(t *testing.T) {
 	}
 }
 
+// bruteNearest is Nearest's specification: the live cluster other than
+// id minimizing (d², ID), found from the live IDs alone.
+func bruteNearest(c *Clustering, id int) (int, float64, bool) {
+	self := c.Get(id)
+	bestID, bestD, found := 0, 0.0, false
+	for _, oid := range c.Live() {
+		if oid == id {
+			continue
+		}
+		d := dist2(self.Centroid, c.Get(oid).Centroid)
+		if !found || d < bestD || (d == bestD && oid < bestID) {
+			bestID, bestD, found = oid, d, true
+		}
+	}
+	return bestID, bestD, found
+}
+
+// checkNearestAgainstBrute merges random pairs of pts until one cluster
+// is left, comparing Nearest with bruteNearest for every live cluster
+// before each merge. It reports how many answers had a tie to break.
+func checkNearestAgainstBrute(t testing.TB, pts []Point, r *rng.Rand) (ties int) {
+	c := New(pts)
+	for {
+		live := c.Live()
+		for _, id := range live {
+			gotID, gotD, gotOK := c.Nearest(id)
+			wantID, wantD, wantOK := bruteNearest(c, id)
+			if gotID != wantID || gotD != wantD || gotOK != wantOK {
+				t.Fatalf("%d live: Nearest(%d) = (%d, %v, %v), brute force (%d, %v, %v)",
+					len(live), id, gotID, gotD, gotOK, wantID, wantD, wantOK)
+			}
+			for _, oid := range live {
+				if oid != id && oid != wantID && dist2(c.Get(id).Centroid, c.Get(oid).Centroid) == wantD {
+					ties++
+					break
+				}
+			}
+		}
+		if len(live) < 2 {
+			break
+		}
+		i := r.Intn(len(live))
+		j := r.Intn(len(live) - 1)
+		if j >= i {
+			j++
+		}
+		c.MergePair(live[i], live[j])
+	}
+	if err := c.CheckDendrogram(len(pts)); err != nil {
+		t.Fatal(err)
+	}
+	return ties
+}
+
+// tiedPoints returns n random points of which every third repeats an
+// earlier one, so equal centroids — and equal distances — are common.
+func tiedPoints(r *rng.Rand, n int) []Point {
+	pts := RandomPoints(r, n)
+	for i := 2; i < n; i += 3 {
+		pts[i] = pts[r.Intn(i)]
+	}
+	return pts
+}
+
+func TestNearestMatchesBruteForce(t *testing.T) {
+	ties := 0
+	for seed := uint64(1); seed <= 5; seed++ {
+		r := rng.New(seed)
+		ties += checkNearestAgainstBrute(t, tiedPoints(r, 90), r)
+	}
+	if ties == 0 {
+		t.Fatal("no tie ever occurred: the test does not exercise the tie-break")
+	}
+}
+
+// FuzzNearest reads point sets from the fuzzer's bytes on a coarse grid,
+// so duplicates and equal distances are the norm, and checks Nearest
+// against the brute-force minimum over a random merge sequence.
+func FuzzNearest(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3}, uint64(1))
+	f.Add([]byte{5, 5, 5, 5, 9, 9, 1, 9, 9, 1}, uint64(2))
+	f.Add([]byte{0, 0, 0, 2, 2, 0, 2, 2, 1, 1}, uint64(3))
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64) {
+		var pts []Point
+		for i := 0; i+1 < len(raw) && len(pts) < 60; i += 2 {
+			pts = append(pts, Point{float64(raw[i] % 16), float64(raw[i+1] % 16)})
+		}
+		if len(pts) == 0 {
+			return
+		}
+		checkNearestAgainstBrute(t, pts, rng.New(seed))
+	})
+}
+
+func TestSequentialIsDeterministic(t *testing.T) {
+	pts := tiedPoints(rng.New(7), 120)
+	a, b := New(pts), New(pts)
+	a.Sequential(3)
+	b.Sequential(3)
+	if len(a.Merges) != len(b.Merges) {
+		t.Fatalf("%d merges vs %d", len(a.Merges), len(b.Merges))
+	}
+	for i := range a.Merges {
+		if a.Merges[i] != b.Merges[i] {
+			t.Fatalf("merge %d: %+v vs %+v", i, a.Merges[i], b.Merges[i])
+		}
+	}
+}
+
+var nearestSink int
+
+// BenchmarkClusterNearest prices one nearest-neighbor query among 1500
+// live clusters, apps_mix's cluster size.
+func BenchmarkClusterNearest(b *testing.B) {
+	const n = 1500
+	c := New(RandomPoints(rng.New(1), n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, _, _ := c.Nearest(i % n)
+		nearestSink += id
+	}
+}
+
 func TestMergePairCentroidAndSize(t *testing.T) {
 	pts := []Point{{0, 0}, {2, 0}, {10, 10}}
 	c := New(pts)

@@ -13,16 +13,14 @@ type ProfilePoint struct {
 // a matching: they are pairwise disjoint, so all of them can merge in
 // the same step — the instantaneous available parallelism.
 func (c *Clustering) MutualPairs() [][2]int {
-	nearest := make(map[int]int, len(c.clusters))
-	for id := range c.clusters {
-		if n, _, ok := c.Nearest(id); ok {
-			nearest[id] = n
-		}
+	nearest := make([]int, len(c.live))
+	for i, cl := range c.live {
+		nearest[i], _, _ = c.Nearest(cl.ID)
 	}
 	var pairs [][2]int
-	for a, b := range nearest {
-		if a < b && nearest[b] == a {
-			pairs = append(pairs, [2]int{a, b})
+	for i, cl := range c.live {
+		if b := nearest[i]; cl.ID < b && nearest[c.byID[b].idx] == cl.ID {
+			pairs = append(pairs, [2]int{cl.ID, b})
 		}
 	}
 	return pairs

@@ -75,15 +75,15 @@ func (s *SpeculativeClustering) ensureTaskLocked(id int) bool {
 
 // Reseed enqueues a task for every live cluster that lacks one, in
 // cluster-id order so that task handles — and with them every seeded
-// pick — do not depend on map iteration. It restarts stalled
+// pick — do not depend on the live slice's order. It restarts stalled
 // nearest-neighbor chains (the driver calls it between adaptive runs
 // until the target is reached).
 func (s *SpeculativeClustering) Reseed() int {
 	s.mu.Lock()
 	var spawn []int
-	for id := range s.c.clusters {
-		if s.ensureTaskLocked(id) {
-			spawn = append(spawn, id)
+	for _, cl := range s.c.live {
+		if s.ensureTaskLocked(cl.ID) {
+			spawn = append(spawn, cl.ID)
 		}
 	}
 	s.mu.Unlock()

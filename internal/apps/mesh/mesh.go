@@ -16,11 +16,18 @@ type Triangle struct {
 
 // Mesh is a mutable 2D triangulation.
 type Mesh struct {
-	Pts     []Point
-	tris    map[int]*Triangle
-	hull    map[[2]int]int // directed hull edge (u,v) -> owning triangle
-	nextTri int
-	locHint int // last triangle touched, seeds point location walks
+	Pts       []Point
+	tris      []*Triangle    // by ID; nil once the triangle is gone
+	live      int            // non-nil entries of tris
+	hull      map[[2]int]int // directed hull edge (u,v) -> its slot in hullEdges
+	hullEdges []hullEdge     // the hull densely, for the encroachment scans
+	locHint   int            // last triangle touched, seeds point location walks
+}
+
+// hullEdge is a directed hull edge and the triangle that owns it.
+type hullEdge struct {
+	e     [2]int
+	owner int
 }
 
 // NewSquare returns a triangulation of the axis-aligned square
@@ -30,7 +37,7 @@ func NewSquare(lo, hi float64) *Mesh {
 	if hi <= lo {
 		panic("mesh: NewSquare requires hi > lo")
 	}
-	m := &Mesh{tris: make(map[int]*Triangle), hull: make(map[[2]int]int)}
+	m := &Mesh{hull: make(map[[2]int]int)}
 	m.Pts = []Point{{lo, lo}, {hi, lo}, {hi, hi}, {lo, hi}}
 	// Two CCW triangles: (0,1,2) and (0,2,3) sharing edge (0,2).
 	t0 := m.newTriangle([3]int{0, 1, 2})
@@ -43,9 +50,9 @@ func NewSquare(lo, hi float64) *Mesh {
 }
 
 func (m *Mesh) newTriangle(v [3]int) *Triangle {
-	t := &Triangle{ID: m.nextTri, V: v, N: [3]int{-1, -1, -1}}
-	m.nextTri++
-	m.tris[t.ID] = t
+	t := &Triangle{ID: len(m.tris), V: v, N: [3]int{-1, -1, -1}}
+	m.tris = append(m.tris, t)
+	m.live++
 	return t
 }
 
@@ -54,45 +61,58 @@ func (m *Mesh) newTriangle(v [3]int) *Triangle {
 func (m *Mesh) indexHullEdges(t *Triangle) {
 	for i := 0; i < 3; i++ {
 		if t.N[i] < 0 {
-			m.hull[[2]int{t.V[i], t.V[(i+1)%3]}] = t.ID
+			e := [2]int{t.V[i], t.V[(i+1)%3]}
+			m.hull[e] = len(m.hullEdges)
+			m.hullEdges = append(m.hullEdges, hullEdge{e, t.ID})
 		}
 	}
 }
 
-// unindexHullEdges removes t's boundary edges from the hull index.
+// unindexHullEdges removes t's boundary edges from the hull index,
+// moving the last hull edge into each vacated slot.
 func (m *Mesh) unindexHullEdges(t *Triangle) {
 	for i := 0; i < 3; i++ {
 		if t.N[i] < 0 {
-			delete(m.hull, [2]int{t.V[i], t.V[(i+1)%3]})
+			e := [2]int{t.V[i], t.V[(i+1)%3]}
+			slot := m.hull[e]
+			last := m.hullEdges[len(m.hullEdges)-1]
+			m.hullEdges[slot] = last
+			m.hull[last.e] = slot
+			m.hullEdges = m.hullEdges[:len(m.hullEdges)-1]
+			delete(m.hull, e)
 		}
 	}
 }
 
-// EachHullEdge calls fn for every directed hull edge (u, v); iteration
-// order is unspecified.
+// EachHullEdge calls fn for every directed hull edge (u, v), in the
+// hull index's storage order; fn must not change the mesh.
 func (m *Mesh) EachHullEdge(fn func(u, v int)) {
-	for k := range m.hull {
-		fn(k[0], k[1])
+	for _, h := range m.hullEdges {
+		fn(h.e[0], h.e[1])
 	}
 }
 
 // NumTriangles returns the number of live triangles.
-func (m *Mesh) NumTriangles() int { return len(m.tris) }
+func (m *Mesh) NumTriangles() int { return m.live }
 
 // NumPoints returns the number of vertices.
 func (m *Mesh) NumPoints() int { return len(m.Pts) }
 
 // Triangle returns the live triangle with the given ID, or nil.
-func (m *Mesh) Triangle(id int) *Triangle { return m.tris[id] }
+func (m *Mesh) Triangle(id int) *Triangle {
+	if id < 0 || id >= len(m.tris) {
+		return nil
+	}
+	return m.tris[id]
+}
 
-// Alive reports whether triangle id is live.
-func (m *Mesh) Alive(id int) bool { _, ok := m.tris[id]; return ok }
-
-// TriangleIDs returns the IDs of all live triangles (unspecified order).
+// TriangleIDs returns the IDs of all live triangles in ascending order.
 func (m *Mesh) TriangleIDs() []int {
-	out := make([]int, 0, len(m.tris))
-	for id := range m.tris {
-		out = append(out, id)
+	out := make([]int, 0, m.live)
+	for id, t := range m.tris {
+		if t != nil {
+			out = append(out, id)
+		}
 	}
 	return out
 }
@@ -106,13 +126,16 @@ func (m *Mesh) Corners(t *Triangle) (Point, Point, Point) {
 // the location hint and falling back to a linear scan. It returns -1 if
 // p is outside the triangulation.
 func (m *Mesh) Locate(p Point) int {
-	if t, ok := m.tris[m.locHint]; ok {
-		if id := m.walk(t, p, 4*len(m.tris)+64); id >= 0 {
+	if t := m.Triangle(m.locHint); t != nil {
+		if id := m.walk(t, p, 4*m.live+64); id >= 0 {
 			m.locHint = id
 			return id
 		}
 	}
 	for id, t := range m.tris {
+		if t == nil {
+			continue
+		}
 		a, b, c := m.Corners(t)
 		if InTriangle(p, a, b, c) {
 			m.locHint = id
@@ -135,8 +158,8 @@ func (m *Mesh) walk(t *Triangle, p Point, maxSteps int) int {
 				if nid < 0 {
 					return -1
 				}
-				nt, ok := m.tris[nid]
-				if !ok {
+				nt := m.tris[nid]
+				if nt == nil {
 					return -1
 				}
 				t = nt
@@ -155,8 +178,8 @@ func (m *Mesh) walk(t *Triangle, p Point, maxSteps int) int {
 // grown by adjacency from the containing triangle start (Bowyer–Watson
 // cavity). start must contain p.
 func (m *Mesh) Cavity(start int, p Point) []int {
-	t0, ok := m.tris[start]
-	if !ok {
+	t0 := m.Triangle(start)
+	if t0 == nil {
 		panic(fmt.Sprintf("mesh: cavity start %d is dead", start))
 	}
 	in := map[int]bool{t0.ID: true}
@@ -220,7 +243,7 @@ func (m *Mesh) InsertInCavity(p Point, cavity []int) (int, []int) {
 	}
 	var boundary []bEdge
 	for _, id := range cavity {
-		t := m.tris[id]
+		t := m.Triangle(id)
 		if t == nil {
 			panic(fmt.Sprintf("mesh: cavity triangle %d is dead", id))
 		}
@@ -236,7 +259,8 @@ func (m *Mesh) InsertInCavity(p Point, cavity []int) (int, []int) {
 	// Remove the cavity (including its hull edges from the index).
 	for _, id := range cavity {
 		m.unindexHullEdges(m.tris[id])
-		delete(m.tris, id)
+		m.tris[id] = nil
+		m.live--
 	}
 
 	// One new triangle per boundary edge; (u, v, p) is CCW because the
@@ -292,9 +316,15 @@ func (m *Mesh) InsertInCavity(p Point, cavity []int) (int, []int) {
 }
 
 // CheckConsistency validates structural invariants: CCW orientation,
-// symmetric adjacency, and edge-sharing agreement. Used by tests.
+// symmetric adjacency, edge-sharing agreement, and a hull index that
+// matches the boundary. Used by tests.
 func (m *Mesh) CheckConsistency() error {
+	live := 0
 	for id, t := range m.tris {
+		if t == nil {
+			continue
+		}
+		live++
 		if t.ID != id {
 			return fmt.Errorf("mesh: triangle %d has ID %d", id, t.ID)
 		}
@@ -307,8 +337,8 @@ func (m *Mesh) CheckConsistency() error {
 			if nid < 0 {
 				continue
 			}
-			nt, ok := m.tris[nid]
-			if !ok {
+			nt := m.Triangle(nid)
+			if nt == nil {
 				return fmt.Errorf("mesh: triangle %d points to dead neighbor %d", id, nid)
 			}
 			// The neighbor must point back across the shared edge.
@@ -327,22 +357,30 @@ func (m *Mesh) CheckConsistency() error {
 			}
 		}
 	}
-	// Hull index must exactly match the -1 neighbor edges.
+	if live != m.live {
+		return fmt.Errorf("mesh: %d live triangles, count says %d", live, m.live)
+	}
+	// The hull index must exactly match the -1 neighbor edges, and the
+	// map and the dense slice must describe each other.
 	want := 0
 	for id, t := range m.tris {
+		if t == nil {
+			continue
+		}
 		for i := 0; i < 3; i++ {
 			if t.N[i] < 0 {
 				want++
-				owner, ok := m.hull[[2]int{t.V[i], t.V[(i+1)%3]}]
-				if !ok || owner != id {
-					return fmt.Errorf("mesh: hull index missing edge (%d,%d) of triangle %d",
-						t.V[i], t.V[(i+1)%3], id)
+				e := [2]int{t.V[i], t.V[(i+1)%3]}
+				slot, ok := m.hull[e]
+				if !ok || slot < 0 || slot >= len(m.hullEdges) || m.hullEdges[slot] != (hullEdge{e, id}) {
+					return fmt.Errorf("mesh: hull index missing edge (%d,%d) of triangle %d", e[0], e[1], id)
 				}
 			}
 		}
 	}
-	if want != len(m.hull) {
-		return fmt.Errorf("mesh: hull index has %d edges, mesh has %d", len(m.hull), want)
+	if want != len(m.hull) || want != len(m.hullEdges) {
+		return fmt.Errorf("mesh: hull index has %d edges in %d slots, mesh has %d",
+			len(m.hull), len(m.hullEdges), want)
 	}
 	return nil
 }
@@ -351,6 +389,9 @@ func (m *Mesh) CheckConsistency() error {
 // vertex (brute force, O(T·V); test-only).
 func (m *Mesh) CheckDelaunay() error {
 	for id, t := range m.tris {
+		if t == nil {
+			continue
+		}
 		a, b, c := m.Corners(t)
 		for vi, p := range m.Pts {
 			if vi == t.V[0] || vi == t.V[1] || vi == t.V[2] {
@@ -368,8 +409,10 @@ func (m *Mesh) CheckDelaunay() error {
 func (m *Mesh) TotalArea() float64 {
 	total := 0.0
 	for _, t := range m.tris {
-		a, b, c := m.Corners(t)
-		total += Area(a, b, c)
+		if t != nil {
+			a, b, c := m.Corners(t)
+			total += Area(a, b, c)
+		}
 	}
 	return total
 }

@@ -164,6 +164,64 @@ func TestRefineAreaOnly(t *testing.T) {
 	}
 }
 
+// The hull index (map and dense slice) must match the boundary after
+// every insertion of a refinement run, through both refiners. The angle
+// bound makes many points land on the hull, so the hull is rebuilt often.
+func TestRefineKeepsHullIndex(t *testing.T) {
+	q := Quality{MinAngleDeg: 20, MaxArea: 0.004}
+	check := func(t *testing.T, m *Mesh, inserted int) {
+		t.Helper()
+		if err := m.CheckConsistency(); err != nil {
+			t.Fatalf("after insertion %d: %v", inserted, err)
+		}
+	}
+	t.Run("sequential", func(t *testing.T) {
+		m := buildTestMesh(13, 25)
+		inserted := 0
+		for m.Refine(q, 1).Inserted == 1 {
+			inserted++
+			check(t, m, inserted)
+		}
+		if len(m.BadTriangles(q)) != 0 || len(m.hullEdges) <= 8 {
+			t.Fatalf("%d inserted, %d bad left, %d hull edges", inserted, len(m.BadTriangles(q)), len(m.hullEdges))
+		}
+	})
+	t.Run("speculative", func(t *testing.T) {
+		m := buildTestMesh(14, 25)
+		r := rng.New(15)
+		ref := NewSpeculativeRefiner(m, q, func(n int) int { return r.Intn(n) })
+		for ref.Pending() > 0 {
+			before := ref.Inserted
+			ref.Executor().Round(1)
+			if ref.Inserted != before {
+				check(t, m, ref.Inserted)
+			}
+		}
+		if len(m.BadTriangles(q)) != 0 || len(m.hullEdges) <= 8 {
+			t.Fatalf("%d inserted, %d bad left, %d hull edges", ref.Inserted, len(m.BadTriangles(q)), len(m.hullEdges))
+		}
+	})
+}
+
+// BenchmarkMeshRefine prices a whole sequential refinement at apps_mix's
+// mesh size: the operators (point location, hull-encroachment scans,
+// cavities, retriangulation) without an executor.
+func BenchmarkMeshRefine(b *testing.B) {
+	const size = 6000
+	q := Quality{MaxArea: 1.0 / size}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := rng.New(1)
+		m := NewSquare(0, 1)
+		for j := 0; j < size/10; j++ {
+			m.Insert(Point{X: 0.01 + 0.98*r.Float64(), Y: 0.01 + 0.98*r.Float64()})
+		}
+		b.StartTimer()
+		m.Refine(q, 0)
+	}
+}
+
 func TestRefineWithAngleCriterion(t *testing.T) {
 	r := rng.New(5)
 	m := NewSquare(0, 1)

@@ -1,9 +1,6 @@
 package mesh
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Quality defines when a triangle is "bad" and must be refined. A
 // triangle is bad if its area exceeds MaxArea (when MaxArea > 0) or its
@@ -40,11 +37,10 @@ func (q Quality) IsBad(m *Mesh, t *Triangle) bool {
 func (m *Mesh) BadTriangles(q Quality) []int {
 	var out []int
 	for id, t := range m.tris {
-		if q.IsBad(m, t) {
+		if t != nil && q.IsBad(m, t) {
 			out = append(out, id)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 

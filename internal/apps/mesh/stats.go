@@ -25,6 +25,9 @@ func (m *Mesh) ComputeStats() Stats {
 	sumAngles := 0.0
 	st.MinAngleDeg = math.Inf(1)
 	for _, t := range m.tris {
+		if t == nil {
+			continue
+		}
 		a, b, c := m.Corners(t)
 		area := Area(a, b, c)
 		st.TotalArea += area

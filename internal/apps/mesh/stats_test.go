@@ -29,7 +29,7 @@ func TestComputeStatsSquare(t *testing.T) {
 }
 
 func TestComputeStatsEmptyMeshSafe(t *testing.T) {
-	m := &Mesh{tris: map[int]*Triangle{}}
+	m := &Mesh{}
 	st := m.ComputeStats()
 	if st.Triangles != 0 || st.MinAngleDeg != 0 || st.MinArea != 0 {
 		t.Fatalf("empty mesh stats %+v", st)
