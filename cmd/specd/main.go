@@ -84,7 +84,7 @@ func main() {
 	queueCap := flag.Int("queue", 64, "bounded job-queue capacity (overflow returns 429)")
 	workers := flag.Int("workers", 2, "concurrent job runners")
 	history := flag.Int("history", 256, "trajectory points kept per job (the newest; a job's ring grows with its rounds up to this)")
-	parallel := flag.Int("parallel", 2, "default cap on a job's participants, for jobs that do not set one: a round runs on the job's worker plus up to parallel-1 helpers, engaged only while they arrive in time; an async job runs parallel workers")
+	parallel := flag.Int("parallel", 2, "default cap on a job's participants, for jobs that do not set one, in every mode: the job's worker plus up to parallel-1 helpers, which a round engages only while they arrive in time and an async job keeps throughout")
 	maxRounds := flag.Int("max-rounds", 0, "hard per-job round cap (0 = effectively unlimited)")
 	taskRetries := flag.Int("task-retries", 0, "default retry budget for failed tasks (0 = executor default, -1 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight rounds on shutdown")

@@ -108,9 +108,9 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	fmt.Fprintf(&b, "specd_colorings_total %d\n", colorings)
 	header("specd_colored_fallbacks_total", "Colored-to-speculative staleness fallbacks across all jobs.", "counter")
 	fmt.Fprintf(&b, "specd_colored_fallbacks_total %d\n", fallbacks)
-	header("specd_pool_helper_wakes_total", "Executor pool helpers woken for a round, counted when a job attempt ends.", "counter")
+	header("specd_pool_helper_wakes_total", "Executor pool helpers woken for a round or an async drive, counted when a job attempt ends.", "counter")
 	fmt.Fprintf(&b, "specd_pool_helper_wakes_total %d\n", s.helperWakes.Load())
-	header("specd_pool_helper_joins_total", "Executor pool helpers that joined a round in time to claim a chunk of it, counted when a job attempt ends.", "counter")
+	header("specd_pool_helper_joins_total", "Executor pool helpers that joined a round or an async drive in time to claim a chunk of it, counted when a job attempt ends.", "counter")
 	fmt.Fprintf(&b, "specd_pool_helper_joins_total %d\n", s.helperJoins.Load())
 	header("specd_inflight_jobs", "Jobs currently executing rounds.", "gauge")
 	fmt.Fprintf(&b, "specd_inflight_jobs %d\n", s.Running())

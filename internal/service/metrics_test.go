@@ -10,8 +10,9 @@ import (
 
 // TestPoolHelperCounters scrapes the executor pool's helper counters: a
 // round job on a pool of two wakes a helper at least at its first
-// multi-chunk round, no more helpers join than were woken, and a job at
-// Parallel 1, which has no helper, leaves both counters where they were.
+// multi-chunk round, no more helpers join than were woken, an async job on
+// a pool of two wakes its one helper once, for the whole drive, and a job
+// at Parallel 1, which has no helper, leaves both counters where they were.
 func TestPoolHelperCounters(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 4})
 	defer s.Shutdown(context.Background())
@@ -60,8 +61,20 @@ func TestPoolHelperCounters(t *testing.T) {
 	if wakes < 1 || joins > wakes {
 		t.Fatalf("after a job at Parallel 2: wakes %d, joins %d; want wakes >= 1 and joins <= wakes", wakes, joins)
 	}
-	run(ccSpec(2))
-	if w, j := scrape(); w != wakes || j != joins {
-		t.Fatalf("a Parallel 1 job moved the counters: wakes %d -> %d, joins %d -> %d", wakes, w, joins, j)
+	spec = ccSpec(2)
+	spec.Parallel, spec.Mode = 2, ModeAsync
+	run(spec)
+	w, j := scrape()
+	if w != wakes+1 || j < joins || j > joins+1 {
+		t.Fatalf("an async job at Parallel 2: wakes %d -> %d, joins %d -> %d; want one wake and at most one join", wakes, w, joins, j)
+	}
+	wakes, joins = w, j
+	for _, mode := range []string{ModeRound, ModeAsync} {
+		spec = ccSpec(3)
+		spec.Mode = mode
+		run(spec)
+		if w, j := scrape(); w != wakes || j != joins {
+			t.Fatalf("a Parallel 1 %s job moved the counters: wakes %d -> %d, joins %d -> %d", mode, wakes, w, joins, j)
+		}
 	}
 }

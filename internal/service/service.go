@@ -116,7 +116,7 @@ func States() []State {
 
 // JobSpec is the wire-level job description accepted by POST /v1/jobs.
 // Zero values take server defaults; Parallel = -1 gives the executor the
-// node's GOMAXPROCS workers instead of the server default.
+// node's GOMAXPROCS participants instead of the server default.
 type JobSpec struct {
 	Workload    string     `json:"workload"`
 	Controller  string     `json:"controller"`
@@ -125,7 +125,7 @@ type JobSpec struct {
 	FixedM      int        `json:"m,omitempty"`            // processor count for "fixed"
 	Size        int        `json:"size,omitempty"`         // workload size (default 1000)
 	Seed        uint64     `json:"seed,omitempty"`         // PRNG seed (default 1)
-	Parallel    int        `json:"parallel,omitempty"`     // executor workers, every mode; 0 = server default, -1 = GOMAXPROCS
+	Parallel    int        `json:"parallel,omitempty"`     // executor participants, the job's worker included, every mode; 0 = server default, -1 = GOMAXPROCS
 	Degree      float64    `json:"degree,omitempty"`       // avg degree for "cc" (default 16)
 	MaxRounds   int        `json:"max_rounds,omitempty"`   // round cap (default server cap)
 	MaxDuration Duration   `json:"max_duration,omitempty"` // wall-clock deadline, checked between rounds (0 = none)
@@ -434,7 +434,7 @@ type Config struct {
 	QueueCap           int // bounded queue capacity (default 64)
 	Workers            int // concurrent job runners (default 2)
 	HistoryCap         int // per-job trajectory points kept, the newest; the ring grows to it (default 256)
-	DefaultParallel    int // executor workers when spec.Parallel == 0 (default 2)
+	DefaultParallel    int // executor participants when spec.Parallel == 0 (default 2)
 	MaxRounds          int // hard per-job round cap (default 1<<30)
 	MaxSize            int // largest accepted spec.Size (default 1_000_000)
 	DefaultTaskRetries int // retry budget when spec.TaskRetries == 0 (0 = executor default)
@@ -1317,7 +1317,7 @@ func (s *Service) runJob(j *job) {
 		return
 	}
 	run, err := workload.New(spec.Workload, workload.Params{
-		// Parallel -1 is the executor's 0: a pool of GOMAXPROCS workers.
+		// Parallel -1 is the executor's 0: a pool of GOMAXPROCS participants.
 		Size: spec.Size, Seed: spec.Seed, Parallel: max(spec.Parallel, 0), Degree: spec.Degree,
 		TaskRetries: spec.TaskRetries, Fault: spec.Fault.config(spec.Seed),
 	})
@@ -1337,8 +1337,9 @@ func (s *Service) runJob(j *job) {
 	// not) and on every way out — pause, cancel, drain — rather than every
 	// sample; each journaled record and the final status carry the same
 	// counters as if they had been. An async job's controller is driven by
-	// the executor's workers while samples arrive here, so its counters
-	// are published on the way out only.
+	// the executor's other participants while this goroutine, worker 0,
+	// delivers samples here, so its counters are published on the way out
+	// only.
 	telemetry, _ := ctrl.(control.Telemetry)
 	syncCounters := func() {
 		if telemetry != nil {

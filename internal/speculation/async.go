@@ -7,15 +7,16 @@ import (
 	"repro/internal/control"
 )
 
-// This file implements the barrier-free execution mode: MaxParallel
-// persistent workers claim chunks of the work-set, run them, and settle
-// them with no global round join, visiting the engine's mutex once per
-// chunk. The controller's m is a resizable limit on attempts claimed and
-// not yet settled, and the paper's Algorithm 1 recurrences are driven
-// by a sliding window of recent commit/abort outcomes (a pseudo-round)
-// instead of per-round statistics. It is Drive's ModeAsync: same
-// Options, Sample and Result as the barrier drives (drive.go), over the
-// same executor, work-set, locks, and failure taxonomy.
+// This file implements the barrier-free execution mode: the executor
+// pool's MaxParallel participants, the Drive goroutine included, claim
+// chunks of the work-set, run them, and settle them with no global round
+// join, visiting the engine's mutex once per chunk. The controller's m is
+// a resizable limit on attempts claimed and not yet settled, and the
+// paper's Algorithm 1 recurrences are driven by a sliding window of
+// recent commit/abort outcomes (a pseudo-round) instead of per-round
+// statistics. It is Drive's ModeAsync: same Options, Sample and Result as
+// the barrier drives (drive.go), over the same executor, work-set, locks,
+// and failure taxonomy.
 //
 // The sliding window is a *pseudo-round*: a committed task keeps its
 // item locks, and its OnCommit actions are deferred, until the window
@@ -38,9 +39,9 @@ import (
 // the binding limit.
 const DefaultMaxInFlight = 1024
 
-// asyncWorker is what one persistent worker owns between two visits to
-// the engine: the chunk it claimed and everything running it produced.
-// Nothing here is shared, so a chunk runs without touching a.mu.
+// asyncWorker is what one worker owns between two visits to the engine:
+// the chunk it claimed and everything running it produced. Nothing here
+// is shared, so a chunk runs without touching a.mu.
 type asyncWorker struct {
 	chunk   []queued   // claimed entries, run in order
 	back    []queued   // going to the work-set: losers and committed tasks' spawns
@@ -50,18 +51,16 @@ type asyncWorker struct {
 }
 
 // asyncRun is the engine state for one async drive. One mutex guards
-// everything, the shared drive's result included; two conds separate the
-// waiters: workers wait on cond for in-flight room plus work, the
-// sample-delivery loop waits on sampleCond.
+// everything, the shared drive's result included; workers wait on cond
+// for in-flight room plus work, and worker 0 for queued samples too.
 type asyncRun struct {
 	e       *Executor
 	d       *drive
 	budget  int
-	workers int // most worker goroutines the drive may start
+	workers int // participants: worker 0 is the Drive goroutine, the rest pool helpers
 
-	mu         sync.Mutex
-	cond       *sync.Cond // workers: room and/or work may be available
-	sampleCond *sync.Cond // observer: samples queued or run stopped
+	mu   sync.Mutex
+	cond *sync.Cond // room and/or work may be available, or a sample is queued for worker 0
 
 	// window is how many outcomes (commits plus aborts; failures are not
 	// contention and do not count) close a window: Options.Window, or
@@ -70,9 +69,9 @@ type asyncRun struct {
 
 	limit    int // current in-flight cap, resized at every window boundary
 	inflight int // attempts claimed and not yet settled into the window
-	started  int // worker goroutines started: min(workers, largest limit so far)
 
 	stopped bool // no new work may start
+	parked0 bool // worker 0 waits on cond, so a queued sample must wake it
 
 	commits int64      // commits so far, flushed or not
 	win     RoundStats // tallies of the open window
@@ -83,9 +82,9 @@ type asyncRun struct {
 	held    []*Item
 	actions []func()
 
-	queue []Sample // flushed samples awaiting ordered delivery
-
-	wg sync.WaitGroup
+	// Flushed samples awaiting ordered delivery by worker 0, and the batch
+	// it delivered last: two buffers, no allocation per window.
+	queue, spare []Sample
 }
 
 // driveAsync is Drive's ModeAsync. It must not run concurrently with
@@ -93,9 +92,11 @@ type asyncRun struct {
 // accessors remain safe to call concurrently.
 //
 // The controller's m is an allocation — how many attempts may be claimed
-// and unsettled at once — not a thread count: MaxParallel workers (the
-// pool-size rule of round mode) serve whatever m is, each claiming a
-// chunk of it at a time.
+// and unsettled at once — not a thread count: the executor pool's
+// MaxParallel participants serve whatever m is, each claiming a chunk of
+// it at a time. The drive is one dispatch on that pool, one index per
+// participant, woken whatever the round backoff says: every worker must
+// be live at once, or blocking operators would not overlap.
 func (e *Executor) driveAsync(d *drive) {
 	a := &asyncRun{
 		e:       e,
@@ -105,11 +106,7 @@ func (e *Executor) driveAsync(d *drive) {
 		window:  d.opts.Window,
 	}
 	a.cond = sync.NewCond(&a.mu)
-	a.sampleCond = sync.NewCond(&a.mu)
-
-	a.mu.Lock()
 	a.setLimitLocked(d.ctrl.M())
-	a.mu.Unlock()
 
 	// A cancellation stops new claims immediately; claimed chunks run and
 	// settle normally (their commits hold item locks that must be released
@@ -122,8 +119,7 @@ func (e *Executor) driveAsync(d *drive) {
 		}
 		a.mu.Unlock()
 	})
-	a.deliver() // returns once stopped and the sample queue is drained
-	a.wg.Wait() // workers have settled every claimed chunk
+	e.dispatch(e.MaxParallel, a.workers, a.worker, true) // returns once every claimed chunk settled
 	unwatch()
 
 	// Final partial window: round mode observes its last (partial)
@@ -141,45 +137,37 @@ func (e *Executor) driveAsync(d *drive) {
 	// partial window) must still settle: their effects are committed,
 	// only their actions and lock releases were deferred.
 	a.settleWindowLocked()
-	tail := a.queue
-	a.queue = nil
+	a.deliverLocked()
 	a.mu.Unlock()
-	a.publish(tail)
 }
 
 // setLimitLocked resizes the in-flight limit to the controller's
-// request, clamped to [1, DefaultMaxInFlight], resizes the adaptive
-// window, and starts workers while there are fewer than
-// min(workers, limit). Callers hold a.mu.
+// request, clamped to [1, DefaultMaxInFlight], and resizes the adaptive
+// window. Callers hold a.mu.
 func (a *asyncRun) setLimitLocked(m int) {
 	m = control.Clamp(m, 1, DefaultMaxInFlight)
-	grew := m > a.limit
-	a.limit = m
-	if a.d.opts.Window <= 0 {
-		a.window = m
-	}
-	for a.started < min(a.workers, a.limit) {
-		a.started++
-		a.wg.Add(1)
-		go a.worker()
-	}
-	if grew {
+	if m > a.limit {
 		// A raised limit makes room: every parked worker must recheck,
 		// not just one.
 		a.cond.Broadcast()
 	}
+	a.limit = m
+	if a.d.opts.Window <= 0 {
+		a.window = m
+	}
 }
 
-// worker loops claim → run → complete until the run stops or the work
-// drains. It visits the engine once per chunk: the finished chunk is
-// folded and the next one claimed under one hold of a.mu.
-func (a *asyncRun) worker() {
-	defer a.wg.Done()
+// worker is participant i's loop, claim → run → complete, until the run
+// stops or the work drains. It visits the engine once per chunk: the
+// finished chunk is folded and the next one claimed under one hold of
+// a.mu. Worker 0 is the goroutine that called Drive (a dispatch's caller
+// runs index 0), and the one that delivers samples.
+func (a *asyncRun) worker(i int) {
 	var w asyncWorker
 	c := ctxPool.Get().(*Ctx)
 	defer ctxPool.Put(c) // scrubbed after its last attempt
 	a.mu.Lock()
-	for a.claimLocked(&w) {
+	for a.claimLocked(&w, i == 0) {
 		a.mu.Unlock()
 		a.runChunk(&w, c)
 		a.mu.Lock()
@@ -190,17 +178,22 @@ func (a *asyncRun) worker() {
 
 // claimLocked blocks until the run stops (false) or it has drawn a chunk
 // into w and counted it in flight, so claimed-but-unsettled never exceeds
-// the limit. A chunk is ⌈limit / 4·workers⌉ entries, bounded by maxChunk
-// and the room left: large enough that a.mu is taken a few times per
-// window rather than per attempt, small enough that what a worker holds
-// unsettled — its chunk's commits keep their locks until it next gets
-// a.mu — stays a small part of the window (EXPERIMENTS.md has the sweep).
-// With MaxParallel ≥ m it is one entry, i.e. one goroutine per unit of m,
-// and blocking operators overlap m-fold. Drain detection: nothing in the
-// work-set and nothing in flight that could requeue work. Callers hold
-// a.mu.
-func (a *asyncRun) claimLocked(w *asyncWorker) bool {
+// the limit; worker 0 (delivers) first hands any queued samples over. A
+// chunk is ⌈limit / 4·workers⌉ entries, bounded by maxChunk and the room
+// left: large enough that a.mu is taken a few times per window rather
+// than per attempt, small enough that what a worker holds unsettled — its
+// chunk's commits keep their locks until it next gets a.mu — stays a
+// small part of the window (EXPERIMENTS.md has the sweep).
+// With MaxParallel ≥ m it is one entry, i.e. one participant per unit of
+// m, and blocking operators overlap m-fold. Drain detection: nothing in
+// the work-set and nothing in flight that could requeue work. Callers
+// hold a.mu.
+func (a *asyncRun) claimLocked(w *asyncWorker, delivers bool) bool {
 	for !a.stopped {
+		if delivers && len(a.queue) > 0 {
+			a.deliverLocked()
+			continue
+		}
 		if room := a.limit - a.inflight; room > 0 {
 			chunk := (a.limit + 4*a.workers - 1) / (4 * a.workers)
 			w.chunk = a.e.take(w.chunk, min(room, chunk, maxChunk))
@@ -219,18 +212,19 @@ func (a *asyncRun) claimLocked(w *asyncWorker) bool {
 				return false
 			}
 		}
+		a.parked0 = a.parked0 || delivers
 		a.cond.Wait()
+		a.parked0 = a.parked0 && !delivers
 	}
 	return false
 }
 
-// finishLocked stops the run: parked workers and the delivery loop are
-// released. Claimed chunks still run and settle. Callers hold a.mu.
+// finishLocked stops the run: parked workers are released. Claimed chunks
+// still run and settle. Callers hold a.mu.
 func (a *asyncRun) finishLocked(canceled bool) {
 	a.stopped = true
 	a.d.res.Canceled = a.d.res.Canceled || canceled
 	a.cond.Broadcast()
-	a.sampleCond.Broadcast()
 }
 
 // runChunk executes one attempt of every claimed entry on the worker's
@@ -330,38 +324,27 @@ func (a *asyncRun) flushSampleLocked() {
 	a.setLimitLocked(a.d.ctrl.M())
 	s := a.d.record(Sample{M: a.limit, R: r, InFlight: a.inflight}, a.win)
 	a.win = RoundStats{}
-	a.queue = append(a.queue, s)
-	a.sampleCond.Signal()
-}
-
-// deliver streams queued samples, in order, to the subscriber from the
-// Drive goroutine. Returns when the run has stopped and the queue is
-// empty; any sample flushed after that (the final partial window) is
-// published by driveAsync itself.
-func (a *asyncRun) deliver() {
-	var batch []Sample
-	for {
-		a.mu.Lock()
-		for len(a.queue) == 0 && !a.stopped {
-			a.sampleCond.Wait()
-		}
-		// The delivered batch becomes the next queue: two buffers, no
-		// allocation per window.
-		batch, a.queue = a.queue, batch[:0]
-		stopped := a.stopped
-		a.mu.Unlock()
-		a.publish(batch)
-		if stopped && len(batch) == 0 {
-			return
+	if a.d.opts.OnRound != nil {
+		a.queue = append(a.queue, s)
+		if a.parked0 {
+			a.cond.Broadcast() // cond.Signal might pick another worker
 		}
 	}
 }
 
-// publish hands a batch of recorded samples to the subscriber.
-func (a *asyncRun) publish(batch []Sample) {
-	if fn := a.d.opts.OnRound; fn != nil {
-		for _, s := range batch {
-			fn(s)
-		}
+// deliverLocked is worker 0's turn between chunks: it hands the queued
+// samples, in order, to the subscriber outside a.mu, so a blocking
+// callback holds back one participant, never the others or the
+// controller. Samples still queued when the run stops, and the final
+// partial window, are delivered by driveAsync after the dispatch, still
+// on the Drive goroutine. Only a drive with a subscriber queues samples.
+func (a *asyncRun) deliverLocked() {
+	batch := a.queue
+	a.queue = a.spare[:0]
+	a.mu.Unlock()
+	for _, s := range batch {
+		a.d.opts.OnRound(s)
 	}
+	a.mu.Lock()
+	a.spare = batch
 }

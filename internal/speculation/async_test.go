@@ -3,8 +3,10 @@ package speculation
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,10 +87,41 @@ func TestRunAsyncGoroutineLeak(t *testing.T) {
 
 // TestRunAsyncCancel: cancellation with the in-flight limit reached
 // stops new claims promptly; in-flight tasks settle, nothing is lost,
-// and the run reports Canceled.
+// and the run reports Canceled. It runs on a fresh executor and on one
+// whose pool learned, from cheap rounds, to stop waking its helpers: the
+// four blocked tasks must overlap either way, so an async drive wakes
+// every participant whatever the round backoff says.
 func TestRunAsyncCancel(t *testing.T) {
-	e := NewExecutor(nil)
-	e.MaxParallel = 4 // the four blocked tasks must overlap: one worker per unit of m
+	for _, backedOff := range []bool{false, true} {
+		t.Run(fmt.Sprintf("backed-off=%v", backedOff), func(t *testing.T) {
+			e := NewExecutor(nil)
+			defer e.Close()
+			e.MaxParallel = 4 // the four blocked tasks must overlap: one participant per unit of m
+			if backedOff {
+				backOffPool(t, e)
+			}
+			testAsyncCancel(t, e)
+		})
+	}
+}
+
+// backOffPool drives e's pool to the longest backoff with rounds of no-op
+// indices that end before a parked helper can wake, as
+// TestWorkerPoolBacksOffLateHelpers does, and leaves it skipping.
+func backOffPool(t *testing.T, e *Executor) {
+	for k := 0; k < 1<<14; k++ {
+		e.dispatch(e.MaxParallel, 64, func(int) {}, false)
+		for len(e.pool.wake) > 0 {
+			runtime.Gosched()
+		}
+		if e.pool.backoff == maxBackoff && e.pool.skip > 0 {
+			return
+		}
+	}
+	t.Fatalf("pool backoff at %d after %d cheap rounds, want %d", e.pool.backoff, 1<<14, maxBackoff)
+}
+
+func testAsyncCancel(t *testing.T, e *Executor) {
 	var started atomic.Int64
 	release := make(chan struct{})
 	const n = 200
@@ -104,8 +137,11 @@ func TestRunAsyncCancel(t *testing.T) {
 	go func() {
 		done <- driveAll(ctx, e, control.Fixed{Procs: 4}, Options{Mode: ModeAsync})
 	}()
-	for started.Load() < 4 {
-		time.Sleep(time.Millisecond)
+	for deadline := time.Now().Add(10 * time.Second); started.Load() < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d of the 4 blocked tasks started in 10 s: the participants do not overlap", started.Load())
+		}
 	}
 	cancel()
 	// With all 4 slots occupied by blocked tasks, no new launch can
@@ -129,6 +165,46 @@ func TestRunAsyncCancel(t *testing.T) {
 	if res.Committed+int64(e.Pending()) != n {
 		t.Fatalf("lost tasks: committed %d + pending %d != %d",
 			res.Committed, e.Pending(), n)
+	}
+}
+
+// TestRunAsyncWakesParkedWorker0: worker 0, the Drive goroutine, is the
+// one that delivers samples. A window another participant flushes while
+// worker 0 is parked for want of room must wake it to deliver.
+func TestRunAsyncWakesParkedWorker0(t *testing.T) {
+	delivered := make(chan Sample, 1)
+	d := &drive{ctx: context.Background(), ctrl: control.Fixed{Procs: 1},
+		opts: Options{Mode: ModeAsync, OnRound: func(s Sample) { delivered <- s }}}
+	a := &asyncRun{e: NewExecutor(nil), d: d, workers: 2}
+	a.cond = sync.NewCond(&a.mu)
+	a.setLimitLocked(1)
+	a.inflight = 1 // a helper's chunk holds the only room
+	claimed := make(chan bool)
+	go func() {
+		var w asyncWorker
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		claimed <- a.claimLocked(&w, true)
+	}()
+	for parked := false; !parked; runtime.Gosched() {
+		a.mu.Lock()
+		parked = a.parked0
+		a.mu.Unlock()
+	}
+	a.mu.Lock()
+	a.win.Committed = 1 // the helper's chunk committed and closes the window
+	a.flushSampleLocked()
+	a.mu.Unlock()
+	select {
+	case <-delivered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a sample flushed while worker 0 was parked was not delivered in 10 s")
+	}
+	a.mu.Lock()
+	a.finishLocked(false)
+	a.mu.Unlock()
+	if <-claimed {
+		t.Fatal("worker 0 claimed a chunk from an empty work-set")
 	}
 }
 
@@ -314,11 +390,11 @@ func TestRunAsyncSpawn(t *testing.T) {
 }
 
 // TestRunAsyncChunkedLimit: m is an allocation, not a thread count. Two
-// workers serve a limit of 16 in chunks of two: never more than two
+// participants serve a limit of 16 in chunks of two: never more than two
 // attempts execute at once, never more than 16 entries are out of the
-// work-set unsettled, a commit bound overshoots by less than the limit,
-// and the drive starts min(MaxParallel, limit) goroutines however large
-// m is.
+// work-set unsettled, and a commit bound overshoots by less than the
+// limit. The participants are the Drive goroutine and the pool's one
+// helper, however large m is, and a second drive reuses that helper.
 func TestRunAsyncChunkedLimit(t *testing.T) {
 	const n, limit, bound = 500, 16, 100
 	e := NewExecutor(nil)
@@ -360,19 +436,15 @@ func TestRunAsyncChunkedLimit(t *testing.T) {
 	if res.Committed+int64(e.Pending()) != n {
 		t.Errorf("lost tasks: %d committed, %d pending of %d", res.Committed, e.Pending(), n)
 	}
-	if p := peakGoroutines.Load(); p > int64(before)+2 {
-		t.Errorf("%d goroutines during the drive, %d before it: more than 2 workers", p, before)
+	if p := peakGoroutines.Load(); p > int64(before)+1 {
+		t.Errorf("%d goroutines during the drive, %d before it: more than the pool's one helper", p, before)
 	}
 
-	// The worker count follows the limit only up to MaxParallel. (The
-	// first drive's workers are done, but may not have exited yet.)
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-		runtime.Gosched()
-	}
+	after := runtime.NumGoroutine()
 	peakGoroutines.Store(0)
 	driveAll(context.Background(), e, control.Fixed{Procs: DefaultMaxInFlight}, Options{Mode: ModeAsync})
-	if p := peakGoroutines.Load(); p > int64(before)+2 || e.Pending() != 0 {
-		t.Errorf("m=%d: %d goroutines (%d before the drive), %d pending", DefaultMaxInFlight, p, before, e.Pending())
+	if p := peakGoroutines.Load(); p > int64(after) || e.Pending() != 0 {
+		t.Errorf("m=%d: %d goroutines (%d after the first drive), %d pending", DefaultMaxInFlight, p, after, e.Pending())
 	}
 }
 

@@ -329,7 +329,7 @@ func (e *Executor) coloredRound(ctx context.Context, lg *LearnedGraph, cs *color
 				// means edges the graph lacks may exist.
 				cs.outside[i] = !lg.covers(cs.keyIdx[i], c.acquired)
 			}
-		})
+		}, false)
 
 		// Class barrier: verify footprints, settle outcomes, and run this
 		// class's commit actions before the next class launches — later

@@ -18,9 +18,9 @@ import (
 // Drive is the only entry point. The three modes differ in what "run"
 // means, not in the loop: round mode (either executor) and the learning
 // phase of colored mode share the step below; colored mode wraps a phase
-// switch around it (colored.go); async mode keeps persistent workers and
-// closes a window instead of a round (async.go), observing the
-// controller from its window flush. Every mode takes the same Options
+// switch around it (colored.go); async mode keeps the pool's participants
+// working through one long dispatch and closes a window instead of a
+// round (async.go), observing the controller from its window flush. Every mode takes the same Options
 // and reports the same Sample and Result.
 
 // Mode selects how Drive executes. The values are the wire names the
@@ -32,8 +32,8 @@ const (
 	// It is also what the zero Mode means.
 	ModeRound Mode = "round"
 	// ModeAsync runs barrier-free: m is an in-flight limit, served by
-	// MaxParallel workers, and r comes from a sliding window of settled
-	// outcomes.
+	// MaxParallel participants, and r comes from a sliding window of
+	// settled outcomes.
 	ModeAsync Mode = "async"
 	// ModeColored learns the conflict graph in ordinary rounds, then runs
 	// conflict-free color classes lock-free until staleness trips.
@@ -66,9 +66,11 @@ type Options struct {
 	// modes.
 	Window int
 	// OnRound receives every sample in index order on the goroutine that
-	// called Drive, so it may block (a journal write) without stalling a
-	// worker. In async mode the controller is being driven by the workers
-	// meanwhile: the callback must not touch it.
+	// called Drive, so it may block (a journal write). In async mode that
+	// goroutine is worker 0, and samples are delivered by it between its
+	// chunks: a blocking callback holds back one participant, never the
+	// controller, which the other participants keep driving meanwhile — the
+	// callback must not touch it.
 	OnRound func(Sample)
 }
 

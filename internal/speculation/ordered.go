@@ -316,7 +316,7 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 	// Phase 1: parallel speculative execution (read + claim only) on the
 	// pool. Panics and errors are captured per attempt, not fatal: they
 	// flow through the shared failure taxonomy in phase 2.
-	e.dispatch(e.MaxParallel, len(s.batch), s.run)
+	e.dispatch(e.MaxParallel, len(s.batch), s.run, false)
 
 	// Phase 2: serial commit walk in priority order. Heap pops yield
 	// ascending keys, so the batch is sorted by construction.

@@ -153,7 +153,7 @@ func TestWorkerPoolExactlyOnce(t *testing.T) {
 				if current.Load() != gen {
 					strays.Add(1)
 				}
-			})
+			}, false)
 			joins += joined
 			current.Store(-1)
 			if c := inFlight.Load(); c != 0 {
@@ -189,7 +189,7 @@ func TestWorkerPoolBacksOffLateHelpers(t *testing.T) {
 	defer p.shutdown()
 	wakes := 0
 	for k := 0; k < dispatches; k++ {
-		woke, _ := p.dispatch(64, func(int) {})
+		woke, _ := p.dispatch(64, func(int) {}, false)
 		if k >= warmup && woke > 0 {
 			wakes++
 		}
@@ -227,7 +227,7 @@ func TestWorkerPoolWakesHelpersThatArrive(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Errorf("dispatch %d (n=%d): index 0 waited 10 s for a helper", k, n)
 			}
-		})
+		}, false)
 		if woke != 1 || joined != 1 {
 			t.Fatalf("dispatch %d (n=%d): woke %d helpers, %d joined; want 1 and 1", k, n, woke, joined)
 		}

@@ -23,11 +23,12 @@
 // plus up to MaxParallel − 1 persistent helpers claiming chunks of its
 // index space off one atomic cursor (no hand-off: a small round usually
 // runs on the caller alone, and helpers are woken only while they arrive
-// in time to claim a chunk), attempt IDs come from an atomic counter,
-// and per-attempt contexts are recycled
-// through a sync.Pool. A conflict abort — the common case at the paper's
-// ρ = 0.25 — allocates nothing: the error Acquire returns lives in the
-// attempt's context, and a steady-state round allocates nothing at all.
+// in time to claim a chunk; an async drive is one dispatch on the same
+// pool), attempt IDs come from an atomic counter, and per-attempt
+// contexts are recycled through a sync.Pool. A conflict abort — the
+// common case at the paper's ρ = 0.25 — allocates nothing: the error
+// Acquire returns lives in the attempt's context, and a steady-state
+// round allocates nothing at all.
 package speculation
 
 import (
@@ -384,7 +385,7 @@ func (d *dispatchRecord) helper() {
 		if s&recordOpen == 0 {
 			continue
 		}
-		if d.claimAndRun() {
+		if d.runFrom(d.claim()) {
 			d.joined.Add(1)
 		}
 		if d.state.Add(-1) == 0 {
@@ -393,19 +394,19 @@ func (d *dispatchRecord) helper() {
 	}
 }
 
-// claimAndRun claims chunks off the cursor and runs them until it passes n,
-// and reports whether it claimed any.
-func (d *dispatchRecord) claimAndRun() (claimed bool) {
-	for {
-		lo := int(d.next.Add(int64(d.chunk))) - d.chunk
-		if lo >= d.n {
-			return claimed
-		}
-		claimed = true
+// claim takes the next chunk off the cursor and returns its first index.
+func (d *dispatchRecord) claim() int { return int(d.next.Add(int64(d.chunk))) - d.chunk }
+
+// runFrom runs the chunk starting at lo, then claims and runs chunks until
+// the cursor passes n, and reports whether it ran any.
+func (d *dispatchRecord) runFrom(lo int) (ran bool) {
+	for ; lo < d.n; lo = d.claim() {
+		ran = true
 		for i := lo; i < min(lo+d.chunk, d.n); i++ {
 			d.run(i)
 		}
 	}
+	return ran
 }
 
 // shutdown terminates the helpers. Idempotent.
@@ -419,15 +420,17 @@ const maxChunk = 64
 
 // dispatch runs run(i) for every i in [0, n): it publishes the round, wakes
 // up to one helper per further chunk unless the backoff has the round run
-// alone, claims chunks itself, then waits only for helpers already inside —
-// no chunk waits for a goroutine to wake. It returns the helpers it woke
-// and the helpers that claimed a chunk of the round.
-func (p *workerPool) dispatch(n int, run func(i int)) (woke, joined int) {
+// alone, runs chunk 0 itself and claims more, then waits only for helpers
+// already inside — no chunk waits for a goroutine to wake. everyHelper
+// wakes them whatever the backoff, for a dispatch whose indices must all
+// run at once. It returns the helpers it woke and the helpers that claimed
+// a chunk of the round.
+func (p *workerPool) dispatch(n int, run func(i int), everyHelper bool) (woke, joined int) {
 	p.run, p.n, p.chunk = run, n, min(max((n+p.size-1)/p.size, 1), maxChunk)
-	p.next.Store(0)
+	p.next.Store(int64(p.chunk)) // chunk 0 is the caller's
 	p.state.Store(recordOpen)
 	want := min((n-1)/p.chunk, p.size-1)
-	if want > 0 && p.skip > 0 {
+	if want > 0 && p.skip > 0 && !everyHelper {
 		p.skip--
 		want = 0
 	}
@@ -438,7 +441,7 @@ func (p *workerPool) dispatch(n int, run func(i int)) (woke, joined int) {
 		default: // every helper already holds a token
 		}
 	}
-	p.claimAndRun()
+	p.runFrom(0)
 	if p.state.Add(-recordOpen) != 0 {
 		<-p.done
 	}
@@ -457,12 +460,12 @@ func (p *workerPool) dispatch(n int, run func(i int)) (woke, joined int) {
 	return woke, joined
 }
 
-// pooled owns the worker pool of an executor, ordered or not: built at
-// the first round, rebuilt when MaxParallel changes between rounds. Its
-// counters span every pool it has owned.
+// pooled owns the worker pool of an executor, ordered or not, in every
+// mode: built at the first dispatch, rebuilt when MaxParallel changes
+// between dispatches. Its counters span every pool it has owned.
 type pooled struct {
 	pool        *workerPool
-	helperWakes atomic.Int64 // helpers woken for a round
+	helperWakes atomic.Int64 // helpers woken for a round or an async drive
 	helperJoins atomic.Int64 // ... and helpers that claimed a chunk of one
 }
 
@@ -477,13 +480,13 @@ func poolSize(maxParallel int) int {
 
 // dispatch runs run(i) for every i in [0, n) on a pool of
 // poolSize(maxParallel) participants, replacing a stale-sized one. Called
-// only from a round (single caller at a time).
-func (p *pooled) dispatch(maxParallel, n int, run func(i int)) {
+// only from a round or a drive (single caller at a time).
+func (p *pooled) dispatch(maxParallel, n int, run func(i int), everyHelper bool) {
 	if size := poolSize(maxParallel); p.pool == nil || p.pool.size != size {
 		p.closePool()
 		p.pool = newWorkerPool(size)
 	}
-	woke, joined := p.pool.dispatch(n, run)
+	woke, joined := p.pool.dispatch(n, run, everyHelper)
 	if woke != 0 {
 		p.helperWakes.Add(int64(woke))
 	}
@@ -523,14 +526,14 @@ type Executor struct {
 	// are promoted onto Executor.
 	accounting
 
-	// MaxParallel bounds how many attempts execute at once: a round runs
-	// on at most MaxParallel participants, the caller included (1 = the
-	// caller alone, no goroutine; helpers are woken only while they arrive
-	// in time to claim work), an async drive on MaxParallel worker
-	// goroutines; 0 or less selects runtime.GOMAXPROCS(0). It does not
-	// set a round's conflict ratio: locks are held to the barrier whatever
-	// the pool size. An async drive whose operators block wants
-	// MaxParallel ≥ m, which gives every unit of m its own goroutine.
+	// MaxParallel bounds how many attempts execute at once, in every mode:
+	// it is the number of participants, the caller included (1 = the
+	// caller alone, no goroutine); 0 or less selects runtime.GOMAXPROCS(0).
+	// A round wakes its helpers only while they arrive in time to claim
+	// work; an async drive keeps them all. It does not set a round's
+	// conflict ratio: locks are held to the barrier whatever the pool
+	// size. An async drive whose operators block wants MaxParallel ≥ m,
+	// which gives every unit of m its own participant.
 	MaxParallel int
 
 	// TaskRetries is the per-task failure budget: a task whose attempt
@@ -672,8 +675,8 @@ type Snapshot struct {
 	Aborted     int64
 	Failed      int64 // failed attempts (panics / non-conflict errors)
 	Poisoned    int64 // tasks quarantined after exhausting their budget
-	HelperWakes int64 // round-pool helpers woken (async workers are not counted)
-	HelperJoins int64 // ... and helpers that claimed a chunk of a round
+	HelperWakes int64 // pool helpers woken for a round or an async drive
+	HelperJoins int64 // ... and helpers that claimed a chunk of one
 }
 
 // ConflictRatio returns cumulative aborts/launches for the snapshot.
@@ -817,7 +820,7 @@ func (e *Executor) Round(m int) RoundStats {
 	if s.run == nil {
 		s.run = s.attempt
 	}
-	e.dispatch(e.MaxParallel, n, s.run)
+	e.dispatch(e.MaxParallel, n, s.run, false)
 
 	// Round barrier passed: release the committed tasks' locks (aborted
 	// tasks already released on rollback), then settle every attempt.

@@ -39,9 +39,9 @@ type Params struct {
 	Size int
 	// Seed seeds every stochastic choice of the run.
 	Seed uint64
-	// Parallel bounds how many attempts run at once: a round runs on
-	// Parallel participants, the caller included; an async drive on
-	// Parallel workers (0 or less = GOMAXPROCS).
+	// Parallel bounds how many attempts run at once, in every mode: it is
+	// the executor's participants, the caller included (1 starts no
+	// goroutine; 0 or less = GOMAXPROCS).
 	Parallel int
 	// Degree is the average degree of the synthetic "cc" workload's
 	// random graph (0 = 16). Ignored by the application workloads.
