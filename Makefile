@@ -14,9 +14,12 @@ BENCH_SIM_OUT ?= BENCH_sim.json
 
 check: vet build test race equiv
 
-# vet also fails on any file gofmt would rewrite.
+# vet also fails on any file gofmt would rewrite, and vets the
+# benchmark module (its own go.mod), so deleting a name bench/ uses
+# fails here and not first in bench-check.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet .
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
@@ -49,15 +52,13 @@ race:
 # barrier-free executor — the hybrid controller fed sliding-window
 # pseudo-rounds must settle to the same steady-state m as the same
 # controller fed real rounds on the synthetic cc workload, with windows
-# closing at the size asked for — plus the
-# colored-mode acceptance run: on the stable-conflict workload the
-# colored drive must commit everything colored when footprints are
-# declared and reach the colored phase when they are learned, with a
-# zero conflict ratio and no aborts there — one launch per colored
-# commit, where the async drive of the same job launches well over one;
-# and the conflict graph built from declarations must equal the one the
-# recorder learns from the same tasks, with item-disjoint color classes.
-# The
+# closing at the size asked for — plus the colored-mode acceptance run:
+# on the stable-conflict workload, which declares its footprints, the
+# colored drive must commit everything colored, with a zero conflict
+# ratio and no aborts — one launch per colored commit, where the async
+# drive of the same job launches well over one; and the conflict graph
+# built from declarations must equal a brute-force graph of pairwise
+# footprint overlaps, with item-disjoint color classes. The
 # golden trajectories ride along: apprun's stdout and the round drive's
 # per-round (M, R, Committed) series at -parallel 1, where both are pure
 # functions of the seed, pinned byte for byte.
@@ -127,10 +128,10 @@ bench:
 # one round of no-op, spinning and conflict-heavy tasks at one
 # participant and at two (what waking a helper costs a round),
 # round-barrier vs barrier-free execution on the straggler workload,
-# round vs async vs colored execution on stable-conflict topologies,
-# learned and declared, the declare phase against the round-mode drain
-# it replaces, an ordered round's fixed cost at small m over a shallow
-# and a des-deep work-set, the journal's encoding of one 32-point
+# round vs async vs colored execution on declared stable-conflict
+# topologies, the declare phase against the round-mode drain it
+# replaces, an ordered round's fixed cost at small m over a shallow and
+# a des-deep work-set, the journal's encoding of one 32-point
 # checkpoint, and two operators at apps_mix's sizes: one clustering
 # nearest-neighbor query among 1500 clusters and a whole 6000 mesh
 # refinement) and records per-benchmark medians in $(BENCH_SIM_OUT).

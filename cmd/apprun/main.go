@@ -21,12 +21,15 @@
 // only; -commit-window fixes the window size, 0 tracks the
 // controller's m).
 //
-// -colored runs hybrid speculative→colored: optimistic rounds learn
-// the conflict graph, a proper coloring of it partitions the tasks
-// into conflict-free classes, and whole classes run lock-free until a
-// staleness trip falls back to speculation (colored-capable workloads
-// only). The report gains a phase line: learning vs colored rounds,
-// colorings, fallbacks, and the colored-phase conflict ratio.
+// -colored is declare-or-round (colored-capable workloads only): when
+// the tasks declare their footprints (cc, stable), a proper coloring of
+// the declared conflict graph partitions them into conflict-free
+// classes, and whole classes run lock-free until a staleness trip
+// falls back to rounds; tasks that do not declare (mesh, cluster) run
+// in rounds, as without the flag. The report gains a phase line:
+// speculative rounds (labelled learn-rounds, as in earlier releases)
+// vs colored rounds, colorings, fallbacks, and the colored-phase
+// conflict ratio.
 //
 // Workloads and controllers are instantiated through the shared
 // internal/workload registry — the same constructors cmd/controlsim and
@@ -60,7 +63,7 @@ func main() {
 	async := flag.Bool("async", false,
 		"run barrier-free with sliding-window control (workloads with async support only)")
 	colored := flag.Bool("colored", false,
-		"run hybrid speculative→colored (workloads with colored support only)")
+		"run colored, declare-or-round (workloads with colored support only)")
 	window := flag.Int("commit-window", 0,
 		"fixed async commit-window size (0 = track the controller's m)")
 	flag.Parse()

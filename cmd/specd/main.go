@@ -19,12 +19,13 @@
 // -async makes barrier-free execution the default for jobs whose
 // workload supports it ("cc", "spin", "stable"): the job's -parallel
 // workers claim chunks of tasks against a resizable in-flight limit and
-// the controller is fed by a sliding commit window. -colored makes hybrid
-// speculative→colored execution the default where supported ("mesh",
-// "cluster", "cc", "stable"): optimistic rounds learn the conflict
-// graph, a coloring of it partitions the tasks into conflict-free
-// classes, and the classes run lock-free until a staleness trip falls
-// back to speculation. Jobs may still pick a mode explicitly with
+// the controller is fed by a sliding commit window. -colored makes
+// colored execution the default where supported ("mesh", "cluster",
+// "cc", "stable"). It is declare-or-round: when the tasks declare their
+// footprints (cc, stable), a coloring of the declared conflict graph
+// partitions them into conflict-free classes, which run lock-free until
+// a staleness trip falls back to rounds; mesh and cluster do not
+// declare and run in rounds. Jobs may still pick a mode explicitly with
 // {"mode":"round"|"async"|"colored"}.
 //
 // With -state-dir set the daemon is durable: every job lifecycle
@@ -94,7 +95,7 @@ func main() {
 	checkpointRounds := flag.Int("checkpoint-rounds", 32, "journal a running job's progress every K rounds (the round loop does not wait for the checkpoint's fsync)")
 	checkpointCommits := flag.Int("checkpoint-commits", 2048, "journal a running async job's progress every K commits")
 	asyncDefault := flag.Bool("async", false, "run jobs barrier-free by default where the workload supports it (jobs may still set \"mode\" explicitly)")
-	coloredDefault := flag.Bool("colored", false, "run jobs in hybrid speculative→colored mode by default where the workload supports it (jobs may still set \"mode\" explicitly)")
+	coloredDefault := flag.Bool("colored", false, "run jobs in colored mode (declare-or-round) by default where the workload supports it (jobs may still set \"mode\" explicitly)")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	tenantsFile := flag.String("tenants", "", "per-tenant admission config file (JSON: {defaults, tenants:[{name,weight,rate,burst,max_pending,priority}]})")
 	brownoutP99 := flag.Duration("brownout-p99", 0, "queue-wait p99 threshold that triggers brownout shedding (0 = off)")

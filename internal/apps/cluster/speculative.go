@@ -94,10 +94,9 @@ func (s *SpeculativeClustering) Reseed() int {
 	return len(spawn)
 }
 
-// taskFor builds the speculative merge task for cluster x, keyed by
-// the cluster so the colored-mode learner can track it across retries.
+// taskFor builds the speculative merge task for cluster x.
 func (s *SpeculativeClustering) taskFor(x int) speculation.Task {
-	return speculation.Keyed(int64(x), speculation.TaskFunc(func(ctx *speculation.Ctx) error {
+	return speculation.TaskFunc(func(ctx *speculation.Ctx) error {
 		s.mu.Lock()
 		if s.c.Get(x) == nil || s.c.NumClusters() <= s.target {
 			delete(s.hasTask, x)
@@ -131,7 +130,7 @@ func (s *SpeculativeClustering) taskFor(x int) speculation.Task {
 		}
 		ctx.OnCommit(func() { s.commitMerge(x, y) })
 		return nil
-	}))
+	})
 }
 
 // commitMerge fuses x and y (serial commit phase).

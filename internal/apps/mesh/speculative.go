@@ -58,10 +58,9 @@ func (r *SpeculativeRefiner) itemFor(id int) *speculation.Item {
 	return it
 }
 
-// taskFor builds the speculative task refining triangle id, keyed by
-// the triangle so the colored-mode learner can track it across retries.
+// taskFor builds the speculative task refining triangle id.
 func (r *SpeculativeRefiner) taskFor(id int) speculation.Task {
-	return speculation.Keyed(int64(id), speculation.TaskFunc(func(ctx *speculation.Ctx) error {
+	return speculation.TaskFunc(func(ctx *speculation.Ctx) error {
 		// Snapshot phase (round-consistent: mesh mutates only in
 		// commit actions, which run after the round barrier).
 		r.mu.Lock()
@@ -103,7 +102,7 @@ func (r *SpeculativeRefiner) taskFor(id int) speculation.Task {
 		// the then-current mesh.
 		ctx.OnCommit(func() { r.commitInsert(id) })
 		return nil
-	}))
+	})
 }
 
 func (r *SpeculativeRefiner) noteStale() {

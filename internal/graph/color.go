@@ -241,8 +241,8 @@ func MaxDegreeCSR(c *CSR) int {
 
 // NewCSRFromEdges builds a snapshot directly from an undirected edge
 // list over dense node indices 0..n−1, without materializing a mutable
-// Graph first — the constructor the conflict recorder uses to turn a
-// learned edge set into a colorable CSR. Self-loops are ignored and an
+// Graph first — the constructor colored execution uses to turn a
+// declared conflict graph into a colorable CSR. Self-loops are ignored and an
 // edge listed more than once (two keys sharing two items) is one edge:
 // rows come out sorted and deduplicated. Dense indices double as node
 // IDs.

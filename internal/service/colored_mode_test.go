@@ -9,8 +9,8 @@ import (
 )
 
 // stableSpec is the stable-conflict workload run in colored mode — the
-// configuration where the hybrid speculative→colored drive reaches its
-// lock-free steady state.
+// configuration where the colored drive runs lock-free from the first
+// super-round.
 func stableSpec(seed uint64) JobSpec {
 	return JobSpec{Workload: "stable", Controller: "hybrid", Size: 200,
 		Seed: seed, Parallel: 2, Mode: ModeColored}

@@ -133,7 +133,7 @@ type JobSpec struct {
 	Fault       *FaultSpec `json:"fault,omitempty"`        // deterministic fault injection ("cc"/"spin" only)
 	// Mode selects the execution mode: "round" (default), "async"
 	// (barrier-free, workloads with async support only), or "colored"
-	// (hybrid speculative→colored, workloads with colored support only).
+	// (declare-or-round, workloads with colored support only).
 	// Empty takes the server default.
 	Mode string `json:"mode,omitempty"`
 	// CommitWindow fixes the async sliding-window size; 0 (default)
@@ -209,8 +209,8 @@ type JobStatus struct {
 	MeanConflictRatio float64 `json:"mean_conflict_ratio"` // r̄: unweighted per-round mean
 
 	// Colored-mode phase counters (mode "colored" jobs only): colored
-	// super-rounds run, speculative→colored transitions, and
-	// colored→speculative staleness fallbacks.
+	// super-rounds run, declared colorings, and colored→speculative
+	// staleness fallbacks.
 	ColoredRounds int `json:"colored_rounds,omitempty"`
 	Colorings     int `json:"colorings,omitempty"`
 	Fallbacks     int `json:"fallbacks,omitempty"`
@@ -242,7 +242,7 @@ type job struct {
 	specRounds int
 	// prevColored tracks whether the previous recorded round ran under a
 	// coloring that is still in force, so Colorings counts each new one:
-	// a speculative→colored flip, or a colored round right after a
+	// the first colored round, or a colored round right after a
 	// fallback (a re-declared coloring).
 	prevColored bool
 	snapEntry   []byte // the encoded snapshot entry, kept once the job is terminal

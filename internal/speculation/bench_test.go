@@ -219,12 +219,12 @@ var coloredTopologies = []struct {
 }
 
 // BenchmarkExecutorColored compares the three drive modes — round-
-// barrier speculation, barrier-free async, and hybrid colored — on
-// stable-conflict workloads whose conflict structure never changes
-// round over round (the colored mode's sweet spot). One benchmark op
-// is one committed chain step, so ns/op is directly comparable across
-// sub-benchmarks. The colored drive spends a handful of rounds
-// learning speculatively and then runs the tail lock-free: no item
+// barrier speculation, barrier-free async, and colored — on
+// stable-conflict workloads whose tasks declare a footprint that never
+// changes round over round (the colored mode's sweet spot). One
+// benchmark op is one committed chain step, so ns/op is directly
+// comparable across sub-benchmarks. The colored drive colors the
+// declared graph once and runs every super-round lock-free: no item
 // CAS, no undo logs, no aborted work. All three modes run under the
 // same hybrid controller at ρ=0.25 (colored rounds are invisible to
 // it by design).
@@ -265,28 +265,6 @@ func BenchmarkExecutorColored(b *testing.B) {
 			if res.ColoredAborts != 0 {
 				b.Fatalf("colored rounds aborted %d tasks on a stable workload", res.ColoredAborts)
 			}
-			if res.Degraded {
-				b.Fatal("colored drive degraded on a keyed workload")
-			}
-		})
-	}
-}
-
-// BenchmarkExecutorColoredDeclared is BenchmarkExecutorColored's colored
-// drive with Footprinted tasks: no learning rounds, every commit colored.
-// One op is one committed chain step, comparable with the rows above.
-func BenchmarkExecutorColoredDeclared(b *testing.B) {
-	for _, topo := range coloredTopologies {
-		b.Run(topo.name, func(b *testing.B) {
-			e, _, _ := buildDeclaredFixture(topo.build(), b.N, runtime.NumCPU(), 7)
-			defer e.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			res, _ := Drive(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored, MaxCommits: int64(b.N)})
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(res.Committed)/secs, "tasks/sec")
-			}
 			if res.SpecRounds != 0 || res.ColoredCommits != res.Committed {
 				b.Fatalf("declared drive left the colored phase: %+v", res)
 			}
@@ -296,7 +274,7 @@ func BenchmarkExecutorColoredDeclared(b *testing.B) {
 
 // BenchmarkDeclaredGraph prices the declare phase on the cc graph the
 // end-to-end benchmark drains (n = 10000, average degree 16): one op
-// builds the LearnedGraph from the declarations and colors it. The
+// builds the ConflictGraph from the declarations and colors it. The
 // yardstick is round-drain, a whole round-mode drain of the same graph —
 // declaring must not cost more than the execution it replaces — and the
 // allocation count must not depend on n.
@@ -309,8 +287,8 @@ func BenchmarkDeclaredGraph(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lg := e.declare(&cs)
-			cs.colors, _ = graph.ColorCSR(lg.CSR(), cs.colors, 2)
+			cg := e.declare(&cs)
+			cs.colors, _ = graph.ColorCSR(cg.CSR(), cs.colors, 2)
 		}
 	})
 	b.Run("round-drain", func(b *testing.B) {

@@ -13,11 +13,11 @@ import (
 )
 
 // stableChainTask is the test fixture for colored execution: a task
-// with a fixed conflict footprint (its node item plus the incident edge
-// items of a fixed conflict graph) that respawns itself until it has
-// committed `repeats` times. The conflict structure never changes, so a
-// colored drive should learn it, color it, and run the tail of the
-// drain lock-free.
+// with a fixed, declared conflict footprint (its node item plus the
+// incident edge items of a fixed conflict graph) that respawns itself
+// until it has committed `repeats` times. The conflict structure never
+// changes, so a colored drive colors it once and runs the whole drain
+// lock-free.
 type stableChainTask struct {
 	key      int64
 	items    []*Item
@@ -26,18 +26,13 @@ type stableChainTask struct {
 	// extra, when non-nil, returns an additional item to acquire — the
 	// staleness tests use it to mutate a footprint mid-drive.
 	extra func() *Item
-	// respawn is what Run spawns: the task itself, or the wrapper that
-	// declares for it.
+	// respawn is what Run spawns: nil for the task itself.
 	respawn Task
 }
 
-// declaredChainTask is a stableChainTask that also declares its
-// footprint, so a colored drive never learns it.
-type declaredChainTask struct{ *stableChainTask }
-
-func (t declaredChainTask) Footprint() []*Item { return t.items }
-
 func (t *stableChainTask) ConflictKey() int64 { return t.key }
+
+func (t *stableChainTask) Footprint() []*Item { return t.items }
 
 func (t *stableChainTask) Run(ctx *Ctx) error {
 	if err := ctx.AcquireAll(t.items...); err != nil {
@@ -51,25 +46,19 @@ func (t *stableChainTask) Run(ctx *Ctx) error {
 		}
 	}
 	if t.left.Load() > 1 {
-		ctx.Spawn(t.respawn)
+		if t.respawn != nil {
+			ctx.Spawn(t.respawn)
+		} else {
+			ctx.Spawn(t)
+		}
 	}
 	ctx.OnCommit(t.commitFn)
 	return nil
 }
 
 // buildStableFixture wires one stableChainTask per node of g into a
-// fresh executor with the model's seeded uniform-random selection (so
-// learning covers every chain).
+// fresh executor with the model's seeded uniform-random selection.
 func buildStableFixture(g *graph.Graph, repeats, parallel int, seed uint64) (*Executor, []*stableChainTask, *atomic.Int64) {
-	return buildChainFixture(g, repeats, parallel, seed, false)
-}
-
-// buildDeclaredFixture is buildStableFixture with Footprinted tasks.
-func buildDeclaredFixture(g *graph.Graph, repeats, parallel int, seed uint64) (*Executor, []*stableChainTask, *atomic.Int64) {
-	return buildChainFixture(g, repeats, parallel, seed, true)
-}
-
-func buildChainFixture(g *graph.Graph, repeats, parallel int, seed uint64, declared bool) (*Executor, []*stableChainTask, *atomic.Int64) {
 	r := rng.New(seed)
 	var mu sync.Mutex
 	e := NewExecutor(func(n int) int {
@@ -93,11 +82,7 @@ func buildChainFixture(g *graph.Graph, repeats, parallel int, seed uint64, decla
 			total.Add(1)
 		}
 		tasks = append(tasks, t)
-		t.respawn = t
-		if declared {
-			t.respawn = declaredChainTask{t}
-		}
-		e.Add(t.respawn)
+		e.Add(t)
 	}
 	return e, tasks, total
 }
@@ -126,7 +111,7 @@ func testHybrid(rho float64) control.Controller {
 }
 
 func TestRunColoredStableDrains(t *testing.T) {
-	g := graph.Grid2D(8, 8)
+	g := graph.RandomWithAvgDegree(rng.New(17), 256, 8.0)
 	const repeats = 12
 	e, tasks, total := buildStableFixture(g, repeats, 4, 7)
 	defer e.Close()
@@ -154,8 +139,8 @@ func TestRunColoredStableDrains(t *testing.T) {
 	if res.ColoredConflictRatio() != 0 {
 		t.Fatalf("colored conflict ratio %v, want 0", res.ColoredConflictRatio())
 	}
-	if res.Degraded || res.Canceled {
-		t.Fatalf("unexpected degraded/canceled: %+v", res)
+	if res.Canceled {
+		t.Fatalf("unexpected cancel: %+v", res)
 	}
 	// The whole point: the bulk of the drain should run colored.
 	if res.ColoredCommits == 0 {
@@ -163,109 +148,17 @@ func TestRunColoredStableDrains(t *testing.T) {
 	}
 }
 
-// TestRecorderSnapshotColoringIndependent is the color-class property
-// test at the learning layer: feed the recorder the footprints of a
-// known conflict graph, snapshot, color, and assert (a) the learned CSR
-// has exactly the real conflict edges and (b) every color class is an
-// independent set of the learned CSR.
-func TestRecorderSnapshotColoringIndependent(t *testing.T) {
-	g := graph.RandomWithAvgDegree(rng.New(3), 120, 6.0)
-	rec := NewConflictRecorder(0, 0)
-
-	fps := GraphFootprints(g)
-	footprint := func(v int) []*Item { return fps[v] }
-	for _, v := range g.Nodes() {
-		rec.recordCommit(Keyed(int64(v), TaskFunc(func(*Ctx) error { return nil })), footprint(v))
-	}
-	rec.roundDone()
-	for i := 0; i < DefaultStableRounds; i++ {
-		rec.recordCommit(Keyed(int64(g.Nodes()[0]), TaskFunc(func(*Ctx) error { return nil })), footprint(g.Nodes()[0]))
-		rec.roundDone()
-	}
-	if !rec.Stable(DefaultStableRounds) {
-		t.Fatal("recorder not stable after quiet rounds")
-	}
-	lg := rec.Snapshot()
-	if lg == nil {
-		t.Fatal("nil snapshot")
-	}
-	if lg.NumKeys() != g.NumNodes() {
-		t.Fatalf("snapshot has %d keys, want %d", lg.NumKeys(), g.NumNodes())
-	}
-
-	// (a) learned edges == real conflict edges.
-	csr := lg.CSR()
-	if csr.NumEdges() != g.NumEdges() {
-		t.Fatalf("learned %d edges, want %d", csr.NumEdges(), g.NumEdges())
-	}
-	for i := 0; i < csr.NumNodes(); i++ {
-		u := int(lg.Key(i))
-		for _, jn := range csr.Neighbors(i) {
-			v := int(lg.Key(int(jn)))
-			if !g.HasEdge(u, v) {
-				t.Fatalf("learned edge (%d,%d) not in the real conflict graph", u, v)
-			}
-		}
-	}
-
-	// (b) every color class is an independent set of the learned CSR.
-	colors, numColors := graph.ColorCSR(csr, nil, 2)
-	if !graph.IsProperColoring(csr, colors) {
-		t.Fatal("coloring of learned CSR not proper")
-	}
-	classes := make([][]int, numColors)
-	for i := 0; i < csr.NumNodes(); i++ {
-		classes[colors[i]] = append(classes[colors[i]], int(lg.Key(i)))
-	}
-	for col, class := range classes {
-		if !graph.IsIndependentSet(g, class) {
-			t.Fatalf("color class %d not independent in the source conflict graph", col)
-		}
-	}
-
-	// Footprint membership round-trips.
-	for _, v := range g.Nodes() {
-		idx := lg.KeyIndex(int64(v))
-		if idx < 0 {
-			t.Fatalf("key %d missing from snapshot", v)
-		}
-		for _, it := range footprint(v) {
-			if !lg.InFootprint(idx, it.Seq) {
-				t.Fatalf("item %d missing from key %d's footprint", it.Seq, v)
-			}
-		}
-		if lg.InFootprint(idx, int64(1)<<62) {
-			t.Fatalf("phantom item in key %d's footprint", v)
-		}
-	}
-	if lg.KeyIndex(1<<40) != -1 || rec.Knows(1<<40) {
-		t.Fatal("unknown key resolved to an index")
-	}
-
-	// The drive tests coverage with Knows before paying for a snapshot,
-	// so the two must agree on which keys exist.
-	for v := -1; v <= 130; v++ {
-		if rec.Knows(int64(v)) != (lg.KeyIndex(int64(v)) >= 0) {
-			t.Fatalf("Knows(%d) = %v disagrees with the snapshot", v, rec.Knows(int64(v)))
-		}
-	}
-	rec.Reset()
-	if rec.Knows(int64(g.Nodes()[0])) {
-		t.Fatal("Reset kept a known key")
-	}
-}
-
 // TestRunColoredStalenessFallback mutates one task's footprint after
-// the drive enters the colored phase and asserts the very next colored
-// round trips the fallback — and that the drive still drains with the
-// exact commit count (no correctness loss).
+// the first colored super-round and asserts the very next one trips the
+// fallback, that the drive finishes in rounds, and that it still drains
+// with the exact commit count (no correctness loss).
 func TestRunColoredStalenessFallback(t *testing.T) {
 	g := graph.Grid2D(8, 8)
 	const repeats = 60
 	e, tasks, total := buildStableFixture(g, repeats, 4, 11)
 	defer e.Close()
 
-	extraItem := NewItem(1 << 40) // far outside every learned footprint
+	extraItem := NewItem(1 << 40) // far outside every declared footprint
 	var mutate atomic.Bool
 	tasks[0].extra = func() *Item {
 		if mutate.Load() {
@@ -306,9 +199,11 @@ func TestRunColoredStalenessFallback(t *testing.T) {
 		t.Fatalf("round %d after mutation: colored=%v fallback=%v, want colored fallback",
 			next, trace[next].colored, trace[next].fallback)
 	}
-	// Fallback means the following round (if any) is speculative again.
-	if next+1 < len(trace) && trace[next+1].colored {
-		t.Fatal("round after fallback still colored")
+	// A hard trip: every round after it is speculative.
+	for i, v := range trace[next+1:] {
+		if v.colored {
+			t.Fatalf("round %d after the hard fallback is colored", next+1+i)
+		}
 	}
 	if res.Fallbacks == 0 {
 		t.Fatalf("no fallbacks recorded: %+v", res)
@@ -318,38 +213,50 @@ func TestRunColoredStalenessFallback(t *testing.T) {
 	checkChainsDrained(t, e, tasks, total, repeats)
 }
 
-// TestRunColoredUnkeyedStaysSpeculative: tasks without ConflictKey can
-// be driven in ModeColored, but the drive degrades to pure speculation.
+// TestRunColoredUnkeyedStaysSpeculative: tasks that do not declare a
+// footprint can be driven in ModeColored, and the drive is a round
+// drive: no coloring, and the same samples as ModeRound on the same
+// tasks.
 func TestRunColoredUnkeyedStaysSpeculative(t *testing.T) {
-	e := NewExecutor(nil)
-	e.MaxParallel = 2
-	defer e.Close()
-	var runs atomic.Int64
-	for i := 0; i < 16; i++ {
-		remaining := 5
-		var task TaskFunc
-		task = func(ctx *Ctx) error {
-			runs.Add(1)
-			remaining--
-			if remaining > 0 {
-				ctx.Spawn(task)
+	drive := func(mode Mode) (driven, int64) {
+		e := NewExecutor(nil)
+		e.MaxParallel = 2
+		defer e.Close()
+		var runs atomic.Int64
+		for i := 0; i < 16; i++ {
+			remaining := 5
+			var task TaskFunc
+			task = func(ctx *Ctx) error {
+				runs.Add(1)
+				remaining--
+				if remaining > 0 {
+					ctx.Spawn(task)
+				}
+				return nil
 			}
-			return nil
+			e.Add(task)
 		}
-		e.Add(task)
+		res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: mode})
+		if e.Pending() != 0 {
+			t.Fatalf("%s: pending %d after drain", mode, e.Pending())
+		}
+		return res, runs.Load()
 	}
-	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
-	if !res.Degraded {
-		t.Fatalf("unkeyed drive not degraded: %+v", res)
+	res, runs := drive(ModeColored)
+	if res.ColoredRounds != 0 || res.Colorings != 0 || res.SpecRounds != res.Samples {
+		t.Fatalf("undeclared drive entered the colored phase: %+v", res.Result)
 	}
-	if res.ColoredRounds != 0 || res.Colorings != 0 {
-		t.Fatalf("unkeyed drive entered colored phase: %+v", res)
+	if runs != 16*5 {
+		t.Fatalf("ran %d attempts, want %d", runs, 16*5)
 	}
-	if got := runs.Load(); got != 16*5 {
-		t.Fatalf("ran %d attempts, want %d", got, 16*5)
+	rounds, _ := drive(ModeRound)
+	if len(rounds.Trajectory) != len(res.Trajectory) {
+		t.Fatalf("colored drive took %d samples, round drive %d", len(res.Trajectory), len(rounds.Trajectory))
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending %d after drain", e.Pending())
+	for i, s := range res.Trajectory {
+		if r := rounds.Trajectory[i]; s.M != r.M || s.Committed != r.Committed || s.R != r.R {
+			t.Fatalf("sample %d: colored %+v, round %+v", i, s, r)
+		}
 	}
 }
 
@@ -392,66 +299,30 @@ func TestRunColoredMaxBounds(t *testing.T) {
 	}
 }
 
-func TestConflictRecorderOverflowNeverStable(t *testing.T) {
-	rec := NewConflictRecorder(2, 4)
-	items := []*Item{NewItem(1), NewItem(2), NewItem(3)}
-	task := Keyed(9, TaskFunc(func(*Ctx) error { return nil }))
-	rec.recordCommit(task, items)
-	rec.roundDone()
-	if !rec.Degraded() {
-		t.Fatal("3 items under a 2-item cap did not overflow")
-	}
-	for i := 0; i < 10; i++ {
-		rec.recordCommit(task, items[:1])
-		rec.roundDone()
-	}
-	if rec.Stable(1) {
-		t.Fatal("overflowed recorder claimed stability")
-	}
-	if rec.Snapshot() != nil {
-		t.Fatal("overflowed recorder produced a snapshot")
-	}
-	rec.Reset()
-	if rec.Degraded() {
-		t.Fatal("Reset did not clear overflow")
-	}
-}
-
-func TestKeyedWrapper(t *testing.T) {
-	ran := false
-	task := Keyed(42, TaskFunc(func(*Ctx) error { ran = true; return nil }))
-	kt, ok := task.(ConflictKeyed)
-	if !ok || kt.ConflictKey() != 42 {
-		t.Fatal("Keyed did not attach the key")
-	}
-	if err := task.Run(&Ctx{}); err != nil || !ran {
-		t.Fatal("Keyed did not delegate Run")
-	}
-}
-
-// TestRunColoredDeclaredStartsColored: Footprinted tasks never learn —
-// the first sample is a colored super-round and every commit is colored.
+// TestRunColoredDeclaredStartsColored: Footprinted tasks never run a
+// speculative round — the first sample is a colored super-round and
+// every commit is colored.
 func TestRunColoredDeclaredStartsColored(t *testing.T) {
 	const repeats = 12
-	e, tasks, total := buildDeclaredFixture(graph.Grid2D(8, 8), repeats, 4, 7)
+	e, tasks, total := buildStableFixture(graph.Grid2D(8, 8), repeats, 4, 7)
 	defer e.Close()
 	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
 	checkChainsDrained(t, e, tasks, total, repeats)
 	if res.SpecRounds != 0 || res.ColoredRounds != repeats || res.Colorings != 1 || res.Fallbacks != 0 {
 		t.Fatalf("want %d colored super-rounds from one declared coloring and nothing else: %+v", repeats, res.Result)
 	}
-	if res.ColoredCommits != res.Committed || res.ColoredAborts != 0 || res.Degraded {
+	if res.ColoredCommits != res.Committed || res.ColoredAborts != 0 {
 		t.Fatalf("declared drive committed outside colored rounds: %+v", res.Result)
 	}
 }
 
 // TestRunColoredLyingDeclaration: a task that acquires one item beyond
 // what it declared trips a hard fallback on the first super-round; the
-// drive never declares again, learns the real footprint and still
-// commits every task exactly once per step.
+// drive never declares again, finishes in rounds and still commits
+// every task exactly once per step.
 func TestRunColoredLyingDeclaration(t *testing.T) {
 	const repeats = 40
-	e, tasks, total := buildDeclaredFixture(graph.Grid2D(8, 8), repeats, 4, 11)
+	e, tasks, total := buildStableFixture(graph.Grid2D(8, 8), repeats, 4, 11)
 	defer e.Close()
 	undeclared := NewItem(1 << 40)
 	tasks[0].extra = func() *Item { return undeclared }
@@ -462,22 +333,19 @@ func TestRunColoredLyingDeclaration(t *testing.T) {
 	if !first.Colored || !first.Fallback || first.Committed != len(tasks) {
 		t.Fatalf("first sample %+v, want a colored super-round that committed everything and tripped", first)
 	}
-	if res.Trajectory[1].Colored {
-		t.Fatal("the drive declared again after the declarations lied")
+	for _, s := range res.Trajectory[1:] {
+		if s.Colored {
+			t.Fatalf("sample %d is colored: the drive declared again after the declarations lied", s.Index)
+		}
 	}
-	if res.Fallbacks != 1 || res.SpecRounds == 0 {
-		t.Fatalf("want exactly the one hard fallback, then learning: %+v", res.Result)
-	}
-	// What it learned includes the undeclared item, so the learned
-	// coloring holds to the end.
-	if res.Colorings != 2 || !res.Trajectory[len(res.Trajectory)-1].Colored {
-		t.Fatalf("the learned coloring never took over: %+v", res.Result)
+	if res.Colorings != 1 || res.Fallbacks != 1 || res.SpecRounds != res.Samples-1 || res.SpecRounds == 0 {
+		t.Fatalf("want the one hard fallback, then rounds to the end: %+v", res.Result)
 	}
 }
 
 // TestRunColoredRedeclaresOnce: new Footprinted work the declarations
 // did not cover is a soft trip; the drive declares again from the
-// pending set, once, and learns after a second soft trip.
+// pending set, once, and finishes in rounds after a second soft trip.
 func TestRunColoredRedeclaresOnce(t *testing.T) {
 	e := NewExecutor(nil)
 	e.MaxParallel = 2
@@ -491,7 +359,7 @@ func TestRunColoredRedeclaresOnce(t *testing.T) {
 			t.left.Store(2) // Run spawns respawn: a key nobody declared yet
 			t.respawn = chain(key+1, more-1)
 		}
-		return declaredChainTask{t}
+		return t
 	}
 	e.Add(chain(0, 3))
 	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
@@ -503,12 +371,12 @@ func TestRunColoredRedeclaresOnce(t *testing.T) {
 		shape = append(shape, s.Colored)
 	}
 	// declared (soft trip: key 1 unknown), re-declared (soft trip: key 2
-	// unknown), then learning rounds only.
+	// unknown), then rounds only.
 	if len(shape) < 3 || !shape[0] || !shape[1] || slices.Contains(shape[2:], true) {
 		t.Fatalf("colored samples %v, want exactly the first two", shape)
 	}
-	if res.Fallbacks != 2 || res.Colorings != 2 {
-		t.Fatalf("want two declared colorings, both tripped softly: %+v", res.Result)
+	if res.Fallbacks != 2 || res.Colorings != 2 || res.SpecRounds != len(shape)-2 {
+		t.Fatalf("want two declared colorings, both tripped softly, then rounds: %+v", res.Result)
 	}
 }
 
@@ -518,11 +386,11 @@ func TestRunColoredRedeclaresOnce(t *testing.T) {
 func TestDeclareRefuses(t *testing.T) {
 	noop := TaskFunc(func(*Ctx) error { return nil })
 	declared := func(key int64, items ...*Item) Task {
-		return declaredChainTask{&stableChainTask{key: key, items: items}}
+		return &stableChainTask{key: key, items: items}
 	}
 	shared := NewItem(7)
 	var crowd []Task
-	for k := 0; k <= DefaultRecorderMaxKeysPerItem; k++ {
+	for k := 0; k <= maxDeclaredHolders; k++ {
 		crowd = append(crowd, declared(int64(k), shared))
 	}
 	for _, tc := range []struct {
@@ -530,7 +398,7 @@ func TestDeclareRefuses(t *testing.T) {
 		tasks []Task
 		ok    bool
 	}{
-		{"undeclared", []Task{declared(1, NewItem(1)), Keyed(2, noop)}, false},
+		{"undeclared", []Task{declared(1, NewItem(1)), noop}, false},
 		{"shared key", []Task{declared(1, NewItem(1)), declared(1, NewItem(2))}, false},
 		{"crowded item", crowd, false},
 		{"item at the bound", crowd[1:], true},
@@ -540,8 +408,8 @@ func TestDeclareRefuses(t *testing.T) {
 			e.Add(task)
 		}
 		var cs coloredState
-		if lg := e.declare(&cs); (lg != nil) != tc.ok {
-			t.Errorf("%s: declare returned %v", tc.name, lg)
+		if cg := e.declare(&cs); (cg != nil) != tc.ok {
+			t.Errorf("%s: declare returned %v", tc.name, cg)
 		}
 		if e.Pending() != len(tc.tasks) {
 			t.Errorf("%s: declare left %d of %d tasks pending", tc.name, e.Pending(), len(tc.tasks))
@@ -555,7 +423,7 @@ func TestDeclareRefuses(t *testing.T) {
 // untouched, and a second drive finishes the job with nothing lost or run
 // twice.
 func TestRunColoredDeclaredCancelMidSuperRound(t *testing.T) {
-	e, tasks, total := buildDeclaredFixture(graph.Grid2D(10, 10), 1, 2, 5)
+	e, tasks, total := buildStableFixture(graph.Grid2D(10, 10), 1, 2, 5)
 	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -1,7 +1,7 @@
 package speculation
 
 import (
-	"context"
+	"cmp"
 	"slices"
 	"testing"
 
@@ -9,8 +9,7 @@ import (
 	"repro/internal/rng"
 )
 
-// declaredCases are the conflict graphs the declared-vs-learned tests run
-// on: sparse and dense random graphs, a star (one key adjacent to all),
+// declaredCases are the conflict graphs the declare tests run on: sparse and dense random graphs, a star (one key adjacent to all),
 // and a graph that is mostly isolated nodes.
 var declaredCases = []struct {
 	name  string
@@ -39,58 +38,72 @@ func footprintedTasks(g *graph.Graph, cc bool) []Task {
 		t := &stableChainTask{key: int64(v), items: fps[v]}
 		t.left.Store(2)
 		t.commitFn = func() { t.left.Add(-1) }
-		t.respawn = declaredChainTask{t}
-		tasks = append(tasks, t.respawn)
+		tasks = append(tasks, t)
 	}
 	return tasks
 }
 
-// TestDeclaredGraphEquivalence is the differential test between the two
-// sources of a LearnedGraph: what the tasks declare must be what the
-// recorder observes when the same tasks, their Footprint hidden behind
-// Keyed, drain speculatively — same keys, same footprint per key, same
-// adjacency sets.
+// TestDeclaredGraphEquivalence checks the declared ConflictGraph against
+// a brute-force one built here from the same declarations: the keys in
+// order, each key's footprint as its sorted distinct item Seqs, and an
+// edge between two keys iff their footprints share an item, found by
+// comparing every pair.
 func TestDeclaredGraphEquivalence(t *testing.T) {
 	for _, tc := range declaredCases {
 		for _, cc := range []bool{false, true} {
 			tasks := footprintedTasks(tc.build(), cc)
-
-			declaring := NewExecutor(nil)
+			e := NewExecutor(nil)
 			for _, task := range tasks {
-				declaring.Add(task)
+				e.Add(task)
 			}
 			var cs coloredState
-			declared := declaring.declare(&cs)
+			declared := e.declare(&cs)
 			if declared == nil {
 				t.Fatalf("%s cc=%v: declare refused", tc.name, cc)
 			}
 
-			learning := NewExecutor(nil)
-			learning.MaxParallel = 2
-			learning.rec = NewConflictRecorder(0, 0)
-			for _, task := range tasks {
-				learning.Add(Keyed(task.(ConflictKeyed).ConflictKey(), task))
+			type vertex struct {
+				key  int64
+				seqs []int64
 			}
-			driveAll(context.Background(), learning, testHybrid(0.25), Options{})
-			learned := learning.rec.Snapshot()
-			learning.Close()
-			if learned == nil {
-				t.Fatalf("%s cc=%v: nothing learned", tc.name, cc)
+			want := make([]vertex, len(tasks))
+			for i, task := range tasks {
+				ft := task.(Footprinted)
+				want[i].key = ft.ConflictKey()
+				for _, it := range ft.Footprint() {
+					want[i].seqs = append(want[i].seqs, it.Seq)
+				}
+				slices.Sort(want[i].seqs)
+				want[i].seqs = slices.Compact(want[i].seqs)
 			}
-
-			if !slices.Equal(declared.keys, learned.keys) {
-				t.Fatalf("%s cc=%v: declared keys %v, learned %v", tc.name, cc, declared.keys, learned.keys)
+			slices.SortFunc(want, func(a, b vertex) int { return cmp.Compare(a.key, b.key) })
+			wantOff, wantSeqs := []int32{0}, []int64{}
+			for _, v := range want {
+				wantSeqs = append(wantSeqs, v.seqs...)
+				wantOff = append(wantOff, int32(len(wantSeqs)))
 			}
-			if !slices.Equal(declared.fpOff, learned.fpOff) || !slices.Equal(declared.fpSeqs, learned.fpSeqs) {
-				t.Fatalf("%s cc=%v: declared and learned footprints differ", tc.name, cc)
+			for i, v := range want {
+				if declared.keys[i] != v.key {
+					t.Fatalf("%s cc=%v: declared key %d at index %d, want %d", tc.name, cc, declared.keys[i], i, v.key)
+				}
 			}
-			for i := range declared.keys {
-				d := slices.Clone(declared.CSR().Neighbors(i))
-				l := slices.Clone(learned.CSR().Neighbors(i))
-				slices.Sort(d)
-				slices.Sort(l)
-				if !slices.Equal(d, l) {
-					t.Fatalf("%s cc=%v: key %d declared neighbors %v, learned %v", tc.name, cc, declared.keys[i], d, l)
+			if len(declared.keys) != len(want) || !slices.Equal(declared.fpOff, wantOff) || !slices.Equal(declared.fpSeqs, wantSeqs) {
+				t.Fatalf("%s cc=%v: declared footprints differ from the declarations", tc.name, cc)
+			}
+			for i := range want {
+				var nb []int32
+				for j := range want {
+					if j != i && slices.ContainsFunc(want[i].seqs, func(s int64) bool {
+						_, found := slices.BinarySearch(want[j].seqs, s)
+						return found
+					}) {
+						nb = append(nb, int32(j))
+					}
+				}
+				got := slices.Clone(declared.CSR().Neighbors(i))
+				slices.Sort(got)
+				if !slices.Equal(got, nb) {
+					t.Fatalf("%s cc=%v: key %d declared neighbors %v, pairwise overlaps %v", tc.name, cc, want[i].key, got, nb)
 				}
 			}
 		}
@@ -108,15 +121,15 @@ func TestDeclaredColoringClassesDisjoint(t *testing.T) {
 			e.Add(task)
 		}
 		var cs coloredState
-		lg := e.declare(&cs)
-		colors, numColors := graph.ColorCSR(lg.CSR(), nil, 2)
+		cg := e.declare(&cs)
+		colors, numColors := graph.ColorCSR(cg.CSR(), nil, 2)
 		holder := make([]map[*Item]int64, numColors)
 		for i := range holder {
 			holder[i] = make(map[*Item]int64)
 		}
 		for _, task := range tasks {
 			ft := task.(Footprinted)
-			class := holder[colors[lg.KeyIndex(ft.ConflictKey())]]
+			class := holder[colors[cg.KeyIndex(ft.ConflictKey())]]
 			for _, it := range ft.Footprint() {
 				if other, taken := class[it]; taken {
 					t.Fatalf("%s: keys %d and %d share item %d in one color class", tc.name, other, ft.ConflictKey(), it.Seq)
@@ -127,30 +140,30 @@ func TestDeclaredColoringClassesDisjoint(t *testing.T) {
 	}
 }
 
-// TestLearnedGraphBuildDeduplicates: a footprint that names an item
+// TestConflictGraphBuildDeduplicates: a footprint that names an item
 // twice, two keys that share two items, and negative Seqs all come out
 // as one sorted footprint entry and one edge each.
-func TestLearnedGraphBuildDeduplicates(t *testing.T) {
+func TestConflictGraphBuildDeduplicates(t *testing.T) {
 	a, b, c := NewItem(-3), NewItem(1<<40), NewItem(9)
 	mk := func(key int64, items ...*Item) Task {
-		return declaredChainTask{&stableChainTask{key: key, items: items}}
+		return &stableChainTask{key: key, items: items}
 	}
 	e := NewExecutor(nil)
 	e.Add(mk(20, b, a, b))
 	e.Add(mk(10, a, b, c))
 	e.Add(mk(30, c))
 	var cs coloredState
-	lg := e.declare(&cs)
-	if lg == nil || !slices.Equal(lg.keys, []int64{10, 20, 30}) {
-		t.Fatalf("declare = %+v", lg)
+	cg := e.declare(&cs)
+	if cg == nil || !slices.Equal(cg.keys, []int64{10, 20, 30}) {
+		t.Fatalf("declare = %+v", cg)
 	}
-	if want := []int64{-3, 9, 1 << 40, -3, 1 << 40, 9}; !slices.Equal(lg.fpSeqs, want) || !slices.Equal(lg.fpOff, []int32{0, 3, 5, 6}) {
-		t.Fatalf("footprints %v at %v, want %v", lg.fpSeqs, lg.fpOff, want)
+	if want := []int64{-3, 9, 1 << 40, -3, 1 << 40, 9}; !slices.Equal(cg.fpSeqs, want) || !slices.Equal(cg.fpOff, []int32{0, 3, 5, 6}) {
+		t.Fatalf("footprints %v at %v, want %v", cg.fpSeqs, cg.fpOff, want)
 	}
-	if lg.CSR().NumEdges() != 2 || !slices.Equal(lg.CSR().Neighbors(0), []int32{1, 2}) {
-		t.Fatalf("adjacency of key 10: %v (%d edges), want keys 20 and 30 once each", lg.CSR().Neighbors(0), lg.CSR().NumEdges())
+	if cg.CSR().NumEdges() != 2 || !slices.Equal(cg.CSR().Neighbors(0), []int32{1, 2}) {
+		t.Fatalf("adjacency of key 10: %v (%d edges), want keys 20 and 30 once each", cg.CSR().Neighbors(0), cg.CSR().NumEdges())
 	}
-	if !lg.covers(1, []*Item{a, b}) || lg.covers(1, []*Item{c}) || lg.KeyIndex(25) != -1 {
+	if !cg.covers(1, []*Item{a, b}) || cg.covers(1, []*Item{c}) || cg.KeyIndex(25) != -1 {
 		t.Fatal("covers/KeyIndex disagree with the declarations")
 	}
 }

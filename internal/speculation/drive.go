@@ -16,9 +16,9 @@ import (
 //	    emit Sample
 //
 // Drive is the only entry point. The three modes differ in what "run"
-// means, not in the loop: round mode (either executor) and the learning
-// phase of colored mode share the step below; colored mode wraps a phase
-// switch around it (colored.go); async mode keeps the pool's participants
+// means, not in the loop: round mode (either executor) and colored mode
+// without declarations share the step below; colored mode runs declared
+// color classes before it (colored.go); async mode keeps the pool's participants
 // working through one long dispatch and closes a window instead of a
 // round (async.go), observing the controller from its window flush. Every mode takes the same Options
 // and reports the same Sample and Result.
@@ -35,8 +35,9 @@ const (
 	// MaxParallel participants, and r comes from a sliding window of
 	// settled outcomes.
 	ModeAsync Mode = "async"
-	// ModeColored learns the conflict graph in ordinary rounds, then runs
-	// conflict-free color classes lock-free until staleness trips.
+	// ModeColored colors the conflict graph the tasks declare and runs
+	// its conflict-free classes lock-free until staleness trips; a
+	// work-set that does not declare runs as ModeRound.
 	ModeColored Mode = "colored"
 )
 
@@ -118,7 +119,7 @@ type Result struct {
 	Samples       int // samples emitted
 	SpecRounds    int // ... of which speculative (observed by the controller)
 	ColoredRounds int // ... of which colored super-rounds
-	Colorings     int // speculative→colored transitions
+	Colorings     int // declared colorings: one, and one more after a soft trip
 	Fallbacks     int // colored→speculative transitions (staleness trips)
 	Colors        int // color count of the most recent coloring
 
@@ -135,7 +136,6 @@ type Result struct {
 	ColoredAborts  int64
 
 	Canceled bool // ctx ended the drive with work still pending
-	Degraded bool // the conflict recorder gave up (unkeyed task or overflow)
 }
 
 // ColoredConflictRatio returns aborts/launches over colored super-rounds

@@ -55,8 +55,8 @@ func (n *graphNode) Run(ctx *Ctx) error {
 	return nil
 }
 
-// ConflictKey implements ConflictKeyed: the task is keyed by its node so
-// the colored-mode learner can identify it across retries.
+// ConflictKey implements Footprinted: the task is keyed by its node,
+// which it keeps across retries.
 func (n *graphNode) ConflictKey() int64 { return int64(n.id) }
 
 // Footprint implements Footprinted: the list Run acquires, as registered
@@ -76,7 +76,7 @@ func (n *graphNode) commit() {
 // edgeSeq tags the item of edge {u, v}. +1 on the high half keeps edge
 // Seqs disjoint from node Seqs: the edge (0, v) would otherwise collide
 // with node v, which would corrupt Seq-keyed diagnostics and the
-// colored-mode conflict learner (footprints are compared by Seq).
+// declared conflict graph (footprints are compared by Seq).
 func edgeSeq(u, v int) int64 {
 	if u > v {
 		u, v = v, u

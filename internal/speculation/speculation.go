@@ -170,8 +170,8 @@ type Ctx struct {
 	// colored.go): tasks in one color class are pairwise conflict-free by
 	// construction, so Acquire records the footprint without taking the
 	// item lock — no CAS, no abort path. The footprint is still collected
-	// so the staleness detector can check it against the learned graph at
-	// the class barrier.
+	// so the staleness detector can check it against the declared graph
+	// at the class barrier.
 	colored bool
 }
 
@@ -551,12 +551,6 @@ type Executor struct {
 
 	pooled
 
-	// rec, when non-nil, observes the footprints of committed tasks at
-	// the round barrier — the learning phase of colored execution (see
-	// conflict.go). Set and cleared only by driveColored, which owns the
-	// Round loop while it runs.
-	rec *ConflictRecorder
-
 	scratch roundScratch // round-local (Round is single-caller)
 }
 
@@ -826,13 +820,6 @@ func (e *Executor) Round(m int) RoundStats {
 	// tasks already released on rollback), then settle every attempt.
 	for i, c := range s.ctxs[:n] {
 		if s.errs[i] == nil {
-			// Learning for colored execution happens here, on the round
-			// driver thread before the footprint is cleared: only
-			// committed tasks contribute edges (aborted tasks retry and
-			// are observed when they eventually commit).
-			if e.rec != nil {
-				e.rec.recordCommit(s.batch[i].t, c.acquired)
-			}
 			c.release()
 		}
 	}
@@ -854,8 +841,5 @@ func (e *Executor) Round(m int) RoundStats {
 	s.settled(n)
 	e.addTotals(stats)
 	s.runActions()
-	if e.rec != nil {
-		e.rec.roundDone()
-	}
 	return stats
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/speculation"
@@ -47,25 +48,20 @@ func TestDrainColoredUnsupported(t *testing.T) {
 }
 
 // driveColored drains the named workload in colored mode and returns
-// the colored result plus the number of attempts its colored
-// super-rounds launched. undeclared adds one keyed task that cannot
-// declare a footprint, which keeps the whole drive on the learning path.
-func driveColored(t *testing.T, name string, p Params, undeclared bool) (*Run, *speculation.ColoredResult, int64) {
+// its trajectory, the colored result, and the number of attempts its
+// colored super-rounds launched.
+func driveColored(t *testing.T, name string, p Params) (*Run, *speculation.AdaptiveResult, *speculation.ColoredResult, int64) {
 	t.Helper()
 	run, err := New(name, p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if undeclared {
-		noop := speculation.TaskFunc(func(*speculation.Ctx) error { return nil })
-		run.Stepper.(*speculation.Executor).Add(speculation.Keyed(-1, noop))
 	}
 	c, err := NewController("hybrid", ControllerParams{Rho: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var coloredLaunched int64
-	_, cres, err := DrainColored(context.Background(), run.Stepper, c, speculation.ColoredOptions{
+	res, cres, err := DrainColored(context.Background(), run.Stepper, c, speculation.ColoredOptions{
 		OnRound: func(cr speculation.ColoredRound) {
 			if cr.Colored {
 				coloredLaunched += int64(cr.Launched)
@@ -78,55 +74,38 @@ func driveColored(t *testing.T, name string, p Params, undeclared bool) (*Run, *
 	if run.Stepper.Pending() != 0 {
 		t.Fatalf("colored drive left %d pending", run.Stepper.Pending())
 	}
-	return run, cres, coloredLaunched
+	return run, res, cres, coloredLaunched
 }
 
 // TestColoredEquivalence is the colored-mode acceptance run wired into
-// `make equiv`, on the synthetic stable-conflict workload and for both
-// sources of the conflict graph. Declared (the workload as registered):
-// the drive never speculates — every commit is a colored one. Learned
-// (one task that cannot declare keeps the drive on the learning path):
-// it must reach the colored phase and commit the bulk of the work there.
-// Either way the workload oracle holds exactly and the colored rounds
-// eliminate the aborted work the barrier-free async drive of the same
-// workload still pays: a colored super-round launches exactly one
+// `make equiv`, on the synthetic stable-conflict workload, whose tasks
+// declare their footprints: the drive never speculates — every commit
+// is a colored one — and the workload oracle holds exactly. The colored
+// rounds eliminate the aborted work the barrier-free async drive of the
+// same workload still pays: a colored super-round launches exactly one
 // attempt per commit, the async drive, held at ρ = 0.25 by the same
 // controller, well over one. (Which of the two is faster is the
-// BenchmarkExecutorColored rows' question, not a 5 ms run's.) The learned
-// leg runs at Parallel 1, where its rounds — and so how long learning
-// takes — are a function of the seed alone.
+// BenchmarkExecutorColored rows' question, not a 5 ms run's.)
 func TestColoredEquivalence(t *testing.T) {
 	p := Params{Size: 600, Seed: 11, Parallel: 4}
 
-	for _, learned := range []bool{true, false} {
-		lp := p
-		if learned {
-			lp.Parallel = 1
-		}
-		run, cres, coloredLaunched := driveColored(t, "stable", lp, learned)
-		defer run.Stepper.Close()
-		if cres.Fallbacks != 0 || cres.Degraded {
-			t.Fatalf("learned=%v: stable workload tripped staleness or degraded: %+v", learned, cres)
-		}
-		if cres.ColoredAborts != 0 || cres.ColoredConflictRatio() != 0 || cres.ColoredCommits != coloredLaunched {
-			t.Fatalf("learned=%v: colored rounds launched %d attempts for %d commits (%d aborts) on a stable-conflict workload",
-				learned, coloredLaunched, cres.ColoredCommits, cres.ColoredAborts)
-		}
-		switch {
-		case learned && (cres.Colorings == 0 || cres.SpecRounds == 0):
-			t.Fatalf("the learning path never learned or never colored: %+v", cres)
-		case learned && cres.ColoredCommits*2 < cres.Committed:
-			t.Fatalf("colored phase committed %d of %d — the learning phase dominated",
-				cres.ColoredCommits, cres.Committed)
-		case !learned && (cres.SpecRounds != 0 || cres.ColoredCommits != cres.Committed):
-			t.Fatalf("declared footprints, yet %d speculative rounds and %d of %d commits colored",
-				cres.SpecRounds, cres.ColoredCommits, cres.Committed)
-		}
-		if detail, err := run.Verify(); err != nil {
-			t.Fatalf("learned=%v: oracle after colored drive: %v", learned, err)
-		} else if detail == "" {
-			t.Fatal("empty oracle detail")
-		}
+	run, _, cres, coloredLaunched := driveColored(t, "stable", p)
+	defer run.Stepper.Close()
+	if cres.Fallbacks != 0 {
+		t.Fatalf("stable workload tripped staleness: %+v", cres)
+	}
+	if cres.ColoredAborts != 0 || cres.ColoredConflictRatio() != 0 || cres.ColoredCommits != coloredLaunched {
+		t.Fatalf("colored rounds launched %d attempts for %d commits (%d aborts) on a stable-conflict workload",
+			coloredLaunched, cres.ColoredCommits, cres.ColoredAborts)
+	}
+	if cres.SpecRounds != 0 || cres.ColoredCommits != cres.Committed {
+		t.Fatalf("declared footprints, yet %d speculative rounds and %d of %d commits colored",
+			cres.SpecRounds, cres.ColoredCommits, cres.Committed)
+	}
+	if detail, err := run.Verify(); err != nil {
+		t.Fatalf("oracle after colored drive: %v", err)
+	} else if detail == "" {
+		t.Fatal("empty oracle detail")
 	}
 
 	// The async drive of identical params: same commits, more launches.
@@ -151,11 +130,11 @@ func TestColoredEquivalence(t *testing.T) {
 }
 
 // TestColoredAppWorkloads drives the colored-capable application
-// workloads in hybrid mode and checks their oracles still hold: mesh
-// and cluster footprints mutate as the structures evolve, so the drive
-// may never leave the speculative phase, while cc declares its
-// footprints and never enters it — the point is that colored mode costs
-// correctness nothing on any of them.
+// workloads in colored mode and checks their oracles still hold. cc
+// declares its footprints, so every commit is colored. mesh and cluster
+// do not declare, so their colored drive is a round drive: at Parallel
+// 1, where a drive is a function of the seed, its per-sample (M, R,
+// Committed) series is Drain's, and nothing is colored.
 func TestColoredAppWorkloads(t *testing.T) {
 	for _, name := range []string{"mesh", "cluster", "cc"} {
 		name := name
@@ -164,13 +143,36 @@ func TestColoredAppWorkloads(t *testing.T) {
 			if !Supports(name, CapColored) {
 				t.Fatalf("%s lost its CapColored flag", name)
 			}
-			run, cres, _ := driveColored(t, name, Params{Size: smallSize[name], Seed: 1, Parallel: 2}, false)
-			defer run.Stepper.Close()
-			if cres.Degraded {
-				t.Fatalf("%s degraded: its tasks must be conflict-keyed", name)
+			declares := name == "cc"
+			p := Params{Size: smallSize[name], Seed: 1, Parallel: 2}
+			if !declares {
+				p.Parallel = 1
 			}
+			run, res, cres, _ := driveColored(t, name, p)
+			defer run.Stepper.Close()
 			if _, err := run.Verify(); err != nil {
 				t.Fatalf("oracle after colored drive: %v", err)
+			}
+			if declares {
+				if cres.SpecRounds != 0 || cres.ColoredCommits != cres.Committed {
+					t.Fatalf("%s declares, yet %d speculative rounds and %d of %d commits colored",
+						name, cres.SpecRounds, cres.ColoredCommits, cres.Committed)
+				}
+				return
+			}
+			if cres.Colorings != 0 || cres.ColoredRounds != 0 {
+				t.Fatalf("%s does not declare, yet colored: %+v", name, cres)
+			}
+			roundRun, err := New(name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer roundRun.Stepper.Close()
+			c, _ := NewController("hybrid", ControllerParams{Rho: 0.25})
+			rounds := Drain(context.Background(), roundRun.Stepper, c, 0)
+			if len(rounds.M) < 2 || !slices.Equal(res.M, rounds.M) || !slices.Equal(res.R, rounds.R) || !slices.Equal(res.Committed, rounds.Committed) {
+				t.Fatalf("%s colored drive differs from its round drive:\n colored M=%v R=%v C=%v\n round   M=%v R=%v C=%v",
+					name, res.M, res.R, res.Committed, rounds.M, rounds.R, rounds.Committed)
 			}
 		})
 	}

@@ -10,18 +10,16 @@ import (
 )
 
 // The synthetic "stable" workload: a stable-conflict chain workload
-// built for the colored execution mode. One conflict-keyed task per
-// node of a random conflict graph commits stableRepeats times,
-// respawning itself after each commit; its footprint — the node's item
-// plus the incident edge items — never changes, so after a few
-// speculative rounds the learned conflict graph stabilizes, gets
-// colored, and the long tail of the drain runs lock-free. The chain
-// counters are atomics and the commit actions touch nothing else, so
-// the workload is also safe to drive barrier-free (CapAsync).
+// built for the colored execution mode. One task per node of a random
+// conflict graph commits stableRepeats times, respawning itself after
+// each commit; it declares its footprint — the node's item plus the
+// incident edge items — which never changes, so a colored drive colors
+// the declared graph once and runs every super-round lock-free. The
+// chain counters are atomics and the commit actions touch nothing else,
+// so the workload is also safe to drive barrier-free (CapAsync).
 
 // stableRepeats is how many times each chain task commits before it
-// stops respawning. Long enough that the colored phase dominates the
-// drain after the learning rounds.
+// stops respawning: the number of colored super-rounds a drain takes.
 const stableRepeats = 24
 
 // stableTask is one respawning chain with a fixed conflict footprint.
@@ -32,11 +30,11 @@ type stableTask struct {
 	commitFn func() // bound once at construction: no per-run closure
 }
 
-// ConflictKey implements speculation.ConflictKeyed.
+// ConflictKey implements speculation.Footprinted.
 func (t *stableTask) ConflictKey() int64 { return t.key }
 
 // Footprint implements speculation.Footprinted: the items never change,
-// so a colored drive colors the chains before the first round.
+// so one coloring serves the whole drain.
 func (t *stableTask) Footprint() []*speculation.Item { return t.items }
 
 func (t *stableTask) Run(ctx *speculation.Ctx) error {

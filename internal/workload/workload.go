@@ -108,7 +108,7 @@ func (r *Run) ReportIncomplete(w io.Writer, res *speculation.AdaptiveResult, pen
 // cap. The async and colored forms fail on a stepper that is not the
 // unordered executor; whether a *workload* may be driven that way is
 // Supports' question (an application's commit actions may assume the
-// round barrier, its tasks may not be conflict-keyed).
+// round barrier).
 func Drain(ctx context.Context, s Stepper, c control.Controller, maxRounds int) *speculation.AdaptiveResult {
 	res, _, _ := speculation.Collect(ctx, s, c, speculation.Options{MaxSamples: maxRounds}) // round mode has no error
 	return res
@@ -166,12 +166,14 @@ const (
 	// actions guard their own shared state, so they are safe to run as
 	// tasks settle rather than at a round barrier.
 	CapAsync
-	// CapColored: the workload may be driven in hybrid
-	// speculative→colored mode. Its tasks are conflict-keyed
-	// (speculation.ConflictKeyed) and its operators follow the cautious
-	// contract colored execution relies on: the parallel phase only
-	// reads shared state, and mutations are deferred to serially-run,
-	// re-validating commit actions.
+	// CapColored: the workload may be driven in colored mode, which is
+	// declare-or-round. Tasks that declare their footprints
+	// (speculation.Footprinted: cc, stable) run as lock-free color
+	// classes, so their operators follow the cautious contract colored
+	// execution relies on: the parallel phase only reads shared state,
+	// and mutations are deferred to serially-run, re-validating commit
+	// actions. A workload whose tasks do not declare (mesh, cluster) runs
+	// in rounds, exactly as in round mode.
 	CapColored
 )
 
