@@ -141,28 +141,23 @@ func (e *Executor) declare(cs *coloredState) *ConflictGraph {
 	e.mu.Unlock()
 	batch, n := cs.batch, len(cs.batch)
 	defer clear(batch)
-	keys, fps, total := make([]int64, n), make([][]*Item, n), 0
+	keys := make([]int64, n)
 	for i, q := range batch {
 		ft, ok := q.t.(Footprinted)
 		if !ok {
 			return nil
 		}
-		keys[i], fps[i] = ft.ConflictKey(), ft.Footprint()
-		total += len(fps[i])
+		keys[i] = ft.ConflictKey()
 	}
-	cg := &ConflictGraph{keys: slices.Clone(keys)}
+	cg := &ConflictGraph{keys: slices.Clone(keys), fps: make([][]*Item, n)}
 	slices.Sort(cg.keys)
 	if len(slices.Compact(cg.keys)) < n {
 		return nil
 	}
-	hs := make([]holding, 0, total)
-	for i, fp := range fps {
-		k := cg.KeyIndex(keys[i])
-		for _, it := range fp {
-			hs = append(hs, holding{it.Seq, k})
-		}
+	for i, q := range batch {
+		cg.fps[cg.KeyIndex(keys[i])] = q.t.(Footprinted).Footprint()
 	}
-	if !cg.build(hs) {
+	if !cg.build() {
 		return nil
 	}
 	return cg

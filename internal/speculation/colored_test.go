@@ -321,11 +321,27 @@ func TestRunColoredDeclaredStartsColored(t *testing.T) {
 // drive never declares again, finishes in rounds and still commits
 // every task exactly once per step.
 func TestRunColoredLyingDeclaration(t *testing.T) {
+	checkLyingDeclaration(t, func([]*Item) *Item { return NewItem(1 << 40) })
+}
+
+// TestColoredCatchesSeqAlias: the item a task acquires beyond its
+// declaration carries the Seq of one it did declare. The check compares
+// items, not tags, so this is the same hard trip as any other lie — the
+// alias could otherwise be held by two tasks of one lock-free class.
+func TestColoredCatchesSeqAlias(t *testing.T) {
+	checkLyingDeclaration(t, func(declared []*Item) *Item { return NewItem(declared[0].Seq) })
+}
+
+// checkLyingDeclaration drives a stable fixture whose first chain also
+// acquires undeclared(its footprint) on every run, and checks the hard
+// trip, the rounds after it, and the commit oracle.
+func checkLyingDeclaration(t *testing.T, undeclared func(declared []*Item) *Item) {
+	t.Helper()
 	const repeats = 40
 	e, tasks, total := buildStableFixture(graph.Grid2D(8, 8), repeats, 4, 11)
 	defer e.Close()
-	undeclared := NewItem(1 << 40)
-	tasks[0].extra = func() *Item { return undeclared }
+	extra := undeclared(tasks[0].items)
+	tasks[0].extra = func() *Item { return extra }
 
 	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
 	checkChainsDrained(t, e, tasks, total, repeats)
@@ -381,17 +397,19 @@ func TestRunColoredRedeclaresOnce(t *testing.T) {
 }
 
 // TestDeclareRefuses pins the three refusals: a pending task that cannot
-// declare, two live tasks with one key, an item over the holder bound.
-// Each leaves the work-set as it found it.
+// declare, two live tasks with one key, an item over the holder bound —
+// where a key naming the item twice is one holder. Each leaves the
+// work-set as it found it.
 func TestDeclareRefuses(t *testing.T) {
 	noop := TaskFunc(func(*Ctx) error { return nil })
 	declared := func(key int64, items ...*Item) Task {
 		return &stableChainTask{key: key, items: items}
 	}
 	shared := NewItem(7)
-	var crowd []Task
+	var crowd, twice []Task
 	for k := 0; k <= maxDeclaredHolders; k++ {
 		crowd = append(crowd, declared(int64(k), shared))
+		twice = append(twice, declared(int64(k), shared, shared))
 	}
 	for _, tc := range []struct {
 		name  string
@@ -402,6 +420,7 @@ func TestDeclareRefuses(t *testing.T) {
 		{"shared key", []Task{declared(1, NewItem(1)), declared(1, NewItem(2))}, false},
 		{"crowded item", crowd, false},
 		{"item at the bound", crowd[1:], true},
+		{"item named twice at the bound", twice[1:], true},
 	} {
 		e := NewExecutor(nil)
 		for _, task := range tc.tasks {

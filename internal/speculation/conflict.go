@@ -2,19 +2,22 @@ package speculation
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
 
 // The conflict graph of colored execution (see colored.go). Two tasks
-// conflict iff their footprints intersect, so an item→keys index over
+// conflict iff their footprints share an item, so an item→keys index over
 // the footprints *is* the conflict graph: every item held by two or more
 // task keys contributes the clique over those keys. A colored drive
 // builds it from what Footprinted tasks declare before they run
-// (Executor.declare), the coloring kernel partitions the keys into
-// independent classes, and every colored commit is checked against the
-// declared footprint of its key (covers). There is no other source: a
-// work-set that does not declare is driven in rounds.
+// (Executor.declare), chaining each item's holders through a slot on the
+// Item itself; the coloring kernel partitions the keys into independent
+// classes, and every colored commit is checked against the declared
+// footprint of its key (covers). Items are compared by identity
+// throughout, never by Seq. There is no other source: a work-set that
+// does not declare is driven in rounds.
 
 // Footprinted is a task that knows, before it runs, its identity in the
 // conflict graph and every item it may acquire. When every pending task
@@ -42,115 +45,69 @@ const (
 )
 
 // ConflictGraph is an immutable conflict graph over task keys as a
-// colorable CSR, plus each key's footprint (sorted item Seqs) for the
-// staleness check. Dense index i corresponds to the i-th smallest key.
+// colorable CSR, plus each key's declared footprint for the staleness
+// check. Dense index i corresponds to the i-th smallest key.
 type ConflictGraph struct {
 	csr  *graph.CSR
-	keys []int64 // dense index -> task key, sorted
-
-	// Footprints in CSR-style layout: key i's item Seqs are
-	// fpSeqs[fpOff[i]:fpOff[i+1]], sorted for binary search.
-	fpOff  []int32
-	fpSeqs []int64
+	keys []int64   // dense index -> task key, sorted
+	fps  [][]*Item // dense index -> the slice its Footprint returned
 }
+
+// declareGen numbers the builds of every executor in the process, so an
+// Item slot stamped by an earlier build, or by another executor's, never
+// reads as current.
+var declareGen atomic.Uint64
 
 // holding is one incidence of the item→keys index: the task at dense
-// key index key acquires the item tagged seq.
+// key index key declares an item that rank keys declared before it, the
+// latest of them at hs[prev] (−1 when rank is 0).
 type holding struct {
-	seq int64
-	key int32
+	key, prev, rank int32
 }
 
-// sortBySeq orders hs by Seq with a stable LSD byte-radix sort that
-// skips the bytes every Seq agrees on — item tags are small integers or
-// packed pairs, so most of the eight are constant. No maps and one
-// scratch buffer: grouping the same incidences through a Go map cost
-// four times a round-mode drain of the graph they describe, and
-// slices.SortFunc nearly twice (EXPERIMENTS.md).
-func sortBySeq(hs []holding) []holding {
-	const signed = 1 << 63 // flips the sign bit: int64 order as uint64 order
-	var differ uint64
-	for _, h := range hs {
-		differ |= uint64(h.seq ^ hs[0].seq)
+// build completes cg, whose keys and footprints are set, in one pass over
+// the footprints: each incidence is chained to the previous holding of
+// its item through the item's slot (gen, head), so a repeat within one
+// footprint is the chain's head and is skipped, and both declare bounds
+// are checked as the chains grow. Two keys conflict iff they hold a
+// common item, so each item held by k keys contributes their k-clique:
+// one edge from each holding to every holding down its chain. It reports
+// false, leaving cg unusable, past the declare bounds.
+func (cg *ConflictGraph) build() bool {
+	total := 0
+	for _, fp := range cg.fps {
+		total += len(fp)
 	}
-	tmp := make([]holding, len(hs))
-	for shift := 0; shift < 64; shift += 8 {
-		if differ>>shift&0xff == 0 {
-			continue
-		}
-		var next [256]int
-		for _, h := range hs {
-			next[byte((uint64(h.seq)^signed)>>shift)]++
-		}
-		at := 0
-		for b, c := range next {
-			next[b], at = at, at+c
-		}
-		for _, h := range hs {
-			b := byte((uint64(h.seq) ^ signed) >> shift)
-			tmp[next[b]] = h
-			next[b]++
-		}
-		hs, tmp = tmp, hs
-	}
-	return hs
-}
-
-// build completes cg, whose keys are set, from the incidences hs, in
-// any order that keeps the pairs of one key contiguous, so a repeated
-// (seq, key) pair is adjacent after the stable sort by Seq. Two keys
-// conflict iff they hold a common item, so each item held by k keys
-// contributes their k-clique. It reports false, leaving cg unusable,
-// past the declare bounds.
-func (cg *ConflictGraph) build(hs []holding) bool {
-	hs = sortBySeq(hs)
-	// A footprint naming an item twice: the stable sort kept the two
-	// incidences adjacent.
-	hs = slices.Compact(hs)
-
-	// runEnd returns the end of the run of one item's incidences at lo.
-	runEnd := func(lo int) int {
-		hi := lo + 1
-		for hi < len(hs) && hs[hi].seq == hs[lo].seq {
-			hi++
-		}
-		return hi
-	}
+	gen := declareGen.Add(1)
+	hs := make([]holding, 0, total)
 	items, numEdges := 0, 0
-	for lo, hi := 0, 0; lo < len(hs); lo = hi {
-		hi = runEnd(lo)
-		if items++; hi-lo > maxDeclaredHolders || items > maxDeclaredItems {
-			return false
+	for k, fp := range cg.fps {
+		for _, it := range fp {
+			h := holding{key: int32(k), prev: -1}
+			if it.gen == gen {
+				last := hs[it.head]
+				if last.key == h.key {
+					continue // named twice in one footprint
+				}
+				h.prev, h.rank = it.head, last.rank+1
+				if h.rank >= maxDeclaredHolders {
+					return false
+				}
+			} else if items++; items > maxDeclaredItems {
+				return false
+			}
+			it.gen, it.head = gen, int32(len(hs))
+			numEdges += int(h.rank)
+			hs = append(hs, h)
 		}
-		numEdges += (hi - lo) * (hi - lo - 1) / 2
 	}
 	edges := make([][2]int32, 0, numEdges)
-	for lo, hi := 0, 0; lo < len(hs); lo = hi {
-		hi = runEnd(lo)
-		for i, a := range hs[lo:hi] {
-			for _, b := range hs[lo+i+1 : hi] {
-				edges = append(edges, [2]int32{a.key, b.key})
-			}
+	for _, h := range hs {
+		for p := h.prev; p >= 0; p = hs[p].prev {
+			edges = append(edges, [2]int32{hs[p].key, h.key})
 		}
 	}
-	n := len(cg.keys)
-	cg.csr = graph.NewCSRFromEdges(n, edges)
-
-	// Scatter the Seqs to their keys. hs is in Seq order, so every
-	// footprint comes out sorted.
-	cg.fpOff = make([]int32, n+1)
-	for _, h := range hs {
-		cg.fpOff[h.key+1]++
-	}
-	for i := 0; i < n; i++ {
-		cg.fpOff[i+1] += cg.fpOff[i]
-	}
-	cg.fpSeqs = make([]int64, len(hs))
-	fill := slices.Clone(cg.fpOff[:n])
-	for _, h := range hs {
-		cg.fpSeqs[fill[h.key]] = h.seq
-		fill[h.key]++
-	}
+	cg.csr = graph.NewCSRFromEdges(len(cg.keys), edges)
 	return true
 }
 
@@ -174,22 +131,16 @@ func (cg *ConflictGraph) KeyIndex(key int64) int32 {
 	return -1
 }
 
-// InFootprint reports whether item seq is part of dense key idx's
-// footprint.
-func (cg *ConflictGraph) InFootprint(idx int32, seq int64) bool {
-	_, ok := slices.BinarySearch(cg.fpSeqs[cg.fpOff[idx]:cg.fpOff[idx+1]], seq)
-	return ok
-}
-
-// covers reports whether every acquired item is part of dense key idx's
-// footprint. Items acquired in footprint (Seq) order are matched by a
-// cursor and never searched for.
+// covers reports whether every acquired item is one dense key idx
+// declared. Both declaring workloads acquire exactly the declared slice,
+// in order, so a cursor over it matches every item; an item out of that
+// order is looked for in the whole slice.
 func (cg *ConflictGraph) covers(idx int32, acquired []*Item) bool {
-	next, end := cg.fpOff[idx], cg.fpOff[idx+1]
+	fp, next := cg.fps[idx], 0
 	for _, it := range acquired {
-		if next < end && cg.fpSeqs[next] == it.Seq {
+		if next < len(fp) && fp[next] == it {
 			next++
-		} else if !cg.InFootprint(idx, it.Seq) {
+		} else if !slices.Contains(fp, it) {
 			return false
 		}
 	}

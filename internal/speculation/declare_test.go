@@ -3,6 +3,7 @@ package speculation
 import (
 	"cmp"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -43,11 +44,48 @@ func footprintedTasks(g *graph.Graph, cc bool) []Task {
 	return tasks
 }
 
+// sameSlice reports whether a and b are one slice: the same backing
+// array at the same length.
+func sameSlice(a, b []*Item) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// overlapNeighbors is the brute-force conflict graph of a set of
+// footprints: j is a neighbor of i iff the two share an *Item, by
+// pointer, found by comparing every pair.
+func overlapNeighbors(fps [][]*Item) [][]int32 {
+	nbrs := make([][]int32, len(fps))
+	for i := range fps {
+		for j := range fps {
+			if j != i && slices.ContainsFunc(fps[i], func(it *Item) bool { return slices.Contains(fps[j], it) }) {
+				nbrs[i] = append(nbrs[i], int32(j))
+			}
+		}
+	}
+	return nbrs
+}
+
+// checkDeclaredNeighbors fails unless cg's adjacency is want's, row by
+// row.
+func checkDeclaredNeighbors(t *testing.T, cg *ConflictGraph, want [][]int32) {
+	t.Helper()
+	if cg.CSR().NumNodes() != len(want) {
+		t.Fatalf("declared graph has %d keys, want %d", cg.CSR().NumNodes(), len(want))
+	}
+	for i, nb := range want {
+		got := slices.Clone(cg.CSR().Neighbors(i))
+		slices.Sort(got)
+		if !slices.Equal(got, nb) {
+			t.Fatalf("key %d: declared neighbors %v, pairwise overlaps %v", cg.keys[i], got, nb)
+		}
+	}
+}
+
 // TestDeclaredGraphEquivalence checks the declared ConflictGraph against
 // a brute-force one built here from the same declarations: the keys in
-// order, each key's footprint as its sorted distinct item Seqs, and an
-// edge between two keys iff their footprints share an item, found by
-// comparing every pair.
+// order, each key's footprint the very slice its task declared, and an
+// edge between two keys iff their footprints share an item — the same
+// *Item, whatever the Seqs say.
 func TestDeclaredGraphEquivalence(t *testing.T) {
 	for _, tc := range declaredCases {
 		for _, cc := range []bool{false, true} {
@@ -62,50 +100,22 @@ func TestDeclaredGraphEquivalence(t *testing.T) {
 				t.Fatalf("%s cc=%v: declare refused", tc.name, cc)
 			}
 
-			type vertex struct {
-				key  int64
-				seqs []int64
-			}
-			want := make([]vertex, len(tasks))
+			fts := make([]Footprinted, len(tasks))
 			for i, task := range tasks {
-				ft := task.(Footprinted)
-				want[i].key = ft.ConflictKey()
-				for _, it := range ft.Footprint() {
-					want[i].seqs = append(want[i].seqs, it.Seq)
-				}
-				slices.Sort(want[i].seqs)
-				want[i].seqs = slices.Compact(want[i].seqs)
+				fts[i] = task.(Footprinted)
 			}
-			slices.SortFunc(want, func(a, b vertex) int { return cmp.Compare(a.key, b.key) })
-			wantOff, wantSeqs := []int32{0}, []int64{}
-			for _, v := range want {
-				wantSeqs = append(wantSeqs, v.seqs...)
-				wantOff = append(wantOff, int32(len(wantSeqs)))
+			slices.SortFunc(fts, func(a, b Footprinted) int { return cmp.Compare(a.ConflictKey(), b.ConflictKey()) })
+			if len(declared.keys) != len(fts) {
+				t.Fatalf("%s cc=%v: %d declared keys, want %d", tc.name, cc, len(declared.keys), len(fts))
 			}
-			for i, v := range want {
-				if declared.keys[i] != v.key {
-					t.Fatalf("%s cc=%v: declared key %d at index %d, want %d", tc.name, cc, declared.keys[i], i, v.key)
+			fps := make([][]*Item, len(fts))
+			for i, ft := range fts {
+				fps[i] = ft.Footprint()
+				if declared.keys[i] != ft.ConflictKey() || !sameSlice(declared.fps[i], fps[i]) {
+					t.Fatalf("%s cc=%v: index %d holds key %d, want key %d and the slice it declared", tc.name, cc, i, declared.keys[i], ft.ConflictKey())
 				}
 			}
-			if len(declared.keys) != len(want) || !slices.Equal(declared.fpOff, wantOff) || !slices.Equal(declared.fpSeqs, wantSeqs) {
-				t.Fatalf("%s cc=%v: declared footprints differ from the declarations", tc.name, cc)
-			}
-			for i := range want {
-				var nb []int32
-				for j := range want {
-					if j != i && slices.ContainsFunc(want[i].seqs, func(s int64) bool {
-						_, found := slices.BinarySearch(want[j].seqs, s)
-						return found
-					}) {
-						nb = append(nb, int32(j))
-					}
-				}
-				got := slices.Clone(declared.CSR().Neighbors(i))
-				slices.Sort(got)
-				if !slices.Equal(got, nb) {
-					t.Fatalf("%s cc=%v: key %d declared neighbors %v, pairwise overlaps %v", tc.name, cc, want[i].key, got, nb)
-				}
-			}
+			checkDeclaredNeighbors(t, declared, overlapNeighbors(fps))
 		}
 	}
 }
@@ -141,24 +151,24 @@ func TestDeclaredColoringClassesDisjoint(t *testing.T) {
 }
 
 // TestConflictGraphBuildDeduplicates: a footprint that names an item
-// twice, two keys that share two items, and negative Seqs all come out
-// as one sorted footprint entry and one edge each.
+// twice and two keys that share two items come out as one edge each, and
+// every key keeps the slice it declared.
 func TestConflictGraphBuildDeduplicates(t *testing.T) {
 	a, b, c := NewItem(-3), NewItem(1<<40), NewItem(9)
-	mk := func(key int64, items ...*Item) Task {
-		return &stableChainTask{key: key, items: items}
-	}
+	fps := [][]*Item{{a, b, c}, {b, a, b}, {c}} // keys 10, 20, 30
 	e := NewExecutor(nil)
-	e.Add(mk(20, b, a, b))
-	e.Add(mk(10, a, b, c))
-	e.Add(mk(30, c))
+	e.Add(&stableChainTask{key: 20, items: fps[1]})
+	e.Add(&stableChainTask{key: 10, items: fps[0]})
+	e.Add(&stableChainTask{key: 30, items: fps[2]})
 	var cs coloredState
 	cg := e.declare(&cs)
 	if cg == nil || !slices.Equal(cg.keys, []int64{10, 20, 30}) {
 		t.Fatalf("declare = %+v", cg)
 	}
-	if want := []int64{-3, 9, 1 << 40, -3, 1 << 40, 9}; !slices.Equal(cg.fpSeqs, want) || !slices.Equal(cg.fpOff, []int32{0, 3, 5, 6}) {
-		t.Fatalf("footprints %v at %v, want %v", cg.fpSeqs, cg.fpOff, want)
+	for i, fp := range fps {
+		if !sameSlice(cg.fps[i], fp) {
+			t.Fatalf("key %d kept footprint %v, want the declared %v", cg.keys[i], cg.fps[i], fp)
+		}
 	}
 	if cg.CSR().NumEdges() != 2 || !slices.Equal(cg.CSR().Neighbors(0), []int32{1, 2}) {
 		t.Fatalf("adjacency of key 10: %v (%d edges), want keys 20 and 30 once each", cg.CSR().Neighbors(0), cg.CSR().NumEdges())
@@ -168,8 +178,133 @@ func TestConflictGraphBuildDeduplicates(t *testing.T) {
 	}
 }
 
-// TestDeclareAllocationsIndependentOfSize: the builder sorts and
-// scatters through a fixed set of buffers — no map entry, slice or node
+// TestDeclareComparesItemsByIdentity: Seq is a diagnostic tag, so two
+// keys declaring distinct items with one Seq do not conflict, and two
+// keys declaring one item do, whatever else they declare.
+func TestDeclareComparesItemsByIdentity(t *testing.T) {
+	shared := NewItem(5)
+	e := NewExecutor(nil)
+	e.Add(&stableChainTask{key: 0, items: []*Item{NewItem(1), NewItem(7)}})
+	e.Add(&stableChainTask{key: 1, items: []*Item{NewItem(1), shared}})
+	e.Add(&stableChainTask{key: 2, items: []*Item{NewItem(7), shared}})
+	var cs coloredState
+	cg := e.declare(&cs)
+	if cg == nil {
+		t.Fatal("declare refused")
+	}
+	checkDeclaredNeighbors(t, cg, [][]int32{nil, {2}, {1}})
+}
+
+// TestCoversIdentity: covers accepts any order and any subset of the
+// declared items, and rejects an item that was not declared — also one
+// whose Seq equals a declared item's.
+func TestCoversIdentity(t *testing.T) {
+	a, b, c := NewItem(1), NewItem(2), NewItem(3)
+	e := NewExecutor(nil)
+	e.Add(&stableChainTask{key: 0, items: []*Item{a, b, c}})
+	var cs coloredState
+	cg := e.declare(&cs)
+	for _, acquired := range [][]*Item{{a, b, c}, {c, b, a}, {b, c, a}, {c}, {a, a, c}, nil} {
+		if !cg.covers(0, acquired) {
+			t.Errorf("covers rejects %v, a reordering of the declared items", acquired)
+		}
+	}
+	for _, acquired := range [][]*Item{{a, b, c, NewItem(4)}, {NewItem(2)}, {a, NewItem(2), c}} {
+		if cg.covers(0, acquired) {
+			t.Errorf("covers accepts %v, which names an undeclared item", acquired)
+		}
+	}
+}
+
+// TestDeclareAgainSameGraph: declaring the same items again — as a
+// drive does after a soft trip, or as a second executor does once the
+// first is done — gives the same graph, whatever builds ran in between:
+// an item's slot from an earlier build never reads as current.
+func TestDeclareAgainSameGraph(t *testing.T) {
+	tasks := footprintedTasks(graph.RandomWithAvgDegree(rng.New(9), 200, 6), true)
+	declare := func(tasks []Task) *ConflictGraph {
+		t.Helper()
+		e := NewExecutor(nil)
+		defer e.Close()
+		for _, task := range tasks {
+			e.Add(task)
+		}
+		var cs coloredState
+		cg := e.declare(&cs)
+		if cg == nil {
+			t.Fatal("declare refused")
+		}
+		return cg
+	}
+	slices.SortFunc(tasks, func(a, b Task) int {
+		return cmp.Compare(a.(Footprinted).ConflictKey(), b.(Footprinted).ConflictKey())
+	})
+	fps := make([][]*Item, len(tasks))
+	var evens []Task
+	for i, task := range tasks {
+		fps[i] = task.(Footprinted).Footprint()
+		if i%2 == 0 {
+			evens = append(evens, task)
+		}
+	}
+	want := overlapNeighbors(fps)
+
+	e := NewExecutor(nil)
+	defer e.Close()
+	for _, task := range tasks {
+		e.Add(task)
+	}
+	var cs coloredState
+	checkDeclaredNeighbors(t, e.declare(&cs), want)
+	declare(evens) // restamps half the items under other dense indices
+	checkDeclaredNeighbors(t, e.declare(&cs), want)
+	reversed := slices.Clone(tasks)
+	slices.Reverse(reversed)
+	checkDeclaredNeighbors(t, declare(reversed), want)
+}
+
+// TestDeclareConcurrentExecutors: executors of different jobs declare at
+// once, each over its own items, sharing only the generation counter,
+// and each gets its own graph every time.
+func TestDeclareConcurrentExecutors(t *testing.T) {
+	const workers, declares = 4, 5
+	var want [workers][][]int32
+	var got [workers][declares]*ConflictGraph
+	var wg sync.WaitGroup
+	for w := range workers {
+		tasks := footprintedTasks(graph.RandomWithAvgDegree(rng.New(uint64(w+1)), 300, 6), true)
+		fps := make([][]*Item, len(tasks))
+		for i, task := range tasks {
+			fps[i] = task.(Footprinted).Footprint()
+		}
+		want[w] = overlapNeighbors(fps) // cc keys are the node IDs 0..299
+		e := NewExecutor(nil)
+		defer e.Close()
+		for _, task := range tasks {
+			e.Add(task)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var cs coloredState
+			for i := range declares {
+				got[w][i] = e.declare(&cs)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		for _, cg := range got[w] {
+			if cg == nil {
+				t.Fatalf("executor %d: declare refused", w)
+			}
+			checkDeclaredNeighbors(t, cg, want[w])
+		}
+	}
+}
+
+// TestDeclareAllocationsIndependentOfSize: the builder chains and
+// walks through a fixed set of buffers — no map entry, slice or node
 // per item or per edge — so a graph sixteen times the size allocates the
 // same number of objects.
 func TestDeclareAllocationsIndependentOfSize(t *testing.T) {
@@ -187,4 +322,85 @@ func TestDeclareAllocationsIndependentOfSize(t *testing.T) {
 	if small, large := allocs(250), allocs(4000); small != large || large > 32 {
 		t.Fatalf("declare allocated %v objects at n=250 and %v at n=4000", small, large)
 	}
+}
+
+// FuzzDeclare reads footprints over a twelve-item pool from the fuzzer's
+// bytes — repeats within a footprint, items shared between keys, Seq
+// aliases (three items to each Seq) and a crowd of keys on one item that
+// can pass maxDeclaredHolders — and checks declare against brute force:
+// it refuses exactly when a count of holders or of distinct items
+// exceeds its bound; otherwise its graph is the pairwise pointer-overlap
+// graph, a second declare gives it again, its coloring is proper, and
+// covers accepts each footprint in reverse and rejects every other item.
+func FuzzDeclare(f *testing.F) {
+	f.Add(byte(0), []byte{2, 0, 1, 3, 1, 1, 4, 2, 5, 5, 0})
+	f.Add(byte(maxDeclaredHolders), []byte{1, 0})
+	f.Add(byte(maxDeclaredHolders-1), []byte{1, 0, 2, 4, 8})
+	f.Fuzz(func(t *testing.T, crowd byte, raw []byte) {
+		const poolSize = 12
+		pool := make([]*Item, poolSize)
+		for i := range pool {
+			pool[i] = NewItem(int64(i % 4))
+		}
+		var fps [][]*Item
+		for range int(crowd) % (maxDeclaredHolders + 8) {
+			fps = append(fps, pool[:1])
+		}
+		for extra := 0; len(raw) > 0 && extra < 64; extra++ {
+			n := min(int(raw[0]%8), len(raw)-1)
+			fp := make([]*Item, n)
+			for j, b := range raw[1 : 1+n] {
+				fp[j] = pool[b%poolSize]
+			}
+			fps = append(fps, fp)
+			raw = raw[1+n:]
+		}
+
+		holders := make(map[*Item]int)
+		for _, fp := range fps {
+			for j, it := range fp {
+				if !slices.Contains(fp[:j], it) {
+					holders[it]++
+				}
+			}
+		}
+		refuse := len(holders) > maxDeclaredItems
+		for _, h := range holders {
+			refuse = refuse || h > maxDeclaredHolders
+		}
+
+		// Keys grow with the index, so dense index i is fps[i]; adding the
+		// tasks in reverse keeps the batch out of key order.
+		e := NewExecutor(nil)
+		for i := len(fps) - 1; i >= 0; i-- {
+			e.Add(&stableChainTask{key: int64(3*i - 7), items: fps[i]})
+		}
+		var cs coloredState
+		cg := e.declare(&cs)
+		if (cg == nil) != refuse {
+			t.Fatalf("declare refused=%v over %d keys, brute force says %v", cg == nil, len(fps), refuse)
+		}
+		if cg == nil {
+			return
+		}
+		want := overlapNeighbors(fps)
+		checkDeclaredNeighbors(t, cg, want)
+		checkDeclaredNeighbors(t, e.declare(&cs), want)
+		colors, _ := graph.ColorCSR(cg.CSR(), nil, 2)
+		if !graph.IsProperColoring(cg.CSR(), colors) {
+			t.Fatal("the declared graph's coloring is not proper")
+		}
+		for i, fp := range fps {
+			reversed := slices.Clone(fp)
+			slices.Reverse(reversed)
+			if !cg.covers(int32(i), reversed) {
+				t.Fatalf("key %d: covers rejects its footprint reversed", i)
+			}
+			for _, it := range pool {
+				if !slices.Contains(fp, it) && cg.covers(int32(i), []*Item{it}) {
+					t.Fatalf("key %d: covers accepts an item it did not declare", i)
+				}
+			}
+		}
+	})
 }

@@ -74,9 +74,9 @@ func (n *graphNode) commit() {
 }
 
 // edgeSeq tags the item of edge {u, v}. +1 on the high half keeps edge
-// Seqs disjoint from node Seqs: the edge (0, v) would otherwise collide
-// with node v, which would corrupt Seq-keyed diagnostics and the
-// declared conflict graph (footprints are compared by Seq).
+// Seqs disjoint from node Seqs: the edge (0, v) would otherwise carry
+// node v's tag, and a conflict error naming it would be ambiguous.
+// Items are told apart by pointer, so the tags are only diagnostics.
 func edgeSeq(u, v int) int64 {
 	if u > v {
 		u, v = v, u

@@ -120,9 +120,16 @@ const noOwner int64 = -1
 // ready; use NewItem.
 type Item struct {
 	owner atomic.Int64
-	// Seq is an optional caller-visible tag (e.g. graph node ID) used in
-	// diagnostics.
+	// Seq is an optional caller-visible tag (e.g. graph node ID) for
+	// diagnostics and conflict errors. Nothing tells items apart by it:
+	// two distinct items may carry the same Seq.
 	Seq int64
+	// gen and head are the item's slot in the conflict-graph builder
+	// (ConflictGraph.build): the build that last chained the item, and
+	// the index of its latest holding there. Only declare touches them,
+	// on the drive goroutine of the one executor the item belongs to.
+	gen  uint64
+	head int32
 }
 
 // NewItem returns an unowned item with the given diagnostic tag.
