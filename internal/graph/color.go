@@ -1,45 +1,20 @@
 package graph
 
-import (
-	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
-)
+import "slices"
 
 // This file implements the coloring kernel behind the executor's colored
-// mode: a Rokos-style speculative parallel graph coloring over a CSR
-// snapshot. Workers first-fit color their shard of the worklist
-// optimistically (reading neighbor colors that other workers may be
-// writing), then a detection sweep finds edges whose endpoints collided
-// and re-queues only the defective endpoints; the loop repeats until the
-// coloring is proper. Both phases reuse CSRScratch's epoch-marked arrays
-// so repeated colorings stop allocating once the pool is warm.
-
-// maxColorIters bounds the speculative detect-and-recolor loop. Rokos et
-// al. observe convergence in a handful of rounds; if the cap is ever hit
-// the remaining defects are fixed by one serial pass, which restores a
-// proper coloring unconditionally.
-const maxColorIters = 32
-
-// colorParallelCutoff is the snapshot size below which the serial
-// first-fit path is used regardless of the requested worker count: the
-// per-iteration goroutine fan-out costs more than coloring the whole
-// graph in place.
-const colorParallelCutoff = 2048
+// mode: serial first-fit over a CSR snapshot in dense-index order. The
+// forbidden-color marks live in CSRScratch's epoch-marked array, so
+// repeated colorings stop allocating once the pool is warm.
 
 // ColorCSR assigns a proper vertex coloring to the snapshot and returns
 // the color array (dense index -> color in [0, numColors)) plus the
 // number of colors used. The colors buffer is reused when its capacity
 // suffices, so steady-state re-colorings of same-sized snapshots do not
-// allocate. workers ≤ 0 means GOMAXPROCS; one worker (or a small graph)
-// takes the deterministic serial first-fit path.
-//
-// The coloring always uses at most maxDegree+1 colors: every first-fit
-// pick, speculative or not, avoids only the ≤ deg(v) colors observed on
-// v's neighbors. Parallel runs may produce different (still proper)
-// colorings from run to run; serial runs are deterministic.
-func ColorCSR(c *CSR, colors []int32, workers int) ([]int32, int) {
+// allocate. Each node, in dense-index order, takes the smallest color no
+// earlier neighbor holds: the coloring is a pure function of the
+// snapshot and uses at most maxDegree+1 colors.
+func ColorCSR(c *CSR, colors []int32) ([]int32, int) {
 	n := c.NumNodes()
 	if cap(colors) >= n {
 		colors = colors[:n]
@@ -49,23 +24,15 @@ func ColorCSR(c *CSR, colors []int32, workers int) ([]int32, int) {
 	for i := range colors {
 		colors[i] = -1
 	}
-	if n == 0 {
-		return colors, 0
+	s := csrScratchPool.Get().(*CSRScratch)
+	s.ensure(c)
+	numColors := 0
+	for v := int32(0); v < int32(n); v++ {
+		colors[v] = firstFree(c, colors, v, s)
+		numColors = max(numColors, int(colors[v])+1)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || n < colorParallelCutoff {
-		s := csrScratchPool.Get().(*CSRScratch)
-		s.ensure(c)
-		for v := int32(0); v < int32(n); v++ {
-			colors[v] = firstFree(c, colors, v, s)
-		}
-		csrScratchPool.Put(s)
-		return colors, countColors(colors)
-	}
-	colorParallel(c, colors, workers)
-	return colors, countColors(colors)
+	csrScratchPool.Put(s)
+	return colors, numColors
 }
 
 // firstFree returns the smallest color not used by any colored neighbor
@@ -84,127 +51,6 @@ func firstFree(c *CSR, colors []int32, v int32, s *CSRScratch) int32 {
 			return col
 		}
 	}
-}
-
-// firstFreeAtomic is firstFree with atomic neighbor reads, for the
-// speculative phase where other workers may be writing neighbor colors
-// concurrently. A stale read can at worst cause a detectable conflict;
-// it can never push the pick past deg(v) distinct forbidden colors, so
-// the maxDegree+1 bound survives the races.
-func firstFreeAtomic(c *CSR, colors []int32, v int32, s *CSRScratch) int32 {
-	s.epoch++
-	e := s.epoch
-	for _, u := range c.nbrs[c.offsets[v]:c.offsets[v+1]] {
-		if cu := atomic.LoadInt32(&colors[u]); cu >= 0 {
-			s.mark[cu] = e
-		}
-	}
-	for col := int32(0); ; col++ {
-		if s.mark[col] != e {
-			return col
-		}
-	}
-}
-
-// colorParallel runs the speculative detect-and-recolor loop.
-func colorParallel(c *CSR, colors []int32, workers int) {
-	n := c.NumNodes()
-	work := make([]int32, n)
-	for i := range work {
-		work[i] = int32(i)
-	}
-	// Per-worker defect buffers, reused across iterations.
-	defects := make([][]int32, workers)
-
-	var wg sync.WaitGroup
-	for iter := 0; iter < maxColorIters && len(work) > 0; iter++ {
-		// Phase 1: speculative first-fit over worklist shards. Writes are
-		// atomic so concurrent neighbor reads are race-free; collisions
-		// are caught by phase 2.
-		shard := (len(work) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * shard
-			if lo >= len(work) {
-				break
-			}
-			hi := lo + shard
-			if hi > len(work) {
-				hi = len(work)
-			}
-			wg.Add(1)
-			go func(part []int32) {
-				defer wg.Done()
-				s := csrScratchPool.Get().(*CSRScratch)
-				s.ensure(c)
-				for _, v := range part {
-					atomic.StoreInt32(&colors[v], firstFreeAtomic(c, colors, v, s))
-				}
-				csrScratchPool.Put(s)
-			}(work[lo:hi])
-		}
-		wg.Wait()
-
-		// Phase 2: detect defective endpoints. For a monochromatic edge
-		// the lower dense index keeps its color and the higher one is
-		// re-queued, so every conflict shrinks by at least one endpoint.
-		// Colors are quiescent here; plain reads are safe.
-		for w := 0; w < workers; w++ {
-			lo := w * shard
-			if lo >= len(work) {
-				break
-			}
-			hi := lo + shard
-			if hi > len(work) {
-				hi = len(work)
-			}
-			if defects[w] == nil {
-				defects[w] = make([]int32, 0, hi-lo)
-			}
-			wg.Add(1)
-			go func(w int, part []int32) {
-				defer wg.Done()
-				d := defects[w][:0]
-				for _, v := range part {
-					cv := colors[v]
-					for _, u := range c.nbrs[c.offsets[v]:c.offsets[v+1]] {
-						if u < v && colors[u] == cv {
-							d = append(d, v)
-							break
-						}
-					}
-				}
-				defects[w] = d
-			}(w, work[lo:hi])
-		}
-		wg.Wait()
-
-		work = work[:0]
-		for w := 0; w < workers; w++ {
-			work = append(work, defects[w]...)
-		}
-	}
-
-	// Serial cleanup for any defects surviving the iteration cap: each
-	// recolor avoids all current neighbor colors, so one pass restores a
-	// proper coloring.
-	if len(work) > 0 {
-		s := csrScratchPool.Get().(*CSRScratch)
-		s.ensure(c)
-		for _, v := range work {
-			colors[v] = firstFree(c, colors, v, s)
-		}
-		csrScratchPool.Put(s)
-	}
-}
-
-func countColors(colors []int32) int {
-	max := int32(-1)
-	for _, col := range colors {
-		if col > max {
-			max = col
-		}
-	}
-	return int(max + 1)
 }
 
 // IsProperColoring reports whether colors assigns every snapshotted node

@@ -25,6 +25,7 @@ func colorTestGraphs() map[string]*Graph {
 		"geometric": RandomGeometric(r, 300, 0.1),
 		"ws":        WattsStrogatz(r, 256, 6, 0.2),
 		"ba":        BarabasiAlbert(r, 256, 4),
+		"large":     RandomWithAvgDegree(rng.New(3), 6000, 12.0),
 	}
 }
 
@@ -50,23 +51,21 @@ func classIndependence(t *testing.T, g *Graph, c *CSR, colors []int32, numColors
 
 func TestColorCSRProper(t *testing.T) {
 	for name, g := range colorTestGraphs() {
-		for _, workers := range []int{1, 4} {
-			c := NewCSR(g)
-			colors, numColors := ColorCSR(c, nil, workers)
-			if !IsProperColoring(c, colors) && c.NumNodes() > 0 {
-				t.Fatalf("%s workers=%d: coloring not proper", name, workers)
-			}
-			if maxDeg := MaxDegreeCSR(c); numColors > maxDeg+1 && c.NumNodes() > 0 {
-				t.Fatalf("%s workers=%d: %d colors exceeds maxDeg+1=%d", name, workers, numColors, maxDeg+1)
-			}
-			classIndependence(t, g, c, colors, numColors)
+		c := NewCSR(g)
+		colors, numColors := ColorCSR(c, nil)
+		if !IsProperColoring(c, colors) && c.NumNodes() > 0 {
+			t.Fatalf("%s: coloring not proper", name)
 		}
+		if maxDeg := MaxDegreeCSR(c); numColors > maxDeg+1 && c.NumNodes() > 0 {
+			t.Fatalf("%s: %d colors exceeds maxDeg+1=%d", name, numColors, maxDeg+1)
+		}
+		classIndependence(t, g, c, colors, numColors)
 	}
 }
 
 func TestColorCSRCompleteUsesNColors(t *testing.T) {
 	c := NewCSR(Complete(7))
-	_, numColors := ColorCSR(c, nil, 1)
+	_, numColors := ColorCSR(c, nil)
 	if numColors != 7 {
 		t.Fatalf("K7 colored with %d colors, want 7", numColors)
 	}
@@ -75,8 +74,8 @@ func TestColorCSRCompleteUsesNColors(t *testing.T) {
 func TestColorCSRSerialDeterministic(t *testing.T) {
 	g := RandomWithAvgDegree(rng.New(9), 500, 10.0)
 	c := NewCSR(g)
-	a, na := ColorCSR(c, nil, 1)
-	b, nb := ColorCSR(c, nil, 1)
+	a, na := ColorCSR(c, nil)
+	b, nb := ColorCSR(c, nil)
 	if na != nb {
 		t.Fatalf("serial color counts differ: %d vs %d", na, nb)
 	}
@@ -91,26 +90,9 @@ func TestColorCSRReusesBuffer(t *testing.T) {
 	g := Grid2D(8, 8)
 	c := NewCSR(g)
 	buf := make([]int32, 0, 128)
-	colors, _ := ColorCSR(c, buf, 1)
+	colors, _ := ColorCSR(c, buf)
 	if &colors[:cap(buf)][0] != &buf[:cap(buf)][0] {
 		t.Fatal("ColorCSR allocated a new buffer despite sufficient capacity")
-	}
-}
-
-// TestColorCSRParallelLarge forces the parallel detect-and-recolor path
-// (above colorParallelCutoff) and checks properness + the degree bound.
-func TestColorCSRParallelLarge(t *testing.T) {
-	g := RandomWithAvgDegree(rng.New(3), 6000, 12.0)
-	c := NewCSR(g)
-	for _, workers := range []int{2, 4, 8} {
-		colors, numColors := ColorCSR(c, nil, workers)
-		if !IsProperColoring(c, colors) {
-			t.Fatalf("workers=%d: parallel coloring not proper", workers)
-		}
-		if maxDeg := MaxDegreeCSR(c); numColors > maxDeg+1 {
-			t.Fatalf("workers=%d: %d colors exceeds maxDeg+1=%d", workers, numColors, maxDeg+1)
-		}
-		classIndependence(t, g, c, colors, numColors)
 	}
 }
 
@@ -143,7 +125,7 @@ func TestNewCSRFromEdges(t *testing.T) {
 			t.Fatalf("edge %v missing from CSR adjacency", e)
 		}
 	}
-	colors, numColors := ColorCSR(c, nil, 1)
+	colors, numColors := ColorCSR(c, nil)
 	if !IsProperColoring(c, colors) {
 		t.Fatal("coloring of edge-list CSR not proper")
 	}
@@ -154,8 +136,8 @@ func TestNewCSRFromEdges(t *testing.T) {
 
 // FuzzColorCSR mirrors FuzzCSRGreedyMIS: drive a graph through an
 // arbitrary mutation script, snapshot to CSR, and assert ColorCSR
-// produces a proper coloring within the maxDegree+1 bound on both the
-// serial and parallel paths, with every class independent.
+// produces a proper coloring within the maxDegree+1 bound, with every
+// class independent.
 func FuzzColorCSR(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint64(7), []byte{1, 0, 1, 1, 1, 2, 2, 0, 0, 5, 3, 1})
@@ -183,21 +165,19 @@ func FuzzColorCSR(f *testing.F) {
 			}
 		}
 		c := NewCSR(g)
-		for _, workers := range []int{1, 3} {
-			colors, numColors := ColorCSR(c, nil, workers)
-			if c.NumNodes() == 0 {
-				if numColors != 0 {
-					t.Fatalf("empty snapshot used %d colors", numColors)
-				}
-				continue
+		colors, numColors := ColorCSR(c, nil)
+		if c.NumNodes() == 0 {
+			if numColors != 0 {
+				t.Fatalf("empty snapshot used %d colors", numColors)
 			}
-			if !IsProperColoring(c, colors) {
-				t.Fatalf("workers=%d: coloring not proper", workers)
-			}
-			if maxDeg := MaxDegreeCSR(c); numColors > maxDeg+1 {
-				t.Fatalf("workers=%d: %d colors exceeds maxDeg+1=%d", workers, numColors, maxDeg+1)
-			}
-			classIndependence(t, g, c, colors, numColors)
+			return
 		}
+		if !IsProperColoring(c, colors) {
+			t.Fatal("coloring not proper")
+		}
+		if maxDeg := MaxDegreeCSR(c); numColors > maxDeg+1 {
+			t.Fatalf("%d colors exceeds maxDeg+1=%d", numColors, maxDeg+1)
+		}
+		classIndependence(t, g, c, colors, numColors)
 	})
 }

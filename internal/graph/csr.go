@@ -244,8 +244,9 @@ func (c *CSR) MISMoments(r *rng.Rand, m, reps, workers int) (sum, sumSq int64) {
 	return sum, sumSq
 }
 
-// csrScratchPool recycles worker scratch across MISMoments calls, so
-// repeated estimates (curves, bisections) stop allocating once warm.
+// csrScratchPool recycles worker scratch across MISMoments and ColorCSR
+// calls, so repeated estimates (curves, bisections) and re-colorings stop
+// allocating once warm.
 var csrScratchPool = sync.Pool{New: func() any { return new(CSRScratch) }}
 
 func misMomentsSerial(c *CSR, r *rng.Rand, m, reps int) (sum, sumSq int64) {

@@ -288,7 +288,7 @@ func BenchmarkDeclaredGraph(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cg := e.declare(&cs)
-			cs.colors, _ = graph.ColorCSR(cg.CSR(), cs.colors, 2)
+			cs.colors, _ = graph.ColorCSR(cg.CSR(), cs.colors)
 		}
 	})
 	b.Run("round-drain", func(b *testing.B) {

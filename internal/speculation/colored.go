@@ -105,7 +105,7 @@ func (e *Executor) driveColored(d *drive) {
 		if cg == nil {
 			break
 		}
-		cs.colors, res.Colors = graph.ColorCSR(cg.CSR(), cs.colors, e.MaxParallel)
+		cs.colors, res.Colors = graph.ColorCSR(cg.CSR(), cs.colors)
 		cs.prepare(cg, res.Colors)
 		res.Colorings++
 

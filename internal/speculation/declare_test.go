@@ -132,7 +132,7 @@ func TestDeclaredColoringClassesDisjoint(t *testing.T) {
 		}
 		var cs coloredState
 		cg := e.declare(&cs)
-		colors, numColors := graph.ColorCSR(cg.CSR(), nil, 2)
+		colors, numColors := graph.ColorCSR(cg.CSR(), nil)
 		holder := make([]map[*Item]int64, numColors)
 		for i := range holder {
 			holder[i] = make(map[*Item]int64)
@@ -386,7 +386,7 @@ func FuzzDeclare(f *testing.F) {
 		want := overlapNeighbors(fps)
 		checkDeclaredNeighbors(t, cg, want)
 		checkDeclaredNeighbors(t, e.declare(&cs), want)
-		colors, _ := graph.ColorCSR(cg.CSR(), nil, 2)
+		colors, _ := graph.ColorCSR(cg.CSR(), nil)
 		if !graph.IsProperColoring(cg.CSR(), colors) {
 			t.Fatal("the declared graph's coloring is not proper")
 		}

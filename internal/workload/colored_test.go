@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -48,9 +49,8 @@ func TestDrainColoredUnsupported(t *testing.T) {
 }
 
 // driveColored drains the named workload in colored mode and returns
-// its trajectory, the colored result, and the number of attempts its
-// colored super-rounds launched.
-func driveColored(t *testing.T, name string, p Params) (*Run, *speculation.AdaptiveResult, *speculation.ColoredResult, int64) {
+// its trajectory, the colored result, and its samples.
+func driveColored(t *testing.T, name string, p Params) (*Run, *speculation.AdaptiveResult, *speculation.ColoredResult, []speculation.Sample) {
 	t.Helper()
 	run, err := New(name, p)
 	if err != nil {
@@ -60,13 +60,9 @@ func driveColored(t *testing.T, name string, p Params) (*Run, *speculation.Adapt
 	if err != nil {
 		t.Fatal(err)
 	}
-	var coloredLaunched int64
+	var samples []speculation.Sample
 	res, cres, err := DrainColored(context.Background(), run.Stepper, c, speculation.ColoredOptions{
-		OnRound: func(cr speculation.ColoredRound) {
-			if cr.Colored {
-				coloredLaunched += int64(cr.Launched)
-			}
-		},
+		OnRound: func(s speculation.Sample) { samples = append(samples, s) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +70,7 @@ func driveColored(t *testing.T, name string, p Params) (*Run, *speculation.Adapt
 	if run.Stepper.Pending() != 0 {
 		t.Fatalf("colored drive left %d pending", run.Stepper.Pending())
 	}
-	return run, res, cres, coloredLaunched
+	return run, res, cres, samples
 }
 
 // TestColoredEquivalence is the colored-mode acceptance run wired into
@@ -89,8 +85,14 @@ func driveColored(t *testing.T, name string, p Params) (*Run, *speculation.Adapt
 func TestColoredEquivalence(t *testing.T) {
 	p := Params{Size: 600, Seed: 11, Parallel: 4}
 
-	run, _, cres, coloredLaunched := driveColored(t, "stable", p)
+	run, _, cres, samples := driveColored(t, "stable", p)
 	defer run.Stepper.Close()
+	var coloredLaunched int64
+	for _, s := range samples {
+		if s.Colored {
+			coloredLaunched += int64(s.Launched)
+		}
+	}
 	if cres.Fallbacks != 0 {
 		t.Fatalf("stable workload tripped staleness: %+v", cres)
 	}
@@ -130,25 +132,38 @@ func TestColoredEquivalence(t *testing.T) {
 }
 
 // TestColoredAppWorkloads drives the colored-capable application
-// workloads in colored mode and checks their oracles still hold. cc
-// declares its footprints, so every commit is colored. mesh and cluster
-// do not declare, so their colored drive is a round drive: at Parallel
-// 1, where a drive is a function of the seed, its per-sample (M, R,
-// Committed) series is Drain's, and nothing is colored.
+// workloads in colored mode and checks their oracles still hold. cc and
+// stable declare their footprints, so every commit is colored, and the
+// coloring and the classes are a function of the declarations: a
+// declared drive is the same at Parallel 1, 2 and 0, sample for sample.
+// mesh and cluster do not declare, so their colored drive is a round
+// drive: at Parallel 1, where a drive is a function of the seed, its
+// per-sample (M, R, Committed) series is Drain's, and nothing is
+// colored.
 func TestColoredAppWorkloads(t *testing.T) {
-	for _, name := range []string{"mesh", "cluster", "cc"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	type input struct {
+		name string
+		size int
+		seed uint64
+	}
+	inputs := []input{{"mesh", smallSize["mesh"], 1}, {"cluster", smallSize["cluster"], 1}, {"cc", smallSize["cc"], 1}}
+	for seed := uint64(1); seed <= 3; seed++ {
+		inputs = append(inputs, input{"cc", 10000, seed}, input{"stable", 4000, seed})
+	}
+	for _, in := range inputs {
+		label := in.name
+		if in.size != smallSize[in.name] {
+			label = fmt.Sprintf("%s-%d-seed%d", in.name, in.size, in.seed)
+		}
+		t.Run(label, func(t *testing.T) {
 			t.Parallel()
+			name := in.name
 			if !Supports(name, CapColored) {
 				t.Fatalf("%s lost its CapColored flag", name)
 			}
-			declares := name == "cc"
-			p := Params{Size: smallSize[name], Seed: 1, Parallel: 2}
-			if !declares {
-				p.Parallel = 1
-			}
-			run, res, cres, _ := driveColored(t, name, p)
+			declares := name == "cc" || name == "stable"
+			p := Params{Size: in.size, Seed: in.seed, Parallel: 1}
+			run, res, cres, samples := driveColored(t, name, p)
 			defer run.Stepper.Close()
 			if _, err := run.Verify(); err != nil {
 				t.Fatalf("oracle after colored drive: %v", err)
@@ -157,6 +172,19 @@ func TestColoredAppWorkloads(t *testing.T) {
 				if cres.SpecRounds != 0 || cres.ColoredCommits != cres.Committed {
 					t.Fatalf("%s declares, yet %d speculative rounds and %d of %d commits colored",
 						name, cres.SpecRounds, cres.ColoredCommits, cres.Committed)
+				}
+				for _, par := range []int{2, 0} {
+					p.Parallel = par
+					other, _, ores, osamples := driveColored(t, name, p)
+					_, verr := other.Verify()
+					other.Stepper.Close()
+					if verr != nil {
+						t.Fatalf("oracle after colored drive at Parallel %d: %v", par, verr)
+					}
+					if *ores != *cres || !slices.Equal(osamples, samples) {
+						t.Fatalf("%s declared drive depends on Parallel: %d gave %+v in %d samples, 1 gave %+v in %d",
+							label, par, *ores, len(osamples), *cres, len(samples))
+					}
 				}
 				return
 			}
