@@ -115,18 +115,6 @@ func BenchmarkFig3RecurrenceB(b *testing.B) {
 	})
 }
 
-func BenchmarkFig3Bisection(b *testing.B) {
-	benchController(b, func() control.Controller {
-		return control.NewBisection(0.20, 2)
-	})
-}
-
-func BenchmarkFig3AIMD(b *testing.B) {
-	benchController(b, func() control.Controller {
-		return control.NewAIMD(0.20, 2)
-	})
-}
-
 // --- §4.1 ablations ---------------------------------------------------
 
 func benchAblation(b *testing.B, mutate func(*control.HybridConfig)) {

@@ -8,7 +8,7 @@
 //	apprun -app mesh    -ctrl hybrid -rho 0.25
 //	apprun -app boruvka -ctrl fixed -m 64
 //	apprun -app sp      -ctrl recurrence-a
-//	apprun -app cluster -ctrl bisection
+//	apprun -app cluster -ctrl recurrence-b
 //	apprun -app des     -ctrl hybrid       # ordered (§5 future work)
 //	apprun -app all     -ctrl hybrid
 //
@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"repro/internal/control"
 	"repro/internal/speculation"
@@ -50,7 +51,7 @@ import (
 
 func main() {
 	app := flag.String("app", "all", "mesh | boruvka | sp | cluster | des | maxflow | stable | all")
-	ctrlName := flag.String("ctrl", "hybrid", "hybrid | model-based | recurrence-a | recurrence-b | bisection | aimd | fixed")
+	ctrlName := flag.String("ctrl", "hybrid", strings.Join(workload.ControllerNames(), " | "))
 	rho := flag.Float64("rho", 0.25, "target conflict ratio")
 	fixedM := flag.Int("m", 32, "processor count for -ctrl fixed")
 	size := flag.Int("size", 1000, "workload size parameter")
@@ -74,10 +75,6 @@ func main() {
 	}
 
 	newCtrl := func() control.Controller {
-		if !workload.HasController(*ctrlName) {
-			fmt.Fprintf(os.Stderr, "unknown controller %q\n", *ctrlName)
-			os.Exit(2)
-		}
 		c, err := workload.NewController(*ctrlName,
 			workload.ControllerParams{Rho: *rho, FixedM: *fixedM})
 		if err != nil {

@@ -161,11 +161,10 @@ func runConverge(n int, seed uint64, workers int) {
 				return float64(tr.ConvergenceStep(float64(mu), 0.30, 8))
 			}
 			row := []float64{d, rho, float64(mu)}
-			for _, name := range []string{"hybrid", "model-based", "recurrence-a",
-				"recurrence-b", "bisection", "aimd"} {
+			for _, name := range []string{"hybrid", "model-based", "recurrence-a", "recurrence-b"} {
 				row = append(row, step(mustCtrl(name, workload.ControllerParams{Rho: rho})))
 			}
-			tbl.AddRow(row...)
+			tbl.AddRow(append(row, step(newBisection(rho, 2)), step(newAIMD(rho, 2)))...)
 		}
 	}
 	mustWrite(tbl)

@@ -40,3 +40,28 @@ func TestGoldenApprun(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenControlsim pins controlsim's -fig3, -converge and -ablate
+// tables on a small graph at -workers 1, where the Monte Carlo μ probes
+// run on one goroutine and every table is a pure function of the seed
+// (at -workers 2 it is not). They cover every registered adaptive
+// controller and controlsim's own baselines, so a byte difference from
+// testdata/controlsim means a controller's decisions changed.
+func TestGoldenControlsim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary; skipped in -short mode")
+	}
+	bin := buildCmd(t, "controlsim")
+	for _, exp := range []string{"fig3", "converge", "ablate"} {
+		args := []string{"-" + exp, "-n", "400", "-rounds", "60", "-workers", "1"}
+		t.Run(exp, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "controlsim", exp+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := run(t, bin, args...); got != string(want) {
+				t.Errorf("controlsim %v\n got:\n%s\nwant:\n%s", args, got, want)
+			}
+		})
+	}
+}

@@ -1,8 +1,8 @@
 // Package control implements the paper's processor-allocation controllers
-// (§4): the hybrid Algorithm 1 — the paper's contribution — plus the two
-// recurrences it hybridizes (Recurrence A, Eq. 32; Recurrence B, Eq. 33),
-// a bisection controller derived from the monotonicity of r̄ (Eq. 30), and
-// fixed-m / AIMD baselines used in ablation experiments.
+// (§4): the hybrid Algorithm 1 — the paper's contribution — with presets
+// that keep only one of the two recurrences it hybridizes (Recurrence A,
+// Eq. 32; Recurrence B, Eq. 33), the model-based §5-outlook controller,
+// and the fixed-m baseline.
 //
 // A Controller is a pure state machine: M() yields the number of
 // processors to launch this round, Observe(r) feeds back the measured
@@ -125,10 +125,11 @@ func (c HybridConfig) Validate() error {
 // no change inside the α₁ dead-band (which avoids steady-state jitter
 // that would churn task-to-processor locality, §4.1).
 type Hybrid struct {
-	cfg HybridConfig
-	m   int
-	acc float64 // sum of observed ratios in the current window
-	cnt int     // observations in the current window
+	cfg  HybridConfig
+	name string
+	m    int
+	acc  float64 // sum of observed ratios in the current window
+	cnt  int     // observations in the current window
 
 	// Updates counts window-boundary decisions, split by which rule
 	// fired; exposed for ablation reporting.
@@ -141,11 +142,33 @@ func NewHybrid(cfg HybridConfig) *Hybrid {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Hybrid{cfg: cfg, m: Clamp(cfg.M0, cfg.MMin, cfg.MMax)}
+	return &Hybrid{cfg: cfg, name: "hybrid", m: Clamp(cfg.M0, cfg.MMin, cfg.MMax)}
+}
+
+// NewRecurrenceA is Algorithm 1 with only Recurrence A (Eq. 32) left:
+// α₀ = +∞ so B never fires, α₁ = 0 so A fires on every window that
+// misses ρ, and no small-m regime. It is the Fig. 3 comparison baseline.
+func NewRecurrenceA(rho float64, m0 int) *Hybrid {
+	return newPreset("recurrence-a", rho, m0, math.Inf(1))
+}
+
+// NewRecurrenceB is Algorithm 1 with only Recurrence B (Eq. 33) left:
+// α₀ = α₁ = 0 so B, with its r_min floor, fires on every window that
+// misses ρ, and no small-m regime. Fast but noisy.
+func NewRecurrenceB(rho float64, m0 int) *Hybrid {
+	return newPreset("recurrence-b", rho, m0, 0)
+}
+
+func newPreset(name string, rho float64, m0 int, alpha0 float64) *Hybrid {
+	cfg := DefaultHybridConfig(rho)
+	cfg.M0, cfg.Alpha0, cfg.Alpha1, cfg.SmallMThreshold = m0, alpha0, 0, 0
+	h := NewHybrid(cfg)
+	h.name = name
+	return h
 }
 
 // Name implements Controller.
-func (h *Hybrid) Name() string { return "hybrid" }
+func (h *Hybrid) Name() string { return h.name }
 
 // M implements Controller.
 func (h *Hybrid) M() int { return h.m }
@@ -204,137 +227,6 @@ func (h *Hybrid) Observe(r float64) {
 	h.m = Clamp(h.m, h.cfg.MMin, h.cfg.MMax)
 }
 
-// RecurrenceA is the pure Recurrence A controller (Eq. 32) with the same
-// T-averaging as the hybrid; used as the comparison baseline of Fig. 3.
-type RecurrenceA struct {
-	Rho        float64
-	MMin, MMax int
-	T          int
-	m          int
-	acc        float64
-	cnt        int
-}
-
-// NewRecurrenceA builds the baseline with paper-default clamps.
-func NewRecurrenceA(rho float64, m0 int) *RecurrenceA {
-	return &RecurrenceA{Rho: rho, MMin: 2, MMax: 1024, T: 4, m: m0}
-}
-
-// Name implements Controller.
-func (c *RecurrenceA) Name() string { return "recurrence-a" }
-
-// M implements Controller.
-func (c *RecurrenceA) M() int { return c.m }
-
-// Observe implements Controller.
-func (c *RecurrenceA) Observe(r float64) {
-	c.acc += r
-	c.cnt++
-	if c.cnt < c.T {
-		return
-	}
-	avg := c.acc / float64(c.cnt)
-	c.acc, c.cnt = 0, 0
-	c.m = Clamp(int(math.Ceil((1-avg+c.Rho)*float64(c.m))), c.MMin, c.MMax)
-}
-
-// RecurrenceB is the pure Recurrence B controller (Eq. 33) with
-// T-averaging and the r_min floor. Fast but noisy — the other half of
-// the hybrid.
-type RecurrenceB struct {
-	Rho        float64
-	RMin       float64
-	MMin, MMax int
-	T          int
-	m          int
-	acc        float64
-	cnt        int
-}
-
-// NewRecurrenceB builds the baseline with paper-default clamps.
-func NewRecurrenceB(rho float64, m0 int) *RecurrenceB {
-	return &RecurrenceB{Rho: rho, RMin: 0.03, MMin: 2, MMax: 1024, T: 4, m: m0}
-}
-
-// Name implements Controller.
-func (c *RecurrenceB) Name() string { return "recurrence-b" }
-
-// M implements Controller.
-func (c *RecurrenceB) M() int { return c.m }
-
-// Observe implements Controller.
-func (c *RecurrenceB) Observe(r float64) {
-	c.acc += r
-	c.cnt++
-	if c.cnt < c.T {
-		return
-	}
-	avg := c.acc / float64(c.cnt)
-	c.acc, c.cnt = 0, 0
-	if avg < c.RMin {
-		avg = c.RMin
-	}
-	c.m = Clamp(int(math.Ceil(c.Rho/avg*float64(c.m))), c.MMin, c.MMax)
-}
-
-// Bisection exploits Prop. 1 (monotonicity of r̄) per Eq. 30: it brackets
-// μ between a known-low and known-high processor count, doubling upward
-// until a bracket exists and then halving the bracket. Robust but slower
-// to converge than the hybrid, and it cannot track a drifting target
-// without re-bracketing (handled by widening on bracket violation).
-type Bisection struct {
-	Rho        float64
-	MMin, MMax int
-	T          int
-	m          int
-	lo, hi     int // hi == 0 means "no upper bracket yet"
-	acc        float64
-	cnt        int
-}
-
-// NewBisection builds the bisection controller.
-func NewBisection(rho float64, m0 int) *Bisection {
-	return &Bisection{Rho: rho, MMin: 2, MMax: 1024, T: 4, m: m0, lo: 2}
-}
-
-// Name implements Controller.
-func (c *Bisection) Name() string { return "bisection" }
-
-// M implements Controller.
-func (c *Bisection) M() int { return c.m }
-
-// Observe implements Controller.
-func (c *Bisection) Observe(r float64) {
-	c.acc += r
-	c.cnt++
-	if c.cnt < c.T {
-		return
-	}
-	avg := c.acc / float64(c.cnt)
-	c.acc, c.cnt = 0, 0
-	if avg < c.Rho {
-		// Current m is feasible: raise the floor.
-		if c.m > c.lo {
-			c.lo = c.m
-		}
-		if c.hi == 0 {
-			c.m = Clamp(c.m*2, c.MMin, c.MMax) // expansion phase
-			return
-		}
-	} else {
-		// Too many conflicts: m is an upper bracket.
-		if c.hi == 0 || c.m < c.hi {
-			c.hi = c.m
-		}
-		if c.hi <= c.lo { // target drifted below the old floor
-			c.lo = c.MMin
-		}
-	}
-	if c.hi != 0 {
-		c.m = Clamp((c.lo+c.hi)/2, c.MMin, c.MMax)
-	}
-}
-
 // Fixed always returns the same m — the non-adaptive allocation the paper
 // argues against for irregular algorithms.
 type Fixed struct{ Procs int }
@@ -347,102 +239,3 @@ func (c Fixed) M() int { return c.Procs }
 
 // Observe implements Controller.
 func (c Fixed) Observe(float64) {}
-
-// PI is a textbook proportional-integral controller on the error
-// e = ρ − r, actuating multiplicatively (the plant gain of r̄(m) scales
-// with m, so relative steps keep loop gain roughly constant). Included
-// as the classical-control baseline the paper's recurrences implicitly
-// compete with: Recurrence A is a pure proportional controller with
-// gain 1 in these coordinates.
-type PI struct {
-	Rho        float64
-	Kp, Ki     float64
-	MMin, MMax int
-	T          int
-
-	m        int
-	integral float64
-	acc      float64
-	cnt      int
-}
-
-// NewPI builds the PI baseline with conservative default gains.
-func NewPI(rho float64, m0 int) *PI {
-	return &PI{Rho: rho, Kp: 1.2, Ki: 0.3, MMin: 2, MMax: 1024, T: 4, m: m0}
-}
-
-// Name implements Controller.
-func (c *PI) Name() string { return "pi" }
-
-// M implements Controller.
-func (c *PI) M() int { return c.m }
-
-// Observe implements Controller.
-func (c *PI) Observe(r float64) {
-	c.acc += r
-	c.cnt++
-	if c.cnt < c.T {
-		return
-	}
-	avg := c.acc / float64(c.cnt)
-	c.acc, c.cnt = 0, 0
-	err := c.Rho - avg
-	c.integral += err
-	// Anti-windup: keep the integral inside actuation range.
-	if c.integral > 2 {
-		c.integral = 2
-	}
-	if c.integral < -2 {
-		c.integral = -2
-	}
-	factor := 1 + c.Kp*err + c.Ki*c.integral
-	if factor < 0.25 {
-		factor = 0.25
-	}
-	if factor > 4 {
-		factor = 4
-	}
-	c.m = Clamp(int(math.Ceil(float64(c.m)*factor)), c.MMin, c.MMax)
-}
-
-// AIMD is the congestion-control-style baseline: additive increase while
-// under target, multiplicative decrease when over. Included to situate
-// the paper's recurrences against the standard adaptive heuristic.
-type AIMD struct {
-	Rho        float64
-	Add        int     // additive step (default 2)
-	Mul        float64 // decrease factor in (0,1) (default 0.5)
-	MMin, MMax int
-	T          int
-	m          int
-	acc        float64
-	cnt        int
-}
-
-// NewAIMD builds the AIMD baseline.
-func NewAIMD(rho float64, m0 int) *AIMD {
-	return &AIMD{Rho: rho, Add: 2, Mul: 0.5, MMin: 2, MMax: 1024, T: 4, m: m0}
-}
-
-// Name implements Controller.
-func (c *AIMD) Name() string { return "aimd" }
-
-// M implements Controller.
-func (c *AIMD) M() int { return c.m }
-
-// Observe implements Controller.
-func (c *AIMD) Observe(r float64) {
-	c.acc += r
-	c.cnt++
-	if c.cnt < c.T {
-		return
-	}
-	avg := c.acc / float64(c.cnt)
-	c.acc, c.cnt = 0, 0
-	if avg <= c.Rho {
-		c.m += c.Add
-	} else {
-		c.m = int(float64(c.m) * c.Mul)
-	}
-	c.m = Clamp(c.m, c.MMin, c.MMax)
-}

@@ -204,6 +204,80 @@ func TestRecurrenceBUpdate(t *testing.T) {
 	}
 }
 
+// refRecurrence is a transcription of Eq. 32 (A) and Eq. 33 (B) on their
+// own: a T = 4 window, clamps [2, 1024], and the r_min = 0.03 floor on B.
+type refRecurrence struct {
+	b        bool
+	rho, acc float64
+	m, cnt   int
+}
+
+func (c *refRecurrence) observe(r float64) {
+	c.acc += r
+	c.cnt++
+	if c.cnt < 4 {
+		return
+	}
+	avg := c.acc / float64(c.cnt)
+	c.acc, c.cnt = 0, 0
+	next := (1 - avg + c.rho) * float64(c.m)
+	if c.b {
+		next = c.rho / math.Max(avg, 0.03) * float64(c.m)
+	}
+	c.m = Clamp(int(math.Ceil(next)), 2, 1024)
+}
+
+// The Recurrence A and B presets of Algorithm 1 take the same m as the
+// recurrences alone after every observation, on random windows that
+// include ones averaging exactly ρ (where the presets' dead-band of
+// width 0 holds m, and the recurrences leave it unchanged too).
+func TestRecurrencePresetsMatchEquations(t *testing.T) {
+	r := rng.New(7)
+	for _, rho := range []float64{0.05, 0.1, 0.2, 0.25, 0.3, 0.45} {
+		for _, b := range []bool{false, true} {
+			m0 := 2 + r.Intn(1023)
+			var c Controller = NewRecurrenceA(rho, m0)
+			if b {
+				c = NewRecurrenceB(rho, m0)
+			}
+			ref := &refRecurrence{b: b, rho: rho, m: m0}
+			exact := 0
+			for w := 0; w < 20000; w++ {
+				var win [4]float64
+				switch r.Intn(5) {
+				case 0: // averages exactly ρ
+					win = [4]float64{0, 2 * rho, 0, 2 * rho}
+				case 1:
+					win = [4]float64{rho, rho, rho, rho}
+				case 2: // near the target
+					for i := range win {
+						win[i] = rho * (0.9 + 0.2*r.Float64())
+					}
+				case 3: // no conflicts: B's r_min floor
+					win = [4]float64{}
+				default:
+					for i := range win {
+						win[i] = r.Float64()
+					}
+				}
+				if (win[0]+win[1]+win[2]+win[3])/4 == rho {
+					exact++
+				}
+				for _, x := range win {
+					c.Observe(x)
+					ref.observe(x)
+					if c.M() != ref.m {
+						t.Fatalf("%s ρ=%v window %d %v: m = %d, want %d", c.Name(), rho, w, win, c.M(), ref.m)
+					}
+				}
+			}
+			if exact == 0 {
+				t.Fatalf("%s ρ=%v: no window averaged exactly ρ", c.Name(), rho)
+			}
+		}
+	}
+}
+
 func TestFixedNeverMoves(t *testing.T) {
 	c := Fixed{Procs: 64}
 	for i := 0; i < 100; i++ {
@@ -211,34 +285,6 @@ func TestFixedNeverMoves(t *testing.T) {
 	}
 	if c.M() != 64 {
 		t.Fatal("fixed controller moved")
-	}
-}
-
-func TestAIMD(t *testing.T) {
-	c := NewAIMD(0.20, 10)
-	for i := 0; i < 4; i++ {
-		c.Observe(0.0)
-	}
-	if c.M() != 12 {
-		t.Fatalf("additive increase: m = %d, want 12", c.M())
-	}
-	for i := 0; i < 4; i++ {
-		c.Observe(0.9)
-	}
-	if c.M() != 6 {
-		t.Fatalf("multiplicative decrease: m = %d, want 6", c.M())
-	}
-}
-
-func TestBisectionConverges(t *testing.T) {
-	r := rng.New(1)
-	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	mu := TargetM(g, r.Split(), 0.20, 400, 1)
-	c := NewBisection(0.20, 2)
-	tr := RunLoopStatic(g, r, c, 400)
-	mean, _ := tr.SteadyStateStats(60)
-	if math.Abs(mean-float64(mu)) > 0.35*float64(mu) {
-		t.Fatalf("bisection steady state %v far from μ=%d", mean, mu)
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 // estimate of the CC graph's average degree d is available, starting at
 // m₀ = n/(2(d+1)) guarantees (by Cor. 3, α = 1/2) a worst-case conflict
 // ratio of at most ≈21.3 % — skipping most of the cold-start ramp of
-// m₀ = 2. When no a-priori d is available, DegreeEstimator recovers it
-// online from the first observed (m, r) pairs through Prop. 2's slope.
+// m₀ = 2.
 
 // NewHybridSmartStart returns Algorithm 1 initialized at the Cor. 3
 // safe allocation for a CC graph with n nodes and average degree d,
@@ -25,55 +24,11 @@ func NewHybridSmartStart(rho float64, n int, d float64) *Hybrid {
 	return NewHybrid(cfg)
 }
 
-// DegreeEstimator infers the CC graph's average degree from observed
-// (m, conflict-ratio) samples. In the initial linear regime (Fig. 2)
-// r̄(m) ≈ (m−1)·Δr̄(1) with Δr̄(1) = d/(2(n−1)) (Prop. 2), so each
-// sample yields d̂ = 2(n−1)·r/(m−1); samples are averaged weighted by
-// m−1 (larger rounds carry more signal).
-type DegreeEstimator struct {
-	N int // CC graph size (must be set)
-
-	sumWeighted float64
-	sumWeights  float64
-}
-
-// Observe feeds one round's processor count and measured conflict ratio.
-// Rounds with m < 2 carry no degree information and are ignored.
-func (e *DegreeEstimator) Observe(m int, r float64) {
-	if m < 2 || e.N < 2 {
-		return
-	}
-	w := float64(m - 1)
-	d := 2 * float64(e.N-1) * r / w
-	e.sumWeighted += w * d
-	e.sumWeights += w
-}
-
-// Degree returns the current estimate (0 if no informative samples).
-func (e *DegreeEstimator) Degree() float64 {
-	if e.sumWeights == 0 {
-		return 0
-	}
-	return e.sumWeighted / e.sumWeights
-}
-
-// Samples reports the accumulated weight (≈ informative observations).
-func (e *DegreeEstimator) Samples() float64 { return e.sumWeights }
-
-// SafeM returns the Cor. 3 safe allocation n/(2(d̂+1)) for the current
-// estimate, or fallback when no estimate exists yet.
-func (e *DegreeEstimator) SafeM(fallback int) int {
-	if e.sumWeights == 0 {
-		return fallback
-	}
-	return analytic.SuggestedInitialM(e.N, e.Degree())
-}
-
-// MaxAlphaFor inverts Cor. 3: the largest α such that the worst-case
+// maxAlphaFor inverts Cor. 3: the largest α such that the worst-case
 // conflict-ratio bound at m = α·n/(d+1) stays within rho. Found by
 // bisection (the bound is increasing in α). Returns 0 if even α→0
 // exceeds rho (impossible for rho > 0).
-func MaxAlphaFor(rho, d float64) float64 {
+func maxAlphaFor(rho, d float64) float64 {
 	if rho <= 0 {
 		return 0
 	}
@@ -101,7 +56,7 @@ func MaxAlphaFor(rho, d float64) float64 {
 // theory-backed allocation a conservative scheduler could use without
 // any feedback at all.
 func GuaranteedM(rho float64, n int, d float64) int {
-	alpha := MaxAlphaFor(rho, d)
+	alpha := maxAlphaFor(rho, d)
 	if math.IsInf(alpha, 1) {
 		return n
 	}

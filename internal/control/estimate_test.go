@@ -51,68 +51,25 @@ func TestSmartStartBeatsColdStart(t *testing.T) {
 	}
 }
 
-func TestDegreeEstimatorRecoversDegree(t *testing.T) {
-	r := rng.New(2)
-	const n = 2000
-	for _, d := range []float64{8, 16, 32} {
-		g := graph.RandomWithAvgDegree(r, n, d)
-		est := &DegreeEstimator{N: n}
-		mc := sched.NewEstimator(g, 1)
-		// Feed measured ratios at small m (the linear regime).
-		for _, m := range []int{4, 8, 16, 32} {
-			ratio := mc.ConflictRatio(r, m, 2000)
-			est.Observe(m, ratio)
-		}
-		got := est.Degree()
-		if math.Abs(got-d) > 0.35*d {
-			t.Errorf("d=%v: estimated %v", d, got)
-		}
-	}
-}
-
-func TestDegreeEstimatorIgnoresUninformative(t *testing.T) {
-	est := &DegreeEstimator{N: 100}
-	est.Observe(1, 0.5) // m=1 carries no signal
-	est.Observe(0, 0.5)
-	if est.Degree() != 0 || est.Samples() != 0 {
-		t.Fatal("uninformative samples counted")
-	}
-	if est.SafeM(7) != 7 {
-		t.Fatal("fallback not used")
-	}
-	est.Observe(2, 0.1)
-	if est.Degree() <= 0 {
-		t.Fatal("informative sample ignored")
-	}
-	if est.SafeM(7) == 7 && est.Degree() != 0 {
-		// SafeM should now derive from the estimate (could coincide
-		// with 7 only by accident of the numbers; check directly).
-		want := analytic.SuggestedInitialM(100, est.Degree())
-		if est.SafeM(7) != want {
-			t.Fatalf("SafeM = %d, want %d", est.SafeM(7), want)
-		}
-	}
-}
-
 func TestMaxAlphaFor(t *testing.T) {
-	// Cor. 3 at α=1/2 gives ≈0.213 for large d, so MaxAlphaFor(0.213)
+	// Cor. 3 at α=1/2 gives ≈0.213 for large d, so maxAlphaFor(0.213)
 	// should return ≈ 0.5.
-	a := MaxAlphaFor(0.213, 1e9)
+	a := maxAlphaFor(0.213, 1e9)
 	if math.Abs(a-0.5) > 0.01 {
-		t.Fatalf("MaxAlphaFor(0.213) = %v, want ≈0.5", a)
+		t.Fatalf("maxAlphaFor(0.213) = %v, want ≈0.5", a)
 	}
 	// Monotone in rho.
-	if MaxAlphaFor(0.10, 16) >= MaxAlphaFor(0.30, 16) {
-		t.Fatal("MaxAlphaFor not monotone in rho")
+	if maxAlphaFor(0.10, 16) >= maxAlphaFor(0.30, 16) {
+		t.Fatal("maxAlphaFor not monotone in rho")
 	}
 	// The returned α indeed satisfies the bound.
 	for _, rho := range []float64{0.1, 0.2, 0.3} {
-		a := MaxAlphaFor(rho, 16)
+		a := maxAlphaFor(rho, 16)
 		if b := analytic.Cor3ConflictBound(a, 16); b > rho+1e-9 {
 			t.Errorf("bound(%v) = %v exceeds rho %v", a, b, rho)
 		}
 	}
-	if MaxAlphaFor(0, 16) != 0 {
+	if maxAlphaFor(0, 16) != 0 {
 		t.Fatal("rho=0 should give alpha 0")
 	}
 }

@@ -15,9 +15,6 @@ func TestControllersRespectClampsUnderArbitraryInput(t *testing.T) {
 		func() Controller { return NewHybrid(DefaultHybridConfig(0.25)) },
 		func() Controller { return NewRecurrenceA(0.25, 2) },
 		func() Controller { return NewRecurrenceB(0.25, 2) },
-		func() Controller { return NewBisection(0.25, 2) },
-		func() Controller { return NewAIMD(0.25, 2) },
-		func() Controller { return NewPI(0.25, 2) },
 		func() Controller { return NewModelBased(0.25, 2) },
 	}
 	f := func(seed uint64, raw []byte) bool {
@@ -60,7 +57,6 @@ func TestControllersSurviveNonFiniteInput(t *testing.T) {
 		func() Controller { return NewHybrid(DefaultHybridConfig(0.25)) },
 		func() Controller { return NewRecurrenceA(0.25, 2) },
 		func() Controller { return NewRecurrenceB(0.25, 2) },
-		func() Controller { return NewPI(0.25, 2) },
 	}
 	for _, mk := range mks {
 		c := mk()

@@ -521,3 +521,53 @@ func TestReplayReadsOlderPausedRecord(t *testing.T) {
 		t.Errorf("committed = %d, want 200 (the rerun's, not the prefix's too)", final.Committed)
 	}
 }
+
+// A journal written before a controller name was removed still replays:
+// a queued job and a job running at the crash that name a removed
+// controller fail with an error naming it, and a job beside them that
+// names a registered controller still finishes.
+func TestReplayRemovedController(t *testing.T) {
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir, journal.Options{Fsync: journal.SyncAlways})
+	if err != nil {
+		t.Fatalf("journal open: %v", err)
+	}
+	spec := func(seed uint64, controller string) *JobSpec {
+		sp := ccSpec(seed)
+		sp.Controller, sp.Rho, sp.MaxRounds = controller, 0.25, 1<<30
+		return &sp
+	}
+	now := time.Now()
+	for _, rec := range []walRecord{
+		{Type: recSubmitted, ID: "j1", At: now, Spec: spec(1, "pi")},
+		{Type: recSubmitted, ID: "j2", At: now, Spec: spec(2, "aimd")},
+		{Type: recStarted, ID: "j2", At: now, Attempt: 1},
+		{Type: recSubmitted, ID: "j3", At: now, Spec: spec(3, "hybrid")},
+	} {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		if err := jnl.Append(b); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatalf("journal close: %v", err)
+	}
+
+	s, err := Open(durableCfg(dir))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Shutdown(context.Background())
+	for id, name := range map[string]string{"j1": "pi", "j2": "aimd"} {
+		final := waitTerminal(t, s, id, 30*time.Second)
+		if want := fmt.Sprintf("controller %q", name); final.State != StateFailed || !strings.Contains(final.Error, want) {
+			t.Errorf("job %s naming %s: %s (%q), want failed naming %s", id, name, final.State, final.Error, want)
+		}
+	}
+	if final := waitTerminal(t, s, "j3", 30*time.Second); final.State != StateDone {
+		t.Errorf("hybrid job: %s (%q), want done", final.State, final.Error)
+	}
+}

@@ -18,8 +18,7 @@ type ControllerParams struct {
 
 // ControllerNames returns the registered controller names.
 func ControllerNames() []string {
-	return []string{"hybrid", "model-based", "recurrence-a", "recurrence-b",
-		"bisection", "aimd", "pi", "fixed"}
+	return []string{"hybrid", "model-based", "recurrence-a", "recurrence-b", "fixed"}
 }
 
 // HasController reports whether name is a registered controller.
@@ -57,12 +56,6 @@ func NewController(name string, p ControllerParams) (control.Controller, error) 
 		return control.NewRecurrenceA(p.Rho, m0), nil
 	case "recurrence-b":
 		return control.NewRecurrenceB(p.Rho, m0), nil
-	case "bisection":
-		return control.NewBisection(p.Rho, m0), nil
-	case "aimd":
-		return control.NewAIMD(p.Rho, m0), nil
-	case "pi":
-		return control.NewPI(p.Rho, m0), nil
 	default:
 		return nil, fmt.Errorf("workload: unknown controller %q", name)
 	}
