@@ -17,9 +17,8 @@
 //
 // -async drops the round barrier: the -parallel workers claim chunks of
 // tasks against a resizable in-flight limit and the controller observes
-// a sliding commit window instead of rounds (async-capable workloads
-// only; -commit-window fixes the window size, 0 tracks the
-// controller's m).
+// a sliding commit window, as many outcomes as that limit, instead of
+// rounds (async-capable workloads only).
 //
 // -colored is declare-or-round (colored-capable workloads only): when
 // the tasks declare their footprints (cc, stable), a proper coloring of
@@ -65,8 +64,6 @@ func main() {
 		"run barrier-free with sliding-window control (workloads with async support only)")
 	colored := flag.Bool("colored", false,
 		"run colored, declare-or-round (workloads with colored support only)")
-	window := flag.Int("commit-window", 0,
-		"fixed async commit-window size (0 = track the controller's m)")
 	flag.Parse()
 
 	if *async && *colored {
@@ -110,7 +107,7 @@ func main() {
 			os.Exit(2)
 		}
 		res, dres, err := speculation.Collect(context.Background(), run.Stepper, c,
-			speculation.Options{Mode: mode, Window: *window, MaxSamples: *maxRounds})
+			speculation.Options{Mode: mode, MaxSamples: *maxRounds})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -65,8 +65,6 @@ func main() {
 		"-efficiency only: drive the CC workload barrier-free with sliding-window control")
 	colored := flag.Bool("colored", false,
 		"-efficiency only: drive the stable-conflict workload in colored mode")
-	window := flag.Int("commit-window", 0,
-		"fixed async commit-window size (0 = track the controller's m)")
 	flag.Parse()
 
 	if *async && *colored {
@@ -84,7 +82,7 @@ func main() {
 	case *smart:
 		runSmartStart(*n, *rho, *seed, *workers)
 	case *efficiency:
-		runEfficiency(*n, *rho, *seed, *par, *async, *colored, *window)
+		runEfficiency(*n, *rho, *seed, *par, *async, *colored)
 	case *rhoSweep:
 		runRhoSweep(*n, *seed, *par)
 	default:
@@ -256,7 +254,7 @@ func runSmartStart(n int, rho float64, seed uint64, workers int) {
 // runEfficiency quantifies the paper's intro trade-off on the real
 // speculative runtime: too many processors waste work and power, too
 // few waste time; the adaptive controller balances both.
-func runEfficiency(n int, rho float64, seed uint64, par int, async, colored bool, window int) {
+func runEfficiency(n int, rho float64, seed uint64, par int, async, colored bool) {
 	mode, dmode, wl := "rounds", speculation.ModeRound, "cc"
 	if async {
 		mode, dmode = "barrier-free", speculation.ModeAsync
@@ -279,7 +277,7 @@ func runEfficiency(n int, rho float64, seed uint64, par int, async, colored bool
 		}
 		defer w.Stepper.Close()
 		res, dres, err := speculation.Collect(context.Background(), w.Stepper, c,
-			speculation.Options{Mode: dmode, Window: window})
+			speculation.Options{Mode: dmode})
 		if err != nil {
 			panic(err)
 		}

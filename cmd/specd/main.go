@@ -16,17 +16,16 @@
 //
 // -pprof additionally mounts net/http/pprof under /debug/pprof/.
 //
-// -async makes barrier-free execution the default for jobs whose
-// workload supports it ("cc", "spin", "stable"): the job's -parallel
-// workers claim chunks of tasks against a resizable in-flight limit and
-// the controller is fed by a sliding commit window. -colored makes
-// colored execution the default where supported ("mesh", "cluster",
-// "cc", "stable"). It is declare-or-round: when the tasks declare their
+// A job runs in the mode its spec names, {"mode":"round"|"async"|
+// "colored"}, and in rounds when it names none. Async is barrier-free
+// ("cc", "spin", "stable"): the job's parallel workers claim chunks of
+// tasks against a resizable in-flight limit, and the controller is fed
+// by a sliding commit window. Colored ("mesh", "cluster", "cc",
+// "stable") is declare-or-round: when the tasks declare their
 // footprints (cc, stable), a coloring of the declared conflict graph
-// partitions them into conflict-free classes, which run lock-free until
-// a staleness trip falls back to rounds; mesh and cluster do not
-// declare and run in rounds. Jobs may still pick a mode explicitly with
-// {"mode":"round"|"async"|"colored"}.
+// partitions them into conflict-free classes, which run lock-free
+// until a staleness trip falls back to rounds; mesh and cluster do not
+// declare and run in rounds.
 //
 // With -state-dir set the daemon is durable: every job lifecycle
 // transition is journaled to a write-ahead log in that directory
@@ -94,8 +93,6 @@ func main() {
 	fsyncPolicy := flag.String("fsync", "always", "journal fsync policy: always (acks, attempt bumps and terminal states wait for their fsync; checkpoints are fsynced within 5ms) | interval (every record is fsynced within 5ms) | never")
 	checkpointRounds := flag.Int("checkpoint-rounds", 32, "journal a running job's progress every K rounds (the round loop does not wait for the checkpoint's fsync)")
 	checkpointCommits := flag.Int("checkpoint-commits", 2048, "journal a running async job's progress every K commits")
-	asyncDefault := flag.Bool("async", false, "run jobs barrier-free by default where the workload supports it (jobs may still set \"mode\" explicitly)")
-	coloredDefault := flag.Bool("colored", false, "run jobs in colored mode (declare-or-round) by default where the workload supports it (jobs may still set \"mode\" explicitly)")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	tenantsFile := flag.String("tenants", "", "per-tenant admission config file (JSON: {defaults, tenants:[{name,weight,rate,burst,max_pending,priority}]})")
 	brownoutP99 := flag.Duration("brownout-p99", 0, "queue-wait p99 threshold that triggers brownout shedding (0 = off)")
@@ -110,7 +107,7 @@ func main() {
 	syncInterval := flag.Duration("sync-interval", time.Second, "router placement-sync cadence")
 	prefixTail := flag.Int("prefix-tail", 64, "trajectory points the router caches per running job for handoff")
 	suspectGrace := flag.Duration("suspect-grace", 0, "how long an expired lease may stay suspect before failed probes kill it (default 2×lease-ttl)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "router read-hedge delay (0 = adaptive p99, negative = hedging off)")
+	hedgeDelay := flag.Duration("hedge-delay", 0, "how long the router waits on a job's owner before answering a status poll from its cache (0 = adaptive p99, negative = never)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "seed for the outbound chaos transport (with -chaos-plan)")
 	chaosPlan := flag.String("chaos-plan", "", `outbound fault plan, e.g. "router>n3:lat=50ms..100ms;n2>router:part" (src is "router" or this -node-id)`)
 	flag.Parse()
@@ -158,16 +155,6 @@ func main() {
 		logger.Fatalf("specd: unknown -mode %q (want node or router)", *mode)
 	}
 
-	if *asyncDefault && *coloredDefault {
-		logger.Fatalf("specd: -async and -colored are mutually exclusive defaults")
-	}
-	defaultMode := service.ModeRound
-	if *asyncDefault {
-		defaultMode = service.ModeAsync
-	}
-	if *coloredDefault {
-		defaultMode = service.ModeColored
-	}
 	var tenantCfg service.TenantsFile
 	if *tenantsFile != "" {
 		if tenantCfg, err = service.LoadTenants(*tenantsFile); err != nil {
@@ -186,7 +173,6 @@ func main() {
 		Fsync:              fsync,
 		CheckpointEvery:    *checkpointRounds,
 		CheckpointCommits:  *checkpointCommits,
-		DefaultMode:        defaultMode,
 		Tenants:            tenantCfg.Tenants,
 		TenantDefaults:     tenantCfg.Defaults,
 		BrownoutP99:        *brownoutP99,

@@ -14,9 +14,9 @@
 //   - internal/speculation — goroutine-based optimistic runtime, the
 //     ordered executor (§5), and the ForEach/Loop API
 //   - internal/profile     — Lonestar-style parallelism profiles
-//   - internal/apps/...    — Delaunay refinement, Boruvka + ordered
-//     Kruskal, survey propagation, agglomerative clustering,
-//     preflow-push max flow, discrete-event simulation
+//   - internal/apps/...    — Delaunay refinement, Boruvka, survey
+//     propagation, agglomerative clustering, preflow-push max flow,
+//     discrete-event simulation
 //
 // The benchmarks in bench_test.go regenerate every figure of the paper;
 // see EXPERIMENTS.md for paper-vs-measured results and DESIGN.md for the

@@ -58,15 +58,6 @@ func (net *Network) Clone() *Network {
 	return c
 }
 
-// Reset zeroes all flows.
-func (net *Network) Reset() {
-	for u := range net.adj {
-		for i := range net.adj[u] {
-			net.adj[u][i].Flow = 0
-		}
-	}
-}
-
 // OutFlow returns the net flow leaving node u.
 func (net *Network) OutFlow(u int) int64 {
 	total := int64(0)

@@ -150,18 +150,16 @@ func (r *Router) handlePlacements(w http.ResponseWriter, req *http.Request) {
 	}{Placements: out})
 }
 
-// handleJob proxies a status read to the job's owner, with failover
-// behaviors that keep pollers alive across gray failures: a slow owner
-// is hedged — after hedgeDelay a second request races to the ring
-// successor and the first usable response wins, the loser canceled —
-// while an unreachable owner, or an id the owner no longer knows
-// (pre-handoff window), answers with the cached last-known status
-// (trajectory replaced by the synced prefix). A suspect owner still
-// serves: it is reachable even when its heartbeats are not.
+// handleJob proxies a status read to the job's owner, with fallbacks
+// that keep pollers alive across gray failures: an unreachable owner,
+// or an id the owner no longer knows (pre-handoff window), answers
+// with the cached last-known status (trajectory replaced by the synced
+// prefix), and so does an owner silent for hedgeDelay on a read the
+// cache answers in full. A suspect owner still serves: it is reachable
+// even when its heartbeats are not.
 //
-// The cache stands in for a slow owner only on reads it can answer in
-// full: a ?tail= poll no longer than the synced prefix. A read of the
-// whole trajectory keeps waiting for the owner.
+// Only the owner is asked: placement and handoff record the member
+// that accepted the job, and no other member holds it.
 func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	r.mu.Lock()
@@ -180,7 +178,7 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 		if req.URL.RawQuery != "" {
 			path += "?" + req.URL.RawQuery
 		}
-		if res, won := r.hedgedGet(req, m, path, id, r.cacheAnswers(req)); won {
+		if res, ok := r.proxyGet(req, m, path, r.cacheAnswers(req)); ok {
 			relay(w, res.code, res.body, res.node)
 			return
 		}
@@ -196,85 +194,52 @@ func (r *Router) cacheAnswers(req *http.Request) bool {
 	return err == nil && n >= 0 && n <= r.cfg.PrefixTail
 }
 
-// memberResp is one member's answer to a (possibly hedged) proxy read.
+// memberResp is one member's answer to a proxied read.
 type memberResp struct {
 	code int
 	body []byte
 	node string
 }
 
-// hedgedGet races the owner against its ring successor. The hedge
-// fires only after hedgeDelay of silence; the first usable answer
-// (anything but a 404, a 5xx, or a transport failure) wins and the
-// loser's request is canceled. When the hedge comes back unusable —
-// the successor usually does not know the job — and cacheOK says the
-// cache can answer the read, it falls back to the router's cached
-// status instead of waiting out a slow or partitioned owner, which is
-// what bounds poll tail latency near the hedge delay; otherwise it
-// waits for the owner, as long as the request lives.
-func (r *Router) hedgedGet(req *http.Request, owner MemberInfo, path, jobID string, cacheOK bool) (memberResp, bool) {
+// proxyGet reads path from the owner and reports whether the answer is
+// usable: anything but a 404, a 5xx, or a transport failure. When
+// cacheOK says the cache can answer the read, it stops waiting once the
+// owner has been silent for hedgeDelay, which is what bounds poll tail
+// latency near that delay; otherwise it waits for the owner as long as
+// the request lives. A client that hangs up is not a proxy error.
+func (r *Router) proxyGet(req *http.Request, owner MemberInfo, path string, cacheOK bool) (memberResp, bool) {
 	ctx, cancel := context.WithCancel(req.Context())
 	defer cancel()
 	type result struct {
 		memberResp
-		err   error
-		hedge bool
+		err error
 	}
-	results := make(chan result, 2)
-	fetch := func(m MemberInfo, hedge bool) {
-		code, body, err := r.member(m.Addr).Raw(ctx, http.MethodGet, path)
-		results <- result{memberResp{code, body, m.ID}, err, hedge}
-	}
+	done := make(chan result, 1)
 	start := time.Now()
-	outstanding := 1
-	go fetch(owner, false)
+	go func() {
+		code, body, err := r.member(owner.Addr).Raw(ctx, http.MethodGet, path)
+		done <- result{memberResp{code, body, owner.ID}, err}
+	}()
 
-	var hedgeTimer <-chan time.Time
-	if delay := r.hedgeDelay(); delay >= 0 {
+	var fallback <-chan time.Time
+	if delay := r.hedgeDelay(); cacheOK && delay >= 0 {
 		tm := time.NewTimer(delay)
 		defer tm.Stop()
-		hedgeTimer = tm.C
+		fallback = tm.C
 	}
-	for outstanding > 0 {
-		select {
-		case res := <-results:
-			outstanding--
-			if res.err == nil && res.code != http.StatusNotFound && res.code < 500 {
-				r.recordLatency(time.Since(start))
-				return res.memberResp, true
-			}
-			if res.err != nil {
-				r.proxyErrors.Add(1)
-			}
-			if outstanding == 0 || (res.hedge && cacheOK) {
-				// Either nobody is left to answer, or the hedge verdict
-				// is in and the cache will do: stop waiting on the slow
-				// owner, serve cached.
-				return memberResp{}, false
-			}
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if m, ok := r.hedgeTarget(jobID, owner.ID); ok {
-				r.hedges.Add(1)
-				outstanding++
-				go fetch(m, true)
-			}
-		case <-req.Context().Done():
-			return memberResp{}, false
+	select {
+	case res := <-done:
+		if res.err == nil && res.code != http.StatusNotFound && res.code < 500 {
+			r.recordLatency(time.Since(start))
+			return res.memberResp, true
 		}
+		if res.err != nil && req.Context().Err() == nil {
+			r.proxyErrors.Add(1)
+		}
+	case <-fallback:
+		r.hedges.Add(1)
 	}
 	return memberResp{}, false
-}
-
-// hedgeTarget picks the replica a hedged read goes to: the first alive
-// ring successor of the job that is not the owner.
-func (r *Router) hedgeTarget(jobID, ownerID string) (MemberInfo, bool) {
-	for _, m := range r.candidates(jobID) {
-		if m.ID != ownerID {
-			return m, true
-		}
-	}
-	return MemberInfo{}, false
 }
 
 // servableMember resolves a member id to its row iff it can serve
@@ -459,7 +424,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	fmt.Fprintf(&b, "cluster_proxy_errors_total %d\n", r.proxyErrors.Load())
 	header("cluster_scrape_errors_total", "Failed member scrapes during fan-out.", "counter")
 	fmt.Fprintf(&b, "cluster_scrape_errors_total %d\n", r.scrapeErrors.Load())
-	header("specd_router_hedges_total", "Hedged reads fired to a successor replica.", "counter")
+	header("specd_router_hedges_total", "Status reads served from the cache because the owner was silent for the hedge delay.", "counter")
 	fmt.Fprintf(&b, "specd_router_hedges_total %d\n", r.hedges.Load())
 	header("specd_rpc_retries_total", "Member RPC attempts beyond the first.", "counter")
 	fmt.Fprintf(&b, "specd_rpc_retries_total %d\n", r.rpcRetries.Load())

@@ -48,10 +48,10 @@ type RouterConfig struct {
 	// partition — it cannot heartbeat, but it answers probes — is never
 	// revoked while it still serves.
 	SuspectGrace time.Duration
-	// HedgeDelay is how long a proxied read waits on the placement owner
-	// before hedging a second request to the ring successor. Zero means
-	// adaptive: the observed p99 proxy latency, clamped to
-	// [10ms, HTTPClient timeout/2]. Negative disables hedging.
+	// HedgeDelay is how long a proxied status poll waits on the
+	// placement owner before the router answers it from its cache. Zero
+	// means adaptive: the observed p99 proxy latency, clamped to
+	// [10ms, HTTPClient timeout/2]. Negative means never fall back.
 	HedgeDelay time.Duration
 	// Logf receives router lifecycle lines (optional).
 	Logf func(format string, args ...any)
@@ -141,7 +141,7 @@ type Router struct {
 	deadNodes    atomic.Int64 // members declared dead
 	proxyErrors  atomic.Int64 // member requests that failed at transport level
 	scrapeErrors atomic.Int64 // failed member scrapes during fan-out
-	hedges       atomic.Int64 // hedged reads fired to a successor replica
+	hedges       atomic.Int64 // reads served from the cache after hedgeDelay
 	rpcRetries   atomic.Int64 // RPC attempts beyond the first, across all member calls
 
 	// latMu guards the sliding window of proxied-read latencies that
@@ -498,7 +498,8 @@ func (r *Router) recordLatency(d time.Duration) {
 }
 
 // hedgeDelay returns how long a proxied read waits on the owner before
-// hedging: the configured value when set (negative = never), otherwise
+// falling back to the cache: the configured value when set (negative =
+// never), otherwise
 // the observed p99 proxy latency clamped to [10ms, half the member
 // client's timeout], defaulting to 100ms until enough samples exist.
 func (r *Router) hedgeDelay() time.Duration {

@@ -190,10 +190,11 @@ func TestRouterProbeCountsAnyAnswerAlive(t *testing.T) {
 }
 
 // slowOwnerRouter serves job c1 from an owner that answers after delay
-// with a points-long trajectory, beside a successor that does not know
-// the job, and a router that hedges after 20ms and caches the job's
-// PrefixTail-point tail.
-func slowOwnerRouter(t *testing.T, delay time.Duration, points int) http.Handler {
+// with a points-long trajectory, beside a ring successor that does not
+// know the job and counts the requests it gets, and a router that falls
+// back to its cache after 20ms and caches the job's PrefixTail-point
+// tail.
+func slowOwnerRouter(t *testing.T, delay time.Duration, points int) (http.Handler, *Router, *atomic.Int64) {
 	t.Helper()
 	traj := make([]service.RoundPoint, points)
 	for i := range traj {
@@ -208,7 +209,9 @@ func slowOwnerRouter(t *testing.T, delay time.Duration, points int) http.Handler
 		writeJSON(w, http.StatusOK, service.JobStatus{ID: "c1", State: service.StateDone, Trajectory: traj})
 	}))
 	t.Cleanup(owner.Close)
+	var successorHits atomic.Int64
 	successor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		successorHits.Add(1)
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
 	}))
 	t.Cleanup(successor.Close)
@@ -221,13 +224,13 @@ func slowOwnerRouter(t *testing.T, delay time.Duration, points int) http.Handler
 	r.placements["c1"] = &placement{ID: "c1", Spec: quickSpec(), Node: "owner", Attempt: 1,
 		Last: service.JobStatus{ID: "c1", State: service.StateRunning}, Prefix: traj[points-r.cfg.PrefixTail:]}
 	r.mu.Unlock()
-	return r.Handler()
+	return r.Handler(), r, &successorHits
 }
 
 // A whole-trajectory read of a job whose owner is slower than the hedge
 // delay comes back whole from the owner, not as the cached tail.
 func TestRouterSlowOwnerFullReadNotTruncated(t *testing.T) {
-	h := slowOwnerRouter(t, 200*time.Millisecond, 200)
+	h, _, _ := slowOwnerRouter(t, 200*time.Millisecond, 200)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/c1", nil))
 	var st service.JobStatus
@@ -241,15 +244,23 @@ func TestRouterSlowOwnerFullReadNotTruncated(t *testing.T) {
 }
 
 // A tail=0 poll of the same job is still answered from the cache about
-// one hedge delay in, without waiting for the slow owner.
+// one hedge delay in, without waiting for the slow owner, and without
+// asking any other member: only the owner holds the job.
 func TestRouterSlowOwnerPollServedFromCache(t *testing.T) {
 	const ownerDelay = time.Second
-	h := slowOwnerRouter(t, ownerDelay, 200)
+	h, r, successorHits := slowOwnerRouter(t, ownerDelay, 200)
 	start := time.Now()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/c1?tail=0", nil))
 	if took := time.Since(start); rec.Code != http.StatusOK || rec.Header().Get("X-Specd-Cached") != "1" || took >= ownerDelay/2 {
 		t.Fatalf("tail=0 poll: %d cached=%q after %v, want the cached 200 well before the owner's %v",
 			rec.Code, rec.Header().Get("X-Specd-Cached"), took, ownerDelay)
+	}
+	if n := successorHits.Load(); n != 0 {
+		t.Errorf("the successor got %d requests; a status read asks only the owner", n)
+	}
+	// r.hedges backs specd_router_hedges_total.
+	if n := r.hedges.Load(); n != 1 {
+		t.Errorf("specd_router_hedges_total = %d, want 1 cache fallback", n)
 	}
 }

@@ -68,12 +68,6 @@ func (c *ModelBased) Slope() float64 {
 	return c.sRM / c.sMM
 }
 
-// DegreeEstimate converts the fitted slope to an average-degree
-// estimate via Prop. 2, given the CC graph size n.
-func (c *ModelBased) DegreeEstimate(n int) float64 {
-	return 2 * float64(n-1) * c.Slope()
-}
-
 // Observe implements Controller.
 func (c *ModelBased) Observe(r float64) {
 	c.acc += r

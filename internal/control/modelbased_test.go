@@ -24,8 +24,8 @@ func TestModelBasedLearnsSlopeFromCleanSignal(t *testing.T) {
 	if c.M() < 45 || c.M() > 57 {
 		t.Fatalf("m = %d, want ≈51", c.M())
 	}
-	// Degree estimate via Prop. 2.
-	if d := c.DegreeEstimate(2000); math.Abs(d-16) > 2.5 {
+	// Degree estimate via Prop. 2: d = 2(n−1)·â.
+	if d := 2 * float64(2000-1) * c.Slope(); math.Abs(d-16) > 2.5 {
 		t.Fatalf("degree estimate %v, want ≈16", d)
 	}
 }

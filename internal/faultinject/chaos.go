@@ -212,23 +212,11 @@ type ChaosTransport struct {
 	mu   sync.Mutex
 	seqs map[string]uint64 // per-link request ordinals
 
-	drops  atomic.Int64
-	errs   atomic.Int64
 	delays atomic.Int64
-	passed atomic.Int64
 }
-
-// Drops counts requests dropped (partition or drop faults).
-func (t *ChaosTransport) Drops() int64 { return t.drops.Load() }
-
-// Errors counts fabricated 503 responses.
-func (t *ChaosTransport) Errors() int64 { return t.errs.Load() }
 
 // Delays counts requests that had latency injected.
 func (t *ChaosTransport) Delays() int64 { return t.delays.Load() }
-
-// Passed counts requests forwarded to Base unharmed.
-func (t *ChaosTransport) Passed() int64 { return t.passed.Load() }
 
 // link finds the fault spec for dst (exact, then wildcard forms).
 func (t *ChaosTransport) link(dst string) (LinkFault, bool) {
@@ -281,14 +269,12 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	lf, ok := t.link(dst)
 	if !ok {
-		t.passed.Add(1)
 		return t.base().RoundTrip(req)
 	}
 	seq := t.nextSeq(t.Src + ">" + dst)
 	r := rng.New(linkSeed(t.Config.Seed, t.Src, dst, seq))
 
 	if lf.Partition || (lf.Drop > 0 && r.Float64() < lf.Drop) {
-		t.drops.Add(1)
 		if req.Body != nil {
 			req.Body.Close()
 		}
@@ -305,7 +291,6 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		group := seq / uint64(burst)
 		gr := rng.New(linkSeed(t.Config.Seed^0x5ca1ab1e, t.Src, dst, group))
 		if gr.Float64() < lf.ErrRate {
-			t.errs.Add(1)
 			if req.Body != nil {
 				req.Body.Close()
 			}
@@ -347,7 +332,6 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 
-	t.passed.Add(1)
 	return t.base().RoundTrip(req)
 }
 

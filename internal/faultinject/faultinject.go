@@ -1,7 +1,9 @@
 // Package faultinject provides deterministic fault injection for the
 // speculation runtime. An Injector wraps tasks as they enter an
-// executor's work-set (via the executors' WrapTask hook) and makes some
-// of them panic, return errors, or stall, according to a seeded plan.
+// executor's work-set (via Executor.WrapTask) and makes some of them
+// panic, return errors, or stall, according to a seeded plan. Only the
+// unordered executor has the hook: workloads that carry CapFault are
+// synthetic, and no ordered workload does.
 //
 // Determinism is the whole point: attempt IDs, round composition, and
 // lock-race winners all depend on goroutine scheduling, so faults keyed
@@ -73,7 +75,7 @@ func (c *Config) Validate() error {
 		name string
 		v    float64
 	}{{"panic_rate", c.PanicRate}, {"error_rate", c.ErrorRate}, {"poison_rate", c.PoisonRate}, {"delay_rate", c.DelayRate}} {
-		if r.v < 0 || r.v > 1 {
+		if !(0 <= r.v && r.v <= 1) { // written so NaN fails too
 			return fmt.Errorf("faultinject: %s %v outside [0,1]", r.name, r.v)
 		}
 	}
@@ -138,7 +140,7 @@ func (c *Config) PoisonPlanCount(n int) int {
 }
 
 // Injector hands out per-task fault plans and tallies what it did.
-// Wrap methods are safe for concurrent use; the wrap-order index is
+// WrapTask is safe for concurrent use; the wrap-order index is
 // allocated atomically, so determinism requires that tasks be wrapped
 // (Added) in a deterministic order — true for single-goroutine
 // workload construction.
@@ -159,9 +161,6 @@ func New(cfg Config) (*Injector, error) {
 	}
 	return &Injector{cfg: cfg}, nil
 }
-
-// Wrapped returns how many tasks the injector has wrapped.
-func (in *Injector) Wrapped() int64 { return in.next.Load() }
 
 // Panics returns the number of injected panic attempts so far.
 func (in *Injector) Panics() int64 { return in.panics.Load() }
@@ -217,30 +216,7 @@ func (t *faultedTask) Run(ctx *speculation.Ctx) error {
 	return t.inner.Run(ctx)
 }
 
-// WrapTask is the unordered-executor hook: assign the next plan.
+// WrapTask is the Executor.WrapTask hook: assign the next plan.
 func (in *Injector) WrapTask(t speculation.Task) speculation.Task {
 	return &faultedTask{inner: t, in: in, plan: in.newPlan()}
-}
-
-// faultedOrdered wraps an ordered task with a fault plan, forwarding
-// the priority key unchanged.
-type faultedOrdered struct {
-	inner    speculation.OrderedTask
-	in       *Injector
-	plan     plan
-	attempts atomic.Int64
-}
-
-func (t *faultedOrdered) Key() speculation.Key { return t.inner.Key() }
-
-func (t *faultedOrdered) Run(ctx *speculation.OrderedCtx) error {
-	if err := t.in.fault(t.plan, t.attempts.Add(1)); err != nil {
-		return err
-	}
-	return t.inner.Run(ctx)
-}
-
-// WrapOrdered is the ordered-executor hook.
-func (in *Injector) WrapOrdered(t speculation.OrderedTask) speculation.OrderedTask {
-	return &faultedOrdered{inner: t, in: in, plan: in.newPlan()}
 }

@@ -164,40 +164,6 @@ func TestTransientVictimsRecover(t *testing.T) {
 	}
 }
 
-// orderedNopTask is a minimal ordered task for injector wrapping.
-type orderedNopTask struct{ key speculation.Key }
-
-func (t orderedNopTask) Key() speculation.Key              { return t.key }
-func (t orderedNopTask) Run(*speculation.OrderedCtx) error { return nil }
-
-func TestOrderedInjection(t *testing.T) {
-	cfg := Config{Seed: 11, ErrorRate: 0.2, PoisonRate: 0.1, TransientAttempts: 1}
-	want := cfg.PoisonPlanCount(100)
-	in, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := speculation.NewOrderedExecutor()
-	defer e.Close()
-	e.TaskRetries = 2
-	e.WrapTask = in.WrapOrdered
-	for i := 0; i < 100; i++ {
-		e.Add(orderedNopTask{key: speculation.Key{Time: float64(i)}})
-	}
-	for i := 0; i < 10000 && e.Pending() > 0; i++ {
-		e.Round(8)
-	}
-	if e.Pending() != 0 {
-		t.Fatal("ordered executor did not drain under injection")
-	}
-	if got := e.TotalPoisoned(); got != int64(want) {
-		t.Fatalf("ordered poisoned %d, want %d", got, want)
-	}
-	if e.TotalCommitted() != int64(100-want) {
-		t.Fatalf("ordered committed %d, want %d", e.TotalCommitted(), 100-want)
-	}
-}
-
 func TestInjectedErrorWrapsSentinel(t *testing.T) {
 	in, err := New(Config{Seed: 1, ErrorRate: 1, TransientAttempts: 1})
 	if err != nil {

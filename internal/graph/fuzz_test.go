@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -145,46 +144,6 @@ func FuzzPermPrefix(f *testing.F) {
 				t.Fatalf("invalid sample %v", p)
 			}
 			seen[v] = true
-		}
-	})
-}
-
-// FuzzReadEdgeList feeds arbitrary bytes to the one parser of outside
-// input in this package: it must never panic (IDs index slices), and
-// whatever it accepts must survive a WriteEdgeList/ReadEdgeList round
-// trip unchanged.
-func FuzzReadEdgeList(f *testing.F) {
-	f.Add("# nodes 3\nnode 0\nnode 1\nnode 2\n0 1\n1 2\n")
-	f.Add("# header\n\n1 2\n2 1\nnode 9\n")
-	f.Add("1 2 3")
-	f.Add("a b")
-	f.Add("node x")
-	f.Add("5 5")
-	f.Add("node -5")
-	f.Add("node 4000000000")
-	f.Add("0 1048575")
-	f.Fuzz(func(t *testing.T, text string) {
-		g, err := ReadEdgeList(strings.NewReader(text))
-		if err != nil {
-			return
-		}
-		if err := g.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		var first strings.Builder
-		if err := g.WriteEdgeList(&first); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadEdgeList(strings.NewReader(first.String()))
-		if err != nil {
-			t.Fatalf("own output refused: %v", err)
-		}
-		var second strings.Builder
-		if err := back.WriteEdgeList(&second); err != nil {
-			t.Fatal(err)
-		}
-		if first.String() != second.String() {
-			t.Fatalf("round trip changed the graph:\n%s\nvs\n%s", first.String(), second.String())
 		}
 	})
 }

@@ -53,37 +53,6 @@ func RandomWithAvgDegree(r *rng.Rand, n int, d float64) *Graph {
 	return RandomGNM(r, n, m)
 }
 
-// RandomGNP returns an Erdős–Rényi G(n, p) graph.
-func RandomGNP(r *rng.Rand, n int, p float64) *Graph {
-	g := NewWithNodes(n)
-	if p <= 0 {
-		return g
-	}
-	if p >= 1 {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				g.link(u, v)
-			}
-		}
-		return g
-	}
-	// Geometric skipping (Batagelj–Brandes) for O(n + m) generation.
-	logQ := math.Log(1 - p)
-	u, v := 1, -1
-	for u < n {
-		lr := math.Log(1 - r.Float64())
-		v += 1 + int(lr/logQ)
-		for v >= u && u < n {
-			v -= u
-			u++
-		}
-		if u < n {
-			g.AddEdge(u, v)
-		}
-	}
-	return g
-}
-
 // CliqueUnion returns the paper's worst-case graph K^n_d: the disjoint
 // union of n/(d+1) cliques of size d+1. It panics unless (d+1) divides n.
 func CliqueUnion(n, d int) *Graph {

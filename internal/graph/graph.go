@@ -12,9 +12,7 @@
 // is single-writer. CSR is an immutable, densely renumbered snapshot of
 // a Graph that any number of Monte Carlo workers can read without
 // locks; it cannot be edited. Node IDs index arrays, so a graph's memory
-// follows the largest ID ever issued and IDs stay below 2³¹;
-// ReadEdgeList, the one place IDs come from outside the program, bounds
-// them at MaxEdgeListID.
+// follows the largest ID ever issued and IDs stay below 2³¹.
 //
 // The package also hosts the generator families used by the paper's
 // evaluation (random graphs with a target average degree, unions of
@@ -87,29 +85,13 @@ func NewWithNodes(n int) *Graph {
 // AddNode inserts a fresh node and returns its ID.
 func (g *Graph) AddNode() int {
 	id := len(g.pos)
-	g.addNodeID(id)
-	return id
-}
-
-// addNodeID makes id live (a no-op if it already is), extending the ID
-// space as needed. Callers taking IDs from outside the program bound
-// them first (see ReadEdgeList).
-func (g *Graph) addNodeID(id int) {
-	if id < 0 || id >= maxNodes {
+	if id >= maxNodes {
 		panic(fmt.Sprintf("graph: node ID %d out of range", id))
 	}
-	if grow := id + 1 - len(g.pos); grow > 0 {
-		g.adj = append(g.adj, make([][]arc, grow)...)
-		g.pos = append(g.pos, make([]int32, grow)...)
-		for i := len(g.pos) - grow; i < len(g.pos); i++ {
-			g.pos[i] = -1
-		}
-	}
-	if g.pos[id] >= 0 {
-		return
-	}
-	g.pos[id] = int32(len(g.nodes))
+	g.adj = append(g.adj, nil)
+	g.pos = append(g.pos, int32(len(g.nodes)))
 	g.nodes = append(g.nodes, id)
+	return id
 }
 
 // Has reports whether node id is live.
@@ -323,15 +305,6 @@ func (g *Graph) Clone() *Graph {
 		c.adj[id] = slab[lo:len(slab):len(slab)]
 	}
 	return c
-}
-
-// DegreeHistogram returns counts[d] = number of nodes with degree d.
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for _, id := range g.nodes {
-		counts[len(g.adj[id])]++
-	}
-	return counts
 }
 
 // CheckInvariants verifies internal consistency (symmetry of adjacency

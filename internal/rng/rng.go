@@ -13,7 +13,10 @@
 // generators without locking.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitmix64 advances a 64-bit state and returns the next output. It is
 // used both to seed xoshiro and to implement Split.
@@ -105,27 +108,12 @@ func (r *Rand) Bool() bool {
 	return r.Uint64()&1 == 1
 }
 
-// NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			// Box-Muller polar transform; discard the second variate
-			// to keep the generator free of hidden state.
-			return u * sqrt(-2*logf(s)/s)
-		}
-	}
-}
-
 // ExpFloat64 returns an exponential variate with rate 1.
 func (r *Rand) ExpFloat64() float64 {
 	for {
 		u := r.Float64()
 		if u > 0 {
-			return -logf(u)
+			return -math.Log(u)
 		}
 	}
 }
@@ -170,14 +158,6 @@ func (r *Rand) PermPrefix(n, m int) []int {
 		displaced[j] = vi
 	}
 	return out
-}
-
-// Shuffle permutes the n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Sample returns m distinct values from [0, n) in random order.

@@ -219,38 +219,6 @@ func TestPermPrefixPairUniform(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	r := New(31)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sorted := append([]int(nil), xs...)
-	sort.Ints(sorted)
-	for i, v := range sorted {
-		if v != i {
-			t.Fatalf("Shuffle lost elements: %v", xs)
-		}
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(37)
-	const draws = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < draws; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
 func TestExpFloat64Mean(t *testing.T) {
 	r := New(41)
 	const draws = 200000

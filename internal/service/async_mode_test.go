@@ -63,7 +63,7 @@ func TestAsyncJobRunsToCompletion(t *testing.T) {
 }
 
 // TestAsyncSpecValidation: async mode is gated to workloads that
-// support it and commit_window is async-only.
+// support it.
 func TestAsyncSpecValidation(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -72,9 +72,6 @@ func TestAsyncSpecValidation(t *testing.T) {
 		{Workload: "mesh", Controller: "hybrid", Mode: ModeAsync}, // app workload
 		{Workload: "des", Controller: "hybrid", Mode: ModeAsync},  // ordered
 		{Workload: "cc", Controller: "hybrid", Mode: "turbo"},     // unknown mode
-		{Workload: "cc", Controller: "hybrid", CommitWindow: 32},  // window without async
-		{Workload: "cc", Controller: "hybrid", Mode: ModeAsync, CommitWindow: -1},
-		{Workload: "cc", Controller: "hybrid", Mode: ModeAsync, CommitWindow: 1 << 20},
 	}
 	for _, spec := range cases {
 		_, err := s.Submit(spec)
@@ -84,40 +81,13 @@ func TestAsyncSpecValidation(t *testing.T) {
 		}
 	}
 
-	// Explicit round mode and async with a fixed window both pass.
+	// Explicit round mode and async on a supporting workload both pass.
 	for _, spec := range []JobSpec{
 		{Workload: "mesh", Controller: "hybrid", Size: 64, Mode: ModeRound},
-		{Workload: "cc", Controller: "hybrid", Size: 64, Mode: ModeAsync, CommitWindow: 8},
+		{Workload: "cc", Controller: "hybrid", Size: 64, Mode: ModeAsync},
 	} {
 		if _, err := s.Submit(spec); err != nil {
 			t.Errorf("spec %+v rejected: %v", spec, err)
-		}
-	}
-}
-
-// TestAsyncDefaultMode: with DefaultMode async, supporting workloads
-// run barrier-free while the rest silently keep the round loop.
-func TestAsyncDefaultMode(t *testing.T) {
-	s := New(Config{Workers: 1, DefaultMode: ModeAsync})
-	defer s.Shutdown(context.Background())
-
-	cc, err := s.Submit(ccSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.Spec.Mode != ModeAsync {
-		t.Errorf("cc job mode %q, want %q", cc.Spec.Mode, ModeAsync)
-	}
-	mesh, err := s.Submit(JobSpec{Workload: "mesh", Controller: "hybrid", Size: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mesh.Spec.Mode != ModeRound {
-		t.Errorf("mesh job mode %q, want fallback %q", mesh.Spec.Mode, ModeRound)
-	}
-	for _, id := range []string{cc.ID, mesh.ID} {
-		if final := waitTerminal(t, s, id, 30*time.Second); final.State != StateDone {
-			t.Errorf("job %s: state %s, error %q", id, final.State, final.Error)
 		}
 	}
 }

@@ -100,35 +100,6 @@ func TestColoredSpecValidation(t *testing.T) {
 	}
 }
 
-// TestColoredDefaultMode: with DefaultMode colored, supporting
-// workloads run hybrid while the rest silently keep the round loop.
-func TestColoredDefaultMode(t *testing.T) {
-	s := New(Config{Workers: 1, DefaultMode: ModeColored})
-	defer s.Shutdown(context.Background())
-
-	sp := stableSpec(1)
-	sp.Mode = ""
-	stable, err := s.Submit(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stable.Spec.Mode != ModeColored {
-		t.Errorf("stable job mode %q, want %q", stable.Spec.Mode, ModeColored)
-	}
-	boruvka, err := s.Submit(JobSpec{Workload: "boruvka", Controller: "hybrid", Size: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if boruvka.Spec.Mode != ModeRound {
-		t.Errorf("boruvka job mode %q, want fallback %q", boruvka.Spec.Mode, ModeRound)
-	}
-	for _, id := range []string{stable.ID, boruvka.ID} {
-		if final := waitTerminal(t, s, id, 30*time.Second); final.State != StateDone {
-			t.Errorf("job %s: state %s, error %q", id, final.State, final.Error)
-		}
-	}
-}
-
 // TestColoredCancelRunningJob: a user cancel stops a colored job at the
 // next round boundary with the user-cancel reason.
 func TestColoredCancelRunningJob(t *testing.T) {

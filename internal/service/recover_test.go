@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -569,5 +572,58 @@ func TestReplayRemovedController(t *testing.T) {
 	}
 	if final := waitTerminal(t, s, "j3", 30*time.Second); final.State != StateDone {
 		t.Errorf("hybrid job: %s (%q), want done", final.State, final.Error)
+	}
+}
+
+// TestReplayRemovedCommitWindow: JobSpec once had a commit_window field
+// that fixed an async job's window. Journals written then still carry it
+// in their specs, and replay ignores it: a queued async job and one
+// running at the crash both run again, their window tracking m like any
+// async job's. A new submission naming the field is refused as an
+// unknown field.
+func TestReplayRemovedCommitWindow(t *testing.T) {
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir, journal.Options{Fsync: journal.SyncAlways})
+	if err != nil {
+		t.Fatalf("journal open: %v", err)
+	}
+	const spec = `{"workload":"cc","controller":"hybrid","rho":0.25,"size":200,"seed":%d,"parallel":1,` +
+		`"max_rounds":1073741824,"mode":"async","commit_window":8}`
+	at := time.Now().UTC().Format(time.RFC3339Nano)
+	for _, rec := range []string{
+		fmt.Sprintf(`{"t":"submitted","id":"j1","at":%q,"spec":`+spec+`}`, at, 1),
+		fmt.Sprintf(`{"t":"submitted","id":"j2","at":%q,"spec":`+spec+`}`, at, 2),
+		fmt.Sprintf(`{"t":"started","id":"j2","at":%q,"attempt":1}`, at),
+	} {
+		if err := jnl.Append([]byte(rec)); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatalf("journal close: %v", err)
+	}
+
+	s, err := Open(durableCfg(dir))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Shutdown(context.Background())
+	for _, id := range []string{"j1", "j2"} {
+		if final := waitTerminal(t, s, id, 30*time.Second); final.State != StateDone || final.Spec.Mode != ModeAsync {
+			t.Errorf("job %s: %s in mode %q (%q), want done in %q", id, final.State, final.Spec.Mode, final.Error, ModeAsync)
+		}
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body := `{"workload":"cc","controller":"hybrid","mode":"async","commit_window":8}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field") {
+		t.Errorf("POST with commit_window: %d %s, want 400 naming an unknown field", resp.StatusCode, msg)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -131,14 +132,11 @@ type JobSpec struct {
 	MaxDuration Duration   `json:"max_duration,omitempty"` // wall-clock deadline, checked between rounds (0 = none)
 	TaskRetries int        `json:"task_retries,omitempty"` // retry budget for failed tasks; 0 = server default, -1 = none
 	Fault       *FaultSpec `json:"fault,omitempty"`        // deterministic fault injection ("cc"/"spin" only)
-	// Mode selects the execution mode: "round" (default), "async"
-	// (barrier-free, workloads with async support only), or "colored"
-	// (declare-or-round, workloads with colored support only).
-	// Empty takes the server default.
+	// Mode selects the execution mode: "round" (the default when
+	// empty), "async" (barrier-free, workloads with async support
+	// only), or "colored" (declare-or-round, workloads with colored
+	// support only).
 	Mode string `json:"mode,omitempty"`
-	// CommitWindow fixes the async sliding-window size; 0 (default)
-	// tracks the controller's m adaptively. Async mode only.
-	CommitWindow int `json:"commit_window,omitempty"`
 	// Tenant attributes the job to an admission tenant (default
 	// "default"): token-bucket quota, queue bound, and fair-share weight
 	// are per tenant. See TenantConfig.
@@ -490,11 +488,6 @@ type Config struct {
 	// commits (default 2048) — async jobs checkpoint on the absolute
 	// commit counter rather than on round count.
 	CheckpointCommits int
-	// DefaultMode is the execution mode when spec.Mode is empty
-	// (default ModeRound). A DefaultMode of ModeAsync or ModeColored
-	// applies only to workloads that support it; the rest fall back to
-	// rounds.
-	DefaultMode string
 	// CompactBytes is the floor of the compaction trigger: the job table
 	// is snapshotted once live journal segments reach the larger of it
 	// (default 4 MiB) and the last snapshot's size.
@@ -559,9 +552,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointCommits <= 0 {
 		c.CheckpointCommits = 2048
-	}
-	if c.DefaultMode == "" {
-		c.DefaultMode = ModeRound
 	}
 	if c.CompactBytes <= 0 {
 		c.CompactBytes = 4 << 20
@@ -734,7 +724,7 @@ func (s *Service) normalize(spec JobSpec) (JobSpec, error) {
 	if spec.Rho == 0 {
 		spec.Rho = 0.25
 	}
-	if spec.Rho < 0 || spec.Rho >= 1 {
+	if !(0 < spec.Rho && spec.Rho < 1) { // written so NaN fails too
 		return spec, specErrf("rho %v out of (0,1)", spec.Rho)
 	}
 	if spec.Size == 0 {
@@ -752,8 +742,8 @@ func (s *Service) normalize(spec JobSpec) (JobSpec, error) {
 	case spec.Parallel < -1 || spec.Parallel > 1024:
 		return spec, specErrf("parallel %d out of [-1,1024]", spec.Parallel)
 	}
-	if spec.Degree < 0 {
-		return spec, specErrf("degree %v negative", spec.Degree)
+	if !(0 <= spec.Degree && spec.Degree <= math.MaxFloat64) {
+		return spec, specErrf("degree %v is not a finite non-negative number", spec.Degree)
 	}
 	if err := workload.Validate(spec.Workload, workload.Params{Size: spec.Size, Degree: spec.Degree}); err != nil {
 		return spec, specErrf("%v", err)
@@ -783,24 +773,13 @@ func (s *Service) normalize(spec JobSpec) (JobSpec, error) {
 		}
 	}
 	if spec.Mode == "" {
-		// Server default, but barrier-free / colored execution only where
-		// the workload supports it — the rest keep the round loop.
 		spec.Mode = ModeRound
-		if workload.Supports(spec.Workload, modeCap[s.cfg.DefaultMode]) {
-			spec.Mode = s.cfg.DefaultMode
-		}
 	}
 	if need, ok := modeCap[spec.Mode]; !ok {
 		return spec, specErrf("unknown mode %q (have %q, %q, %q)", spec.Mode, ModeRound, ModeAsync, ModeColored)
 	} else if !workload.Supports(spec.Workload, need) {
 		return spec, specErrf("workload %q does not support %s execution (only %v)",
 			spec.Workload, spec.Mode, workload.CapableNames(need))
-	}
-	if spec.CommitWindow < 0 || spec.CommitWindow > 1<<16 {
-		return spec, specErrf("commit_window %d out of [0,%d]", spec.CommitWindow, 1<<16)
-	}
-	if spec.CommitWindow > 0 && spec.Mode != ModeAsync {
-		return spec, specErrf("commit_window requires mode %q", ModeAsync)
 	}
 	if spec.Tenant == "" {
 		spec.Tenant = DefaultTenant
@@ -1443,7 +1422,6 @@ func (s *Service) runJob(j *job) (parked *execution) {
 	res, err := speculation.Drive(ctx, x.run.Stepper, x.ctrl, speculation.Options{
 		Mode:       speculation.Mode(spec.Mode),
 		MaxSamples: spec.MaxRounds - before,
-		Window:     spec.CommitWindow,
 		OnRound: func(sm speculation.Sample) {
 			sm.Index += before
 			due := (sm.Index+1)%s.cfg.CheckpointEvery == 0

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -265,6 +266,49 @@ func TestHistoryRingKeepsTail(t *testing.T) {
 	for i, p := range final.Trajectory {
 		if want := final.Rounds - 8 + i; p.Round != want {
 			t.Errorf("trajectory[%d].Round = %d, want %d", i, p.Round, want)
+		}
+	}
+}
+
+// TestNonFiniteSpecRefused: a NaN or infinite float in a spec is a
+// *SpecError on an in-memory and on a durable service alike. Range
+// checks written with < and >= let NaN through; JSON cannot encode it,
+// so the job's status came back empty, and a durable service, unable to
+// journal the submission, called its healthy journal degraded.
+func TestNonFiniteSpecRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	fault := func(f FaultSpec) *FaultSpec { return &f }
+	var specs []JobSpec
+	for _, v := range []float64{nan, inf, -inf} {
+		for _, sp := range []JobSpec{
+			{Rho: v},
+			{Degree: v},
+			{Fault: fault(FaultSpec{PanicRate: v})},
+			{Fault: fault(FaultSpec{ErrorRate: v})},
+			{Fault: fault(FaultSpec{PoisonRate: v})},
+			{Fault: fault(FaultSpec{DelayRate: v})},
+		} {
+			sp.Workload, sp.Controller, sp.Size = "cc", "hybrid", 200
+			specs = append(specs, sp)
+		}
+	}
+	mem := New(Config{Workers: 1})
+	defer mem.Shutdown(context.Background())
+	durable, err := Open(durableCfg(t.TempDir()))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer durable.Shutdown(context.Background())
+	for name, s := range map[string]*Service{"in-memory": mem, "durable": durable} {
+		for _, spec := range specs {
+			_, err := s.Submit(spec)
+			var se *SpecError
+			if !errors.As(err, &se) {
+				t.Errorf("%s: rho %v degree %v fault %+v: got %v, want *SpecError", name, spec.Rho, spec.Degree, spec.Fault, err)
+			}
+		}
+		if degraded, reason := s.DegradedInfo(); degraded {
+			t.Errorf("%s: degraded (%s) by specs that were never admitted", name, reason)
 		}
 	}
 }

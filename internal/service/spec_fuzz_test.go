@@ -18,7 +18,7 @@ func FuzzJobSpec(f *testing.F) {
 	f.Cleanup(func() { _ = s.Shutdown(context.Background()) })
 	f.Add([]byte(`{"workload":"cc","controller":"hybrid"}`))
 	f.Add([]byte(`{"workload":"mesh","controller":"fixed","m":4,"parallel":-1,"size":200,"max_duration":"2s"}`))
-	f.Add([]byte(`{"workload":"cc","controller":"hybrid","mode":"async","commit_window":8,"tenant":"gold","priority":9}`))
+	f.Add([]byte(`{"workload":"cc","controller":"hybrid","mode":"async","tenant":"gold","priority":9}`))
 	f.Add([]byte(`{"workload":"spin","controller":"recurrence-b","max_rounds":5,"fault":{"panic_rate":0.1,"transient_attempts":2}}`))
 	f.Add([]byte(`{"jobs":[{"workload":"stable","controller":"hybrid","mode":"colored"},{"workload":"des","controller":"model"}]}`))
 	f.Add([]byte(`{"workload":"cc","controller":"hybrid","rho":0.99,"degree":-1,"seed":18446744073709551615}`))

@@ -116,10 +116,6 @@ func (a *accounting) TotalCommitted() int64 { return a.totalCommitted.Load() }
 // the ordered executor: conflicts + premature executions).
 func (a *accounting) TotalAborted() int64 { return a.totalAborted.Load() }
 
-// TotalFailed returns the cumulative number of failed attempts (panics
-// and non-conflict errors).
-func (a *accounting) TotalFailed() int64 { return a.totalFailed.Load() }
-
 // TotalPoisoned returns the number of tasks quarantined after
 // exhausting their retry budget.
 func (a *accounting) TotalPoisoned() int64 { return a.totalPoisoned.Load() }

@@ -62,12 +62,11 @@ type asyncRun struct {
 	mu   sync.Mutex
 	cond *sync.Cond // room and/or work may be available, or a sample is queued for worker 0
 
-	// window is how many outcomes (commits plus aborts; failures are not
-	// contention and do not count) close a window: Options.Window, or
-	// the in-flight limit when that is 0.
-	window int
-
-	limit    int // current in-flight cap, resized at every window boundary
+	// limit is the in-flight cap, resized at every window boundary, and
+	// also how many outcomes (commits plus aborts; failures are not
+	// contention and do not count) close a window, so a window aggregates
+	// about as many outcomes as the round the controller was designed for.
+	limit    int
 	inflight int // attempts claimed and not yet settled into the window
 
 	stopped bool // no new work may start
@@ -103,7 +102,6 @@ func (e *Executor) driveAsync(d *drive) {
 		d:       d,
 		budget:  e.retryBudget(),
 		workers: poolSize(e.MaxParallel),
-		window:  d.opts.Window,
 	}
 	a.cond = sync.NewCond(&a.mu)
 	a.setLimitLocked(d.ctrl.M())
@@ -138,9 +136,9 @@ func (e *Executor) driveAsync(d *drive) {
 	a.mu.Unlock()
 }
 
-// setLimitLocked resizes the in-flight limit to the controller's
-// request, clamped to [1, DefaultMaxInFlight], and resizes the adaptive
-// window. Callers hold a.mu.
+// setLimitLocked resizes the in-flight limit, and with it the window,
+// to the controller's request, clamped to [1, DefaultMaxInFlight].
+// Callers hold a.mu.
 func (a *asyncRun) setLimitLocked(m int) {
 	m = control.Clamp(m, 1, DefaultMaxInFlight)
 	if m > a.limit {
@@ -149,9 +147,6 @@ func (a *asyncRun) setLimitLocked(m int) {
 		a.cond.Broadcast()
 	}
 	a.limit = m
-	if a.d.opts.Window <= 0 {
-		a.window = m
-	}
 }
 
 // worker is participant i's loop, claim → run → complete, until the run
@@ -269,7 +264,7 @@ func (a *asyncRun) completeLocked(w *asyncWorker) {
 	if a.stopped {
 		return
 	}
-	if a.win.Committed+a.win.Aborted >= a.window && a.win.Committed > 0 {
+	if a.win.Committed+a.win.Aborted >= a.limit && a.win.Committed > 0 {
 		// A window closes on a commit, never on aborts alone. A round
 		// always commits something (the first task in commit order has
 		// nobody to lose to); m straight aborts here mean the holder is

@@ -273,7 +273,7 @@ func TestRunAsyncQuarantineExcluded(t *testing.T) {
 	for i := 0; i < good; i++ {
 		e.Add(TaskFunc(func(ctx *Ctx) error { return nil }))
 	}
-	res := driveAll(context.Background(), e, control.Fixed{Procs: 4}, Options{Mode: ModeAsync, Window: 16})
+	res := driveAll(context.Background(), e, control.Fixed{Procs: 4}, Options{Mode: ModeAsync})
 	for _, s := range res.Trajectory {
 		if s.R != 0 {
 			t.Fatalf("sample %d: r=%v from failures (want 0): %+v", s.Index, s.R, s)
@@ -295,41 +295,32 @@ func TestRunAsyncQuarantineExcluded(t *testing.T) {
 }
 
 // TestRunAsyncWindowSize: a window closes once its commits plus aborts
-// reach Options.Window, or the in-flight limit m when Window is 0 —
-// failed attempts never count towards it — and only the drive's final
-// window may be short.
+// reach the in-flight limit m — failed attempts never count towards it —
+// and only the drive's final window may be short.
 func TestRunAsyncWindowSize(t *testing.T) {
 	boom := errors.New("injected failure")
-	for _, tc := range []struct {
-		name             string
-		m, window, close int
-	}{
-		{"fixed", 4, 16, 16},
-		{"adaptive", 8, 0, 8},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := NewExecutor(nil)
-			e.TaskRetries = 1
-			const tasks, bad = 400, 40
-			for i := 0; i < tasks; i++ {
-				if i%(tasks/bad) == 0 {
-					e.Add(TaskFunc(func(ctx *Ctx) error { return boom }))
-				} else {
-					e.Add(TaskFunc(func(ctx *Ctx) error { return nil }))
-				}
+	t.Run("adaptive", func(t *testing.T) {
+		e := NewExecutor(nil)
+		e.TaskRetries = 1
+		const m, tasks, bad = 8, 400, 40
+		for i := 0; i < tasks; i++ {
+			if i%(tasks/bad) == 0 {
+				e.Add(TaskFunc(func(ctx *Ctx) error { return boom }))
+			} else {
+				e.Add(TaskFunc(func(ctx *Ctx) error { return nil }))
 			}
-			res := driveAll(context.Background(), e, control.Fixed{Procs: tc.m}, Options{Mode: ModeAsync, Window: tc.window})
-			last := len(res.Trajectory) - 1
-			for i, s := range res.Trajectory {
-				if n := s.Committed + s.Aborted; n < tc.close && i != last {
-					t.Fatalf("sample %d closed at %d outcomes, want >= %d: %+v", i, n, tc.close, s)
-				}
+		}
+		res := driveAll(context.Background(), e, control.Fixed{Procs: m}, Options{Mode: ModeAsync})
+		last := len(res.Trajectory) - 1
+		for i, s := range res.Trajectory {
+			if n := s.Committed + s.Aborted; n < m && i != last {
+				t.Fatalf("sample %d closed at %d outcomes, want >= %d: %+v", i, n, m, s)
 			}
-			if res.Committed != tasks-bad || res.Poisoned != bad {
-				t.Fatalf("committed %d poisoned %d, want %d/%d", res.Committed, res.Poisoned, tasks-bad, bad)
-			}
-		})
-	}
+		}
+		if res.Committed != tasks-bad || res.Poisoned != bad {
+			t.Fatalf("committed %d poisoned %d, want %d/%d", res.Committed, res.Poisoned, tasks-bad, bad)
+		}
+	})
 }
 
 // TestRunAsyncSampleOrdering: OnSample sees samples in index order
@@ -455,8 +446,9 @@ func TestRunAsyncChunkedLimit(t *testing.T) {
 // under their own attempt IDs, so the next task of the same chunk loses
 // to them like any other, and nothing is released — and no action runs —
 // before the window boundary. One worker, so the schedule is exact:
-// with m = 8 a chunk is two entries and the first window of four is
-// [a commits, b aborts] [b aborts, c commits].
+// with m = 8 a chunk is two entries, and the first window of eight
+// outcomes holds the commits of a, c and d and five aborts of b, which
+// loses to a's lock on x until the boundary releases it.
 func TestRunAsyncWindowHoldsChunkLocks(t *testing.T) {
 	e := NewExecutor(nil)
 	defer e.Close()
@@ -486,16 +478,16 @@ func TestRunAsyncWindowHoldsChunkLocks(t *testing.T) {
 	e.Add(task("c", y))
 	e.Add(task("b", x))
 	e.Add(task("a", x, y)) // its action runs first in the window: c's lock must still be held too
-	res := driveAll(context.Background(), e, control.Fixed{Procs: 8}, Options{Mode: ModeAsync, Window: 4})
-	if res.Committed != 4 || res.Aborted != 2 || e.Pending() != 0 {
-		t.Fatalf("committed %d aborted %d pending %d, want 4/2/0: b must lose to a twice, in a's chunk and in the next",
+	res := driveAll(context.Background(), e, control.Fixed{Procs: 8}, Options{Mode: ModeAsync})
+	if res.Committed != 4 || res.Aborted != 5 || e.Pending() != 0 {
+		t.Fatalf("committed %d aborted %d pending %d, want 4/5/0: b must lose to a until the first window closes",
 			res.Committed, res.Aborted, e.Pending())
 	}
-	if first := res.Trajectory[0]; first.Launched != 4 || first.Committed != 2 || first.Aborted != 2 || first.R != 0.5 {
-		t.Fatalf("first window %+v, want 4 launched, a and c committed, b aborted twice", first)
+	if first := res.Trajectory[0]; first.Launched != 8 || first.Committed != 3 || first.Aborted != 5 || first.R != 0.625 {
+		t.Fatalf("first window %+v, want 8 launched, a, c and d committed, b aborted five times", first)
 	}
-	if !slices.Equal(commitOrder, []string{"a", "c", "b", "d"}) || !slices.Equal(actionOrder, commitOrder) {
-		t.Fatalf("commit order %v, action order %v, want a c b d for both", commitOrder, actionOrder)
+	if !slices.Equal(commitOrder, []string{"a", "c", "d", "b"}) || !slices.Equal(actionOrder, commitOrder) {
+		t.Fatalf("commit order %v, action order %v, want a c d b for both", commitOrder, actionOrder)
 	}
 	for _, name := range commitOrder {
 		if !heldInAction[name] {

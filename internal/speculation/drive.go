@@ -61,11 +61,6 @@ type Options struct {
 	// already claimed still settle, so the total may overshoot, by less
 	// than the in-flight limit.
 	MaxCommits int64
-	// Window is the async window size in settled outcomes. 0 tracks the
-	// in-flight limit, so a window aggregates about as many outcomes as
-	// the round the controller was designed for. Ignored by the other
-	// modes.
-	Window int
 	// OnRound receives every sample in index order on the goroutine that
 	// called Drive, so it may block (a journal write). In async mode that
 	// goroutine is worker 0, and samples are delivered by it between its

@@ -71,8 +71,8 @@ func TestRetryBudgetRecovery(t *testing.T) {
 		t.Fatalf("committed=%d poisoned=%d, want 1/0",
 			e.TotalCommitted(), e.TotalPoisoned())
 	}
-	if e.TotalFailed() != 2 {
-		t.Fatalf("TotalFailed = %d, want 2", e.TotalFailed())
+	if got := e.Snapshot().Failed; got != 2 {
+		t.Fatalf("Snapshot().Failed = %d, want 2", got)
 	}
 	if len(e.failures) != 0 {
 		t.Fatalf("failure map not cleaned after recovery: %v", e.failures)
@@ -196,8 +196,8 @@ func TestOrderedFailureFlow(t *testing.T) {
 	if e.TotalPoisoned() != 0 {
 		t.Fatalf("poisoned %d, want 0", e.TotalPoisoned())
 	}
-	if e.TotalFailed() != 2 {
-		t.Fatalf("failed %d, want 2", e.TotalFailed())
+	if got := e.Snapshot().Failed; got != 2 {
+		t.Fatalf("failed %d, want 2", got)
 	}
 }
 

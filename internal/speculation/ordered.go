@@ -218,10 +218,6 @@ type OrderedExecutor struct {
 	// negative = no retries).
 	TaskRetries int
 
-	// WrapTask, when non-nil, intercepts every task entering the heap
-	// (Add and committed spawns) — the fault-injection hook.
-	WrapTask func(OrderedTask) OrderedTask
-
 	pooled
 
 	// accounting holds the shared counters and quarantine; the ordered
@@ -264,9 +260,6 @@ func (e *OrderedExecutor) retryBudget() int { return resolveRetryBudget(e.TaskRe
 
 // Add inserts a task.
 func (e *OrderedExecutor) Add(t OrderedTask) {
-	if w := e.WrapTask; w != nil {
-		t = w(t)
-	}
 	e.mu.Lock()
 	e.pending.push(keyed{t.Key(), t})
 	e.mu.Unlock()
@@ -277,17 +270,6 @@ func (e *OrderedExecutor) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.pending)
-}
-
-// NextKey returns the smallest pending key (MaxKey when empty) — the
-// ordered analogue of global virtual time.
-func (e *OrderedExecutor) NextKey() Key {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.pending) == 0 {
-		return MaxKey
-	}
-	return e.pending[0].key
 }
 
 // Round speculatively executes the m earliest pending tasks and commits
@@ -389,9 +371,6 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 				}
 				if k.Less(minSpawn) {
 					minSpawn = k
-				}
-				if w := e.WrapTask; w != nil {
-					sp = w(sp)
 				}
 				requeue = append(requeue, keyed{k, sp})
 				stats.Spawned++

@@ -162,18 +162,6 @@ func TestOrderedIndependentTasksAllCommit(t *testing.T) {
 	}
 }
 
-func TestOrderedNextKey(t *testing.T) {
-	e := NewOrderedExecutor()
-	if e.NextKey() != MaxKey {
-		t.Fatal("empty executor NextKey")
-	}
-	e.Add(&testOrderedTask{key: key(5)})
-	e.Add(&testOrderedTask{key: key(2)})
-	if e.NextKey() != key(2) {
-		t.Fatalf("NextKey = %+v", e.NextKey())
-	}
-}
-
 func TestOrderedEmptyRound(t *testing.T) {
 	e := NewOrderedExecutor()
 	st := e.Round(8)

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
 // harnesses rely on: online moment accumulators, confidence intervals,
-// histograms, and time-series summaries.
+// and time-series summaries.
 //
 // Everything is plain float64 arithmetic over stdlib math; the package has
 // no dependencies and no global state.
@@ -9,7 +9,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator computes running mean and variance using Welford's
@@ -38,13 +37,6 @@ func (a *Accumulator) Add(x float64) {
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
-}
-
-// AddN incorporates x as if observed k times.
-func (a *Accumulator) AddN(x float64, k int) {
-	for i := 0; i < k; i++ {
-		a.Add(x)
-	}
 }
 
 // N returns the number of observations.
@@ -135,85 +127,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It panics on empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Histogram is a fixed-width binned histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // observations below Lo
-	Over     int // observations at or above Hi
-	binWidth float64
-}
-
-// NewHistogram allocates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{
-		Lo:       lo,
-		Hi:       hi,
-		Counts:   make([]int, bins),
-		binWidth: (hi - lo) / float64(bins),
-	}
-}
-
-// Add places one observation in its bin.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // guard FP edge at Hi
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations, including out-of-range ones.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
-}
-
 // Series is an ordered sequence of (x, y) observations, used to record
 // controller trajectories and conflict-ratio curves.
 type Series struct {
@@ -231,9 +144,6 @@ func (s *Series) Append(x, y float64) {
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.X) }
 
-// YMean returns the mean of the series' Y values.
-func (s *Series) YMean() float64 { return Mean(s.Y) }
-
 // TailMean returns the mean of the last k Y values (all values if k
 // exceeds the length).
 func (s *Series) TailMean(k int) float64 {
@@ -245,9 +155,6 @@ func (s *Series) TailMean(k int) float64 {
 	}
 	return Mean(s.Y[len(s.Y)-k:])
 }
-
-// AbsErr returns |a-b|.
-func AbsErr(a, b float64) float64 { return math.Abs(a - b) }
 
 // RelErr returns |a-b| / max(|b|, eps) — the relative error of a against
 // reference b, safe for b near zero.

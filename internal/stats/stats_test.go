@@ -104,72 +104,6 @@ func TestMeanVariance(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	if Quantile(xs, 0) != 1 {
-		t.Errorf("q0 = %v", Quantile(xs, 0))
-	}
-	if Quantile(xs, 1) != 9 {
-		t.Errorf("q1 = %v", Quantile(xs, 1))
-	}
-	if m := Median(xs); !almostEq(m, 3.5, 1e-12) {
-		t.Errorf("median = %v, want 3.5", m)
-	}
-	// Input must not be mutated.
-	if xs[0] != 3 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestQuantileSingle(t *testing.T) {
-	if Quantile([]float64{7}, 0.3) != 7 {
-		t.Error("quantile of singleton")
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for empty input")
-		}
-	}()
-	Quantile(nil, 0.5)
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d", h.Over)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("bin %d = %d, want %d (counts %v)", i, c, want[i], h.Counts)
-		}
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if !almostEq(h.BinCenter(0), 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for hi <= lo")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	for i := 0; i < 10; i++ {
@@ -181,8 +115,8 @@ func TestSeries(t *testing.T) {
 	if got := s.TailMean(2); !almostEq(got, (64+81)/2.0, 1e-12) {
 		t.Errorf("TailMean(2) = %v", got)
 	}
-	if got := s.TailMean(100); !almostEq(got, s.YMean(), 1e-12) {
-		t.Errorf("TailMean over length should equal YMean: %v vs %v", got, s.YMean())
+	if got := s.TailMean(100); !almostEq(got, Mean(s.Y), 1e-12) {
+		t.Errorf("TailMean over length should equal the mean of Y: %v vs %v", got, Mean(s.Y))
 	}
 }
 
@@ -233,8 +167,9 @@ func TestVarianceProperties(t *testing.T) {
 
 func TestAccumulatorConveniences(t *testing.T) {
 	var a Accumulator
-	a.AddN(4, 3)
-	a.Add(8)
+	for _, x := range []float64{4, 4, 4, 8} {
+		a.Add(x)
+	}
 	if a.N() != 4 || a.Mean() != 5 {
 		t.Fatalf("n=%d mean=%v", a.N(), a.Mean())
 	}
@@ -257,22 +192,7 @@ func TestStdDevSlice(t *testing.T) {
 
 func TestSeriesYMeanEmpty(t *testing.T) {
 	var s Series
-	if s.YMean() != 0 || s.TailMean(5) != 0 {
+	if Mean(s.Y) != 0 || s.TailMean(5) != 0 {
 		t.Fatal("empty series should report zeros")
-	}
-}
-
-func TestQuantilePanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Quantile([]float64{1}, 1.5)
-}
-
-func TestAbsErr(t *testing.T) {
-	if AbsErr(3, 5) != 2 || AbsErr(5, 3) != 2 {
-		t.Fatal("AbsErr broken")
 	}
 }

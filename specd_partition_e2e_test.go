@@ -41,9 +41,9 @@ func (s *switchTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 //   - an asymmetric partition: n2's heartbeats stop reaching the
 //     router, but the router still reaches n2, so n2 must go suspect
 //     (never dead) and keep serving reads with no handoff;
-//   - a slow node: every router→n3 request takes ~1s, so proxied reads
-//     of n3's jobs must be bounded by the hedge delay, not the injected
-//     latency;
+//   - a slow node: every router→n3 request takes ~1s, so status polls
+//     of n3's jobs must be answered from the router's cache about one
+//     hedge delay in, not after the injected latency;
 //   - a dying disk: n1's WAL hits ENOSPC mid-run, so n1 must flip to
 //     read-only degraded mode, the router must place new work around
 //     it, and healing the disk must bring it back.
@@ -213,10 +213,10 @@ func TestSpecdPartitionGrayFailures(t *testing.T) {
 	}
 
 	// Status polls of the slow node's jobs must be bounded near the
-	// hedge delay: the hedge fires at 100ms, comes back unusable (the
-	// successor does not know the job), and the router serves its
-	// cached status instead of waiting out the ~1s link. (A read of the
-	// whole trajectory, which the cache cannot answer, waits.)
+	// hedge delay: after 100ms of silence from the owner the router
+	// serves its cached status instead of waiting out the ~1s link. (A
+	// read of the whole trajectory, which the cache cannot answer,
+	// waits.)
 	slowJob := jobOn("n3")
 	var reads []time.Duration
 	for i := 0; i < 20; i++ {
@@ -348,7 +348,8 @@ func TestSpecdPartitionGrayFailures(t *testing.T) {
 	}
 
 	// The router's view agrees: no member was declared dead, nothing
-	// handed off, and the hedger actually fired against the slow node.
+	// handed off, and the cache fallback actually answered for the slow
+	// node.
 	metrics, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatalf("router metrics: %v", err)
@@ -363,6 +364,6 @@ func TestSpecdPartitionGrayFailures(t *testing.T) {
 		}
 	}
 	if strings.Contains(metrics, "specd_router_hedges_total 0\n") {
-		t.Error("router never hedged a read despite the slow node")
+		t.Error("router never fell back to its cache despite the slow node")
 	}
 }
