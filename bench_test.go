@@ -33,7 +33,7 @@ func BenchmarkFig1ModelRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		g := base.Clone()
-		s := sched.New(g, r)
+		s := &sched.Scheduler{G: g, R: r}
 		b.StartTimer()
 		s.Step(64)
 	}
@@ -81,11 +81,11 @@ func BenchmarkFig2WorstCaseBound(b *testing.B) {
 func benchController(b *testing.B, mk func() control.Controller) {
 	r := rng.New(5)
 	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	mu := control.TargetM(g, r.Split(), 0.20, 400, 1)
+	mu := sched.TargetM(g, r.Split(), 0.20, 400, 1)
 	conv := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := control.RunLoopStatic(g, r.Split(), mk(), 200)
+		tr := speculation.RunAdaptive(sched.NewStatic(g, r.Split()), mk(), 200)
 		conv = float64(tr.ConvergenceStep(float64(mu), 0.30, 8))
 	}
 	b.ReportMetric(conv, "rounds-to-converge")
@@ -125,7 +125,7 @@ func benchAblation(b *testing.B, mutate func(*control.HybridConfig)) {
 	for i := 0; i < b.N; i++ {
 		cfg := control.DefaultHybridConfig(0.20)
 		mutate(&cfg)
-		tr := control.RunLoopStatic(g, r.Split(), control.NewHybrid(cfg), 300)
+		tr := speculation.RunAdaptive(sched.NewStatic(g, r.Split()), control.NewHybrid(cfg), 300)
 		_, std = tr.SteadyStateStats(120)
 	}
 	b.ReportMetric(std, "steady-state-std")
@@ -183,7 +183,7 @@ func BenchmarkPhaseTracking(b *testing.B) {
 			{Rounds: 100, N: 2000, Degree: 4},
 		} {
 			g := graph.RandomWithAvgDegree(r, spec.N, spec.Degree)
-			if tr := control.RunLoopStatic(g, r, h, spec.Rounds); phase == 1 {
+			if tr := speculation.RunAdaptive(sched.NewStatic(g, r), h, spec.Rounds); phase == 1 {
 				mAfterJump = tr.M
 			}
 		}
@@ -212,7 +212,7 @@ func BenchmarkAppMeshRefine(b *testing.B) {
 		}
 		ref := mesh.NewSpeculativeRefiner(m, mesh.Quality{MaxArea: 0.001},
 			func(n int) int { return r.Intn(n) })
-		ref.Run(control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
+		speculation.RunAdaptive(ref.Executor(), control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
 		ratio = ref.Executor().OverallConflictRatio()
 	}
 	b.ReportMetric(ratio, "conflict-ratio")
@@ -225,7 +225,7 @@ func BenchmarkAppBoruvka(b *testing.B) {
 		r := rng.New(uint64(12 + i))
 		g := boruvka.NewRandomConnected(r, 1000, 3000)
 		s := boruvka.NewSpeculativeMSF(g, func(n int) int { return r.Intn(n) })
-		s.Run(control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
+		speculation.RunAdaptive(s.Executor(), control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
 		ratio = s.Executor().OverallConflictRatio()
 	}
 	b.ReportMetric(ratio, "conflict-ratio")
@@ -239,7 +239,7 @@ func BenchmarkAppSurveyProp(b *testing.B) {
 		f := sp.NewRandom3SAT(r, 300, 750)
 		st := sp.NewState(f, r.Split())
 		s := sp.NewSpeculativeSP(st, 1e-4, func(n int) int { return r.Intn(n) })
-		s.Run(control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
+		speculation.RunAdaptive(s.Executor(), control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
 		ratio = s.Executor().OverallConflictRatio()
 	}
 	b.ReportMetric(ratio, "conflict-ratio")
@@ -252,7 +252,7 @@ func BenchmarkAppClustering(b *testing.B) {
 		r := rng.New(uint64(14 + i))
 		c := cluster.New(cluster.RandomPoints(r, 600))
 		s := cluster.NewSpeculative(c, 1, func(n int) int { return r.Intn(n) })
-		s.Run(control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
+		speculation.RunAdaptive(s.Executor(), control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
 		ratio = s.Executor().OverallConflictRatio()
 	}
 	b.ReportMetric(ratio, "conflict-ratio")
@@ -294,7 +294,7 @@ func BenchmarkAppEventSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := des.NewTandem(uint64(21+i), 0.2, 0.15, 0.25, 0.2)
 		sim := des.NewSpeculativeSim(net, 200, 0.05)
-		sim.Run(control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
+		speculation.RunAdaptive(sim.Executor(), control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
 		wasted = sim.Executor().OverallConflictRatio()
 	}
 	b.ReportMetric(wasted, "wasted-ratio")
@@ -363,7 +363,7 @@ func BenchmarkAppMaxflow(b *testing.B) {
 		net := maxflow.RandomNetwork(r, 100, 400, 30)
 		s := maxflow.NewSpeculativePR(net, 0, net.N-1,
 			func(n int) int { return r.Intn(n) })
-		s.Run(control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
+		speculation.RunAdaptive(s.Executor(), control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
 		ratio = s.Executor().OverallConflictRatio()
 	}
 	b.ReportMetric(ratio, "conflict-ratio")

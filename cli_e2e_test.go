@@ -38,17 +38,19 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
-// rejectsZeroReps checks that a command refuses -reps 0 at flag parse:
-// exit status 2 with a usage message, not a panic's goroutine trace.
-func rejectsZeroReps(t *testing.T, bin string, args ...string) {
+// rejects checks that a command refuses args before it builds anything:
+// exit status 2 with want and a usage message, not a panic's goroutine
+// trace.
+func rejects(t *testing.T, bin, want string, args ...string) {
 	t.Helper()
-	out, err := exec.Command(bin, append(args, "-reps", "0")...).CombinedOutput()
+	out, err := exec.Command(bin, args...).CombinedOutput()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Errorf("%s %v -reps 0: %v, want exit status 2\n%s", filepath.Base(bin), args, err, out)
+		t.Errorf("%s %v: %v, want exit status 2\n%s", filepath.Base(bin), args, err, out)
 	}
-	if strings.Contains(string(out), "goroutine ") || !strings.Contains(string(out), "Usage") {
-		t.Errorf("%s %v -reps 0: want a usage message, got\n%s", filepath.Base(bin), args, out)
+	if strings.Contains(string(out), "goroutine ") || !strings.Contains(string(out), "Usage") ||
+		!strings.Contains(string(out), want) {
+		t.Errorf("%s %v: want %q and a usage message, got\n%s", filepath.Base(bin), args, want, out)
 	}
 }
 
@@ -87,7 +89,7 @@ func TestCLIEndToEnd(t *testing.T) {
 			t.Error("variance table missing")
 		}
 		for _, mode := range []string{"-plot", "-variance", "-runtime"} {
-			rejectsZeroReps(t, bins["ccsim"], mode)
+			rejects(t, bins["ccsim"], "-reps must be at least 1", mode, "-reps", "0")
 		}
 	})
 
@@ -131,7 +133,24 @@ func TestCLIEndToEnd(t *testing.T) {
 			t.Error("boruvka profile missing")
 		}
 		for _, wl := range []string{"boruvka", "random"} {
-			rejectsZeroReps(t, bins["ccprofile"], "-workload", wl)
+			rejects(t, bins["ccprofile"], "-reps must be at least 1", "-workload", wl, "-reps", "0")
+		}
+	})
+
+	// Outside input the model CLIs cannot build from: a graph denser than
+	// its node count allows, or a static drive with no rounds to cap it.
+	t.Run("bad-input", func(t *testing.T) {
+		for _, c := range []struct {
+			cmd, want string
+			args      []string
+		}{
+			{"controlsim", "-rounds must be at least 1", []string{"-rounds", "-1"}},
+			{"controlsim", "need n ≥ 65", []string{"-n", "40"}},
+			{"controlsim", "need n ≥ 65", []string{"-n", "0"}},
+			{"ccsim", "needs -n ≥ 17", []string{"-n", "10", "-d", "16"}},
+			{"ccprofile", "needs -n ≥ 17", []string{"-n", "10", "-d", "16"}},
+		} {
+			rejects(t, bins[c.cmd], c.want, c.args...)
 		}
 	})
 

@@ -47,13 +47,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *workload == "random" && *d > float64(*n-1) {
+		fmt.Fprintf(os.Stderr, "-d %g needs -n ≥ %g: a simple graph on n nodes has degree at most n−1\n", *d, *d+1)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var pts []profile.Point
 	r := rng.New(*seed)
 	switch *workload {
 	case "random":
 		g := graph.RandomWithAvgDegree(r, *n, *d)
-		pts = profile.Profile(g, r, nil, *reps, 100000, *workers)
+		pts = profile.Profile(g, r, *reps, 100000, *workers)
 	case "mesh":
 		pts = meshProfile(r, *size)
 	case "boruvka":

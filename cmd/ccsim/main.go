@@ -50,6 +50,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *d > *n-1 { // every mode draws a graph of average degree d on n nodes
+		fmt.Fprintf(os.Stderr, "-d %d needs -n ≥ %d: a simple graph on n nodes has degree at most n−1\n", *d, *d+1)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	r := rng.New(*seed)
 	if *variance {

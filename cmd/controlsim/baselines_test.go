@@ -8,6 +8,8 @@ import (
 	"repro/internal/control"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sched"
+	"repro/internal/speculation"
 )
 
 func TestAIMD(t *testing.T) {
@@ -29,9 +31,9 @@ func TestAIMD(t *testing.T) {
 func TestBisectionConverges(t *testing.T) {
 	r := rng.New(1)
 	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	mu := control.TargetM(g, r.Split(), 0.20, 400, 1)
+	mu := sched.TargetM(g, r.Split(), 0.20, 400, 1)
 	c := newBisection(0.20, 2)
-	tr := control.RunLoopStatic(g, r, c, 400)
+	tr := speculation.RunAdaptive(sched.NewStatic(g, r), c, 400)
 	mean, _ := tr.SteadyStateStats(60)
 	if math.Abs(mean-float64(mu)) > 0.35*float64(mu) {
 		t.Fatalf("bisection steady state %v far from μ=%d", mean, mu)

@@ -29,6 +29,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/profile"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/speculation"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -72,23 +73,41 @@ func main() {
 		os.Exit(2)
 	}
 
+	// deg is the highest average degree among the graphs the experiment
+	// draws on -n nodes (-phases fixes its own sizes); a simple graph
+	// needs n ≥ deg+1 for it.
+	deg, run := 64.0, func() { runFig3(*n, *rho, *rounds, *seed, *plot, *workers) }
 	switch {
 	case *converge:
-		runConverge(*n, *seed, *workers)
+		run = func() { runConverge(*n, *seed, *workers) }
 	case *ablate:
-		runAblate(*n, *rho, *seed, *workers)
+		deg, run = 16, func() { runAblate(*n, *rho, *seed, *workers) }
 	case *phases:
-		runPhases(*rho, *seed)
+		deg, run = 0, func() { runPhases(*rho, *seed) }
 	case *smart:
-		runSmartStart(*n, *rho, *seed, *workers)
+		run = func() { runSmartStart(*n, *rho, *seed, *workers) }
 	case *efficiency:
-		runEfficiency(*n, *rho, *seed, *par, *async, *colored)
+		deg, run = 24, func() { runEfficiency(*n, *rho, *seed, *par, *async, *colored) }
 	case *rhoSweep:
-		runRhoSweep(*n, *seed, *par)
+		deg, run = 16, func() { runRhoSweep(*n, *seed, *par) }
 	default:
 		_ = fig3
-		runFig3(*n, *rho, *rounds, *seed, *plot, *workers)
 	}
+	switch {
+	case *rounds < 1:
+		usageError("-rounds must be at least 1")
+	case deg > 0 && float64(*n) < deg+1:
+		usageError(fmt.Sprintf("-n %d is too small: the experiment draws graphs of average degree %.0f, which need n ≥ %.0f", *n, deg, deg+1))
+	}
+	run()
+}
+
+// usageError reports bad flags the way flag.Parse does: message, usage,
+// exit status 2.
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func mustWrite(tbl *trace.Table) {
@@ -104,14 +123,14 @@ func runFig3(n int, rho float64, rounds int, seed uint64, plot bool, workers int
 	r := rng.New(seed)
 	for _, d := range []float64{16, 64} {
 		g := graph.RandomWithAvgDegree(r, n, d)
-		mu := control.TargetM(g, r.Split(), rho, 400, workers)
+		mu := sched.TargetM(g, r.Split(), rho, 400, workers)
 		fmt.Printf("Fig. 3: n=%d d=%.0f ρ=%.0f%% — μ (bisection reference) = %d\n",
 			n, d, rho*100, mu)
 
 		hybrid := mustCtrl("hybrid", workload.ControllerParams{Rho: rho})
-		trH := control.RunLoopStatic(g, r.Split(), hybrid, rounds)
+		trH := speculation.RunAdaptive(sched.NewStatic(g, r.Split()), hybrid, rounds)
 		recA := mustCtrl("recurrence-a", workload.ControllerParams{Rho: rho})
-		trA := control.RunLoopStatic(g, r.Split(), recA, rounds)
+		trA := speculation.RunAdaptive(sched.NewStatic(g, r.Split()), recA, rounds)
 
 		tbl := trace.NewTable(fmt.Sprintf("fig3-trajectories-d%.0f", d),
 			"round", "hybrid_m", "recurrenceA_m", "mu")
@@ -153,9 +172,9 @@ func runConverge(n int, seed uint64, workers int) {
 	for _, d := range []float64{8, 16, 32, 64} {
 		g := graph.RandomWithAvgDegree(r, n, d)
 		for _, rho := range []float64{0.20, 0.25, 0.30} {
-			mu := control.TargetM(g, r.Split(), rho, 400, workers)
+			mu := sched.TargetM(g, r.Split(), rho, 400, workers)
 			step := func(c control.Controller) float64 {
-				tr := control.RunLoopStatic(g, r.Split(), c, 400)
+				tr := speculation.RunAdaptive(sched.NewStatic(g, r.Split()), c, 400)
 				return float64(tr.ConvergenceStep(float64(mu), 0.30, 8))
 			}
 			row := []float64{d, rho, float64(mu)}
@@ -174,7 +193,7 @@ func runConverge(n int, seed uint64, workers int) {
 func runAblate(n int, rho float64, seed uint64, workers int) {
 	r := rng.New(seed)
 	g := graph.RandomWithAvgDegree(r, n, 16)
-	mu := control.TargetM(g, r.Split(), rho, 400, workers)
+	mu := sched.TargetM(g, r.Split(), rho, 400, workers)
 	fmt.Printf("Ablations on n=%d d=16 ρ=%.0f%% (μ=%d); 400 rounds each\n", n, rho*100, mu)
 
 	variants := []struct {
@@ -207,14 +226,10 @@ func runAblate(n int, rho float64, seed uint64, workers int) {
 	tbl := trace.NewTable("ablation",
 		"variant", "converge_step", "steady_mean", "steady_std", "mean_ratio")
 	for vi, v := range variants {
-		tr := control.RunLoopStatic(g, r.Split(), v.mk(), 400)
+		tr := speculation.RunAdaptive(sched.NewStatic(g, r.Split()), v.mk(), 400)
 		cs := tr.ConvergenceStep(float64(mu), 0.30, 8)
 		mean, std := tr.SteadyStateStats(150)
-		sumR := 0.0
-		for _, x := range tr.R {
-			sumR += x
-		}
-		tbl.AddRow(float64(vi), float64(cs), mean, std, sumR/float64(len(tr.R)))
+		tbl.AddRow(float64(vi), float64(cs), mean, std, tr.MeanConflictRatio())
 		fmt.Printf("  [%d] %s\n", vi, v.name)
 	}
 	mustWrite(tbl)
@@ -231,14 +246,14 @@ func runSmartStart(n int, rho float64, seed uint64, workers int) {
 		"smart_first_ratio", "guaranteed_m")
 	for _, d := range []float64{8, 16, 32, 64} {
 		g := graph.RandomWithAvgDegree(r, n, d)
-		mu := control.TargetM(g, r.Split(), rho, 400, workers)
+		mu := sched.TargetM(g, r.Split(), rho, 400, workers)
 
 		cold := control.NewHybrid(control.DefaultHybridConfig(rho))
-		trCold := control.RunLoopStatic(g, r.Split(), cold, 300)
+		trCold := speculation.RunAdaptive(sched.NewStatic(g, r.Split()), cold, 300)
 
 		smart := control.NewHybridSmartStart(rho, n, d)
 		m0 := smart.M()
-		trSmart := control.RunLoopStatic(g, r.Split(), smart, 300)
+		trSmart := speculation.RunAdaptive(sched.NewStatic(g, r.Split()), smart, 300)
 
 		tbl.AddRow(d, float64(mu),
 			float64(trCold.ConvergenceStep(float64(mu), 0.30, 8)),
@@ -354,7 +369,7 @@ func runPhases(rho float64, seed uint64) {
 	round := 0
 	for phase, spec := range specs {
 		g := graph.RandomWithAvgDegree(r, spec.N, spec.Degree)
-		tr := control.RunLoopStatic(g, r, h, spec.Rounds)
+		tr := speculation.RunAdaptive(sched.NewStatic(g, r), h, spec.Rounds)
 		for i, m := range tr.M {
 			tbl.AddRow(float64(round), float64(phase), float64(m), tr.R[i])
 			round++

@@ -7,12 +7,14 @@
 //
 //   - internal/graph       — dynamic CC graphs, generators, greedy MIS
 //   - internal/analytic    — the §3 closed-form theory (Turán extension)
-//   - internal/sched       — the §2 round-based scheduler model and its
-//     Monte Carlo estimation engine
+//   - internal/sched       — the §2 round-based scheduler model, its
+//     static round (a speculation.Rounder), and its Monte Carlo
+//     estimation engine
 //   - internal/control     — the §4 controllers (Algorithm 1 hybrid),
-//     smart start, model-based controller, baselines
+//     smart start, model-based controller
 //   - internal/speculation — goroutine-based optimistic runtime, the
-//     ordered executor (§5), and the ForEach/Loop API
+//     ordered executor (§5), the ForEach/Loop API, and Drive, the one
+//     loop that runs a controller against a Rounder
 //   - internal/profile     — Lonestar-style parallelism profiles
 //   - internal/apps/...    — Delaunay refinement, Boruvka, survey
 //     propagation, agglomerative clustering, preflow-push max flow,

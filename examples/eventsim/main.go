@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/apps/des"
 	"repro/internal/control"
+	"repro/internal/speculation"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 
 	sim := des.NewSpeculativeSim(net, jobs, interMean)
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	res := sim.Run(ctrl, 1<<30)
+	res := speculation.RunAdaptive(sim.Executor(), ctrl, 1<<30)
 
 	e := sim.Executor()
 	fmt.Printf("speculative: rounds=%d committed=%d conflicts=%d premature=%d (wasted %.1f%%)\n",

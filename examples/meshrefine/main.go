@@ -16,6 +16,7 @@ import (
 	"repro/internal/apps/mesh"
 	"repro/internal/control"
 	"repro/internal/rng"
+	"repro/internal/speculation"
 )
 
 func main() {
@@ -32,7 +33,7 @@ func main() {
 
 	ref := mesh.NewSpeculativeRefiner(m, quality, func(n int) int { return r.Intn(n) })
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	res := ref.Run(ctrl, 1<<30)
+	res := speculation.RunAdaptive(ref.Executor(), ctrl, 1<<30)
 
 	exec := ref.Executor()
 	fmt.Printf("refined in %d rounds: inserted=%d committed=%d aborted=%d (conflict ratio %.2f)\n",

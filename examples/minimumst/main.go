@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps/boruvka"
 	"repro/internal/control"
 	"repro/internal/rng"
+	"repro/internal/speculation"
 )
 
 func main() {
@@ -26,7 +27,7 @@ func main() {
 	// Speculative Boruvka with the Algorithm 1 controller.
 	s := boruvka.NewSpeculativeMSF(g, func(n int) int { return r.Intn(n) })
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	res := s.Run(ctrl, 1<<30)
+	res := speculation.RunAdaptive(s.Executor(), ctrl, 1<<30)
 	msf := s.Result()
 
 	exec := s.Executor()

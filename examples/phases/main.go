@@ -17,6 +17,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/profile"
 	"repro/internal/rng"
+	"repro/internal/sched"
+	"repro/internal/speculation"
 )
 
 func main() {
@@ -38,7 +40,7 @@ func main() {
 		}
 		// A static graph per phase; the controller carries over the jump.
 		g := graph.RandomWithAvgDegree(r, spec.N, spec.Degree)
-		tr := control.RunLoopStatic(g, r, ctrl, spec.Rounds)
+		tr := speculation.RunAdaptive(sched.NewStatic(g, r), ctrl, spec.Rounds)
 		for i, m := range tr.M {
 			if round%5 == 0 {
 				fmt.Printf("%5d  %-5d  %-4d  %.2f\n", round, phase, m, tr.R[i])

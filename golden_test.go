@@ -41,18 +41,20 @@ func TestGoldenApprun(t *testing.T) {
 	}
 }
 
-// TestGoldenControlsim pins controlsim's -fig3, -converge and -ablate
-// tables on a small graph at -workers 1, where the Monte Carlo μ probes
-// run on one goroutine and every table is a pure function of the seed
-// (at -workers 2 it is not). They cover every registered adaptive
-// controller and controlsim's own baselines, so a byte difference from
-// testdata/controlsim means a controller's decisions changed.
+// TestGoldenControlsim pins controlsim's -fig3, -converge, -ablate,
+// -phases and -smartstart tables on a small graph at -workers 1, where
+// the Monte Carlo μ probes run on one goroutine and every table is a pure
+// function of the seed (at -workers 2 it is not). They cover every
+// registered adaptive controller and controlsim's own baselines, driven
+// against the model's static round, so a byte difference from
+// testdata/controlsim means a controller's decisions or that round
+// changed. (-phases fixes its own graph sizes and round counts.)
 func TestGoldenControlsim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary; skipped in -short mode")
 	}
 	bin := buildCmd(t, "controlsim")
-	for _, exp := range []string{"fig3", "converge", "ablate"} {
+	for _, exp := range []string{"fig3", "converge", "ablate", "phases", "smartstart"} {
 		args := []string{"-" + exp, "-n", "400", "-rounds", "60", "-workers", "1"}
 		t.Run(exp, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", "controlsim", exp+".golden"))

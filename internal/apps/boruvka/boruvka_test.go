@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/rng"
+	"repro/internal/speculation"
 )
 
 func TestUnionFind(t *testing.T) {
@@ -90,7 +91,7 @@ func TestSpeculativeFixedM(t *testing.T) {
 	g := NewRandomConnected(r, 200, 400)
 	s := NewSpeculativeMSF(g, func(n int) int { return r.Intn(n) })
 	rounds := 0
-	for s.Pending() > 0 {
+	for s.Executor().Pending() > 0 {
 		s.Executor().Round(16)
 		rounds++
 		if rounds > 100000 {
@@ -111,8 +112,8 @@ func TestSpeculativeAdaptive(t *testing.T) {
 	g := NewRandomConnected(r, 500, 1500)
 	s := NewSpeculativeMSF(g, func(n int) int { return r.Intn(n) })
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	res := s.Run(ctrl, 1000000)
-	if s.Pending() != 0 {
+	res := speculation.RunAdaptive(s.Executor(), ctrl, 1000000)
+	if s.Executor().Pending() != 0 {
 		t.Fatal("did not drain")
 	}
 	if res.Rounds == 0 {
@@ -136,7 +137,7 @@ func TestSpeculativeDisconnected(t *testing.T) {
 		{U: 3, V: 4, W: 0.9, ID: 2},
 	}} // vertex 5 isolated
 	s := NewSpeculativeMSF(g, func(n int) int { return r.Intn(n) })
-	for s.Pending() > 0 {
+	for s.Executor().Pending() > 0 {
 		s.Executor().Round(3)
 	}
 	res := s.Result()

@@ -3,7 +3,6 @@ package boruvka
 import (
 	"sync"
 
-	"repro/internal/control"
 	"repro/internal/speculation"
 )
 
@@ -50,9 +49,6 @@ func NewSpeculativeMSF(g *WGraph, pick func(n int) int) *SpeculativeMSF {
 
 // Executor exposes the underlying speculative executor.
 func (s *SpeculativeMSF) Executor() *speculation.Executor { return s.exec }
-
-// Pending returns the number of queued component tasks.
-func (s *SpeculativeMSF) Pending() int { return s.exec.Pending() }
 
 // minOutgoing scans (and compacts) the candidate edges of root x,
 // returning the minimum edge leaving the component and the other
@@ -153,9 +149,4 @@ func (s *SpeculativeMSF) Result() Result {
 	defer s.mu.Unlock()
 	edges := append([]Edge(nil), s.MSF...)
 	return Result{Edges: edges, Weight: TotalWeight(edges)}
-}
-
-// Run drains the workload under controller c.
-func (s *SpeculativeMSF) Run(c control.Controller, maxRounds int) *speculation.AdaptiveResult {
-	return speculation.RunAdaptive(s.exec, c, maxRounds)
 }

@@ -90,17 +90,6 @@ func (c *Clustering) remove(cl *Cluster) {
 // NumClusters returns the number of live clusters.
 func (c *Clustering) NumClusters() int { return len(c.live) }
 
-// Live returns the IDs of the live clusters in storage order: creation
-// order, except that each merge moves the last live cluster into the
-// slot of a cluster it retired.
-func (c *Clustering) Live() []int {
-	out := make([]int, len(c.live))
-	for i, cl := range c.live {
-		out[i] = cl.ID
-	}
-	return out
-}
-
 // Get returns the live cluster with the given ID, or nil.
 func (c *Clustering) Get(id int) *Cluster {
 	if id < 0 || id >= len(c.byID) {

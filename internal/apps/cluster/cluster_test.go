@@ -6,7 +6,19 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/rng"
+	"repro/internal/speculation"
 )
+
+// Live returns the IDs of the live clusters in storage order: creation
+// order, except that each merge moves the last live cluster into the
+// slot of a cluster it retired.
+func (c *Clustering) Live() []int {
+	out := make([]int, len(c.live))
+	for i, cl := range c.live {
+		out[i] = cl.ID
+	}
+	return out
+}
 
 func TestNewClustering(t *testing.T) {
 	pts := []Point{{0, 0}, {1, 0}, {0, 1}}
@@ -231,19 +243,14 @@ func TestSpeculativeFixedM(t *testing.T) {
 	r := rng.New(3)
 	c := New(RandomPoints(r, 150))
 	s := NewSpeculative(c, 1, func(n int) int { return r.Intn(n) })
-	for rounds := 0; ; rounds++ {
+	for rounds := 0; s.Executor().Pending() > 0; rounds++ {
 		if rounds > 100000 {
 			t.Fatal("did not drain")
 		}
-		if s.Pending() == 0 {
-			if c.NumClusters() <= 1 {
-				break
-			}
-			if s.Reseed() == 0 {
-				t.Fatal("stalled with no reseedable work")
-			}
-		}
 		s.Executor().Round(8)
+	}
+	if c.NumClusters() != 1 {
+		t.Fatalf("stalled at %d clusters with no pending work", c.NumClusters())
 	}
 	if err := c.CheckDendrogram(150); err != nil {
 		t.Fatal(err)
@@ -258,7 +265,7 @@ func TestSpeculativeAdaptive(t *testing.T) {
 	c := New(RandomPoints(r, 400))
 	s := NewSpeculative(c, 1, func(n int) int { return r.Intn(n) })
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	res := s.Run(ctrl, 1000000)
+	res := speculation.RunAdaptive(s.Executor(), ctrl, 1000000)
 	if c.NumClusters() != 1 {
 		t.Fatalf("clusters = %d", c.NumClusters())
 	}
@@ -277,7 +284,7 @@ func TestSpeculativeRespectsTarget(t *testing.T) {
 	r := rng.New(5)
 	c := New(RandomPoints(r, 80))
 	s := NewSpeculative(c, 10, func(n int) int { return r.Intn(n) })
-	s.Run(control.Fixed{Procs: 8}, 100000)
+	speculation.RunAdaptive(s.Executor(), control.Fixed{Procs: 8}, 100000)
 	if c.NumClusters() != 10 {
 		t.Fatalf("clusters = %d, want 10", c.NumClusters())
 	}
@@ -302,12 +309,40 @@ func TestSpeculativeQualityNearSequential(t *testing.T) {
 
 	par := New(pts)
 	s := NewSpeculative(par, 1, func(n int) int { return r.Intn(n) })
-	s.Run(control.NewHybrid(control.DefaultHybridConfig(0.25)), 1000000)
+	speculation.RunAdaptive(s.Executor(), control.NewHybrid(control.DefaultHybridConfig(0.25)), 1000000)
 	parCost := 0.0
 	for _, m := range par.Merges {
 		parCost += m.Dist
 	}
 	if parCost > 1.5*seqCost || seqCost > 1.5*parCost {
 		t.Fatalf("dendrogram costs diverge: seq %v vs spec %v", seqCost, parCost)
+	}
+}
+
+// TestSpeculativeDrainsToTargetOnExecutorAlone drives the executor once,
+// to drain, with nothing reseeded between drives — as apprun and specd's
+// cluster workload do — over sizes 100–4000, seeds 1–8 and one or two
+// pool workers. Every run must end at the target with a valid dendrogram
+// and no work pending: merges and baton hand-offs keep the chains going.
+func TestSpeculativeDrainsToTargetOnExecutorAlone(t *testing.T) {
+	for _, size := range []int{100, 500, 1500, 4000} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			for _, par := range []int{1, 2} {
+				r := rng.New(seed)
+				c := New(RandomPoints(r, size))
+				s := NewSpeculative(c, 1, func(n int) int { return r.Intn(n) })
+				e := s.Executor()
+				e.MaxParallel = par
+				speculation.RunAdaptive(e, control.NewHybrid(control.DefaultHybridConfig(0.25)), 1<<30)
+				e.Close()
+				if err := c.CheckDendrogram(size); err != nil {
+					t.Errorf("size=%d seed=%d parallel=%d: %v", size, seed, par, err)
+				}
+				if p := e.Pending(); p != 0 || c.NumClusters() != 1 {
+					t.Errorf("size=%d seed=%d parallel=%d: %d pending, %d clusters left",
+						size, seed, par, p, c.NumClusters())
+				}
+			}
+		}
 	}
 }

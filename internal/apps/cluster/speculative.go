@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/control"
 	"repro/internal/speculation"
 )
 
@@ -24,7 +23,6 @@ type SpeculativeClustering struct {
 	items   map[int]*speculation.Item
 	hasTask map[int]bool
 	exec    *speculation.Executor
-	initial int
 }
 
 // NewSpeculative wraps clustering c (owned afterwards), stopping when
@@ -39,20 +37,13 @@ func NewSpeculative(c *Clustering, target int, pick func(n int) int) *Speculativ
 		items:   make(map[int]*speculation.Item),
 		hasTask: make(map[int]bool),
 		exec:    speculation.NewExecutor(pick),
-		initial: c.NumClusters(),
 	}
-	s.Reseed()
+	s.seed()
 	return s
 }
 
-// Clustering exposes the underlying clustering state.
-func (s *SpeculativeClustering) Clustering() *Clustering { return s.c }
-
 // Executor exposes the underlying speculative executor.
 func (s *SpeculativeClustering) Executor() *speculation.Executor { return s.exec }
-
-// Pending returns the number of queued cluster tasks.
-func (s *SpeculativeClustering) Pending() int { return s.exec.Pending() }
 
 func (s *SpeculativeClustering) itemFor(id int) *speculation.Item {
 	if it, ok := s.items[id]; ok {
@@ -73,25 +64,20 @@ func (s *SpeculativeClustering) ensureTaskLocked(id int) bool {
 	return true
 }
 
-// Reseed enqueues a task for every live cluster that lacks one, in
-// cluster-id order so that task handles — and with them every seeded
-// pick — do not depend on the live slice's order. It restarts stalled
-// nearest-neighbor chains (the driver calls it between adaptive runs
-// until the target is reached).
-func (s *SpeculativeClustering) Reseed() int {
-	s.mu.Lock()
-	var spawn []int
+// seed enqueues one task per live cluster, in cluster-id order so that
+// task handles — and with them every seeded pick — do not depend on the
+// live slice's order. Chains never stall afterwards: a task that hands
+// the baton on queues its successor, and a merge queues its parent.
+func (s *SpeculativeClustering) seed() {
+	ids := make([]int, 0, len(s.c.live))
 	for _, cl := range s.c.live {
-		if s.ensureTaskLocked(cl.ID) {
-			spawn = append(spawn, cl.ID)
-		}
+		ids = append(ids, cl.ID)
 	}
-	s.mu.Unlock()
-	sort.Ints(spawn)
-	for _, id := range spawn {
+	sort.Ints(ids)
+	for _, id := range ids {
+		s.hasTask[id] = true
 		s.exec.Add(s.taskFor(id))
 	}
-	return len(spawn)
 }
 
 // taskFor builds the speculative merge task for cluster x.
@@ -150,31 +136,4 @@ func (s *SpeculativeClustering) commitMerge(x, y int) {
 	for _, id := range spawn {
 		s.exec.Add(s.taskFor(id))
 	}
-}
-
-// Run agglomerates under controller c until target clusters remain (or
-// maxRounds elapse), reseeding stalled chains between adaptive runs. It
-// returns the concatenated adaptive trajectory.
-func (s *SpeculativeClustering) Run(ctrl control.Controller, maxRounds int) *speculation.AdaptiveResult {
-	total := &speculation.AdaptiveResult{Controller: ctrl.Name()}
-	for total.Rounds < maxRounds {
-		res := speculation.RunAdaptive(s.exec, ctrl, maxRounds-total.Rounds)
-		total.M = append(total.M, res.M...)
-		total.R = append(total.R, res.R...)
-		total.Committed = append(total.Committed, res.Committed...)
-		total.Rounds += res.Rounds
-		total.UsefulWork += res.UsefulWork
-		total.WastedWork += res.WastedWork
-		total.ProcRounds += res.ProcRounds
-		s.mu.Lock()
-		done := s.c.NumClusters() <= s.target
-		s.mu.Unlock()
-		if done {
-			break
-		}
-		if s.Reseed() == 0 {
-			break // nothing left to try
-		}
-	}
-	return total
 }

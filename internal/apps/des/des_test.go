@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/control"
+	"repro/internal/speculation"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -113,7 +114,7 @@ func TestSpeculativeMatchesOracleExactly(t *testing.T) {
 	for _, m := range []int{1, 4, 16, 64} {
 		sim := NewSpeculativeSim(net, jobs, 0.5)
 		rounds := 0
-		for sim.Pending() > 0 {
+		for sim.Executor().Pending() > 0 {
 			sim.Executor().Round(m)
 			rounds++
 			if rounds > 1000000 {
@@ -141,7 +142,7 @@ func TestSpeculativeConflictsOccur(t *testing.T) {
 	// parallelism is wasted, so conflicts + premature must dominate.
 	net := NewTandem(19, 1.0)
 	sim := NewSpeculativeSim(net, 100, 0.1)
-	for sim.Pending() > 0 {
+	for sim.Executor().Pending() > 0 {
 		sim.Executor().Round(16)
 	}
 	e := sim.Executor()
@@ -157,8 +158,8 @@ func TestSpeculativeAdaptiveShrinksOnSerialWorkload(t *testing.T) {
 	net := NewTandem(23, 1.0) // one station: no exploitable parallelism
 	sim := NewSpeculativeSim(net, 200, 0.1)
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	res := sim.Run(ctrl, 1000000)
-	if sim.Pending() != 0 {
+	res := speculation.RunAdaptive(sim.Executor(), ctrl, 1000000)
+	if sim.Executor().Pending() != 0 {
 		t.Fatal("did not drain")
 	}
 	if res.Rounds == 0 {
@@ -193,7 +194,7 @@ func TestSpeculativeAdaptiveWideNetwork(t *testing.T) {
 	net := NewTandem(29, means...)
 	sim := NewSpeculativeSim(net, 300, 0.02)
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	sim.Run(ctrl, 1000000)
+	speculation.RunAdaptive(sim.Executor(), ctrl, 1000000)
 	if err := sim.State().CheckComplete(); err != nil {
 		t.Fatal(err)
 	}

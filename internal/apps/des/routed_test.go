@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/control"
+	"repro/internal/speculation"
 )
 
 func feedForwardNet(seed uint64) *Network {
@@ -134,7 +135,7 @@ func TestRoutedSpeculativeMatchesOracle(t *testing.T) {
 		oracle := RunSequential(net, jobs, 0.25)
 		sim := NewSpeculativeSim(net, jobs, 0.25)
 		ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-		sim.Run(ctrl, 1<<30)
+		speculation.RunAdaptive(sim.Executor(), ctrl, 1<<30)
 		if err := sim.State().CheckComplete(); err != nil {
 			t.Fatal(err)
 		}

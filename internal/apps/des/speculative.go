@@ -1,9 +1,6 @@
 package des
 
-import (
-	"repro/internal/control"
-	"repro/internal/speculation"
-)
+import "repro/internal/speculation"
 
 // SpeculativeSim runs the queueing network on the *ordered* speculative
 // executor: events are prioritized tasks claiming their station; the
@@ -42,9 +39,6 @@ func (s *SpeculativeSim) State() *State { return s.state }
 // Executor exposes the ordered executor for inspection.
 func (s *SpeculativeSim) Executor() *speculation.OrderedExecutor { return s.exec }
 
-// Pending returns the number of queued events.
-func (s *SpeculativeSim) Pending() int { return s.exec.Pending() }
-
 // eventTask adapts an Event to speculation.OrderedTask.
 type eventTask struct {
 	sim *SpeculativeSim
@@ -81,12 +75,6 @@ func (s *SpeculativeSim) taskFor(e Event) speculation.OrderedTask {
 	return eventTask{sim: s, ev: e}
 }
 
-// Run drains the simulation under controller c — adaptive processor
-// allocation for an ordered algorithm, the paper's §5 outlook.
-func (s *SpeculativeSim) Run(c control.Controller, maxRounds int) *speculation.AdaptiveResult {
-	return speculation.RunAdaptive(s.exec, c, maxRounds)
-}
-
 // ProfilePoint records one clairvoyant step of an ordered run.
 type ProfilePoint struct {
 	Step        int
@@ -102,9 +90,9 @@ type ProfilePoint struct {
 func ParallelismProfile(net *Network, jobs int, interMean float64, maxSteps int) []ProfilePoint {
 	sim := NewSpeculativeSim(net, jobs, interMean)
 	var out []ProfilePoint
-	for step := 0; step < maxSteps && sim.Pending() > 0; step++ {
-		pending := sim.Pending()
-		st := sim.Executor().Round(pending)
+	for step := 0; step < maxSteps && sim.exec.Pending() > 0; step++ {
+		pending := sim.exec.Pending()
+		st := sim.exec.Round(pending)
 		out = append(out, ProfilePoint{
 			Step:        step,
 			Pending:     pending,

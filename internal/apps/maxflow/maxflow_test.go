@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/rng"
+	"repro/internal/speculation"
 )
 
 // The classic textbook instance with known max flow 23.
@@ -119,7 +120,7 @@ func TestSpeculativeMatchesOracle(t *testing.T) {
 		spec := net.Clone()
 		s := NewSpeculativePR(spec, 0, spec.N-1, func(n int) int { return r.Intn(n) })
 		rounds := 0
-		for s.Pending() > 0 {
+		for s.Executor().Pending() > 0 {
 			s.Executor().Round(8)
 			rounds++
 			if rounds > 1000000 {
@@ -142,8 +143,8 @@ func TestSpeculativeAdaptive(t *testing.T) {
 	spec := net.Clone()
 	s := NewSpeculativePR(spec, 0, spec.N-1, func(n int) int { return r.Intn(n) })
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	res := s.Run(ctrl, 1000000)
-	if s.Pending() != 0 {
+	res := speculation.RunAdaptive(s.Executor(), ctrl, 1000000)
+	if s.Executor().Pending() != 0 {
 		t.Fatal("did not drain")
 	}
 	if got := s.FlowValue(); got != want {
@@ -163,26 +164,5 @@ func TestRandomNetworkReachesSink(t *testing.T) {
 	net := RandomNetwork(r, 30, 0, 10) // backbone only
 	if got := EdmondsKarp(net, 0, net.N-1); got <= 0 {
 		t.Fatalf("backbone carries no flow: %d", got)
-	}
-}
-
-func TestParallelismProfile(t *testing.T) {
-	r := rng.New(5)
-	net := RandomNetwork(r, 80, 300, 20)
-	pts := ParallelismProfile(net.Clone(), 0, net.N-1, r, 10, 10000)
-	if len(pts) == 0 {
-		t.Fatal("empty profile")
-	}
-	for _, p := range pts {
-		if p.Parallelism < 1 || p.Parallelism > float64(p.Active) {
-			t.Fatalf("step %d: parallelism %v vs active %d", p.Step, p.Parallelism, p.Active)
-		}
-	}
-	// The clairvoyant run must still compute a valid max flow.
-	check := net.Clone()
-	want := EdmondsKarp(net.Clone(), 0, net.N-1)
-	got := PushRelabel(check, 0, check.N-1)
-	if got != want {
-		t.Fatalf("sanity: %d vs %d", got, want)
 	}
 }

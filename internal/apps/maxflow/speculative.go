@@ -3,7 +3,6 @@ package maxflow
 import (
 	"sync"
 
-	"repro/internal/control"
 	"repro/internal/speculation"
 )
 
@@ -43,9 +42,6 @@ func NewSpeculativePR(net *Network, src, sink int, pick func(n int) int) *Specul
 
 // Executor exposes the underlying executor.
 func (s *SpeculativePR) Executor() *speculation.Executor { return s.exec }
-
-// Pending returns the queued discharge count.
-func (s *SpeculativePR) Pending() int { return s.exec.Pending() }
 
 // FlowValue returns the flow that has reached the sink so far (the max
 // flow once the work-set drains).
@@ -104,9 +100,4 @@ func (s *SpeculativePR) commitDischarge(u int) {
 	for _, v := range spawn {
 		s.exec.Add(s.taskFor(v))
 	}
-}
-
-// Run drains the discharges under controller c.
-func (s *SpeculativePR) Run(c control.Controller, maxRounds int) *speculation.AdaptiveResult {
-	return speculation.RunAdaptive(s.exec, c, maxRounds)
 }

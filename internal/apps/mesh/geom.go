@@ -18,9 +18,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Sub returns p - q as a vector.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Dist2 returns the squared distance between p and q.
 func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y

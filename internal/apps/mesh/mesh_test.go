@@ -190,7 +190,7 @@ func TestRefineKeepsHullIndex(t *testing.T) {
 		m := buildTestMesh(14, 25)
 		r := rng.New(15)
 		ref := NewSpeculativeRefiner(m, q, func(n int) int { return r.Intn(n) })
-		for ref.Pending() > 0 {
+		for ref.Executor().Pending() > 0 {
 			before := ref.Inserted
 			ref.Executor().Round(1)
 			if ref.Inserted != before {

@@ -84,7 +84,7 @@ func TestSpeculativeRefinerWithOffCenters(t *testing.T) {
 	r := rng.New(12)
 	ref := NewSpeculativeRefiner(m, q, func(n int) int { return r.Intn(n) })
 	rounds := 0
-	for ref.Pending() > 0 {
+	for ref.Executor().Pending() > 0 {
 		ref.Executor().Round(8)
 		rounds++
 		if rounds > 100000 {

@@ -3,7 +3,6 @@ package mesh
 import (
 	"sync"
 
-	"repro/internal/control"
 	"repro/internal/speculation"
 )
 
@@ -42,12 +41,6 @@ func NewSpeculativeRefiner(m *Mesh, q Quality, pick func(n int) int) *Speculativ
 
 // Executor exposes the underlying speculative executor.
 func (r *SpeculativeRefiner) Executor() *speculation.Executor { return r.exec }
-
-// Mesh exposes the mesh being refined.
-func (r *SpeculativeRefiner) Mesh() *Mesh { return r.m }
-
-// Pending returns the number of queued bad-triangle tasks.
-func (r *SpeculativeRefiner) Pending() int { return r.exec.Pending() }
 
 func (r *SpeculativeRefiner) itemFor(id int) *speculation.Item {
 	if it, ok := r.items[id]; ok {
@@ -153,10 +146,4 @@ func (r *SpeculativeRefiner) commitInsert(id int) {
 	for _, nid := range newBad {
 		r.exec.Add(r.taskFor(nid))
 	}
-}
-
-// Run drains the refinement under controller c, returning the adaptive
-// trajectory. maxRounds caps the run.
-func (r *SpeculativeRefiner) Run(c control.Controller, maxRounds int) *speculation.AdaptiveResult {
-	return speculation.RunAdaptive(r.exec, c, maxRounds)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/rng"
+	"repro/internal/speculation"
 )
 
 func buildTestMesh(seed uint64, pts int) *Mesh {
@@ -23,7 +24,7 @@ func TestSpeculativeRefinerFixedM(t *testing.T) {
 	r := rng.New(2)
 	ref := NewSpeculativeRefiner(m, q, func(n int) int { return r.Intn(n) })
 	rounds := 0
-	for ref.Pending() > 0 {
+	for ref.Executor().Pending() > 0 {
 		ref.Executor().Round(8)
 		rounds++
 		if rounds > 100000 {
@@ -60,7 +61,7 @@ func TestSpeculativeMatchesSequentialQuality(t *testing.T) {
 	r := rng.New(4)
 	ref := NewSpeculativeRefiner(parMesh, q, func(n int) int { return r.Intn(n) })
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	ref.Run(ctrl, 1000000)
+	speculation.RunAdaptive(ref.Executor(), ctrl, 1000000)
 
 	if len(parMesh.BadTriangles(q)) != 0 || len(seqMesh.BadTriangles(q)) != 0 {
 		t.Fatal("refinement incomplete")
@@ -81,8 +82,8 @@ func TestSpeculativeRefinerAdaptive(t *testing.T) {
 	r := rng.New(6)
 	ref := NewSpeculativeRefiner(m, q, func(n int) int { return r.Intn(n) })
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	res := ref.Run(ctrl, 1000000)
-	if ref.Pending() != 0 {
+	res := speculation.RunAdaptive(ref.Executor(), ctrl, 1000000)
+	if ref.Executor().Pending() != 0 {
 		t.Fatal("did not drain")
 	}
 	if res.Rounds == 0 {
@@ -103,10 +104,10 @@ func TestSpeculativeRefinerAdaptive(t *testing.T) {
 func TestSpeculativeRefinerNoBadTriangles(t *testing.T) {
 	m := NewSquare(0, 1)
 	ref := NewSpeculativeRefiner(m, Quality{MaxArea: 10}, nil)
-	if ref.Pending() != 0 {
+	if ref.Executor().Pending() != 0 {
 		t.Fatal("phantom work")
 	}
-	res := ref.Run(control.Fixed{Procs: 4}, 10)
+	res := speculation.RunAdaptive(ref.Executor(), control.Fixed{Procs: 4}, 10)
 	if res.Rounds != 0 {
 		t.Fatal("rounds on empty work-set")
 	}

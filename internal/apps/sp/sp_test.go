@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/rng"
+	"repro/internal/speculation"
 )
 
 func TestRandom3SATShape(t *testing.T) {
@@ -196,7 +197,7 @@ func TestSpeculativeSPConverges(t *testing.T) {
 	st := NewState(f, r.Split())
 	s := NewSpeculativeSP(st, 1e-4, func(n int) int { return r.Intn(n) })
 	rounds := 0
-	for s.Pending() > 0 {
+	for s.Executor().Pending() > 0 {
 		s.Executor().Round(16)
 		rounds++
 		if rounds > 200000 {
@@ -219,8 +220,8 @@ func TestSpeculativeSPAdaptive(t *testing.T) {
 	st := NewState(f, r.Split())
 	s := NewSpeculativeSP(st, 1e-4, func(n int) int { return r.Intn(n) })
 	ctrl := control.NewHybrid(control.DefaultHybridConfig(0.25))
-	res := s.Run(ctrl, 500000)
-	if s.Pending() != 0 {
+	res := speculation.RunAdaptive(s.Executor(), ctrl, 500000)
+	if s.Executor().Pending() != 0 {
 		t.Fatal("did not drain")
 	}
 	if res.Rounds == 0 {
@@ -244,7 +245,7 @@ func TestSpeculativeMatchesSequentialBiases(t *testing.T) {
 
 	parSt := NewState(f, rng.New(42))
 	s := NewSpeculativeSP(parSt, 1e-6, func(n int) int { return r.Intn(n) })
-	for s.Pending() > 0 {
+	for s.Executor().Pending() > 0 {
 		s.Executor().Round(8)
 	}
 

@@ -3,7 +3,6 @@ package sp
 import (
 	"sync"
 
-	"repro/internal/control"
 	"repro/internal/speculation"
 )
 
@@ -14,6 +13,8 @@ import (
 // messages through the shared variable's occurrence list). An update
 // whose messages moved more than eps re-enqueues its factor-graph
 // neighbors — amorphous data-parallelism in its purest worklist form.
+// Once the executor's work-set drains, the messages are a fixed point up
+// to eps.
 type SpeculativeSP struct {
 	mu       sync.Mutex
 	st       *State
@@ -62,9 +63,6 @@ func NewSpeculativeSP(st *State, eps float64, pick func(n int) int) *Speculative
 // Executor exposes the underlying speculative executor.
 func (s *SpeculativeSP) Executor() *speculation.Executor { return s.exec }
 
-// Pending returns the number of queued clause updates.
-func (s *SpeculativeSP) Pending() int { return s.exec.Pending() }
-
 // taskFor builds the speculative update task for clause a.
 func (s *SpeculativeSP) taskFor(a int) speculation.Task {
 	return speculation.TaskFunc(func(ctx *speculation.Ctx) error {
@@ -102,11 +100,4 @@ func (s *SpeculativeSP) commitUpdate(a int, delta float64) {
 	for _, b := range spawn {
 		s.exec.Add(s.taskFor(b))
 	}
-}
-
-// Run drains the worklist under controller c (bounded by maxRounds) and
-// reports the adaptive trajectory. On return with an empty work-set the
-// messages are a fixed point up to eps.
-func (s *SpeculativeSP) Run(c control.Controller, maxRounds int) *speculation.AdaptiveResult {
-	return speculation.RunAdaptive(s.exec, c, maxRounds)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -285,128 +284,5 @@ func TestFixedNeverMoves(t *testing.T) {
 	}
 	if c.M() != 64 {
 		t.Fatal("fixed controller moved")
-	}
-}
-
-// Remark 1: with ρ = 0 the system collapses toward one processor (our
-// clamp keeps it at m_min = 2) and cannot discover parallelism.
-func TestRhoZeroCollapse(t *testing.T) {
-	r := rng.New(2)
-	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	cfg := DefaultHybridConfig(0.001) // ρ ≈ 0 (0 itself is invalid: div by ρ)
-	h := NewHybrid(cfg)
-	tr := RunLoopStatic(g, r, h, 300)
-	mean, _ := tr.SteadyStateStats(50)
-	if mean > 10 {
-		t.Fatalf("ρ≈0 should pin m near m_min, steady mean %v", mean)
-	}
-}
-
-// The §4.1 headline: starting from m0 = 2 on a random CC graph, the
-// hybrid converges close to μ in a small number of steps (~15), and the
-// hybrid is faster than Recurrence A alone (Fig. 3).
-func TestHybridConvergesFastAndBeatsRecurrenceA(t *testing.T) {
-	r := rng.New(3)
-	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	rho := 0.20
-	mu := float64(TargetM(g, r.Split(), rho, 500, 1))
-
-	cfg := DefaultHybridConfig(rho)
-	hybrid := NewHybrid(cfg)
-	trH := RunLoopStatic(g, r.Split(), hybrid, 300)
-	stepH := trH.ConvergenceStep(mu, 0.30, 8)
-	if stepH < 0 {
-		t.Fatalf("hybrid never converged to μ=%v; tail mean %v", mu, trH.MSeries().TailMean(20))
-	}
-	if stepH > 60 {
-		t.Errorf("hybrid took %d rounds to converge, expected a few tens", stepH)
-	}
-
-	recA := NewRecurrenceA(rho, 2)
-	trA := RunLoopStatic(g, r.Split(), recA, 300)
-	stepA := trA.ConvergenceStep(mu, 0.30, 8)
-	if stepA >= 0 && stepA < stepH {
-		t.Errorf("Recurrence A (%d) converged before hybrid (%d)", stepA, stepH)
-	}
-	// Hybrid must be stable in steady state: relative std below 30%.
-	mean, std := trH.SteadyStateStats(80)
-	if std > 0.35*mean {
-		t.Errorf("hybrid steady state too noisy: mean %v std %v", mean, std)
-	}
-	if g.NumNodes() != 2000 {
-		t.Error("static run mutated the graph")
-	}
-}
-
-// TestSimulationStaticAndTarget is the former internal/core test on the
-// functions the facade wrapped: μ from TargetM lands in range, and a
-// 200-round RunLoopStatic settles near it without touching the graph.
-func TestSimulationStaticAndTarget(t *testing.T) {
-	g := graph.RandomWithAvgDegree(rng.New(3), 1000, 12)
-	r := rng.New(4)
-	mu := TargetM(g, r, 0.25, 300, 1)
-	if mu < 2 || mu > 1000 {
-		t.Fatalf("μ = %d out of range", mu)
-	}
-	traj := RunLoopStatic(g, r, NewHybrid(DefaultHybridConfig(0.25)), 200)
-	if traj.Len() != 200 {
-		t.Fatalf("static run has %d rounds", traj.Len())
-	}
-	mean, _ := traj.SteadyStateStats(50)
-	if math.Abs(mean-float64(mu)) > 0.5*float64(mu) {
-		t.Errorf("steady state %v far from μ=%d", mean, mu)
-	}
-	if g.NumNodes() != 1000 {
-		t.Error("static run mutated the graph")
-	}
-}
-
-func TestConvergenceStepSemantics(t *testing.T) {
-	tr := &Trajectory{M: []int{2, 4, 50, 52, 49, 51, 50, 10, 50, 50}}
-	// target 50, tol 10%, hold 3: first window of 3 consecutive
-	// in-band values starts at index 2.
-	if got := tr.ConvergenceStep(50, 0.10, 3); got != 2 {
-		t.Fatalf("ConvergenceStep = %d, want 2", got)
-	}
-	// hold 6 is broken by the 10 at index 7 → never.
-	if got := tr.ConvergenceStep(50, 0.10, 6); got != -1 {
-		t.Fatalf("ConvergenceStep = %d, want -1", got)
-	}
-	if got := tr.ConvergenceStep(0, 0.1, 1); got != -1 {
-		t.Fatal("nonpositive target must return -1")
-	}
-}
-
-func TestTargetMProperties(t *testing.T) {
-	r := rng.New(5)
-	// Empty-ish and trivial graphs.
-	if got := TargetM(graph.Empty(50), r, 0.2, 100, 1); got != 50 {
-		t.Fatalf("disconnected graph: μ = %d, want n", got)
-	}
-	if got := TargetM(graph.New(), r, 0.2, 100, 1); got != 0 {
-		t.Fatalf("empty graph: μ = %d, want 0", got)
-	}
-	// Complete graph: r̄(m) = (m-1)/m > 0.2 for m ≥ 2, so μ = 1.
-	if got := TargetM(graph.Complete(30), r, 0.2, 2000, 1); got != 1 {
-		t.Fatalf("complete graph: μ = %d, want 1", got)
-	}
-	// Monotone in rho.
-	g := graph.RandomWithAvgDegree(r, 500, 8)
-	m20 := TargetM(g, r, 0.20, 300, 1)
-	m30 := TargetM(g, r, 0.30, 300, 1)
-	if m30 < m20 {
-		t.Fatalf("μ(30%%)=%d < μ(20%%)=%d", m30, m20)
-	}
-}
-
-// BenchmarkRunLoopStatic is the Fig. 3 harness at the paper's parameters:
-// 400 controller rounds on one n = 2000, d = 16 snapshot.
-func BenchmarkRunLoopStatic(b *testing.B) {
-	g := graph.RandomWithAvgDegree(rng.New(1), 2000, 16)
-	r := rng.New(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunLoopStatic(g, r, NewHybrid(DefaultHybridConfig(0.20)), 400)
 	}
 }

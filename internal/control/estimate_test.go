@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/analytic"
-	"repro/internal/graph"
-	"repro/internal/rng"
-	"repro/internal/sched"
 )
 
 func TestSmartStartInitialM(t *testing.T) {
@@ -19,35 +16,6 @@ func TestSmartStartInitialM(t *testing.T) {
 	h = NewHybridSmartStart(0.25, 10_000_000, 1)
 	if h.M() != 1024 {
 		t.Fatalf("clamped m0 = %d", h.M())
-	}
-}
-
-// Smart start must converge strictly faster than the cold start on the
-// paper's Fig. 3 setting.
-func TestSmartStartBeatsColdStart(t *testing.T) {
-	r := rng.New(1)
-	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	rho := 0.20
-	mu := float64(TargetM(g, r.Split(), rho, 400, 1))
-
-	cold := NewHybrid(DefaultHybridConfig(rho))
-	trCold := RunLoopStatic(g, r.Split(), cold, 200)
-	stepCold := trCold.ConvergenceStep(mu, 0.30, 8)
-
-	smart := NewHybridSmartStart(rho, 2000, 16)
-	trSmart := RunLoopStatic(g, r.Split(), smart, 200)
-	stepSmart := trSmart.ConvergenceStep(mu, 0.30, 8)
-
-	if stepSmart < 0 {
-		t.Fatal("smart start never converged")
-	}
-	if stepCold >= 0 && stepSmart > stepCold {
-		t.Errorf("smart start (%d) slower than cold start (%d)", stepSmart, stepCold)
-	}
-	// The smart start's first-round conflict ratio must respect the
-	// Cor. 3 promise (≤ ~21.3% + Monte Carlo noise).
-	if trSmart.R[0] > 0.30 {
-		t.Errorf("first-round ratio %v breaks the Cor. 3 promise", trSmart.R[0])
 	}
 }
 
@@ -71,26 +39,5 @@ func TestMaxAlphaFor(t *testing.T) {
 	}
 	if maxAlphaFor(0, 16) != 0 {
 		t.Fatal("rho=0 should give alpha 0")
-	}
-}
-
-func TestGuaranteedM(t *testing.T) {
-	// The guaranteed allocation must keep the measured ratio within rho
-	// even on the true worst-case graph.
-	r := rng.New(3)
-	const n, d = 2040, 16
-	for _, rho := range []float64{0.15, 0.25} {
-		m := GuaranteedM(rho, n, d)
-		if m < 1 {
-			t.Fatalf("degenerate m = %d", m)
-		}
-		measured := sched.NewEstimator(graph.CliqueUnion(n, d), 1).ConflictRatio(r, m, 2000)
-		if measured > rho+0.03 {
-			t.Errorf("rho=%v: guaranteed m=%d measured %v on K^n_d", rho, m, measured)
-		}
-	}
-	// rho ≥ 1-ish: everything is allowed.
-	if m := GuaranteedM(0.999, 100, 4); m != 100 {
-		t.Errorf("near-1 rho: m = %d, want n", m)
 	}
 }

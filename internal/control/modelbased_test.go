@@ -3,9 +3,6 @@ package control
 import (
 	"math"
 	"testing"
-
-	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 func TestModelBasedLearnsSlopeFromCleanSignal(t *testing.T) {
@@ -88,51 +85,4 @@ func TestModelBasedDetectsPhaseChange(t *testing.T) {
 	if c.M() > 8 {
 		t.Fatalf("m = %d after 10× slope increase, want ≈3", c.M())
 	}
-}
-
-func TestModelBasedOnRealGraph(t *testing.T) {
-	r := rng.New(1)
-	g := graph.RandomWithAvgDegree(r, 2000, 16)
-	mu := TargetM(g, r.Split(), 0.20, 400, 1)
-	c := NewModelBased(0.20, 2)
-	tr := RunLoopStatic(g, r.Split(), c, 300)
-	step := tr.ConvergenceStep(float64(mu), 0.30, 8)
-	if step < 0 {
-		t.Fatalf("model-based never converged to μ=%d (tail mean %v)",
-			mu, tr.MSeries().TailMean(20))
-	}
-	if step > 60 {
-		t.Errorf("model-based took %d rounds", step)
-	}
-	mean, std := tr.SteadyStateStats(100)
-	if std > 0.4*mean {
-		t.Errorf("steady state too noisy: %v ± %v", mean, std)
-	}
-}
-
-// The §5 payoff: after an abrupt phase change the model-based
-// controller re-targets. We only require correctness and eventual
-// convergence (the hybrid comparison lives in the benchmarks).
-func TestModelBasedTracksPhaseShiftOnGraphs(t *testing.T) {
-	r := rng.New(2)
-	dense := graph.RandomWithAvgDegree(r, 2000, 64)
-	sparse := graph.RandomWithAvgDegree(r, 2000, 4)
-	c := NewModelBased(0.20, 2)
-	// Phase 1: dense graph.
-	RunLoopStatic(dense, r.Split(), c, 100)
-	mDense := c.M()
-	// Phase 2: sparse graph (same controller state carried over).
-	tr := control2Static(sparse, r.Split(), c, 150)
-	muSparse := TargetM(sparse, r.Split(), 0.20, 300, 1)
-	mean, _ := tr.SteadyStateStats(50)
-	if mean < 2*float64(mDense) {
-		t.Fatalf("after 16× parallelism increase m went %d → %.0f (μ=%d)",
-			mDense, mean, muSparse)
-	}
-}
-
-// control2Static mirrors RunLoopStatic but keeps the controller state
-// (RunLoopStatic does too — alias for readability).
-func control2Static(g *graph.Graph, r *rng.Rand, c Controller, rounds int) *Trajectory {
-	return RunLoopStatic(g, r, c, rounds)
 }

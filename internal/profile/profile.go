@@ -31,10 +31,9 @@ type Point struct {
 // ≤ 0 = GOMAXPROCS; misReps must be positive), then one maximal
 // independent set is committed and removed — the clairvoyant step,
 // exactly the definition used by Kulkarni et al. to chart amorphous
-// data-parallelism. The mutator hook, if non-nil, lets applications
-// regrow work.
-func Profile(g *graph.Graph, r *rng.Rand, mut sched.Mutator, misReps, maxSteps, workers int) []Point {
-	s := &sched.Scheduler{G: g, R: r, Mut: mut}
+// data-parallelism.
+func Profile(g *graph.Graph, r *rng.Rand, misReps, maxSteps, workers int) []Point {
+	s := &sched.Scheduler{G: g, R: r}
 	var out []Point
 	for step := 0; step < maxSteps && !s.Done(); step++ {
 		n := g.NumNodes()

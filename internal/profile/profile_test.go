@@ -5,13 +5,12 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/sched"
 )
 
 func TestProfileDrains(t *testing.T) {
 	r := rng.New(1)
 	g := graph.RandomGNM(r, 150, 450)
-	pts := Profile(g, r, nil, 3, 1000, 1)
+	pts := Profile(g, r, 3, 1000, 1)
 	if len(pts) == 0 {
 		t.Fatal("no profile points")
 	}
@@ -35,35 +34,10 @@ func TestProfileDrains(t *testing.T) {
 	}
 }
 
-func TestProfileWithMutatorRegrowth(t *testing.T) {
-	r := rng.New(2)
-	g := graph.Empty(10)
-	grown := 0
-	mut := sched.MutatorFunc(func(g *graph.Graph, committed []int, r *rng.Rand) {
-		if grown < 50 {
-			for range committed {
-				g.AddNode()
-				grown++
-			}
-		}
-	})
-	pts := Profile(g, r, mut, 2, 100, 2)
-	if grown != 50 {
-		t.Fatalf("mutator grew %d nodes", grown)
-	}
-	total := 0
-	for i := 0; i < len(pts); i++ {
-		total++
-	}
-	if total < 2 {
-		t.Fatal("regrowth should extend the profile")
-	}
-}
-
 func TestProfileMaxSteps(t *testing.T) {
 	r := rng.New(3)
 	g := graph.Complete(50) // drains one node per step
-	pts := Profile(g, r, nil, 1, 10, 0)
+	pts := Profile(g, r, 1, 10, 0)
 	if len(pts) != 10 {
 		t.Fatalf("profile has %d points, want maxSteps=10", len(pts))
 	}
@@ -75,5 +49,5 @@ func TestProfileRejectsNoReps(t *testing.T) {
 			t.Fatal("misReps = 0 must panic, not report parallelism 0")
 		}
 	}()
-	Profile(graph.Empty(5), rng.New(1), nil, 0, 10, 1)
+	Profile(graph.Empty(5), rng.New(1), 0, 10, 1)
 }

@@ -159,7 +159,3 @@ func (r *Rand) PermPrefix(n, m int) []int {
 	}
 	return out
 }
-
-// Sample returns m distinct values from [0, n) in random order.
-// Convenience alias for PermPrefix.
-func (r *Rand) Sample(n, m int) []int { return r.PermPrefix(n, m) }

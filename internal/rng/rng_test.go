@@ -275,18 +275,6 @@ func TestInt63NonNegative(t *testing.T) {
 	}
 }
 
-func TestSampleAliasesPermPrefix(t *testing.T) {
-	a := New(45)
-	b := New(45)
-	s := a.Sample(100, 7)
-	p := b.PermPrefix(100, 7)
-	for i := range s {
-		if s[i] != p[i] {
-			t.Fatal("Sample diverges from PermPrefix")
-		}
-	}
-}
-
 func TestIntnRejectionPath(t *testing.T) {
 	// n just below a power of two maximizes the Lemire rejection rate;
 	// exercise it heavily for range correctness.

@@ -4,9 +4,8 @@
 // conflicts in random commit order — a node aborts iff an earlier
 // *committed* active node is its neighbor, so the committed set is the
 // greedy maximal independent set of the induced subgraph in permutation
-// order (Fig. 1). Committed nodes leave the graph; an application hook
-// may then mutate the neighborhood (add nodes/edges), modelling amorphous
-// data-parallel work generation.
+// order (Fig. 1). Committed nodes leave the graph. Static is the same
+// round on a graph that does not drain, as a speculation.Rounder.
 //
 // The package also provides the estimators for the conflict-ratio
 // function r̄(m) of Eq. 1: the Monte Carlo Estimator for real graphs and
@@ -21,22 +20,6 @@ import (
 	"repro/internal/rng"
 )
 
-// Mutator is the application hook invoked after each round with the nodes
-// that committed. Implementations typically add new nodes and conflict
-// edges (newly generated work) or rewire neighborhoods. A nil Mutator
-// leaves the graph to simply drain.
-type Mutator interface {
-	AfterRound(g *graph.Graph, committed []int, r *rng.Rand)
-}
-
-// MutatorFunc adapts a function to the Mutator interface.
-type MutatorFunc func(g *graph.Graph, committed []int, r *rng.Rand)
-
-// AfterRound implements Mutator.
-func (f MutatorFunc) AfterRound(g *graph.Graph, committed []int, r *rng.Rand) {
-	f(g, committed, r)
-}
-
 // RoundResult reports one temporal step of the model.
 type RoundResult struct {
 	Launched  int   // m: active nodes selected
@@ -44,20 +27,10 @@ type RoundResult struct {
 	Aborted   []int // nodes that aborted (k of them)
 }
 
-// ConflictRatio returns k/m for the round, the paper's r_t. A round with
-// no launched work has ratio 0.
-func (rr RoundResult) ConflictRatio() float64 {
-	if rr.Launched == 0 {
-		return 0
-	}
-	return float64(len(rr.Aborted)) / float64(rr.Launched)
-}
-
 // Scheduler drives the round-based model over a mutable CC graph.
 type Scheduler struct {
-	G   *graph.Graph
-	R   *rng.Rand
-	Mut Mutator // optional
+	G *graph.Graph
+	R *rng.Rand
 
 	// Rounds executed and cumulative counters, for reporting.
 	Steps          int
@@ -66,14 +39,9 @@ type Scheduler struct {
 	TotalAborted   int
 }
 
-// New returns a scheduler over g using the given generator.
-func New(g *graph.Graph, r *rng.Rand) *Scheduler {
-	return &Scheduler{G: g, R: r}
-}
-
 // Step runs one temporal step with m processors: it selects min(m, live)
 // active nodes uniformly at random, resolves conflicts in commit order,
-// removes committed nodes from the graph, and invokes the mutator.
+// and removes committed nodes from the graph.
 func (s *Scheduler) Step(m int) RoundResult {
 	if m < 0 {
 		panic(fmt.Sprintf("sched: negative m = %d", m))
@@ -82,9 +50,6 @@ func (s *Scheduler) Step(m int) RoundResult {
 	committed, aborted := graph.GreedyMIS(s.G, order)
 	for _, v := range committed {
 		s.G.RemoveNode(v)
-	}
-	if s.Mut != nil {
-		s.Mut.AfterRound(s.G, committed, s.R)
 	}
 	s.Steps++
 	s.TotalLaunched += len(order)
@@ -95,15 +60,6 @@ func (s *Scheduler) Step(m int) RoundResult {
 
 // Done reports whether no work remains.
 func (s *Scheduler) Done() bool { return s.G.NumNodes() == 0 }
-
-// OverallConflictRatio returns aggregate aborted/launched across all
-// steps so far (0 if nothing launched).
-func (s *Scheduler) OverallConflictRatio() float64 {
-	if s.TotalLaunched == 0 {
-		return 0
-	}
-	return float64(s.TotalAborted) / float64(s.TotalLaunched)
-}
 
 // ExactConflictRatio computes r̄(m) exactly by enumerating every ordered
 // selection of m distinct nodes (n!/(n−m)! orders). It is exponential and

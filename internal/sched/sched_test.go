@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/analytic"
+	"repro/internal/control"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/speculation"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -18,7 +20,7 @@ func TestFigure1Semantics(t *testing.T) {
 	r := rng.New(1)
 	g := graph.RandomGNM(r, 12, 18)
 	snapshot := g.Clone()
-	s := New(g, r)
+	s := &Scheduler{G: g, R: r}
 	res := s.Step(6)
 	if res.Launched != 6 {
 		t.Fatalf("launched %d, want 6", res.Launched)
@@ -59,7 +61,7 @@ func TestFigure1Semantics(t *testing.T) {
 func TestStepDrainsGraph(t *testing.T) {
 	r := rng.New(2)
 	g := graph.RandomGNM(r, 100, 300)
-	s := New(g, r)
+	s := &Scheduler{G: g, R: r}
 	for steps := 0; !s.Done(); steps++ {
 		if steps > 10000 {
 			t.Fatal("scheduler did not drain")
@@ -77,7 +79,7 @@ func TestStepDrainsGraph(t *testing.T) {
 func TestStepMClampedToLive(t *testing.T) {
 	r := rng.New(3)
 	g := graph.Empty(5)
-	s := New(g, r)
+	s := &Scheduler{G: g, R: r}
 	res := s.Step(50)
 	if res.Launched != 5 || len(res.Committed) != 5 {
 		t.Fatalf("launched=%d committed=%d", res.Launched, len(res.Committed))
@@ -87,31 +89,8 @@ func TestStepMClampedToLive(t *testing.T) {
 	}
 	// Stepping an empty graph is a harmless no-op round.
 	res = s.Step(4)
-	if res.Launched != 0 || res.ConflictRatio() != 0 {
+	if res.Launched != 0 || len(res.Aborted) != 0 {
 		t.Fatal("step on empty graph should launch nothing")
-	}
-}
-
-func TestMutatorInvoked(t *testing.T) {
-	r := rng.New(4)
-	g := graph.Empty(3)
-	calls := 0
-	s := New(g, r)
-	s.Mut = MutatorFunc(func(g *graph.Graph, committed []int, r *rng.Rand) {
-		calls++
-		// Regrow one node per committed node, capped to keep test finite.
-		if calls < 3 {
-			for range committed {
-				g.AddNode()
-			}
-		}
-	})
-	s.Step(3)
-	if calls != 1 {
-		t.Fatalf("mutator calls = %d", calls)
-	}
-	if g.NumNodes() != 3 {
-		t.Fatalf("regrown nodes = %d, want 3", g.NumNodes())
 	}
 }
 
@@ -230,15 +209,31 @@ func TestConflictCurve(t *testing.T) {
 func TestOverallConflictRatio(t *testing.T) {
 	r := rng.New(11)
 	g := graph.Complete(10)
-	s := New(g, r)
+	s := &Scheduler{G: g, R: r}
 	for !s.Done() {
 		s.Step(5)
 	}
-	if got := s.OverallConflictRatio(); got <= 0 || got >= 1 {
+	if got := float64(s.TotalAborted) / float64(s.TotalLaunched); got <= 0 || got >= 1 {
 		t.Errorf("overall ratio = %v, want in (0,1) for a clique drained at m=5", got)
 	}
-	empty := New(graph.Empty(0), r)
-	if empty.OverallConflictRatio() != 0 {
-		t.Error("no launches should give ratio 0")
+}
+
+// TestStaticRound checks the model's static round as a Rounder: a round
+// launches min(m, n) nodes and splits them into commits and aborts (on a
+// clique exactly one commits), and the graph never drains, so a drive of
+// it stops at its sample cap with the graph untouched.
+func TestStaticRound(t *testing.T) {
+	g := graph.Complete(10)
+	s := NewStatic(g, rng.New(1))
+	for _, m := range []int{0, 1, 5, 10, 50} {
+		st := s.Round(m)
+		want := min(m, 10)
+		if st.Launched != want || st.Committed+st.Aborted != want || st.Committed != min(want, 1) {
+			t.Errorf("m=%d: %+v, want %d launched and min(launched, 1) committed", m, st, want)
+		}
+	}
+	res := speculation.RunAdaptive(s, control.Fixed{Procs: 4}, 7)
+	if res.Rounds != 7 || s.Pending() != 10 || g.NumNodes() != 10 {
+		t.Fatalf("capped drive: %d rounds, %d pending, %d nodes", res.Rounds, s.Pending(), g.NumNodes())
 	}
 }

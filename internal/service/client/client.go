@@ -420,14 +420,6 @@ func (c *Client) SubmitRetry(ctx context.Context, spec service.JobSpec, p Backof
 	return st, stats, err
 }
 
-// Cancel requests cancellation of a queued or running job via
-// DELETE /v1/jobs/{id}, returning the job's status as of the request.
-func (c *Client) Cancel(ctx context.Context, id string) (service.JobStatus, error) {
-	var st service.JobStatus
-	err := c.Call(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
 // Job fetches one job's status (including its full trajectory).
 func (c *Client) Job(ctx context.Context, id string) (service.JobStatus, error) {
 	return c.JobTail(ctx, id, -1)

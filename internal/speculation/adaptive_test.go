@@ -5,10 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/control"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/sched"
 )
 
 func TestGraphWorkloadDrains(t *testing.T) {
@@ -72,7 +72,7 @@ func TestGraphWorkloadIndependentNoConflict(t *testing.T) {
 // tying goroutine execution back to the paper's mathematics.
 func TestRuntimeConflictRatioMatchesModel(t *testing.T) {
 	const n, d, m = 120, 5, 30
-	want := sched.NewEstimator(graph.CliqueUnion(n, d), 1).ConflictRatio(rng.New(7), m, 3000)
+	want := analytic.WorstCaseConflictRatio(n, d, m) // n divisible by d+1: exact
 	r := rng.New(8)
 	total, launched := 0, 0
 	const trials = 300

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/control"
+	"repro/internal/stats"
 )
 
 // This file states the paper's Algorithm 1 on the real runtime once:
@@ -278,6 +279,40 @@ func (a *AdaptiveResult) MeanConflictRatio() float64 {
 		total += r
 	}
 	return total / float64(len(a.R))
+}
+
+// ConvergenceStep returns the first sample index after which m stays
+// within ±tol (relative) of target for at least hold consecutive
+// samples, or -1 if it never does. This is the §4.1 convergence metric
+// ("in about 15 steps the controller converges close to the desired μ
+// value").
+func (a *AdaptiveResult) ConvergenceStep(target float64, tol float64, hold int) int {
+	if target <= 0 {
+		return -1
+	}
+	run := 0
+	for i, m := range a.M {
+		if stats.RelErr(float64(m), target) <= tol {
+			run++
+			if run >= hold {
+				return i - hold + 1
+			}
+		} else {
+			run = 0
+		}
+	}
+	return -1
+}
+
+// SteadyStateStats returns mean and standard deviation of m over the
+// last tail samples — the oscillation metric of the §4.1 ablations.
+func (a *AdaptiveResult) SteadyStateStats(tail int) (mean, std float64) {
+	tail = min(tail, len(a.M))
+	var acc stats.Accumulator
+	for _, m := range a.M[len(a.M)-tail:] {
+		acc.Add(float64(m))
+	}
+	return acc.Mean(), acc.StdDev()
 }
 
 // Collect is Drive with the samples gathered into an AdaptiveResult; a

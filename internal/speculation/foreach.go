@@ -39,12 +39,6 @@ func (l *Loop[T]) Push(item T) {
 	l.exec.Add(TaskFunc(func(ctx *Ctx) error { return l.op(item, ctx) }))
 }
 
-// Pending returns the number of queued items.
-func (l *Loop[T]) Pending() int { return l.exec.Pending() }
-
-// Executor exposes the underlying executor (conflict statistics).
-func (l *Loop[T]) Executor() *Executor { return l.exec }
-
 // Run drains the loop under ctrl and returns the adaptive trajectory.
 func (l *Loop[T]) Run(ctrl control.Controller, maxRounds int) *AdaptiveResult {
 	return RunAdaptive(l.exec, ctrl, maxRounds)

@@ -67,7 +67,7 @@ func TestLoopPushDuringExecution(t *testing.T) {
 	if processed.Load() != 15 {
 		t.Fatalf("processed %d items, want 15", processed.Load())
 	}
-	if loop.Pending() != 0 {
+	if loop.exec.Pending() != 0 {
 		t.Fatal("loop not drained")
 	}
 	if res.UsefulWork != 15 {
