@@ -291,7 +291,7 @@ func (r *Router) Close() {
 		close(r.stop)
 		r.stopped.Wait()
 		if r.wal != nil {
-			err := r.wal.Compact(func() []byte {
+			err := r.wal.Compact(func() ([]byte, error) {
 				r.mu.Lock()
 				defer r.mu.Unlock()
 				snap := walSnapshot{Version: 1, Seq: r.seq}
@@ -303,8 +303,7 @@ func (r *Router) Close() {
 				sort.Slice(snap.Placements, func(i, j int) bool {
 					return snap.Placements[i].ID < snap.Placements[j].ID
 				})
-				raw, _ := json.Marshal(snap)
-				return raw
+				return json.Marshal(snap)
 			})
 			if err != nil {
 				r.cfg.Logf("cluster: router wal compact failed: %v", err)

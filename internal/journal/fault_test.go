@@ -201,7 +201,7 @@ func TestJournalENOSPCDuringSnapshotCompaction(t *testing.T) {
 	// loudly, leave no (possibly torn) snapshot behind, and leave the
 	// append path healthy — the WAL segments still hold every record.
 	ffs.Fail("write", "snap.tmp", faultinject.ErrNoSpace)
-	if err := j.Compact(func() []byte { return []byte(`{"snap":1}`) }); err == nil {
+	if err := j.Compact(func() ([]byte, error) { return []byte(`{"snap":1}`), nil }); err == nil {
 		t.Fatal("compaction acknowledged a failed snapshot write")
 	}
 	if j.Err() != nil {
@@ -218,7 +218,7 @@ func TestJournalENOSPCDuringSnapshotCompaction(t *testing.T) {
 
 	// Heal and compact for real: the snapshot now covers the history.
 	ffs.Clear()
-	if err := j.Compact(func() []byte { return []byte(`{"snap":2}`) }); err != nil {
+	if err := j.Compact(func() ([]byte, error) { return []byte(`{"snap":2}`), nil }); err != nil {
 		t.Fatalf("compaction after heal: %v", err)
 	}
 	if err := j.Append([]byte("after-good-compact")); err != nil {
@@ -311,15 +311,14 @@ func TestJournalStressLazySyncRotateCompactReopen(t *testing.T) {
 	var mu sync.Mutex
 	state := make(map[string]bool) // every record ever attempted
 	acked := make(map[string]bool) // synchronous appends that returned nil
-	snapshot := func() []byte {
+	snapshot := func() ([]byte, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		keys := make([]string, 0, len(state))
 		for k := range state {
 			keys = append(keys, k)
 		}
-		b, _ := json.Marshal(keys) // []string cannot fail to encode
-		return b
+		return json.Marshal(keys)
 	}
 
 	stop := make(chan struct{})

@@ -505,8 +505,10 @@ func (j *Journal) rotateLocked() error {
 // the snapshot necessarily includes every record in the deleted
 // segments; records appended while build runs land in the new segment
 // and are replayed on top of the snapshot (replay must therefore be
-// idempotent for records the snapshot already reflects).
-func (j *Journal) Compact(build func() []byte) error {
+// idempotent for records the snapshot already reflects). If build
+// fails, Compact returns its error and writes and deletes nothing: the
+// segments still hold the history.
+func (j *Journal) Compact(build func() ([]byte, error)) error {
 	j.compactMu.Lock()
 	defer j.compactMu.Unlock()
 
@@ -523,7 +525,10 @@ func (j *Journal) Compact(build func() []byte) error {
 	cover := j.segSeq // snap-N covers segments < N; the new segment is N
 	j.mu.Unlock()
 
-	snap := build()
+	snap, err := build()
+	if err != nil {
+		return fmt.Errorf("journal: building snapshot: %w", err)
+	}
 	if err := writeSnapshot(j.fs, j.dir, cover, snap); err != nil {
 		return err
 	}

@@ -3,10 +3,12 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -358,7 +360,7 @@ func TestCompaction(t *testing.T) {
 		}
 	}
 	snap := []byte(`{"state":"everything through record 99"}`)
-	if err := j.Compact(func() []byte { return snap }); err != nil {
+	if err := j.Compact(func() ([]byte, error) { return snap, nil }); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	if n := len(segFiles(t, dir)); n != 1 {
@@ -384,7 +386,7 @@ func TestCompaction(t *testing.T) {
 	// A second compact supersedes the first snapshot.
 	j2 := mustOpen(t, dir, Options{Fsync: SyncNever})
 	snap2 := []byte(`{"state":"v2"}`)
-	if err := j2.Compact(func() []byte { return snap2 }); err != nil {
+	if err := j2.Compact(func() ([]byte, error) { return snap2, nil }); err != nil {
 		t.Fatalf("second compact: %v", err)
 	}
 	if err := j2.Close(); err != nil {
@@ -397,6 +399,38 @@ func TestCompaction(t *testing.T) {
 	if len(rep.Records) != 0 {
 		t.Fatalf("replayed %d records after full compaction, want 0", len(rep.Records))
 	}
+}
+
+// A snapshot that fails to build is not written, and deletes no
+// segment: the history it was to stand in for replays from them.
+func TestCompactFailedBuildKeepsSegments(t *testing.T) {
+	dir := t.TempDir()
+	recs := records(60)
+	j := mustOpen(t, dir, Options{Fsync: SyncNever, SegmentBytes: 512})
+	for _, r := range recs {
+		if err := j.Append(r); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	segs := segFiles(t, dir)
+	buildErr := fmt.Errorf("an entry does not encode")
+	if err := j.Compact(func() ([]byte, error) { return nil, buildErr }); !errors.Is(err, buildErr) {
+		t.Fatalf("compact with a failing build = %v, want %v", err, buildErr)
+	}
+	after := segFiles(t, dir)
+	for _, s := range segs {
+		if !slices.Contains(after, s) {
+			t.Errorf("segment %s deleted by a compaction that wrote no snapshot", s)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	rep := mustReplay(t, dir, Options{})
+	if rep.Snapshot != nil {
+		t.Errorf("replayed a snapshot %q after a failed build", rep.Snapshot)
+	}
+	assertRecords(t, rep.Records, recs)
 }
 
 // TestSnapshotJournalReplayEquivalence: the same logical history must
@@ -422,13 +456,13 @@ func TestSnapshotJournalReplayEquivalence(t *testing.T) {
 	}
 	// The snapshot stands in for the first 40 records.
 	var snapped [][]byte
-	if err := jc.Compact(func() []byte {
+	if err := jc.Compact(func() ([]byte, error) {
 		var b bytes.Buffer
 		for _, r := range recs[:40] {
 			b.Write(r)
 			b.WriteByte('\n')
 		}
-		return b.Bytes()
+		return b.Bytes(), nil
 	}); err != nil {
 		t.Fatalf("compact: %v", err)
 	}

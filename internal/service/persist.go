@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,8 +15,8 @@ import (
 	"repro/internal/journal"
 )
 
-// The service journals every job lifecycle transition as one JSON
-// record in the write-ahead log (see internal/journal for framing and
+// The service journals every job lifecycle transition as one record in
+// the write-ahead log (see internal/journal for framing and
 // durability). Replay applies records in append order onto the newest
 // snapshot; because compaction rotates segments before it serializes
 // the job table, a record may already be reflected in the snapshot it
@@ -34,7 +35,8 @@ const (
 	recPaused = "paused"
 )
 
-// walRecord is the wire form of one journaled transition. Fields are
+// walRecord is one journaled transition, and its JSON form that of the
+// records encodeRecord does not write in the binary form. Fields are
 // populated per type; absolute counter values make replay idempotent.
 type walRecord struct {
 	Type    string    `json:"t"`
@@ -69,62 +71,263 @@ type walRecord struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// encodeRecord returns json.Marshal(rec), byte for byte, with a
-// checkpoint's points appended by hand: reflecting over them cost more
-// than the rest of the record. Finished records are left to json.Marshal.
+// recBinary tags a record written in the binary form. Every other
+// record is json.Marshal output, which starts with '{', so replay
+// dispatches on the first byte and reads state dirs of older versions,
+// which journaled every record as JSON.
+const recBinary = 0x01
+
+// binaryTypes are the record types written in the binary form — the
+// ones that carry trajectory points — indexed by their type byte.
+var binaryTypes = [...]string{1: recCheckpoint, 2: recFinished, 3: recHandoff}
+
+// Point flags of the binary form.
+const (
+	ptColored = 1 << iota
+	ptFallback
+	ptExplicitR // r follows: it is not Aborted/Launched bit for bit
+)
+
+// encodeRecord writes checkpoint, finished and handoff records in the
+// binary form and the others as json.Marshal does. The binary form is
+// recBinary, the type byte, the id, at (Unix nanoseconds), attempt,
+// preemptions, rounds, current_m, pending, launched, committed,
+// aborted, failed, poisoned, r_sum, the counters (a count, −1 for nil,
+// then key-sorted pairs), for finished its state, reason, result and
+// error, then the points: a count and, per point, a flags byte, the
+// round as a delta from the previous point's, m, launched, committed,
+// aborted, failed, poisoned, attempt and, only under ptExplicitR, r.
+// Integers are zig-zag varints, strings are length-prefixed, floats are
+// 8 little-endian bytes. A round-mode point never stores r: it is
+// RoundStats.ConflictRatio, Aborted/Launched.
 func encodeRecord(rec walRecord) ([]byte, error) {
-	points := rec.Points
-	if len(points) == 0 || rec.State != "" || rec.Reason != "" || rec.Result != "" || rec.Error != "" {
+	typ := slices.Index(binaryTypes[:], rec.Type)
+	if typ < 1 {
 		return json.Marshal(rec)
 	}
-	rec.Points = nil
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
+	at := rec.At.UnixNano()
+	if !time.Unix(0, at).Equal(rec.At) {
+		return nil, fmt.Errorf("at %v is outside the Unix-nanosecond range", rec.At)
 	}
-	b = slices.Grow(append(b[:len(b)-1], `,"points":[`...), 96*len(points)) // a point takes 60-90 bytes
-	for _, p := range points {
-		if b, err = appendPoint(b, p); err != nil {
-			return nil, err
+	if !finite(rec.RSum) {
+		return nil, fmt.Errorf("r_sum = %v is not finite", rec.RSum)
+	}
+	b := make([]byte, 0, 96+len(rec.ID)+len(rec.Result)+len(rec.Error)+12*len(rec.Points))
+	b = append(b, recBinary, byte(typ))
+	b = appendString(b, rec.ID)
+	b = binary.AppendVarint(b, at)
+	for _, v := range [...]int64{
+		int64(rec.Attempt), int64(rec.Preemptions), int64(rec.Rounds), int64(rec.CurrentM), int64(rec.Pending),
+		rec.Launched, rec.Committed, rec.Aborted, rec.Failed, rec.Poisoned,
+	} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.RSum))
+	if rec.Counters == nil {
+		b = binary.AppendVarint(b, -1)
+	} else {
+		b = binary.AppendVarint(b, int64(len(rec.Counters)))
+		keys := make([]string, 0, len(rec.Counters))
+		for k := range rec.Counters {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			b = binary.AppendVarint(appendString(b, k), int64(rec.Counters[k]))
 		}
 	}
-	b[len(b)-1] = ']' // the last point's comma
-	return append(b, '}'), nil
+	if rec.Type == recFinished {
+		for _, s := range [...]string{string(rec.State), rec.Reason, rec.Result, rec.Error} {
+			b = appendString(b, s)
+		}
+	}
+	b = binary.AppendVarint(b, int64(len(rec.Points)))
+	prev := 0
+	for _, p := range rec.Points {
+		var flags byte
+		if p.Colored {
+			flags |= ptColored
+		}
+		if p.Fallback {
+			flags |= ptFallback
+		}
+		explicit := math.Float64bits(p.R) != math.Float64bits(impliedR(p))
+		if explicit {
+			if !finite(p.R) {
+				return nil, fmt.Errorf("round %d: r = %v is not finite", p.Round, p.R)
+			}
+			flags |= ptExplicitR
+		}
+		b = append(b, flags)
+		for _, v := range [...]int{p.Round - prev, p.M, p.Launched, p.Committed, p.Aborted, p.Failed, p.Poisoned, p.Attempt} {
+			b = binary.AppendVarint(b, int64(v))
+		}
+		if explicit {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.R))
+		}
+		prev = p.Round
+	}
+	return b, nil
 }
 
-// appendPoint appends p and a comma as encoding/json writes a
-// RoundPoint. An R that encoding/json writes with an exponent, or
-// refuses (not finite), is left to it; the rest is appended by hand.
-func appendPoint(b []byte, p RoundPoint) ([]byte, error) {
-	b = strconv.AppendInt(append(b, `{"round":`...), int64(p.Round), 10)
-	b = strconv.AppendInt(append(b, `,"m":`...), int64(p.M), 10)
-	b = strconv.AppendInt(append(b, `,"launched":`...), int64(p.Launched), 10)
-	b = strconv.AppendInt(append(b, `,"committed":`...), int64(p.Committed), 10)
-	b = strconv.AppendInt(append(b, `,"aborted":`...), int64(p.Aborted), 10)
-	if p.Failed != 0 {
-		b = strconv.AppendInt(append(b, `,"failed":`...), int64(p.Failed), 10)
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendVarint(b, int64(len(s))), s...)
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// impliedR is the r a point carries unless the binary form stores it:
+// Aborted/Launched, 0 for an idle round.
+func impliedR(p RoundPoint) float64 {
+	if p.Launched == 0 {
+		return 0
 	}
-	if p.Poisoned != 0 {
-		b = strconv.AppendInt(append(b, `,"poisoned":`...), int64(p.Poisoned), 10)
+	return float64(p.Aborted) / float64(p.Launched)
+}
+
+// decodeRecord reads one journal record in either form.
+func decodeRecord(raw []byte) (walRecord, error) {
+	var rec walRecord
+	switch {
+	case len(raw) > 0 && raw[0] == '{':
+		err := json.Unmarshal(raw, &rec)
+		return rec, err
+	case len(raw) == 0 || raw[0] != recBinary:
+		return rec, errors.New("neither JSON nor a binary record")
 	}
-	b = append(b, `,"r":`...)
-	if abs := math.Abs(p.R); abs == 0 || abs >= 1e-6 && abs < 1e21 {
-		b = strconv.AppendFloat(b, p.R, 'f', -1, 64)
-	} else if r, err := json.Marshal(p.R); err != nil {
-		return nil, fmt.Errorf("round %d: %w", p.Round, err)
-	} else {
-		b = append(b, r...)
+	r := recReader{b: raw[1:]}
+	typ := r.byte()
+	if typ < 1 || int(typ) >= len(binaryTypes) {
+		return rec, fmt.Errorf("unknown binary record type %d", typ)
 	}
-	if p.Attempt != 0 {
-		b = strconv.AppendInt(append(b, `,"attempt":`...), int64(p.Attempt), 10)
+	rec.Type = binaryTypes[typ]
+	rec.ID = r.string()
+	rec.At = time.Unix(0, r.varint()).UTC()
+	rec.Attempt, rec.Preemptions = r.int(), r.int()
+	rec.Rounds, rec.CurrentM, rec.Pending = r.int(), r.int(), r.int()
+	rec.Launched, rec.Committed, rec.Aborted = r.varint(), r.varint(), r.varint()
+	rec.Failed, rec.Poisoned = r.varint(), r.varint()
+	rec.RSum = r.float()
+	if n := r.varint(); n != -1 {
+		n := r.fits(n, 2)
+		rec.Counters = make(map[string]int, n)
+		for range n {
+			k := r.string()
+			rec.Counters[k] = r.int()
+		}
 	}
-	if p.Colored {
-		b = append(b, `,"colored":true`...)
+	if rec.Type == recFinished {
+		rec.State = State(r.string())
+		rec.Reason, rec.Result, rec.Error = r.string(), r.string(), r.string()
 	}
-	if p.Fallback {
-		b = append(b, `,"fallback":true`...)
+	if n := r.fits(r.varint(), 9); n > 0 {
+		rec.Points = make([]RoundPoint, n)
+		round := 0
+		for i := range rec.Points {
+			flags := r.byte()
+			if flags&^(ptColored|ptFallback|ptExplicitR) != 0 {
+				r.fail(fmt.Errorf("unknown point flags %#x", flags))
+			}
+			round += r.int()
+			p := RoundPoint{
+				Round: round, M: r.int(), Launched: r.int(), Committed: r.int(), Aborted: r.int(),
+				Failed: r.int(), Poisoned: r.int(), Attempt: r.int(),
+				Colored: flags&ptColored != 0, Fallback: flags&ptFallback != 0,
+			}
+			if flags&ptExplicitR != 0 {
+				p.R = r.float()
+			} else {
+				p.R = impliedR(p)
+			}
+			rec.Points[i] = p
+		}
 	}
-	return append(b, '}', ','), nil
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	if r.err != nil {
+		return walRecord{}, fmt.Errorf("binary %s record: %w", rec.Type, r.err)
+	}
+	return rec, nil
+}
+
+// recReader reads the binary form. The first error sticks, and every
+// read after it returns zero.
+type recReader struct {
+	b   []byte
+	err error
+}
+
+var errShort = errors.New("truncated")
+
+func (r *recReader) byte() byte {
+	if r.err != nil || len(r.b) == 0 {
+		r.fail(errShort)
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *recReader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail(errShort)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *recReader) int() int { return int(r.varint()) }
+
+// float reads 8 bytes of IEEE 754 bits, refusing a non-finite value:
+// no writer stores one, and the snapshot could not hold it.
+func (r *recReader) float() float64 {
+	if r.err != nil || len(r.b) < 8 {
+		r.fail(errShort)
+		return 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	if !finite(f) {
+		r.fail(fmt.Errorf("non-finite float %v", f))
+		return 0
+	}
+	return f
+}
+
+// fits checks a count of items of at least size bytes each, refusing
+// one the remaining bytes cannot hold, so no count allocates past the
+// input.
+func (r *recReader) fits(n int64, size int) int {
+	if r.err == nil && (n < 0 || n > int64(len(r.b)/size)) {
+		r.fail(fmt.Errorf("count %d exceeds the %d bytes left", n, len(r.b)))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *recReader) string() string {
+	n := r.fits(r.varint(), 1)
+	if r.err != nil {
+		return ""
+	}
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+func (r *recReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
 }
 
 // snapshotFile is the compaction snapshot: the full job table.
@@ -303,8 +506,10 @@ func (s *Service) compact() error {
 // encodeSnapshot returns json.Marshal of the job table as a snapshotFile,
 // assembled from the jobs' entries, and records its size: appendVia
 // compacts again only once the live segments have outgrown it, which
-// keeps all compactions together linear in the job history.
-func (s *Service) encodeSnapshot() []byte {
+// keeps all compactions together linear in the job history. An entry
+// that does not encode fails the snapshot, so compaction keeps the
+// segments rather than replace the table with a partial one.
+func (s *Service) encodeSnapshot() ([]byte, error) {
 	s.mu.Lock()
 	jobs := make([]*job, 0, len(s.order))
 	for _, id := range s.order {
@@ -315,8 +520,7 @@ func (s *Service) encodeSnapshot() []byte {
 	for i, j := range jobs {
 		e, err := j.snapshotEntry()
 		if err != nil {
-			s.cfg.Logf("specd: journal: encoding snapshot: %v", err)
-			return []byte(`{"version":1,"jobs":[]}`)
+			return nil, fmt.Errorf("encoding snapshot entry of %s: %w", j.status.ID, err)
 		}
 		if i > 0 {
 			b = append(b, ',')
@@ -325,7 +529,7 @@ func (s *Service) encodeSnapshot() []byte {
 	}
 	b = append(b, "]}"...)
 	s.snapBytes.Store(int64(len(b)))
-	return b
+	return b, nil
 }
 
 // jobNum parses the numeric part of a "j<N>" job id (0 if foreign).
@@ -434,8 +638,8 @@ func (s *Service) restoreState(rep *journal.Replayed) (*restored, error) {
 	}
 
 	for i, raw := range rep.Records {
-		var rec walRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		rec, err := decodeRecord(raw)
+		if err != nil {
 			return nil, fmt.Errorf("decoding journal record %d: %w", i, err)
 		}
 		if rec.ID == "" {

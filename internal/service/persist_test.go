@@ -3,10 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/bits"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -39,63 +43,146 @@ func checkpointRecord(points []RoundPoint) walRecord {
 	}
 }
 
-// FuzzCheckpointRecord: whatever the points hold (any ints, any finite
-// r), the hand-appended encoding is json.Marshal's, byte for byte, and
-// decodes to the same record. A non-empty result makes the record a
-// finished one, which must take json.Marshal's own path.
+// FuzzCheckpointRecord: whatever a record that carries points holds —
+// any ints, any finite r, colored and fallback flags, nil or empty
+// counters, a finished record's strings — it is written in the binary
+// form and decodes to itself.
 func FuzzCheckpointRecord(f *testing.F) {
-	f.Add(0, 2, 2, 2, 0, 0, 0, 0, 0.0, false, false, uint8(32), "")
-	f.Add(7, -3, 1<<40, -1, 5, 2, 1, 3, 0.333, true, true, uint8(1), "done")
-	f.Add(1, 1, 1, 1, 1, 1, 1, 1, 1e-7, false, true, uint8(5), `"<&>"`)
-	f.Add(math.MaxInt, math.MinInt, 0, 0, 0, 0, 0, 0, -2.5e21, true, false, uint8(3), " ")
-	f.Add(0, 0, 0, 0, 0, 0, 0, 0, math.Copysign(0, -1), false, false, uint8(2), "")
+	f.Add(0, 2, 2, 2, 0, 0, 0, 0, 0.0, false, false, uint8(32), uint8(0), uint8(3), "")
+	f.Add(7, -3, 1<<40, -1, 5, 2, 1, 3, 0.333, true, true, uint8(1), uint8(1), uint8(1), "done")
+	f.Add(1, 1, 1, 1, 1, 1, 1, 1, 1e-7, false, true, uint8(5), uint8(2), uint8(2), `"<&>"`)
+	f.Add(math.MaxInt, math.MinInt, 0, 0, 0, 0, 0, 0, -2.5e21, true, false, uint8(3), uint8(0), uint8(5), " ")
+	f.Add(0, 0, 0, 0, 0, 0, 0, 0, math.Copysign(0, -1), false, false, uint8(2), uint8(0), uint8(0), "")
 	f.Fuzz(func(t *testing.T, round, m, launched, committed, aborted, failed, poisoned, attempt int,
-		r float64, colored, fallback bool, n uint8, result string) {
-		if math.IsInf(r, 0) || math.IsNaN(r) {
-			t.Skip("encoding/json refuses a non-finite r too")
+		r float64, colored, fallback bool, n, typ, counters uint8, result string) {
+		if !finite(r) {
+			t.Skip("a non-finite r is refused (TestCheckpointRecordRefusesNonFiniteR)")
 		}
-		pts := make([]RoundPoint, int(n)%48)
-		for i := range pts {
-			pts[i] = RoundPoint{
-				Round: round + i, M: m, Launched: launched, Committed: committed, Aborted: aborted,
-				Failed: failed * (i % 2), Poisoned: poisoned, R: r / float64(i+1),
+		var pts []RoundPoint
+		for i := range int(n) % 48 {
+			p := RoundPoint{
+				Round: round + i*m, M: m, Launched: launched, Committed: committed, Aborted: aborted,
+				Failed: failed * (i % 2), Poisoned: poisoned,
 				Attempt: attempt, Colored: colored, Fallback: fallback && i%3 == 0,
 			}
+			p.R = impliedR(p)
+			if i%2 == 1 {
+				p.R = r / float64(i)
+			}
+			pts = append(pts, p)
 		}
 		rec := checkpointRecord(pts)
-		if result != "" {
-			rec.Type, rec.State, rec.Result = recFinished, StateDone, result
+		rec.Type = binaryTypes[1+int(typ)%3]
+		rec.At = time.Unix(0, int64(round)+int64(m)).In(time.FixedZone("x", 3600))
+		rec.Attempt, rec.Preemptions, rec.Rounds = attempt, poisoned, round
+		rec.CurrentM, rec.Pending = m, committed
+		rec.Launched, rec.Committed, rec.Aborted = int64(launched), int64(committed), int64(aborted)
+		rec.Failed, rec.Poisoned, rec.RSum = int64(failed), int64(poisoned), r
+		switch counters % 4 {
+		case 0:
+			rec.Counters = nil
+		case 1:
+			rec.Counters = map[string]int{}
+		case 2:
+			rec.Counters = map[string]int{result: m, "": aborted}
 		}
-		got, err := encodeRecord(rec)
+		if rec.Type == recFinished {
+			rec.State, rec.Reason, rec.Result, rec.Error = State(result), result+"r", result, "e"+result
+		}
+		b, err := encodeRecord(rec)
 		if err != nil {
 			t.Fatalf("encodeRecord: %v", err)
 		}
-		want, err := json.Marshal(rec)
+		if b[0] != recBinary {
+			t.Fatalf("a %s record was not written in the binary form: %q", rec.Type, b)
+		}
+		got, err := decodeRecord(b)
 		if err != nil {
-			t.Fatalf("json.Marshal: %v", err)
+			t.Fatalf("decoding %d bytes: %v", len(b), err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("encodeRecord wrote\n%s\njson.Marshal writes\n%s", got, want)
+		if !got.At.Equal(rec.At) || got.At.Location() != time.UTC {
+			t.Fatalf("at decoded as %v, want %v in UTC", got.At, rec.At)
 		}
-		var a, b walRecord
-		if err := json.Unmarshal(got, &a); err != nil {
-			t.Fatalf("decoding the hand-appended record: %v", err)
-		}
-		if err := json.Unmarshal(want, &b); err != nil {
-			t.Fatalf("decoding the reflective record: %v", err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("records decode differently:\n%+v\n%+v", a, b)
+		got.At = rec.At
+		if !reflect.DeepEqual(got, rec) {
+			t.Fatalf("record decodes differently:\n%+v\n%+v", got, rec)
 		}
 	})
 }
 
-// A non-finite r has no JSON form: the record is refused, as
-// json.Marshal refuses it, rather than written unreadable.
+// A non-finite r or r_sum cannot be written: the record is refused
+// rather than journaled into a job table no snapshot could hold.
 func TestCheckpointRecordRefusesNonFiniteR(t *testing.T) {
 	for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := encodeRecord(checkpointRecord([]RoundPoint{{R: r}})); err == nil {
 			t.Errorf("r = %v encoded without an error", r)
+		}
+		rec := checkpointRecord(nil)
+		rec.RSum = r
+		if _, err := encodeRecord(rec); err == nil {
+			t.Errorf("r_sum = %v encoded without an error", r)
+		}
+	}
+}
+
+// The binary form of a checkpoint of the des-like points is a fraction
+// of its JSON: r is implied by the counts, and a round is a one-byte
+// delta.
+func TestCheckpointRecordIsCompact(t *testing.T) {
+	rec := checkpointRecord(checkpointPoints(32))
+	b, err := encodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b)*5 > len(j) {
+		t.Errorf("32-point checkpoint: %d bytes binary, %d JSON; want at least 5× smaller", len(b), len(j))
+	}
+}
+
+// oversizedRecords are binary records whose count or length prefixes
+// claim more than the bytes that follow hold.
+func oversizedRecords() [][]byte {
+	head := func(typ byte) []byte { // a record up to its counters
+		b := appendString([]byte{recBinary, typ}, "j1")
+		b = append(b, make([]byte, 11)...)            // at and the ten counts: all zero varints
+		return binary.LittleEndian.AppendUint64(b, 0) // r_sum
+	}
+	huge := []int64{1 << 20, 1 << 40, math.MaxInt64}
+	var out [][]byte
+	for _, n := range huge {
+		out = append(out,
+			binary.AppendVarint([]byte{recBinary, 1}, n),                               // id length
+			binary.AppendVarint(head(1), n),                                            // counters
+			binary.AppendVarint(binary.AppendVarint(head(1), -1), n),                   // points
+			binary.AppendVarint(binary.AppendVarint(head(2), -1), n),                   // finished state
+			append(binary.AppendVarint(binary.AppendVarint(head(1), 1), n), 'k', 0, 0), // counter key
+		)
+	}
+	return out
+}
+
+// A count the bytes cannot hold is an error, and allocates nothing in
+// proportion to it. The least of three decodes is taken, so that another
+// goroutine's allocation cannot fail the test.
+func TestDecodeRecordBoundsCounts(t *testing.T) {
+	for _, b := range oversizedRecords() {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decodeRecord(b)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%x decoded without an error", b)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > 1<<16 {
+			t.Errorf("%x: decoding allocated %d bytes", b, least)
 		}
 	}
 }
@@ -103,20 +190,28 @@ func TestCheckpointRecordRefusesNonFiniteR(t *testing.T) {
 // FuzzReplayRecord: arbitrary bytes replayed as a WAL record — alone,
 // and after a submitted record for the job they name, so they reach the
 // per-type appliers — give an error or a skip, never a panic; and the
-// job table they restore still encodes as a snapshot.
+// job table they restore still encodes as a snapshot. The seeds include
+// a binary checkpoint cut at every byte and records whose count or
+// length prefixes exceed their bytes.
 func FuzzReplayRecord(f *testing.F) {
 	spec := ccSpec(1)
 	submitted, err := json.Marshal(walRecord{Type: recSubmitted, ID: "j1", At: time.Unix(0, 0).UTC(), Spec: &spec})
 	if err != nil {
 		f.Fatal(err)
 	}
-	ckpt, err := encodeRecord(walRecord{Type: recCheckpoint, ID: "j1", Attempt: 1, Rounds: 3, Points: checkpointPoints(3)})
+	ckpt, err := encodeRecord(walRecord{Type: recCheckpoint, ID: "j1", At: time.Unix(0, 0), Attempt: 1, Rounds: 3, Points: checkpointPoints(3)})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(submitted)
-	f.Add(ckpt)
+	for i := 1; i <= len(ckpt); i++ {
+		f.Add(ckpt[:i])
+	}
+	for _, b := range oversizedRecords() {
+		f.Add(b)
+	}
 	f.Add([]byte(`{"t":"started","id":"j1","attempt":2}`))
+	f.Add([]byte(`{"t":"checkpoint","id":"j1","attempt":1,"rounds":2,"points":[{"round":0,"m":2,"r":0.5}]}`))
 	f.Add([]byte(`{"t":"finished","id":"j1","attempt":1,"state":"done","points":[{"round":-1}]}`))
 	f.Add([]byte(`{"t":"handoff","id":"j1","attempt":9,"points":null}`))
 	f.Add([]byte(`{"t":"paused","id":"j1","counters":{"a":1},"preemptions":-4}`))
@@ -131,30 +226,40 @@ func FuzzReplayRecord(f *testing.F) {
 				continue
 			}
 			probe.jobs, probe.order = rst.jobs, rst.order
+			b, err := probe.encodeSnapshot()
+			if err != nil {
+				t.Fatalf("restored table does not encode as a snapshot: %v", err)
+			}
 			var snap snapshotFile
-			if err := json.Unmarshal(probe.encodeSnapshot(), &snap); err != nil {
+			if err := json.Unmarshal(b, &snap); err != nil {
 				t.Fatalf("restored table encodes to a snapshot that does not decode: %v", err)
 			}
 		}
 	})
 }
 
-// BenchmarkCheckpointRecord prices encoding one checkpoint of 32 points,
-// the record a round-mode job writes every 32 rounds: encode is the
-// journal's path, reflect the json.Marshal it replaced.
+// BenchmarkCheckpointRecord prices one checkpoint of 32 points, the
+// record a round-mode job writes every 32 rounds: encode is the
+// journal's path, json the json.Marshal every record was before the
+// binary form, and decode replay's read of it.
 func BenchmarkCheckpointRecord(b *testing.B) {
 	rec := checkpointRecord(checkpointPoints(32))
+	raw, err := encodeRecord(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
-		enc  func(walRecord) ([]byte, error)
+		run  func() error
 	}{
-		{"encode", encodeRecord},
-		{"reflect", func(r walRecord) ([]byte, error) { return json.Marshal(r) }},
+		{"encode", func() error { _, err := encodeRecord(rec); return err }},
+		{"json", func() error { _, err := json.Marshal(rec); return err }},
+		{"decode", func() error { _, err := decodeRecord(raw); return err }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.enc(rec); err != nil {
+				if err := c.run(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,7 +329,11 @@ func TestCompactionWorkLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.encodeSnapshot(); !bytes.Equal(got, wantBytes) {
+	got, err := s.encodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantBytes) {
 		t.Errorf("snapshot (%d bytes) differs from json.Marshal of the job table (%d bytes)", len(got), len(wantBytes))
 	}
 }
@@ -256,5 +365,183 @@ func TestRingGrowsOnDemand(t *testing.T) {
 	}
 	if tail := r.tail(2); tail[0].Round != 10 || tail[1].Round != 11 {
 		t.Errorf("tail(2) = %v, want rounds 10, 11", tail)
+	}
+}
+
+// A snapshot entry that fails to encode fails the compaction, which
+// then keeps the segments: the job table replays whole.
+func TestCompactionKeepsJobsWhenAnEntryFailsToEncode(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(durableCfg(dir))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	var ids []string
+	for seed := uint64(1); seed <= 3; seed++ {
+		st, err := s.Submit(ccSpec(seed))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		waitTerminal(t, s, st.ID, 10*time.Second)
+		ids = append(ids, st.ID)
+	}
+	waitIdle(t, s)
+	s.mu.Lock()
+	j := s.jobs[ids[1]]
+	s.mu.Unlock()
+	j.mu.Lock()
+	j.rSum, j.snapEntry = math.NaN(), nil
+	j.mu.Unlock()
+	if err := s.compact(); err == nil {
+		t.Error("compaction of a table with an entry that does not encode succeeded")
+	}
+	s.Shutdown(context.Background())
+
+	s2, err := Open(durableCfg(dir))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Shutdown(context.Background())
+	for _, id := range ids {
+		if st, ok := s2.Job(id); !ok || st.State != StateDone {
+			t.Errorf("after reopen, job %s: found %v, state %q; want done", id, ok, st.State)
+		}
+	}
+}
+
+// parentJournal is a state dir an earlier version wrote, every record
+// JSON: a done cc job, a done des job of 319 rounds (nine checkpoints),
+// and a job cut after three checkpoints, copied behind the live
+// service's back. restored.json is the job table that version replayed
+// it to, under parentCfg.
+const parentJournal = "testdata/parent-journal"
+
+var parentCfg = Config{HistoryCap: 4096}
+
+// copyParentJournal copies the parent's state dir where a test may
+// write to it.
+func copyParentJournal(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	src := filepath.Join(parentJournal, "state")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// replayTable replays a state dir into its job table in submit order.
+func replayTable(t *testing.T, dir string) []snapshotJob {
+	t.Helper()
+	rep, err := journal.Replay(dir, journal.Options{})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	rst, err := (&Service{cfg: parentCfg.withDefaults()}).restoreState(rep)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	var out []snapshotJob
+	for _, id := range rst.order {
+		j := rst.jobs[id]
+		out = append(out, snapshotJob{Status: j.snapshot(-1), RSum: j.rSum})
+	}
+	return out
+}
+
+// sameJob compares two restored jobs, their instants with Equal.
+func sameJob(t *testing.T, got, want snapshotJob) {
+	t.Helper()
+	instants := func(st *JobStatus) []*time.Time {
+		return []*time.Time{&st.SubmittedAt, st.StartedAt, st.FinishedAt}
+	}
+	g, w := got.Status, want.Status
+	for i, gi := range instants(&g) {
+		wi := instants(&w)[i]
+		if (gi == nil) != (wi == nil) || gi != nil && !gi.Equal(*wi) {
+			t.Errorf("job %s: instant %d is %v, want %v", w.ID, i, gi, wi)
+		}
+	}
+	g.SubmittedAt, g.StartedAt, g.FinishedAt = w.SubmittedAt, w.StartedAt, w.FinishedAt
+	if got.RSum != want.RSum || !reflect.DeepEqual(g, w) {
+		t.Errorf("job %s restores as\n%+v (r_sum %v)\nwant\n%+v (r_sum %v)", w.ID, g, got.RSum, w, want.RSum)
+	}
+}
+
+// The parent's JSON journal replays to the parent's job table; and
+// binary records appended after its JSON ones — the cut job going on at
+// its attempt, then rerun on the next — extend the parent's trajectory
+// prefix point for point.
+func TestParentJournalReplays(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(parentJournal, "restored.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []snapshotJob
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	got := replayTable(t, copyParentJournal(t))
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		sameJob(t, got[i], want[i])
+	}
+
+	cut := want[len(want)-1].Status
+	if cut.State != StateRecovered || len(cut.Trajectory) == 0 {
+		t.Fatalf("the parent's last job is %s with %d points, want a recovered prefix", cut.State, len(cut.Trajectory))
+	}
+	last := cut.Trajectory[len(cut.Trajectory)-1]
+	more := func(attempt, from int) []RoundPoint {
+		pts := checkpointPoints(32)
+		for i := range pts {
+			pts[i].Round, pts[i].Attempt = from+i, attempt
+		}
+		pts[5].Failed, pts[5].R = 1, 0.75 // an async window with failures stores r
+		return pts
+	}
+	same, next := more(0, last.Round+1), more(2, 0)
+	at := cut.StartedAt.Add(time.Second)
+	dir := copyParentJournal(t)
+	jnl, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []walRecord{
+		{Type: recCheckpoint, ID: cut.ID, At: at, Attempt: 1, Rounds: last.Round + 33, Points: same},
+		{Type: recStarted, ID: cut.ID, At: at, Attempt: 2},
+		{Type: recCheckpoint, ID: cut.ID, At: at, Attempt: 2, Rounds: 32, Points: next},
+	} {
+		b, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got = replayTable(t, dir)
+	traj := got[len(got)-1].Status.Trajectory
+	wantTraj := append(append(append([]RoundPoint{}, cut.Trajectory...), same...), next...)
+	if !reflect.DeepEqual(traj, wantTraj) {
+		t.Errorf("mixed-form journal replays %d points, want the parent's %d then %d new", len(traj), len(cut.Trajectory), len(same)+len(next))
+	}
+	for i := range want[:len(want)-1] {
+		sameJob(t, got[i], want[i])
 	}
 }
