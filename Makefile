@@ -1,7 +1,8 @@
 # Tier-1 verification for the repo (see ROADMAP.md): `make check` is
-# the command CI and reviewers run. `make bench` reproduces the
-# executor micro-benchmarks recorded in CHANGES.md and the §2 selection
-# and ordered-round numbers in EXPERIMENTS.md.
+# the command CI runs. It ends with bench-check, so a bench/ that stops
+# building or a workload that stops passing fails it too. `make bench`
+# reproduces the executor micro-benchmarks recorded in CHANGES.md and
+# the §2 selection and ordered-round numbers in EXPERIMENTS.md.
 
 GO ?= go
 
@@ -12,7 +13,7 @@ BENCH_SIM_OUT ?= BENCH_sim.json
 
 .PHONY: check vet build test race equiv chaos crash cluster partition overload bench bench-sim bench-e2e bench-check size
 
-check: vet build test race equiv
+check: vet build test race equiv bench-check
 
 # vet also fails on any file gofmt would rewrite, and vets the
 # benchmark module (its own go.mod), so deleting a name bench/ uses
@@ -30,7 +31,7 @@ test:
 	$(GO) test ./...
 
 # The concurrency-heavy packages get a dedicated race pass: the
-# speculative executor (worker pool, work-set, pooled contexts), the
+# speculative executor (the process's helper pool, work-set, pooled contexts), the
 # workload registry, the specd job service (queue, workers, shutdown),
 # the journal (group commit, the deferred-sync timer behind lazy appends,
 # rotation/compaction/reopen), the cluster router, the fault-injection
@@ -153,8 +154,8 @@ bench-e2e:
 	$(GO) run -C bench . -seed 1
 
 # bench-check vets and tests the benchmark module itself (its own
-# go.mod, so `make check` does not see it): unit tests plus a smoke run
-# of every workload.
+# go.mod, which `go test ./...` does not see): unit tests plus a smoke
+# run of every workload. `make check` runs it last.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 

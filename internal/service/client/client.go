@@ -288,62 +288,6 @@ func (c *Client) SubmitPlaced(ctx context.Context, id string, spec service.JobSp
 	return st, err
 }
 
-// BatchItem is one spec's outcome from SubmitBatch: the accepted status
-// or the per-item error, mirroring what Submit would have returned for
-// the same spec on its own.
-type BatchItem struct {
-	Status service.JobStatus
-	Err    error
-}
-
-// SubmitBatch posts N specs in one POST /v1/jobs:batch call. Admission
-// is evaluated per item, so some items may be accepted while others are
-// rejected; the returned slice is index-aligned with specs. The error
-// is non-nil only when the batch call itself failed (transport, 4xx/5xx
-// on the whole request).
-func (c *Client) SubmitBatch(ctx context.Context, specs []service.JobSpec) ([]BatchItem, error) {
-	var out struct {
-		Results []service.BatchResult `json:"results"`
-	}
-	if err := c.Call(ctx, http.MethodPost, "/v1/jobs:batch", struct {
-		Jobs []service.JobSpec `json:"jobs"`
-	}{Jobs: specs}, &out); err != nil {
-		return nil, err
-	}
-	if len(out.Results) != len(specs) {
-		return nil, fmt.Errorf("client: batch answered %d results for %d specs", len(out.Results), len(specs))
-	}
-	items := make([]BatchItem, len(out.Results))
-	for i, r := range out.Results {
-		items[i] = batchItem(r)
-	}
-	return items, nil
-}
-
-// batchItem converts one wire BatchResult into the error shapes the
-// rest of the client uses (BusyError for 429s, HTTPError otherwise).
-func batchItem(r service.BatchResult) BatchItem {
-	var it BatchItem
-	if r.Status != nil {
-		it.Status = *r.Status
-	}
-	switch {
-	case r.Code == http.StatusAccepted || r.Code == http.StatusOK:
-	case r.Code == http.StatusTooManyRequests:
-		it.Err = &BusyError{
-			RetryAfter: time.Duration(r.RetryAfterMs) * time.Millisecond,
-			Class:      r.Class,
-		}
-	default:
-		it.Err = &HTTPError{
-			StatusCode: r.Code,
-			Status:     fmt.Sprintf("%d %s", r.Code, http.StatusText(r.Code)),
-			Message:    r.Error,
-		}
-	}
-	return it
-}
-
 // Backoff is a jittered exponential retry schedule: the wait before
 // retry n (0-based) is drawn uniformly from [d/2, d), with d doubling
 // from Base while below Max, then floored at the server's hint and

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -41,7 +40,6 @@ import (
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/jobs:batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
@@ -180,88 +178,6 @@ func (s *Service) writeSubmitResult(w http.ResponseWriter, st JobStatus, err err
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	}
-}
-
-// maxBatchItems bounds one POST /v1/jobs:batch call; bigger batches
-// should be split client-side so one request cannot occupy admission
-// for unbounded time.
-const maxBatchItems = 256
-
-// batchRequest is the wire form of POST /v1/jobs:batch.
-type batchRequest struct {
-	Jobs []JobSpec `json:"jobs"`
-}
-
-// BatchResult is one item's outcome in a batch submission: admission is
-// evaluated per item, so a batch can partially succeed. Code mirrors
-// the single-submit HTTP status for the item (202 accepted, 200
-// duplicate, 429 rejected, 400 bad spec, 503 draining/degraded).
-type BatchResult struct {
-	Status       *JobStatus `json:"status,omitempty"`
-	Code         int        `json:"code"`
-	Error        string     `json:"error,omitempty"`
-	Class        string     `json:"class,omitempty"`          // rejection class on 429
-	RetryAfterMs int64      `json:"retry_after_ms,omitempty"` // computed retry hint on 429/503
-}
-
-// SubmitBatch submits each spec independently through the normal
-// admission pipeline and reports per-item outcomes.
-func (s *Service) SubmitBatch(specs []JobSpec) []BatchResult {
-	out := make([]BatchResult, len(specs))
-	for i, spec := range specs {
-		st, err := s.Submit(spec)
-		out[i] = batchResult(st, err)
-	}
-	return out
-}
-
-// batchResult maps one submission outcome onto its wire form, mirroring
-// writeSubmitResult's status mapping.
-func batchResult(st JobStatus, err error) BatchResult {
-	var specErr *SpecError
-	var rej *RejectError
-	switch {
-	case err == nil:
-		return BatchResult{Status: &st, Code: http.StatusAccepted}
-	case errors.Is(err, ErrDupJob):
-		return BatchResult{Status: &st, Code: http.StatusOK}
-	case errors.As(err, &rej):
-		ms := rej.Wait.Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		return BatchResult{Code: http.StatusTooManyRequests, Error: err.Error(),
-			Class: rej.Class, RetryAfterMs: ms}
-	case errors.Is(err, ErrQueueFull):
-		return BatchResult{Code: http.StatusTooManyRequests, Error: err.Error(),
-			Class: RejectQueue, RetryAfterMs: 1000}
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrDegraded):
-		return BatchResult{Code: http.StatusServiceUnavailable, Error: err.Error(), RetryAfterMs: 1000}
-	case errors.As(err, &specErr):
-		return BatchResult{Code: http.StatusBadRequest, Error: err.Error()}
-	default:
-		return BatchResult{Code: http.StatusInternalServerError, Error: err.Error()}
-	}
-}
-
-func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := decodeBody(w, r, maxHandoffBytes, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad batch: " + err.Error()})
-		return
-	}
-	if len(req.Jobs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad batch: no jobs"})
-		return
-	}
-	if len(req.Jobs) > maxBatchItems {
-		writeJSON(w, http.StatusBadRequest,
-			errorBody{Error: fmt.Sprintf("bad batch: %d jobs over the %d-item limit", len(req.Jobs), maxBatchItems)})
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Results []BatchResult `json:"results"`
-	}{Results: s.SubmitBatch(req.Jobs)})
 }
 
 // HandoffRequest is the wire form of a cluster job handoff (POST

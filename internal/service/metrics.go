@@ -5,6 +5,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/speculation"
 )
 
 // WriteMetrics renders the service state in Prometheus text exposition
@@ -108,10 +110,11 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	fmt.Fprintf(&b, "specd_colorings_total %d\n", colorings)
 	header("specd_colored_fallbacks_total", "Colored-to-speculative staleness fallbacks across all jobs.", "counter")
 	fmt.Fprintf(&b, "specd_colored_fallbacks_total %d\n", fallbacks)
-	header("specd_pool_helper_wakes_total", "Executor pool helpers woken for a round or an async drive, counted when a job attempt ends.", "counter")
-	fmt.Fprintf(&b, "specd_pool_helper_wakes_total %d\n", s.helperWakes.Load())
-	header("specd_pool_helper_joins_total", "Executor pool helpers that joined a round or an async drive in time to claim a chunk of it, counted when a job attempt ends.", "counter")
-	fmt.Fprintf(&b, "specd_pool_helper_joins_total %d\n", s.helperJoins.Load())
+	wakes, joins := speculation.HelperCounts()
+	header("specd_pool_helper_wakes_total", "Helpers of the process's executor pool woken for a round or an async drive, read live.", "counter")
+	fmt.Fprintf(&b, "specd_pool_helper_wakes_total %d\n", wakes)
+	header("specd_pool_helper_joins_total", "Helpers of the process's executor pool that joined a round or an async drive in time to claim a chunk of it, read live.", "counter")
+	fmt.Fprintf(&b, "specd_pool_helper_joins_total %d\n", joins)
 	header("specd_inflight_jobs", "Jobs currently executing rounds.", "gauge")
 	fmt.Fprintf(&b, "specd_inflight_jobs %d\n", s.Running())
 

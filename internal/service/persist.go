@@ -596,14 +596,32 @@ func (s *Service) restoreState(rep *journal.Replayed) (*restored, error) {
 		marks[id] = &mark{}
 		return j
 	}
+	// advance pushes p onto the ring if it advances the watermark.
+	advance := func(j *job, m *mark, p RoundPoint) bool {
+		if !pointAfter(p, m.a, m.rd) {
+			return false
+		}
+		j.hist.push(p)
+		m.a, m.rd = pointKey(p)
+		return true
+	}
 	push := func(j *job, m *mark, pts []RoundPoint) {
 		for _, p := range pts {
-			if !pointAfter(p, m.a, m.rd) {
-				continue
-			}
-			j.hist.push(p)
-			m.a, m.rd = pointKey(p)
+			advance(j, m, p)
 		}
+	}
+	// progress applies a checkpoint or finished record: its absolute
+	// counters, then its points, of which those of the record's attempt
+	// that advance the watermark are counted into the colored tallies as
+	// job.record counted them live.
+	progress := func(j *job, m *mark, rec walRecord) {
+		applyProgress(j, rec)
+		for _, p := range rec.Points {
+			if advance(j, m, p) && m.a == max(rec.Attempt, 1) {
+				j.countColored(p)
+			}
+		}
+		j.setMeanConflictRatio()
 	}
 
 	if len(rep.Snapshot) > 0 {
@@ -634,6 +652,11 @@ func (s *Service) restoreState(rep *journal.Replayed) (*restored, error) {
 			r.jobs[st.ID] = j
 			marks[st.ID] = m
 			push(j, m, traj)
+			if n := len(traj); n > 0 && m.a == st.Attempt {
+				// A coloring in force at the snapshot goes on in the
+				// records after it.
+				j.prevColored = traj[n-1].Colored && !traj[n-1].Fallback
+			}
 		}
 	}
 
@@ -677,8 +700,7 @@ func (s *Service) restoreState(rep *journal.Replayed) (*restored, error) {
 			}
 			st.Attempt = rec.Attempt
 			st.State = StateRunning
-			applyProgress(j, rec)
-			push(j, m, rec.Points)
+			progress(j, m, rec)
 		case recPaused:
 			// An older version's preemption: the attempt was bumped and
 			// the job re-queued to rerun from spec, as a recovered one
@@ -688,8 +710,7 @@ func (s *Service) restoreState(rep *journal.Replayed) (*restored, error) {
 			}
 			st.Attempt = rec.Attempt
 			st.State = StateRecovered
-			applyProgress(j, rec)
-			push(j, m, rec.Points)
+			progress(j, m, rec)
 		case recHandoff:
 			// A handed-off admission: recovered at the recorded attempt
 			// with the handed-over prefix. A later started record at the
@@ -706,8 +727,7 @@ func (s *Service) restoreState(rep *journal.Replayed) (*restored, error) {
 				continue
 			}
 			st.Attempt = max(rec.Attempt, st.Attempt)
-			applyProgress(j, rec)
-			push(j, m, rec.Points)
+			progress(j, m, rec)
 			st.State = rec.State
 			st.Reason = rec.Reason
 			st.Result = rec.Result
@@ -781,12 +801,12 @@ func resetAttemptCounters(j *job) {
 	st.ControllerCounters = nil
 	st.Result, st.Error, st.Reason = "", "", ""
 	j.rSum = 0
-	j.specRounds = 0
 	j.prevColored = false
 }
 
 // applyProgress sets the absolute progress fields from a checkpoint or
-// finished record.
+// finished record. The colored tallies, and r̄ with them, are counted
+// from the record's points once they are pushed.
 func applyProgress(j *job, rec walRecord) {
 	st := &j.status
 	if rec.Preemptions > st.Preemptions {
@@ -803,10 +823,5 @@ func applyProgress(j *job, rec walRecord) {
 		st.ConflictRatio = float64(st.Aborted) / float64(st.Launched)
 	} else {
 		st.ConflictRatio = 0
-	}
-	if st.Rounds > 0 {
-		st.MeanConflictRatio = j.rSum / float64(st.Rounds)
-	} else {
-		st.MeanConflictRatio = 0
 	}
 }

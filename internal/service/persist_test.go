@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/bits"
 	"os"
@@ -543,5 +544,77 @@ func TestParentJournalReplays(t *testing.T) {
 	}
 	for i := range want[:len(want)-1] {
 		sameJob(t, got[i], want[i])
+	}
+}
+
+// A colored job's status replays to what it was live: its colored
+// super-rounds, colorings and fallbacks are counted from the journaled
+// points, and r̄ averages the speculative rounds only, from the record
+// stream alone and from a snapshot taken at any point with the records
+// after it.
+func TestColoredJobReplaysAsLive(t *testing.T) {
+	spec := JobSpec{Workload: "stable", Controller: "hybrid", Mode: ModeColored, Seed: 1, Parallel: 1}
+	at := time.Unix(1, 0).UTC()
+	live := &job{hist: ring{max: 64}}
+	live.status = JobStatus{ID: "j1", Spec: spec, State: StateRunning, Attempt: 1, SubmittedAt: at, StartedAt: &at}
+	encode := func(rec walRecord) []byte {
+		b, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	records := [][]byte{
+		encode(walRecord{Type: recSubmitted, ID: "j1", At: at, Spec: &spec}),
+		encode(walRecord{Type: recStarted, ID: "j1", At: at, Attempt: 1}),
+	}
+	// Two speculative rounds, a coloring of three super-rounds that ends
+	// in a fallback, a speculative round, then a second coloring.
+	var points []RoundPoint
+	for i, kind := range "ssccfsccc" {
+		p := RoundPoint{Round: i, M: 8, Launched: 8, Committed: 8, Attempt: 1, Colored: kind != 's', Fallback: kind == 'f'}
+		if kind == 's' {
+			p.Committed, p.Aborted, p.R = 8-i, i, float64(i)/8
+		}
+		points = append(points, p)
+	}
+	var snapshots [][]byte // the snapshot after each checkpoint
+	var cuts []int         // records in the stream at each snapshot
+	for k := 0; k < len(points); k += 3 {
+		chunk := points[k:min(k+3, len(points))]
+		for _, p := range chunk {
+			live.record(p, 100-p.Round, nil)
+		}
+		typ := recCheckpoint
+		if k+3 >= len(points) {
+			typ = recFinished
+			live.status.State, live.status.FinishedAt = StateDone, &at
+		}
+		records = append(records, encode(live.progressRecord(typ, chunk)))
+		entry, err := live.snapshotEntry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshots = append(snapshots, fmt.Appendf(nil, `{"version":1,"next_id":1,"jobs":[%s]}`, entry))
+		cuts = append(cuts, len(records))
+	}
+	want := live.snapshot(-1)
+	if want.ColoredRounds != 6 || want.Colorings != 2 || want.Fallbacks != 1 || want.MeanConflictRatio != (0+1.0/8+5.0/8)/3 {
+		t.Fatalf("live: %d colored rounds, %d colorings, %d fallbacks, mean r %v", want.ColoredRounds, want.Colorings, want.Fallbacks, want.MeanConflictRatio)
+	}
+	replay := func(name string, rep *journal.Replayed) {
+		rst, err := (&Service{cfg: Config{HistoryCap: 64}.withDefaults()}).restoreState(rep)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := rst.jobs["j1"].snapshot(-1)
+		got.FinishedAt = want.FinishedAt // the finished record's instant, compared by Equal below
+		if !reflect.DeepEqual(got, want) || !rst.jobs["j1"].status.FinishedAt.Equal(*want.FinishedAt) {
+			t.Errorf("%s replays as\n%+v\nwant\n%+v", name, got, want)
+		}
+	}
+	replay("the record stream", &journal.Replayed{Records: records})
+	for i, snap := range snapshots[:len(snapshots)-1] {
+		replay(fmt.Sprintf("snapshot %d and the records after it", i), &journal.Replayed{Snapshot: snap, Records: records[cuts[i]:]})
 	}
 }

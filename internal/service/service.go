@@ -233,11 +233,7 @@ type job struct {
 	mu     sync.Mutex
 	status JobStatus
 	hist   ring
-	rSum   float64 // sum of per-round conflict ratios (attempt-local)
-	// specRounds counts the speculative rounds behind rSum: colored
-	// super-rounds are conflict-free by construction and excluded from
-	// r̄, mirroring the controller's view.
-	specRounds int
+	rSum   float64 // sum of the speculative rounds' conflict ratios (attempt-local)
 	// prevColored tracks whether the previous recorded round ran under a
 	// coloring that is still in force, so Colorings counts each new one:
 	// the first colored round, or a colored round right after a
@@ -273,15 +269,11 @@ type execution struct {
 	ran  time.Duration // running time, summed over the stretches a preemption split it into
 }
 
-// release closes an execution's workload and counts its executor's pool
-// helpers into the service totals. x may be nil or not yet built.
+// release closes an execution's workload. x may be nil or not yet built.
 func (s *Service) release(x *execution) {
 	if x == nil || x.run == nil {
 		return
 	}
-	snap := x.run.Stepper.Snapshot()
-	s.helperWakes.Add(snap.HelperWakes)
-	s.helperJoins.Add(snap.HelperJoins)
 	x.run.Stepper.Close()
 }
 
@@ -394,6 +386,23 @@ func (j *job) record(p RoundPoint, pending int, counters map[string]int) {
 	if st.Launched > 0 {
 		st.ConflictRatio = float64(st.Aborted) / float64(st.Launched)
 	}
+	if !p.Colored {
+		j.rSum += p.R
+	}
+	j.countColored(p)
+	j.setMeanConflictRatio()
+	if counters != nil {
+		st.ControllerCounters = counters
+	}
+	j.hist.push(p)
+}
+
+// countColored folds one round of the attempt into its colored tallies:
+// the super-rounds, the colorings (a colored round that follows no
+// coloring in force), and the staleness fallbacks. Live rounds and
+// replayed points both go through it.
+func (j *job) countColored(p RoundPoint) {
+	st := &j.status
 	if p.Colored {
 		st.ColoredRounds++
 		if !j.prevColored {
@@ -402,18 +411,19 @@ func (j *job) record(p RoundPoint, pending int, counters map[string]int) {
 		if p.Fallback {
 			st.Fallbacks++
 		}
-	} else {
-		j.rSum += p.R
-		j.specRounds++
 	}
 	j.prevColored = p.Colored && !p.Fallback
-	if j.specRounds > 0 {
-		st.MeanConflictRatio = j.rSum / float64(j.specRounds)
+}
+
+// setMeanConflictRatio sets r̄ over the attempt's speculative rounds:
+// colored super-rounds are conflict-free by construction and excluded,
+// mirroring the controller's view.
+func (j *job) setMeanConflictRatio() {
+	st := &j.status
+	st.MeanConflictRatio = 0
+	if n := st.Rounds - st.ColoredRounds; n > 0 {
+		st.MeanConflictRatio = j.rSum / float64(n)
 	}
-	if counters != nil {
-		st.ControllerCounters = counters
-	}
-	j.hist.push(p)
 }
 
 // setCounters publishes a fresh controller-counter map.
@@ -591,8 +601,6 @@ type Service struct {
 	running     atomic.Int64 // jobs currently executing rounds
 	preemptions atomic.Int64 // barrier pauses forced by higher-priority arrivals
 	parked      atomic.Int64 // paused jobs holding their execution (at most Workers; see park)
-	helperWakes atomic.Int64 // executor pool helpers woken, summed over finished attempts
-	helperJoins atomic.Int64 // ... of which arrived in time to claim a chunk
 
 	// runningSet tracks the jobs currently holding workers, for
 	// preemption victim selection (lowest effective priority first).

@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzJobSpec feeds arbitrary bytes through the decoding and
-// normalization POST /v1/jobs and POST /v1/jobs:batch give a spec: no
+// normalization POST /v1/jobs gives a spec: no
 // input panics, and a spec normalize accepts is a fixed point of it, so
 // the spec a job status reports, submitted again, asks for the same job.
 func FuzzJobSpec(f *testing.F) {
@@ -24,31 +24,21 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":"cc","controller":"hybrid","rho":0.99,"degree":-1,"seed":18446744073709551615}`))
 	f.Add([]byte(`{"workload":"cc","unknown":1}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		decode := func(limit int64, v any) error {
-			r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
-			return decodeBody(httptest.NewRecorder(), r, limit, v)
-		}
-		var specs []JobSpec
 		var spec JobSpec
-		if decode(maxSpecBytes, &spec) == nil {
-			specs = append(specs, spec)
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		if decodeBody(httptest.NewRecorder(), r, maxSpecBytes, &spec) != nil {
+			return
 		}
-		var batch batchRequest
-		if decode(maxHandoffBytes, &batch) == nil {
-			specs = append(specs, batch.Jobs...)
+		once, err := s.normalize(spec)
+		if err != nil {
+			return
 		}
-		for _, spec := range specs {
-			once, err := s.normalize(spec)
-			if err != nil {
-				continue
-			}
-			twice, err := s.normalize(once)
-			if err != nil {
-				t.Fatalf("normalize refused its own output %+v: %v", once, err)
-			}
-			if !reflect.DeepEqual(once, twice) {
-				t.Fatalf("normalize is not idempotent:\n%+v\n%+v", once, twice)
-			}
+		twice, err := s.normalize(once)
+		if err != nil {
+			t.Fatalf("normalize refused its own output %+v: %v", once, err)
+		}
+		if !reflect.DeepEqual(once, twice) {
+			t.Fatalf("normalize is not idempotent:\n%+v\n%+v", once, twice)
 		}
 	})
 }

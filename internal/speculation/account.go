@@ -139,16 +139,14 @@ func (a *accounting) OverallConflictRatio() float64 {
 }
 
 // snapshot assembles a Snapshot from the counters plus the executor's
-// current pending count and its pool's helper counters.
-func (a *accounting) snapshot(pending int, p *pooled) Snapshot {
+// current pending count.
+func (a *accounting) snapshot(pending int) Snapshot {
 	return Snapshot{
-		Pending:     pending,
-		Launched:    a.totalLaunched.Load(),
-		Committed:   a.totalCommitted.Load(),
-		Aborted:     a.totalAborted.Load(),
-		Failed:      a.totalFailed.Load(),
-		Poisoned:    a.totalPoisoned.Load(),
-		HelperWakes: p.helperWakes.Load(),
-		HelperJoins: p.helperJoins.Load(),
+		Pending:   pending,
+		Launched:  a.totalLaunched.Load(),
+		Committed: a.totalCommitted.Load(),
+		Aborted:   a.totalAborted.Load(),
+		Failed:    a.totalFailed.Load(),
+		Poisoned:  a.totalPoisoned.Load(),
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"repro/internal/control"
 )
 
-// This file implements the barrier-free execution mode: the executor
-// pool's MaxParallel participants, the Drive goroutine included, claim
+// This file implements the barrier-free execution mode: up to
+// MaxParallel participants, the Drive goroutine included, claim
 // chunks of the work-set, run them, and settle them with no global round
 // join, visiting the engine's mutex once per chunk. The controller's m is
 // a resizable limit on attempts claimed and not yet settled, and the
@@ -57,7 +57,7 @@ type asyncRun struct {
 	e       *Executor
 	d       *drive
 	budget  int
-	workers int // participants: worker 0 is the Drive goroutine, the rest pool helpers
+	workers int // participants asked for: worker 0 is the Drive goroutine, the rest pool helpers
 
 	mu   sync.Mutex
 	cond *sync.Cond // room and/or work may be available, or a sample is queued for worker 0
@@ -91,11 +91,13 @@ type asyncRun struct {
 // accessors remain safe to call concurrently.
 //
 // The controller's m is an allocation — how many attempts may be claimed
-// and unsettled at once — not a thread count: the executor pool's
-// MaxParallel participants serve whatever m is, each claiming a chunk of
-// it at a time. The drive is one dispatch on that pool, one index per
-// participant, woken whatever the round backoff says: every worker must
-// be live at once, or blocking operators would not overlap.
+// and unsettled at once — not a thread count: MaxParallel participants
+// serve whatever m is, each claiming a chunk of it at a time. The drive
+// is one dispatch on the process's helper pool, one index per
+// participant, woken whatever the round backoff says: every worker should
+// be live at once, or blocking operators would not overlap. A helper
+// busy in another executor's dispatch is not waited for: the drive then
+// runs on fewer participants, and still completes.
 func (e *Executor) driveAsync(d *drive) {
 	a := &asyncRun{
 		e:       e,
@@ -178,8 +180,8 @@ func (a *asyncRun) worker(i int) {
 // small part of the window (EXPERIMENTS.md has the sweep).
 // With MaxParallel ≥ m it is one entry, i.e. one participant per unit of
 // m, and blocking operators overlap m-fold. Drain detection: nothing in
-// the work-set and nothing in flight that could requeue work. Callers
-// hold a.mu.
+// the work-set, nothing in flight that could requeue work, and no commit
+// action left that could spawn some. Callers hold a.mu.
 func (a *asyncRun) claimLocked(w *asyncWorker, delivers bool) bool {
 	for !a.stopped {
 		if delivers && len(a.queue) > 0 {
@@ -200,6 +202,12 @@ func (a *asyncRun) claimLocked(w *asyncWorker, delivers bool) bool {
 				return true
 			}
 			if a.inflight == 0 {
+				if len(a.actions) > 0 {
+					// The open window's commit actions may spawn work:
+					// close it, then look again.
+					a.flushSampleLocked()
+					continue
+				}
 				a.finishLocked(false)
 				return false
 			}

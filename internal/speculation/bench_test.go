@@ -38,6 +38,7 @@ func benchRound(b *testing.B, m, maxPar, work int) {
 	e.MaxParallel = maxPar
 	defer e.Close()
 	t := spinTask(work)
+	wakes, _ := HelperCounts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -47,16 +48,17 @@ func benchRound(b *testing.B, m, maxPar, work int) {
 		e.Round(m)
 	}
 	b.StopTimer()
-	reportRound(b, e, b.N*m)
+	reportRound(b, wakes, b.N*m)
 }
 
 // reportRound adds the tasks/sec and helper wakes per round of a finished
-// round benchmark.
-func reportRound(b *testing.B, e *Executor, launched int) {
+// round benchmark, given the pool's wake count before it.
+func reportRound(b *testing.B, wakesBefore int64, launched int) {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(launched)/secs, "tasks/sec")
 	}
-	b.ReportMetric(float64(e.Snapshot().HelperWakes)/float64(b.N), "wakes/op")
+	wakes, _ := HelperCounts()
+	b.ReportMetric(float64(wakes-wakesBefore)/float64(b.N), "wakes/op")
 }
 
 // BenchmarkExecutorRound prices one round at one participant and at two:
@@ -81,6 +83,7 @@ func BenchmarkExecutorRound(b *testing.B) {
 		b.Run(fmt.Sprintf("conflict-heavy/m=256/par=%d", par), func(b *testing.B) {
 			e, topUp := conflictHeavyExecutor(256, par)
 			defer e.Close()
+			wakes, _ := HelperCounts()
 			b.ReportAllocs()
 			b.ResetTimer()
 			launched := 0
@@ -90,7 +93,7 @@ func BenchmarkExecutorRound(b *testing.B) {
 				topUp(st.Committed)
 			}
 			b.StopTimer()
-			reportRound(b, e, launched)
+			reportRound(b, wakes, launched)
 		})
 	}
 }

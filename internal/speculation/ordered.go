@@ -218,7 +218,7 @@ type OrderedExecutor struct {
 	// negative = no retries).
 	TaskRetries int
 
-	pooled
+	dispatchRecord
 
 	// accounting holds the shared counters and quarantine; the ordered
 	// executor folds conflicts + premature into its Aborted total so
@@ -236,15 +236,15 @@ func NewOrderedExecutor() *OrderedExecutor {
 	return &OrderedExecutor{}
 }
 
-// Close releases the executor's worker pool (if any). Optional: an
-// executor abandoned without Close is cleaned up by a finalizer.
-func (e *OrderedExecutor) Close() { e.closePool() }
+// Close does nothing: the ordered executor holds no pooled resource. It
+// makes the ordered executor a workload.Stepper like Executor.
+func (e *OrderedExecutor) Close() {}
 
 // Snapshot returns the ordered executor's pending count and cumulative
 // counters in one race-safe call. Aborted counts both failure modes
 // (conflicts + premature executions), matching OverallConflictRatio.
 func (e *OrderedExecutor) Snapshot() Snapshot {
-	return e.accounting.snapshot(e.Pending(), &e.pooled)
+	return e.accounting.snapshot(e.Pending())
 }
 
 // TotalConflicts returns the cumulative count of same-round item

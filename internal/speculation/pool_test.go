@@ -2,12 +2,14 @@ package speculation
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -101,99 +103,126 @@ func TestWorkerPoolStress(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolExactlyOnce drives the pool directly over many dispatches
-// of every small size: each index runs exactly once, no callback of a
-// dispatch runs after that dispatch has returned (a helper still mid-chunk
-// of an earlier round would), at most size callbacks are ever in flight,
-// a pool of one starts no goroutine, and in every larger pool a helper
-// joins a round in progress.
+// TestWorkerPoolExactlyOnce drives one dispatch record over many
+// dispatches of every small size: each index runs exactly once, no
+// callback of a dispatch runs after that dispatch has returned (a helper
+// still mid-chunk of an earlier round would), at most size callbacks are
+// ever in flight, a size of one neither wakes nor starts a helper, and at
+// every larger size a helper joins a round in progress.
 func TestWorkerPoolExactlyOnce(t *testing.T) {
-	const maxN, dispatches = 300, 5000 // per pool size: 20 000 in all
-	const slow = 50 * time.Microsecond
-	spin := func(d time.Duration) {
-		for start := time.Now(); time.Since(start) < d; {
-		}
-	}
 	for size := 1; size <= 4; size++ {
-		before := runtime.NumGoroutine()
-		p := newWorkerPool(size)
-		if size == 1 && runtime.NumGoroutine() > before {
-			t.Fatalf("a pool of one started %d goroutines", runtime.NumGoroutine()-before)
+		var d dispatchRecord
+		started, wakes, joins := helpers.started.Load(), helpers.wakes.Load(), helpers.joins.Load()
+		dispatchMany(t, &d, size, 5000) // 20 000 in all
+		if size == 1 && (helpers.started.Load() != started || helpers.wakes.Load() != wakes) {
+			t.Fatalf("size 1: the pool grew %d -> %d helpers, woke %d", started, helpers.started.Load(), helpers.wakes.Load()-wakes)
 		}
-		var (
-			ran          [maxN]atomic.Int32
-			current      atomic.Int64 // the dispatch in progress
-			inFlight     atomic.Int32
-			peak, strays atomic.Int32
-			joins        int
-		)
-		for k := 0; k < dispatches; k++ {
-			n, gen := k%maxN+1, int64(k)
-			current.Store(gen)
-			_, joined := p.dispatch(n, func(i int) {
-				if current.Load() != gen {
-					strays.Add(1)
-				}
-				c := inFlight.Add(1)
-				for pk := peak.Load(); c > pk && !peak.CompareAndSwap(pk, c); pk = peak.Load() {
-				}
-				// The caller claims chunk 0 first, and a parked helper takes
-				// a while to wake. A slow index 0 gives a helper time to join
-				// and leave while the round is still open; a slower last
-				// index in the next dispatch keeps it mid-chunk when the
-				// caller runs out of chunks.
-				if k%4 < 2 && i == 0 {
-					spin(slow)
-				}
-				if k%4 == 1 && i == n-1 {
-					spin(2 * slow)
-				}
-				ran[i].Add(1)
-				inFlight.Add(-1)
-				if current.Load() != gen {
-					strays.Add(1)
-				}
-			}, false)
-			joins += joined
-			current.Store(-1)
-			if c := inFlight.Load(); c != 0 {
-				t.Fatalf("size %d, dispatch %d (n=%d): %d callbacks still running after return", size, k, n, c)
-			}
-			for i := 0; i < n; i++ {
-				if got := ran[i].Swap(0); got != 1 {
-					t.Fatalf("size %d, dispatch %d (n=%d): index %d ran %d times", size, k, n, i, got)
-				}
-			}
-		}
-		p.shutdown()
-		if s := strays.Load(); s != 0 {
-			t.Fatalf("size %d: %d callbacks ran outside their dispatch", size, s)
-		}
-		if pk := peak.Load(); pk > int32(size) {
-			t.Fatalf("size %d: %d callbacks in flight at once", size, pk)
-		}
-		if size > 1 && joins == 0 {
-			t.Fatalf("size %d: no helper ran an index in %d dispatches", size, dispatches)
+		if size > 1 && helpers.joins.Load() == joins {
+			t.Fatalf("size %d: no helper ran an index in 5000 dispatches", size)
 		}
 	}
 }
 
+// TestWorkerPoolSharedByTwoExecutors runs the checks of
+// TestWorkerPoolExactlyOnce on two records at once, from two goroutines,
+// so their rounds compete for the same helpers and stale tokens of one
+// round meet later rounds of the same record.
+func TestWorkerPoolSharedByTwoExecutors(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, size := range []int{2, 3} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var d dispatchRecord
+			dispatchMany(t, &d, size, 3000)
+		}()
+	}
+	wg.Wait()
+}
+
+// dispatchMany runs dispatches of every n in [1, 300] on d at size
+// participants and reports, through t.Errorf, an index that did not run
+// exactly once, a callback that ran outside its dispatch, and more than
+// size callbacks in flight.
+func dispatchMany(t *testing.T, d *dispatchRecord, size, dispatches int) {
+	const maxN = 300
+	const slow = 100 * time.Microsecond // longer than a parked helper takes to wake on most boxes
+	var (
+		ran          [maxN]atomic.Int32
+		current      atomic.Int64 // the dispatch in progress
+		others       atomic.Int32 // indices other than 0 run in it
+		inFlight     atomic.Int32
+		peak, strays atomic.Int32
+	)
+	for k := 0; k < dispatches; k++ {
+		n, gen := k%maxN+1, int64(k)
+		current.Store(gen)
+		others.Store(0)
+		d.dispatch(size, n, func(i int) {
+			if current.Load() != gen {
+				strays.Add(1)
+			}
+			c := inFlight.Add(1)
+			for pk := peak.Load(); c > pk && !peak.CompareAndSwap(pk, c); pk = peak.Load() {
+			}
+			// The caller claims chunk 0 first, and a parked helper takes
+			// a while to wake. A slow index 0, which waits for a helper
+			// to run another index, lets one join and leave while the
+			// round is still open; a slow last index in the next dispatch
+			// keeps a helper mid-chunk when the caller runs out of chunks.
+			if k%4 < 2 && i == 0 && size > 1 {
+				for start := time.Now(); others.Load() == 0 && time.Since(start) < 2*slow; {
+				}
+			}
+			if k%4 == 1 && i == n-1 {
+				for start := time.Now(); time.Since(start) < slow; {
+				}
+			}
+			if i != 0 {
+				others.Add(1)
+			}
+			ran[i].Add(1)
+			inFlight.Add(-1)
+			if current.Load() != gen {
+				strays.Add(1)
+			}
+		}, false)
+		current.Store(-1)
+		if c := inFlight.Load(); c != 0 {
+			t.Errorf("size %d, dispatch %d (n=%d): %d callbacks still running after return", size, k, n, c)
+			return
+		}
+		for i := 0; i < n; i++ {
+			if got := ran[i].Swap(0); got != 1 {
+				t.Errorf("size %d, dispatch %d (n=%d): index %d ran %d times", size, k, n, i, got)
+				return
+			}
+		}
+	}
+	if s := strays.Load(); s != 0 {
+		t.Errorf("size %d: %d callbacks ran outside their dispatch", size, s)
+	}
+	if pk := peak.Load(); pk > int32(size) {
+		t.Errorf("size %d: %d callbacks in flight at once", size, pk)
+	}
+}
+
 // TestWorkerPoolBacksOffLateHelpers: rounds of no-op tasks end long before
-// a parked helper can wake, so the pool stops waking it. Each dispatch
-// waits for the helper to take any token it was sent, so a pool that woke
-// it every round could. From the 64th dispatch on, fewer than one in eight
-// may wake a helper.
+// a parked helper can wake, so the record stops waking one. Each dispatch
+// waits for the helpers to take any token it was sent, so a record that
+// woke one every round could. From the 64th dispatch on, fewer than one in
+// eight may wake a helper.
 func TestWorkerPoolBacksOffLateHelpers(t *testing.T) {
 	const dispatches, warmup = 4096, 64
-	p := newWorkerPool(2)
-	defer p.shutdown()
+	var d dispatchRecord
 	wakes := 0
 	for k := 0; k < dispatches; k++ {
-		woke, _ := p.dispatch(64, func(int) {}, false)
-		if k >= warmup && woke > 0 {
+		before := helpers.wakes.Load()
+		d.dispatch(2, 64, func(int) {}, false)
+		if k >= warmup && helpers.wakes.Load() > before {
 			wakes++
 		}
-		for len(p.wake) > 0 {
+		for len(helpers.wake) > 0 {
 			runtime.Gosched()
 		}
 	}
@@ -209,12 +238,12 @@ func TestWorkerPoolBacksOffLateHelpers(t *testing.T) {
 // backoff never leaves such a round to the caller alone.
 func TestWorkerPoolWakesHelpersThatArrive(t *testing.T) {
 	const dispatches = 512
-	p := newWorkerPool(2)
-	defer p.shutdown()
+	var d dispatchRecord
 	for k := 0; k < dispatches; k++ {
 		other := make(chan struct{}, 1)
 		n := k%63 + 2
-		woke, joined := p.dispatch(n, func(i int) {
+		wakes, joins := HelperCounts()
+		d.dispatch(2, n, func(i int) {
 			if i != 0 {
 				select {
 				case other <- struct{}{}:
@@ -228,8 +257,8 @@ func TestWorkerPoolWakesHelpersThatArrive(t *testing.T) {
 				t.Errorf("dispatch %d (n=%d): index 0 waited 10 s for a helper", k, n)
 			}
 		}, false)
-		if woke != 1 || joined != 1 {
-			t.Fatalf("dispatch %d (n=%d): woke %d helpers, %d joined; want 1 and 1", k, n, woke, joined)
+		if w, j := HelperCounts(); w-wakes != 1 || j-joins != 1 {
+			t.Fatalf("dispatch %d (n=%d): woke %d helpers, %d joined; want 1 and 1", k, n, w-wakes, j-joins)
 		}
 	}
 }
@@ -339,33 +368,6 @@ func TestCtxPoolingNoLeak(t *testing.T) {
 	}
 }
 
-// TestExecutorCloseReleasesWorkers verifies Close stops the pool
-// goroutines (and that a closed executor can still run rounds, falling
-// back to a fresh pool).
-func TestExecutorCloseReleasesWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := NewExecutor(nil)
-	e.MaxParallel = 8
-	for i := 0; i < 64; i++ {
-		e.Add(TaskFunc(func(ctx *Ctx) error { return nil }))
-	}
-	e.Round(32)
-	e.Close()
-	// Workers exit asynchronously after the channel closes.
-	for i := 0; i < 200 && runtime.NumGoroutine() > before+1; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before+2 {
-		t.Fatalf("goroutines leaked after Close: before=%d after=%d", before, g)
-	}
-	// Round after Close lazily rebuilds the pool.
-	e.Round(32)
-	if e.TotalCommitted() != 64 {
-		t.Fatalf("committed %d, want 64", e.TotalCommitted())
-	}
-	e.Close()
-}
-
 // TestPoolSizeDoesNotMoveConflictRatio keeps the evidence the
 // goroutine-per-task branch was deleted on: at a fixed m the round's
 // conflict ratio is set by which m tasks were drawn, not by how many
@@ -472,24 +474,78 @@ func countNonZero(qs []queued) (n int) {
 	return n
 }
 
-// TestAbandonedExecutorReleasesWorkers covers the callers that never
-// Close (every round runs on a pool now, theirs included): once the
-// executor is unreachable the pool's finalizer stops the helpers, which
-// holds only while helpers reference nothing but the dispatch record and
-// the record keeps no round callback once a dispatch has returned.
-func TestAbandonedExecutorReleasesWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for k := 0; k < 20; k++ {
+// TestWorkerPoolStaysBounded counts the process's helpers through the
+// pool's own counter while executors run rounds at MaxParallel up to 8:
+// concurrently and in sequence, unordered and ordered, closed and
+// abandoned. The set may grow to max(GOMAXPROCS, 8) − 1 and no further,
+// and an abandoned executor stays collectable: nothing the pool keeps
+// between dispatches holds it.
+func TestWorkerPoolStaysBounded(t *testing.T) {
+	const maxPar = 8
+	bound := max(helpers.started.Load(), int64(max(runtime.GOMAXPROCS(0), maxPar)-1))
+	check := func(when string) {
+		if n := helpers.started.Load(); n > bound {
+			t.Errorf("%s: %d helpers, want at most %d", when, n, bound)
+		}
+	}
+	var abandoned []weak.Pointer[Executor]
+	var mu sync.Mutex
+	run := func(k int) {
 		e := NewExecutor(nil)
-		e.MaxParallel = 4
-		e.Add(TaskFunc(func(*Ctx) error { return nil }))
-		e.Round(1)
+		e.MaxParallel = k%maxPar + 1
+		for i := 0; i < 200; i++ {
+			e.Add(TaskFunc(func(*Ctx) error { return nil }))
+		}
+		for e.Pending() > 0 {
+			e.Round(32)
+		}
+		o := NewOrderedExecutor()
+		o.MaxParallel = maxPar - k%maxPar
+		for i := 0; i < 64; i++ {
+			o.Add(sleepOrderedTask{k: Key{Time: float64(i)}})
+		}
+		for o.Pending() > 0 {
+			o.Round(16)
+		}
+		if e.TotalCommitted() != 200 || o.TotalCommitted() != 64 {
+			t.Errorf("executor %d committed %d and %d, want 200 and 64", k, e.TotalCommitted(), o.TotalCommitted())
+		}
+		check(fmt.Sprintf("after executor %d", k))
+		if k%2 == 0 {
+			e.Close()
+			return
+		}
+		mu.Lock()
+		abandoned = append(abandoned, weak.Make(e))
+		mu.Unlock()
 	}
-	for i := 0; i < 200 && runtime.NumGoroutine() > before+1; i++ {
+	for k := 0; k < 16; k++ {
+		run(k)
+	}
+	var wg sync.WaitGroup
+	for k := 16; k < 48; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(k)
+		}()
+	}
+	wg.Wait()
+	check("at the end")
+	for i := 0; ; i++ {
 		runtime.GC()
+		live := 0
+		for _, w := range abandoned {
+			if w.Value() != nil {
+				live++
+			}
+		}
+		if live == 0 {
+			break
+		}
+		if i == 200 {
+			t.Fatalf("%d of %d abandoned executors still reachable", live, len(abandoned))
+		}
 		time.Sleep(time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before+1 {
-		t.Fatalf("abandoned executors keep %d goroutines running (%d before)", g, before)
 	}
 }

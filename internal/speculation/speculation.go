@@ -20,11 +20,12 @@
 // tasks themselves (each entry is a task plus the handle its failure
 // budget is keyed by), so a round is "pop m entries, run them, append
 // the losers back" with no table in between; a round runs on its caller
-// plus up to MaxParallel − 1 persistent helpers claiming chunks of its
-// index space off one atomic cursor (no hand-off: a small round usually
-// runs on the caller alone, and helpers are woken only while they arrive
-// in time to claim a chunk; an async drive is one dispatch on the same
-// pool), attempt IDs come from an atomic counter, and per-attempt
+// plus up to MaxParallel − 1 helpers borrowed from the process's one
+// helper pool, claiming chunks of its index space off one atomic cursor
+// (no hand-off: a small round usually runs on the caller alone, and
+// helpers are woken only while they arrive in time to claim a chunk; an
+// async drive is one dispatch on the same pool, and an executor owns no
+// goroutine), attempt IDs come from an atomic counter, and per-attempt
 // contexts are recycled through a sync.Pool. A conflict abort — the
 // common case at the paper's ρ = 0.25 — allocates nothing: the error
 // Acquire returns lives in the attempt's context, and a steady-state
@@ -336,68 +337,95 @@ func (s *RoundStats) add(o RoundStats) {
 	s.Spawned += o.Spawned
 }
 
-// workerPool is a help-first pool of size participants: the goroutine
-// that calls dispatch plus size − 1 parked helpers. Helpers reference only
-// the dispatch record, never the pool or its executor, so an abandoned
-// executor stays collectable: the pool's finalizer closes the wake
-// channel and the helpers exit.
+// helpers is the process's one set of parked helper goroutines. Every
+// executor's dispatch borrows from it: the goroutine that calls dispatch
+// runs chunks itself, and a helper joins only while it arrives in time to
+// claim one. A helper holds a round's record only while it is inside the
+// round, so an executor owns nothing that has to be stopped, and an
+// abandoned one is collectable.
+//
+// The set grows to max(GOMAXPROCS, the largest participant count any
+// dispatch asked for) − 1 and never shrinks. Helpers are shared, not
+// reserved: a round that finds every helper seated elsewhere runs on its
+// caller, and its backoff learns from it. Up to 1024 wake tokens wait for
+// a helper, so one dispatch of the largest job specd accepts fits; a token
+// that finds the buffer full is not sent.
+var helpers = helperPool{wake: make(chan *dispatchRecord, 1024)}
+
+type helperPool struct {
+	wake    chan *dispatchRecord // a token names the round a helper is asked to join
+	grow    sync.Mutex
+	started atomic.Int64 // helper goroutines running
+	wakes   atomic.Int64 // helpers woken for a round or an async drive
+	joins   atomic.Int64 // ... and helpers that claimed a chunk of one
+}
+
+// HelperCounts returns how many helpers the process's dispatches have
+// woken so far, and how many of them claimed a chunk of the round or
+// async drive they were woken for.
+func HelperCounts() (wakes, joins int64) { return helpers.wakes.Load(), helpers.joins.Load() }
+
+// ensure grows the set to at least n helpers, and then to at least
+// GOMAXPROCS − 1. A helper joins each round it is woken for while that
+// round has a seat.
+func (p *helperPool) ensure(n int) {
+	if int(p.started.Load()) >= n {
+		return
+	}
+	p.grow.Lock()
+	defer p.grow.Unlock()
+	for want := max(n, runtime.GOMAXPROCS(0)-1); int(p.started.Load()) < want; {
+		p.started.Add(1)
+		go func() {
+			for d := range p.wake {
+				d.join()
+			}
+		}()
+	}
+}
+
+// dispatchRecord is an executor's round descriptor, reused for every
+// dispatch. state holds the round's seat bound in its high half and the
+// helpers inside in its low half; a closed round has no seats. run, n
+// and chunk change only while the record is closed and empty, so a late
+// helper never sees a reset: the seat bound it checks is the one in the
+// word it swaps.
 //
 // A wake-up costs the caller a cross-CPU signal, and a helper that arrives
 // after the chunks have run out adds nothing. So after each round that
 // woke helpers, backoff moves down one level if one of them claimed a
 // chunk, up one (to maxBackoff) if none did, and the next 2^backoff − 1
 // rounds that would wake helpers run on the caller alone.
-type workerPool struct {
-	*dispatchRecord
-	size          int
-	backoff, skip int // caller-only: the learned level, and the rounds left to run alone
-	stop          sync.Once
-}
-
-const maxBackoff = 6 // late helpers are still probed once every 64 rounds
-
-// dispatchRecord is the round descriptor a pool reuses for every dispatch.
-// state admits helpers only while it is open, and run, n and chunk change
-// only while it is closed and empty: a late helper never sees a reset.
 type dispatchRecord struct {
-	state    atomic.Int64 // recordOpen while a round is published, plus the helpers inside
-	next     atomic.Int64 // claim cursor: the first index not yet claimed
-	joined   atomic.Int64 // helpers that claimed a chunk of the round, read and reset after it
-	run      func(i int)
-	n, chunk int
-	wake     chan struct{} // one token per helper asked to join
-	done     chan struct{} // the last helper out of a closed round signals here
+	state         atomic.Int64 // seats<<32 | helpers inside
+	next          atomic.Int64 // claim cursor: the first index not yet claimed
+	joined        atomic.Int64 // helpers that claimed a chunk of the round, read and reset after it
+	run           func(i int)
+	n, chunk      int
+	done          chan struct{} // the last helper out of a closed round signals here
+	backoff, skip int           // caller-only: the learned level, and the rounds left to run alone
 }
 
-const recordOpen = 1 << 32
+const (
+	maxBackoff = 6 // late helpers are still probed once every 64 rounds
+	seat       = 1 << 32
+)
 
-func newWorkerPool(size int) *workerPool {
-	d := &dispatchRecord{wake: make(chan struct{}, size-1), done: make(chan struct{}, 1)}
-	for i := 1; i < size; i++ {
-		go d.helper()
+// join runs chunks of d's round if it has a free seat; a token left over
+// from an earlier round finds none, or takes one this round offered.
+func (d *dispatchRecord) join() {
+	s := d.state.Load()
+	for s%seat < s/seat && !d.state.CompareAndSwap(s, s+1) {
+		s = d.state.Load()
 	}
-	p := &workerPool{dispatchRecord: d, size: size}
-	runtime.SetFinalizer(p, (*workerPool).shutdown)
-	return p
-}
-
-// helper joins each round it is woken for while that round is still open;
-// one that wakes after the round has closed parks again.
-func (d *dispatchRecord) helper() {
-	for range d.wake {
-		s := d.state.Load()
-		for s&recordOpen != 0 && !d.state.CompareAndSwap(s, s+1) {
-			s = d.state.Load()
-		}
-		if s&recordOpen == 0 {
-			continue
-		}
-		if d.runFrom(d.claim()) {
-			d.joined.Add(1)
-		}
-		if d.state.Add(-1) == 0 {
-			d.done <- struct{}{}
-		}
+	if s%seat >= s/seat {
+		return
+	}
+	if d.runFrom(d.claim()) {
+		d.joined.Add(1)
+	}
+	if d.state.Add(-1) == 0 {
+		d.done <- struct{}{}
 	}
 }
 
@@ -416,68 +444,12 @@ func (d *dispatchRecord) runFrom(lo int) (ran bool) {
 	return ran
 }
 
-// shutdown terminates the helpers. Idempotent.
-func (p *workerPool) shutdown() {
-	p.stop.Do(func() { close(p.wake) })
-}
-
 // maxChunk bounds the dispatch chunk size so uneven task costs still
 // load-balance across participants within a round.
 const maxChunk = 64
 
-// dispatch runs run(i) for every i in [0, n): it publishes the round, wakes
-// up to one helper per further chunk unless the backoff has the round run
-// alone, runs chunk 0 itself and claims more, then waits only for helpers
-// already inside — no chunk waits for a goroutine to wake. everyHelper
-// wakes them whatever the backoff, for a dispatch whose indices must all
-// run at once. It returns the helpers it woke and the helpers that claimed
-// a chunk of the round.
-func (p *workerPool) dispatch(n int, run func(i int), everyHelper bool) (woke, joined int) {
-	p.run, p.n, p.chunk = run, n, min(max((n+p.size-1)/p.size, 1), maxChunk)
-	p.next.Store(int64(p.chunk)) // chunk 0 is the caller's
-	p.state.Store(recordOpen)
-	want := min((n-1)/p.chunk, p.size-1)
-	if want > 0 && p.skip > 0 && !everyHelper {
-		p.skip--
-		want = 0
-	}
-	for k := want; k > 0; k-- {
-		select {
-		case p.wake <- struct{}{}:
-			woke++
-		default: // every helper already holds a token
-		}
-	}
-	p.runFrom(0)
-	if p.state.Add(-recordOpen) != 0 {
-		<-p.done
-	}
-	p.run = nil // parked helpers must not keep the round's owner reachable
-	if p.joined.Load() != 0 {
-		joined = int(p.joined.Swap(0))
-	}
-	if want > 0 {
-		if joined > 0 {
-			p.backoff = max(p.backoff-1, 0)
-		} else {
-			p.backoff = min(p.backoff+1, maxBackoff)
-		}
-		p.skip = 1<<p.backoff - 1
-	}
-	return woke, joined
-}
-
-// pooled owns the worker pool of an executor, ordered or not, in every
-// mode: built at the first dispatch, rebuilt when MaxParallel changes
-// between dispatches. Its counters span every pool it has owned.
-type pooled struct {
-	pool        *workerPool
-	helperWakes atomic.Int64 // helpers woken for a round or an async drive
-	helperJoins atomic.Int64 // ... and helpers that claimed a chunk of one
-}
-
-// poolSize resolves a MaxParallel setting to a worker count: 0 or less
-// selects runtime.GOMAXPROCS(0).
+// poolSize resolves a MaxParallel setting to a participant count: 0 or
+// less selects runtime.GOMAXPROCS(0).
 func poolSize(maxParallel int) int {
 	if maxParallel <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -485,27 +457,60 @@ func poolSize(maxParallel int) int {
 	return maxParallel
 }
 
-// dispatch runs run(i) for every i in [0, n) on a pool of
-// poolSize(maxParallel) participants, replacing a stale-sized one. Called
-// only from a round or a drive (single caller at a time).
-func (p *pooled) dispatch(maxParallel, n int, run func(i int), everyHelper bool) {
-	if size := poolSize(maxParallel); p.pool == nil || p.pool.size != size {
-		p.closePool()
-		p.pool = newWorkerPool(size)
+// dispatch runs run(i) for every i in [0, n) on at most
+// poolSize(maxParallel) participants, the caller included: it publishes
+// the round with one seat per further chunk (at most size − 1), wakes a
+// helper per seat unless the backoff has the round run alone, runs chunk
+// 0 itself and claims more, then waits only for helpers already inside —
+// no chunk waits for a goroutine to wake. everyHelper wakes them whatever
+// the backoff, for a dispatch whose indices should all run at once.
+// Called only from a round or a drive (single caller at a time).
+func (d *dispatchRecord) dispatch(maxParallel, n int, run func(i int), everyHelper bool) {
+	size := poolSize(maxParallel)
+	d.run, d.n, d.chunk = run, n, min(max((n+size-1)/size, 1), maxChunk)
+	d.next.Store(int64(d.chunk)) // chunk 0 is the caller's
+	want := min((n-1)/d.chunk, size-1)
+	if want > 0 && d.skip > 0 && !everyHelper {
+		d.skip--
+		want = 0
 	}
-	woke, joined := p.pool.dispatch(n, run, everyHelper)
-	if woke != 0 {
-		p.helperWakes.Add(int64(woke))
+	if want > 0 {
+		if d.done == nil {
+			d.done = make(chan struct{}, 1)
+		}
+		helpers.ensure(size - 1)
 	}
-	if joined != 0 {
-		p.helperJoins.Add(int64(joined))
+	seats := int64(want) * seat
+	d.state.Store(seats)
+	woke, joined := 0, 0
+	for k := want; k > 0; k-- {
+		select {
+		case helpers.wake <- d:
+			woke++
+		default: // the token buffer is full
+		}
 	}
-}
-
-func (p *pooled) closePool() {
-	if p.pool != nil {
-		p.pool.shutdown()
-		p.pool = nil
+	d.runFrom(0)
+	if d.state.Add(-seats) != 0 {
+		<-d.done
+	}
+	d.run = nil // a stale token must not keep the round's owner reachable
+	if d.joined.Load() != 0 {
+		joined = int(d.joined.Swap(0))
+	}
+	if want > 0 {
+		if joined > 0 {
+			d.backoff = max(d.backoff-1, 0)
+		} else {
+			d.backoff = min(d.backoff+1, maxBackoff)
+		}
+		d.skip = 1<<d.backoff - 1
+		if woke != 0 {
+			helpers.wakes.Add(int64(woke))
+		}
+		if joined != 0 {
+			helpers.joins.Add(int64(joined))
+		}
 	}
 }
 
@@ -536,11 +541,13 @@ type Executor struct {
 	// MaxParallel bounds how many attempts execute at once, in every mode:
 	// it is the number of participants, the caller included (1 = the
 	// caller alone, no goroutine); 0 or less selects runtime.GOMAXPROCS(0).
-	// A round wakes its helpers only while they arrive in time to claim
-	// work; an async drive keeps them all. It does not set a round's
-	// conflict ratio: locks are held to the barrier whatever the pool
-	// size. An async drive whose operators block wants MaxParallel ≥ m,
-	// which gives every unit of m its own participant.
+	// It is a cap: helpers come from the process's one pool, and a
+	// dispatch that finds them busy elsewhere runs on fewer. A round wakes
+	// its helpers only while they arrive in time to claim work; an async
+	// drive keeps those it gets. It does not set a round's conflict ratio:
+	// locks are held to the barrier whatever the participant count. An
+	// async drive whose operators block wants MaxParallel ≥ m, which gives
+	// every unit of m its own participant.
 	MaxParallel int
 
 	// TaskRetries is the per-task failure budget: a task whose attempt
@@ -556,7 +563,7 @@ type Executor struct {
 	// goroutines.
 	WrapTask func(Task) Task
 
-	pooled
+	dispatchRecord
 
 	scratch roundScratch // round-local (Round is single-caller)
 }
@@ -656,13 +663,9 @@ func NewExecutor(pick func(n int) int) *Executor {
 	return &Executor{pick: pick}
 }
 
-// Close releases the executor's worker pool (if any) and returns its
-// cached contexts to the global pool. Optional: an executor abandoned
-// without Close is cleaned up by a finalizer.
-func (e *Executor) Close() {
-	e.closePool()
-	e.scratch.release()
-}
+// Close returns the executor's cached contexts to the global pool.
+// Optional: an abandoned executor's contexts are collected with it.
+func (e *Executor) Close() { e.scratch.release() }
 
 // Snapshot is a point-in-time view of an executor's pending count and
 // cumulative counters, obtained in one call. All fields are sampled
@@ -670,14 +673,12 @@ func (e *Executor) Close() {
 // snapshot taken mid-round is a consistent *monitoring* view (each
 // field individually correct at sample time), not a round boundary.
 type Snapshot struct {
-	Pending     int
-	Launched    int64
-	Committed   int64
-	Aborted     int64
-	Failed      int64 // failed attempts (panics / non-conflict errors)
-	Poisoned    int64 // tasks quarantined after exhausting their budget
-	HelperWakes int64 // pool helpers woken for a round or an async drive
-	HelperJoins int64 // ... and helpers that claimed a chunk of one
+	Pending   int
+	Launched  int64
+	Committed int64
+	Aborted   int64
+	Failed    int64 // failed attempts (panics / non-conflict errors)
+	Poisoned  int64 // tasks quarantined after exhausting their budget
 }
 
 // ConflictRatio returns cumulative aborts/launches for the snapshot.
@@ -693,7 +694,7 @@ func (s Snapshot) ConflictRatio() float64 {
 // polling mid-run) should use instead of stitching together Pending and
 // the Total* methods.
 func (e *Executor) Snapshot() Snapshot {
-	return e.accounting.snapshot(e.Pending(), &e.pooled)
+	return e.accounting.snapshot(e.Pending())
 }
 
 // retryBudget resolves TaskRetries to the effective failure budget.

@@ -65,7 +65,7 @@ type Stepper interface {
 	// Snapshot returns pending count plus cumulative counters in one
 	// race-safe call.
 	Snapshot() speculation.Snapshot
-	// Close releases executor resources (worker pool, context cache).
+	// Close releases executor resources (the context cache).
 	Close()
 }
 

@@ -89,17 +89,16 @@ var keep = map[string]string{
 	"(*speculation.accounting).TotalLaunched": "test probe: launches, against commits plus aborts",
 
 	// Fixtures of the tests.
-	"(*graph.Graph).Clone":                 "test fixture: an independent copy for differential tests",
-	"(*graph.Graph).RemoveEdge":            "test fixture: edge removal the differential test checks",
-	"(*graph.Graph).SortedNeighbors":       "test fixture: deterministic neighbor lists for goldens",
-	"(*service/client.Client).SubmitBatch": "test fixture: posts to specd's /v1/jobs:batch for the batch endpoint's tests",
-	"apps/des.NewRouted":                   "test fixture: a general routed des network",
-	"graph.Complete":                       "test fixture: the complete graph K_n",
-	"graph.Cycle":                          "test fixture: the cycle C_n",
-	"graph.Empty":                          "test fixture: n isolated nodes",
-	"graph.Grid2D":                         "test fixture: the grid graph",
-	"graph.Path":                           "test fixture: the path P_n",
-	"graph.Star":                           "test fixture: the star graph",
+	"(*graph.Graph).Clone":           "test fixture: an independent copy for differential tests",
+	"(*graph.Graph).RemoveEdge":      "test fixture: edge removal the differential test checks",
+	"(*graph.Graph).SortedNeighbors": "test fixture: deterministic neighbor lists for goldens",
+	"apps/des.NewRouted":             "test fixture: a general routed des network",
+	"graph.Complete":                 "test fixture: the complete graph K_n",
+	"graph.Cycle":                    "test fixture: the cycle C_n",
+	"graph.Empty":                    "test fixture: n isolated nodes",
+	"graph.Grid2D":                   "test fixture: the grid graph",
+	"graph.Path":                     "test fixture: the path P_n",
+	"graph.Star":                     "test fixture: the star graph",
 }
 
 // TestEveryExportedFuncHasACaller type-checks every non-test .go file in
