@@ -2,10 +2,16 @@
 // preflow-push — a staple of the Lonestar suite the paper builds its
 // parallelism profiles on ([15]): active nodes (with positive excess)
 // are discharged in any order, two discharges conflict when their
-// neighborhoods overlap, and newly activated nodes are new work. The
-// package provides the push–relabel engine, an independent
-// Edmonds–Karp oracle, and the speculative adapter for the optimistic
-// runtime.
+// neighborhoods overlap, and newly activated nodes are new work. As in
+// Lonestar, every N relabels a global relabel resets the heights to
+// exact residual distances, with the gap rule folded in (Cherkassky and
+// Goldberg, Algorithmica 19, 1997); without it, excess that cannot
+// reach the sink climbs back to the source one relabel at a time, Θ(N²)
+// discharges on half the random networks. The speculative adapter runs
+// the relabel in its commit phase, between two discharges, where no
+// task holds a lock. The package provides the push–relabel engine, an
+// independent Edmonds–Karp oracle, and the speculative adapter for the
+// optimistic runtime.
 package maxflow
 
 import (
@@ -139,27 +145,31 @@ func EdmondsKarp(net *Network, src, sink int) int64 {
 }
 
 // PushRelabel computes the max flow with the sequential FIFO
-// preflow-push algorithm. It mutates flows and returns the flow value.
+// preflow-push algorithm, global relabels included. It mutates flows and
+// returns the flow value.
 func PushRelabel(net *Network, src, sink int) int64 {
 	st := newPRState(net, src, sink)
-	queue := st.saturateSource()
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		st.inQueue[u] = false
-		activated := st.discharge(u)
-		for _, v := range activated {
-			if !st.inQueue[v] {
-				st.inQueue[v] = true
-				queue = append(queue, v)
-			}
-		}
-		if st.excess[u] > 0 && !st.inQueue[u] {
-			st.inQueue[u] = true
-			queue = append(queue, u)
-		}
+	for queue := st.saturateSource(); len(queue) > 0; {
+		queue = st.fifoStep(queue)
 	}
 	return st.excess[sink]
+}
+
+// fifoStep discharges the head of the FIFO queue, appends the nodes the
+// discharge activated, runs a global relabel if one is due, and returns
+// the queue.
+func (st *prState) fifoStep(queue []int) []int {
+	u := queue[0]
+	queue = queue[1:]
+	st.inQueue[u] = false
+	for _, v := range st.discharge(u) {
+		if !st.inQueue[v] {
+			st.inQueue[v] = true
+			queue = append(queue, v)
+		}
+	}
+	st.relabelIfDue()
+	return queue
 }
 
 // prState is the shared preflow-push state, used by both the sequential
@@ -170,6 +180,8 @@ type prState struct {
 	height    []int
 	excess    []int64
 	inQueue   []bool
+	// relabels counts discharge's relabels since the last global relabel.
+	relabels int
 }
 
 func newPRState(net *Network, src, sink int) *prState {
@@ -264,12 +276,62 @@ func (st *prState) discharge(u int) []int {
 			panic(fmt.Sprintf("maxflow: node %d has excess but no residual arcs", u))
 		}
 		st.height[u] = minH + 1
+		st.relabels++
 		if st.height[u] > 2*st.net.N {
 			// Theory bounds heights by 2N−1; exceeding it means a bug.
 			panic(fmt.Sprintf("maxflow: node %d lifted past 2N", u))
 		}
 	}
 	return activated
+}
+
+// relabelIfDue runs a global relabel once N relabels have accumulated
+// since the last one. Both drivers call it between two discharges.
+func (st *prState) relabelIfDue() {
+	if st.relabels >= st.net.N {
+		st.globalRelabel()
+	}
+}
+
+// globalRelabel sets every height to an exact residual distance
+// (Cherkassky and Goldberg's global relabeling): a node that reaches the
+// sink gets its distance to the sink; one that does not gets N plus its
+// distance to the source — the gap rule folded in, since such a node can
+// only return its excess; one that reaches neither holds no excess and
+// gets 2N−1. The source stays at N. The result is a valid labeling, and
+// no height falls, so the O(N²) relabel bound still holds.
+func (st *prState) globalRelabel() {
+	n := st.net.N
+	for v := range st.height {
+		st.height[v] = -1
+	}
+	st.height[st.src] = n
+	st.labelFrom(st.sink, 0)
+	st.labelFrom(st.src, n)
+	for v, h := range st.height {
+		if h < 0 {
+			st.height[v] = 2*n - 1
+		}
+	}
+	st.relabels = 0
+}
+
+// labelFrom gives every unlabeled node with a residual path to root the
+// height root's plus its hop distance, by a breadth-first search over
+// reverse residual arcs.
+func (st *prState) labelFrom(root, base int) {
+	st.height[root] = base
+	q := []int{root}
+	for i := 0; i < len(q); i++ {
+		v := q[i]
+		for j := range st.net.adj[v] {
+			a := &st.net.adj[v][j]
+			if st.height[a.To] < 0 && st.net.adj[a.To][a.Rev].residual() > 0 {
+				st.height[a.To] = st.height[v] + 1
+				q = append(q, a.To)
+			}
+		}
+	}
 }
 
 // RandomNetwork generates a random layered DAG-ish network plus shortcut

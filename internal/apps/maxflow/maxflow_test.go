@@ -97,6 +97,7 @@ func TestAddEdgeValidation(t *testing.T) {
 
 func TestPushRelabelMatchesEdmondsKarpRandom(t *testing.T) {
 	r := rng.New(1)
+	globals := 0
 	for trial := 0; trial < 25; trial++ {
 		net := RandomNetwork(r, 20+trial*3, 60+trial*10, 50)
 		want := EdmondsKarp(net.Clone(), 0, net.N-1)
@@ -108,31 +109,38 @@ func TestPushRelabelMatchesEdmondsKarpRandom(t *testing.T) {
 		if err := pr.CheckFlow(0, net.N-1); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		// The same drain a step at a time, heights checked.
+		st := newPRState(net.Clone(), 0, net.N-1)
+		_, g := fifoChecked(t, st, true)
+		globals += g
+		if got := st.excess[net.N-1]; got != want {
+			t.Fatalf("trial %d: stepped PR %d vs EK %d", trial, got, want)
+		}
+	}
+	if globals == 0 {
+		t.Fatal("no global relabel ran, so no height check followed one")
 	}
 }
 
 func TestSpeculativeMatchesOracle(t *testing.T) {
 	r := rng.New(2)
+	globals := 0
 	for trial := 0; trial < 10; trial++ {
 		net := RandomNetwork(r, 40, 160, 30)
 		want := EdmondsKarp(net.Clone(), 0, net.N-1)
 
 		spec := net.Clone()
 		s := NewSpeculativePR(spec, 0, spec.N-1, func(n int) int { return r.Intn(n) })
-		rounds := 0
-		for s.Executor().Pending() > 0 {
-			s.Executor().Round(8)
-			rounds++
-			if rounds > 1000000 {
-				t.Fatalf("trial %d: did not drain", trial)
-			}
-		}
+		globals += drainChecked(t, s, 8)
 		if got := s.FlowValue(); got != want {
 			t.Fatalf("trial %d: speculative %d vs oracle %d", trial, got, want)
 		}
 		if err := spec.CheckFlow(0, spec.N-1); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+	}
+	if globals == 0 {
+		t.Fatal("no global relabel ran, so no height check followed one")
 	}
 }
 

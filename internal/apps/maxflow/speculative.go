@@ -16,7 +16,7 @@ type SpeculativePR struct {
 	mu      sync.Mutex
 	st      *prState
 	items   []*speculation.Item
-	hasTask map[int]bool
+	hasTask []bool // indexed by node: u has a discharge task pending
 	exec    *speculation.Executor
 }
 
@@ -27,7 +27,7 @@ func NewSpeculativePR(net *Network, src, sink int, pick func(n int) int) *Specul
 	s := &SpeculativePR{
 		st:      newPRState(net, src, sink),
 		items:   make([]*speculation.Item, net.N),
-		hasTask: make(map[int]bool),
+		hasTask: make([]bool, net.N),
 		exec:    speculation.NewExecutor(pick),
 	}
 	for i := range s.items {
@@ -56,7 +56,7 @@ func (s *SpeculativePR) taskFor(u int) speculation.Task {
 	return speculation.TaskFunc(func(ctx *speculation.Ctx) error {
 		s.mu.Lock()
 		if !s.st.active(u) {
-			delete(s.hasTask, u)
+			s.hasTask[u] = false
 			s.mu.Unlock()
 			return nil // stale: excess already drained elsewhere
 		}
@@ -76,25 +76,23 @@ func (s *SpeculativePR) taskFor(u int) speculation.Task {
 	})
 }
 
-// commitDischarge performs the actual discharge (serial commit phase)
-// and requeues the activated nodes.
+// commitDischarge performs the actual discharge (serial commit phase),
+// requeues the activated nodes, and runs a global relabel when one is
+// due. Commit actions run one at a time after the round's barrier with
+// every item lock released, so the relabel falls between two discharges
+// as in the sequential algorithm and needs no lock of its own.
 func (s *SpeculativePR) commitDischarge(u int) {
 	s.mu.Lock()
-	delete(s.hasTask, u)
+	s.hasTask[u] = false
 	var spawn []int
 	if s.st.active(u) {
-		activated := s.st.discharge(u)
-		for _, v := range activated {
+		for _, v := range s.st.discharge(u) {
 			if !s.hasTask[v] {
 				s.hasTask[v] = true
 				spawn = append(spawn, v)
 			}
 		}
-		// A discharge stuck on relabel limits may leave residue.
-		if s.st.active(u) && !s.hasTask[u] {
-			s.hasTask[u] = true
-			spawn = append(spawn, u)
-		}
+		s.st.relabelIfDue()
 	}
 	s.mu.Unlock()
 	for _, v := range spawn {
