@@ -137,8 +137,9 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
-	// Outside input the model CLIs cannot build from: a graph denser than
-	// its node count allows, or a static drive with no rounds to cap it.
+	// Outside input the CLIs cannot build from: a graph denser than its
+	// node count allows, a static drive with no rounds to cap it, or a
+	// workload or formula smaller than its generator accepts.
 	t.Run("bad-input", func(t *testing.T) {
 		for _, c := range []struct {
 			cmd, want string
@@ -149,6 +150,16 @@ func TestCLIEndToEnd(t *testing.T) {
 			{"controlsim", "need n ≥ 65", []string{"-n", "0"}},
 			{"ccsim", "needs -n ≥ 17", []string{"-n", "10", "-d", "16"}},
 			{"ccprofile", "needs -n ≥ 17", []string{"-n", "10", "-d", "16"}},
+			{"ccprofile", "needs size >= 1", []string{"-workload", "boruvka", "-size", "0"}},
+			{"ccprofile", "spin never drains", []string{"-workload", "spin"}},
+			{"ccprofile", "unknown workload", []string{"-workload", "nope"}},
+			{"apprun", "needs size >= 1", []string{"-app", "boruvka", "-size", "0"}},
+			{"bounds", "need n ≥ 1 and 0 ≤ d ≤ n−1", []string{"-n", "0"}},
+			{"bounds", "need n ≥ 1 and 0 ≤ d ≤ n−1", []string{"-n", "-5"}},
+			{"bounds", "need n ≥ 1 and 0 ≤ d ≤ n−1", []string{"-d", "-1"}},
+			{"bounds", "need n ≥ 1 and 0 ≤ d ≤ n−1", []string{"-n", "1", "-d", "1"}},
+			{"satsolve", "need n ≥ 3", []string{"-n", "2"}},
+			{"satsolve", "alpha ≥ 0", []string{"-alpha", "-1"}},
 		} {
 			rejects(t, bins[c.cmd], c.want, c.args...)
 		}

@@ -104,6 +104,7 @@ func main() {
 			Size: *size, Seed: *seed, Parallel: *par, TaskRetries: *retries})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
+			flag.Usage()
 			os.Exit(2)
 		}
 		res, dres, err := speculation.Collect(context.Background(), run.Stepper, c,

@@ -26,6 +26,11 @@ func main() {
 	alphaTable := flag.Bool("alpha", false, "print the Cor. 3 α table instead")
 	example1 := flag.Bool("example1", false, "print the Example 1 table instead")
 	flag.Parse()
+	if !*alphaTable && !*example1 && (*n < 1 || *d < 0 || *d > *n-1) {
+		fmt.Fprintf(os.Stderr, "-n %d -d %d: need n ≥ 1 and 0 ≤ d ≤ n−1 (a simple graph on n nodes has degree at most n−1)\n", *n, *d)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	switch {
 	case *alphaTable:

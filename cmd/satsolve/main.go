@@ -25,6 +25,11 @@ func main() {
 	seed := flag.Uint64("seed", 1, "PRNG seed")
 	eps := flag.Float64("eps", 1e-3, "SP convergence threshold")
 	flag.Parse()
+	if *n < 3 || *alpha < 0 {
+		fmt.Fprintf(os.Stderr, "-n %d -alpha %g: need n ≥ 3 (a 3-SAT clause has three variables) and alpha ≥ 0\n", *n, *alpha)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	r := rng.New(*seed)
 	mClauses := int(float64(*n) * *alpha)

@@ -41,6 +41,37 @@ func TestGoldenApprun(t *testing.T) {
 	}
 }
 
+// TestGoldenCcprofile pins ccprofile's drained profiles of mesh,
+// boruvka, cluster and des. ccprofile drains on one participant, so each
+// profile is a pure function of the seed; a byte difference from
+// testdata/ccprofile means an operator's conflicts or an executor's
+// commit rule changed.
+func TestGoldenCcprofile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary; skipped in -short mode")
+	}
+	bin := buildCmd(t, "ccprofile")
+	files, err := filepath.Glob("testdata/ccprofile/*.golden")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden files: %v", err)
+	}
+	for _, f := range files {
+		// <workload>-<size>.golden
+		name := strings.TrimSuffix(filepath.Base(f), ".golden")
+		wl, size, _ := strings.Cut(name, "-")
+		args := []string{"-workload", wl, "-size", size}
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := run(t, bin, args...); got != string(want) {
+				t.Errorf("ccprofile %v\n got:\n%s\nwant:\n%s", args, got, want)
+			}
+		})
+	}
+}
+
 // TestGoldenControlsim pins controlsim's -fig3, -converge, -ablate,
 // -phases and -smartstart tables on a small graph at -workers 1, where
 // the Monte Carlo μ probes run on one goroutine and every table is a pure

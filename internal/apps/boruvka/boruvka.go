@@ -105,9 +105,6 @@ func (uf *UnionFind) Union(x, y int) int {
 	return rx
 }
 
-// Components returns the number of disjoint sets.
-func (uf *UnionFind) Components() int { return uf.comps }
-
 // Result is a computed minimum spanning forest.
 type Result struct {
 	Edges  []Edge

@@ -11,8 +11,8 @@ import (
 
 func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind(5)
-	if uf.Components() != 5 {
-		t.Fatalf("components = %d", uf.Components())
+	if uf.comps != 5 {
+		t.Fatalf("components = %d", uf.comps)
 	}
 	if uf.Union(0, 1) < 0 {
 		t.Fatal("first union failed")
@@ -22,8 +22,8 @@ func TestUnionFind(t *testing.T) {
 	}
 	uf.Union(2, 3)
 	uf.Union(0, 2)
-	if uf.Components() != 2 {
-		t.Fatalf("components = %d, want 2", uf.Components())
+	if uf.comps != 2 {
+		t.Fatalf("components = %d, want 2", uf.comps)
 	}
 	if uf.Find(3) != uf.Find(1) {
 		t.Fatal("3 and 1 should share a root")
@@ -159,7 +159,7 @@ func TestNewRandomConnectedIsConnected(t *testing.T) {
 	for _, e := range g.Edges {
 		uf.Union(e.U, e.V)
 	}
-	if uf.Components() != 1 {
-		t.Fatalf("not connected: %d components", uf.Components())
+	if uf.comps != 1 {
+		t.Fatalf("not connected: %d components", uf.comps)
 	}
 }

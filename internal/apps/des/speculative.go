@@ -74,30 +74,3 @@ func (t eventTask) Run(ctx *speculation.OrderedCtx) error {
 func (s *SpeculativeSim) taskFor(e Event) speculation.OrderedTask {
 	return eventTask{sim: s, ev: e}
 }
-
-// ProfilePoint records one clairvoyant step of an ordered run.
-type ProfilePoint struct {
-	Step        int
-	Pending     int
-	Parallelism int // events committed when every pending event launches
-}
-
-// ParallelismProfile measures the *ordered* available parallelism of a
-// network: each step launches every pending event and records how many
-// survive the chronological commit rules — the ordered analogue of the
-// Lonestar profiles, and the quantity the paper's §5 says is "very hard
-// to obtain good estimates of".
-func ParallelismProfile(net *Network, jobs int, interMean float64, maxSteps int) []ProfilePoint {
-	sim := NewSpeculativeSim(net, jobs, interMean)
-	var out []ProfilePoint
-	for step := 0; step < maxSteps && sim.exec.Pending() > 0; step++ {
-		pending := sim.exec.Pending()
-		st := sim.exec.Round(pending)
-		out = append(out, ProfilePoint{
-			Step:        step,
-			Pending:     pending,
-			Parallelism: st.Committed,
-		})
-	}
-	return out
-}

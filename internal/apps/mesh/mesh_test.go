@@ -279,7 +279,7 @@ func TestRefinePointInsideDomain(t *testing.T) {
 	}
 	for _, id := range m.TriangleIDs() {
 		tri := m.Triangle(id)
-		p, ok := m.RefinePoint(tri)
+		p, ok := m.RefinePointQ(tri, Quality{})
 		if !ok {
 			continue
 		}

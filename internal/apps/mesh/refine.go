@@ -81,12 +81,6 @@ func (m *Mesh) nearestHullEdge(p Point) (u, v int, ok bool) {
 	return u, v, ok
 }
 
-// RefinePoint returns the Steiner point whose insertion refines triangle
-// t with the default circumcenter strategy; see RefinePointQ.
-func (m *Mesh) RefinePoint(t *Triangle) (Point, bool) {
-	return m.RefinePointQ(t, Quality{})
-}
-
 // offCenter returns the Üngör off-center candidate for triangle (a,b,c)
 // with circumcenter cc: the point on the ray from the shortest edge's
 // midpoint through cc at which the edge subtends exactly the target

@@ -1,8 +1,10 @@
 // Package profile computes parallelism profiles in the style of the
-// Lonestar suite ([15] in the paper): for each temporal step of an
-// algorithm's execution, the available parallelism is estimated as the
-// expected size of a maximal independent set of the current CC graph —
-// the number of tasks a clairvoyant scheduler could commit at once.
+// Lonestar suite ([15] in the paper). On the model (Profile), each
+// temporal step's available parallelism is the expected size of a
+// maximal independent set of the current CC graph — the number of tasks
+// a clairvoyant scheduler could commit at once. On a real executor
+// (Drain) it is what ParaMeter measures: the tasks that commit in a
+// round that launches every pending task.
 //
 // The paper motivates adaptive allocation with these profiles: "Delaunay
 // mesh refinement can go from no parallelism to one thousand possible
@@ -15,13 +17,14 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/speculation"
 )
 
 // Point is one step of a parallelism profile.
 type Point struct {
 	Step        int
-	Live        int     // nodes remaining in the CC graph
-	Parallelism float64 // estimated E[|maximal independent set|]
+	Live        int     // nodes remaining in the CC graph, or tasks pending
+	Parallelism float64 // estimated E[|maximal independent set|], or tasks committed
 	AvgDegree   float64
 }
 
@@ -44,6 +47,22 @@ func Profile(g *graph.Graph, r *rng.Rand, misReps, maxSteps, workers int) []Poin
 			AvgDegree:   g.AvgDegree(),
 		})
 		s.Step(n)
+	}
+	return out
+}
+
+// Drain measures the parallelism profile of a real executor the way
+// ParaMeter does (Kulkarni et al., PPoPP 2009): each step launches every
+// pending task in one round and records how many commit, until the
+// work-set drains or maxSteps rounds have run. A task that commits with
+// nothing left to do counts too. The commit count is the same one
+// Algorithm 1's conflict ratio is computed from.
+func Drain(x speculation.Rounder, maxSteps int) []Point {
+	var out []Point
+	for step := 0; step < maxSteps && x.Pending() > 0; step++ {
+		pending := x.Pending()
+		st := x.Round(pending)
+		out = append(out, Point{Step: step, Live: pending, Parallelism: float64(st.Committed)})
 	}
 	return out
 }

@@ -251,9 +251,9 @@ func degree(name string, p Params) float64 {
 }
 
 // minSize is the smallest Size a workload's input generator accepts: a
-// 3-SAT formula has at least 3 variables, a flow network (Size/2 nodes)
-// at least a source and a sink.
-var minSize = map[string]int{"sp": 3, "maxflow": 4}
+// Boruvka graph has at least one vertex, a 3-SAT formula at least 3
+// variables, a flow network (Size/2 nodes) at least a source and a sink.
+var minSize = map[string]int{"boruvka": 1, "sp": 3, "maxflow": 4}
 
 // Validate rejects, without building anything, parameters no instance
 // of the named workload can be built from: a Size under the generator's

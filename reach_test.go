@@ -45,7 +45,6 @@ var keep = map[string]string{
 	"(*apps/mesh.Mesh).Refine":              "test oracle: sequential refinement the speculative mesh is held to",
 	"(*faultinject.Config).PoisonPlanCount": "test oracle: exact poisoned-task count of a fault plan",
 	"(*graph.Graph).CheckInvariants":        "test oracle: adjacency symmetry and indices of a Graph",
-	"apps/sp.ParallelismEstimate":           "test oracle: expected clause-update parallelism of a formula",
 	"graph.GreedyMISSize":                   "test oracle: greedy MIS on the mutable Graph, against the CSR kernel",
 	"graph.IsMaximalIndependentSet":         "test oracle: maximality and independence of a selected set",
 	"graph.IsProperColoring":                "test oracle: a coloring leaves no edge monochrome",
@@ -89,6 +88,7 @@ var keep = map[string]string{
 	"(*speculation.accounting).TotalLaunched": "test probe: launches, against commits plus aborts",
 
 	// Fixtures of the tests.
+	"(*graph.Graph).AddNode":         "test fixture: grows a graph node by node in the fuzz and differential tests",
 	"(*graph.Graph).Clone":           "test fixture: an independent copy for differential tests",
 	"(*graph.Graph).RemoveEdge":      "test fixture: edge removal the differential test checks",
 	"(*graph.Graph).SortedNeighbors": "test fixture: deterministic neighbor lists for goldens",
@@ -97,6 +97,7 @@ var keep = map[string]string{
 	"graph.Cycle":                    "test fixture: the cycle C_n",
 	"graph.Empty":                    "test fixture: n isolated nodes",
 	"graph.Grid2D":                   "test fixture: the grid graph",
+	"graph.New":                      "test fixture: the empty graph the fuzz and differential tests grow",
 	"graph.Path":                     "test fixture: the path P_n",
 	"graph.Star":                     "test fixture: the star graph",
 }
