@@ -135,13 +135,15 @@ bench:
 # topologies, the declare phase against the round-mode drain it
 # replaces, an ordered round's fixed cost at small m over a shallow and
 # a des-deep work-set, the journal's encoding of one 32-point
-# checkpoint, and two operators at apps_mix's sizes: one clustering
-# nearest-neighbor query among 1500 clusters and a whole 6000 mesh
-# refinement) and records per-benchmark medians in $(BENCH_SIM_OUT).
+# checkpoint, operators at apps_mix's sizes: one clustering
+# nearest-neighbor query among 1500 clusters, a whole sequential 6000
+# mesh refinement, and one speculative drain each of mesh 6000, boruvka
+# 6000 and sp 1000 with their allocations) and records per-benchmark
+# medians in $(BENCH_SIM_OUT).
 bench-sim:
 	$(GO) test ./internal/graph/ ./internal/sched/ ./internal/speculation/ ./internal/service/ \
-		./internal/apps/cluster/ ./internal/apps/mesh/ -run NONE \
-		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorRound|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkExecutorOrdered|BenchmarkDeclaredGraph|BenchmarkCheckpointRecord|BenchmarkClusterNearest|BenchmarkMeshRefine' \
+		./internal/apps/cluster/ ./internal/apps/mesh/ ./internal/workload/ -run NONE \
+		-bench 'BenchmarkCSRMIS|BenchmarkMapMIS|BenchmarkGreedyMISMap|BenchmarkGreedyMISScratch|BenchmarkGraphBuildDrain|BenchmarkConflictRatioMCParallel|BenchmarkExecutorRound|BenchmarkExecutorAsync|BenchmarkExecutorColored|BenchmarkExecutorOrdered|BenchmarkDeclaredGraph|BenchmarkCheckpointRecord|BenchmarkClusterNearest|BenchmarkMeshRefine|BenchmarkSpeculativeDrain' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) \
 		| $(GO) run ./cmd/benchfmt > $(BENCH_SIM_OUT)
 	@cat $(BENCH_SIM_OUT)

@@ -36,8 +36,8 @@ func main() {
 	res := speculation.RunAdaptive(ref.Executor(), ctrl, 1<<30)
 
 	exec := ref.Executor()
-	fmt.Printf("refined in %d rounds: inserted=%d committed=%d aborted=%d (conflict ratio %.2f)\n",
-		res.Rounds, ref.Inserted, exec.TotalCommitted(), exec.TotalAborted(),
+	fmt.Printf("refined in %d rounds: inserted=%d stale=%d committed=%d aborted=%d (conflict ratio %.2f)\n",
+		res.Rounds, ref.Inserted, ref.StaleOK(), exec.TotalCommitted(), exec.TotalAborted(),
 		exec.OverallConflictRatio())
 	fmt.Printf("final: %d triangles, %d bad\n", m.NumTriangles(), len(m.BadTriangles(quality)))
 

@@ -3,6 +3,7 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Triangle is one face of the triangulation. Vertices are indices into
@@ -123,12 +124,25 @@ func (m *Mesh) Corners(t *Triangle) (Point, Point, Point) {
 }
 
 // Locate returns the ID of a live triangle containing p, walking from
-// the location hint and falling back to a linear scan. It returns -1 if
-// p is outside the triangulation.
+// the location hint, and moves the hint there. It returns -1 if p is
+// outside the triangulation. The hint makes Locate a writer: only the
+// sequential Insert uses it, and everything else locates with
+// locateFrom.
 func (m *Mesh) Locate(p Point) int {
-	if t := m.Triangle(m.locHint); t != nil {
+	id := m.locateFrom(m.Triangle(m.locHint), p)
+	if id >= 0 {
+		m.locHint = id
+	}
+	return id
+}
+
+// locateFrom returns the ID of a live triangle containing p, walking
+// from t (nil skips the walk) and falling back to a linear scan. It
+// returns -1 if p is outside the triangulation. It only reads the mesh,
+// so tasks of one speculative round may call it concurrently.
+func (m *Mesh) locateFrom(t *Triangle, p Point) int {
+	if t != nil {
 		if id := m.walk(t, p, 4*m.live+64); id >= 0 {
-			m.locHint = id
 			return id
 		}
 	}
@@ -138,7 +152,6 @@ func (m *Mesh) Locate(p Point) int {
 		}
 		a, b, c := m.Corners(t)
 		if InTriangle(p, a, b, c) {
-			m.locHint = id
 			return id
 		}
 	}
@@ -174,35 +187,38 @@ func (m *Mesh) walk(t *Triangle, p Point, maxSteps int) int {
 	return -1
 }
 
-// Cavity returns the IDs of the triangles whose circumcircle contains p,
-// grown by adjacency from the containing triangle start (Bowyer–Watson
-// cavity). start must contain p.
-func (m *Mesh) Cavity(start int, p Point) []int {
+// Cavity appends to dst the IDs of the triangles whose circumcircle
+// contains p, grown by adjacency from the containing triangle start
+// (Bowyer–Watson cavity), in depth-first order, and returns the extended
+// slice. start must contain p. A cavity holds a handful of triangles, so
+// membership is a scan of the output and the stack rather than a set,
+// and a caller's stack buffer as dst makes the call allocation-free.
+func (m *Mesh) Cavity(dst []int, start int, p Point) []int {
 	t0 := m.Triangle(start)
 	if t0 == nil {
 		panic(fmt.Sprintf("mesh: cavity start %d is dead", start))
 	}
-	in := map[int]bool{t0.ID: true}
-	stack := []*Triangle{t0}
-	var out []int
+	var stackBuf [16]*Triangle
+	stack := append(stackBuf[:0], t0)
+	n0 := len(dst)
 	for len(stack) > 0 {
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		out = append(out, t.ID)
+		dst = append(dst, t.ID)
 		for i := 0; i < 3; i++ {
 			nid := t.N[i]
-			if nid < 0 || in[nid] {
+			if nid < 0 || slices.Contains(dst[n0:], nid) ||
+				slices.ContainsFunc(stack, func(s *Triangle) bool { return s.ID == nid }) {
 				continue
 			}
 			nt := m.tris[nid]
 			a, b, c := m.Corners(nt)
 			if InCircle(a, b, c, p) {
-				in[nid] = true
 				stack = append(stack, nt)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Insert adds point p to the triangulation with the Bowyer–Watson cavity
@@ -221,27 +237,26 @@ func (m *Mesh) Insert(p Point) (int, []int) {
 			return vi, nil
 		}
 	}
-	return m.InsertInCavity(p, m.Cavity(loc, p))
+	var buf [32]int
+	return m.InsertInCavity(p, m.Cavity(buf[:0], loc, p))
 }
 
 // InsertInCavity performs the retriangulation step given a precomputed
 // cavity (used by the speculative refiner, which computed and locked the
 // cavity earlier). The cavity must be the Bowyer–Watson cavity of p.
+// Cavities and their fans hold a handful of triangles, so every lookup
+// below is a scan.
 func (m *Mesh) InsertInCavity(p Point, cavity []int) (int, []int) {
 	pIdx := len(m.Pts)
 	m.Pts = append(m.Pts, p)
-
-	inCavity := make(map[int]bool, len(cavity))
-	for _, id := range cavity {
-		inCavity[id] = true
-	}
 
 	// Boundary edges of the cavity, oriented CCW (cavity on the left).
 	type bEdge struct {
 		u, v  int // vertex indices
 		outer int // neighbor triangle beyond the edge, or -1
 	}
-	var boundary []bEdge
+	var boundaryBuf [16]bEdge
+	boundary := boundaryBuf[:0]
 	for _, id := range cavity {
 		t := m.Triangle(id)
 		if t == nil {
@@ -249,7 +264,7 @@ func (m *Mesh) InsertInCavity(p Point, cavity []int) (int, []int) {
 		}
 		for i := 0; i < 3; i++ {
 			nid := t.N[i]
-			if nid >= 0 && inCavity[nid] {
+			if nid >= 0 && slices.Contains(cavity, nid) {
 				continue
 			}
 			boundary = append(boundary, bEdge{u: t.V[i], v: t.V[(i+1)%3], outer: nid})
@@ -268,8 +283,6 @@ func (m *Mesh) InsertInCavity(p Point, cavity []int) (int, []int) {
 	// with p (p inserted ON the hull) would yield a degenerate triangle
 	// and is skipped: the fan is then open and p becomes a hull vertex.
 	created := make([]int, 0, len(boundary))
-	byFirst := make(map[int]*Triangle, len(boundary))  // edge's first vertex -> triangle
-	bySecond := make(map[int]*Triangle, len(boundary)) // edge's second vertex -> triangle
 	for _, e := range boundary {
 		a, b := m.Pts[e.u], m.Pts[e.v]
 		if e.outer < 0 && Orient2D(a, b, p) <= 1e-12*(a.Dist2(b)+1) {
@@ -287,25 +300,26 @@ func (m *Mesh) InsertInCavity(p Point, cavity []int) (int, []int) {
 				}
 			}
 		}
-		byFirst[e.u] = nt
-		bySecond[e.v] = nt
 		created = append(created, nt.ID)
 	}
 	if len(created) == 0 {
 		panic("mesh: cavity produced no triangles")
 	}
 	// Wire the spokes: triangle over edge (u,v) has spoke edges (v,p)
-	// and (p,u). Across (v,p) lies the triangle whose first vertex is
-	// v; across (p,u) the one whose second vertex is u. Missing entries
-	// mean the fan is open there (p on the hull) and the spoke is a
-	// hull edge.
+	// and (p,u). Across (v,p) lies the fan triangle whose first vertex
+	// is v; across (p,u) the one whose second vertex is u. No such
+	// triangle means the fan is open there (p on the hull) and the
+	// spoke is a hull edge.
 	for _, id := range created {
 		t := m.tris[id]
-		if next := byFirst[t.V[1]]; next != nil {
-			t.N[1] = next.ID
-		}
-		if prev := bySecond[t.V[0]]; prev != nil {
-			t.N[2] = prev.ID
+		for _, oid := range created {
+			o := m.tris[oid]
+			if o.V[0] == t.V[1] {
+				t.N[1] = oid
+			}
+			if o.V[1] == t.V[0] {
+				t.N[2] = oid
+			}
 		}
 	}
 	for _, id := range created {

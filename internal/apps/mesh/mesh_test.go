@@ -120,7 +120,7 @@ func TestCavityContainsLocatedTriangle(t *testing.T) {
 	}
 	p := Point{0.37, 0.61}
 	loc := m.Locate(p)
-	cav := m.Cavity(loc, p)
+	cav := m.Cavity(nil, loc, p)
 	found := false
 	for _, id := range cav {
 		if id == loc {

@@ -120,7 +120,8 @@ func offCenter(a, b, c, cc Point, minAngleRad float64) Point {
 // hull edge is inserted instead. (Splitting the boundary is essential:
 // inserting an interior fallback point — e.g. the centroid — into a
 // skinny boundary triangle spawns ever-skinnier children and diverges.)
-// ok is false for degenerate triangles.
+// ok is false for degenerate triangles. It only reads the mesh: the
+// domain test locates cc by a walk from t itself.
 func (m *Mesh) RefinePointQ(t *Triangle, q Quality) (Point, bool) {
 	a, b, c := m.Corners(t)
 	if Area(a, b, c) < 1e-300 {
@@ -134,7 +135,7 @@ func (m *Mesh) RefinePointQ(t *Triangle, q Quality) (Point, bool) {
 		pu, pv := m.Pts[u], m.Pts[v]
 		return Point{(pu.X + pv.X) / 2, (pu.Y + pv.Y) / 2}, true
 	}
-	if m.Locate(cc) >= 0 {
+	if m.locateFrom(t, cc) >= 0 {
 		return cc, true
 	}
 	// Circumcenter escaped the domain without diametral containment

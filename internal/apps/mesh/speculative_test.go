@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -110,5 +111,54 @@ func TestSpeculativeRefinerNoBadTriangles(t *testing.T) {
 	res := speculation.RunAdaptive(ref.Executor(), control.Fixed{Procs: 4}, 10)
 	if res.Rounds != 0 {
 		t.Fatal("rounds on empty work-set")
+	}
+}
+
+// The refiner's read phase takes no lock: tasks of a round read the mesh
+// concurrently while commits wait for the barrier. Drained on four
+// participants at the workload's size-2000 build (under -race in `make
+// race`), the mesh must come out consistent, Delaunay and fully refined,
+// and every committed task must be an insertion or a stale no-op.
+func TestSpeculativeRefinerLockFree(t *testing.T) {
+	const size = 2000
+	ctrls := []struct {
+		name string
+		ctrl func() control.Controller
+	}{
+		{"m16", func() control.Controller { return control.Fixed{Procs: 16} }},
+		{"m256", func() control.Controller { return control.Fixed{Procs: 256} }},
+		{"hybrid", func() control.Controller { return control.NewHybrid(control.DefaultHybridConfig(0.25)) }},
+	}
+	for _, c := range ctrls {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
+				r := rng.New(seed)
+				m := NewSquare(0, 1)
+				for i := 0; i < size/10; i++ {
+					m.Insert(Point{X: 0.01 + 0.98*r.Float64(), Y: 0.01 + 0.98*r.Float64()})
+				}
+				q := Quality{MaxArea: 1.0 / size}
+				ref := NewSpeculativeRefiner(m, q, func(n int) int { return r.Intn(n) })
+				exec := ref.Executor()
+				exec.MaxParallel = 4
+				speculation.RunAdaptive(exec, c.ctrl(), 0)
+				if exec.Pending() != 0 {
+					t.Fatalf("%d tasks pending", exec.Pending())
+				}
+				if bad := m.BadTriangles(q); len(bad) != 0 {
+					t.Fatalf("%d bad triangles remain", len(bad))
+				}
+				if err := m.CheckConsistency(); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.CheckDelaunay(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := int64(ref.Inserted+ref.StaleOK()), exec.TotalCommitted(); got != want {
+					t.Fatalf("inserted %d + stale %d = %d, executor committed %d",
+						ref.Inserted, ref.StaleOK(), got, want)
+				}
+			})
+		}
 	}
 }

@@ -71,26 +71,40 @@ func (s *State) products(v int, exclCi int, negThere bool) (pu, ps, p0 float64) 
 
 // UpdateClause recomputes the messages η_{a→i} for every literal slot i
 // of clause a and returns the largest absolute change (the residual).
+// Slot i's message is the product over the other slots j of
+// Π^u_j / (Π^u_j + Π^s_j + Π^0_j), or 0 when a denominator vanishes.
+// Each literal's ratio is computed once and the products are formed in
+// ascending j, so the floats are those of a per-slot recomputation.
 func (s *State) UpdateClause(a int) float64 {
 	c := s.F.Clauses[a]
-	maxDelta := 0.0
-	newEta := make([]float64, len(c.Lits))
+	k := len(c.Lits)
+	var ratioBuf, etaBuf [8]float64
+	var zeroBuf [8]bool
+	ratio, newEta, zero := ratioBuf[:0], etaBuf[:0], zeroBuf[:0]
+	if k > len(ratioBuf) {
+		ratio, newEta, zero = make([]float64, 0, k), make([]float64, 0, k), make([]bool, 0, k)
+	}
+	for _, l := range c.Lits {
+		pu, ps, p0 := s.products(l.Var, a, l.Neg)
+		den := pu + ps + p0
+		zero = append(zero, den <= 0)
+		ratio = append(ratio, pu/den)
+	}
 	for i := range c.Lits {
 		prod := 1.0
-		for j, lj := range c.Lits {
+		for j := range c.Lits {
 			if j == i {
 				continue
 			}
-			pu, ps, p0 := s.products(lj.Var, a, lj.Neg)
-			den := pu + ps + p0
-			if den <= 0 {
+			if zero[j] {
 				prod = 0
 				break
 			}
-			prod *= pu / den
+			prod *= ratio[j]
 		}
-		newEta[i] = prod
+		newEta = append(newEta, prod)
 	}
+	maxDelta := 0.0
 	for i, e := range newEta {
 		if d := math.Abs(e - s.Eta[a][i]); d > maxDelta {
 			maxDelta = d

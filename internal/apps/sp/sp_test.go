@@ -1,6 +1,7 @@
 package sp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -321,5 +322,117 @@ func TestSolveEmptyFormula(t *testing.T) {
 	}
 	if len(a) != 5 {
 		t.Fatalf("assignment length %d", len(a))
+	}
+}
+
+// updateClauseReference is UpdateClause as a per-slot recomputation:
+// every slot i recomputes the products of every other literal j. It is
+// the k² form UpdateClause's once-per-literal products must equal bit
+// for bit.
+func updateClauseReference(s *State, a int) float64 {
+	c := s.F.Clauses[a]
+	maxDelta := 0.0
+	newEta := make([]float64, len(c.Lits))
+	for i := range c.Lits {
+		prod := 1.0
+		for j, lj := range c.Lits {
+			if j == i {
+				continue
+			}
+			pu, ps, p0 := s.products(lj.Var, a, lj.Neg)
+			den := pu + ps + p0
+			if den <= 0 {
+				prod = 0
+				break
+			}
+			prod *= pu / den
+		}
+		newEta[i] = prod
+	}
+	for i, e := range newEta {
+		if d := math.Abs(e - s.Eta[a][i]); d > maxDelta {
+			maxDelta = d
+		}
+		s.Eta[a][i] = e
+	}
+	return maxDelta
+}
+
+// twinStates returns two states over f with equal, independent messages.
+func twinStates(f *Formula, r *rng.Rand) (*State, *State) {
+	a := NewState(f, r)
+	b := &State{F: f, Occ: a.Occ, Eta: make([][]float64, len(a.Eta))}
+	for ci := range a.Eta {
+		b.Eta[ci] = append([]float64(nil), a.Eta[ci]...)
+	}
+	return a, b
+}
+
+// UpdateClause must produce exactly the reference's floats, residual
+// included: on random formulas whose clauses run from 1 to 12 literals
+// (past the 8 the stack buffers hold), and on a clause where one
+// literal's denominator is forced to 0.
+func TestUpdateClauseMatchesReference(t *testing.T) {
+	sameBits := func(t *testing.T, got, want *State, what string) {
+		t.Helper()
+		for ci := range want.Eta {
+			for i := range want.Eta[ci] {
+				if math.Float64bits(got.Eta[ci][i]) != math.Float64bits(want.Eta[ci][i]) {
+					t.Fatalf("%s: η[%d][%d] = %v, reference %v", what, ci, i, got.Eta[ci][i], want.Eta[ci][i])
+				}
+			}
+		}
+	}
+	sweep := func(t *testing.T, got, want *State, what string) {
+		t.Helper()
+		for a := range want.F.Clauses {
+			dg, dw := got.UpdateClause(a), updateClauseReference(want, a)
+			if math.Float64bits(dg) != math.Float64bits(dw) {
+				t.Fatalf("%s: clause %d residual %v, reference %v", what, a, dg, dw)
+			}
+		}
+		sameBits(t, got, want, what)
+	}
+
+	for seed := uint64(1); seed <= 8; seed++ {
+		r := rng.New(seed)
+		const n = 40
+		f := &Formula{NumVars: n}
+		for c := 0; c < 90; c++ {
+			k := 1 + r.Intn(12)
+			cl := Clause{Lits: make([]Lit, k)}
+			for i, v := range r.PermPrefix(n, k) {
+				cl.Lits[i] = Lit{Var: v, Neg: r.Bool()}
+			}
+			f.Clauses = append(f.Clauses, cl)
+		}
+		got, want := twinStates(f, r)
+		for s := 0; s < 3; s++ {
+			sweep(t, got, want, fmt.Sprintf("seed %d sweep %d", seed, s))
+		}
+	}
+
+	// Variable 0 occurs in clause 0, with the same sign in clause 1 and
+	// the opposite sign in clause 2. With η = 1 on both of those
+	// occurrences, Π^u = Π^s = Π^0 = 0 for variable 0 as seen from
+	// clause 0: every other slot of clause 0 gets η = 0.
+	wide := Clause{}
+	for v := 0; v < 10; v++ {
+		wide.Lits = append(wide.Lits, Lit{Var: v, Neg: v%2 == 1})
+	}
+	f := &Formula{NumVars: 10, Clauses: []Clause{
+		wide,
+		{Lits: []Lit{{Var: 0}, {Var: 1}, {Var: 2}}},
+		{Lits: []Lit{{Var: 3}, {Var: 0, Neg: true}, {Var: 4}}},
+	}}
+	got, want := twinStates(f, rng.New(9))
+	for _, s := range []*State{got, want} {
+		s.Eta[1][0], s.Eta[2][1] = 1, 1
+	}
+	sweep(t, got, want, "den = 0")
+	for i, e := range got.Eta[0][1:] {
+		if e != 0 {
+			t.Fatalf("η[0][%d] = %v with a zero denominator in slot 0", i+1, e)
+		}
 	}
 }

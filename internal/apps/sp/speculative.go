@@ -21,41 +21,59 @@ type SpeculativeSP struct {
 	varItems []*speculation.Item
 	nbrs     [][]int // clause -> clauses sharing a variable
 	pending  []bool
+	tasks    []*clauseTask // by clause; a clause has at most one pending task
 	exec     *speculation.Executor
 	eps      float64
 
 	Updates int // committed clause updates
 }
 
+// clauseTask is clause a's update, built once and re-added whenever the
+// clause is enqueued again. delta carries the update's residual from its
+// speculative phase to its commit action.
+type clauseTask struct {
+	s      *SpeculativeSP
+	a      int
+	delta  float64
+	commit func()
+}
+
 // NewSpeculativeSP prepares the event-driven SP schedule over state st.
 // pick selects pending-task indices (nil = LIFO).
 func NewSpeculativeSP(st *State, eps float64, pick func(n int) int) *SpeculativeSP {
+	n := len(st.F.Clauses)
 	s := &SpeculativeSP{
 		st:       st,
 		varItems: make([]*speculation.Item, st.F.NumVars),
-		nbrs:     make([][]int, len(st.F.Clauses)),
-		pending:  make([]bool, len(st.F.Clauses)),
+		nbrs:     make([][]int, n),
+		pending:  make([]bool, n),
+		tasks:    make([]*clauseTask, n),
 		exec:     speculation.NewExecutor(pick),
 		eps:      eps,
 	}
 	for v := range s.varItems {
 		s.varItems[v] = speculation.NewItem(int64(v))
 	}
-	// Neighbor lists via shared variables (deduplicated).
+	// Neighbor lists via shared variables, deduplicated: seen[b] == ci+1
+	// once clause b is on clause ci's list.
+	seen := make([]int, n)
 	for ci, c := range st.F.Clauses {
-		seen := map[int]bool{ci: true}
+		seen[ci] = ci + 1
 		for _, l := range c.Lits {
 			for _, o := range st.Occ[l.Var] {
-				if !seen[o.Clause] {
-					seen[o.Clause] = true
+				if seen[o.Clause] != ci+1 {
+					seen[o.Clause] = ci + 1
 					s.nbrs[ci] = append(s.nbrs[ci], o.Clause)
 				}
 			}
 		}
 	}
 	for ci := range st.F.Clauses {
+		t := &clauseTask{s: s, a: ci}
+		t.commit = func() { s.commitUpdate(t.a, t.delta) }
+		s.tasks[ci] = t
 		s.pending[ci] = true
-		s.exec.Add(s.taskFor(ci))
+		s.exec.Add(t)
 	}
 	return s
 }
@@ -63,41 +81,35 @@ func NewSpeculativeSP(st *State, eps float64, pick func(n int) int) *Speculative
 // Executor exposes the underlying speculative executor.
 func (s *SpeculativeSP) Executor() *speculation.Executor { return s.exec }
 
-// taskFor builds the speculative update task for clause a.
-func (s *SpeculativeSP) taskFor(a int) speculation.Task {
-	return speculation.TaskFunc(func(ctx *speculation.Ctx) error {
-		// Cautious operator: acquire every variable of the clause
-		// before touching any message. The variable locks protect all
-		// messages this update reads or writes, because every such
-		// message belongs to a clause containing one of these
-		// variables.
-		for _, l := range s.st.F.Clauses[a].Lits {
-			if err := ctx.Acquire(s.varItems[l.Var]); err != nil {
-				return err
-			}
+// Run is clause a's speculative update.
+func (t *clauseTask) Run(ctx *speculation.Ctx) error {
+	s := t.s
+	// Cautious operator: acquire every variable of the clause before
+	// touching any message. The variable locks protect all messages
+	// this update reads or writes, because every such message belongs
+	// to a clause containing one of these variables.
+	for _, l := range s.st.F.Clauses[t.a].Lits {
+		if err := ctx.Acquire(s.varItems[l.Var]); err != nil {
+			return err
 		}
-		delta := s.st.UpdateClause(a)
-		ctx.OnCommit(func() { s.commitUpdate(a, delta) })
-		return nil
-	})
+	}
+	t.delta = s.st.UpdateClause(t.a)
+	ctx.OnCommit(t.commit)
+	return nil
 }
 
 // commitUpdate re-enqueues the factor-graph neighbors of a hot clause.
 func (s *SpeculativeSP) commitUpdate(a int, delta float64) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.Updates++
 	s.pending[a] = false
-	var spawn []int
 	if delta > s.eps {
 		for _, b := range s.nbrs[a] {
 			if !s.pending[b] {
 				s.pending[b] = true
-				spawn = append(spawn, b)
+				s.exec.Add(s.tasks[b])
 			}
 		}
-	}
-	s.mu.Unlock()
-	for _, b := range spawn {
-		s.exec.Add(s.taskFor(b))
 	}
 }
