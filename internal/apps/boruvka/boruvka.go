@@ -9,8 +9,9 @@
 package boruvka
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -23,12 +24,16 @@ type Edge struct {
 	ID   int
 }
 
-// less orders edges by (weight, ID) — a strict total order.
-func (e Edge) less(f Edge) bool {
+// compare orders edges by (weight, ID), a total order when IDs are
+// distinct: negative when e comes first, zero when equal.
+func (e Edge) compare(f Edge) int {
 	if e.W != f.W {
-		return e.W < f.W
+		if e.W < f.W {
+			return -1
+		}
+		return 1
 	}
-	return e.ID < f.ID
+	return cmp.Compare(e.ID, f.ID)
 }
 
 // WGraph is an edge-list weighted graph on vertices 0..N-1.
@@ -44,7 +49,7 @@ func NewRandomConnected(r *rng.Rand, n, extraEdges int) *WGraph {
 	if n < 1 {
 		panic("boruvka: need at least one vertex")
 	}
-	g := &WGraph{N: n}
+	g := &WGraph{N: n, Edges: make([]Edge, 0, n-1+extraEdges)}
 	addEdge := func(u, v int) {
 		g.Edges = append(g.Edges, Edge{U: u, V: v, W: r.Float64(), ID: len(g.Edges)})
 	}
@@ -82,6 +87,15 @@ func NewUnionFind(n int) *UnionFind {
 func (uf *UnionFind) Find(x int) int {
 	for uf.parent[x] != x {
 		uf.parent[x] = uf.parent[uf.parent[x]] // path halving
+		x = uf.parent[x]
+	}
+	return x
+}
+
+// root returns x's representative without compressing the path, so
+// tasks may call it concurrently while nothing writes the forest.
+func (uf *UnionFind) root(x int) int {
+	for uf.parent[x] != x {
 		x = uf.parent[x]
 	}
 	return x
@@ -125,9 +139,9 @@ func TotalWeight(edges []Edge) float64 {
 // correctness oracle.
 func Kruskal(g *WGraph) Result {
 	edges := append([]Edge(nil), g.Edges...)
-	sort.Slice(edges, func(i, j int) bool { return edges[i].less(edges[j]) })
+	slices.SortFunc(edges, Edge.compare)
 	uf := NewUnionFind(g.N)
-	var out Result
+	out := Result{Edges: make([]Edge, 0, g.N)}
 	for _, e := range edges {
 		if uf.Union(e.U, e.V) >= 0 {
 			out.Edges = append(out.Edges, e)
@@ -151,10 +165,10 @@ func Sequential(g *WGraph) Result {
 				continue
 			}
 			found = true
-			if b, ok := best[ru]; !ok || e.less(b) {
+			if b, ok := best[ru]; !ok || e.compare(b) < 0 {
 				best[ru] = e
 			}
-			if b, ok := best[rv]; !ok || e.less(b) {
+			if b, ok := best[rv]; !ok || e.compare(b) < 0 {
 				best[rv] = e
 			}
 		}
