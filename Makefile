@@ -61,10 +61,12 @@ race:
 # built from declarations must equal a brute-force graph of pairwise
 # footprint overlaps, with item-disjoint color classes. The
 # golden trajectories ride along: apprun's stdout and the round drive's
-# per-round (M, R, Committed) series at -parallel 1, ccprofile's drained
-# profiles of mesh, boruvka, cluster and des (one participant), and
-# controlsim's -fig3/-converge/-ablate tables at -workers 1, where all
-# are pure functions of the seed, pinned byte for byte.
+# per-round (M, R, Committed) series, each at -parallel 1 and 2 against
+# one file (a round commits the greedy MIS of its pick order at any
+# participant count), ccprofile's drained profiles of mesh, boruvka,
+# cluster and des (one participant), and controlsim's
+# -fig3/-converge/-ablate tables at -workers 1, where all are pure
+# functions of the seed, pinned byte for byte.
 equiv:
 	$(GO) test -count=1 -run 'TestAsyncControllerEquivalence|TestRunAsyncWindow|TestColoredEquivalence|TestDeclared|TestGolden' \
 		./internal/speculation/ ./internal/workload/ .

@@ -1,7 +1,8 @@
-// Command apprun executes the four amorphous data-parallel applications
-// on the speculative runtime under a chosen processor-allocation
-// controller, reporting work, conflicts, and allocation trajectories —
-// the end-to-end integration the paper's §5 anticipates.
+// Command apprun executes the six amorphous data-parallel applications
+// (mesh, boruvka, sp, cluster, maxflow, and the ordered des) on the
+// speculative runtime under a chosen processor-allocation controller,
+// reporting work, conflicts, and allocation trajectories — the
+// end-to-end integration the paper's §5 anticipates.
 //
 // Usage:
 //
@@ -13,7 +14,9 @@
 //	apprun -app all     -ctrl hybrid
 //
 // -parallel sets how many workers execute tasks, in every mode (default
-// NumCPU); -parallel 0 sizes it to GOMAXPROCS.
+// NumCPU); -parallel 0 sizes it to GOMAXPROCS. A round's outcome does not
+// depend on it: the committed set is the greedy MIS of the round's pick
+// order, so round-mode output is the same at every -parallel.
 //
 // -async drops the round barrier: the -parallel workers claim chunks of
 // tasks against a resizable in-flight limit and the controller observes

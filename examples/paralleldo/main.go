@@ -50,7 +50,7 @@ func main() {
 		if err := ctx.AcquireAll(items[t.from], items[t.to]); err != nil {
 			return err
 		}
-		// ...then mutate at commit time: no rollback needed.
+		// ...then mutate at commit time, which only a winner reaches.
 		ctx.OnCommit(func() {
 			if balance[t.from] >= t.amount {
 				balance[t.from] -= t.amount

@@ -7,11 +7,13 @@ import (
 	"testing"
 )
 
-// TestGoldenApprun pins apprun's stdout at -parallel 1, where one pool
-// worker makes every round — and so every trajectory — a pure function
-// of the seed. A byte difference from testdata/apprun means the drive,
-// an executor or a seeded generator changed behaviour; only then, and
-// on purpose, are the files regenerated from apprun's own stdout.
+// TestGoldenApprun pins apprun's stdout at -parallel 1 and 2 to one
+// file: a round commits the greedy MIS of its pick order whatever the
+// participant count, so every trajectory is a pure function of the seed.
+// A byte difference from testdata/apprun means the drive, an executor or
+// a seeded generator changed behaviour (or, between the two counts, the
+// schedule leaked into an outcome); only on purpose are the files
+// regenerated from apprun's own stdout at -parallel 1.
 func TestGoldenApprun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary; skipped in -short mode")
@@ -25,17 +27,19 @@ func TestGoldenApprun(t *testing.T) {
 		// <app>.golden, or <app>-<mode flag>.golden
 		name := strings.TrimSuffix(filepath.Base(f), ".golden")
 		app, mode, _ := strings.Cut(name, "-")
-		args := []string{"-parallel", "1", "-size", "400", "-app", app}
-		if mode != "" {
-			args = append(args, "-"+mode)
-		}
 		t.Run(name, func(t *testing.T) {
 			want, err := os.ReadFile(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := run(t, bin, args...); got != string(want) {
-				t.Errorf("apprun %v\n got:\n%s\nwant:\n%s", args, got, want)
+			for _, par := range []string{"1", "2"} {
+				args := []string{"-parallel", par, "-size", "400", "-app", app}
+				if mode != "" {
+					args = append(args, "-"+mode)
+				}
+				if got := run(t, bin, args...); got != string(want) {
+					t.Errorf("apprun %v\n got:\n%s\nwant:\n%s", args, got, want)
+				}
 			}
 		})
 	}

@@ -11,15 +11,16 @@ import (
 // component is one speculative task that pops its heap of candidate
 // edges down to the minimum outgoing edge and merges with the neighbor
 // component. Two merges conflict iff they share a component — detected
-// by racing on per-root abstract locks, exactly the conflict structure
-// the paper's CC-graph model abstracts.
+// through per-root abstract items, exactly the conflict structure the
+// paper's CC-graph model abstracts.
 //
 // The operator is cautious and takes no mutex. A task's speculative
 // phase reads the union-find forest without compressing it (union by
 // rank keeps every path under log2 N links), and writes only the heap of
-// the root whose lock it already holds; the union, the meld and the
-// forest are commit actions, which run one at a time after the round
-// barrier. So it depends on that barrier and must not run
+// its own root, which no other task touches (a root has at most one
+// pending task), whether it wins the round or not; the union, the meld
+// and the forest are commit actions, which run one at a time after the
+// round barrier. So it depends on that barrier and must not run
 // barrier-free (async), where a commit would write the forest while
 // other tasks read it.
 type SpeculativeMSF struct {
@@ -183,7 +184,7 @@ func (s *SpeculativeMSF) pop(r int32) int32 {
 // minOutgoing pops root x's heap down to the minimum edge leaving the
 // component and returns that half-edge. An edge inside the component
 // stays inside it, so a popped edge is never needed again. The caller
-// holds x's lock, so no other task touches this heap, and has checked
+// is x's one task, so no other task touches this heap, and has checked
 // that the component is not finished, so an outgoing edge exists.
 func (s *SpeculativeMSF) minOutgoing(x int) int32 {
 	for {
@@ -195,8 +196,9 @@ func (s *SpeculativeMSF) minOutgoing(x int) int32 {
 	}
 }
 
-// Run is one speculative step of component x: lock it, find its minimum
-// outgoing edge, then lock the component at the edge's other end.
+// Run is one speculative step of component x: acquire it, find its
+// minimum outgoing edge, then acquire the component at the edge's other
+// end.
 func (t *rootTask) Run(ctx *speculation.Ctx) error {
 	s, x := t.s, t.x
 	if s.uf.root(x) != x || s.size[x] == s.full[x] {
@@ -205,8 +207,8 @@ func (t *rootTask) Run(ctx *speculation.Ctx) error {
 		s.hasTask[x] = false
 		return nil
 	}
-	// Speculative phase: race for both component locks. A concurrent
-	// merge touching either component conflicts here.
+	// Speculative phase: acquire both components. A merge of the round
+	// touching either component conflicts with this one.
 	if err := ctx.Acquire(s.items[x]); err != nil {
 		return err
 	}
@@ -221,7 +223,7 @@ func (t *rootTask) Run(ctx *speculation.Ctx) error {
 }
 
 // commitMerge joins components x and y through edge e. Runs serially in
-// the commit phase. Both are still roots: the round's locks kept every
+// the commit phase. Both are still roots: the round's walk kept every
 // other commit of the round off them.
 func (s *SpeculativeMSF) commitMerge(x, y int, e Edge) {
 	s.hasTask[x] = false // this component's task was just consumed

@@ -116,13 +116,14 @@ func TestSpeculativeMSFGraphs(t *testing.T) {
 	}
 }
 
-// TestSpeculativePops pins the pops of apps_mix-sized drains at one
-// participant, where the trajectory is a function of the seed. A task
-// pops only internal edges cheaper than its minimum outgoing edge, and a
+// TestSpeculativePops pins the pops of apps_mix-sized drains, where the
+// trajectory is a function of the seed. A task pops only internal edges
+// cheaper than its minimum outgoing edge — a task that loses the round's
+// walk pops them too, since only its own root's heap holds them — and a
 // finished component's task pops nothing, so a drain pops fewer
 // half-edges than the graph has edges.
 func TestSpeculativePops(t *testing.T) {
-	want := map[uint64]int{1: 8256, 2: 8046, 3: 7706}
+	want := map[uint64]int{1: 8256, 2: 8384, 3: 7800}
 	for seed := uint64(1); seed <= 3; seed++ {
 		r := rng.New(seed)
 		g := NewRandomConnected(r, 6000, 18000)

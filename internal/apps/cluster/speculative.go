@@ -10,12 +10,13 @@ import (
 // SpeculativeClustering runs agglomerative clustering on the optimistic
 // runtime. Each live cluster owns at most one pending task; a task
 // checks the mutual-nearest-neighbor condition and, when it holds,
-// speculatively locks both clusters and merges at commit time. Merges
+// speculatively acquires both clusters and merges at commit time. Merges
 // sharing a cluster conflict — the amorphous data-parallelism the paper
 // attributes to agglomerative clustering.
 //
-// Cluster IDs grow monotonically, so abstract locks are kept in a map
-// guarded by the structural mutex.
+// Cluster IDs grow monotonically, so abstract items are kept in a map
+// guarded by the structural mutex. Every other write — the merge and the
+// nearest-neighbor chain's hand-off — is a commit action.
 type SpeculativeClustering struct {
 	mu      sync.Mutex
 	c       *Clustering
@@ -97,26 +98,36 @@ func (s *SpeculativeClustering) taskFor(x int) speculation.Task {
 		}
 		z, _, _ := s.c.Nearest(y)
 		if z != x {
-			// Not mutual: walk the nearest-neighbor chain by handing
-			// the baton to y (chains end in a mutual 2-cycle).
-			delete(s.hasTask, x)
-			spawnY := s.ensureTaskLocked(y)
 			s.mu.Unlock()
-			if spawnY {
-				s.exec.Add(s.taskFor(y))
-			}
+			// Not mutual: walk the nearest-neighbor chain by handing
+			// the baton to y (chains end in a mutual 2-cycle). Whether y
+			// needs a task depends on the round's other commits, so the
+			// hand-off is a commit action too.
+			ctx.OnCommit(func() { s.handOff(x, y) })
 			return nil
 		}
 		ix, iy := s.itemFor(x), s.itemFor(y)
 		s.mu.Unlock()
 
-		// Mutual nearest neighbors: race for both clusters.
+		// Mutual nearest neighbors: claim both clusters.
 		if err := ctx.AcquireAll(ix, iy); err != nil {
 			return err
 		}
 		ctx.OnCommit(func() { s.commitMerge(x, y) })
 		return nil
 	})
+}
+
+// handOff retires x's task and queues one for y unless y has one
+// (serial commit phase).
+func (s *SpeculativeClustering) handOff(x, y int) {
+	s.mu.Lock()
+	delete(s.hasTask, x)
+	spawnY := s.ensureTaskLocked(y)
+	s.mu.Unlock()
+	if spawnY {
+		s.exec.Add(s.taskFor(y))
+	}
 }
 
 // commitMerge fuses x and y (serial commit phase).

@@ -7,7 +7,7 @@ import (
 )
 
 // SpeculativePR runs preflow-push on the optimistic runtime: each active
-// node is a discharge task that locks its residual neighborhood
+// node is a discharge task that acquires its residual neighborhood
 // ({u} ∪ N(u)); overlapping neighborhoods conflict. Asynchronous
 // push–relabel is correct under any serialization of atomic discharges,
 // so the committed (neighborhood-disjoint) discharges of a round

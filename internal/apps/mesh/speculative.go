@@ -11,11 +11,11 @@ import (
 // insertion cavity — exactly the paper's §2 description ("two bad
 // triangles can be processed in parallel, given that their cavities do
 // not overlap"). Cavity overlap is detected through per-triangle
-// abstract locks; losers abort, roll back, and retry in later rounds.
+// abstract items; losers abort and retry in later rounds.
 //
 // The operator is cautious: a task's speculative phase only reads the
 // mesh (refinement point, location from the bad triangle, cavity) and
-// locks what it read, and the mesh changes only in commit actions. Those
+// acquires what it read, and the mesh changes only in commit actions. Those
 // run serially after the round barrier, so the reads need no mutex. This
 // relies on the barrier: the refiner must not be driven barrier-free.
 type SpeculativeRefiner struct {

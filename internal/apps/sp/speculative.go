@@ -8,7 +8,7 @@ import (
 
 // SpeculativeSP runs survey propagation as an event-driven irregular
 // worklist on the optimistic runtime: each pending clause update is a
-// speculative task that locks the clause's variables; clauses sharing a
+// speculative task that acquires the clause's variables; clauses sharing a
 // variable genuinely conflict (their updates read/write each other's
 // messages through the shared variable's occurrence list). An update
 // whose messages moved more than eps re-enqueues its factor-graph
@@ -29,12 +29,10 @@ type SpeculativeSP struct {
 }
 
 // clauseTask is clause a's update, built once and re-added whenever the
-// clause is enqueued again. delta carries the update's residual from its
-// speculative phase to its commit action.
+// clause is enqueued again.
 type clauseTask struct {
 	s      *SpeculativeSP
 	a      int
-	delta  float64
 	commit func()
 }
 
@@ -70,7 +68,7 @@ func NewSpeculativeSP(st *State, eps float64, pick func(n int) int) *Speculative
 	}
 	for ci := range st.F.Clauses {
 		t := &clauseTask{s: s, a: ci}
-		t.commit = func() { s.commitUpdate(t.a, t.delta) }
+		t.commit = func() { s.commitUpdate(t.a) }
 		s.tasks[ci] = t
 		s.pending[ci] = true
 		s.exec.Add(t)
@@ -81,25 +79,26 @@ func NewSpeculativeSP(st *State, eps float64, pick func(n int) int) *Speculative
 // Executor exposes the underlying speculative executor.
 func (s *SpeculativeSP) Executor() *speculation.Executor { return s.exec }
 
-// Run is clause a's speculative update.
+// Run is clause a's speculative step: it acquires every variable of the
+// clause. The variable items cover all messages the update reads or
+// writes, because every such message belongs to a clause containing one
+// of these variables, so a round's winners update disjoint messages and
+// their commit actions may run in any order.
 func (t *clauseTask) Run(ctx *speculation.Ctx) error {
 	s := t.s
-	// Cautious operator: acquire every variable of the clause before
-	// touching any message. The variable locks protect all messages
-	// this update reads or writes, because every such message belongs
-	// to a clause containing one of these variables.
 	for _, l := range s.st.F.Clauses[t.a].Lits {
 		if err := ctx.Acquire(s.varItems[l.Var]); err != nil {
 			return err
 		}
 	}
-	t.delta = s.st.UpdateClause(t.a)
 	ctx.OnCommit(t.commit)
 	return nil
 }
 
-// commitUpdate re-enqueues the factor-graph neighbors of a hot clause.
-func (s *SpeculativeSP) commitUpdate(a int, delta float64) {
+// commitUpdate applies clause a's update and re-enqueues the factor-graph
+// neighbors of a hot clause.
+func (s *SpeculativeSP) commitUpdate(a int) {
+	delta := s.st.UpdateClause(a)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.Updates++

@@ -42,7 +42,7 @@ type Config struct {
 
 	// PanicRate is the fraction of tasks that panic transiently: the
 	// task panics on its first 1..TransientAttempts attempts, then
-	// succeeds, exercising rollback + retry without poisoning.
+	// succeeds, exercising failure + retry without poisoning.
 	PanicRate float64
 
 	// ErrorRate is like PanicRate but the task returns an error

@@ -18,18 +18,21 @@ import (
 // the barrier drives (drive.go), over the same executor, work-set, locks,
 // and failure taxonomy.
 //
-// The sliding window is a *pseudo-round*: a committed task keeps its
-// item locks, and its OnCommit actions are deferred, until the window
-// boundary — exactly what the round barrier does for a round, without
-// making any worker wait. This preserves the model's intra-round
-// conflict semantics ("a task aborts iff it conflicts with a task that
-// committed before it") at window granularity, which is what makes the
+// With no barrier there is no serial walk to pick a window's winners, so
+// an async attempt locks what it acquires (Ctx.locks) and the first to
+// lock an item wins it. The sliding window is a *pseudo-round*: a
+// committed task keeps its item locks, and its OnCommit actions are
+// deferred, until the window boundary — what a round's claims and commit
+// actions last until, without making any worker wait. This keeps the
+// model's intra-round conflict semantics ("a task aborts iff it
+// conflicts with a task that committed before it", in commit order
+// rather than pick order) at window granularity, which is what makes the
 // windowed conflict ratio statistically equivalent to the per-round
 // ratio and lets the existing controllers run unchanged; like a round,
-// a window always contains at least one commit. Commit
-// actions run serially, in commit order, before the locks release —
-// so a successful Acquire still implies post-commit-action state, as
-// in round mode. One async-specific caveat: a committed task's spawns
+// a window always contains at least one commit. Commit actions run
+// serially, in commit order, before the locks release — so a successful
+// Acquire implies post-commit-action state, as a round's tasks see the
+// previous round's. One async-specific caveat: a committed task's spawns
 // enter the work-set when its chunk ends and may execute before the
 // parent's commit actions run at the boundary; the async-enabled
 // workloads ("cc", "spin", "stable") have no such dependence.
@@ -229,18 +232,24 @@ func (a *asyncRun) finishLocked(canceled bool) {
 
 // runChunk executes one attempt of every claimed entry on the worker's
 // context and settles each through the shared failure taxonomy. What is
-// async's own: a commit's locks stay held and its actions wait for the
-// window boundary (see the file comment) — held under the attempt's own
-// ID, so a later task of the same chunk loses to it like anyone else —
-// while its spawns go back to the work-set with the chunk's losers,
-// ahead of the boundary.
+// async's own: with no walk to pick winners, an attempt locks what it
+// acquires (Ctx.locks) and a held item fails it at once; a failed
+// attempt releases its locks immediately, while a commit's stay held and
+// its actions wait for the window boundary (see the file comment) — held
+// under the attempt's own ID, so a later task of the same chunk loses to
+// it like anyone else — and its spawns go back to the work-set with the
+// chunk's losers, ahead of the boundary.
 func (a *asyncRun) runChunk(w *asyncWorker, c *Ctx) {
 	e := a.e
 	n := int64(len(w.chunk))
 	base := e.nextID.Add(n) - n
 	for i, q := range w.chunk {
-		c.id = base + int64(i)
-		switch e.settle(q, attempt(q.t, c), a.budget, &w.st) {
+		c.locks, c.id = true, base+int64(i)
+		err := runGuarded(q.t, c)
+		if err != nil {
+			c.release()
+		}
+		switch e.settle(q, err, a.budget, &w.st) {
 		case verdictCommit:
 			w.locks = append(w.locks, c.acquired...)
 			w.actions = append(w.actions, c.onCommit...)

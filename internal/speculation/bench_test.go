@@ -20,7 +20,7 @@ var spinSink atomic.Int64
 // of ALU work, modelling a small irregular-algorithm operator.
 func spinTask(work int) Task {
 	return TaskFunc(func(ctx *Ctx) error {
-		acc := int64(ctx.ID())
+		acc := int64(1)
 		for i := 0; i < work; i++ {
 			acc = acc*6364136223846793005 + 1442695040888963407
 		}

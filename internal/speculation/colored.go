@@ -11,12 +11,11 @@ import (
 //
 // The paper's controller *reacts* to conflicts — it tunes m so the
 // measured abort ratio tracks ρ, but every conflict still costs an
-// abort, a rollback, and the lock traffic that detected it. When the
-// tasks can say up front which items they will touch, the conflict
-// graph is known before anything runs: a proper coloring of it
-// partitions the tasks into classes that are pairwise conflict-free *by
-// construction*, and a class can run with no item locks, no undo logs,
-// and no abort path at all.
+// abort and the walk that detected it. When the tasks can say up front
+// which items they will touch, the conflict graph is known before
+// anything runs: a proper coloring of it partitions the tasks into
+// classes that are pairwise conflict-free *by construction*, and a class
+// can run with no walk and no abort path at all.
 //
 // Drive's ModeColored:
 //
@@ -25,8 +24,8 @@ import (
 //	          it (graph.ColorCSR).
 //	execute — colored super-rounds: drain the work-set, group tasks by
 //	          their key's color, and run whole classes barrier-to-
-//	          barrier with lock-free contexts; commit actions run
-//	          serially at each class barrier.
+//	          barrier; commit actions run serially at each class
+//	          barrier.
 //	round   — otherwise, and after the declarations fail, ordinary
 //	          optimistic rounds under the controller, exactly as in
 //	          ModeRound. The paper's conflict graph is dynamic (§2); a
@@ -175,12 +174,12 @@ func (e *Executor) takeAll(buf []queued) []queued {
 }
 
 // coloredRound executes one colored super-round: drain, group by color,
-// run each class barrier-to-barrier with lock-free contexts, verify
-// footprints, and settle. Returns the round's stats plus the staleness
-// grade (non-none means the caller must fall back to speculation; all
-// unfinished work has been requeued). A super-round can be the whole
-// job, so ctx is observed at every class barrier: once it has ended the
-// classes not yet launched are requeued untouched.
+// run each class barrier-to-barrier with no walk, verify footprints, and
+// settle. Returns the round's stats plus the staleness grade (non-none
+// means the caller must fall back to speculation; all unfinished work
+// has been requeued). A super-round can be the whole job, so ctx is
+// observed at every class barrier: once it has ended the classes not yet
+// launched are requeued untouched.
 func (e *Executor) coloredRound(ctx context.Context, cg *ConflictGraph, cs *coloredState) (RoundStats, staleness) {
 	cs.batch = e.takeAll(cs.batch)
 	batch, n := cs.batch, len(cs.batch)
@@ -218,7 +217,6 @@ func (e *Executor) coloredRound(ctx context.Context, cg *ConflictGraph, cs *colo
 	stats := RoundStats{}
 	stale := staleNone
 	budget := e.retryBudget()
-	idBase := e.nextID.Add(int64(n)) - int64(n)
 
 	for _, class := range cs.classes {
 		if len(class) == 0 {
@@ -234,12 +232,9 @@ func (e *Executor) coloredRound(ctx context.Context, cg *ConflictGraph, cs *colo
 		e.dispatch(e.MaxParallel, len(class), func(j int) {
 			i := class[j]
 			c := ctxs[i]
-			c.id = idBase + int64(i)
-			c.colored = true
-			// Colored contexts hold no locks: on an error, attempt's rollback
-			// runs the undo log (a failing task may have mutated before
-			// erroring) and its release is a no-op on unowned items.
-			if errs[i] = attempt(batch[i].t, c); errs[i] == nil {
+			// A class needs no walk: its tasks are pairwise conflict-free by
+			// construction, so each commits unless Run itself fails.
+			if errs[i] = runGuarded(batch[i].t, c); errs[i] == nil {
 				// Post-hoc staleness check, made by the worker that ran the
 				// task so the serial barrier only reads the verdict: every
 				// acquired item must lie in the key's footprint. A subset

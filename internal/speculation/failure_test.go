@@ -8,8 +8,8 @@ import (
 )
 
 // TestPanicIsolationRollsBack proves a panicking task is a failure, not
-// a crash: its undo log runs, its locks are released the same round, and
-// neighbors can commit.
+// a crash: its spawns and commit actions are dropped, it claims nothing,
+// and a neighbor after it in the same round commits.
 func TestPanicIsolationRollsBack(t *testing.T) {
 	for _, par := range []int{0, 4} {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
@@ -18,34 +18,32 @@ func TestPanicIsolationRollsBack(t *testing.T) {
 			defer e.Close()
 
 			it := NewItem(1)
-			var undone atomic.Int64
+			var ran atomic.Int64
+			clean := TaskFunc(func(ctx *Ctx) error { return ctx.Acquire(it) })
+			e.Add(clean) // runs second: the tail of the work-set runs first
 			e.Add(TaskFunc(func(ctx *Ctx) error {
 				if err := ctx.Acquire(it); err != nil {
 					return err
 				}
-				ctx.LogUndo(func() { undone.Add(1) })
+				ctx.OnCommit(func() { ran.Add(1) })
+				ctx.Spawn(clean)
 				panic("operator bug")
 			}))
-			st := e.Round(1)
-			if st.Failed != 1 {
-				t.Fatalf("stats %+v, want Failed=1", st)
+			st := e.Round(2)
+			if st.Failed != 1 || st.Committed != 1 || st.Spawned != 0 {
+				t.Fatalf("stats %+v, want Failed=1 Committed=1 Spawned=0", st)
 			}
-			if undone.Load() != 1 {
-				t.Fatalf("undo ran %d times, want 1", undone.Load())
+			if ran.Load() != 0 {
+				t.Fatal("a failed attempt's commit action ran")
 			}
-			if it.Owner() != noOwner {
-				t.Fatalf("item still owned by %d after panic", it.Owner())
-			}
-			// A clean task can take the lock the panicker held. It may lose
-			// the race to the panicker's retry in any one round, so drain:
-			// the panicker runs out of budget, the clean task commits.
-			e.Add(TaskFunc(func(ctx *Ctx) error { return ctx.Acquire(it) }))
-			committed := 0
+			// The panicker alone is left; it runs out of budget.
 			for rounds := 0; e.Pending() > 0 && rounds < 100; rounds++ {
-				committed += e.Round(2).Committed
+				if st := e.Round(2); st.Committed != 0 {
+					t.Fatalf("the panicker committed: %+v", st)
+				}
 			}
-			if committed != 1 {
-				t.Fatalf("follow-up rounds committed %d, want 1", committed)
+			if e.TotalPoisoned() != 1 {
+				t.Fatalf("TotalPoisoned = %d, want 1", e.TotalPoisoned())
 			}
 		})
 	}

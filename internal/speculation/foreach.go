@@ -4,12 +4,12 @@ import "repro/internal/control"
 
 // ForEach is the Galois-style amorphous data-parallel loop: it applies
 // op speculatively to every item, with conflicts detected through the
-// items' ctx.Acquire calls, rollback on abort, and processor allocation
+// items' ctx.Acquire calls, retry on abort, and processor allocation
 // chosen round-by-round by ctrl. New work may be added during execution
 // through Push on the loop handle.
 //
 // op must follow the speculative-task contract (acquire before touching
-// shared state; register undo actions or defer mutations to OnCommit).
+// shared state; defer every mutation to OnCommit).
 // ForEach returns when the work-set — including pushed work — drains,
 // or maxRounds elapse.
 func ForEach[T any](items []T, op func(item T, ctx *Ctx) error, ctrl control.Controller, maxRounds int) *AdaptiveResult {

@@ -10,7 +10,7 @@ import (
 
 // GraphWorkload lifts a CC graph into runtime tasks so the goroutine
 // executor can run the same experiments as the model simulator: one task
-// per node; adjacent tasks genuinely conflict (they race to lock the
+// per node; adjacent tasks genuinely conflict (they both acquire the
 // shared per-edge item), non-adjacent tasks never do. Committed tasks
 // remove their node at commit time.
 //
@@ -21,8 +21,8 @@ import (
 // then a flag load and an AcquireAll over a ready slice; it takes no lock
 // and hashes nothing. Footprints never shrink: the edge item towards a
 // neighbor that has since committed stays in the list, but that neighbor
-// will never run again, so nobody else can hold the item and acquiring
-// it is one CAS that cannot fail.
+// will never run again, so no other task acquires the item and it never
+// costs a conflict.
 type GraphWorkload struct {
 	mu    sync.Mutex // guards g and nodes; never held while a task acquires
 	g     *graph.Graph
@@ -84,7 +84,7 @@ func edgeSeq(u, v int) int64 {
 	return (int64(u)+1)<<32 | int64(v)
 }
 
-// GraphFootprints materialises the lock footprint of every live node of
+// GraphFootprints materialises the footprint of every live node of
 // g, indexed by node ID (nil for dead IDs): the node's own item first,
 // then one item per incident edge, the same *Item in both endpoints'
 // lists — so two footprints intersect iff their nodes are adjacent. The

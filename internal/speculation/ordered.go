@@ -3,11 +3,9 @@ package speculation
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // This file implements the *ordered* speculative executor — the paper's
@@ -121,46 +119,6 @@ type orderedScratch struct {
 	requeue []keyed
 	claimed claimSet    // items the round's committed prefix claimed
 	run     func(i int) // phase 1's body, bound once so dispatching a round allocates nothing
-}
-
-// claimSet is a set of items, open-addressed on the item's address (the
-// garbage collector does not move heap objects). A slot is in the set
-// only while it carries the current stamp, so reset empties it with no
-// clearing pass; sized past twice a round's claims, it never fills.
-type claimSet struct {
-	slots []claimSlot
-	stamp uint64
-}
-
-type claimSlot struct {
-	it    *Item
-	stamp uint64
-}
-
-func (c *claimSet) reset(claims int) {
-	c.stamp++
-	if len(c.slots) < 2*claims {
-		c.slots = make([]claimSlot, 1<<bits.Len(uint(2*claims)))
-	}
-}
-
-// slot returns the slot holding it, or the free slot it would take.
-func (c *claimSet) slot(it *Item) *claimSlot {
-	mask := uint64(len(c.slots) - 1)
-	for i := uint64(uintptr(unsafe.Pointer(it))) * 0x9E3779B97F4A7C15 >> 32; ; i++ {
-		if s := &c.slots[i&mask]; s.stamp != c.stamp || s.it == it {
-			return s
-		}
-	}
-}
-
-func (c *claimSet) anyOf(items []*Item) bool {
-	for _, it := range items {
-		if c.slot(it).stamp == c.stamp {
-			return true
-		}
-	}
-	return false
 }
 
 // keyed is a task and its key, read once as the task enters the heap: Key
@@ -350,16 +308,13 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 			stats.Aborted++
 			stats.Premature++
 			requeue = append(requeue, b)
-		case s.claimed.anyOf(ctx.claims):
+		case !s.claimed.claim(ctx.claims):
 			stats.Aborted++
 			requeue = append(requeue, b)
 		default:
-			// Commit: apply mutations, book claims, surface spawns.
+			// Commit (claims booked): apply mutations, surface spawns.
 			for _, fn := range ctx.onCommit {
 				fn()
-			}
-			for _, it := range ctx.claims {
-				*s.claimed.slot(it) = claimSlot{it, s.claimed.stamp}
 			}
 			for _, fn := range ctx.spawnFns {
 				ctx.spawned = append(ctx.spawned, fn()...)

@@ -18,7 +18,7 @@ import (
 // TestWorkerPoolStress hammers the pooled executor: many rounds of many
 // tiny conflicting tasks while other goroutines keep Adding work. Run
 // under -race this exercises every executor synchronization edge (the
-// work-set lock, atomic IDs, batched requeue, context recycling).
+// work-set lock, the round's walk, batched requeue, context recycling).
 func TestWorkerPoolStress(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -33,7 +33,7 @@ func TestWorkerPoolStress(t *testing.T) {
 			defer e.Close()
 
 			// Shared items so a healthy fraction of launches conflict
-			// and flow through rollback + batched requeue.
+			// and flow through the walk's aborts + batched requeue.
 			items := make([]*Item, 17)
 			for i := range items {
 				items[i] = NewItem(int64(i))
@@ -44,7 +44,7 @@ func TestWorkerPoolStress(t *testing.T) {
 					if err := ctx.Acquire(items[k%len(items)]); err != nil {
 						return err
 					}
-					committed.Add(1)
+					ctx.OnCommit(func() { committed.Add(1) })
 					return nil
 				})
 			}
@@ -93,7 +93,7 @@ func TestWorkerPoolStress(t *testing.T) {
 				t.Fatalf("launched %d != committed %d + aborted %d",
 					e.TotalLaunched(), e.TotalCommitted(), e.TotalAborted())
 			}
-			// Every lock must be free after the drain.
+			// A round attempt never locks an item.
 			for _, it := range items {
 				if it.Owner() != noOwner {
 					t.Fatalf("item %d still owned by %d", it.Seq, it.Owner())
@@ -285,21 +285,20 @@ func TestWorkerPoolResize(t *testing.T) {
 }
 
 // TestCtxPoolingNoLeak proves a recycled Ctx carries nothing across
-// attempts: no undo actions, no spawns, no commit actions, no held
-// locks. Tasks deliberately abort after registering side effects, then
-// later attempts inspect the context they receive.
+// attempts: no spawns, no commit actions, no acquired items. Tasks
+// deliberately abort after registering side effects, then later
+// attempts inspect the context they receive.
 func TestCtxPoolingNoLeak(t *testing.T) {
 	e := NewExecutor(nil)
 	e.MaxParallel = 2
 	defer e.Close()
 
 	blocker := NewItem(99)
-	var undone, spawnedRuns atomic.Int64
+	var spawnedRuns atomic.Int64
 
-	// Round 1: m tasks all register an undo + a spawn + a commit action,
-	// then conflict on the same item (all but the winner abort).
+	// Round 1: m tasks all register a spawn + a commit action, then
+	// conflict on the same item (all but the winner abort).
 	dirty := TaskFunc(func(ctx *Ctx) error {
-		ctx.LogUndo(func() { undone.Add(1) })
 		ctx.Spawn(TaskFunc(func(*Ctx) error {
 			spawnedRuns.Add(1)
 			return nil
@@ -315,20 +314,12 @@ func TestCtxPoolingNoLeak(t *testing.T) {
 	if st.Committed != 1 || st.Aborted != m-1 {
 		t.Fatalf("round1: committed=%d aborted=%d, want 1/%d", st.Committed, st.Aborted, m-1)
 	}
-	if got := undone.Load(); got != int64(m-1) {
-		t.Fatalf("undo ran %d times, want %d", got, m-1)
-	}
 
 	// Drain the requeued aborts plus the winner's spawn. If pooling
-	// leaked state, stale undo logs would fire again or stale spawns
-	// would be re-enqueued and inflate the counts.
+	// leaked state, stale spawns would be re-enqueued and inflate the
+	// counts.
 	for e.Pending() > 0 {
 		e.Round(m)
-	}
-	// Every aborted attempt (and only those) runs its undo exactly once;
-	// a leaked undo log would fire extra times on an unrelated attempt.
-	if got := undone.Load(); got != e.TotalAborted() {
-		t.Fatalf("undo ran %d times, want one per abort (%d)", got, e.TotalAborted())
 	}
 	// Each of the m dirty tasks eventually commits exactly once and its
 	// spawn runs exactly once — no duplicates from recycled contexts.
@@ -342,22 +333,17 @@ func TestCtxPoolingNoLeak(t *testing.T) {
 	// Inspect the recycled contexts directly: after a full drain every
 	// cached context must be scrubbed empty.
 	for i, c := range e.scratch.ctxs {
-		if len(c.acquired) != 0 || len(c.undo) != 0 || len(c.spawned) != 0 || len(c.onCommit) != 0 {
+		if len(c.acquired) != 0 || len(c.spawned) != 0 || len(c.onCommit) != 0 {
 			t.Fatalf("cached ctx %d not scrubbed: %+v", i, c)
 		}
-		if c.aborted || c.id != 0 {
-			t.Fatalf("cached ctx %d retains attempt state (id=%d aborted=%v)", i, c.id, c.aborted)
+		if c.locks || c.id != 0 {
+			t.Fatalf("cached ctx %d retains attempt state (id=%d locks=%v)", i, c.id, c.locks)
 		}
 		// The backing arrays must hold no stale references either —
 		// scrub zeroes the full capacity, not just the length.
 		for _, it := range c.acquired[:cap(c.acquired)] {
 			if it != nil {
 				t.Fatal("stale *Item reference survives in recycled ctx capacity")
-			}
-		}
-		for _, fn := range c.undo[:cap(c.undo)] {
-			if fn != nil {
-				t.Fatal("stale undo closure survives in recycled ctx capacity")
 			}
 		}
 		for _, task := range c.spawned[:cap(c.spawned)] {

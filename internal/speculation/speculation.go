@@ -1,16 +1,21 @@
 // Package speculation implements a Galois-style optimistic parallelization
 // runtime (§1): tasks drawn from a work-set execute speculatively and
-// concurrently on goroutines; conflicts are detected at runtime through
-// exclusive abstract locks on shared items; a conflicting task aborts,
-// rolls back its side effects through an undo log, and is retried in a
-// later round.
+// concurrently on goroutines, naming the shared items they touch through
+// Ctx.Acquire; a task that conflicts with an earlier winner aborts, its
+// pending side effects (spawns, commit actions) are dropped, and it is
+// retried in a later round.
 //
 // Execution is round-structured to mirror the paper's model: each round
 // launches m tasks (m chosen by a processor-allocation controller), waits
 // for all of them, and reports the measured conflict ratio r = aborts/m.
-// Locks are held to the end of the round, so intra-round semantics match
-// the model's "a task aborts iff it conflicts with a task that committed
-// before it".
+// The round rule is the model's (§2): a task aborts iff a task before it
+// in the round's pick order committed and shares an item with it. A round
+// therefore runs in two phases, as the ordered executor's does: every
+// task of the batch runs and records the items it acquires (an Acquire
+// never fails in a round), then one serial walk in batch order commits a
+// task iff no earlier winner claimed one of its items (claimSet.claim).
+// The committed set is the greedy maximal independent set of the pick
+// order on the round's conflict graph, whatever the participant count.
 //
 // The paper assumes conflicting and non-conflicting tasks cost the same
 // (§2, as in Delaunay mesh refinement); the runtime therefore treats an
@@ -25,31 +30,33 @@
 // (no hand-off: a small round usually runs on the caller alone, and
 // helpers are woken only while they arrive in time to claim a chunk; an
 // async drive is one dispatch on the same pool, and an executor owns no
-// goroutine), attempt IDs come from an atomic counter, and per-attempt
-// contexts are recycled through a sync.Pool. A conflict abort — the
-// common case at the paper's ρ = 0.25 — allocates nothing: the error
-// Acquire returns lives in the attempt's context, and a steady-state
-// round allocates nothing at all.
+// goroutine), and per-attempt contexts are recycled through a sync.Pool.
+// A steady-state round allocates nothing, and neither does an async
+// conflict abort: the error Acquire returns lives in the attempt's
+// context.
 package speculation
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// ErrConflict is what Ctx.Acquire's error unwraps to when the requested
-// item is held by another in-flight task. Operator code must propagate
-// that error (or wrap it) so the executor can roll the task back.
+// ErrConflict is what Ctx.Acquire's error unwraps to when, in an async
+// drive, the requested item is held by another in-flight task. Operator
+// code must propagate that error (or wrap it) so the executor can requeue
+// the task; a task that returns it in any mode is aborted.
 var ErrConflict = errors.New("speculation: conflict detected")
 
-// conflictError is the error Acquire returns on a lost race. Losing is
-// the expected outcome of speculation, so the abort path allocates
-// nothing: the value lives inside the aborting Ctx and the message is
-// formatted only if somebody asks for it.
+// conflictError is the error an async Acquire returns on a lost race.
+// Losing is the expected outcome of speculation, so the abort path
+// allocates nothing: the value lives inside the aborting Ctx and the
+// message is formatted only if somebody asks for it.
 type conflictError struct {
 	item, holder, requester int64
 }
@@ -65,13 +72,15 @@ func (e *conflictError) Unwrap() error { return ErrConflict }
 // is exactly one of
 //
 //	commit    — Run returned nil; side effects become visible.
-//	abort     — Run returned ErrConflict (possibly wrapped); the task
-//	            lost a speculative race, is rolled back, and is requeued
-//	            unconditionally. Aborts are *expected* (the paper's
-//	            premise) and never consume the retry budget.
-//	failure   — Run panicked or returned any other error; the task is
-//	            rolled back (undo log run, locks released, Ctx scrubbed)
-//	            and retried until its budget is exhausted.
+//	abort     — an earlier winner of the round claimed one of the task's
+//	            items, or Run returned ErrConflict (possibly wrapped); the
+//	            task's spawns and commit actions are dropped and it is
+//	            requeued unconditionally. Aborts are *expected* (the
+//	            paper's premise) and never consume the retry budget.
+//	failure   — Run panicked or returned any other error; the attempt is
+//	            discarded the same way (an async attempt also releases
+//	            its locks) and the task is retried until its budget is
+//	            exhausted.
 //	poisoned  — a failure with no budget left: the task is removed from
 //	            the work-set and quarantined for inspection instead of
 //	            crashing the process.
@@ -104,7 +113,7 @@ type FailureRecord struct {
 
 // runGuarded executes one task attempt with panic isolation: a panic in
 // operator code is converted into a *PanicError so the executor treats
-// it as a task failure (rollback + retry budget) rather than a crash.
+// it as a task failure (retry budget) rather than a crash.
 func runGuarded(t Task, ctx *Ctx) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -116,11 +125,12 @@ func runGuarded(t Task, ctx *Ctx) (err error) {
 
 const noOwner int64 = -1
 
-// Item is a lockable abstract location. Tasks must acquire an item
-// before reading or writing the state it guards. The zero value is not
-// ready; use NewItem.
+// Item is an abstract location. Tasks must acquire an item before
+// reading or writing the state it guards: two tasks of a round that
+// acquire one item conflict, and only the earlier in pick order may
+// commit. The zero value is not ready; use NewItem.
 type Item struct {
-	owner atomic.Int64
+	owner atomic.Int64 // the async attempt holding the item's lock, or noOwner
 	// Seq is an optional caller-visible tag (e.g. graph node ID) for
 	// diagnostics and conflict errors. Nothing tells items apart by it:
 	// two distinct items may carry the same Seq.
@@ -143,15 +153,19 @@ func (it *Item) init(seq int64) *Item {
 	return it
 }
 
-// Owner returns the ID of the task currently holding the item, or -1.
+// Owner returns the ID of the async attempt currently holding the item's
+// lock, or -1. Round and colored attempts never lock an item.
 func (it *Item) Owner() int64 { return it.owner.Load() }
 
 // Task is a unit of speculative work (one iteration of an amorphous
 // data-parallel loop). Run must acquire every item it touches through
-// ctx and must return ErrConflict (possibly wrapped) when an acquisition
-// fails. Any side effect on shared state must either be registered with
-// ctx.LogUndo or be deferred until all acquisitions are done (the
-// "cautious operator" pattern, which needs no rollback).
+// ctx and must return an acquisition's error (possibly wrapped) when
+// there is one. Whether a task won is decided only after Run returns, so
+// for a loser every statement of Run may run: Run reads shared state, and
+// every write to shared state goes in ctx.OnCommit (the "cautious
+// operator" pattern). A write Run makes to state only its own task owns,
+// or on a path that acquires nothing (such a task always commits), must
+// still be safe to run concurrently with the round's other tasks.
 type Task interface {
 	Run(ctx *Ctx) error
 }
@@ -167,26 +181,22 @@ func (f TaskFunc) Run(ctx *Ctx) error { return f(ctx) }
 // the executor recycles contexts through a pool once the round's
 // accounting is done.
 type Ctx struct {
-	id       int64
 	acquired []*Item
-	undo     []func()
 	spawned  []Task
 	onCommit []func()
-	aborted  bool
-	conflict conflictError // backing store of the error Acquire returns
-	// colored marks a context executing inside a colored round (see
-	// colored.go): tasks in one color class are pairwise conflict-free by
-	// construction, so Acquire records the footprint without taking the
-	// item lock — no CAS, no abort path. The footprint is still collected
-	// so the staleness detector can check it against the declared graph
-	// at the class barrier.
-	colored bool
+	id       int64
+	conflict conflictError // backing store of the error an async Acquire returns
+	// locks marks an attempt of an async drive, the one mode without a
+	// serial walk (async.go): its Acquire takes the item's lock by CAS
+	// under the attempt's id and fails on an item another attempt holds.
+	// Round and colored attempts only record what they acquire.
+	locks bool
 }
 
 // ctxPool recycles Ctx values across attempts and executors. Contexts
 // are scrubbed (all reference slots zeroed, capacity kept) before they
-// are returned to the pool, so a pooled Ctx never carries undo logs,
-// spawns, or lock references from a previous attempt.
+// are returned to the pool, so a pooled Ctx never carries spawns, commit
+// actions, or item references from a previous attempt.
 var ctxPool = sync.Pool{New: func() any { return new(Ctx) }}
 
 // scrubSlice zeroes the slice's full backing capacity (dropping every
@@ -214,32 +224,27 @@ func emptied[T any](s []T) []T {
 }
 
 // scrub resets c for the next attempt: all reference slots are zeroed so
-// nothing (undo closures, spawned tasks, lock pointers) leaks into the
+// nothing (spawned tasks, commit actions, item pointers) leaks into the
 // next task that receives this context, while slice capacities are
 // preserved so steady-state rounds allocate nothing.
 func (c *Ctx) scrub() {
-	c.id = 0
-	c.aborted = false
-	c.colored = false
+	c.locks, c.id = false, 0
 	c.acquired = scrubSlice(c.acquired)
-	c.undo = scrubSlice(c.undo)
 	c.spawned = scrubSlice(c.spawned)
 	c.onCommit = scrubSlice(c.onCommit)
 }
 
-// ID returns the executing task's runtime ID (unique per attempt).
-func (c *Ctx) ID() int64 { return c.id }
-
-// Acquire takes an exclusive abstract lock on it. Acquiring an item the
-// task already holds succeeds. If another task holds it, the acquisition
-// fails with an error that unwraps to ErrConflict: the caller must unwind
-// and return it. The error is stored in the context, so it is valid
-// until the executor recycles the context after settling the attempt —
-// long enough to return or wrap it, not to keep it.
+// Acquire declares that the task touches it. In a round (and a colored
+// class) it records the item and never fails: the round's walk aborts
+// the task if an earlier winner claimed the item. In an async drive it
+// takes the item's lock; acquiring an item the attempt already holds
+// succeeds, and an item another attempt holds fails the acquisition with
+// an error that unwraps to ErrConflict, which the caller must return.
+// The error is stored in the context, so it is valid until the executor
+// recycles the context after settling the attempt — long enough to
+// return or wrap it, not to keep it.
 func (c *Ctx) Acquire(it *Item) error {
-	if c.colored {
-		// Colored round: conflict freedom is guaranteed by the coloring,
-		// so just record the footprint for post-hoc staleness checking.
+	if !c.locks {
 		c.acquired = append(c.acquired, it)
 		return nil
 	}
@@ -247,7 +252,6 @@ func (c *Ctx) Acquire(it *Item) error {
 		return nil
 	}
 	if !it.owner.CompareAndSwap(noOwner, c.id) {
-		c.aborted = true
 		c.conflict = conflictError{item: it.Seq, holder: it.owner.Load(), requester: c.id}
 		return &c.conflict
 	}
@@ -255,7 +259,7 @@ func (c *Ctx) Acquire(it *Item) error {
 	return nil
 }
 
-// AcquireAll acquires every item, failing fast on the first conflict.
+// AcquireAll acquires every item, failing fast on an async conflict.
 func (c *Ctx) AcquireAll(items ...*Item) error {
 	for _, it := range items {
 		if err := c.Acquire(it); err != nil {
@@ -265,38 +269,19 @@ func (c *Ctx) AcquireAll(items ...*Item) error {
 	return nil
 }
 
-// Holds reports whether the task currently holds it.
-func (c *Ctx) Holds(it *Item) bool { return it.owner.Load() == c.id }
-
-// LogUndo registers a compensation action to be executed (in reverse
-// registration order) if the task aborts. Register the undo *before*
-// applying the corresponding mutation.
-func (c *Ctx) LogUndo(fn func()) { c.undo = append(c.undo, fn) }
-
 // Spawn schedules a new task to enter the work-set if and only if the
-// current task commits. Spawns by aborted tasks are discarded as part of
-// rollback — newly generated work is a side effect like any other.
+// current task commits. Spawns by aborted tasks are discarded — newly
+// generated work is a side effect like any other.
 func (c *Ctx) Spawn(t Task) { c.spawned = append(c.spawned, t) }
 
 // OnCommit registers a commit-time action: it runs serially, after every
-// task of the round has finished and locks have been released, and only
-// if the task committed (Galois-style commit actions). Use it for
-// structural mutations that must not race with other speculative tasks
-// of the same round, e.g. removing a processed node from a shared graph.
+// task of the round has finished and the round's walk has picked the
+// winners, and only if the task committed (Galois-style commit actions).
+// Every write to shared state belongs here: it must not race with other
+// speculative tasks of the same round, and a loser's must not happen.
 func (c *Ctx) OnCommit(fn func()) { c.onCommit = append(c.onCommit, fn) }
 
-// rollback runs the undo log in reverse order and clears the context's
-// pending side effects. Slice capacity is kept for pooled reuse.
-func (c *Ctx) rollback() {
-	for i := len(c.undo) - 1; i >= 0; i-- {
-		c.undo[i]()
-	}
-	c.undo = c.undo[:0]
-	c.spawned = c.spawned[:0]
-	c.onCommit = c.onCommit[:0]
-}
-
-// release frees every lock the task holds.
+// release frees every lock an async attempt holds.
 func (c *Ctx) release() {
 	for _, it := range c.acquired {
 		it.owner.Store(noOwner)
@@ -526,7 +511,7 @@ type queued struct {
 // statistics accessors are safe for concurrent use; Round must be called
 // from one goroutine at a time (the adaptive drivers do).
 type Executor struct {
-	nextID atomic.Int64 // handles and attempt IDs share one allocator
+	nextID atomic.Int64 // handles and async attempt IDs share one allocator
 
 	mu      sync.Mutex      // guards pending only
 	pending []queued        // the work-set
@@ -544,10 +529,11 @@ type Executor struct {
 	// It is a cap: helpers come from the process's one pool, and a
 	// dispatch that finds them busy elsewhere runs on fewer. A round wakes
 	// its helpers only while they arrive in time to claim work; an async
-	// drive keeps those it gets. It does not set a round's conflict ratio:
-	// locks are held to the barrier whatever the participant count. An
-	// async drive whose operators block wants MaxParallel ≥ m, which gives
-	// every unit of m its own participant.
+	// drive keeps those it gets. It does not change what a round commits:
+	// the serial walk picks the winners, so a round's outcome is a function
+	// of its pick order at any participant count. An async drive whose
+	// operators block wants MaxParallel ≥ m, which gives every unit of m
+	// its own participant.
 	MaxParallel int
 
 	// TaskRetries is the per-task failure budget: a task whose attempt
@@ -568,6 +554,52 @@ type Executor struct {
 	scratch roundScratch // round-local (Round is single-caller)
 }
 
+// claimSet is a set of items, open-addressed on the item's address (the
+// garbage collector does not move heap objects). A slot is in the set
+// only while it carries the current stamp, so reset empties it with no
+// clearing pass; sized past twice a round's claims, it never fills.
+type claimSet struct {
+	slots []claimSlot
+	stamp uint64
+}
+
+type claimSlot struct {
+	it    *Item
+	stamp uint64
+}
+
+func (c *claimSet) reset(claims int) {
+	c.stamp++
+	if len(c.slots) < 2*claims {
+		c.slots = make([]claimSlot, 1<<bits.Len(uint(2*claims)))
+	}
+}
+
+// slot returns the slot holding it, or the free slot it would take.
+func (c *claimSet) slot(it *Item) *claimSlot {
+	mask := uint64(len(c.slots) - 1)
+	for i := uint64(uintptr(unsafe.Pointer(it))) * 0x9E3779B97F4A7C15 >> 32; ; i++ {
+		if s := &c.slots[i&mask]; s.stamp != c.stamp || s.it == it {
+			return s
+		}
+	}
+}
+
+// claim books items for a winner of the round's walk and reports true,
+// or reports false and books nothing when an earlier winner claimed one
+// of them: the one commit rule of both executors' walks.
+func (c *claimSet) claim(items []*Item) bool {
+	for _, it := range items {
+		if c.slot(it).stamp == c.stamp {
+			return false
+		}
+	}
+	for _, it := range items {
+		*c.slot(it) = claimSlot{it, c.stamp}
+	}
+	return true
+}
+
 // roundScratch holds the working slices of a round, reused across rounds
 // so a steady-state round allocates nothing. batch, requeue, spawned and
 // actions hold references only while a round is in progress: settling
@@ -578,11 +610,11 @@ type Executor struct {
 // in place after accounting. The cache never shrinks; Executor.Close
 // returns it to the pool.
 type roundScratch struct {
-	batch  []queued // the entries this round runs
-	ctxs   []*Ctx   // len is the high-water round size; [:n] used per round
-	errs   []error
-	idBase int64 // attempt ID of batch[0]
+	batch []queued // the entries this round runs
+	ctxs  []*Ctx   // len is the high-water round size; [:n] used per round
+	errs  []error
 
+	claimed claimSet // items the round's winners claimed, booked by the walk
 	requeue []queued // aborted and failed entries going back, in batch order
 	spawned []queued // committed tasks' spawns, admitted
 	actions []func() // committed tasks' commit actions
@@ -599,26 +631,24 @@ func (r *roundScratch) grow(n int) {
 
 // attempt is Round's per-index body: workers touch only round-local
 // slices, never the executor's shared state or the context pool.
-func (r *roundScratch) attempt(i int) {
-	c := r.ctxs[i]
-	c.id = r.idBase + int64(i)
-	r.errs[i] = attempt(r.batch[i].t, c)
-}
+func (r *roundScratch) attempt(i int) { r.errs[i] = runGuarded(r.batch[i].t, r.ctxs[i]) }
 
-// attempt runs one speculative attempt of t in c. A failed attempt rolls
-// back while still holding its locks (compensation is race-free), then
-// releases them immediately: in the model, an aborted task does not block
-// its other neighbors from committing in the same round. Failures (panics,
-// non-conflict errors) take the same path, so a panicking task never
-// strands locks or undo state. A committed attempt keeps its locks for
-// the caller to release at the barrier.
-func attempt(t Task, c *Ctx) error {
-	err := runGuarded(t, c)
-	if err != nil {
-		c.rollback()
-		c.release()
+// walk is a round's second phase: it visits the n attempts in batch order
+// and turns an attempt that finished cleanly into an abort if an earlier
+// winner claimed one of its items; a winner books its own. Run's verdicts
+// stand otherwise, so a task that failed or raised ErrConflict itself
+// books nothing.
+func (r *roundScratch) walk(n int) {
+	claims := 0
+	for _, c := range r.ctxs[:n] {
+		claims += len(c.acquired)
 	}
-	return err
+	r.claimed.reset(claims)
+	for i, c := range r.ctxs[:n] {
+		if r.errs[i] == nil && !r.claimed.claim(c.acquired) {
+			r.errs[i] = ErrConflict
+		}
+	}
 }
 
 // settled drops the references the round's n attempts left in the
@@ -797,10 +827,11 @@ func (e *Executor) settle(q queued, err error, budget int, st *RoundStats) verdi
 }
 
 // Round launches up to m pending tasks speculatively and waits for all
-// of them. Committed tasks leave the work-set and their spawns enter it;
-// aborted tasks are rolled back and requeued. Locks are released only
-// after every task in the round has finished, preserving the model's
-// commit-order semantics.
+// of them, then walks them in batch order: a task commits iff no earlier
+// winner claimed one of its items, so the committed set is the greedy
+// maximal independent set of the batch order, whatever the participant
+// count. Committed tasks leave the work-set and their spawns enter it;
+// aborted tasks are requeued.
 //
 // The round runs on the caller and the pool's helpers, which claim chunks
 // of its index space off one cursor, so per-task scheduling cost is
@@ -816,21 +847,11 @@ func (e *Executor) Round(m int) RoundStats {
 		return RoundStats{}
 	}
 	s.grow(n)
-	// Reserve the round's attempt IDs with one atomic add; IDs share the
-	// allocator with handles, so both stay globally unique.
-	s.idBase = e.nextID.Add(int64(n)) - int64(n)
 	if s.run == nil {
 		s.run = s.attempt
 	}
 	e.dispatch(e.MaxParallel, n, s.run, false)
-
-	// Round barrier passed: release the committed tasks' locks (aborted
-	// tasks already released on rollback), then settle every attempt.
-	for i, c := range s.ctxs[:n] {
-		if s.errs[i] == nil {
-			c.release()
-		}
-	}
+	s.walk(n)
 	var stats RoundStats
 	budget := e.retryBudget()
 	for i, q := range s.batch {

@@ -3,9 +3,12 @@ package speculation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -25,9 +28,15 @@ func TestSingleTaskCommits(t *testing.T) {
 	}
 }
 
+// blockerTask acquires it and commits; added after a task that acquires
+// it too, it runs first in a nil-pick round (the tail is taken first) and
+// makes that task lose the walk.
+func blockerTask(it *Item) Task { return TaskFunc(func(ctx *Ctx) error { return ctx.Acquire(it) }) }
+
 func TestConflictingTasksExactlyOneCommits(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		e := NewExecutor(nil)
+		e.MaxParallel = 2
 		it := NewItem(0)
 		var commits atomic.Int32
 		mk := func() Task {
@@ -35,7 +44,7 @@ func TestConflictingTasksExactlyOneCommits(t *testing.T) {
 				if err := ctx.Acquire(it); err != nil {
 					return err
 				}
-				commits.Add(1)
+				ctx.OnCommit(func() { commits.Add(1) })
 				return nil
 			})
 		}
@@ -46,12 +55,12 @@ func TestConflictingTasksExactlyOneCommits(t *testing.T) {
 			t.Fatalf("trial %d: stats %+v", trial, st)
 		}
 		if commits.Load() != 1 {
-			t.Fatalf("trial %d: %d tasks passed the lock", trial, commits.Load())
+			t.Fatalf("trial %d: %d commit actions ran", trial, commits.Load())
 		}
 		if e.Pending() != 1 {
 			t.Fatalf("trial %d: aborted task not requeued", trial)
 		}
-		// Retry succeeds: the lock was released at round end.
+		// Retry succeeds: the item's claim lasted one round.
 		st = e.Round(2)
 		if st.Committed != 1 {
 			t.Fatalf("trial %d: retry failed %+v", trial, st)
@@ -59,64 +68,21 @@ func TestConflictingTasksExactlyOneCommits(t *testing.T) {
 	}
 }
 
-func TestUndoLogRunsInReverseOnAbort(t *testing.T) {
-	e := NewExecutor(nil)
-	blocker := NewItem(1)
-	var order []int
-	// First task grabs the blocker and never conflicts.
-	e.Add(TaskFunc(func(ctx *Ctx) error { return ctx.Acquire(blocker) }))
-	e.Round(1) // now blocker is free again — so instead hold it manually:
-	holder := &Ctx{id: 999}
-	if err := holder.Acquire(blocker); err != nil {
-		t.Fatal(err)
-	}
-	e.Add(TaskFunc(func(ctx *Ctx) error {
-		ctx.LogUndo(func() { order = append(order, 1) })
-		ctx.LogUndo(func() { order = append(order, 2) })
-		return ctx.Acquire(blocker) // conflicts with the manual holder
-	}))
-	st := e.Round(1)
-	if st.Aborted != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
-		t.Fatalf("undo order %v, want [2 1]", order)
-	}
-	holder.release()
-}
-
-func TestUndoNotRunOnCommit(t *testing.T) {
-	e := NewExecutor(nil)
-	undone := false
-	e.Add(TaskFunc(func(ctx *Ctx) error {
-		ctx.LogUndo(func() { undone = true })
-		return nil
-	}))
-	e.Round(1)
-	if undone {
-		t.Fatal("undo log ran for a committed task")
-	}
-}
-
 func TestSpawnOnCommitOnly(t *testing.T) {
 	e := NewExecutor(nil)
 	blocker := NewItem(2)
-	holder := &Ctx{id: 999}
-	if err := holder.Acquire(blocker); err != nil {
-		t.Fatal(err)
-	}
 	e.Add(TaskFunc(func(ctx *Ctx) error {
 		ctx.Spawn(TaskFunc(func(*Ctx) error { return nil }))
 		return ctx.Acquire(blocker) // abort: spawn must be discarded
 	}))
-	st := e.Round(1)
-	if st.Spawned != 0 {
+	e.Add(blockerTask(blocker))
+	st := e.Round(2)
+	if st.Committed != 1 || st.Spawned != 0 {
 		t.Fatalf("aborted task's spawn leaked: %+v", st)
 	}
 	if e.Pending() != 1 { // only the retry of the aborted task
 		t.Fatalf("pending = %d", e.Pending())
 	}
-	holder.release()
 	// The retried task now commits, and its Spawn (re-registered during
 	// the retry execution) takes effect exactly once.
 	st = e.Round(1)
@@ -156,20 +122,18 @@ func TestOnCommitActionsRunSeriallyAfterRound(t *testing.T) {
 func TestOnCommitSkippedOnAbort(t *testing.T) {
 	e := NewExecutor(nil)
 	blocker := NewItem(3)
-	holder := &Ctx{id: 999}
-	if err := holder.Acquire(blocker); err != nil {
-		t.Fatal(err)
-	}
 	ran := false
 	e.Add(TaskFunc(func(ctx *Ctx) error {
 		ctx.OnCommit(func() { ran = true })
 		return ctx.Acquire(blocker)
 	}))
-	e.Round(1)
+	e.Add(blockerTask(blocker))
+	if st := e.Round(2); st.Aborted != 1 {
+		t.Fatalf("stats %+v", st)
+	}
 	if ran {
 		t.Fatal("commit action ran for aborted task")
 	}
-	holder.release()
 }
 
 func TestReacquireHeldItemSucceeds(t *testing.T) {
@@ -179,17 +143,14 @@ func TestReacquireHeldItemSucceeds(t *testing.T) {
 		if err := ctx.Acquire(it); err != nil {
 			return err
 		}
-		if !ctx.Holds(it) {
-			t.Error("Holds is false after acquire")
-		}
-		return ctx.Acquire(it) // idempotent
+		return ctx.Acquire(it) // a task never conflicts with itself
 	}))
 	st := e.Round(1)
 	if st.Committed != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 	if it.Owner() != noOwner {
-		t.Fatal("lock not released after round")
+		t.Fatal("a round attempt locked an item")
 	}
 }
 
@@ -267,47 +228,43 @@ func TestMaxParallelBoundsConcurrency(t *testing.T) {
 
 func TestChainedConflictSemantics(t *testing.T) {
 	// Items a-b shared by tasks 1-2 and 2-3 respectively: a "path" of
-	// conflicts. Over repeated trials, whenever task 2 aborts, both 1
-	// and 3 can commit in the same round (aborted tasks release locks).
-	saw13 := false
-	for trial := 0; trial < 200 && !saw13; trial++ {
-		e := NewExecutor(nil)
-		a, b := NewItem(10), NewItem(11)
-		var c1, c2, c3 atomic.Bool
-		e.Add(TaskFunc(func(ctx *Ctx) error { // task 1: locks a
-			if err := ctx.Acquire(a); err != nil {
-				return err
+	// conflicts. The order decides, not the schedule: with task 2 first
+	// it alone commits; with task 1 first, 1 and 3 both commit around the
+	// aborted task 2 (a loser claims nothing).
+	for _, tc := range []struct {
+		order []int // batch order: the tail of the work-set runs first
+		want  [3]bool
+	}{
+		{[]int{2, 1, 3}, [3]bool{false, true, false}},
+		{[]int{1, 2, 3}, [3]bool{true, false, true}},
+		{[]int{3, 2, 1}, [3]bool{true, false, true}},
+	} {
+		for trial := 0; trial < 20; trial++ {
+			e := NewExecutor(nil)
+			e.MaxParallel = 3
+			a, b := NewItem(10), NewItem(11)
+			var committed [3]atomic.Bool
+			items := [3][]*Item{{a}, {a, b}, {b}}
+			for k := len(tc.order) - 1; k >= 0; k-- {
+				task := tc.order[k] - 1
+				e.Add(TaskFunc(func(ctx *Ctx) error {
+					if err := ctx.AcquireAll(items[task]...); err != nil {
+						return err
+					}
+					ctx.OnCommit(func() { committed[task].Store(true) })
+					return nil
+				}))
 			}
-			c1.Store(true)
-			return nil
-		}))
-		e.Add(TaskFunc(func(ctx *Ctx) error { // task 2: locks a then b
-			if err := ctx.Acquire(a); err != nil {
-				return err
+			st := e.Round(3)
+			if st.Committed+st.Aborted != 3 {
+				t.Fatalf("partition broken: %+v", st)
 			}
-			if err := ctx.Acquire(b); err != nil {
-				return err
+			for k := range committed {
+				if committed[k].Load() != tc.want[k] {
+					t.Fatalf("order %v: task %d committed=%v, want %v", tc.order, k+1, committed[k].Load(), tc.want[k])
+				}
 			}
-			c2.Store(true)
-			return nil
-		}))
-		e.Add(TaskFunc(func(ctx *Ctx) error { // task 3: locks b
-			if err := ctx.Acquire(b); err != nil {
-				return err
-			}
-			c3.Store(true)
-			return nil
-		}))
-		st := e.Round(3)
-		if st.Committed+st.Aborted != 3 {
-			t.Fatalf("partition broken: %+v", st)
 		}
-		if c1.Load() && c3.Load() && !c2.Load() {
-			saw13 = true
-		}
-	}
-	if !saw13 {
-		t.Error("never observed tasks 1 and 3 committing around aborted task 2")
 	}
 }
 
@@ -363,16 +320,16 @@ func TestMutualConflictDrainsLinearly(t *testing.T) {
 	}
 }
 
-// A lost race is the expected outcome of speculation, so the abort path
-// must not allocate; the error still unwraps to ErrConflict and names
-// the item, holder and requester when somebody formats it.
+// A lost async race is the expected outcome of speculation, so the abort
+// path must not allocate; the error still unwraps to ErrConflict and
+// names the item, holder and requester when somebody formats it.
 func TestConflictErrorAllocatesNothing(t *testing.T) {
 	it := NewItem(42)
-	holder := &Ctx{id: 7}
+	holder := &Ctx{locks: true, id: 7}
 	if err := holder.Acquire(it); err != nil {
 		t.Fatal(err)
 	}
-	loser := &Ctx{id: 9}
+	loser := &Ctx{locks: true, id: 9}
 	var err error
 	if allocs := testing.AllocsPerRun(100, func() { err = loser.Acquire(it) }); allocs != 0 {
 		t.Fatalf("a conflict abort allocates %v times", allocs)
@@ -386,5 +343,64 @@ func TestConflictErrorAllocatesNothing(t *testing.T) {
 	want := "speculation: conflict detected: item 42 held by task 7 (requester 9)"
 	if err.Error() != want {
 		t.Fatalf("message %q, want %q", err.Error(), want)
+	}
+}
+
+// TestRoundCommitsGreedyMIS holds the round rule at every participant
+// count: a round commits exactly the greedy maximal independent set of
+// its batch order on the conflict graph the batch induces — the paper's
+// "a task aborts iff an earlier task of the round committed and is its
+// neighbour" — not whichever acquisition happened to land first. Tasks
+// are the nodes of random CC graphs, acquiring GraphFootprints, and spin
+// before they acquire so that chunks on different participants overlap.
+// With pick == nil a round takes the work-set's tail, last in first, and
+// requeues its losers in batch order, so the test knows every batch.
+func TestRoundCommitsGreedyMIS(t *testing.T) {
+	const n, degree, m = 240, 6.0, 48
+	for _, par := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("MaxParallel=%d", par), func(t *testing.T) {
+			_, joins0 := HelperCounts()
+			for seed := uint64(1); seed <= 3; seed++ {
+				r := rng.New(seed)
+				g := graph.RandomWithAvgDegree(r, n, degree)
+				fps := GraphFootprints(g)
+				e := NewExecutor(nil)
+				e.MaxParallel = par
+				var committed []int // commit actions run serially
+				pending := r.Perm(n)
+				for _, v := range pending {
+					e.Add(TaskFunc(func(ctx *Ctx) error {
+						for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+						}
+						if err := ctx.AcquireAll(fps[v]...); err != nil {
+							return err
+						}
+						ctx.OnCommit(func() { committed = append(committed, v) })
+						return nil
+					}))
+				}
+				for round := 0; len(pending) > 0; round++ {
+					k := min(m, len(pending))
+					batch := slices.Clone(pending[len(pending)-k:])
+					slices.Reverse(batch)
+					want, losers := graph.GreedyMIS(g, batch)
+					committed = committed[:0]
+					st := e.Round(m)
+					if !slices.Equal(committed, want) {
+						t.Fatalf("seed %d round %d: committed %v, want the greedy MIS %v of %v",
+							seed, round, committed, want, batch)
+					}
+					if st.Committed != len(want) || st.Aborted != len(losers) {
+						t.Fatalf("seed %d round %d: stats %+v, want %d commits and %d aborts",
+							seed, round, st, len(want), len(losers))
+					}
+					pending = append(pending[:len(pending)-k], losers...)
+				}
+				e.Close()
+			}
+			if _, joins := HelperCounts(); par > 1 && joins == joins0 {
+				t.Fatal("no helper joined a round: the rounds ran on one participant")
+			}
+		})
 	}
 }

@@ -31,9 +31,6 @@ var keep = map[string]string{
 	"(*speculation.conflictError).Unwrap": "errors.Is",
 
 	// Task API: what a task body may call.
-	"(*speculation.Ctx).Holds":           "task API",
-	"(*speculation.Ctx).ID":              "task API",
-	"(*speculation.Ctx).LogUndo":         "task API",
 	"(*speculation.OrderedCtx).OnCommit": "task API of ordered tasks",
 	"(*speculation.OrderedCtx).Spawn":    "task API of ordered tasks",
 
