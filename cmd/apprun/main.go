@@ -26,7 +26,7 @@
 // -colored is declare-or-round (colored-capable workloads only): when
 // the tasks declare their footprints (cc, stable), a proper coloring of
 // the declared conflict graph partitions them into conflict-free
-// classes, and whole classes run lock-free until a staleness trip
+// classes, and each class runs as one round until a staleness trip
 // falls back to rounds; tasks that do not declare (mesh, cluster) run
 // in rounds, as without the flag. The report gains a phase line:
 // speculative rounds (labelled learn-rounds, as in earlier releases)

@@ -23,7 +23,7 @@
 // by a sliding commit window. Colored ("mesh", "cluster", "cc",
 // "stable") is declare-or-round: when the tasks declare their
 // footprints (cc, stable), a coloring of the declared conflict graph
-// partitions them into conflict-free classes, which run lock-free
+// partitions them into conflict-free classes, each run as one round,
 // until a staleness trip falls back to rounds; mesh and cluster do not
 // declare and run in rounds.
 //

@@ -227,10 +227,10 @@ var coloredTopologies = []struct {
 // changes round over round (the colored mode's sweet spot). One
 // benchmark op is one committed chain step, so ns/op is directly
 // comparable across sub-benchmarks. The colored drive colors the
-// declared graph once and runs every super-round lock-free: no item
-// CAS, no undo logs, no aborted work. All three modes run under the
-// same hybrid controller at ρ=0.25 (colored rounds are invisible to
-// it by design).
+// declared graph once and runs every super-round as one round per color
+// class: a walk that finds nothing to abort, and no controller. All
+// three modes run under the same hybrid controller at ρ=0.25 (colored
+// rounds are invisible to it by design).
 func BenchmarkExecutorColored(b *testing.B) {
 	cpu := runtime.NumCPU()
 	report := func(b *testing.B, committed int64) {

@@ -11,11 +11,11 @@ import (
 //
 // The paper's controller *reacts* to conflicts — it tunes m so the
 // measured abort ratio tracks ρ, but every conflict still costs an
-// abort and the walk that detected it. When the tasks can say up front
-// which items they will touch, the conflict graph is known before
-// anything runs: a proper coloring of it partitions the tasks into
-// classes that are pairwise conflict-free *by construction*, and a class
-// can run with no walk and no abort path at all.
+// abort. When the tasks can say up front which items they will touch,
+// the conflict graph is known before anything runs: a proper coloring of
+// it partitions the tasks into classes that are pairwise conflict-free as
+// declared, and running the classes one after another needs no
+// controller and, while the declarations hold, costs no abort.
 //
 // Drive's ModeColored:
 //
@@ -23,9 +23,11 @@ import (
 //	          graph from what the tasks say they will acquire and color
 //	          it (graph.ColorCSR).
 //	execute — colored super-rounds: drain the work-set, group tasks by
-//	          their key's color, and run whole classes barrier-to-
-//	          barrier; commit actions run serially at each class
-//	          barrier.
+//	          their key's color, and run each class as one round of the
+//	          round engine (runBatch): its tasks record what they
+//	          acquire, the walk commits the greedy MIS of the class, and
+//	          the winners' commit actions run at the class barrier,
+//	          before the next class launches.
 //	round   — otherwise, and after the declarations fail, ordinary
 //	          optimistic rounds under the controller, exactly as in
 //	          ModeRound. The paper's conflict graph is dynamic (§2); a
@@ -34,23 +36,26 @@ import (
 // Declaring is refused when a pending task is not Footprinted, two live
 // tasks share a key, or an item exceeds the declare bounds.
 //
-// Staleness: the coloring is only as good as the declarations, so
-// colored rounds are verified post-hoc. Two grades of trip exist:
+// Staleness: the coloring is only a schedule, so what a class commits is
+// decided by its walk, exactly as in a round; the declarations only pick
+// the classes. Two grades of trip exist:
 //
-//   - *soft* — the graph is incomplete but not contradicted: a pending
-//     or spawned task whose key was not declared (new work), or two
-//     live tasks sharing one key (the coloring cannot separate them).
-//     The drive declares again from the now-pending set, once; a second
+//   - *soft* — the graph is incomplete but not contradicted: a task in
+//     the work-set whose key was not declared (new work, found by a scan
+//     after the super-round or at the next grouping pass), or two live
+//     tasks sharing one key (the coloring cannot separate them). The
+//     drive declares again from the now-pending set, once; a second
 //     soft trip finishes the drive in rounds.
-//   - *hard* — the declarations lied: a committed task acquired an item
-//     outside its declared footprint (a subset is fine), or an operator
-//     raised ErrConflict inside a supposedly conflict-free class. The
-//     drive never declares again and finishes in rounds.
+//   - *hard* — the declarations lied in a way that matters: a class's
+//     walk aborted a task (two tasks of the class acquired one item), or
+//     an operator raised ErrConflict. The drive never declares again and
+//     finishes in rounds.
 //
-// Fallback requeues the affected work untouched; since colored commits
-// only ever ran tasks whose footprints were within the declared
-// independent classes, no committed state is ever wrong — staleness
-// costs throughput, never correctness.
+// A task that acquires an item it did not declare, but that no other
+// task of its class acquires, commits and trips nothing: the class's
+// committed set is conflict-free either way, because the walk, not the
+// coloring, decides it. Fallback requeues the affected work untouched,
+// so staleness costs throughput, never a conflicting commit.
 //
 // Controller interaction: colored rounds never observe the controller — the
 // controller's r̄ reflects speculative rounds only, so Algorithm 1
@@ -71,11 +76,9 @@ const (
 type coloredState struct {
 	colors    []int32   // dense key index -> color
 	batch     []queued  // the super-round's entries: the whole work-set
-	keyIdx    []int32   // round index -> dense key index
-	classes   [][]int32 // color -> round indices
+	classes   [][]int32 // color -> super-round indices
 	seen      []uint64  // epoch marks per dense key (duplicate detection)
 	seenEpoch uint64
-	outside   []bool // round index -> the commit acquired outside its footprint
 }
 
 // prepare sizes the state for a fresh coloring.
@@ -148,15 +151,16 @@ func (e *Executor) declare(cs *coloredState) *ConflictGraph {
 		}
 		keys[i] = ft.ConflictKey()
 	}
-	cg := &ConflictGraph{keys: slices.Clone(keys), fps: make([][]*Item, n)}
+	cg := &ConflictGraph{keys: slices.Clone(keys)}
 	slices.Sort(cg.keys)
 	if len(slices.Compact(cg.keys)) < n {
 		return nil
 	}
+	fps := make([][]*Item, n)
 	for i, q := range batch {
-		cg.fps[cg.KeyIndex(keys[i])] = q.t.(Footprinted).Footprint()
+		fps[cg.KeyIndex(keys[i])] = q.t.(Footprinted).Footprint()
 	}
-	if !cg.build() {
+	if !cg.build(fps) {
 		return nil
 	}
 	return cg
@@ -174,119 +178,81 @@ func (e *Executor) takeAll(buf []queued) []queued {
 }
 
 // coloredRound executes one colored super-round: drain, group by color,
-// run each class barrier-to-barrier with no walk, verify footprints, and
-// settle. Returns the round's stats plus the staleness grade (non-none
-// means the caller must fall back to speculation; all unfinished work
-// has been requeued). A super-round can be the whole job, so ctx is
-// observed at every class barrier: once it has ended the classes not yet
-// launched are requeued untouched.
+// and run each class as a round, barrier to barrier. Returns the
+// super-round's stats plus the staleness grade (non-none means the caller
+// must fall back to speculation; all unfinished work has been requeued).
+// A super-round can be the whole job, so ctx is observed at every class
+// barrier: once it has ended the classes not yet launched are requeued
+// untouched.
 func (e *Executor) coloredRound(ctx context.Context, cg *ConflictGraph, cs *coloredState) (RoundStats, staleness) {
 	cs.batch = e.takeAll(cs.batch)
-	batch, n := cs.batch, len(cs.batch)
-	if n == 0 {
+	batch := cs.batch
+	if len(batch) == 0 {
 		return RoundStats{}, staleNone
 	}
 	defer clear(batch)
-	s := &e.scratch
-	s.grow(n)
-	ctxs, errs := s.ctxs, s.errs
 
 	// Group the batch into color classes, checking the preconditions the
 	// coloring relies on: every task Footprinted, every key declared, at
 	// most one live task per key.
-	cs.keyIdx, cs.outside = resized(cs.keyIdx, n), resized(cs.outside, n)
 	for i := range cs.classes {
 		cs.classes[i] = cs.classes[i][:0]
 	}
 	cs.seenEpoch++
 	for i, q := range batch {
-		idx := int32(-1)
-		if ft, ok := q.t.(Footprinted); ok {
-			idx = cg.KeyIndex(ft.ConflictKey())
-		}
+		idx := cg.place(q.t)
 		if idx < 0 || cs.seen[idx] == cs.seenEpoch {
 			e.requeue(batch...)
 			return RoundStats{}, staleSoft
 		}
 		cs.seen[idx] = cs.seenEpoch
-		cs.keyIdx[i] = idx
 		c := cs.colors[idx]
 		cs.classes[c] = append(cs.classes[c], int32(i))
 	}
 
-	stats := RoundStats{}
+	var stats RoundStats
 	stale := staleNone
-	budget := e.retryBudget()
-
+	s := &e.scratch
 	for _, class := range cs.classes {
-		if len(class) == 0 {
-			continue
+		for _, i := range class {
+			s.batch = append(s.batch, batch[i])
 		}
 		if stats.Launched > 0 && ctx.Err() != nil {
-			for _, i := range class {
-				s.requeue = append(s.requeue, batch[i])
-			}
+			e.requeue(s.batch...)
+			s.batch = emptied(s.batch)
 			continue
 		}
-		class := class
-		e.dispatch(e.MaxParallel, len(class), func(j int) {
-			i := class[j]
-			c := ctxs[i]
-			// A class needs no walk: its tasks are pairwise conflict-free by
-			// construction, so each commits unless Run itself fails.
-			if errs[i] = runGuarded(batch[i].t, c); errs[i] == nil {
-				// Post-hoc staleness check, made by the worker that ran the
-				// task so the serial barrier only reads the verdict: every
-				// acquired item must lie in the key's footprint. A subset
-				// is fine (the graph is then conservative); anything new
-				// means edges the graph lacks may exist.
-				cs.outside[i] = !cg.covers(cs.keyIdx[i], c.acquired)
-			}
-		}, false)
-
-		// Class barrier: verify footprints, settle outcomes, and run this
-		// class's commit actions before the next class launches — later
-		// classes may depend on them (structural mutations are deferred
-		// here by the cautious-operator contract).
-		for _, i := range class {
-			c := ctxs[i]
-			switch e.settle(batch[i], errs[i], budget, &stats) {
-			case verdictAbort:
-				// Operator-level conflict inside a supposedly
-				// conflict-free class: the declarations lied.
-				stale = staleHard
-				fallthrough
-			case verdictRetry:
-				s.requeue = append(s.requeue, batch[i])
-			case verdictCommit:
-				if cs.outside[i] {
-					// Finish this round, then run in rounds.
-					stale = staleHard
-				}
-				first := len(s.spawned)
-				s.spawned = e.admitSpawns(c, s.spawned, &stats)
-				for _, q := range s.spawned[first:] {
-					// A spawn with an undeclared key can't be colored next
-					// round; trip a soft fallback now instead of discovering
-					// it at the next grouping pass. (Soft never downgrades a
-					// hard trip.)
-					if ft, ok := q.t.(Footprinted); !ok || cg.KeyIndex(ft.ConflictKey()) < 0 {
-						if stale == staleNone {
-							stale = staleSoft
-						}
-					}
-				}
-				s.actions = append(s.actions, c.onCommit...)
-			}
-			c.scrub()
+		// The class barrier: runBatch runs this class's commit actions
+		// before the next class launches — later classes may depend on
+		// them (structural mutations are deferred here by the
+		// cautious-operator contract).
+		st := e.runBatch()
+		if st.Aborted > 0 {
+			// A walk abort (two tasks of the class shared an item) or an
+			// operator's ErrConflict: the declarations lied. Finish this
+			// super-round, then run in rounds.
+			stale = staleHard
 		}
-		s.runActions()
+		stats.add(st)
 	}
-
-	e.requeue(s.requeue...)
-	e.requeue(s.spawned...)
-	clear(errs)
-	s.requeue, s.spawned = emptied(s.requeue), emptied(s.spawned)
-	e.addTotals(stats)
+	if stale == staleNone && e.undeclaredPending(cg) {
+		// New work the coloring cannot place (a spawn with an undeclared
+		// key): trip a soft fallback now instead of discovering it at the
+		// next grouping pass.
+		stale = staleSoft
+	}
 	return stats, stale
+}
+
+// undeclaredPending reports whether the work-set holds a task cg cannot
+// place.
+func (e *Executor) undeclaredPending(cg *ConflictGraph) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, q := range e.pending {
+		if cg.place(q.t) < 0 {
+			return true
+		}
+	}
+	return false
 }

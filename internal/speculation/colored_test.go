@@ -2,6 +2,7 @@ package speculation
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -16,8 +17,8 @@ import (
 // with a fixed, declared conflict footprint (its node item plus the
 // incident edge items of a fixed conflict graph) that respawns itself
 // until it has committed `repeats` times. The conflict structure never
-// changes, so a colored drive colors it once and runs the whole drain
-// lock-free.
+// changes, so a colored drive colors it once and runs the whole drain in
+// colored super-rounds.
 type stableChainTask struct {
 	key      int64
 	items    []*Item
@@ -148,8 +149,29 @@ func TestRunColoredStableDrains(t *testing.T) {
 	}
 }
 
-// TestRunColoredStalenessFallback mutates one task's footprint after
-// the first colored super-round and asserts the very next one trips the
+// classmate returns a task of tasks[0]'s color class other than tasks[0]
+// itself: one that a colored drive of e runs in the same round as it.
+func classmate(t *testing.T, e *Executor, tasks []*stableChainTask) *stableChainTask {
+	t.Helper()
+	var cs coloredState
+	cg := e.declare(&cs)
+	if cg == nil {
+		t.Fatal("declare refused")
+	}
+	colors, _ := graph.ColorCSR(cg.CSR(), nil)
+	class := colors[cg.KeyIndex(tasks[0].key)]
+	for _, task := range tasks[1:] {
+		if colors[cg.KeyIndex(task.key)] == class {
+			return task
+		}
+	}
+	t.Fatal("tasks[0] is alone in its color class")
+	return nil
+}
+
+// TestRunColoredStalenessFallback mutates two footprints of one color
+// class after the first colored super-round — both tasks start acquiring
+// one undeclared item — and asserts the very next super-round trips the
 // fallback, that the drive finishes in rounds, and that it still drains
 // with the exact commit count (no correctness loss).
 func TestRunColoredStalenessFallback(t *testing.T) {
@@ -160,12 +182,14 @@ func TestRunColoredStalenessFallback(t *testing.T) {
 
 	extraItem := NewItem(1 << 40) // far outside every declared footprint
 	var mutate atomic.Bool
-	tasks[0].extra = func() *Item {
+	extra := func() *Item {
 		if mutate.Load() {
 			return extraItem
 		}
 		return nil
 	}
+	tasks[0].extra = extra
+	classmate(t, e, tasks).extra = extra
 
 	type roundView struct {
 		colored  bool
@@ -198,6 +222,9 @@ func TestRunColoredStalenessFallback(t *testing.T) {
 	if !trace[next].colored || !trace[next].fallback {
 		t.Fatalf("round %d after mutation: colored=%v fallback=%v, want colored fallback",
 			next, trace[next].colored, trace[next].fallback)
+	}
+	if s := res.Trajectory[next]; s.Aborted != 1 {
+		t.Fatalf("round %d after mutation aborted %d tasks, want the later of the two colliders", next, s.Aborted)
 	}
 	// A hard trip: every round after it is speculative.
 	for i, v := range trace[next+1:] {
@@ -316,38 +343,70 @@ func TestRunColoredDeclaredStartsColored(t *testing.T) {
 	}
 }
 
-// TestRunColoredLyingDeclaration: a task that acquires one item beyond
-// what it declared trips a hard fallback on the first super-round; the
-// drive never declares again, finishes in rounds and still commits
-// every task exactly once per step.
+// TestRunColoredCollidingLie is Fig. 1 under a lie: two tasks of one
+// color class both acquire an item neither declared. The class's walk
+// commits the earlier of the two and aborts the later, whatever the
+// participant count, and the super-round trips hard; the loser commits
+// in the rounds that follow.
+func TestRunColoredCollidingLie(t *testing.T) {
+	for _, par := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("MaxParallel=%d", par), func(t *testing.T) {
+			e := NewExecutor(nil)
+			e.MaxParallel = par
+			defer e.Close()
+			undeclared := NewItem(99)
+			commits := make([]int, 4) // commit actions run serially
+			for k := range commits {
+				task := &stableChainTask{key: int64(k), items: []*Item{NewItem(int64(k))}}
+				task.commitFn = func() { commits[k]++ }
+				if k < 2 {
+					task.extra = func() *Item { return undeclared }
+				}
+				e.Add(task)
+			}
+			var first []int
+			res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored,
+				OnRound: func(s Sample) {
+					if s.Index == 0 {
+						first = slices.Clone(commits)
+					}
+				},
+			})
+			s := res.Trajectory[0]
+			if !s.Colored || !s.Fallback || s.Colors != 1 || s.Launched != 4 || s.Committed != 3 || s.Aborted != 1 {
+				t.Fatalf("first sample %+v, want one colored class of 4 that committed 3 and tripped", s)
+			}
+			if !slices.Equal(first, []int{1, 0, 1, 1}) {
+				t.Fatalf("the super-round committed %v per task, want the earlier collider and not the later", first)
+			}
+			if res.Colorings != 1 || res.Fallbacks != 1 || res.SpecRounds != res.Samples-1 {
+				t.Fatalf("want the one hard fallback, then rounds to the end: %+v", res.Result)
+			}
+			if !slices.Equal(commits, []int{1, 1, 1, 1}) || e.Pending() != 0 {
+				t.Fatalf("commits %v, pending %d: want every task once", commits, e.Pending())
+			}
+		})
+	}
+}
+
+// TestRunColoredLyingDeclaration: the first chain and a chain of its
+// color class both acquire one item beyond what they declared, on every
+// run. The first super-round's walk aborts the later of the two and trips
+// a hard fallback; the drive never declares again, finishes in rounds and
+// still commits every task exactly once per step.
 func TestRunColoredLyingDeclaration(t *testing.T) {
-	checkLyingDeclaration(t, func([]*Item) *Item { return NewItem(1 << 40) })
-}
-
-// TestColoredCatchesSeqAlias: the item a task acquires beyond its
-// declaration carries the Seq of one it did declare. The check compares
-// items, not tags, so this is the same hard trip as any other lie — the
-// alias could otherwise be held by two tasks of one lock-free class.
-func TestColoredCatchesSeqAlias(t *testing.T) {
-	checkLyingDeclaration(t, func(declared []*Item) *Item { return NewItem(declared[0].Seq) })
-}
-
-// checkLyingDeclaration drives a stable fixture whose first chain also
-// acquires undeclared(its footprint) on every run, and checks the hard
-// trip, the rounds after it, and the commit oracle.
-func checkLyingDeclaration(t *testing.T, undeclared func(declared []*Item) *Item) {
-	t.Helper()
 	const repeats = 40
 	e, tasks, total := buildStableFixture(graph.Grid2D(8, 8), repeats, 4, 11)
 	defer e.Close()
-	extra := undeclared(tasks[0].items)
+	extra := NewItem(1 << 40)
 	tasks[0].extra = func() *Item { return extra }
+	classmate(t, e, tasks).extra = tasks[0].extra
 
 	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
 	checkChainsDrained(t, e, tasks, total, repeats)
 	first := res.Trajectory[0]
-	if !first.Colored || !first.Fallback || first.Committed != len(tasks) {
-		t.Fatalf("first sample %+v, want a colored super-round that committed everything and tripped", first)
+	if !first.Colored || !first.Fallback || first.Committed != len(tasks)-1 || first.Aborted != 1 {
+		t.Fatalf("first sample %+v, want a colored super-round that aborted one collider and tripped", first)
 	}
 	for _, s := range res.Trajectory[1:] {
 		if s.Colored {
@@ -356,6 +415,25 @@ func checkLyingDeclaration(t *testing.T, undeclared func(declared []*Item) *Item
 	}
 	if res.Colorings != 1 || res.Fallbacks != 1 || res.SpecRounds != res.Samples-1 || res.SpecRounds == 0 {
 		t.Fatalf("want the one hard fallback, then rounds to the end: %+v", res.Result)
+	}
+}
+
+// TestColoredCatchesSeqAlias: an alias that carries a declared Seq is a
+// different item. The first chain acquires, beyond its declaration, an
+// item tagged with the Seq of an item its classmate declared and
+// acquires. The walk compares items, not tags, so the two do not collide:
+// nothing aborts, nothing trips, and the whole drain runs colored.
+func TestColoredCatchesSeqAlias(t *testing.T) {
+	const repeats = 40
+	e, tasks, total := buildStableFixture(graph.Grid2D(8, 8), repeats, 4, 11)
+	defer e.Close()
+	alias := NewItem(classmate(t, e, tasks).items[0].Seq)
+	tasks[0].extra = func() *Item { return alias }
+
+	res := driveAll(context.Background(), e, testHybrid(0.25), Options{Mode: ModeColored})
+	checkChainsDrained(t, e, tasks, total, repeats)
+	if res.Fallbacks != 0 || res.SpecRounds != 0 || res.ColoredAborts != 0 || res.ColoredCommits != res.Committed {
+		t.Fatalf("a Seq alias collided: %+v", res.Result)
 	}
 }
 

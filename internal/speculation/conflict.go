@@ -2,7 +2,6 @@ package speculation
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -13,9 +12,11 @@ import (
 // task keys contributes the clique over those keys. A colored drive
 // builds it from what Footprinted tasks declare before they run
 // (Executor.declare), chaining each item's holders through a slot on the
-// Item itself; the coloring kernel partitions the keys into independent
-// classes, and every colored commit is checked against the declared
-// footprint of its key (covers). Items are compared by identity
+// Item itself, and the coloring kernel partitions the keys into
+// independent classes. The graph is a schedule, not a guarantee: each
+// class still runs as a round, whose walk books what the tasks actually
+// acquired in the same Item slot, so a declaration that lied costs a walk
+// abort, never a conflicting commit. Items are compared by identity
 // throughout, never by Seq. There is no other source: a work-set that
 // does not declare is driven in rounds.
 
@@ -31,9 +32,10 @@ type Footprinted interface {
 	ConflictKey() int64
 	// Footprint returns every item Run may acquire. Naming an item Run
 	// then leaves alone only makes the graph conservative; acquiring one
-	// that is not named is caught and ends the drive's trust in
-	// declarations. The slice is not modified after it is returned: a
-	// footprint that grows is a new slice.
+	// that is not named can put two tasks that share an item in one
+	// class, and when they do, the class's walk aborts the later one and
+	// the drive stops trusting declarations. The slice is not modified
+	// after it is returned: a footprint that grows is a new slice.
 	Footprint() []*Item
 }
 
@@ -45,18 +47,11 @@ const (
 )
 
 // ConflictGraph is an immutable conflict graph over task keys as a
-// colorable CSR, plus each key's declared footprint for the staleness
-// check. Dense index i corresponds to the i-th smallest key.
+// colorable CSR. Dense index i corresponds to the i-th smallest key.
 type ConflictGraph struct {
 	csr  *graph.CSR
-	keys []int64   // dense index -> task key, sorted
-	fps  [][]*Item // dense index -> the slice its Footprint returned
+	keys []int64 // dense index -> task key, sorted
 }
-
-// declareGen numbers the builds of every executor in the process, so an
-// Item slot stamped by an earlier build, or by another executor's, never
-// reads as current.
-var declareGen atomic.Uint64
 
 // holding is one incidence of the item→keys index: the task at dense
 // key index key declares an item that rank keys declared before it, the
@@ -65,23 +60,23 @@ type holding struct {
 	key, prev, rank int32
 }
 
-// build completes cg, whose keys and footprints are set, in one pass over
-// the footprints: each incidence is chained to the previous holding of
-// its item through the item's slot (gen, head), so a repeat within one
-// footprint is the chain's head and is skipped, and both declare bounds
-// are checked as the chains grow. Two keys conflict iff they hold a
-// common item, so each item held by k keys contributes their k-clique:
-// one edge from each holding to every holding down its chain. It reports
-// false, leaving cg unusable, past the declare bounds.
-func (cg *ConflictGraph) build() bool {
+// build completes cg, whose keys are set, from fps, the footprint of each
+// dense key index, in one pass: each incidence is chained to the previous
+// holding of its item through the item's slot (gen, head), so a repeat
+// within one footprint is the chain's head and is skipped, and both
+// declare bounds are checked as the chains grow. Two keys conflict iff
+// they hold a common item, so each item held by k keys contributes their
+// k-clique: one edge from each holding to every holding down its chain.
+// It reports false, leaving cg unusable, past the declare bounds.
+func (cg *ConflictGraph) build(fps [][]*Item) bool {
 	total := 0
-	for _, fp := range cg.fps {
+	for _, fp := range fps {
 		total += len(fp)
 	}
-	gen := declareGen.Add(1)
+	gen := stamps.Add(1)
 	hs := make([]holding, 0, total)
 	items, numEdges := 0, 0
-	for k, fp := range cg.fps {
+	for k, fp := range fps {
 		for _, it := range fp {
 			h := holding{key: int32(k), prev: -1}
 			if it.gen == gen {
@@ -131,18 +126,12 @@ func (cg *ConflictGraph) KeyIndex(key int64) int32 {
 	return -1
 }
 
-// covers reports whether every acquired item is one dense key idx
-// declared. Both declaring workloads acquire exactly the declared slice,
-// in order, so a cursor over it matches every item; an item out of that
-// order is looked for in the whole slice.
-func (cg *ConflictGraph) covers(idx int32, acquired []*Item) bool {
-	fp, next := cg.fps[idx], 0
-	for _, it := range acquired {
-		if next < len(fp) && fp[next] == it {
-			next++
-		} else if !slices.Contains(fp, it) {
-			return false
-		}
+// place returns the dense index of t's key, or −1 when t is not
+// Footprinted or its key was not declared: a task the coloring cannot
+// place.
+func (cg *ConflictGraph) place(t Task) int32 {
+	if ft, ok := t.(Footprinted); ok {
+		return cg.KeyIndex(ft.ConflictKey())
 	}
-	return true
+	return -1
 }

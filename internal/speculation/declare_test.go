@@ -44,12 +44,6 @@ func footprintedTasks(g *graph.Graph, cc bool) []Task {
 	return tasks
 }
 
-// sameSlice reports whether a and b are one slice: the same backing
-// array at the same length.
-func sameSlice(a, b []*Item) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
 // overlapNeighbors is the brute-force conflict graph of a set of
 // footprints: j is a neighbor of i iff the two share an *Item, by
 // pointer, found by comparing every pair.
@@ -83,9 +77,8 @@ func checkDeclaredNeighbors(t *testing.T, cg *ConflictGraph, want [][]int32) {
 
 // TestDeclaredGraphEquivalence checks the declared ConflictGraph against
 // a brute-force one built here from the same declarations: the keys in
-// order, each key's footprint the very slice its task declared, and an
-// edge between two keys iff their footprints share an item — the same
-// *Item, whatever the Seqs say.
+// order, and an edge between two keys iff their footprints share an item
+// — the same *Item, whatever the Seqs say.
 func TestDeclaredGraphEquivalence(t *testing.T) {
 	for _, tc := range declaredCases {
 		for _, cc := range []bool{false, true} {
@@ -111,8 +104,8 @@ func TestDeclaredGraphEquivalence(t *testing.T) {
 			fps := make([][]*Item, len(fts))
 			for i, ft := range fts {
 				fps[i] = ft.Footprint()
-				if declared.keys[i] != ft.ConflictKey() || !sameSlice(declared.fps[i], fps[i]) {
-					t.Fatalf("%s cc=%v: index %d holds key %d, want key %d and the slice it declared", tc.name, cc, i, declared.keys[i], ft.ConflictKey())
+				if declared.keys[i] != ft.ConflictKey() {
+					t.Fatalf("%s cc=%v: index %d holds key %d, want key %d", tc.name, cc, i, declared.keys[i], ft.ConflictKey())
 				}
 			}
 			checkDeclaredNeighbors(t, declared, overlapNeighbors(fps))
@@ -151,8 +144,7 @@ func TestDeclaredColoringClassesDisjoint(t *testing.T) {
 }
 
 // TestConflictGraphBuildDeduplicates: a footprint that names an item
-// twice and two keys that share two items come out as one edge each, and
-// every key keeps the slice it declared.
+// twice and two keys that share two items come out as one edge each.
 func TestConflictGraphBuildDeduplicates(t *testing.T) {
 	a, b, c := NewItem(-3), NewItem(1<<40), NewItem(9)
 	fps := [][]*Item{{a, b, c}, {b, a, b}, {c}} // keys 10, 20, 30
@@ -165,16 +157,11 @@ func TestConflictGraphBuildDeduplicates(t *testing.T) {
 	if cg == nil || !slices.Equal(cg.keys, []int64{10, 20, 30}) {
 		t.Fatalf("declare = %+v", cg)
 	}
-	for i, fp := range fps {
-		if !sameSlice(cg.fps[i], fp) {
-			t.Fatalf("key %d kept footprint %v, want the declared %v", cg.keys[i], cg.fps[i], fp)
-		}
-	}
 	if cg.CSR().NumEdges() != 2 || !slices.Equal(cg.CSR().Neighbors(0), []int32{1, 2}) {
 		t.Fatalf("adjacency of key 10: %v (%d edges), want keys 20 and 30 once each", cg.CSR().Neighbors(0), cg.CSR().NumEdges())
 	}
-	if !cg.covers(1, []*Item{a, b}) || cg.covers(1, []*Item{c}) || cg.KeyIndex(25) != -1 {
-		t.Fatal("covers/KeyIndex disagree with the declarations")
+	if cg.KeyIndex(20) != 1 || cg.KeyIndex(25) != -1 {
+		t.Fatal("KeyIndex disagrees with the declarations")
 	}
 }
 
@@ -193,27 +180,6 @@ func TestDeclareComparesItemsByIdentity(t *testing.T) {
 		t.Fatal("declare refused")
 	}
 	checkDeclaredNeighbors(t, cg, [][]int32{nil, {2}, {1}})
-}
-
-// TestCoversIdentity: covers accepts any order and any subset of the
-// declared items, and rejects an item that was not declared — also one
-// whose Seq equals a declared item's.
-func TestCoversIdentity(t *testing.T) {
-	a, b, c := NewItem(1), NewItem(2), NewItem(3)
-	e := NewExecutor(nil)
-	e.Add(&stableChainTask{key: 0, items: []*Item{a, b, c}})
-	var cs coloredState
-	cg := e.declare(&cs)
-	for _, acquired := range [][]*Item{{a, b, c}, {c, b, a}, {b, c, a}, {c}, {a, a, c}, nil} {
-		if !cg.covers(0, acquired) {
-			t.Errorf("covers rejects %v, a reordering of the declared items", acquired)
-		}
-	}
-	for _, acquired := range [][]*Item{{a, b, c, NewItem(4)}, {NewItem(2)}, {a, NewItem(2), c}} {
-		if cg.covers(0, acquired) {
-			t.Errorf("covers accepts %v, which names an undeclared item", acquired)
-		}
-	}
 }
 
 // TestDeclareAgainSameGraph: declaring the same items again — as a
@@ -330,8 +296,7 @@ func TestDeclareAllocationsIndependentOfSize(t *testing.T) {
 // can pass maxDeclaredHolders — and checks declare against brute force:
 // it refuses exactly when a count of holders or of distinct items
 // exceeds its bound; otherwise its graph is the pairwise pointer-overlap
-// graph, a second declare gives it again, its coloring is proper, and
-// covers accepts each footprint in reverse and rejects every other item.
+// graph, a second declare gives it again, and its coloring is proper.
 func FuzzDeclare(f *testing.F) {
 	f.Add(byte(0), []byte{2, 0, 1, 3, 1, 1, 4, 2, 5, 5, 0})
 	f.Add(byte(maxDeclaredHolders), []byte{1, 0})
@@ -389,18 +354,6 @@ func FuzzDeclare(f *testing.F) {
 		colors, _ := graph.ColorCSR(cg.CSR(), nil)
 		if !graph.IsProperColoring(cg.CSR(), colors) {
 			t.Fatal("the declared graph's coloring is not proper")
-		}
-		for i, fp := range fps {
-			reversed := slices.Clone(fp)
-			slices.Reverse(reversed)
-			if !cg.covers(int32(i), reversed) {
-				t.Fatalf("key %d: covers rejects its footprint reversed", i)
-			}
-			for _, it := range pool {
-				if !slices.Contains(fp, it) && cg.covers(int32(i), []*Item{it}) {
-					t.Fatalf("key %d: covers accepts an item it did not declare", i)
-				}
-			}
 		}
 	})
 }

@@ -37,8 +37,8 @@ const (
 	// settled outcomes.
 	ModeAsync Mode = "async"
 	// ModeColored colors the conflict graph the tasks declare and runs
-	// its conflict-free classes lock-free until staleness trips; a
-	// work-set that does not declare runs as ModeRound.
+	// its classes one round each until staleness trips; a work-set that
+	// does not declare runs as ModeRound.
 	ModeColored Mode = "colored"
 )
 

@@ -3,7 +3,6 @@ package speculation
 import (
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -60,17 +59,6 @@ type OrderedTask interface {
 	Run(ctx *OrderedCtx) error
 }
 
-// runGuardedOrdered executes one phase-1 attempt with panic isolation,
-// mirroring runGuarded for the unordered executor.
-func runGuardedOrdered(t OrderedTask, ctx *OrderedCtx) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &PanicError{Value: p, Stack: debug.Stack()}
-		}
-	}()
-	return t.Run(ctx)
-}
-
 // retryTask wraps a failed ordered task with its failure count so the
 // budget survives requeueing through the heap. It delegates Key and Run
 // to the wrapped task, so phase-1 execution and commit ordering are
@@ -117,7 +105,6 @@ type orderedScratch struct {
 	ctxs    []OrderedCtx // [:len(batch)] used per round; tasks get &ctxs[i]
 	errs    []error
 	requeue []keyed
-	claimed claimSet    // items the round's committed prefix claimed
 	run     func(i int) // phase 1's body, bound once so dispatching a round allocates nothing
 }
 
@@ -250,7 +237,7 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 	}
 	s.ctxs, s.errs = resized(s.ctxs, len(s.batch)), resized(s.errs, len(s.batch))
 	if s.run == nil {
-		s.run = func(i int) { s.errs[i] = runGuardedOrdered(s.batch[i].task, &s.ctxs[i]) }
+		s.run = func(i int) { s.errs[i] = runGuarded(s.batch[i].task, &s.ctxs[i]) }
 	}
 
 	// Phase 1: parallel speculative execution (read + claim only) on the
@@ -263,11 +250,7 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 	stats := RoundStats{Launched: len(s.batch)}
 	budget := e.retryBudget()
 	minSpawn := MaxKey
-	claims := 0
-	for i := range s.batch {
-		claims += len(s.ctxs[i].claims)
-	}
-	s.claimed.reset(claims)
+	stamp := stamps.Add(1) // the committed prefix's claims
 	requeue := s.requeue
 	stopped := false
 	for i, b := range s.batch {
@@ -308,7 +291,7 @@ func (e *OrderedExecutor) Round(m int) RoundStats {
 			stats.Aborted++
 			stats.Premature++
 			requeue = append(requeue, b)
-		case !s.claimed.claim(ctx.claims):
+		case !claim(ctx.claims, stamp):
 			stats.Aborted++
 			requeue = append(requeue, b)
 		default:

@@ -13,9 +13,11 @@
 // therefore runs in two phases, as the ordered executor's does: every
 // task of the batch runs and records the items it acquires (an Acquire
 // never fails in a round), then one serial walk in batch order commits a
-// task iff no earlier winner claimed one of its items (claimSet.claim).
-// The committed set is the greedy maximal independent set of the pick
-// order on the round's conflict graph, whatever the participant count.
+// task iff no earlier winner claimed one of its items (claim). The
+// committed set is the greedy maximal independent set of the pick order
+// on the round's conflict graph, whatever the participant count. A
+// colored super-round is a sequence of such rounds, one per color class
+// (colored.go).
 //
 // The paper assumes conflicting and non-conflicting tasks cost the same
 // (§2, as in Delaunay mesh refinement); the runtime therefore treats an
@@ -39,12 +41,10 @@ package speculation
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // ErrConflict is what Ctx.Acquire's error unwraps to when, in an async
@@ -111,10 +111,11 @@ type FailureRecord struct {
 	Err string
 }
 
-// runGuarded executes one task attempt with panic isolation: a panic in
-// operator code is converted into a *PanicError so the executor treats
-// it as a task failure (retry budget) rather than a crash.
-func runGuarded(t Task, ctx *Ctx) (err error) {
+// runGuarded executes one task attempt, of either executor, with panic
+// isolation: a panic in operator code is converted into a *PanicError so
+// the executor treats it as a task failure (retry budget) rather than a
+// crash.
+func runGuarded[C any, T interface{ Run(C) error }](t T, ctx C) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
@@ -135,12 +136,34 @@ type Item struct {
 	// diagnostics and conflict errors. Nothing tells items apart by it:
 	// two distinct items may carry the same Seq.
 	Seq int64
-	// gen and head are the item's slot in the conflict-graph builder
-	// (ConflictGraph.build): the build that last chained the item, and
-	// the index of its latest holding there. Only declare touches them,
-	// on the drive goroutine of the one executor the item belongs to.
+	// gen and head are the item's slot for the executor's serial passes,
+	// stamped from stamps: gen is the walk that last booked the item for
+	// a winner (claim) or the conflict-graph build that last chained it
+	// (ConflictGraph.build), and head is the index of its latest holding
+	// in that build. Only the drive goroutine of the one executor the
+	// item belongs to touches them, between dispatches.
 	gen  uint64
 	head int32
+}
+
+// stamps numbers every walk and every conflict-graph build of every
+// executor in the process, so an Item slot stamped by an earlier pass,
+// or by another executor's, never reads as current.
+var stamps atomic.Uint64
+
+// claim books items under stamp for a winner of a walk and reports true,
+// or reports false and books nothing when an earlier winner of the walk
+// booked one of them: the one commit rule of both executors' walks.
+func claim(items []*Item, stamp uint64) bool {
+	for _, it := range items {
+		if it.gen == stamp {
+			return false
+		}
+	}
+	for _, it := range items {
+		it.gen = stamp
+	}
+	return true
 }
 
 // NewItem returns an unowned item with the given diagnostic tag.
@@ -554,52 +577,6 @@ type Executor struct {
 	scratch roundScratch // round-local (Round is single-caller)
 }
 
-// claimSet is a set of items, open-addressed on the item's address (the
-// garbage collector does not move heap objects). A slot is in the set
-// only while it carries the current stamp, so reset empties it with no
-// clearing pass; sized past twice a round's claims, it never fills.
-type claimSet struct {
-	slots []claimSlot
-	stamp uint64
-}
-
-type claimSlot struct {
-	it    *Item
-	stamp uint64
-}
-
-func (c *claimSet) reset(claims int) {
-	c.stamp++
-	if len(c.slots) < 2*claims {
-		c.slots = make([]claimSlot, 1<<bits.Len(uint(2*claims)))
-	}
-}
-
-// slot returns the slot holding it, or the free slot it would take.
-func (c *claimSet) slot(it *Item) *claimSlot {
-	mask := uint64(len(c.slots) - 1)
-	for i := uint64(uintptr(unsafe.Pointer(it))) * 0x9E3779B97F4A7C15 >> 32; ; i++ {
-		if s := &c.slots[i&mask]; s.stamp != c.stamp || s.it == it {
-			return s
-		}
-	}
-}
-
-// claim books items for a winner of the round's walk and reports true,
-// or reports false and books nothing when an earlier winner claimed one
-// of them: the one commit rule of both executors' walks.
-func (c *claimSet) claim(items []*Item) bool {
-	for _, it := range items {
-		if c.slot(it).stamp == c.stamp {
-			return false
-		}
-	}
-	for _, it := range items {
-		*c.slot(it) = claimSlot{it, c.stamp}
-	}
-	return true
-}
-
 // roundScratch holds the working slices of a round, reused across rounds
 // so a steady-state round allocates nothing. batch, requeue, spawned and
 // actions hold references only while a round is in progress: settling
@@ -614,7 +591,6 @@ type roundScratch struct {
 	ctxs  []*Ctx   // len is the high-water round size; [:n] used per round
 	errs  []error
 
-	claimed claimSet // items the round's winners claimed, booked by the walk
 	requeue []queued // aborted and failed entries going back, in batch order
 	spawned []queued // committed tasks' spawns, admitted
 	actions []func() // committed tasks' commit actions
@@ -639,13 +615,9 @@ func (r *roundScratch) attempt(i int) { r.errs[i] = runGuarded(r.batch[i].t, r.c
 // stand otherwise, so a task that failed or raised ErrConflict itself
 // books nothing.
 func (r *roundScratch) walk(n int) {
-	claims := 0
-	for _, c := range r.ctxs[:n] {
-		claims += len(c.acquired)
-	}
-	r.claimed.reset(claims)
+	stamp := stamps.Add(1)
 	for i, c := range r.ctxs[:n] {
-		if r.errs[i] == nil && !r.claimed.claim(c.acquired) {
+		if r.errs[i] == nil && !claim(c.acquired, stamp) {
 			r.errs[i] = ErrConflict
 		}
 	}
@@ -804,8 +776,9 @@ const (
 // settle grades one finished attempt of q — already rolled back if it
 // did not commit — spends or forgets its failure budget, and tallies it
 // in st. It is the one statement of the taxonomy for the unordered
-// executor: the round, colored and async paths all settle through it and
-// add only what is theirs (held locks, staleness, window accounting).
+// executor: the round path (every colored class included) and the async
+// path both settle through it and add only what is theirs (held locks,
+// window accounting).
 func (e *Executor) settle(q queued, err error, budget int, st *RoundStats) verdict {
 	st.Launched++
 	switch {
@@ -840,8 +813,16 @@ func (e *Executor) Round(m int) RoundStats {
 	if m < 0 {
 		panic("speculation: negative round size")
 	}
+	e.scratch.batch = e.take(e.scratch.batch, m)
+	return e.runBatch()
+}
+
+// runBatch runs the scratch batch as one round — dispatch, walk, settle,
+// requeue, then the winners' commit actions — and leaves the batch empty.
+// Round takes its batch from the work-set; a colored super-round runs each
+// color class through here (colored.go).
+func (e *Executor) runBatch() RoundStats {
 	s := &e.scratch
-	s.batch = e.take(s.batch, m)
 	n := len(s.batch)
 	if n == 0 {
 		return RoundStats{}

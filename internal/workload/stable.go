@@ -14,7 +14,7 @@ import (
 // conflict graph commits stableRepeats times, respawning itself after
 // each commit; it declares its footprint — the node's item plus the
 // incident edge items — which never changes, so a colored drive colors
-// the declared graph once and runs every super-round lock-free. The
+// the declared graph once and runs every super-round abort-free. The
 // chain counters are atomics and the commit actions touch nothing else,
 // so the workload is also safe to drive barrier-free (CapAsync).
 

@@ -168,10 +168,10 @@ const (
 	CapAsync
 	// CapColored: the workload may be driven in colored mode, which is
 	// declare-or-round. Tasks that declare their footprints
-	// (speculation.Footprinted: cc, stable) run as lock-free color
-	// classes, so their operators follow the cautious contract colored
-	// execution relies on: the parallel phase only reads shared state,
-	// and mutations are deferred to serially-run, re-validating commit
+	// (speculation.Footprinted: cc, stable) run one round per color
+	// class, so their operators follow the cautious contract every round
+	// relies on: the parallel phase only reads shared state, and
+	// mutations are deferred to serially-run, re-validating commit
 	// actions. A workload whose tasks do not declare (mesh, cluster) runs
 	// in rounds, exactly as in round mode.
 	CapColored
