@@ -321,9 +321,8 @@ type benchOrderedTask struct {
 }
 
 func (t benchOrderedTask) Key() speculation.Key { return t.k }
-func (t benchOrderedTask) Run(ctx *speculation.OrderedCtx) error {
-	ctx.Claim(t.it)
-	return nil
+func (t benchOrderedTask) Run(ctx *speculation.Ctx) error {
+	return ctx.Acquire(t.it)
 }
 
 // --- Work-set selection policies --------------------------------------

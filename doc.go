@@ -12,9 +12,10 @@
 //     estimation engine
 //   - internal/control     — the §4 controllers (Algorithm 1 hybrid),
 //     smart start, model-based controller
-//   - internal/speculation — goroutine-based optimistic runtime, the
-//     ordered executor (§5), the ForEach/Loop API, and Drive, the one
-//     loop that runs a controller against a Rounder
+//   - internal/speculation — goroutine-based optimistic runtime (one
+//     executor, with an unordered and an ordered schedule, §5), the
+//     ForEach/Loop API, and Drive, the one loop that runs a controller
+//     against a Rounder
 //   - internal/profile     — Lonestar-style parallelism profiles
 //   - internal/apps/...    — Delaunay refinement, Boruvka, survey
 //     propagation, agglomerative clustering, preflow-push max flow,

@@ -39,7 +39,7 @@ func main() {
 
 	e := sim.Executor()
 	fmt.Printf("speculative: rounds=%d committed=%d conflicts=%d premature=%d (wasted %.1f%%)\n",
-		res.Rounds, e.TotalCommitted(), e.TotalConflicts(), e.TotalPremature(),
+		res.Rounds, e.TotalCommitted(), e.TotalAborted()-e.TotalPremature(), e.TotalPremature(),
 		100*e.OverallConflictRatio())
 
 	if err := sim.State().CheckComplete(); err != nil {

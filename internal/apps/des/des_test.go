@@ -146,7 +146,7 @@ func TestSpeculativeConflictsOccur(t *testing.T) {
 		sim.Executor().Round(16)
 	}
 	e := sim.Executor()
-	if e.TotalConflicts()+e.TotalPremature() == 0 {
+	if e.TotalAborted() == 0 {
 		t.Fatal("no wasted work on a serial workload at m=16?")
 	}
 	if e.OverallConflictRatio() < 0.3 {

@@ -2,9 +2,9 @@ package des
 
 import "repro/internal/speculation"
 
-// SpeculativeSim runs the queueing network on the *ordered* speculative
-// executor: events are prioritized tasks claiming their station; the
-// executor commits them chronologically, aborting same-round same-
+// SpeculativeSim runs the queueing network on an executor under the
+// *ordered* schedule: events are prioritized tasks acquiring their
+// station; the executor commits them chronologically, aborting same-round same-
 // station races (conflicts) and executions that ran ahead of freshly
 // spawned earlier events (premature, the Time-Warp hazard). Because
 // Apply is shared with the sequential oracle and all stochastic choices
@@ -13,7 +13,7 @@ import "repro/internal/speculation"
 type SpeculativeSim struct {
 	state *State
 	items []*speculation.Item
-	exec  *speculation.OrderedExecutor
+	exec  *speculation.Executor
 }
 
 // NewSpeculativeSim prepares the ordered workload: one task per initial
@@ -28,7 +28,7 @@ func NewSpeculativeSim(net *Network, jobs int, interMean float64) *SpeculativeSi
 		s.items[i] = speculation.NewItem(int64(i))
 	}
 	for _, e := range net.Arrivals(jobs, interMean) {
-		s.exec.Add(s.taskFor(e))
+		s.exec.Add(eventTask{sim: s, ev: e})
 	}
 	return s
 }
@@ -37,7 +37,7 @@ func NewSpeculativeSim(net *Network, jobs int, interMean float64) *SpeculativeSi
 func (s *SpeculativeSim) State() *State { return s.state }
 
 // Executor exposes the ordered executor for inspection.
-func (s *SpeculativeSim) Executor() *speculation.OrderedExecutor { return s.exec }
+func (s *SpeculativeSim) Executor() *speculation.Executor { return s.exec }
 
 // eventTask adapts an Event to speculation.OrderedTask.
 type eventTask struct {
@@ -50,27 +50,23 @@ func (t eventTask) Key() speculation.Key {
 	return speculation.Key{Time: t.ev.Time, Tie: t.ev.Tie()}
 }
 
-// Run implements speculation.OrderedTask: phase 1 claims the station
-// and precomputes the (pure) service time; the state transition itself
-// runs at commit, where its spawns are surfaced to the executor.
-func (t eventTask) Run(ctx *speculation.OrderedCtx) error {
-	ctx.Claim(t.sim.items[t.ev.Station])
+// Run implements speculation.Task: phase 1 acquires the station and
+// precomputes the (pure) service time; the state transition itself is a
+// commit action, which the ordered walk runs in place, so the events it
+// spawns are checked against the rest of the round.
+func (t eventTask) Run(ctx *speculation.Ctx) error {
+	if err := ctx.Acquire(t.sim.items[t.ev.Station]); err != nil {
+		return err
+	}
 	// Speculative useful work: the stochastic service draw is a pure
 	// function, so it can be burned here in parallel.
 	if t.ev.Kind == Arrival {
 		_ = t.sim.state.Net.ServiceTime(t.ev.Station, t.ev.Job)
 	}
-	ctx.SpawnAtCommit(func() []speculation.OrderedTask {
-		outs := t.sim.state.Apply(t.ev)
-		tasks := make([]speculation.OrderedTask, len(outs))
-		for i, e := range outs {
-			tasks[i] = eventTask{sim: t.sim, ev: e}
+	ctx.OnCommit(func() {
+		for _, e := range t.sim.state.Apply(t.ev) {
+			ctx.Spawn(eventTask{sim: t.sim, ev: e})
 		}
-		return tasks
 	})
 	return nil
-}
-
-func (s *SpeculativeSim) taskFor(e Event) speculation.OrderedTask {
-	return eventTask{sim: s, ev: e}
 }

@@ -1,9 +1,9 @@
 // Package faultinject provides deterministic fault injection for the
 // speculation runtime. An Injector wraps tasks as they enter an
 // executor's work-set (via Executor.WrapTask) and makes some of them
-// panic, return errors, or stall, according to a seeded plan. Only the
-// unordered executor has the hook: workloads that carry CapFault are
-// synthetic, and no ordered workload does.
+// panic, return errors, or stall, according to a seeded plan. Workloads
+// that carry CapFault are synthetic and unordered; no ordered workload
+// does.
 //
 // Determinism is the whole point: attempt IDs, round composition, and
 // lock-race winners all depend on goroutine scheduling, so faults keyed

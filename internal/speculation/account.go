@@ -5,11 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// accounting is the commit/abort bookkeeping shared by the unordered
-// executor (round and async paths) and the ordered executor. It owns
-// the cumulative counters, the per-handle failure budget, and the
-// poison quarantine, so the executors' hot paths all settle outcomes
-// through one implementation.
+// accounting is the executor's commit/abort bookkeeping, shared by its
+// round and async paths. It owns the cumulative counters, the per-handle
+// failure budget, and the poison quarantine, so every hot path settles
+// outcomes through one implementation.
 //
 // The counters are atomics: the executing path writes them while
 // monitors read concurrently. The failure map is mutex-guarded because
@@ -22,6 +21,7 @@ type accounting struct {
 	totalAborted   atomic.Int64
 	totalFailed    atomic.Int64
 	totalPoisoned  atomic.Int64
+	totalPremature atomic.Int64
 
 	failMu    sync.Mutex
 	failCount atomic.Int64  // len(failures), readable without failMu
@@ -59,6 +59,7 @@ func (a *accounting) addTotals(st RoundStats) {
 	add(&a.totalAborted, st.Aborted)
 	add(&a.totalFailed, st.Failed)
 	add(&a.totalPoisoned, st.Poisoned)
+	add(&a.totalPremature, st.Premature)
 }
 
 // noteFailure charges one failed attempt against handle h's budget.
@@ -112,9 +113,13 @@ func (a *accounting) TotalLaunched() int64 { return a.totalLaunched.Load() }
 // TotalCommitted returns the cumulative number of committed tasks.
 func (a *accounting) TotalCommitted() int64 { return a.totalCommitted.Load() }
 
-// TotalAborted returns the cumulative number of aborted attempts (for
-// the ordered executor: conflicts + premature executions).
+// TotalAborted returns the cumulative number of aborted attempts (under
+// the ordered schedule: conflicts + premature executions).
 func (a *accounting) TotalAborted() int64 { return a.totalAborted.Load() }
+
+// TotalPremature returns the part of TotalAborted that the ordered
+// schedule aborted past the end of a commit prefix.
+func (a *accounting) TotalPremature() int64 { return a.totalPremature.Load() }
 
 // TotalPoisoned returns the number of tasks quarantined after
 // exhausting their retry budget.

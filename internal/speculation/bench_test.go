@@ -105,7 +105,7 @@ func BenchmarkExecutorRound(b *testing.B) {
 // off 4096 pending ones, as des does, so the heap's cost shows. One op is
 // one round.
 func BenchmarkExecutorOrdered(b *testing.B) {
-	run := func(b *testing.B, e *OrderedExecutor, round func()) {
+	run := func(b *testing.B, e *Executor, round func()) {
 		defer e.Close()
 		round()
 		b.ReportAllocs()

@@ -17,7 +17,7 @@ import (
 //	    emit Sample
 //
 // Drive is the only entry point. The three modes differ in what "run"
-// means, not in the loop: round mode (either executor) and colored mode
+// means, not in the loop: round mode (either schedule) and colored mode
 // without declarations share the step below; colored mode runs declared
 // color classes before it (colored.go); async mode keeps the pool's participants
 // working through one long dispatch and closes a window instead of a
@@ -42,8 +42,8 @@ const (
 	ModeColored Mode = "colored"
 )
 
-// Rounder is the round-structured surface of an executor; *Executor and
-// *OrderedExecutor both satisfy it.
+// Rounder is the round-structured surface of an executor, under either
+// schedule; *Executor satisfies it.
 type Rounder interface {
 	// Pending returns the number of tasks awaiting execution.
 	Pending() int
@@ -156,7 +156,8 @@ type drive struct {
 // ends, or an Options bound trips. A stop is signalled one way, through
 // ctx, and is observed between steps: a round in flight always finishes,
 // async attempts in flight always settle. ModeAsync and ModeColored need
-// the unordered *Executor. One drive at a time per executor.
+// an *Executor under the unordered schedule. One drive at a time per
+// executor.
 func Drive(ctx context.Context, x Rounder, ctrl control.Controller, opts Options) (*Result, error) {
 	d := &drive{ctx: ctx, ctrl: ctrl, opts: opts}
 	e, _ := x.(*Executor)
@@ -165,8 +166,8 @@ func Drive(ctx context.Context, x Rounder, ctrl control.Controller, opts Options
 		for d.more(x.Pending()) {
 			d.step(x)
 		}
-	case e == nil:
-		return nil, fmt.Errorf("speculation: %T cannot be driven in mode %q", x, opts.Mode)
+	case e == nil || e.ordered:
+		return nil, fmt.Errorf("speculation: mode %q needs an executor under the unordered schedule", opts.Mode)
 	case opts.Mode == ModeAsync:
 		e.driveAsync(d)
 	case opts.Mode == ModeColored:

@@ -155,18 +155,23 @@ type orderedFailTask struct {
 }
 
 func (t *orderedFailTask) Key() Key { return t.key }
-func (t *orderedFailTask) Run(ctx *OrderedCtx) error {
-	ctx.Claim(t.claims...)
+func (t *orderedFailTask) Run(ctx *Ctx) error {
+	if err := ctx.AcquireAll(t.claims...); err != nil {
+		return err
+	}
 	if t.attempts.Add(1) <= int64(t.failures) {
-		if t.mode == "panic" {
+		switch t.mode {
+		case "panic":
 			panic(fmt.Sprintf("ordered boom at %v", t.key))
+		case "conflict":
+			return fmt.Errorf("ordered operator: %w", ErrConflict)
 		}
 		return errors.New("ordered transient")
 	}
 	return nil
 }
 
-// TestOrderedFailureFlow: the ordered executor shares the unordered
+// TestOrderedFailureFlow: the ordered schedule shares the unordered
 // taxonomy — panics retry on budget, commit prefix stays safe, and
 // exhausted tasks are quarantined instead of panicking the executor.
 func TestOrderedFailureFlow(t *testing.T) {
@@ -220,9 +225,36 @@ func TestOrderedPoisoning(t *testing.T) {
 		t.Fatalf("committed=%d poisoned=%d, want 1/1",
 			e.TotalCommitted(), e.TotalPoisoned())
 	}
+	// bad was admitted first, so its handle is 0: an ordered task keeps
+	// its handle, and with it its budget, through every requeue.
 	recs := e.PoisonedTasks()
-	if len(recs) != 1 || recs[0].Handle != -1 || recs[0].Attempts != 2 {
+	if len(recs) != 1 || recs[0].Handle != 0 || recs[0].Attempts != 2 {
 		t.Fatalf("records %+v", recs)
+	}
+}
+
+// TestOrderedOperatorConflictIsAbort: an ordered task that returns
+// ErrConflict itself is aborted, as in every other mode: it ends the
+// commit prefix like any loser, costs no budget, and is never poisoned.
+func TestOrderedOperatorConflictIsAbort(t *testing.T) {
+	e := NewOrderedExecutor()
+	e.TaskRetries = 1
+	defer e.Close()
+
+	racy := &orderedFailTask{key: Key{Time: 1}, failures: 3, mode: "conflict"}
+	after := &orderedFailTask{key: Key{Time: 2}}
+	e.Add(racy)
+	e.Add(after)
+	st := e.Round(2)
+	if st.Aborted != 2 || st.Premature != 1 || st.Failed != 0 || st.Committed != 0 {
+		t.Fatalf("round 1 stats %+v, want the conflict and the task after it aborted", st)
+	}
+	for i := 0; i < 20 && e.Pending() > 0; i++ {
+		e.Round(2)
+	}
+	s := e.Snapshot()
+	if s.Pending != 0 || s.Committed != 2 || s.Failed != 0 || s.Poisoned != 0 {
+		t.Fatalf("snapshot %+v, want both committed and nothing failed or poisoned", s)
 	}
 }
 

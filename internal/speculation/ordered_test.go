@@ -15,18 +15,20 @@ import (
 type testOrderedTask struct {
 	key    Key
 	claims []*Item
-	spawn  []OrderedTask
+	spawn  []Task
 	effect func()
 	ran    *atomic.Int32
 }
 
 func (t *testOrderedTask) Key() Key { return t.key }
 
-func (t *testOrderedTask) Run(ctx *OrderedCtx) error {
+func (t *testOrderedTask) Run(ctx *Ctx) error {
 	if t.ran != nil {
 		t.ran.Add(1)
 	}
-	ctx.Claim(t.claims...)
+	if err := ctx.AcquireAll(t.claims...); err != nil {
+		return err
+	}
 	for _, s := range t.spawn {
 		ctx.Spawn(s)
 	}
@@ -117,7 +119,7 @@ func TestOrderedPrematureRequeued(t *testing.T) {
 	spawned := &testOrderedTask{key: key(1.5), effect: note(1.5)}
 	// Task 1 spawns work at t=1.5; task 2 (t=2) ran in the same round
 	// and must be detected as premature.
-	e.Add(&testOrderedTask{key: key(1), spawn: []OrderedTask{spawned}, effect: note(1)})
+	e.Add(&testOrderedTask{key: key(1), spawn: []Task{spawned}, effect: note(1)})
 	e.Add(&testOrderedTask{key: key(2), effect: note(2)})
 	st := e.Round(2)
 	if st.Committed != 1 || st.Premature != 1 || st.Spawned != 1 {
@@ -138,7 +140,7 @@ func TestOrderedPrematureRequeued(t *testing.T) {
 func TestOrderedSpawnCausalityPanics(t *testing.T) {
 	e := NewOrderedExecutor()
 	bad := &testOrderedTask{key: key(0.5)}
-	e.Add(&testOrderedTask{key: key(1), spawn: []OrderedTask{bad}})
+	e.Add(&testOrderedTask{key: key(1), spawn: []Task{bad}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for spawn before parent")
@@ -192,7 +194,7 @@ type concTask struct {
 }
 
 func (t concTask) Key() Key { return t.k }
-func (t concTask) Run(*OrderedCtx) error {
+func (t concTask) Run(*Ctx) error {
 	c := t.cur.Add(1)
 	for {
 		p := t.peak.Load()
@@ -211,10 +213,10 @@ func (t concTask) Run(*OrderedCtx) error {
 // claim an item of their own, and the function that runs one round of m
 // and puts the committed tasks back — the fixed per-round cost with no
 // operator work behind it.
-func claimOnlyOrdered(m, maxPar int) (*OrderedExecutor, func()) {
+func claimOnlyOrdered(m, maxPar int) (*Executor, func()) {
 	e := NewOrderedExecutor()
 	e.MaxParallel = maxPar
-	tasks := make([]OrderedTask, m)
+	tasks := make([]Task, m)
 	for i := range tasks {
 		tasks[i] = &testOrderedTask{key: key(float64(i)), claims: []*Item{NewItem(int64(i))}}
 		e.Add(tasks[i])
@@ -248,7 +250,7 @@ func TestOrderedRoundAllocatesNothing(t *testing.T) {
 // a heap of thousands and their successors go in at the far end. Each
 // committed task re-enters with its key moved past every pending one, so
 // the heap keeps its depth and the round allocates nothing.
-func deepOrdered(m, depth, maxPar int) (*OrderedExecutor, func()) {
+func deepOrdered(m, depth, maxPar int) (*Executor, func()) {
 	e := NewOrderedExecutor()
 	e.MaxParallel = maxPar
 	tasks := make([]*testOrderedTask, depth)
@@ -297,7 +299,7 @@ func TestOrderedPopsInKeyOrder(t *testing.T) {
 		tie++
 		t := &testOrderedTask{key: Key{Time: tm, Tie: tie}, claims: []*Item{items[r.IntN(len(items))]}}
 		if depth > 0 && r.IntN(3) == 0 {
-			t.spawn = []OrderedTask{mk(tm+float64(1+r.IntN(4)), depth-1)}
+			t.spawn = []Task{mk(tm+float64(1+r.IntN(4)), depth-1)}
 		}
 		t.effect = func() { committed = append(committed, t.key) }
 		return t
@@ -333,17 +335,17 @@ func TestOrderedPopsInKeyOrder(t *testing.T) {
 		t.Fatal("commits left key order")
 	}
 
-	var h taskHeap
+	h := NewOrderedExecutor() // its work-set heap, driven directly
 	ref := &refHeap{}
 	for i := 0; i < 4000; i++ {
-		if len(h) == 0 || r.IntN(3) > 0 {
+		if len(h.pending) == 0 || r.IntN(3) > 0 {
 			k := Key{Time: float64(r.IntN(50)), Tie: uint64(r.IntN(4))} // equal keys on purpose
-			t := &testOrderedTask{key: k}
-			h.push(keyed{k, t})
-			heap.Push(ref, keyed{k, t})
+			q := queued{h: int64(i), t: &testOrderedTask{key: k}, key: k}
+			h.push(q)
+			heap.Push(ref, q)
 			continue
 		}
-		if got, want := h.pop(), heap.Pop(ref).(keyed); got != want {
+		if got, want := h.pop(), heap.Pop(ref).(queued); got != want {
 			t.Fatalf("pop %d: %+v, container/heap pops %+v", i, got.key, want.key)
 		}
 	}
@@ -351,12 +353,12 @@ func TestOrderedPopsInKeyOrder(t *testing.T) {
 
 // refHeap is container/heap over the same entries: the pop order the
 // executor's heap must reproduce.
-type refHeap []keyed
+type refHeap []queued
 
 func (h refHeap) Len() int           { return len(h) }
 func (h refHeap) Less(i, j int) bool { return h[i].key.Less(h[j].key) }
 func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(keyed)) }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(queued)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	x := old[len(old)-1]

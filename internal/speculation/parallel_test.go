@@ -66,7 +66,7 @@ type sleepOrderedTask struct {
 }
 
 func (t sleepOrderedTask) Key() Key { return t.k }
-func (t sleepOrderedTask) Run(*OrderedCtx) error {
+func (t sleepOrderedTask) Run(*Ctx) error {
 	time.Sleep(t.d)
 	return nil
 }

@@ -68,7 +68,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 	}
 }
 
-// TestOrderedSnapshot checks the ordered executor's one-call snapshot
+// TestOrderedSnapshot checks an ordered executor's one-call snapshot
 // against its individual accessors after a drained run.
 func TestOrderedSnapshot(t *testing.T) {
 	e := NewOrderedExecutor()
@@ -84,8 +84,9 @@ func TestOrderedSnapshot(t *testing.T) {
 	if s.Launched != e.TotalLaunched() || s.Committed != e.TotalCommitted() {
 		t.Errorf("snapshot %+v disagrees with accessors", s)
 	}
-	if want := e.TotalConflicts() + e.TotalPremature(); s.Aborted != want {
-		t.Errorf("aborted=%d, want conflicts+premature=%d", s.Aborted, want)
+	if s.Aborted != e.TotalAborted() || e.TotalPremature() > s.Aborted {
+		t.Errorf("aborted=%d (accessor %d), premature=%d: premature must be part of aborted",
+			s.Aborted, e.TotalAborted(), e.TotalPremature())
 	}
 }
 
@@ -97,7 +98,7 @@ type chainTask struct {
 
 func (c chainTask) Key() Key { return c.key }
 
-func (c chainTask) Run(ctx *OrderedCtx) error {
+func (c chainTask) Run(ctx *Ctx) error {
 	if c.depth > 0 {
 		ctx.Spawn(chainTask{key: Key{Time: c.key.Time + 1}, depth: c.depth - 1})
 	}

@@ -10,14 +10,14 @@
 // for all of them, and reports the measured conflict ratio r = aborts/m.
 // The round rule is the model's (§2): a task aborts iff a task before it
 // in the round's pick order committed and shares an item with it. A round
-// therefore runs in two phases, as the ordered executor's does: every
-// task of the batch runs and records the items it acquires (an Acquire
-// never fails in a round), then one serial walk in batch order commits a
-// task iff no earlier winner claimed one of its items (claim). The
-// committed set is the greedy maximal independent set of the pick order
-// on the round's conflict graph, whatever the participant count. A
-// colored super-round is a sequence of such rounds, one per color class
-// (colored.go).
+// therefore runs in two phases: every task of the batch runs and records
+// the items it acquires (an Acquire never fails in a round), then one
+// serial walk in batch order commits a task iff no earlier winner claimed
+// one of its items (claim). The committed set is the greedy maximal
+// independent set of the pick order on the round's conflict graph,
+// whatever the participant count. A colored super-round is a sequence of
+// such rounds, one per color class (colored.go), and the ordered schedule
+// (ordered.go) is the same round with another take policy and a stop rule.
 //
 // The paper assumes conflicting and non-conflicting tasks cost the same
 // (§2, as in Delaunay mesh refinement); the runtime therefore treats an
@@ -68,8 +68,8 @@ func (e *conflictError) Error() string {
 
 func (e *conflictError) Unwrap() error { return ErrConflict }
 
-// The failure taxonomy, shared by both executors: every attempt outcome
-// is exactly one of
+// The failure taxonomy, shared by every mode and schedule: every attempt
+// outcome is exactly one of
 //
 //	commit    — Run returned nil; side effects become visible.
 //	abort     — an earlier winner of the round claimed one of the task's
@@ -102,8 +102,7 @@ func (e *PanicError) Error() string {
 
 // FailureRecord describes a quarantined (poisoned) task.
 type FailureRecord struct {
-	// Handle is the unordered executor's task handle, or -1 for ordered
-	// tasks (which have no stable handle).
+	// Handle is the handle the task was admitted under.
 	Handle int64
 	// Attempts is the number of failed attempts the task consumed.
 	Attempts int
@@ -111,11 +110,10 @@ type FailureRecord struct {
 	Err string
 }
 
-// runGuarded executes one task attempt, of either executor, with panic
-// isolation: a panic in operator code is converted into a *PanicError so
-// the executor treats it as a task failure (retry budget) rather than a
-// crash.
-func runGuarded[C any, T interface{ Run(C) error }](t T, ctx C) (err error) {
+// runGuarded executes one task attempt with panic isolation: a panic in
+// operator code is converted into a *PanicError so the executor treats it
+// as a task failure (retry budget) rather than a crash.
+func runGuarded(t Task, ctx *Ctx) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
@@ -153,7 +151,7 @@ var stamps atomic.Uint64
 
 // claim books items under stamp for a winner of a walk and reports true,
 // or reports false and books nothing when an earlier winner of the walk
-// booked one of them: the one commit rule of both executors' walks.
+// booked one of them: the one commit rule of every walk.
 func claim(items []*Item, stamp uint64) bool {
 	for _, it := range items {
 		if it.gen == stamp {
@@ -294,14 +292,18 @@ func (c *Ctx) AcquireAll(items ...*Item) error {
 
 // Spawn schedules a new task to enter the work-set if and only if the
 // current task commits. Spawns by aborted tasks are discarded — newly
-// generated work is a side effect like any other.
+// generated work is a side effect like any other. Under the ordered
+// schedule a spawn must be an OrderedTask keyed after its parent, and a
+// commit action may call Spawn too: it runs in the walk, before the
+// task's spawns are admitted.
 func (c *Ctx) Spawn(t Task) { c.spawned = append(c.spawned, t) }
 
-// OnCommit registers a commit-time action: it runs serially, after every
-// task of the round has finished and the round's walk has picked the
-// winners, and only if the task committed (Galois-style commit actions).
-// Every write to shared state belongs here: it must not race with other
-// speculative tasks of the same round, and a loser's must not happen.
+// OnCommit registers a commit-time action: it runs serially, only if the
+// task committed (Galois-style commit actions), after every task of the
+// round has finished — once the walk has picked the round's winners, or,
+// under the ordered schedule, as the walk commits the task. Every write
+// to shared state belongs here: it must not race with other speculative
+// tasks of the same round, and a loser's must not happen.
 func (c *Ctx) OnCommit(fn func()) { c.onCommit = append(c.onCommit, fn) }
 
 // release frees every lock an async attempt holds.
@@ -317,7 +319,7 @@ type RoundStats struct {
 	Launched  int
 	Committed int
 	Aborted   int // conflict aborts (expected speculative losses)
-	Premature int // ordered executor: the part of Aborted that ran ahead of newly spawned earlier work
+	Premature int // ordered schedule: the part of Aborted past the end of the commit prefix
 	Failed    int // panics / non-conflict errors, rolled back and retried
 	Poisoned  int // failures that exhausted the retry budget this round
 	Spawned   int // new tasks entering the work-set from committed tasks
@@ -522,12 +524,14 @@ func (d *dispatchRecord) dispatch(maxParallel, n int, run func(i int), everyHelp
 	}
 }
 
-// queued is one work-set entry: a task and the handle it was admitted
-// under. The handle keys the failure budget and names the task in a
-// FailureRecord; nothing looks a task up by it.
+// queued is one work-set entry: a task, the handle it was admitted under,
+// and, under the ordered schedule, its key, read once at admission. The
+// handle keys the failure budget and names the task in a FailureRecord;
+// nothing looks a task up by it.
 type queued struct {
-	h int64
-	t Task
+	h   int64
+	t   Task
+	key Key
 }
 
 // Executor runs tasks speculatively, round by round. Add and the
@@ -537,13 +541,13 @@ type Executor struct {
 	nextID atomic.Int64 // handles and async attempt IDs share one allocator
 
 	mu      sync.Mutex      // guards pending only
-	pending []queued        // the work-set
+	pending []queued        // the work-set: a heap by key under the ordered schedule
 	pick    func(n int) int // selection policy: nil = take from tail
+	ordered bool            // the ordered schedule (NewOrderedExecutor)
 
 	// accounting holds the cumulative counters, failure budget, and
-	// poison quarantine shared with the ordered executor; its exported
-	// accessors (TotalLaunched, PoisonedTasks, OverallConflictRatio, …)
-	// are promoted onto Executor.
+	// poison quarantine; its exported accessors (TotalLaunched,
+	// PoisonedTasks, OverallConflictRatio, …) are promoted onto Executor.
 	accounting
 
 	// MaxParallel bounds how many attempts execute at once, in every mode:
@@ -609,20 +613,6 @@ func (r *roundScratch) grow(n int) {
 // slices, never the executor's shared state or the context pool.
 func (r *roundScratch) attempt(i int) { r.errs[i] = runGuarded(r.batch[i].t, r.ctxs[i]) }
 
-// walk is a round's second phase: it visits the n attempts in batch order
-// and turns an attempt that finished cleanly into an abort if an earlier
-// winner claimed one of its items; a winner books its own. Run's verdicts
-// stand otherwise, so a task that failed or raised ErrConflict itself
-// books nothing.
-func (r *roundScratch) walk(n int) {
-	stamp := stamps.Add(1)
-	for i, c := range r.ctxs[:n] {
-		if r.errs[i] == nil && !claim(c.acquired, stamp) {
-			r.errs[i] = ErrConflict
-		}
-	}
-}
-
 // settled drops the references the round's n attempts left in the
 // scratch — contexts scrubbed, lists cleared, capacity kept — so a
 // finished task is collectable from the barrier on. The commit actions
@@ -649,9 +639,12 @@ func (r *roundScratch) runActions() {
 	}
 }
 
-// release returns every cached context to the global pool.
+// release returns every cached context to the global pool, scrubbed: a
+// walk that panicked (an ordered spawn out of key order) left its
+// round's contexts as they were.
 func (r *roundScratch) release() {
 	for i, c := range r.ctxs {
+		c.scrub()
 		ctxPool.Put(c)
 		r.ctxs[i] = nil
 	}
@@ -703,12 +696,17 @@ func (e *Executor) Snapshot() Snapshot {
 func (e *Executor) retryBudget() int { return resolveRetryBudget(e.TaskRetries) }
 
 // admit is how a task becomes a work-set entry, from Add or from a
-// committed task's spawns: through WrapTask, under a fresh handle.
+// committed task's spawns: keyed under the ordered schedule, through
+// WrapTask, under a fresh handle.
 func (e *Executor) admit(t Task) queued {
-	if w := e.WrapTask; w != nil {
-		t = w(t)
+	q := queued{h: e.nextID.Add(1) - 1, t: t}
+	if e.ordered {
+		q.key = t.(OrderedTask).Key()
 	}
-	return queued{h: e.nextID.Add(1) - 1, t: t}
+	if w := e.WrapTask; w != nil {
+		q.t = w(t)
+	}
+	return q
 }
 
 // admitSpawns admits a committed attempt's spawns onto out, counting
@@ -739,6 +737,10 @@ func (e *Executor) take(buf []queued, m int) []queued {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for ; m > 0 && len(e.pending) > 0; m-- {
+		if e.ordered {
+			buf = append(buf, e.pop())
+			continue
+		}
 		last := len(e.pending) - 1
 		j := last
 		if e.pick != nil {
@@ -758,7 +760,13 @@ func (e *Executor) requeue(qs ...queued) {
 		return
 	}
 	e.mu.Lock()
-	e.pending = append(e.pending, qs...)
+	if e.ordered {
+		for _, q := range qs {
+			e.push(q)
+		}
+	} else {
+		e.pending = append(e.pending, qs...)
+	}
 	e.mu.Unlock()
 }
 
@@ -775,10 +783,9 @@ const (
 
 // settle grades one finished attempt of q — already rolled back if it
 // did not commit — spends or forgets its failure budget, and tallies it
-// in st. It is the one statement of the taxonomy for the unordered
-// executor: the round path (every colored class included) and the async
-// path both settle through it and add only what is theirs (held locks,
-// window accounting).
+// in st. It is the one statement of the taxonomy: the walk (every
+// schedule, every colored class) and the async path both settle through
+// it and add only what is theirs (held locks, window accounting).
 func (e *Executor) settle(q queued, err error, budget int, st *RoundStats) verdict {
 	st.Launched++
 	switch {
@@ -804,7 +811,8 @@ func (e *Executor) settle(q queued, err error, budget int, st *RoundStats) verdi
 // winner claimed one of its items, so the committed set is the greedy
 // maximal independent set of the batch order, whatever the participant
 // count. Committed tasks leave the work-set and their spawns enter it;
-// aborted tasks are requeued.
+// aborted tasks are requeued. Under the ordered schedule the batch is the
+// m earliest tasks by key, and the walk commits a prefix of it (ordered.go).
 //
 // The round runs on the caller and the pool's helpers, which claim chunks
 // of its index space off one cursor, so per-task scheduling cost is
@@ -817,10 +825,12 @@ func (e *Executor) Round(m int) RoundStats {
 	return e.runBatch()
 }
 
-// runBatch runs the scratch batch as one round — dispatch, walk, settle,
-// requeue, then the winners' commit actions — and leaves the batch empty.
-// Round takes its batch from the work-set; a colored super-round runs each
-// color class through here (colored.go).
+// runBatch runs the scratch batch as one round — dispatch, walk, requeue,
+// then the winners' commit actions — and leaves the batch empty. Round
+// takes its batch from the work-set; a colored super-round runs each color
+// class through here (colored.go). Unordered commit actions run after the
+// requeue, so work an action adds (Executor.Add) queues behind the
+// round's own.
 func (e *Executor) runBatch() RoundStats {
 	s := &e.scratch
 	n := len(s.batch)
@@ -832,18 +842,7 @@ func (e *Executor) runBatch() RoundStats {
 		s.run = s.attempt
 	}
 	e.dispatch(e.MaxParallel, n, s.run, false)
-	s.walk(n)
-	var stats RoundStats
-	budget := e.retryBudget()
-	for i, q := range s.batch {
-		switch e.settle(q, s.errs[i], budget, &stats) {
-		case verdictCommit:
-			s.spawned = e.admitSpawns(s.ctxs[i], s.spawned, &stats)
-			s.actions = append(s.actions, s.ctxs[i].onCommit...)
-		case verdictAbort, verdictRetry:
-			s.requeue = append(s.requeue, q)
-		}
-	}
+	stats := e.walk()
 	// Aborted entries go back first (they are retries), then the newly
 	// spawned work — each as one batched insertion.
 	e.requeue(s.requeue...)
@@ -852,4 +851,58 @@ func (e *Executor) runBatch() RoundStats {
 	e.addTotals(stats)
 	s.runActions()
 	return stats
+}
+
+// walk is a round's second phase: it visits the batch in order and
+// settles each attempt. One that finished cleanly aborts if an earlier
+// winner claimed one of its items; a winner books its own. Run's verdicts
+// stand otherwise, so a task that failed or raised ErrConflict itself
+// books nothing.
+//
+// Under the ordered schedule the walk also stops: the commit prefix ends
+// at the first task that does not commit, and every task after it is
+// premature, as is one keyed after work a winner of this walk spawned.
+// A winner's commit actions run here, in key order, because their spawns
+// decide that.
+func (e *Executor) walk() (st RoundStats) {
+	s := &e.scratch
+	budget := e.retryBudget()
+	stamp := stamps.Add(1)
+	first, cut := MaxKey, false // ordered: the earliest key spawned so far; the prefix has ended
+	for i, q := range s.batch {
+		c, err := s.ctxs[i], s.errs[i]
+		switch {
+		case cut || first.Less(q.key):
+			err = errPremature
+			st.Premature++
+		case err == nil && !claim(c.acquired, stamp):
+			err = ErrConflict
+		}
+		switch e.settle(q, err, budget, &st) {
+		case verdictCommit:
+			if !e.ordered {
+				s.actions = append(s.actions, c.onCommit...)
+				s.spawned = e.admitSpawns(c, s.spawned, &st)
+				continue
+			}
+			for _, fn := range c.onCommit {
+				fn()
+			}
+			from := len(s.spawned)
+			s.spawned = e.admitSpawns(c, s.spawned, &st)
+			for _, sp := range s.spawned[from:] {
+				if !q.key.Less(sp.key) {
+					panic(fmt.Sprintf("speculation: spawn key %+v not after parent %+v", sp.key, q.key))
+				}
+				if sp.key.Less(first) {
+					first = sp.key
+				}
+			}
+			continue
+		case verdictAbort, verdictRetry:
+			s.requeue = append(s.requeue, q)
+		}
+		cut = e.ordered
+	}
+	return st
 }

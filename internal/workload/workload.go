@@ -6,7 +6,7 @@
 // from wire-level names.
 //
 // A workload instance is a Run: the executor holding its tasks (as a
-// Stepper, which both the unordered and the ordered executor are), ready
+// Stepper, under either schedule), ready
 // for speculation.Drive, plus the app-specific verification oracle and
 // the CLI report. Construction is deterministic in Params.Seed — two Runs built
 // from equal Params produce identical trajectories when driven
@@ -59,7 +59,7 @@ type Params struct {
 
 // Stepper is what a workload hands to speculation.Drive: the executor's
 // round surface, its race-safe counters for monitors, and its release.
-// *speculation.Executor and *speculation.OrderedExecutor are Steppers.
+// *speculation.Executor, under either schedule, is one.
 type Stepper interface {
 	speculation.Rounder
 	// Snapshot returns pending count plus cumulative counters in one
@@ -395,7 +395,7 @@ func newDES(p Params) (*Run, error) {
 		Stepper: e,
 		summary: func(res *speculation.AdaptiveResult) string {
 			return fmt.Sprintf("%-8s rounds=%-6d committed=%-7d conflicts=%-5d premature=%-6d wasted=%.3f",
-				"des", res.Rounds, e.TotalCommitted(), e.TotalConflicts(), e.TotalPremature(),
+				"des", res.Rounds, e.TotalCommitted(), e.TotalAborted()-e.TotalPremature(), e.TotalPremature(),
 				e.OverallConflictRatio())
 		},
 		verify: func() (string, error) {

@@ -30,14 +30,6 @@ var keep = map[string]string{
 	"(*service/client.BusyError).Is":      "errors.Is",
 	"(*speculation.conflictError).Unwrap": "errors.Is",
 
-	// Interface methods a generic function calls through its type
-	// parameter, which this check does not instantiate.
-	"(apps/des.eventTask).Run": "speculation.OrderedTask, run by runGuarded[*OrderedCtx, OrderedTask]",
-
-	// Task API: what a task body may call.
-	"(*speculation.OrderedCtx).OnCommit": "task API of ordered tasks",
-	"(*speculation.OrderedCtx).Spawn":    "task API of ordered tasks",
-
 	// Test oracles: independent checks of what the program computes.
 	"(*apps/cluster.Clustering).Sequential": "test oracle: sequential agglomeration the speculative dendrogram is held to",
 	"(*apps/maxflow.Network).CheckFlow":     "test oracle: capacity and conservation of a max flow",
