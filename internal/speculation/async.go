@@ -249,7 +249,7 @@ func (a *asyncRun) runChunk(w *asyncWorker, c *Ctx) {
 		if err != nil {
 			c.release()
 		}
-		switch e.settle(q, err, a.budget, &w.st) {
+		switch e.settle(q.h, err, a.budget, &w.st) {
 		case verdictCommit:
 			w.locks = append(w.locks, c.acquired...)
 			w.actions = append(w.actions, c.onCommit...)

@@ -67,23 +67,41 @@ var errPremature = fmt.Errorf("%w: ran ahead of earlier work", ErrConflict)
 // rounds only; Drive refuses the async and colored modes on it.
 func NewOrderedExecutor() *Executor { return &Executor{ordered: true} }
 
+// keyOf returns the key of a task entering the ordered schedule's
+// work-set, and panics on a task that has none.
+func keyOf(t Task) Key {
+	o, ok := t.(OrderedTask)
+	if !ok {
+		panic(fmt.Sprintf("speculation: %T is not an OrderedTask: the ordered schedule admits only keyed tasks", t))
+	}
+	return o.Key()
+}
+
+// keyed is a work-set entry under the ordered schedule: the entry and its
+// key, read once at admission. Key is constant for a task's lifetime, so
+// nothing after that calls it.
+type keyed struct {
+	key Key
+	queued
+}
+
 // push adds x to the work-set heap. The heap is a binary min-heap by key
 // that sifts exactly as container/heap does, so even equal keys pop in
 // the same order. Callers hold e.mu.
-func (e *Executor) push(x queued) {
-	s := append(e.pending, x)
+func (e *Executor) push(x keyed) {
+	s := append(e.heap, x)
 	j := len(s) - 1
 	for ; j > 0 && x.key.Less(s[(j-1)/2].key); j = (j - 1) / 2 {
 		s[j] = s[(j-1)/2]
 	}
 	s[j] = x
-	e.pending = s
+	e.heap = s
 }
 
 // pop removes and returns the earliest entry of the work-set heap.
 // Callers hold e.mu.
-func (e *Executor) pop() queued {
-	s := e.pending
+func (e *Executor) pop() keyed {
+	s := e.heap
 	n := len(s) - 1
 	top, last := s[0], s[n]
 	i := 0
@@ -96,7 +114,55 @@ func (e *Executor) pop() queued {
 		}
 		s[i], i = s[c], c
 	}
-	s[i], s[n] = last, queued{} // n == 0: both are slot 0, which leaves the heap
-	e.pending = s[:n]
+	s[i], s[n] = last, keyed{} // n == 0: both are slot 0, which leaves the heap
+	e.heap = s[:n]
 	return top
+}
+
+// takeEarliest is the ordered take policy: it moves the m earliest
+// entries of the heap into the scratch batch, in key order, and their
+// keys into the scratch keys.
+func (e *Executor) takeEarliest(m int) {
+	s := &e.scratch
+	e.mu.Lock()
+	for ; m > 0 && len(e.heap) > 0; m-- {
+		x := e.pop()
+		s.batch = append(s.batch, x.queued)
+		s.keys = append(s.keys, x.key)
+	}
+	e.mu.Unlock()
+}
+
+// pushAll puts entries on the work-set heap.
+func (e *Executor) pushAll(xs ...keyed) {
+	if len(xs) == 0 {
+		return
+	}
+	e.mu.Lock()
+	for _, x := range xs {
+		e.push(x)
+	}
+	e.mu.Unlock()
+}
+
+// commitInPlace commits an ordered winner keyed k inside the walk: its
+// commit actions run, then its spawns — each keyed after k — are admitted
+// onto the scratch back list. It returns the earliest key spawned in the
+// walk so far, first included.
+func (e *Executor) commitInPlace(c *Ctx, k, first Key, st *RoundStats) Key {
+	for _, fn := range c.onCommit {
+		fn()
+	}
+	for _, t := range c.spawned {
+		sk := keyOf(t)
+		if !k.Less(sk) {
+			panic(fmt.Sprintf("speculation: spawn key %+v not after parent %+v", sk, k))
+		}
+		if sk.Less(first) {
+			first = sk
+		}
+		e.scratch.back = append(e.scratch.back, keyed{sk, e.admit(t)})
+	}
+	st.Spawned += len(c.spawned)
+	return first
 }

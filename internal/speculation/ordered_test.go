@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -137,16 +138,28 @@ func TestOrderedPrematureRequeued(t *testing.T) {
 	}
 }
 
+// TestOrderedSpawnCausalityPanics: an ordered task may spawn only keyed
+// tasks, each after its parent; either breach panics with the rule.
 func TestOrderedSpawnCausalityPanics(t *testing.T) {
-	e := NewOrderedExecutor()
-	bad := &testOrderedTask{key: key(0.5)}
-	e.Add(&testOrderedTask{key: key(1), spawn: []Task{bad}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for spawn before parent")
-		}
-	}()
-	e.Round(1)
+	for _, tc := range []struct {
+		name  string
+		spawn Task
+		want  string
+	}{
+		{"before parent", &testOrderedTask{key: key(0.5)}, "not after parent"},
+		{"no key", TaskFunc(func(*Ctx) error { return nil }), "is not an OrderedTask"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewOrderedExecutor()
+			e.Add(&testOrderedTask{key: key(1), spawn: []Task{tc.spawn}})
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one naming %q", msg, tc.want)
+				}
+			}()
+			e.Round(1)
+		})
+	}
 }
 
 func TestOrderedIndependentTasksAllCommit(t *testing.T) {
@@ -338,14 +351,14 @@ func TestOrderedPopsInKeyOrder(t *testing.T) {
 	h := NewOrderedExecutor() // its work-set heap, driven directly
 	ref := &refHeap{}
 	for i := 0; i < 4000; i++ {
-		if len(h.pending) == 0 || r.IntN(3) > 0 {
+		if len(h.heap) == 0 || r.IntN(3) > 0 {
 			k := Key{Time: float64(r.IntN(50)), Tie: uint64(r.IntN(4))} // equal keys on purpose
-			q := queued{h: int64(i), t: &testOrderedTask{key: k}, key: k}
-			h.push(q)
-			heap.Push(ref, q)
+			x := keyed{k, queued{h: int64(i), t: &testOrderedTask{key: k}}}
+			h.push(x)
+			heap.Push(ref, x)
 			continue
 		}
-		if got, want := h.pop(), heap.Pop(ref).(queued); got != want {
+		if got, want := h.pop(), heap.Pop(ref).(keyed); got != want {
 			t.Fatalf("pop %d: %+v, container/heap pops %+v", i, got.key, want.key)
 		}
 	}
@@ -353,12 +366,12 @@ func TestOrderedPopsInKeyOrder(t *testing.T) {
 
 // refHeap is container/heap over the same entries: the pop order the
 // executor's heap must reproduce.
-type refHeap []queued
+type refHeap []keyed
 
 func (h refHeap) Len() int           { return len(h) }
 func (h refHeap) Less(i, j int) bool { return h[i].key.Less(h[j].key) }
 func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(queued)) }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(keyed)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	x := old[len(old)-1]

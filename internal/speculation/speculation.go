@@ -524,14 +524,12 @@ func (d *dispatchRecord) dispatch(maxParallel, n int, run func(i int), everyHelp
 	}
 }
 
-// queued is one work-set entry: a task, the handle it was admitted under,
-// and, under the ordered schedule, its key, read once at admission. The
-// handle keys the failure budget and names the task in a FailureRecord;
-// nothing looks a task up by it.
+// queued is one work-set entry: a task and the handle it was admitted
+// under. The handle keys the failure budget and names the task in a
+// FailureRecord; nothing looks a task up by it.
 type queued struct {
-	h   int64
-	t   Task
-	key Key
+	h int64
+	t Task
 }
 
 // Executor runs tasks speculatively, round by round. Add and the
@@ -540,10 +538,11 @@ type queued struct {
 type Executor struct {
 	nextID atomic.Int64 // handles and async attempt IDs share one allocator
 
-	mu      sync.Mutex      // guards pending only
-	pending []queued        // the work-set: a heap by key under the ordered schedule
+	mu      sync.Mutex      // guards pending and heap only
+	pending []queued        // the work-set
+	heap    []keyed         // the work-set under the ordered schedule: a heap by key
 	pick    func(n int) int // selection policy: nil = take from tail
-	ordered bool            // the ordered schedule (NewOrderedExecutor)
+	ordered bool            // the ordered schedule, set only by NewOrderedExecutor
 
 	// accounting holds the cumulative counters, failure budget, and
 	// poison quarantine; its exported accessors (TotalLaunched,
@@ -582,21 +581,23 @@ type Executor struct {
 }
 
 // roundScratch holds the working slices of a round, reused across rounds
-// so a steady-state round allocates nothing. batch, requeue, spawned and
-// actions hold references only while a round is in progress: settling
-// clears what the round wrote, so a finished task is collectable at the
-// barrier. ctxs is the executor's context cache: contexts are drawn from
-// the global sync.Pool at the high-water mark, pre-assigned to round
-// indices before dispatch (so workers never touch the pool), and scrubbed
-// in place after accounting. The cache never shrinks; Executor.Close
-// returns it to the pool.
+// so a steady-state round allocates nothing. batch, requeue, spawned,
+// back and actions hold references only while a round is in progress:
+// settling clears what the round wrote, so a finished task is collectable
+// at the barrier. ctxs is the executor's context cache: contexts are
+// drawn from the global sync.Pool at the high-water mark, pre-assigned to
+// round indices before dispatch (so workers never touch the pool), and
+// scrubbed in place after accounting. The cache never shrinks;
+// Executor.Close returns it to the pool.
 type roundScratch struct {
 	batch []queued // the entries this round runs
+	keys  []Key    // ordered: the batch's keys
 	ctxs  []*Ctx   // len is the high-water round size; [:n] used per round
 	errs  []error
 
 	requeue []queued // aborted and failed entries going back, in batch order
 	spawned []queued // committed tasks' spawns, admitted
+	back    []keyed  // ordered: aborted, failed and spawned entries, in walk order
 	actions []func() // committed tasks' commit actions
 
 	run func(i int) // attempt, bound once so dispatching a round allocates nothing
@@ -622,9 +623,10 @@ func (r *roundScratch) settled(n int) {
 		c.scrub()
 	}
 	clear(r.errs)
-	r.batch = emptied(r.batch)
+	r.batch, r.keys = emptied(r.batch), r.keys[:0]
 	r.requeue = emptied(r.requeue)
 	r.spawned = emptied(r.spawned)
+	r.back = emptied(r.back)
 }
 
 // runActions runs the collected commit actions serially, in commit
@@ -696,17 +698,12 @@ func (e *Executor) Snapshot() Snapshot {
 func (e *Executor) retryBudget() int { return resolveRetryBudget(e.TaskRetries) }
 
 // admit is how a task becomes a work-set entry, from Add or from a
-// committed task's spawns: keyed under the ordered schedule, through
-// WrapTask, under a fresh handle.
+// committed task's spawns: through WrapTask, under a fresh handle.
 func (e *Executor) admit(t Task) queued {
-	q := queued{h: e.nextID.Add(1) - 1, t: t}
-	if e.ordered {
-		q.key = t.(OrderedTask).Key()
-	}
 	if w := e.WrapTask; w != nil {
-		q.t = w(t)
+		t = w(t)
 	}
-	return q
+	return queued{h: e.nextID.Add(1) - 1, t: t}
 }
 
 // admitSpawns admits a committed attempt's spawns onto out, counting
@@ -720,13 +717,19 @@ func (e *Executor) admitSpawns(c *Ctx, out []queued, st *RoundStats) []queued {
 }
 
 // Add inserts a task into the work-set.
-func (e *Executor) Add(t Task) { e.requeue(e.admit(t)) }
+func (e *Executor) Add(t Task) {
+	if e.ordered {
+		e.pushAll(keyed{keyOf(t), e.admit(t)})
+		return
+	}
+	e.requeue(e.admit(t))
+}
 
 // Pending returns the number of tasks awaiting execution.
 func (e *Executor) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.pending)
+	return len(e.pending) + len(e.heap)
 }
 
 // take moves up to m pending entries into buf[:0] per the selection
@@ -737,10 +740,6 @@ func (e *Executor) take(buf []queued, m int) []queued {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for ; m > 0 && len(e.pending) > 0; m-- {
-		if e.ordered {
-			buf = append(buf, e.pop())
-			continue
-		}
 		last := len(e.pending) - 1
 		j := last
 		if e.pick != nil {
@@ -760,13 +759,7 @@ func (e *Executor) requeue(qs ...queued) {
 		return
 	}
 	e.mu.Lock()
-	if e.ordered {
-		for _, q := range qs {
-			e.push(q)
-		}
-	} else {
-		e.pending = append(e.pending, qs...)
-	}
+	e.pending = append(e.pending, qs...)
 	e.mu.Unlock()
 }
 
@@ -781,25 +774,26 @@ const (
 	verdictPoison         // failed with no budget left: quarantined, dropped
 )
 
-// settle grades one finished attempt of q — already rolled back if it
-// did not commit — spends or forgets its failure budget, and tallies it
-// in st. It is the one statement of the taxonomy: the walk (every
-// schedule, every colored class) and the async path both settle through
-// it and add only what is theirs (held locks, window accounting).
-func (e *Executor) settle(q queued, err error, budget int, st *RoundStats) verdict {
+// settle grades one finished attempt of the task admitted under handle
+// h — already rolled back if it did not commit — spends or forgets its
+// failure budget, and tallies it in st. It is the one statement of the
+// taxonomy: the walk (every schedule, every colored class) and the async
+// path both settle through it and add only what is theirs (held locks,
+// window accounting).
+func (e *Executor) settle(h int64, err error, budget int, st *RoundStats) verdict {
 	st.Launched++
 	switch {
 	case err == nil:
 		st.Committed++
 		// A previously failed task may have recovered; forget its record.
-		e.clearFailure(q.h)
+		e.clearFailure(h)
 		return verdictCommit
 	case errors.Is(err, ErrConflict):
 		st.Aborted++
 		return verdictAbort
 	}
 	st.Failed++
-	if _, poisoned := e.noteFailure(q.h, budget, err.Error()); poisoned {
+	if _, poisoned := e.noteFailure(h, budget, err.Error()); poisoned {
 		st.Poisoned++
 		return verdictPoison
 	}
@@ -821,7 +815,11 @@ func (e *Executor) Round(m int) RoundStats {
 	if m < 0 {
 		panic("speculation: negative round size")
 	}
-	e.scratch.batch = e.take(e.scratch.batch, m)
+	if e.ordered {
+		e.takeEarliest(m)
+	} else {
+		e.scratch.batch = e.take(e.scratch.batch, m)
+	}
 	return e.runBatch()
 }
 
@@ -847,62 +845,55 @@ func (e *Executor) runBatch() RoundStats {
 	// spawned work — each as one batched insertion.
 	e.requeue(s.requeue...)
 	e.requeue(s.spawned...)
+	e.pushAll(s.back...)
 	s.settled(n)
 	e.addTotals(stats)
 	s.runActions()
 	return stats
 }
 
-// walk is a round's second phase: it visits the batch in order and
-// settles each attempt. One that finished cleanly aborts if an earlier
-// winner claimed one of its items; a winner books its own. Run's verdicts
+// walk is a round's second phase. It first books the batch's claims in
+// order: an attempt that finished cleanly aborts if an earlier winner
+// claimed one of its items, and a winner books its own. Run's verdicts
 // stand otherwise, so a task that failed or raised ErrConflict itself
-// books nothing.
+// books nothing. It then settles each attempt, in batch order.
 //
 // Under the ordered schedule the walk also stops: the commit prefix ends
 // at the first task that does not commit, and every task after it is
 // premature, as is one keyed after work a winner of this walk spawned.
 // A winner's commit actions run here, in key order, because their spawns
-// decide that.
+// decide that. Claims booked past the end of the prefix change nothing:
+// every task there is premature.
 func (e *Executor) walk() (st RoundStats) {
 	s := &e.scratch
-	budget := e.retryBudget()
 	stamp := stamps.Add(1)
+	for i, c := range s.ctxs[:len(s.batch)] {
+		if s.errs[i] == nil && !claim(c.acquired, stamp) {
+			s.errs[i] = ErrConflict
+		}
+	}
+	budget := e.retryBudget()
 	first, cut := MaxKey, false // ordered: the earliest key spawned so far; the prefix has ended
 	for i, q := range s.batch {
 		c, err := s.ctxs[i], s.errs[i]
-		switch {
-		case cut || first.Less(q.key):
+		if e.ordered && (cut || first.Less(s.keys[i])) {
 			err = errPremature
 			st.Premature++
-		case err == nil && !claim(c.acquired, stamp):
-			err = ErrConflict
 		}
-		switch e.settle(q, err, budget, &st) {
-		case verdictCommit:
-			if !e.ordered {
-				s.actions = append(s.actions, c.onCommit...)
-				s.spawned = e.admitSpawns(c, s.spawned, &st)
-				continue
-			}
-			for _, fn := range c.onCommit {
-				fn()
-			}
-			from := len(s.spawned)
+		switch v := e.settle(q.h, err, budget, &st); {
+		case v == verdictCommit && e.ordered:
+			first = e.commitInPlace(c, s.keys[i], first, &st)
+		case v == verdictCommit:
+			s.actions = append(s.actions, c.onCommit...)
 			s.spawned = e.admitSpawns(c, s.spawned, &st)
-			for _, sp := range s.spawned[from:] {
-				if !q.key.Less(sp.key) {
-					panic(fmt.Sprintf("speculation: spawn key %+v not after parent %+v", sp.key, q.key))
-				}
-				if sp.key.Less(first) {
-					first = sp.key
-				}
+		case e.ordered:
+			if v != verdictPoison {
+				s.back = append(s.back, keyed{s.keys[i], q})
 			}
-			continue
-		case verdictAbort, verdictRetry:
+			cut = true
+		case v != verdictPoison:
 			s.requeue = append(s.requeue, q)
 		}
-		cut = e.ordered
 	}
 	return st
 }
